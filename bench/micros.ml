@@ -1,9 +1,9 @@
 (* The named bechamel micro-benchmarks for every substrate hot path
    (SHA-256, HMAC, Merkle trees, GF arithmetic, Reed-Solomon coding
    over both GF(256) and GF(65536), transfer plans, chunker/rebuild,
-   VTS ordering, Aria execution, PBFT rounds, and the simulator core
-   including a schedule/cancel/poll churn case and the parallel
-   driver's barrier machinery).
+   VTS ordering, Aria execution on YCSB and TPC-C, PBFT rounds, and the
+   simulator core including a schedule/cancel/poll churn case and the
+   parallel driver's barrier machinery).
 
    A library rather than part of the bench executable so the CLI's
    [massbft bench] subcommand can run the same suite — the regression
@@ -194,6 +194,25 @@ let bench_aria =
          let store = Kvstore.create () in
          ignore (Aria.execute_batch store aria_batch)))
 
+(* Aria over TPC-C bodies as the tpcc macro executes them: 500-txn
+   batches (the default max_batch) of the full 128-warehouse workload,
+   over a preload store that 20 earlier batches have warmed. Runs cycle
+   through 8 batches; like the macro's, the store keeps growing by the
+   orders each batch inserts. *)
+let bench_aria_tpcc =
+  let allocate () =
+    let w = W.create W.Tpcc ~seed:7L in
+    let store = Kvstore.create ~init:(W.preload W.Tpcc) () in
+    let batch () = List.init 500 (fun _ -> W.next w) in
+    for _ = 1 to 20 do ignore (Aria.execute_batch store (batch ())) done;
+    (store, Array.init 8 (fun _ -> batch ()), ref 0)
+  in
+  Test.make_with_resource ~name:"aria/tpcc-500-txn-batch" Test.uniq ~allocate
+    ~free:ignore
+    (Staged.stage (fun (store, batches, next) ->
+         incr next;
+         ignore (Aria.execute_batch store batches.(!next land 7))))
+
 let bench_pbft =
   Test.make ~name:"pbft/normal-case-n7"
     (Staged.stage (fun () ->
@@ -295,7 +314,8 @@ let micro_tests =
     bench_gf16_mul_slice; bench_gf16_xor_slice; bench_rs_encode;
     bench_rs_decode;
     bench_rs16_encode; bench_rs16_decode; bench_plan;
-    bench_chunker; bench_rebuild; bench_orderer; bench_aria; bench_pbft;
+    bench_chunker; bench_rebuild; bench_orderer; bench_aria; bench_aria_tpcc;
+    bench_pbft;
     bench_sim; bench_sim_churn; bench_shard_barrier;
   ]
 

@@ -16,7 +16,19 @@
     Conflict-aborted transactions are returned for re-execution in a
     later batch (the engine prepends them to the next entry). Logic
     aborts (e.g. TPC-C's 1 % invalid-item rollback, SmallBank overdraft
-    refusals) are final. *)
+    refusals) are final.
+
+    Layout: a batch keeps one cell per distinct key in a batch-local
+    table, so each read or write hashes its key once (and a write to
+    the key the transaction just read, not at all). A cell holds the
+    key's pre-batch value, loaded from the store at most once per batch
+    and only by a read that the reader's own writes do not satisfy, so
+    the store faults in exactly the keys a per-read lookup would; and
+    the key's two reservations, the smallest positions of a
+    non-aborted writer and reader. Transactions buffer their reads and
+    writes as cells; reservation and validation walk those lists and
+    hash nothing. Committed writes reach the store through
+    {!Kvstore.put}. The fallback lane runs against the store directly. *)
 
 module Txn = Massbft_workload.Txn
 

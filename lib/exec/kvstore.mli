@@ -3,7 +3,16 @@
     here cold rows (e.g. SmallBank's million initial balances) are
     produced on first touch by an initializer instead of being
     physically preloaded, which preserves execution semantics while
-    keeping simulations light (see DESIGN.md substitutions). *)
+    keeping simulations light (see DESIGN.md substitutions).
+
+    Layout: open addressing with linear probing over three arrays — a
+    [Bytes] of one-byte tags, the keys, the values. A tag is 0 for an
+    empty slot, else seven bits of the key's [Hashtbl.hash] taken above
+    the bits that pick its home slot, so a probe compares key strings
+    only where the tag matches. The table starts at 64 slots and
+    doubles (rehashing every key) when an insertion would take it past
+    7/8 full. Keys are never removed, so probe chains need no
+    tombstones. *)
 
 type t
 

@@ -39,8 +39,10 @@ let shard_account t a =
       let lo = min (i * span) (max 0 (t.cfg.accounts - span)) in
       lo + (a mod span)
 
-let checking_key a = Printf.sprintf "sb/c/%d" a
-let savings_key a = Printf.sprintf "sb/s/%d" a
+(* By concatenation, not [Printf.sprintf], like the other workloads'
+   keys; [string_of_int] prints exactly what ["%d"] does. *)
+let checking_key a = "sb/c/" ^ string_of_int a
+let savings_key a = "sb/s/" ^ string_of_int a
 
 let preload cfg key =
   let prefix_c = "sb/c/" and prefix_s = "sb/s/" in

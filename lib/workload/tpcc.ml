@@ -83,30 +83,44 @@ let nurand rng ~a ~c ~lo ~hi =
   let y = Rng.int_in rng ~lo ~hi in
   (((x lor y) + c) mod (hi - lo + 1)) + lo
 
-let warehouse_ytd_key w = Printf.sprintf "tpcc/w/%d/ytd" w
-let warehouse_tax_key w = Printf.sprintf "tpcc/w/%d/tax" w
-let district_next_oid_key ~w ~d = Printf.sprintf "tpcc/d/%d/%d/next_oid" w d
-let district_ytd_key ~w ~d = Printf.sprintf "tpcc/d/%d/%d/ytd" w d
-let district_tax_key ~w ~d = Printf.sprintf "tpcc/d/%d/%d/tax" w d
+(* Keys and values are built by concatenation, not [Printf.sprintf]:
+   transaction bodies mint tens of them each time they execute, so their
+   cost lands in the execution layer. [string_of_int] prints exactly
+   what ["%d"] does. *)
+let num = string_of_int
+let warehouse_ytd_key w = "tpcc/w/" ^ num w ^ "/ytd"
+let warehouse_tax_key w = "tpcc/w/" ^ num w ^ "/tax"
+let district_next_oid_key ~w ~d = "tpcc/d/" ^ num w ^ "/" ^ num d ^ "/next_oid"
+let district_ytd_key ~w ~d = "tpcc/d/" ^ num w ^ "/" ^ num d ^ "/ytd"
+let district_tax_key ~w ~d = "tpcc/d/" ^ num w ^ "/" ^ num d ^ "/tax"
 
-let customer_balance_key ~w ~d ~c = Printf.sprintf "tpcc/c/%d/%d/%d/bal" w d c
+let customer_key ~w ~d ~c field =
+  "tpcc/c/" ^ num w ^ "/" ^ num d ^ "/" ^ num c ^ field
 
-let customer_ytd_key ~w ~d ~c = Printf.sprintf "tpcc/c/%d/%d/%d/ytd" w d c
+let customer_balance_key ~w ~d ~c = customer_key ~w ~d ~c "/bal"
+let customer_ytd_key ~w ~d ~c = customer_key ~w ~d ~c "/ytd"
+let customer_cnt_key ~w ~d ~c = customer_key ~w ~d ~c "/cnt"
+let stock_qty_key ~w ~i:item = "tpcc/s/" ^ num w ^ "/" ^ num item ^ "/qty"
+let stock_ytd_key ~w ~i:item = "tpcc/s/" ^ num w ^ "/" ^ num item ^ "/ytd"
+let order_key ~w ~d ~o = "tpcc/o/" ^ num w ^ "/" ^ num d ^ "/" ^ num o
 
-let customer_cnt_key ~w ~d ~c = Printf.sprintf "tpcc/c/%d/%d/%d/cnt" w d c
-let stock_qty_key ~w ~i = Printf.sprintf "tpcc/s/%d/%d/qty" w i
-let stock_ytd_key ~w ~i = Printf.sprintf "tpcc/s/%d/%d/ytd" w i
-let order_key ~w ~d ~o = Printf.sprintf "tpcc/o/%d/%d/%d" w d o
-let order_line_key ~w ~d ~o ~n = Printf.sprintf "tpcc/ol/%d/%d/%d/%d" w d o n
+let order_line_key ~w ~d ~o ~n =
+  "tpcc/ol/" ^ num w ^ "/" ^ num d ^ "/" ^ num o ^ "/" ^ num n
+
+let order_value ~c ~lines = "c=" ^ num c ^ ";lines=" ^ num lines
+
+let order_line_value ~i:item ~w ~q =
+  "i=" ^ num item ^ ";w=" ^ num w ^ ";q=" ^ num q
 
 let preload _cfg key =
   (* Lazily materialized initial rows; only prefixes that exist in the
      schema get defaults. *)
-  let has_prefix p = String.length key >= String.length p && String.sub key 0 (String.length p) = p in
-  if has_prefix "tpcc/d/" && Filename.check_suffix key "next_oid" then Some "1"
-  else if has_prefix "tpcc/s/" && Filename.check_suffix key "qty" then Some "100"
-  else if Filename.check_suffix key "tax" then Some "10"
-  else if has_prefix "tpcc/" then Some "0"
+  if String.starts_with ~prefix:"tpcc/d/" key && String.ends_with ~suffix:"next_oid" key
+  then Some "1"
+  else if String.starts_with ~prefix:"tpcc/s/" key && String.ends_with ~suffix:"qty" key
+  then Some "100"
+  else if String.ends_with ~suffix:"tax" key then Some "10"
+  else if String.starts_with ~prefix:"tpcc/" key then Some "0"
   else None
 
 let read_int ctx k = Txn.int_value (Option.value ~default:"0" (ctx.Txn.read k))
@@ -139,19 +153,22 @@ let new_order t ~id =
       ignore (read_int ctx (customer_balance_key ~w ~d ~c));
       (* The district's next order id is the per-district serialization
          point. *)
-      let o = read_int ctx (district_next_oid_key ~w ~d) in
-      ctx.Txn.write (district_next_oid_key ~w ~d) (Txn.of_int (o + 1));
+      let oid_key = district_next_oid_key ~w ~d in
+      let o = read_int ctx oid_key in
+      ctx.Txn.write oid_key (Txn.of_int (o + 1));
       ctx.Txn.write (order_key ~w ~d ~o)
-        (Printf.sprintf "c=%d;lines=%d" c (List.length lines));
+        (order_value ~c ~lines:(List.length lines));
       List.iter
         (fun (n, i, supply_w, qty) ->
-          let sq = read_int ctx (stock_qty_key ~w:supply_w ~i) in
+          let qty_key = stock_qty_key ~w:supply_w ~i in
+          let sq = read_int ctx qty_key in
           let sq' = if sq - qty >= 10 then sq - qty else sq - qty + 91 in
-          ctx.Txn.write (stock_qty_key ~w:supply_w ~i) (Txn.of_int sq');
-          let ytd = read_int ctx (stock_ytd_key ~w:supply_w ~i) in
-          ctx.Txn.write (stock_ytd_key ~w:supply_w ~i) (Txn.of_int (ytd + qty));
+          ctx.Txn.write qty_key (Txn.of_int sq');
+          let ytd_key = stock_ytd_key ~w:supply_w ~i in
+          let ytd = read_int ctx ytd_key in
+          ctx.Txn.write ytd_key (Txn.of_int (ytd + qty));
           ctx.Txn.write (order_line_key ~w ~d ~o ~n)
-            (Printf.sprintf "i=%d;w=%d;q=%d" i supply_w qty))
+            (order_line_value ~i ~w:supply_w ~q:qty))
         lines;
       (* Per spec, 1 % of NewOrders hit an unused item id and roll
          back. *)
@@ -173,18 +190,14 @@ let payment t ~id =
   in
   let amount = Rng.int_in t.rng ~lo:1 ~hi:5000 in
   Txn.make ~id ~label:"tpcc.payment" ~wire_size:wire (fun ctx ->
+      (* Each row is read, then written back under the same key. *)
+      let add k delta = ctx.Txn.write k (Txn.of_int (read_int ctx k + delta)) in
       (* Warehouse and district YTD rows: the hotspots. *)
-      let wy = read_int ctx (warehouse_ytd_key w) in
-      ctx.Txn.write (warehouse_ytd_key w) (Txn.of_int (wy + amount));
-      let dy = read_int ctx (district_ytd_key ~w ~d) in
-      ctx.Txn.write (district_ytd_key ~w ~d) (Txn.of_int (dy + amount));
-      let bal = read_int ctx (customer_balance_key ~w:cw ~d:cd ~c) in
-      ctx.Txn.write (customer_balance_key ~w:cw ~d:cd ~c)
-        (Txn.of_int (bal - amount));
-      let ytd = read_int ctx (customer_ytd_key ~w:cw ~d:cd ~c) in
-      ctx.Txn.write (customer_ytd_key ~w:cw ~d:cd ~c) (Txn.of_int (ytd + amount));
-      let cnt = read_int ctx (customer_cnt_key ~w:cw ~d:cd ~c) in
-      ctx.Txn.write (customer_cnt_key ~w:cw ~d:cd ~c) (Txn.of_int (cnt + 1)))
+      add (warehouse_ytd_key w) amount;
+      add (district_ytd_key ~w ~d) amount;
+      add (customer_balance_key ~w:cw ~d:cd ~c) (-amount);
+      add (customer_ytd_key ~w:cw ~d:cd ~c) amount;
+      add (customer_cnt_key ~w:cw ~d:cd ~c) 1)
 
 let next_of t profile =
   let id = t.next_id in

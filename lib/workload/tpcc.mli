@@ -36,10 +36,25 @@ val preload : config -> (string -> string option)
 (** Store initializer: district next-order-ids start at 1, stock at 100,
     balances at 0, warehouse/district tax rates fixed. *)
 
-(** Key encodings, exposed for tests and examples. *)
+(** Key and value encodings, exposed for tests and examples. Each
+    returns the bytes of a ["%d"]-style format, e.g.
+    [customer_balance_key ~w ~d ~c] is ["tpcc/c/<w>/<d>/<c>/bal"]. *)
 
 val warehouse_ytd_key : int -> string
+val warehouse_tax_key : int -> string
 val district_next_oid_key : w:int -> d:int -> string
+val district_ytd_key : w:int -> d:int -> string
+val district_tax_key : w:int -> d:int -> string
 val customer_balance_key : w:int -> d:int -> c:int -> string
+val customer_ytd_key : w:int -> d:int -> c:int -> string
+val customer_cnt_key : w:int -> d:int -> c:int -> string
 val stock_qty_key : w:int -> i:int -> string
+val stock_ytd_key : w:int -> i:int -> string
 val order_key : w:int -> d:int -> o:int -> string
+val order_line_key : w:int -> d:int -> o:int -> n:int -> string
+
+val order_value : c:int -> lines:int -> string
+(** An order row: ["c=<c>;lines=<lines>"]. *)
+
+val order_line_value : i:int -> w:int -> q:int -> string
+(** An order-line row: ["i=<item>;w=<supply warehouse>;q=<quantity>"]. *)

@@ -59,8 +59,10 @@ let set_shard t ~index ~count =
   | G_smallbank g -> Smallbank.set_shard g ~index ~count
   | G_tpcc g -> Tpcc.set_shard g ~index ~count
 
-let preload ?(scale = 1.0) kind key =
+(* The configuration is built once, when a store takes [preload ~scale
+   kind] as its initializer, not on every cold key it faults in. *)
+let preload ?(scale = 1.0) kind =
   match kind with
-  | Ycsb_a | Ycsb_b -> None (* YCSB cells default to absent *)
-  | Smallbank -> Smallbank.preload (smallbank_config ~scale) key
-  | Tpcc -> Tpcc.preload (tpcc_config ~scale) key
+  | Ycsb_a | Ycsb_b -> fun _ -> None (* YCSB cells default to absent *)
+  | Smallbank -> Smallbank.preload (smallbank_config ~scale)
+  | Tpcc -> Tpcc.preload (tpcc_config ~scale)

@@ -60,6 +60,103 @@ let test_store_fingerprint () =
   check_bool "content-sensitive" false
     (String.equal (Kvstore.fingerprint a) (Kvstore.fingerprint b))
 
+(* A reference for the open-addressed store: a Hashtbl holding the
+   materialized bindings, with the store's fault-in rule and the
+   store's fingerprint recipe. *)
+module Model = struct
+  type t = { tbl : (string, string) Hashtbl.t; init : string -> string option }
+
+  let create init = { tbl = Hashtbl.create 16; init }
+
+  let get m k =
+    match Hashtbl.find_opt m.tbl k with
+    | Some v -> Some v
+    | None -> (
+        match m.init k with
+        | Some v -> Hashtbl.replace m.tbl k v; Some v
+        | None -> None)
+
+  let put m k v = Hashtbl.replace m.tbl k v
+
+  let fingerprint m =
+    let acc = Bytes.make 32 '\x00' in
+    Hashtbl.iter
+      (fun k v ->
+        let h = Massbft_crypto.Sha256.digest (k ^ "\x00" ^ v) in
+        Bytes.iteri
+          (fun i c -> Bytes.set acc i (Char.chr (Char.code c lxor Char.code h.[i])))
+          acc)
+      m.tbl;
+    Massbft_crypto.Sha256.digest_bytes acc
+end
+
+(* Groups of distinct keys with equal [Hashtbl.hash]: at every capacity
+   each group shares one home slot and one tag, so its keys sit in one
+   probe chain and can only be told apart by comparing key strings. *)
+let colliding_keys =
+  let by_hash = Hashtbl.create 65536 in
+  for i = 0 to 199_999 do
+    let k = "c" ^ string_of_int i in
+    let h = Hashtbl.hash k in
+    Hashtbl.replace by_hash h (k :: Option.value ~default:[] (Hashtbl.find_opt by_hash h))
+  done;
+  Hashtbl.fold (fun _ ks acc -> if List.length ks >= 2 then ks :: acc else acc) by_hash []
+
+(* Store init: half the "m" keys have an initial value, the other half
+   (and every colliding key) are absent until written. *)
+let model_init k =
+  if String.length k > 1 && k.[0] = 'm' && Char.code k.[String.length k - 1] land 1 = 0
+  then Some ("init-" ^ k)
+  else None
+
+let test_store_matches_model () =
+  check_bool "found colliding keys" true (List.length colliding_keys >= 3);
+  let rng = Random.State.make [| 13 |] in
+  let s = Kvstore.create ~init:model_init () and m = Model.create model_init in
+  let check_key k =
+    check_bool ("get " ^ k) true (Kvstore.get s k = Model.get m k)
+  in
+  let check_all label =
+    check_int (label ^ ": size") (Hashtbl.length m.Model.tbl) (Kvstore.size s);
+    Alcotest.(check string) (label ^ ": fingerprint") (Model.fingerprint m) (Kvstore.fingerprint s)
+  in
+  (* The colliding groups go in first, while the table is at its
+     smallest, and are read back after every doubling. *)
+  List.iteri
+    (fun i ks -> List.iteri (fun j k -> if (i + j) mod 2 = 0 then (Kvstore.put s k "v"; Model.put m k "v")) ks)
+    colliding_keys;
+  let colliding = List.concat colliding_keys in
+  List.iter check_key colliding;
+  let last_size = ref (Kvstore.size s) in
+  for step = 1 to 200_000 do
+    let k = "m" ^ string_of_int (Random.State.int rng 90_000) in
+    (match Random.State.int rng 3 with
+     | 0 ->
+         let v = string_of_int step in
+         Kvstore.put s k v;
+         Model.put m k v
+     | _ -> check_key k);
+    let n = Kvstore.size s in
+    if n >= 2 * !last_size then begin
+      last_size := n;
+      List.iter check_key colliding
+    end
+  done;
+  (* A 64-slot table at most 7/8 full has doubled ten times once it
+     holds more than 7/8 * 64 * 2^9 keys. *)
+  let n = Kvstore.size s in
+  check_bool (Printf.sprintf "%d keys: >= 10 doublings" n) true (8 * n > 7 * 64 * 512);
+  check_all "after random ops";
+  (* Outside the random key range, and odd: init says absent. *)
+  let before = Kvstore.size s in
+  check_bool "init None: absent" true (Kvstore.get s "m999999" = None);
+  check_int "init None: nothing materialized" before (Kvstore.size s);
+  let copy = Kvstore.create () in
+  Kvstore.copy_into ~src:s ~dst:copy;
+  check_int "copy size" (Kvstore.size s) (Kvstore.size copy);
+  Alcotest.(check string) "copy fingerprint" (Kvstore.fingerprint s) (Kvstore.fingerprint copy);
+  check_all "after copy"
+
 (* ------------------------------------------------------------------ *)
 (* Aria                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -298,6 +395,99 @@ let test_fallback_deterministic_order () =
     (run () = Some "second" && run () = Some "second")
 
 (* ------------------------------------------------------------------ *)
+(* Aria vs. the two-table oracle                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A transaction is a list of ops over a hot key space of eight keys. *)
+type op =
+  | Read of int
+  | Blind of int * int  (* write a constant *)
+  | Rmw of int * int  (* read, then write value + delta *)
+  | Copy of int * int  (* read the first key, write its value to the second *)
+  | Abort_above of int * int  (* read, logic-abort if the value exceeds *)
+
+let shared_keys = Array.init 8 (fun k -> "h" ^ string_of_int k)
+
+(* Odd-numbered ops pass the shared key string, even ones a fresh copy,
+   so both physically equal and merely equal key strings reach [ctx]. *)
+let key_of n k = if n land 1 = 1 then shared_keys.(k) else "h" ^ string_of_int k
+
+let run_ops ops ctx =
+  let value k = Txn.int_value (Option.value ~default:"0" (ctx.Txn.read k)) in
+  List.iteri
+    (fun n op ->
+      match op with
+      | Read k -> ignore (ctx.Txn.read (key_of n k))
+      | Blind (k, v) -> ctx.Txn.write (key_of n k) (Txn.of_int v)
+      | Rmw (k, d) ->
+          let key = key_of n k in
+          ctx.Txn.write key (Txn.of_int (value key + d))
+      | Copy (a, b) -> ctx.Txn.write (key_of n b) (Txn.of_int (value (key_of n a)))
+      | Abort_above (k, t) -> if value (key_of n k) > t then ctx.Txn.abort ())
+    ops
+
+let gen_op =
+  let open QCheck.Gen in
+  let key = int_range 0 7 in
+  frequency
+    [
+      (3, map (fun k -> Read k) key);
+      (2, map2 (fun k v -> Blind (k, v)) key (int_range 0 50));
+      (4, map2 (fun k d -> Rmw (k, d)) key (int_range (-5) 5));
+      (1, map2 (fun a b -> Copy (a, b)) key key);
+      (1, map2 (fun k t -> Abort_above (k, t)) key (int_range 0 30));
+    ]
+
+let gen_txn = QCheck.Gen.(list_size (int_range 0 6) gen_op)
+
+(* Up to three consecutive batches, each with its fallback lane and
+   reordering flag, over one store. *)
+let gen_batches =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (triple bool (list_size (int_range 0 25) gen_txn) (list_size (int_range 0 4) gen_txn)))
+
+let show_op = function
+  | Read k -> Printf.sprintf "R%d" k
+  | Blind (k, v) -> Printf.sprintf "W%d=%d" k v
+  | Rmw (k, d) -> Printf.sprintf "M%d%+d" k d
+  | Copy (a, b) -> Printf.sprintf "C%d>%d" a b
+  | Abort_above (k, t) -> Printf.sprintf "A%d>%d" k t
+
+let show_batches bs =
+  let txns l = String.concat " | " (List.map (fun t -> String.concat "," (List.map show_op t)) l) in
+  String.concat "\n"
+    (List.map
+       (fun (reorder, txs, fb) -> Printf.sprintf "reorder=%b [%s] fallback [%s]" reorder (txns txs) (txns fb))
+       bs)
+
+let hot_init k = if Char.code k.[String.length k - 1] land 1 = 0 then Some "7" else None
+
+let prop_aria_matches_oracle =
+  QCheck.Test.make ~name:"cells Aria = two-table oracle (outcome, store)" ~count:500
+    (QCheck.make ~print:show_batches gen_batches)
+    (fun batches ->
+      let s_new = Kvstore.create ~init:hot_init () in
+      let s_old = Kvstore.create ~init:hot_init () in
+      let id = ref 0 in
+      let mk_txns = List.map (fun ops -> incr id; Txn.make ~id:!id ~label:"q" ~wire_size:1 (run_ops ops)) in
+      let ids = List.map (fun (t : Txn.t) -> t.Txn.id) in
+      List.for_all
+        (fun (reorder, txs, fb) ->
+          let txs = mk_txns txs and fallback = mk_txns fb in
+          let n = Aria.execute_batch ~reorder ~fallback s_new txs in
+          let o = Aria_oracle.execute_batch ~reorder ~fallback s_old txs in
+          ids n.Aria.committed = ids o.Aria_oracle.committed
+          && ids n.Aria.conflicted = ids o.Aria_oracle.conflicted
+          && ids n.Aria.logic_aborted = ids o.Aria_oracle.logic_aborted
+          && n.Aria.reads = o.Aria_oracle.reads
+          && n.Aria.writes = o.Aria_oracle.writes
+          && n.Aria.effects = o.Aria_oracle.effects
+          && Kvstore.size s_new = Kvstore.size s_old
+          && String.equal (Kvstore.fingerprint s_new) (Kvstore.fingerprint s_old))
+        batches)
+
+(* ------------------------------------------------------------------ *)
 (* Ledger                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -344,6 +534,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_store_basics;
           Alcotest.test_case "lazy init" `Quick test_store_lazy_init;
           Alcotest.test_case "fingerprint" `Quick test_store_fingerprint;
+          Alcotest.test_case "matches Hashtbl model" `Quick test_store_matches_model;
         ] );
       ( "aria",
         [
@@ -364,6 +555,7 @@ let () =
           Alcotest.test_case "fallback sees parallel writes" `Quick test_fallback_sees_parallel_writes;
           Alcotest.test_case "fallback logic abort" `Quick test_fallback_logic_abort_final;
           Alcotest.test_case "fallback deterministic" `Quick test_fallback_deterministic_order;
+          qt prop_aria_matches_oracle;
         ] );
       ( "ledger",
         [

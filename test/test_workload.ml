@@ -311,6 +311,56 @@ let test_tpcc_preload_defaults () =
     (init (Tpcc.warehouse_ytd_key 1) = Some "0");
   check_bool "non-tpcc key absent" true (init "sb/c/1" = None)
 
+(* The key and value builders are built by concatenation; these are the
+   Printf formats they replaced, which define the bytes. *)
+let prop_builders_match_printf =
+  let arg = QCheck.(oneof [ small_signed_int; int ]) in
+  QCheck.Test.make ~name:"key/value builders = their Printf formats" ~count:1000
+    QCheck.(quad arg arg arg arg)
+    (fun (a, b, c, d) ->
+      let sp = Printf.sprintf in
+      List.for_all
+        (fun (got, want) -> String.equal got want)
+        [
+          (Tpcc.warehouse_ytd_key a, sp "tpcc/w/%d/ytd" a);
+          (Tpcc.warehouse_tax_key a, sp "tpcc/w/%d/tax" a);
+          (Tpcc.district_next_oid_key ~w:a ~d:b, sp "tpcc/d/%d/%d/next_oid" a b);
+          (Tpcc.district_ytd_key ~w:a ~d:b, sp "tpcc/d/%d/%d/ytd" a b);
+          (Tpcc.district_tax_key ~w:a ~d:b, sp "tpcc/d/%d/%d/tax" a b);
+          (Tpcc.customer_balance_key ~w:a ~d:b ~c, sp "tpcc/c/%d/%d/%d/bal" a b c);
+          (Tpcc.customer_ytd_key ~w:a ~d:b ~c, sp "tpcc/c/%d/%d/%d/ytd" a b c);
+          (Tpcc.customer_cnt_key ~w:a ~d:b ~c, sp "tpcc/c/%d/%d/%d/cnt" a b c);
+          (Tpcc.stock_qty_key ~w:a ~i:b, sp "tpcc/s/%d/%d/qty" a b);
+          (Tpcc.stock_ytd_key ~w:a ~i:b, sp "tpcc/s/%d/%d/ytd" a b);
+          (Tpcc.order_key ~w:a ~d:b ~o:c, sp "tpcc/o/%d/%d/%d" a b c);
+          (Tpcc.order_line_key ~w:a ~d:b ~o:c ~n:d, sp "tpcc/ol/%d/%d/%d/%d" a b c d);
+          (Tpcc.order_value ~c:a ~lines:b, sp "c=%d;lines=%d" a b);
+          (Tpcc.order_line_value ~i:a ~w:b ~q:c, sp "i=%d;w=%d;q=%d" a b c);
+          (Smallbank.checking_key a, sp "sb/c/%d" a);
+          (Smallbank.savings_key a, sp "sb/s/%d" a);
+        ])
+
+(* TPC-C's initializer as it was written with [String.sub] and
+   [Filename.check_suffix]. *)
+let old_tpcc_preload key =
+  let has_prefix p =
+    String.length key >= String.length p && String.sub key 0 (String.length p) = p
+  in
+  if has_prefix "tpcc/d/" && Filename.check_suffix key "next_oid" then Some "1"
+  else if has_prefix "tpcc/s/" && Filename.check_suffix key "qty" then Some "100"
+  else if Filename.check_suffix key "tax" then Some "10"
+  else if has_prefix "tpcc/" then Some "0"
+  else None
+
+let prop_tpcc_preload_unchanged =
+  let piece =
+    QCheck.Gen.oneofl
+      [ "tpcc/"; "tpcc/d/"; "tpcc/s/"; "tpcc/w/"; "1"; "/"; "next_oid"; "qty"; "tax"; "ytd"; "sb/c/"; "x" ]
+  in
+  QCheck.Test.make ~name:"tpcc preload = its String.sub version" ~count:2000
+    (QCheck.make ~print:Fun.id QCheck.Gen.(map (String.concat "") (list_size (int_range 0 5) piece)))
+    (fun key -> Tpcc.preload Tpcc.default key = old_tpcc_preload key)
+
 let () =
   Alcotest.run "massbft_workload"
     [
@@ -337,6 +387,8 @@ let () =
       ( "tpcc",
         [
           Alcotest.test_case "neworder advances oid" `Quick test_tpcc_neworder_advances_oid;
+          QCheck_alcotest.to_alcotest prop_builders_match_printf;
+          QCheck_alcotest.to_alcotest prop_tpcc_preload_unchanged;
           Alcotest.test_case "payment updates ytd" `Quick test_tpcc_payment_updates_ytd;
           Alcotest.test_case "50/50 mix" `Quick test_tpcc_mix_is_half_half;
           Alcotest.test_case "rollback rate" `Quick test_tpcc_rollback_rate;
