@@ -18,8 +18,7 @@
                       baseline FILE and exit non-zero on regressions
      --tolerance PCT  per-benchmark tolerance for --check (default 25)
      --prof FILE      self-profile the MassBFT macro row and write the
-                      profiler's JSON report to FILE; the row's
-                      host_phases breakdown lands in --json output too
+                      profiler's JSON report to FILE
      --figures        also run the figure harness *)
 
 module Config = Massbft.Config
@@ -54,7 +53,7 @@ let run_macros ~quick ~prof_file () =
           m.Bench_report.committed_txns_per_wall_s;
         (match (prof, prof_file) with
         | Some p, Some file ->
-            Prof_export.write_json ~windows:true p file;
+            Prof_export.write_json ~slices:true p file;
             Printf.printf "  wrote host profile to %s\n%!" file;
             print_string (Prof_export.text (Prof.report p))
         | _ -> ());
@@ -65,25 +64,20 @@ let run_macros ~quick ~prof_file () =
   macros
 
 (* ------------------------------------------------------------------ *)
-(* Sharded-scheduler scaling table                                     *)
+(* Scheduler scaling table                                             *)
 (* ------------------------------------------------------------------ *)
 
 let run_scaling ~quick () =
-  Printf.printf
-    "=== scheduler scaling (MassBFT YCSB-A, groups x domains, %s mode) ===\n"
+  Printf.printf "=== scheduler scaling (MassBFT YCSB-A, groups, %s mode) ===\n"
     (if quick then "quick" else "full");
-  Printf.printf "  host domains available: %d\n"
-    (Domain.recommended_domain_count ());
-  Printf.printf "  %-7s %-8s %9s %16s %15s\n" "groups" "domains" "wall_s"
-    "sim_s/wall_s" "committed_txns";
-  let groups_list, domains_list =
-    if quick then ([ 3 ], [ 1; 2 ]) else ([ 3; 5 ], [ 1; 2; 4 ])
-  in
+  Printf.printf "  %-7s %9s %16s %15s\n" "groups" "wall_s" "sim_s/wall_s"
+    "committed_txns";
+  let groups_list = if quick then [ 3 ] else [ 3; 5 ] in
   let rows =
-    Bench_report.run_scaling ~quick ~groups_list ~domains_list
+    Bench_report.run_scaling ~quick ~groups_list
       ~on_row:(fun (s : Bench_report.scaling) ->
-        Printf.printf "  %-7d %-8d %9.2f %16.3f %15d\n%!" s.sc_groups
-          s.sc_domains s.sc_wall_s s.sc_sim_s_per_wall_s s.sc_committed_txns)
+        Printf.printf "  %-7d %9.2f %16.3f %15d\n%!" s.sc_groups s.sc_wall_s
+          s.sc_sim_s_per_wall_s s.sc_committed_txns)
       ()
   in
   print_newline ();
@@ -156,10 +150,10 @@ let () =
             exit 2)
   in
   let prof_file = flag_value "--prof" in
-  (* The scaling table runs first: its rows compare drivers against
-     each other, and measuring them from the pristine process keeps
-     them free of the heap growth the micro and macro sections leave
-     behind (a per-row compaction recovers most but not all of it). *)
+  (* The scaling table runs first: measuring its rows from the pristine
+     process keeps them free of the heap growth the micro and macro
+     sections leave behind (a per-row compaction recovers most but not
+     all of it). *)
   let scaling = run_scaling ~quick () in
   let micros = Massbft_bench.Micros.run_micro ~quick () in
   let macros = run_macros ~quick ~prof_file () in

@@ -2,8 +2,7 @@
    (SHA-256, HMAC, Merkle trees, GF arithmetic, Reed-Solomon coding
    over both GF(256) and GF(65536), transfer plans, chunker/rebuild,
    VTS ordering, Aria execution on YCSB and TPC-C, PBFT rounds, and the
-   simulator core including a schedule/cancel/poll churn case and the
-   parallel driver's barrier machinery).
+   simulator core including a schedule/cancel/poll churn case).
 
    A library rather than part of the bench executable so the CLI's
    [massbft bench] subcommand can run the same suite — the regression
@@ -285,28 +284,6 @@ let bench_sim_churn =
          assert (!fired = 1_000 && Sim.pending sim = 0);
          ignore !acc))
 
-let bench_shard_barrier =
-  (* The parallel driver's fixed per-window cost, isolated: two shards
-     ping-ponging one cross-shard message per window through the
-     mailbox path, so each window carries minimal real work and the
-     run measures domain spawn + barrier + inbox-drain machinery. 50
-     windows of 10 ms lookahead per run. *)
-  Test.make ~name:"sim/shard-barrier-2x50w"
-    (Staged.stage (fun () ->
-         let sim = Sim.create ~shards:2 ~lookahead:0.01 () in
-         let s0 = Sim.shard sim 0 and s1 = Sim.shard sim 1 in
-         let count = ref 0 in
-         let rec ping me peer () =
-           incr count;
-           (* 12 ms > the 10 ms lookahead, so the post always lands
-              beyond the current window's end as [post] requires. *)
-           Sim.post peer (Sim.now me +. 0.012) (ping peer me)
-         in
-         ignore (Sim.at s0 0.0 (ping s0 s1));
-         ignore (Sim.at s1 0.0 (ping s1 s0));
-         Sim.run_parallel sim ~domains:2 ~until:0.5 ();
-         assert (!count >= 80)))
-
 let micro_tests =
   [
     bench_sha256; bench_hmac; bench_merkle_build; bench_merkle_verify;
@@ -316,7 +293,7 @@ let micro_tests =
     bench_rs16_encode; bench_rs16_decode; bench_plan;
     bench_chunker; bench_rebuild; bench_orderer; bench_aria; bench_aria_tpcc;
     bench_pbft;
-    bench_sim; bench_sim_churn; bench_shard_barrier;
+    bench_sim; bench_sim_churn;
   ]
 
 let run_micro ?(print = true) ~quick () =

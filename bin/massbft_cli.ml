@@ -143,14 +143,6 @@ let scale_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.")
 
-let domains_arg =
-  Arg.(value & opt int 1 & info [ "domains" ]
-         ~doc:"OCaml domains pumping the per-group scheduler shards \
-               (clamped to the group count). 1 is the sequential merge \
-               driver; more run the WAN-lookahead parallel driver, which \
-               preserves committed results and invariant verdicts but \
-               not event interleaving (so --trace/--metrics need 1).")
-
 let experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed =
   let cfg =
     {
@@ -206,19 +198,18 @@ let run_cmd =
                  \"Reconfiguration\"; absolute simulated seconds, like \
                  --faults). Joining slots and groups are provisioned before \
                  the cluster starts and activated at epoch boundaries after \
-                 state transfer. Requires --domains 1.")
+                 state transfer.")
   in
   let prof_file =
     Arg.(value & opt (some string) None & info [ "prof" ] ~docv:"FILE"
            ~doc:"Also self-profile the simulator's host-side execution \
-                 (execute / barrier-stall / mailbox-merge / coordinator \
-                 wall-time phases plus GC deltas per window) and write the \
-                 profiler's JSON report to $(docv). Works in every run mode \
-                 including --domains > 1; with --trace, the exported trace \
-                 additionally carries the host timeline.")
+                 (wall time, events and GC deltas per scheduler slice) and \
+                 write the profiler's JSON report to $(docv). With --trace, \
+                 the exported trace additionally carries the host \
+                 timeline.")
   in
   let action system workload nodes groups worldwide duration warmup scale seed
-      domains latency_probe trace_file metrics_file faults_file adversary_file
+      latency_probe trace_file metrics_file faults_file adversary_file
       reconfig_file prof_file =
     let cfg, spec =
       experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
@@ -234,10 +225,10 @@ let run_cmd =
     let r =
       if latency_probe then
         Runner.run_latency_probe ~duration ~warmup ?trace:sink ?obs ?prof
-          ?faults ?adversary ?reconfig ~domains ~spec ~cfg ()
+          ?faults ?adversary ?reconfig ~spec ~cfg ()
       else
         Runner.run ~duration ~warmup ?trace:sink ?obs ?prof ?faults ?adversary
-          ?reconfig ~domains ~spec ~cfg ()
+          ?reconfig ~spec ~cfg ()
     in
     Format.printf "%a@." Runner.pp_result r;
     List.iter
@@ -266,7 +257,7 @@ let run_cmd =
     | _ -> ());
     (match (prof_file, prof) with
     | Some file, Some p ->
-        Prof_export.write_json ~windows:true p file;
+        Prof_export.write_json ~slices:true p file;
         Format.printf "prof: wrote %s@." file;
         print_string (Prof_export.text (Prof.report p))
     | _ -> ());
@@ -284,7 +275,7 @@ let run_cmd =
     Term.(
       const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
       $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg
-      $ domains_arg $ latency_probe $ trace_file $ metrics_file $ faults_file
+      $ latency_probe $ trace_file $ metrics_file $ faults_file
       $ adversary_file $ reconfig_file $ prof_file)
 
 (* ---- trace ---- *)
@@ -543,8 +534,7 @@ let drill_cmd =
                  appear as 'fault'-category spans.")
   in
   let action system all_systems nodes groups worldwide scale seed seeds
-      adversaries reconfigs duration quick no_shrink artifacts trace_file
-      domains =
+      adversaries reconfigs duration quick no_shrink artifacts trace_file =
     let duration = if quick then 8.0 else duration in
     let cfg =
       { (Config.default ~system ()) with Config.workload_scale = scale }
@@ -579,7 +569,7 @@ let drill_cmd =
           let oc = open_out file in
           Printf.fprintf oc "# %s\n# %s\n%s"
             (Chaos.repro_line ?adversary:r.Chaos.strategy
-               ?reconfig:r.Chaos.reconfig_kind ~domains ~seed:r.Chaos.seed
+               ?reconfig:r.Chaos.reconfig_kind ~seed:r.Chaos.seed
                ~system:r.Chaos.system ())
             (String.concat "; "
                (List.map Massbft_faults.Invariants.violation_to_string
@@ -688,7 +678,7 @@ let drill_cmd =
         | None -> ());
         Format.printf "  repro: %s@."
           (Chaos.repro_line ?adversary:r.Chaos.strategy
-             ?reconfig:r.Chaos.reconfig_kind ~domains ~seed:r.Chaos.seed
+             ?reconfig:r.Chaos.reconfig_kind ~seed:r.Chaos.seed
              ~system:r.Chaos.system ());
         save_artifact r
       end
@@ -704,7 +694,7 @@ let drill_cmd =
             Chaos.campaign ~duration ~shrink_failures:(not no_shrink) ~systems
               ~adversaries:(Option.value ~default:[] adversaries)
               ~reconfigs:(Option.value ~default:[] reconfigs)
-              ~on_run:report ~domains ~spec ~cfg ~seeds ()
+              ~on_run:report ~spec ~cfg ~seeds ()
           in
           let hard = List.filter bad c.Chaos.results in
           Format.printf "campaign: %d runs, %d failed%s@." c.Chaos.total
@@ -739,7 +729,7 @@ let drill_cmd =
                         let r =
                           Chaos.drill ~duration
                             ~shrink_failures:(not no_shrink) ?trace:sink
-                            ?adversary ?reconfig ~domains ~spec
+                            ?adversary ?reconfig ~spec
                             ~cfg:{ cfg with Config.system }
                             ~seed:(Int64.of_int seed) ()
                         in
@@ -771,7 +761,7 @@ let drill_cmd =
     Term.(
       const action $ system_arg $ all_systems $ nodes_arg $ groups_arg
       $ worldwide_arg $ scale $ seed $ seeds $ adversaries $ reconfigs
-      $ duration $ quick $ no_shrink $ artifacts $ trace_file $ domains_arg)
+      $ duration $ quick $ no_shrink $ artifacts $ trace_file)
 
 (* ---- prof ---- *)
 
@@ -783,58 +773,46 @@ let prof_cmd =
   let out =
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
            ~doc:"Also write the profiler's JSON report (with the raw \
-                 per-window log) to $(docv).")
+                 per-slice log) to $(docv).")
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Also write a Perfetto-loadable trace to $(docv). With \
-                 --domains 1 it carries both the simulated timeline and the \
-                 host timeline side by side; parallel runs (which reject \
-                 the sim trace sink) export the host timeline alone.")
+           ~doc:"Also write a Perfetto-loadable trace to $(docv), carrying \
+                 the simulated timeline and the host timeline side by \
+                 side.")
   in
   let action system workload nodes groups worldwide duration warmup scale seed
-      domains out trace_file =
+      out trace_file =
     let cfg, spec =
       experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
     in
     let p = Prof.create () in
-    (* The sim-timeline sink only composes with the sequential driver. *)
-    let sink =
-      match trace_file with
-      | Some _ when domains <= 1 -> Some (Trace.create ())
-      | _ -> None
-    in
-    let r = Runner.run ~duration ~warmup ?trace:sink ~prof:p ~domains ~spec ~cfg () in
+    let sink = Option.map (fun _ -> Trace.create ()) trace_file in
+    let r = Runner.run ~duration ~warmup ?trace:sink ~prof:p ~spec ~cfg () in
     Format.printf "%a@.@." Runner.pp_result r;
     print_string (Prof_export.text (Prof.report p));
     (match out with
     | None -> ()
     | Some file ->
-        Prof_export.write_json ~windows:true p file;
+        Prof_export.write_json ~slices:true p file;
         Format.printf "prof: wrote %s@." file);
-    match trace_file with
-    | None -> ()
-    | Some file ->
-        let host = Prof_export.to_trace p in
-        let sim_tr = match sink with Some tr -> tr | None -> Trace.create ~capacity:1 () in
-        Trace_export.write_chrome_json ~host sim_tr file;
-        Format.printf "trace: wrote %s (%s)@." file
-          (if sink = None then "host timeline only"
-           else "sim + host timelines")
+    match (trace_file, sink) with
+    | Some file, Some tr ->
+        Trace_export.write_chrome_json ~host:(Prof_export.to_trace p) tr file;
+        Format.printf "trace: wrote %s (sim + host timelines)@." file
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "prof"
        ~doc:
          "Run one experiment with host-side self-profiling on: account the \
-          simulator's own wall-clock into execute / barrier-stall / \
-          mailbox-merge / coordinator phases per scheduler window, sample GC \
-          deltas, and print the parallel-efficiency report (ranked \
-          wall-time attribution, per-domain busy fractions, lookahead \
-          utilization).")
+          simulator's own wall-clock per scheduler slice, sample GC deltas, \
+          and print the report (ranked wall-time attribution, events per \
+          slice, GC totals).")
     Term.(
       const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
       $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg
-      $ domains_arg $ out $ trace_file)
+      $ out $ trace_file)
 
 (* ---- bench ---- *)
 

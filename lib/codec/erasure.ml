@@ -47,7 +47,7 @@ type codec =
    for the GF(2^16) 180+120 regime — while the dissemination path
    encodes thousands of entries against a handful of transfer-plan
    geometries. The lock is held across construction so concurrent
-   domains of the parallel driver wait for one deterministic build
+   domains wait for one deterministic build
    instead of duplicating it; invalid parameters raise inside
    [field_for]/[create] before anything is cached, so error behavior
    is identical on every call. *)

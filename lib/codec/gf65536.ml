@@ -82,7 +82,7 @@ let check_coeff op c =
    Memoized per coefficient in [Atomic] cells exactly as
    [Gf256.mul_rows]: every shard of an encode reuses its matrix row's
    coefficients, so a table is built once per process, and a row built
-   by one domain of the parallel driver is published with its contents
+   by one domain is published to the others with its contents
    visible. A racing duplicate build writes the same deterministic
    entries, so last-writer-wins is harmless. *)
 let split_rows = Array.init order (fun _ -> Atomic.make Bytes.empty)

@@ -9,8 +9,8 @@
 
     Slice multiplication uses per-coefficient split (nibble) product
     tables — the klauspost/reedsolomon technique scaled to 16-bit
-    symbols — memoized per process and safe to share across the
-    parallel driver's domains. *)
+    symbols — memoized per process and safe to share across
+    domains. *)
 
 val order : int
 (** 65536. *)

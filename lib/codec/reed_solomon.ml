@@ -10,7 +10,7 @@ module Make (F : Field.S) = struct
        pattern — the common case, since Rebuild feeds shards in index
        order — costs a hash lookup instead of an O(data^3) inversion,
        which for GF(2^16) at 180 data shards dominates the decode.
-       Guarded by a mutex for the parallel driver; bounded so a
+       Guarded by a mutex for multi-domain callers; bounded so a
        pathological erasure mix cannot grow it without limit. *)
     dec_cache : (string, M.t) Hashtbl.t;
     dec_lock : Mutex.t;

@@ -61,8 +61,8 @@ let form_batch t (l : leader) =
       decided_at = 0.0;
       committed_at = 0.0;
       ordered_at = 0.0;
-      outcome = Atomic.make None;
-      exec_count = Atomic.make 0;
+      outcome = None;
+      exec_count = 0;
     }
   in
   register_entry t e;
@@ -103,7 +103,7 @@ let try_batch t (l : leader) =
 
 (* Arm the per-leader batch timers (called once from Engine.start).
    Each leader's timer chain is scheduled through its group's shard
-   handle so the parallel driver runs it on the owning domain. *)
+   handle. *)
 let start t =
   Array.iter
     (fun l ->

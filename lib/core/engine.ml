@@ -162,8 +162,6 @@ let create sim topo cfg =
       leaders;
       entries = Entry_tbl.create 1024;
       by_digest = Hashtbl.create 1024;
-      reg_mu = Mutex.create ();
-      metrics_mu = Mutex.create ();
       plans = Array.make_matrix ng ng None;
       metrics = Metrics.create ();
       shared_store;
@@ -171,7 +169,7 @@ let create sim topo cfg =
       deliver = dispatch;
       on_leader_content = leader_content;
       started = false;
-      node_watch = Atomic.make false;
+      node_watch = false;
       adv_hook = None;
       trace = Trace.null;
       active_n = Array.init ng (Topology.group_size topo);
@@ -186,14 +184,6 @@ let create sim topo cfg =
   in
   Local_consensus.install t;
   Global_consensus.install t ~n_inst;
-  (* Pre-compute every pairwise transfer plan now: the lazy memoization
-     in [Replication.plan_between] would otherwise race when two shards
-     first need the same plan concurrently under the parallel driver. *)
-  for src = 0 to ng - 1 do
-    for dst = 0 to ng - 1 do
-      if src <> dst then ignore (Replication.plan_between t ~src ~dst)
-    done
-  done;
   t
 
 let set_trace t tr =
@@ -237,8 +227,7 @@ let start t =
   t.started <- true;
   Batcher.start t;
   Global_consensus.start_heartbeats t;
-  (* Byzantine activation: one event per group, on the group's shard,
-     so the flag flips on the domain that reads it. *)
+  (* Byzantine activation: one event per group, on the group's shard. *)
   if t.cfg.Config.byzantine_per_group > 0 then
     Array.iteri
       (fun g group ->
@@ -311,7 +300,7 @@ let migrate_leader t (l : leader) (na : Topology.addr) =
   | Some pbft ->
       for seq = 1 to l.l_next_seq - 1 do
         let eid = { Types.gid = l.l_gid; seq } in
-        match with_registry t (fun () -> Entry_tbl.find_opt t.entries eid) with
+        match Entry_tbl.find_opt t.entries eid with
         | None -> ()
         | Some e ->
             if e.committed_at = 0.0 then begin
@@ -430,12 +419,10 @@ let check_group_leadership t (l : leader) =
 
 (* Armed lazily on the first node-level crash/recovery: fault-free runs
    schedule nothing, keeping their event streams bit-identical. Each
-   group's tick chain lives on that group's shard — the arming event may
-   itself be executing on another group's shard, so the first tick goes
-   through [Sim.post] (the election period dwarfs any lookahead); the
-   rescheduling [Sim.after] then stays on the right shard. *)
+   group's tick chain is accounted to that group's shard. *)
 let arm_node_watchdogs t =
-  if Atomic.compare_and_set t.node_watch false true then begin
+  if not t.node_watch then begin
+    t.node_watch <- true;
     let period = t.cfg.Config.election_timeout_s in
     Array.iter
       (fun l ->
@@ -443,7 +430,7 @@ let arm_node_watchdogs t =
           check_group_leadership t l;
           ignore (Sim.after (sim_of t l.l_gid) period tick)
         in
-        Sim.post (sim_of t l.l_gid) (now t +. period) tick)
+        ignore (Sim.at (sim_of t l.l_gid) (now t +. period) tick))
       t.leaders
   end
 
@@ -544,7 +531,7 @@ let replica_decided t ~g ~n ~seq =
   | Some p -> Pbft.decided p seq
 
 let entry_digest t eid =
-  match with_registry t (fun () -> Entry_tbl.find_opt t.entries eid) with
+  match Entry_tbl.find_opt t.entries eid with
   | Some e -> Some e.digest
   | None -> None
 

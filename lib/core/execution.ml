@@ -45,7 +45,7 @@ let phase_spans t e ~tnow =
   in
   always @ tail
 
-let record_metrics_unlocked t e outcome =
+let record_metrics t e outcome =
   let m = t.metrics in
   let tnow = now t in
   let n_committed = List.length outcome.Aria.committed in
@@ -83,18 +83,6 @@ let record_metrics_unlocked t e outcome =
       end)
     (phase_spans t e ~tnow)
 
-(* Summaries and timeseries are plain mutable structures shared by all
-   leaders; proposer shards reaching here under the parallel driver
-   serialize through [metrics_mu]. (Counters are atomic and would not
-   need the lock, but one lock for the whole record is simpler.) *)
-let record_metrics t e outcome =
-  Mutex.lock t.metrics_mu;
-  match record_metrics_unlocked t e outcome with
-  | () -> Mutex.unlock t.metrics_mu
-  | exception exn ->
-      Mutex.unlock t.metrics_mu;
-      raise exn
-
 let do_execute t (l : leader) e =
   (* Execute-once, replay-elsewhere: the first leader to reach the entry
      runs the full Aria pass; every group's store is a deterministic
@@ -103,12 +91,9 @@ let do_execute t (l : leader) e =
      effects. With a shared store ([independent_stores = false]) the
      effects are already applied, so later leaders touch nothing; with
      per-group stores each leader replays the effect list onto its own
-     copy — a fraction of the cost of re-running the batch. The outcome
-     cell is atomic for cross-domain publication; a racy double-execute
-     is deterministic, idempotent on disjoint stores, and merely wasted
-     work. *)
+     copy — a fraction of the cost of re-running the batch. *)
   let outcome =
-    match Atomic.get e.outcome with
+    match e.outcome with
     | Some o ->
         if t.cfg.Config.independent_stores then Aria.apply_effects l.l_store o;
         o
@@ -117,7 +102,7 @@ let do_execute t (l : leader) e =
           Aria.execute_batch ~reorder:t.cfg.Config.reorder ~fallback:e.fb_txns
             l.l_store e.txns
         in
-        Atomic.set e.outcome (Some o);
+        e.outcome <- Some o;
         o
   in
   ignore
@@ -129,14 +114,14 @@ let do_execute t (l : leader) e =
   (* Once every leader has executed the entry its content (transaction
      closures, memoized outcome and effects) is dead weight; keep the
      metadata. *)
-  Atomic.incr e.exec_count;
+  e.exec_count <- e.exec_count + 1;
   (* Pruning is disabled under a reconfiguration plan: a dark group's
      leader executes the backlog only after its cutover, and a joiner's
      replay must still find the content. *)
-  if (not t.reconfig_on) && Atomic.get e.exec_count >= t.ng then begin
+  if (not t.reconfig_on) && e.exec_count >= t.ng then begin
     e.txns <- [];
     e.fb_txns <- [];
-    Atomic.set e.outcome None
+    e.outcome <- None
   end;
   if e.eid.Types.gid = l.l_gid then begin
     trace_entry t e.eid "executed" ~node:0
@@ -195,7 +180,7 @@ let enqueue t (l : leader) eid =
      commits twice and nothing is lost. *)
   if t.reconfig_on && not (member_now t l.l_gid) then Queue.push eid l.l_deferred
   else begin
-  (match with_registry t (fun () -> Entry_tbl.find_opt t.entries eid) with
+  (match Entry_tbl.find_opt t.entries eid with
   | Some e when eid.Types.gid = l.l_gid && e.ordered_at = 0.0 ->
       e.ordered_at <- now t;
       trace_entry t eid "ordered" ~node:0

@@ -118,7 +118,7 @@ let on_raft_role t (l : leader) inst role =
          died with the old term are re-proposed in sequence order. *)
       for seq = 1 to l.l_next_seq - 1 do
         let eid = { Types.gid = l.l_gid; seq } in
-        match with_registry t (fun () -> Entry_tbl.find_opt t.entries eid) with
+        match Entry_tbl.find_opt t.entries eid with
         | Some e when e.committed_at = 0.0 ->
             ignore (Raft.propose l.l_rafts.(inst) (Entry_meta { eid }))
         | _ -> ()
@@ -360,9 +360,8 @@ let start_heartbeats t =
     let period = t.cfg.Config.election_timeout_s /. 2.0 in
     Array.iter
       (fun l ->
-        (* Arm each leader's heartbeat chain on its group's shard so the
-           parallel driver runs it on the owning domain; the recursive
-           re-arm inside the event stays on that shard automatically. *)
+        (* Each leader's heartbeat chain is accounted to its group's
+           shard. *)
         let lsim = sim_of t l.l_gid in
         Array.iteri (fun i _ -> l.l_last_heard.(i) <- 0.0) l.l_last_heard;
         let rec tick () =

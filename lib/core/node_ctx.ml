@@ -100,11 +100,8 @@ type entry = {
   mutable decided_at : float;
   mutable committed_at : float;
   mutable ordered_at : float;
-  outcome : Aria.outcome option Atomic.t;
-      (* memoized execution; atomic so the parallel driver's domains
-         publish/observe it safely (stale None only re-executes, which
-         is deterministic and idempotent) *)
-  exec_count : int Atomic.t;  (* leaders that executed it, for pruning *)
+  mutable outcome : Aria.outcome option;  (* memoized execution *)
+  mutable exec_count : int;  (* leaders that executed it, for pruning *)
 }
 
 (* Symbolic receiver-side rebuild state: the bucket-classification logic
@@ -202,13 +199,6 @@ type t = {
   leaders : leader array;
   entries : entry Entry_tbl.t;
   by_digest : (string, entry) Hashtbl.t;
-  reg_mu : Mutex.t;
-      (* guards [entries]/[by_digest]: the only engine tables touched
-         from more than one shard, hence more than one domain under the
-         parallel driver. Uncontended in sequential runs. *)
-  metrics_mu : Mutex.t;
-      (* guards the non-atomic metrics aggregates (summaries,
-         timeseries) for the same reason *)
   plans : Transfer_plan.t option array array;  (* [src_group][dst_group] *)
   metrics : Metrics.t;
   shared_store : Kvstore.t;
@@ -218,11 +208,9 @@ type t = {
   on_leader_content : t -> leader -> Types.entry_id -> unit;
       (* composed cross-stage reaction to content arriving at a leader *)
   mutable started : bool;
-  node_watch : bool Atomic.t;
+  mutable node_watch : bool;
       (* per-group local-liveness watchdogs armed (lazily, on the first
-         node-level crash/recover — fault-free runs schedule nothing).
-         Atomic: concurrent fault events on two shards may race to be
-         that first crash. *)
+         node-level crash/recover — fault-free runs schedule nothing) *)
   mutable adv_hook : adv_hook option;
       (* the adversary interposer; [None] outside adversary drills *)
   mutable trace : Trace.t;
@@ -298,11 +286,9 @@ and ord_strategy = {
 
 let now t = Sim.now t.sim
 
-(* The sim shard owning group [gid]'s events — the handle arm-time code
-   (Engine.start, Batcher.start, heartbeats) must schedule per-group
-   ticks on so the parallel driver runs them on the right domain.
-   Events armed while *executing* land on the executing shard
-   automatically (see {!Sim.at}). *)
+(* The sim shard handle group [gid]'s events are accounted to — the
+   handle arm-time code (Engine.start, Batcher.start, heartbeats)
+   schedules per-group ticks on. *)
 let sim_of t gid = Topology.shard_of t.topo gid
 let node_of t (a : Topology.addr) = t.nodes.(a.Topology.g).(a.Topology.n)
 
@@ -317,34 +303,16 @@ let is_acting_leader t (a : Topology.addr) =
 let alive t (a : Topology.addr) = Topology.alive t.topo a
 let cpu_of t (a : Topology.addr) = Topology.cpu t.topo a
 
-(* Registry access. The mutex is not reentrant: never call back into a
-   [with_registry]-using helper from inside [f]. *)
-let with_registry t f =
-  Mutex.lock t.reg_mu;
-  match f () with
-  | v ->
-      Mutex.unlock t.reg_mu;
-      v
-  | exception e ->
-      Mutex.unlock t.reg_mu;
-      raise e
-
 let register_entry t (e : entry) =
-  with_registry t (fun () ->
-      Entry_tbl.replace t.entries e.eid e;
-      Hashtbl.replace t.by_digest e.digest e)
+  Entry_tbl.replace t.entries e.eid e;
+  Hashtbl.replace t.by_digest e.digest e
 
-let entry_by_digest t digest =
-  with_registry t (fun () -> Hashtbl.find_opt t.by_digest digest)
-
-let entries_snapshot t =
-  with_registry t (fun () ->
-      Entry_tbl.fold (fun _ e acc -> e :: acc) t.entries [])
-
-let registered_entries t = with_registry t (fun () -> Entry_tbl.length t.entries)
+let entry_by_digest t digest = Hashtbl.find_opt t.by_digest digest
+let entries_snapshot t = Entry_tbl.fold (fun _ e acc -> e :: acc) t.entries []
+let registered_entries t = Entry_tbl.length t.entries
 
 let entry_of t eid =
-  match with_registry t (fun () -> Entry_tbl.find_opt t.entries eid) with
+  match Entry_tbl.find_opt t.entries eid with
   | Some e -> e
   | None -> invalid_arg ("Engine: unknown entry " ^ Types.entry_id_to_string eid)
 

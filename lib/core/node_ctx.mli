@@ -68,8 +68,8 @@ type entry = {
   mutable decided_at : float;
   mutable committed_at : float;
   mutable ordered_at : float;
-  outcome : Aria.outcome option Atomic.t;
-  exec_count : int Atomic.t;
+  mutable outcome : Aria.outcome option;
+  mutable exec_count : int;
 }
 
 type rsym = {
@@ -139,13 +139,6 @@ type t = {
   leaders : leader array;
   entries : entry Entry_tbl.t;
   by_digest : (string, entry) Hashtbl.t;
-  reg_mu : Mutex.t;
-      (** guards [entries] + [by_digest]; not reentrant — use the
-          [with_registry]/[register_entry]/[entry_by_digest] helpers and
-          never nest them *)
-  metrics_mu : Mutex.t;
-      (** guards the non-atomic metrics structures (summaries,
-          timeseries) against concurrent proposer shards *)
   plans : Transfer_plan.t option array array;
   metrics : Metrics.t;
   shared_store : Kvstore.t;
@@ -153,7 +146,7 @@ type t = {
   deliver : t -> src:Topology.addr -> dst:Topology.addr -> msg -> unit;
   on_leader_content : t -> leader -> Types.entry_id -> unit;
   mutable started : bool;
-  node_watch : bool Atomic.t;
+  mutable node_watch : bool;
   mutable adv_hook : adv_hook option;
   mutable trace : Trace.t;
   active_n : int array;
@@ -202,13 +195,9 @@ and ord_strategy = {
 val now : t -> float
 
 val sim_of : t -> int -> Sim.t
-(** The shard owning group [gid]'s events (see [Topology.shard_of]).
-    Arm-time scheduling for a group's timer chains must go through this
-    handle so the parallel driver runs them on the owning domain. *)
-
-val with_registry : t -> (unit -> 'a) -> 'a
-(** Run [f] holding [reg_mu]. Not reentrant: never call another
-    registry helper (or [entry_of]) from inside [f]. *)
+(** The shard handle group [gid]'s events are accounted to (see
+    [Topology.shard_of]); arm-time scheduling for a group's timer
+    chains goes through it. *)
 
 val register_entry : t -> entry -> unit
 val entry_by_digest : t -> string -> entry option

@@ -20,8 +20,7 @@ open Node_ctx
 
 (* Plans for *active* group sizes under a reconfiguration, keyed by the
    size pair (two group pairs with the same sizes share a plan). Only
-   consulted when a plan is armed — reconfigured runs are sequential, so
-   the table sees one domain. *)
+   consulted when a plan is armed. *)
 let active_plans : (int * int, Transfer_plan.t) Hashtbl.t = Hashtbl.create 16
 
 let plan_between t ~src ~dst =

@@ -18,8 +18,7 @@ val encoded_bijective : repl_strategy
 
 val plan_between : t -> src:int -> dst:int -> Transfer_plan.t
 (** The (memoized) Algorithm 1 transfer plan from group [src] to group
-    [dst]. [Engine.create] precomputes every pair eagerly so the lazy
-    fill never runs concurrently under the parallel driver. *)
+    [dst], generated on first use. *)
 
 val send_oneway_copies : t -> leader -> entry -> skip:int list -> unit
 (** Ship f_j + 1 full copies to each remote group not in [skip]

@@ -7,7 +7,7 @@ type proof = { leaf_index : int; path : string list }
    feeding the tag and operands as separate updates avoids the per-hash
    concatenation copy ("\x01" ^ l ^ r), which the replication verify
    path paid on every tree node of every received chunk. The context is
-   domain-local (the parallel scheduler driver hashes concurrently);
+   domain-local (callers may hash from several domains at once);
    neither hash re-enters the other within a domain, so one scratch per
    domain suffices. *)
 let scratch = Domain.DLS.new_key Sha256.init

@@ -172,11 +172,11 @@ let finalize ctx =
 (* One-shot digests reuse a scratch context: the replication verify
    path hashes every chunk of every entry, and a fresh context per call
    (8-word state + 64-byte block + 64-word schedule) was the dominant
-   allocation there. The scratch is domain-local, not global — the
-   parallel scheduler driver hashes from several domains at once, and a
-   shared context would silently interleave their block streams into
-   wrong digests. [digest] never re-enters itself within a domain, so
-   per-domain reuse is safe. *)
+   allocation there. The scratch is domain-local, not global — a caller
+   hashing from several domains at once through a shared context would
+   silently interleave their block streams into wrong digests. [digest]
+   never re-enters itself within a domain, so per-domain reuse is
+   safe. *)
 let scratch = Domain.DLS.new_key init
 
 let digest s =

@@ -102,9 +102,7 @@ let rec own_write c = function
 (* Footprints are kept as prepend-only lists (reads newest first, with
    repeats), not per-transaction hash tables: the workloads touch a
    handful of keys per transaction (YCSB: one; TPC-C: tens), so a
-   linear scan by cell identity beats a table, and the allocation rate
-   matters beyond this module because every minor GC is a
-   stop-the-world rendezvous across the parallel driver's domains. *)
+   linear scan by cell identity beats a table and allocates less. *)
 type exec_record = {
   txn : Txn.t;
   pos : int;

@@ -370,9 +370,9 @@ type outcome = {
   ran_until : float;
 }
 
-let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
-    ?registry ?(adversary = []) ?(reconfig = []) ?(domains = 1)
-    ~(spec : Topology.spec) ~(cfg : Config.t) schedule =
+let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace ?registry
+    ?(adversary = []) ?(reconfig = []) ~(spec : Topology.spec)
+    ~(cfg : Config.t) schedule =
   (* Recovering from a healed group crash legitimately spans several
      election timeouts (takeover, catch-up, transfer-back), so the
      default stall bound scales with the configured timeout rather than
@@ -384,20 +384,6 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
   in
   (* Each run allocates a full cluster; keep long campaigns flat. *)
   Gc.compact ();
-  let domains = min domains (Array.length spec.Topology.group_sizes) in
-  let parallel = domains > 1 in
-  if parallel then begin
-    (* Same single-writer exclusions as the runner's parallel mode. *)
-    if trace <> None then
-      invalid_arg "Chaos.run_schedule: tracing requires domains = 1";
-    if registry <> None then
-      invalid_arg "Chaos.run_schedule: a registry requires domains = 1";
-    if adversary <> [] then
-      invalid_arg "Chaos.run_schedule: adversary plans require domains = 1";
-    if reconfig <> [] then
-      invalid_arg
-        "Chaos.run_schedule: reconfiguration plans require domains = 1"
-  end;
   (* Reconfiguration plans expand the topology up front (dark slots for
      everything the plan will activate); an empty plan returns the spec
      unchanged, byte-identically. *)
@@ -407,11 +393,6 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
   let provisioned = R.provision ~spec reconfig in
   let spec = provisioned.R.p_spec in
   let ng = Array.length spec.Topology.group_sizes in
-  let cfg =
-    if parallel && not cfg.Config.independent_stores then
-      { cfg with Config.independent_stores = true }
-    else cfg
-  in
   let sim =
     Sim.create ~shards:ng ~lookahead:(Topology.min_wan_one_way spec) ()
   in
@@ -465,24 +446,8 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace
       Float.max duration (heal +. liveness_bound_s +. 1.5)
     else duration
   in
-  if parallel then begin
-    (* No periodic checker events inside the run: the checkers read
-       cross-shard engine state, so they poll at the lookahead-window
-       barriers instead — the driver's single-threaded safe points. *)
-    let period = 0.25 in
-    let last = ref neg_infinity in
-    Sim.run_parallel sim ~domains ~until
-      ~on_window:(fun w ->
-        if w -. !last >= period then begin
-          last := w;
-          Invariants.check_now inv
-        end)
-      ()
-  end
-  else begin
-    Invariants.attach inv;
-    Sim.run sim ~until
-  end;
+  Invariants.attach inv;
+  Sim.run sim ~until;
   Invariants.finalize inv;
   (* The controller's epoch-aware end-of-run checks (boundary agreement
      across leaders, on-chain config records, join state-transfer
@@ -567,11 +532,9 @@ let shrink ~fails schedule =
 (* Drill and campaign                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let repro_line ?adversary ?reconfig ?(domains = 1) ~seed
-    ~(system : Config.system) () =
-  Printf.sprintf "massbft drill --seed %Ld --system %s --domains %d%s%s" seed
+let repro_line ?adversary ?reconfig ~seed ~(system : Config.system) () =
+  Printf.sprintf "massbft drill --seed %Ld --system %s%s%s" seed
     (String.lowercase_ascii (Config.system_name system))
-    domains
     (match reconfig with None -> "" | Some k -> " --reconfig " ^ k)
     (match adversary with None -> "" | Some s -> " --adversary " ^ s)
 
@@ -588,7 +551,7 @@ type drill_result = {
 }
 
 let drill ?duration ?liveness_bound_s ?trace ?registry ?(shrink_failures = true)
-    ?adversary ?reconfig ?domains ~spec ~cfg ~seed () =
+    ?adversary ?reconfig ~spec ~cfg ~seed () =
   let rng = Rng.create seed in
   let gen_duration = Option.value ~default:10.0 duration in
   (* With an adversary strategy the drill goes all-in on it: the fault
@@ -616,12 +579,12 @@ let drill ?duration ?liveness_bound_s ?trace ?registry ?(shrink_failures = true)
         (F.sorted (rfaults @ triggers), plan)
   in
   let outcome =
-    run_schedule ?duration ?liveness_bound_s ?trace ?registry ?domains
-      ~adversary:plan ~reconfig:rplan ~spec ~cfg schedule
+    run_schedule ?duration ?liveness_bound_s ?trace ?registry ~adversary:plan
+      ~reconfig:rplan ~spec ~cfg schedule
   in
   let rerun ~schedule ~plan =
     failed
-      (run_schedule ?duration ?liveness_bound_s ?domains ~adversary:plan
+      (run_schedule ?duration ?liveness_bound_s ~adversary:plan
          ~reconfig:rplan ~spec ~cfg schedule)
   in
   let shrunk, shrunk_adversary =
@@ -661,7 +624,7 @@ type campaign_result = {
 
 let campaign ?duration ?liveness_bound_s ?(shrink_failures = false)
     ?(systems = Config.all_systems) ?(adversaries = []) ?(reconfigs = [])
-    ?on_run ?domains ~spec ~cfg ~seeds () =
+    ?on_run ~spec ~cfg ~seeds () =
   (* The axes: systems x seeds x adversary strategies x reconfiguration
      kinds. Empty strategy/kind lists keep the classic two-axis fault
      campaign; both together drill Byzantine behaviour during
@@ -687,7 +650,7 @@ let campaign ?duration ?liveness_bound_s ?(shrink_failures = false)
                   (fun seed ->
                     let r =
                       drill ?duration ?liveness_bound_s ~shrink_failures
-                        ?adversary ?reconfig ?domains ~spec
+                        ?adversary ?reconfig ~spec
                         ~cfg:{ cfg with Config.system } ~seed ()
                     in
                     (match on_run with Some f -> f r | None -> ());

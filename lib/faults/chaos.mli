@@ -85,7 +85,6 @@ val run_schedule :
   ?registry:Massbft_obs.Registry.t ->
   ?adversary:Massbft_adversary.Adv_spec.plan ->
   ?reconfig:Massbft_reconfig.Reconfig_spec.plan ->
-  ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
   cfg:Massbft.Config.t ->
   Fault_spec.schedule ->
@@ -98,19 +97,11 @@ val run_schedule :
     outage legitimately spans several election timeouts (takeover,
     catch-up, transfer-back).
 
-    [domains] (default 1, clamped to the group count) selects how many
-    OCaml domains pump the per-group scheduler shards. Parallel runs
-    poll the invariant checkers at the lookahead-window barriers
-    instead of via in-run events, force [independent_stores], and
-    reject [trace]/[registry]/[adversary] (single-writer structures the
-    parallel driver cannot serialize); the verdicts match a sequential
-    run of the same schedule.
-
     [reconfig] validates, provisions and arms a live-membership plan
-    before the cluster starts (sequential mode only); the controller's
-    epoch-aware end-of-run checks merge into [violations], and a join
-    extends the heal horizon by a state-transfer allowance before the
-    liveness watchdog starts judging. An empty or omitted plan changes
+    before the cluster starts; the controller's epoch-aware end-of-run
+    checks merge into [violations], and a join extends the heal horizon
+    by a state-transfer allowance before the liveness watchdog starts
+    judging. An empty or omitted plan changes
     nothing. *)
 
 val failed : outcome -> bool
@@ -147,7 +138,6 @@ val drill :
   ?shrink_failures:bool ->
   ?adversary:string ->
   ?reconfig:string ->
-  ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
   cfg:Massbft.Config.t ->
   seed:int64 ->
@@ -177,7 +167,6 @@ val campaign :
   ?adversaries:string list ->
   ?reconfigs:string list ->
   ?on_run:(drill_result -> unit) ->
-  ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
   cfg:Massbft.Config.t ->
   seeds:int64 list ->
@@ -192,13 +181,11 @@ val campaign :
 val repro_line :
   ?adversary:string ->
   ?reconfig:string ->
-  ?domains:int ->
   seed:int64 ->
   system:Massbft.Config.system ->
   unit ->
   string
 (** The one-liner that reproduces a campaign failure, carrying every
-    axis the failing run used ([--domains], [--reconfig],
-    [--adversary]). *)
+    axis the failing run used ([--reconfig], [--adversary]). *)
 
 val pp_drill : Format.formatter -> drill_result -> unit

@@ -5,15 +5,10 @@
    NIC bandwidths and CPU speed factors, healing back to nominal when
    their window closes.
 
-   Sharded-scheduler discipline: every apply/heal event is scheduled on
-   the shard owning the fault's target group, so the parallel driver
-   mutates engine/NIC/CPU state only from the owning domain. Link
-   faults keep no activation state at all — the hook receives the
-   sender's virtual time and decides from the precomputed windows
-   ([at <= now < at + for_s]), which is what keeps it deterministic
-   when hooks run concurrently on several sending shards. The
-   [every]-gated counters remain single-writer because a link fault
-   names one source group, hence one sending shard.
+   Every apply/heal event is accounted to the shard of the fault's
+   target group. Link faults keep no activation state at all — the hook
+   receives the sender's virtual time and decides from the precomputed
+   windows ([at <= now < at + for_s]).
 
    Everything is armed up front ([arm]) as plain simulator events, so a
    run with an injector replays bit-identically from the same seed and
@@ -31,8 +26,7 @@ module F = Fault_spec
 
 (* A link fault with its resolved activity window; [count] numbers the
    matching messages so [every]-gated faults hit a deterministic
-   subsequence. Single-writer: only the fault's [src_g] shard ever
-   sends matching messages. *)
+   subsequence. *)
 type lfault = {
   lf : F.fault;
   from_s : float;
@@ -75,8 +69,6 @@ let create ?(trace = Trace.null) ?registry ~spec ~schedule engine sim topo =
 let schedule t = t.schedule
 let injected_total t = t.injected
 
-(* Runs only in shard-0 events (see [arm]), so the plain mutable count
-   and the registry stay single-writer under the parallel driver. *)
 let count_injection t fault =
   t.injected <- t.injected + 1;
   match t.registry with
@@ -173,7 +165,7 @@ let is_link_fault = function
   | F.Partition _ | F.Link_drop _ | F.Link_delay _ | F.Link_dup _ -> true
   | _ -> false
 
-(* The group whose shard owns the fault's apply/heal mutations; [None]
+(* The group whose shard the fault's apply/heal events go to; [None]
    for link faults, which are window checks in the hook and need no
    application event. *)
 let target_group = function
@@ -265,9 +257,8 @@ let arm t =
   List.iter
     (fun { F.at; fault } ->
       let at = Float.max at tnow in
-      (* Counting + tracing stay on the creation shard (shard 0 for the
-         runner's deployments): one writer for the injected total, the
-         registry and the trace sink. *)
+      (* Counting + tracing are accounted to the creation shard (shard 0
+         for the runner's deployments). *)
       ignore
         (Sim.at t.sim at (fun () ->
              count_injection t fault;
@@ -286,7 +277,7 @@ let arm t =
                  ignore
                    (Sim.after t.sim for_s (fun () ->
                         Trace.span_end t.trace span))));
-      (* Application + heal on the target group's shard. *)
+      (* Application + heal accounted to the target group's shard. *)
       match target_group fault with
       | None -> ()
       | Some g ->

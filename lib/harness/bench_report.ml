@@ -19,29 +19,25 @@ type macro = {
   p99_latency_ms : float;
   commit_ratio : float;
   wan_mb : float;
-  host_phases : (string * float) list;
-      (* per-phase host wall breakdown from the self-profiler; [] when
-         the row ran unprofiled (the baseline-comparable default) *)
 }
 
 type scaling = {
   sc_groups : int;
-  sc_domains : int;
   sc_wall_s : float;
   sc_sim_s : float;
   sc_sim_s_per_wall_s : float;
   sc_committed_txns : int;
 }
 
-(* v2 added the "scaling" and "host_domains" fields; v3 the optional
-   per-macro "host_phases" wall breakdown from the self-profiler. *)
-let schema_version = 3
+(* v2 added the "scaling" section; v4 has one scaling row per group
+   count and no "host_domains" or per-macro "host_phases". *)
+let schema_version = 4
 
 (* Quick mode mirrors the CI figure smoke (short windows, 1% workload
    scale); full mode the figure harness proper. *)
 let windows ~quick = if quick then (1.0, 3.0) else (4.0, 12.0)
 
-let run_macro ?(quick = false) ?prof ?domains ~system () =
+let run_macro ?(quick = false) ?prof ~system () =
   let warmup, duration = windows ~quick in
   let cfg =
     {
@@ -53,7 +49,7 @@ let run_macro ?(quick = false) ?prof ?domains ~system () =
   let engine = ref None in
   let t0 = Unix.gettimeofday () in
   let r =
-    Runner.run ~warmup ~duration ?prof ?domains
+    Runner.run ~warmup ~duration ?prof
       ~on_engine:(fun e _ _ -> engine := Some e)
       ~spec ~cfg ()
   in
@@ -78,20 +74,9 @@ let run_macro ?(quick = false) ?prof ?domains ~system () =
     p99_latency_ms = r.Runner.p99_latency_ms;
     commit_ratio = r.Runner.commit_ratio;
     wan_mb = r.Runner.wan_mb;
-    host_phases =
-      (match prof with
-      | None -> []
-      | Some p ->
-          let rp = Massbft_prof.Prof.report p in
-          [
-            ("execute", rp.Massbft_prof.Prof.rp_execute_span_s);
-            ("barrier_stall", rp.Massbft_prof.Prof.rp_stall_s);
-            ("mailbox_merge", rp.Massbft_prof.Prof.rp_merge_s);
-            ("coordinator", rp.Massbft_prof.Prof.rp_coord_s);
-          ]);
   }
 
-let run_scaling_row ~quick ~groups ~domains =
+let run_scaling_row ~quick ~groups =
   (* Each row starts from a compacted major heap: the macro section
      abandons hundreds of MB of stores and ledgers per system, and the
      resulting fragmentation bleeds 20%+ into whichever rows run later
@@ -103,18 +88,13 @@ let run_scaling_row ~quick ~groups ~domains =
     {
       (Config.default ~system:Config.Massbft ~workload:W.Ycsb_a ()) with
       Config.workload_scale = (if quick then 0.01 else 1.0);
-      (* Forced on for every row, not just the parallel ones: the
-         parallel driver requires per-group stores, so pinning the
-         sequential rows to the same setting keeps the semantic work
-         identical across the table — only the driver varies. *)
-      independent_stores = true;
     }
   in
   let spec = Clusters.nationwide ~groups () in
   let engine = ref None in
   let t0 = Unix.gettimeofday () in
   ignore
-    (Runner.run ~warmup ~duration ~domains
+    (Runner.run ~warmup ~duration
        ~on_engine:(fun e _ _ -> engine := Some e)
        ~spec ~cfg ());
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -126,7 +106,6 @@ let run_scaling_row ~quick ~groups ~domains =
   let sim_s = warmup +. duration in
   {
     sc_groups = groups;
-    sc_domains = domains;
     sc_wall_s = wall_s;
     sc_sim_s = sim_s;
     sc_sim_s_per_wall_s = (if wall_s > 0.0 then sim_s /. wall_s else 0.0);
@@ -134,28 +113,13 @@ let run_scaling_row ~quick ~groups ~domains =
   }
 
 let run_scaling ?(quick = false) ?(groups_list = [ 3; 5 ])
-    ?(domains_list = [ 1; 2; 4 ]) ?(on_row = fun _ -> ()) () =
-  (* An enlarged minor heap for the scaling runs only (restored after):
-     every minor collection is a stop-the-world rendezvous across the
-     parallel driver's domains, and the runtime default collects so
-     often that the barrier cost swamps the row differences. The same
-     setting applies to every row, sequential included, so the table
-     stays internally comparable; the separate "macro" section keeps
-     the untuned runtime for comparability with older baselines. *)
-  let prev = Gc.get () in
-  Gc.set { prev with Gc.minor_heap_size = 8 * 1024 * 1024 };
-  Fun.protect
-    ~finally:(fun () -> Gc.set prev)
-    (fun () ->
-      List.concat_map
-        (fun groups ->
-          List.map
-            (fun domains ->
-              let row = run_scaling_row ~quick ~groups ~domains in
-              on_row row;
-              row)
-            domains_list)
-        groups_list)
+    ?(on_row = fun _ -> ()) () =
+  List.map
+    (fun groups ->
+      let row = run_scaling_row ~quick ~groups in
+      on_row row;
+      row)
+    groups_list
 
 (* ---- JSON rendering ---- *)
 
@@ -200,7 +164,7 @@ let micro_json m =
 let macro_json m =
   let n ctx v = num ~ctx:(m.system ^ "." ^ ctx) v in
   obj
-    ([
+    [
       ("system", str m.system);
       ("workload", str m.workload);
       ("wall_s", n "wall_s" m.wall_s);
@@ -215,27 +179,13 @@ let macro_json m =
       ("commit_ratio", n "commit_ratio" m.commit_ratio);
       ("wan_mb", n "wan_mb" m.wan_mb);
     ]
-    @
-    (* Optional in v3: only profiled rows carry the breakdown, so
-       unprofiled reports stay byte-comparable with v2 consumers that
-       ignore unknown keys. *)
-    (if m.host_phases = [] then []
-     else
-       [
-         ( "host_phases",
-           obj
-             (List.map
-                (fun (k, v) -> (k, n ("host_phases." ^ k) v))
-                m.host_phases) );
-       ]))
 
 let scaling_json s =
-  let ctx = Printf.sprintf "scaling[g=%d,d=%d]" s.sc_groups s.sc_domains in
+  let ctx = Printf.sprintf "scaling[g=%d]" s.sc_groups in
   let n c v = num ~ctx:(ctx ^ "." ^ c) v in
   obj
     [
       ("groups", string_of_int s.sc_groups);
-      ("domains", string_of_int s.sc_domains);
       ("wall_s", n "wall_s" s.sc_wall_s);
       ("sim_s", n "sim_s" s.sc_sim_s);
       ("sim_s_per_wall_s", n "sim_s_per_wall_s" s.sc_sim_s_per_wall_s);
@@ -243,21 +193,16 @@ let scaling_json s =
     ]
 
 let to_json ~date ~mode ?(scaling = []) ~micros ~macros () =
-  (* host_domains records the parallelism actually available where the
-     numbers were taken: a scaling table measured on a single-CPU host
-     shows windowed-driver overhead, not speedup, and must say so. *)
   Printf.sprintf
     "{\n\
     \  \"schema_version\": %d,\n\
     \  \"date\": %s,\n\
     \  \"mode\": %s,\n\
-    \  \"host_domains\": %d,\n\
     \  \"micro\": %s,\n\
     \  \"macro\": %s,\n\
     \  \"scaling\": %s\n\
      }\n"
     schema_version (str date) (str mode)
-    (Domain.recommended_domain_count ())
     (arr (List.map micro_json micros))
     (arr (List.map macro_json macros))
     (arr (List.map scaling_json scaling))

@@ -29,19 +29,11 @@ type macro = {
   p99_latency_ms : float;
   commit_ratio : float;
   wan_mb : float;
-  host_phases : (string * float) list;
-      (** per-phase host wall breakdown (seconds) from the
-          self-profiler: [execute] / [barrier_stall] / [mailbox_merge]
-          / [coordinator]. [[]] when the row ran unprofiled — the
-          default, which keeps rows comparable with pre-v3 baselines.
-          Serialized (schema v3) as the optional ["host_phases"]
-          object. *)
 }
 
 val run_macro :
   ?quick:bool ->
   ?prof:Massbft_prof.Prof.t ->
-  ?domains:int ->
   system:Massbft.Config.system ->
   unit ->
   macro
@@ -51,37 +43,27 @@ val run_macro :
     12 s at full scale). Simulated-side fields are deterministic:
     two calls with the same parameters agree on everything except
     [wall_s] and the two [*_per_wall_s] rates derived from it.
-    [prof] (a fresh profiler, passed through to {!Runner.run}) fills
-    [host_phases] and stays queryable afterwards for the full report;
-    [domains] selects the parallel driver as in {!Runner.run}. *)
+    [prof] (a fresh profiler, passed through to {!Runner.run}) stays
+    queryable afterwards for the full report. *)
 
 type scaling = {
-  sc_groups : int;  (** cluster group count (= shard count) *)
-  sc_domains : int;  (** requested driver domains (clamped to groups) *)
+  sc_groups : int;  (** cluster group count *)
   sc_wall_s : float;
   sc_sim_s : float;
   sc_sim_s_per_wall_s : float;
-  sc_committed_txns : int;  (** identical across domain counts — the
-      cross-driver determinism check built into the table *)
+  sc_committed_txns : int;
 }
 
 val run_scaling :
   ?quick:bool ->
   ?groups_list:int list ->
-  ?domains_list:int list ->
   ?on_row:(scaling -> unit) ->
   unit ->
   scaling list
-(** The sharded-scheduler scaling table: one MassBFT/YCSB-A run per
-    (groups × domains) pair over the nationwide cluster, all rows with
-    [independent_stores] forced on (the parallel driver's requirement)
-    so the semantic work is identical across the table and only the
-    driver varies. Every row runs with an enlarged minor heap (restored
-    afterwards) because minor collections are stop-the-world rendezvous
-    across the parallel driver's domains; the "macro" section keeps the
-    untuned runtime for baseline comparability. [on_row] fires after
-    each row, for progress output. Defaults: groups 3 and 5, domains
-    1/2/4. *)
+(** The scheduler scaling table: one MassBFT/YCSB-A run per group
+    count over the nationwide cluster, each from a compacted heap.
+    [on_row] fires after each row, for progress output. Default groups:
+    3 and 5. *)
 
 val to_json :
   date:string ->

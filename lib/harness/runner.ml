@@ -32,46 +32,11 @@ type result = {
   binding_resource : string option;
 }
 
-(* Once per process: a scaling table whose --domains exceeds the host's
-   cores measures time-sharing overhead, not speedup — say so out loud
-   instead of silently serializing (the BENCH host_domains field records
-   the same fact in the committed artifact). *)
-let warned_oversubscribed = ref false
-
-let warn_if_oversubscribed requested =
-  let host = Domain.recommended_domain_count () in
-  if requested > host && not !warned_oversubscribed then begin
-    warned_oversubscribed := true;
-    Printf.eprintf
-      "massbft: warning: %d domains requested but host reports %d core%s; \
-       parallel rows will time-share, wall-clock numbers measure overhead \
-       rather than speedup\n%!"
-      requested host
-      (if host = 1 then "" else "s")
-  end
-
 let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
-    ?adversary ?reconfig ?on_reconfig ?(domains = 1) ~spec ~cfg () =
+    ?adversary ?reconfig ?on_reconfig ~spec ~cfg () =
   (* Sequential experiment sweeps allocate a full cluster per run;
      compact between them so long figure suites stay within memory. *)
   Gc.compact ();
-  if domains > 1 then warn_if_oversubscribed domains;
-  let ng = Array.length spec.Topology.group_sizes in
-  let domains = Stdlib.min domains ng in
-  let parallel = domains > 1 in
-  if parallel then begin
-    (* The trace sink, the sampler's registry and the adversary's
-       interposer are single-writer structures the parallel driver
-       cannot serialize; the run modes that need them stay sequential. *)
-    if trace <> None then
-      invalid_arg "Runner.run: tracing requires domains = 1";
-    if obs <> None then
-      invalid_arg "Runner.run: the sampler requires domains = 1";
-    if adversary <> None && adversary <> Some [] then
-      invalid_arg "Runner.run: adversary plans require domains = 1";
-    if reconfig <> None && reconfig <> Some [] then
-      invalid_arg "Runner.run: reconfiguration plans require domains = 1"
-  end;
   (* A reconfiguration plan expands the topology up front: every slot
      the plan will ever activate is provisioned dark. An empty plan
      returns the spec unchanged, byte-identically. *)
@@ -81,28 +46,17 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
   | Error e -> invalid_arg ("Runner.run: bad reconfiguration plan: " ^ e));
   let provisioned = Reconfig_spec.provision ~spec plan in
   let spec = provisioned.Reconfig_spec.p_spec in
-  (* One shard per physical group, dark slots included. *)
+  (* One shard handle per physical group, dark slots included, so
+     per-group event accounting and trace tracks stay separate. *)
   let ng = Array.length spec.Topology.group_sizes in
-  (* Domains share nothing through the store: the memoized-outcome
-     shortcut is a cross-shard write, so parallel runs force the
-     independent-stores execution mode (semantically equivalent;
-     see Config). *)
-  let cfg =
-    if parallel && not cfg.Config.independent_stores then
-      { cfg with Config.independent_stores = true }
-    else cfg
-  in
-  (* One shard per group even when running sequentially: the default
-     driver is the sharded merge loop, and [domains] only selects how
-     many OCaml domains pump the same shard structure. *)
   let sim =
     Sim.create ~shards:ng ~lookahead:(Topology.min_wan_one_way spec) ()
   in
   let topo = Topology.create sim spec in
   let engine = Engine.create sim topo cfg in
   (match trace with Some tr -> Engine.set_trace engine tr | None -> ());
-  (* The host profiler hooks the driver loops only (no events, no sim
-     state), so it composes with every run mode, parallel included. *)
+  (* The host profiler hooks the driver loop only (no events, no sim
+     state), so it composes with every run mode. *)
   (match prof with Some p -> Prof.attach p sim | None -> ());
   (* Arm the reconfiguration controller before the engine starts: the
      dark slots must be crashed and the membership masks installed
@@ -137,23 +91,12 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
       let registry = Option.map Sampler.registry obs in
       Adversary.arm (Adversary.create ?trace ?registry ~spec ~plan engine sim)
   | Some _ | None -> ());
-  if parallel then begin
-    (* Two-phase drive: run to the warm-up cutoff, take the traffic
-       baseline at the barrier (a single-threaded safe point), then run
-       the measurement window. The sequential mode keeps its in-run
-       event so existing byte-for-byte fixtures are untouched. *)
-    Sim.run_parallel sim ~domains ~until:warmup ();
-    Topology.reset_traffic_baseline topo;
-    Sim.run_parallel sim ~domains ~until:(warmup +. duration) ()
-  end
-  else begin
-    ignore
-      (Sim.at sim warmup (fun () ->
-           Topology.reset_traffic_baseline topo;
-           (* Saturation shares cover only the measurement window. *)
-           match obs with Some s -> Sampler.reset s | None -> ()));
-    Sim.run sim ~until:(warmup +. duration)
-  end;
+  ignore
+    (Sim.at sim warmup (fun () ->
+         Topology.reset_traffic_baseline topo;
+         (* Saturation shares cover only the measurement window. *)
+         match obs with Some s -> Sampler.reset s | None -> ()));
+  Sim.run sim ~until:(warmup +. duration);
   (* Freeze the profiler's wall endpoint at the moment the clock stops
      moving: metric extraction below is not scheduler time. *)
   (match prof with Some p -> Prof.finish p | None -> ());
@@ -214,11 +157,10 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
    the bare pipeline latency). Throughput numbers always come from a
    saturated [run]. *)
 let run_latency_probe ?(duration = 6.0) ?(warmup = 2.0) ?trace ?obs ?prof
-    ?on_engine ?faults ?adversary ?reconfig ?on_reconfig ?domains ~spec ~cfg ()
-    =
+    ?on_engine ?faults ?adversary ?reconfig ?on_reconfig ~spec ~cfg () =
   let probe_cfg = { cfg with Config.max_batch = 40; pipeline = 2 } in
   run ~duration ~warmup ?trace ?obs ?prof ?on_engine ?faults ?adversary
-    ?reconfig ?on_reconfig ?domains ~spec ~cfg:probe_cfg ()
+    ?reconfig ?on_reconfig ~spec ~cfg:probe_cfg ()
 
 let pp_result fmt r =
   Format.fprintf fmt

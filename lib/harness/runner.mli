@@ -39,7 +39,6 @@ val run :
   ?adversary:Massbft_adversary.Adv_spec.plan ->
   ?reconfig:Massbft_reconfig.Reconfig_spec.plan ->
   ?on_reconfig:(Massbft_reconfig.Reconfig.t -> unit) ->
-  ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
   cfg:Massbft.Config.t ->
   unit ->
@@ -71,29 +70,18 @@ val run :
     built, the controller is armed before [Engine.start], and
     [on_reconfig] receives it (for epoch-aware checks and join
     receipts). An empty or omitted plan provisions and arms nothing —
-    byte-identical to a build without the subsystem. Plans require
-    [domains = 1].
+    byte-identical to a build without the subsystem.
 
-    The scheduler always runs one shard per group behind the scenes;
-    [domains] (default 1, clamped to the group count) selects how many
-    OCaml domains pump them. [domains = 1] is the sequential merge
-    driver — byte-identical to the historical single-heap runs.
-    [domains > 1] drives the shards in WAN-lookahead windows
-    ({!Massbft_sim.Sim.run_parallel}): committed transactions, ledgers
-    and invariant verdicts match the sequential run, but event
-    interleaving (hence traces, samplers and adversary interposers,
-    which are rejected) and the exact traffic baseline cut may differ.
-    Parallel runs force [independent_stores]. Requesting more domains
-    than the host has cores prints a once-per-process warning: the
-    parallel rows then time-share and measure overhead, not speedup.
+    Tracing, the sampler, faults, adversary plans and reconfiguration
+    plans all compose: pass any combination.
 
     [prof] is a fresh, unattached {!Massbft_prof.Prof.t}: the runner
     attaches it before the clock moves and freezes its wall endpoint
     the moment the drive loop returns, so {!Massbft_prof.Prof.report}
     covers exactly the scheduler's own execution. Profiling hooks only
-    window boundaries — no events are scheduled and no simulation
-    state is read — so results (and golden fixtures) are byte-identical
-    with or without it, in every run mode including [domains > 1]. *)
+    slice boundaries — no events are scheduled and no simulation state
+    is read — so results (and golden fixtures) are byte-identical with
+    or without it. *)
 
 val run_latency_probe :
   ?duration:float ->
@@ -106,7 +94,6 @@ val run_latency_probe :
   ?adversary:Massbft_adversary.Adv_spec.plan ->
   ?reconfig:Massbft_reconfig.Reconfig_spec.plan ->
   ?on_reconfig:(Massbft_reconfig.Reconfig.t -> unit) ->
-  ?domains:int ->
   spec:Massbft_sim.Topology.spec ->
   cfg:Massbft.Config.t ->
   unit ->

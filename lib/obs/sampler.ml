@@ -112,11 +112,10 @@ let watch_topology t topo =
     (Topology.nodes topo)
 
 let watch_sim t sim =
-  (* O(shards) reads off the event loop itself: each shard's pending
-     count is maintained incrementally, so polling costs nothing
-     regardless of queue depth. The [_total] aggregates keep the metric
-     names and meanings stable whether the scheduler runs one shard or
-     one per group. *)
+  (* Cheap reads off the event loop itself: pending and dispatched
+     counts are maintained incrementally, so polling costs nothing
+     regardless of queue depth. The [_total] aggregates cover every
+     shard handle of the sim. *)
   add_probe t ~name:"massbft_sim_pending_events"
     ~help:"Scheduled (uncancelled, unfired) events across all shard queues"
     ~labels:[]

@@ -6,36 +6,28 @@ module Registry = Massbft_obs.Registry
    Everything the repo's other observability measures — traces, the
    sampler, saturation verdicts — lives in *simulated* time; this
    module accounts where the host's *wall-clock* goes while the
-   simulator produces those simulated seconds: event execution per
-   shard, barrier stalls per worker domain, the coordinator's
-   inter-window mailbox merge, and the scan/setup glue between windows,
-   plus GC pressure sampled per window. It is the instrument scheduler
-   and codec perf work is judged with.
+   simulator produces those simulated seconds. A profiled [Sim.run]
+   advances in lookahead-wide slices and reports each one (wall time,
+   events dispatched); the profiler adds GC deltas per slice and
+   derives a ranked attribution.
 
    The design constraint is that profiling must not perturb the run:
-   the hooks (Sim.host_prof) never read simulation state, never
-   schedule events, and are invoked per *window*, never per event —
-   the overhead budget is <= 2% of wall time on the macro rows.
+   the hook (Sim.host_prof) never reads simulation state, never
+   schedules events, and is invoked per *slice*, never per event.
    Dispatch order is untouched, so golden fixtures stay byte-identical
    with profiling on. *)
 
 (* CLOCK_MONOTONIC via bechamel's noalloc stub, in seconds. *)
 let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-type window = {
-  w_end : float;  (* simulated time at the window's (slice's) end *)
-  w_host_t0 : float;  (* host seconds since profiling started *)
-  w_wall : float;  (* driver-thread wall time of the whole window *)
-  w_span : float;  (* execute region: wait-for-workers, or the slice *)
-  w_coord : float;  (* scan + setup + release (parallel only) *)
-  w_merge : float;  (* mailbox drain + clock advance (parallel only) *)
-  w_exec : float array;  (* per-shard execute seconds; [||] sequential *)
-  w_stall : float array;  (* per-worker barrier stall; [||] sequential *)
-  w_events : int;
-  w_seq : bool;  (* a sequential-driver slice rather than a window *)
-  w_gc_minor : int;  (* driver-domain Gc.quick_stat deltas *)
-  w_gc_major : int;
-  w_gc_promoted_w : float;
+type slice = {
+  s_end : float;  (* simulated time at the slice's end *)
+  s_host_t0 : float;  (* host seconds since profiling started *)
+  s_wall : float;
+  s_events : int;
+  s_gc_minor : int;  (* Gc.quick_stat deltas over the slice *)
+  s_gc_major : int;
+  s_gc_promoted_w : float;
 }
 
 type t = {
@@ -43,38 +35,14 @@ type t = {
   mutable shards : int;
   mutable lookahead : float;
   mutable attached : bool;
-  mutable t0 : float option;  (* host time of the first window's start *)
+  mutable t0 : float option;  (* host time of the first slice's start *)
   mutable finished : float option;
-  (* current-window accumulators: the [sid] / [worker] slots are each
-     written by exactly one domain per window, and the barrier mutex
-     orders those writes before the driver thread's window snapshot. *)
-  mutable cur_exec : float array;
-  mutable cur_events : int array;  (* per shard *)
-  mutable cur_stall : float array;  (* per worker *)
-  (* totals *)
-  mutable windows_rev : window list;
-  mutable n_windows : int;  (* parallel windows *)
-  mutable n_seq : int;  (* sequential slices *)
-  mutable tot_exec : float array;  (* per shard *)
-  mutable tot_events_shard : int array;
-  mutable tot_stall : float array;  (* per worker *)
+  mutable slices_rev : slice list;
+  mutable n_slices : int;
   mutable tot_events : int;
-  mutable tot_coord : float;
-  mutable tot_merge : float;
-  mutable tot_span : float;  (* parallel execute regions *)
-  mutable tot_seq_wall : float;  (* sequential slices *)
-  mutable tot_attr : float;  (* sum of window walls: attributed time *)
-  mutable max_worker : int;  (* highest worker id seen; -1 if none *)
-  mutable max_w_end : float;
-  (* GC sampling. The driver-domain baseline is re-sampled at every
-     window; worker domains sample at their stall points (on their own
-     domain — Gc.quick_stat is domain-local in OCaml 5) and accumulate
-     into per-worker totals. *)
+  mutable tot_wall : float;  (* sum of slice walls: attributed time *)
+  mutable max_end : float;
   mutable gc_last : Gc.stat;
-  mutable worker_gc : Gc.stat option array;
-  mutable worker_gc_minor : int array;
-  mutable worker_gc_major : int array;
-  mutable worker_gc_promoted : float array;
 }
 
 let create ?clock () =
@@ -86,175 +54,50 @@ let create ?clock () =
     attached = false;
     t0 = None;
     finished = None;
-    cur_exec = [||];
-    cur_events = [||];
-    cur_stall = [||];
-    windows_rev = [];
-    n_windows = 0;
-    n_seq = 0;
-    tot_exec = [||];
-    tot_events_shard = [||];
-    tot_stall = [||];
+    slices_rev = [];
+    n_slices = 0;
     tot_events = 0;
-    tot_coord = 0.0;
-    tot_merge = 0.0;
-    tot_span = 0.0;
-    tot_seq_wall = 0.0;
-    tot_attr = 0.0;
-    max_worker = -1;
-    max_w_end = 0.0;
+    tot_wall = 0.0;
+    max_end = 0.0;
     gc_last = Gc.quick_stat ();
-    worker_gc = [||];
-    worker_gc_minor = [||];
-    worker_gc_major = [||];
-    worker_gc_promoted = [||];
   }
 
-let note_start p t_now =
-  match p.t0 with Some _ -> () | None -> p.t0 <- Some t_now
-
-(* Driver-domain GC delta since the previous window. *)
-let gc_delta p =
+let on_slice p ~until ~dt ~events =
+  let t_now = p.clock () in
+  if p.t0 = None then p.t0 <- Some (t_now -. dt);
+  let t0 = Option.get p.t0 in
   let g = Gc.quick_stat () in
   let last = p.gc_last in
   p.gc_last <- g;
-  ( g.Gc.minor_collections - last.Gc.minor_collections,
-    g.Gc.major_collections - last.Gc.major_collections,
-    g.Gc.promoted_words -. last.Gc.promoted_words )
-
-let push_window p w =
-  p.windows_rev <- w :: p.windows_rev;
-  p.tot_attr <- p.tot_attr +. w.w_wall;
-  p.tot_events <- p.tot_events + w.w_events;
-  if w.w_end > p.max_w_end then p.max_w_end <- w.w_end
-
-let hp_execute p ~sid ~dt ~events =
-  p.cur_exec.(sid) <- p.cur_exec.(sid) +. dt;
-  p.cur_events.(sid) <- p.cur_events.(sid) + events
-
-let hp_stall p ~worker ~dt =
-  p.cur_stall.(worker) <- p.cur_stall.(worker) +. dt;
-  if worker > p.max_worker then p.max_worker <- worker;
-  (* Worker-domain GC sample: quick_stat on the calling domain, so the
-     delta is this worker's own minor/major activity since its last
-     release. The first release only establishes the baseline. *)
-  let g = Gc.quick_stat () in
-  (match p.worker_gc.(worker) with
-  | Some last ->
-      p.worker_gc_minor.(worker) <-
-        p.worker_gc_minor.(worker)
-        + (g.Gc.minor_collections - last.Gc.minor_collections);
-      p.worker_gc_major.(worker) <-
-        p.worker_gc_major.(worker)
-        + (g.Gc.major_collections - last.Gc.major_collections);
-      p.worker_gc_promoted.(worker) <-
-        p.worker_gc_promoted.(worker)
-        +. (g.Gc.promoted_words -. last.Gc.promoted_words)
-  | None -> ());
-  p.worker_gc.(worker) <- Some g
-
-let hp_coord p ~dt = p.tot_coord <- p.tot_coord +. dt
-
-let hp_merge p ~dt = p.tot_merge <- p.tot_merge +. dt
-
-let hp_window p ~w_end ~span ~wall =
-  let t_now = p.clock () in
-  note_start p (t_now -. wall);
-  let t0 = Option.get p.t0 in
-  let exec = Array.copy p.cur_exec in
-  let stall = Array.copy p.cur_stall in
-  let events = Array.fold_left ( + ) 0 p.cur_events in
-  Array.iteri
-    (fun i v ->
-      p.tot_exec.(i) <- p.tot_exec.(i) +. v;
-      p.tot_events_shard.(i) <- p.tot_events_shard.(i) + p.cur_events.(i))
-    p.cur_exec;
-  Array.iteri
-    (fun i v -> p.tot_stall.(i) <- p.tot_stall.(i) +. v)
-    p.cur_stall;
-  Array.fill p.cur_exec 0 (Array.length p.cur_exec) 0.0;
-  Array.fill p.cur_events 0 (Array.length p.cur_events) 0;
-  Array.fill p.cur_stall 0 (Array.length p.cur_stall) 0.0;
-  p.tot_span <- p.tot_span +. span;
-  p.n_windows <- p.n_windows + 1;
-  let minor, major, promoted = gc_delta p in
-  push_window p
+  p.slices_rev <-
     {
-      w_end;
-      w_host_t0 = t_now -. wall -. t0;
-      w_wall = wall;
-      w_span = span;
-      w_coord = 0.0;
-      (* per-window coord/merge splits are folded into the totals by
-         hp_coord/hp_merge; reconstruct the window's own split from
-         wall - span - merge when needed *)
-      w_merge = 0.0;
-      w_exec = exec;
-      w_stall = stall;
-      w_events = events;
-      w_seq = false;
-      w_gc_minor = minor;
-      w_gc_major = major;
-      w_gc_promoted_w = promoted;
+      s_end = until;
+      s_host_t0 = t_now -. dt -. t0;
+      s_wall = dt;
+      s_events = events;
+      s_gc_minor = g.Gc.minor_collections - last.Gc.minor_collections;
+      s_gc_major = g.Gc.major_collections - last.Gc.major_collections;
+      s_gc_promoted_w = g.Gc.promoted_words -. last.Gc.promoted_words;
     }
-
-let hp_seq p ~until ~dt ~events =
-  let t_now = p.clock () in
-  note_start p (t_now -. dt);
-  let t0 = Option.get p.t0 in
-  p.n_seq <- p.n_seq + 1;
-  p.tot_seq_wall <- p.tot_seq_wall +. dt;
-  let minor, major, promoted = gc_delta p in
-  push_window p
-    {
-      w_end = until;
-      w_host_t0 = t_now -. dt -. t0;
-      w_wall = dt;
-      w_span = dt;
-      w_coord = 0.0;
-      w_merge = 0.0;
-      w_exec = [||];
-      w_stall = [||];
-      w_events = events;
-      w_seq = true;
-      w_gc_minor = minor;
-      w_gc_major = major;
-      w_gc_promoted_w = promoted;
-    }
+    :: p.slices_rev;
+  p.n_slices <- p.n_slices + 1;
+  p.tot_events <- p.tot_events + events;
+  p.tot_wall <- p.tot_wall +. dt;
+  if until > p.max_end then p.max_end <- until
 
 let attach p sim =
   if p.attached then invalid_arg "Prof.attach: already attached";
   p.attached <- true;
-  let n = Sim.n_shards sim in
-  p.shards <- n;
+  p.shards <- Sim.n_shards sim;
   p.lookahead <- Sim.lookahead sim;
-  p.cur_exec <- Array.make n 0.0;
-  p.cur_events <- Array.make n 0;
-  p.cur_stall <- Array.make n 0.0;
-  p.tot_exec <- Array.make n 0.0;
-  p.tot_events_shard <- Array.make n 0;
-  p.tot_stall <- Array.make n 0.0;
-  p.worker_gc <- Array.make n None;
-  p.worker_gc_minor <- Array.make n 0;
-  p.worker_gc_major <- Array.make n 0;
-  p.worker_gc_promoted <- Array.make n 0.0;
   p.gc_last <- Gc.quick_stat ();
   Sim.set_prof sim
-    (Some
-       {
-         Sim.hp_clock = p.clock;
-         hp_execute = (fun ~sid ~dt ~events -> hp_execute p ~sid ~dt ~events);
-         hp_stall = (fun ~worker ~dt -> hp_stall p ~worker ~dt);
-         hp_coord = (fun ~dt -> hp_coord p ~dt);
-         hp_merge = (fun ~dt -> hp_merge p ~dt);
-         hp_window = (fun ~w_end ~span ~wall -> hp_window p ~w_end ~span ~wall);
-         hp_seq = (fun ~until ~dt ~events -> hp_seq p ~until ~dt ~events);
-       })
+    (Some { Sim.hp_clock = p.clock; hp_seq = on_slice p })
 
 let finish p =
   if p.finished = None then p.finished <- Some (p.clock ())
 
-let windows p = List.rev p.windows_rev
+let slices p = List.rev p.slices_rev
 
 (* ------------------------------------------------------------------ *)
 (* Report derivation                                                   *)
@@ -262,146 +105,53 @@ let windows p = List.rev p.windows_rev
 
 type phase = { p_name : string; p_seconds : float; p_share : float }
 
-type shard_stat = { ss_id : int; ss_execute_s : float; ss_events : int }
-
-type domain_stat = {
-  ds_id : int;
-  ds_execute_s : float;
-  ds_stall_s : float;
-  ds_busy : float;  (* execute / (execute + stall) *)
-  ds_gc_minor : int;
-  ds_gc_major : int;
-  ds_gc_promoted_w : float;
-}
-
 type report = {
   rp_shards : int;
-  rp_domains : int;  (* worker domains seen; 1 for sequential runs *)
-  rp_windows : int;  (* parallel windows *)
-  rp_seq_slices : int;
+  rp_slices : int;
   rp_lookahead : float;
-  rp_wall_s : float;  (* first window start .. finish (or report time) *)
+  rp_wall_s : float;
   rp_sim_end_s : float;
   rp_events : int;
-  rp_events_per_window : float;  (* lookahead utilization *)
-  rp_attributed_s : float;  (* sum of window walls *)
+  rp_events_per_slice : float;
+  rp_attributed_s : float;
   rp_attributed_share : float;
-  rp_execute_span_s : float;  (* driver-timeline execute region *)
-  rp_merge_s : float;
-  rp_coord_s : float;
-  rp_exec_domain_s : float;  (* per-shard execute summed: domain-seconds *)
-  rp_stall_s : float;
-  rp_wall_attribution : phase list;  (* ranked, driver timeline *)
-  rp_per_shard : shard_stat list;
-  rp_per_domain : domain_stat list;
+  rp_wall_attribution : phase list;
   rp_gc_minor : int;
   rp_gc_major : int;
   rp_gc_promoted_w : float;
 }
 
 let report p =
-  let t_end =
-    match p.finished with Some t -> t | None -> p.clock ()
-  in
+  let t_end = match p.finished with Some t -> t | None -> p.clock () in
   let wall =
     match p.t0 with Some t0 -> Float.max (t_end -. t0) 1e-9 | None -> 0.0
   in
-  let nd = if p.max_worker >= 0 then p.max_worker + 1 else 1 in
-  let exec_domain = Array.fold_left ( +. ) 0.0 p.tot_exec in
-  let stall = Array.fold_left ( +. ) 0.0 p.tot_stall in
-  let exec_span = p.tot_span +. p.tot_seq_wall in
-  let n_all = p.n_windows + p.n_seq in
   let share s = if wall > 0.0 then s /. wall else 0.0 in
-  let attribution =
-    let unattr = Float.max (wall -. p.tot_attr) 0.0 in
-    List.sort
-      (fun a b -> compare b.p_seconds a.p_seconds)
-      [
-        { p_name = "execute"; p_seconds = exec_span; p_share = share exec_span };
-        {
-          p_name = "mailbox-merge";
-          p_seconds = p.tot_merge;
-          p_share = share p.tot_merge;
-        };
-        {
-          p_name = "coordinator";
-          p_seconds = p.tot_coord;
-          p_share = share p.tot_coord;
-        };
-        { p_name = "unattributed"; p_seconds = unattr; p_share = share unattr };
-      ]
+  let phase p_name p_seconds =
+    { p_name; p_seconds; p_share = share p_seconds }
   in
-  let per_shard =
-    List.init p.shards (fun i ->
-        {
-          ss_id = i;
-          ss_execute_s = p.tot_exec.(i);
-          ss_events = p.tot_events_shard.(i);
-        })
-  in
-  let per_domain =
-    List.init nd (fun d ->
-        (* Worker [d] owns shards d, d+nd, d+2nd, ... for the whole
-           run (Sim.run_parallel's stable ownership). *)
-        let e = ref 0.0 in
-        let k = ref d in
-        while !k < p.shards do
-          e := !e +. p.tot_exec.(!k);
-          k := !k + nd
-        done;
-        let e = !e in
-        let st = if d < Array.length p.tot_stall then p.tot_stall.(d) else 0.0 in
-        let e_for_busy = if p.max_worker < 0 then p.tot_seq_wall else e in
-        {
-          ds_id = d;
-          ds_execute_s = e_for_busy;
-          ds_stall_s = st;
-          ds_busy =
-            (if e_for_busy +. st > 0.0 then e_for_busy /. (e_for_busy +. st)
-             else 0.0);
-          ds_gc_minor = p.worker_gc_minor.(d);
-          ds_gc_major = p.worker_gc_major.(d);
-          ds_gc_promoted_w = p.worker_gc_promoted.(d);
-        })
-  in
-  let fold_w f init = List.fold_left f init p.windows_rev in
-  let gc_minor =
-    fold_w (fun acc w -> acc + w.w_gc_minor) 0
-    + Array.fold_left ( + ) 0 p.worker_gc_minor
-  in
-  let gc_major =
-    fold_w (fun acc w -> acc + w.w_gc_major) 0
-    + Array.fold_left ( + ) 0 p.worker_gc_major
-  in
-  let gc_promoted =
-    fold_w (fun acc w -> acc +. w.w_gc_promoted_w) 0.0
-    +. Array.fold_left ( +. ) 0.0 p.worker_gc_promoted
-  in
+  let unattr = Float.max (wall -. p.tot_wall) 0.0 in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 p.slices_rev in
   {
     rp_shards = p.shards;
-    rp_domains = nd;
-    rp_windows = p.n_windows;
-    rp_seq_slices = p.n_seq;
+    rp_slices = p.n_slices;
     rp_lookahead = p.lookahead;
     rp_wall_s = wall;
-    rp_sim_end_s = p.max_w_end;
+    rp_sim_end_s = p.max_end;
     rp_events = p.tot_events;
-    rp_events_per_window =
-      (if n_all > 0 then float_of_int p.tot_events /. float_of_int n_all
-       else 0.0);
-    rp_attributed_s = p.tot_attr;
-    rp_attributed_share = (if wall > 0.0 then p.tot_attr /. wall else 0.0);
-    rp_execute_span_s = exec_span;
-    rp_merge_s = p.tot_merge;
-    rp_coord_s = p.tot_coord;
-    rp_exec_domain_s = exec_domain;
-    rp_stall_s = stall;
-    rp_wall_attribution = attribution;
-    rp_per_shard = per_shard;
-    rp_per_domain = per_domain;
-    rp_gc_minor = gc_minor;
-    rp_gc_major = gc_major;
-    rp_gc_promoted_w = gc_promoted;
+    rp_events_per_slice =
+      (if p.n_slices = 0 then 0.0
+       else float_of_int p.tot_events /. float_of_int p.n_slices);
+    rp_attributed_s = p.tot_wall;
+    rp_attributed_share = share p.tot_wall;
+    rp_wall_attribution =
+      List.sort
+        (fun a b -> compare b.p_seconds a.p_seconds)
+        [ phase "execute" p.tot_wall; phase "unattributed" unattr ];
+    rp_gc_minor = sum (fun s -> s.s_gc_minor);
+    rp_gc_major = sum (fun s -> s.s_gc_major);
+    rp_gc_promoted_w =
+      List.fold_left (fun acc s -> acc +. s.s_gc_promoted_w) 0.0 p.slices_rev;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -409,27 +159,15 @@ let report p =
 (* ------------------------------------------------------------------ *)
 
 let register p registry =
-  let phase_gauge phase f =
-    Registry.gauge_fn registry ~name:"massbft_prof_phase_seconds"
-      ~help:"Host wall-clock seconds accounted to a scheduler phase"
-      [ ("phase", phase) ]
-      f
-  in
-  phase_gauge "execute" (fun () ->
-      Array.fold_left ( +. ) 0.0 p.tot_exec +. p.tot_seq_wall);
-  phase_gauge "barrier_stall" (fun () ->
-      Array.fold_left ( +. ) 0.0 p.tot_stall);
-  phase_gauge "mailbox_merge" (fun () -> p.tot_merge);
-  phase_gauge "coordinator" (fun () -> p.tot_coord);
-  Registry.counter_fn registry ~name:"massbft_prof_windows_total"
-    ~help:"Scheduler windows (parallel) and slices (sequential) profiled" []
-    (fun () -> p.n_windows + p.n_seq);
+  Registry.gauge_fn registry ~name:"massbft_prof_phase_seconds"
+    ~help:"Host wall-clock seconds accounted to a scheduler phase"
+    [ ("phase", "execute") ]
+    (fun () -> p.tot_wall);
+  Registry.counter_fn registry ~name:"massbft_prof_slices_total"
+    ~help:"Scheduler slices profiled" [] (fun () -> p.n_slices);
   Registry.counter_fn registry ~name:"massbft_prof_events_total"
-    ~help:"Events dispatched during profiled windows" [] (fun () ->
+    ~help:"Events dispatched during profiled slices" [] (fun () ->
       p.tot_events);
   Registry.counter_fn registry ~name:"massbft_prof_gc_minor_total"
-    ~help:"Minor collections sampled during profiled windows" [] (fun () ->
-      List.fold_left
-        (fun acc w -> acc + w.w_gc_minor)
-        (Array.fold_left ( + ) 0 p.worker_gc_minor)
-        p.windows_rev)
+    ~help:"Minor collections sampled during profiled slices" [] (fun () ->
+      List.fold_left (fun acc s -> acc + s.s_gc_minor) 0 p.slices_rev)

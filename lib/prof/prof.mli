@@ -3,23 +3,20 @@
     Everything else in the observability stack ([massbft_trace],
     [massbft_obs]) measures {e simulated} time; this module accounts
     where the host's {e wall-clock} goes while the simulator produces
-    those simulated seconds. Per lockstep window it splits the driver's
-    wall time into execute / barrier-stall / mailbox-merge /
-    coordinator phases, samples [Gc.quick_stat] deltas, and derives a
-    parallel-efficiency report (busy fraction per domain, lookahead
-    utilization, ranked wall-time attribution in the style of
-    [Saturation]).
+    those simulated seconds. A profiled run advances in
+    lookahead-wide slices; per slice the profiler records wall time,
+    events dispatched and [Gc.quick_stat] deltas, and derives a ranked
+    wall-time attribution in the style of [Saturation].
 
     The collection side rides the {!Massbft_sim.Sim.host_prof} hook
-    record: a handful of monotonic-clock reads per window, never
-    per-event work, so overhead stays within the 2% budget and
-    profiled runs remain byte-identical to unprofiled ones. *)
+    record: two monotonic-clock reads per slice, never per-event work,
+    so profiled runs remain byte-identical to unprofiled ones. *)
 
 val monotonic : unit -> float
 (** CLOCK_MONOTONIC in seconds (bechamel's noalloc stub). *)
 
 type t
-(** A profiler: accumulators plus the window log. One profiler
+(** A profiler: accumulators plus the slice log. One profiler
     instruments one simulator for one run. *)
 
 val create : ?clock:(unit -> float) -> unit -> t
@@ -27,85 +24,58 @@ val create : ?clock:(unit -> float) -> unit -> t
     profiler with a deterministic virtual host clock. *)
 
 val attach : t -> Massbft_sim.Sim.t -> unit
-(** Installs the profiler's hooks via [Sim.set_prof]. Must happen
-    before the run (raises [Invalid_argument] if this profiler is
-    already attached, or — from [Sim.set_prof] — while the parallel
-    driver is active). *)
+(** Installs the profiler's hook via [Sim.set_prof]. Must happen before
+    the run; raises [Invalid_argument] if this profiler is already
+    attached. *)
 
 val finish : t -> unit
 (** Freezes the wall-clock endpoint used by {!report}. Idempotent;
     calling {!report} without [finish] uses the current time. *)
 
-(** {1 Raw window log} *)
+(** {1 Raw slice log} *)
 
-type window = {
-  w_end : float;  (** simulated time at the window's (slice's) end *)
-  w_host_t0 : float;  (** host seconds since profiling started *)
-  w_wall : float;  (** driver-thread wall time of the whole window *)
-  w_span : float;  (** execute region: wait-for-workers, or the slice *)
-  w_coord : float;  (** reserved; per-window split folded into totals *)
-  w_merge : float;  (** reserved; per-window split folded into totals *)
-  w_exec : float array;  (** per-shard execute seconds; [[||]] sequential *)
-  w_stall : float array;  (** per-worker barrier stall; [[||]] sequential *)
-  w_events : int;
-  w_seq : bool;  (** a sequential-driver slice rather than a window *)
-  w_gc_minor : int;  (** driver-domain [Gc.quick_stat] deltas *)
-  w_gc_major : int;
-  w_gc_promoted_w : float;
+type slice = {
+  s_end : float;  (** simulated time at the slice's end *)
+  s_host_t0 : float;  (** host seconds since profiling started *)
+  s_wall : float;  (** host wall time of the slice *)
+  s_events : int;
+  s_gc_minor : int;  (** [Gc.quick_stat] deltas over the slice *)
+  s_gc_major : int;
+  s_gc_promoted_w : float;
 }
 
-val windows : t -> window list
+val slices : t -> slice list
 (** Oldest first. *)
 
 (** {1 Derived report} *)
 
 type phase = { p_name : string; p_seconds : float; p_share : float }
 
-type shard_stat = { ss_id : int; ss_execute_s : float; ss_events : int }
-
-type domain_stat = {
-  ds_id : int;
-  ds_execute_s : float;
-  ds_stall_s : float;
-  ds_busy : float;  (** execute / (execute + stall) *)
-  ds_gc_minor : int;
-  ds_gc_major : int;
-  ds_gc_promoted_w : float;
-}
-
 type report = {
   rp_shards : int;
-  rp_domains : int;  (** worker domains seen; 1 for sequential runs *)
-  rp_windows : int;  (** parallel windows *)
-  rp_seq_slices : int;
-  rp_lookahead : float;
-  rp_wall_s : float;  (** first window start .. {!finish} *)
+  rp_slices : int;
+  rp_lookahead : float;  (** the slice stride *)
+  rp_wall_s : float;  (** first slice start .. {!finish} *)
   rp_sim_end_s : float;
   rp_events : int;
-  rp_events_per_window : float;  (** lookahead utilization *)
-  rp_attributed_s : float;  (** sum of window walls *)
+  rp_events_per_slice : float;
+  rp_attributed_s : float;  (** sum of slice walls *)
   rp_attributed_share : float;  (** attributed / wall; the >= 95% figure *)
-  rp_execute_span_s : float;  (** driver-timeline execute region *)
-  rp_merge_s : float;
-  rp_coord_s : float;
-  rp_exec_domain_s : float;  (** per-shard execute summed: domain-seconds *)
-  rp_stall_s : float;
-  rp_wall_attribution : phase list;  (** ranked, driver timeline *)
-  rp_per_shard : shard_stat list;
-  rp_per_domain : domain_stat list;
+  rp_wall_attribution : phase list;
+      (** ranked: [execute] (the slices) and [unattributed] *)
   rp_gc_minor : int;
   rp_gc_major : int;
   rp_gc_promoted_w : float;
 }
 
 val report : t -> report
-(** Wall time runs from the first window's start to {!finish} (or now),
+(** Wall time runs from the first slice's start to {!finish} (or now),
     so engine construction and topology setup before the first event
     are deliberately outside the attribution denominator. *)
 
 val register : t -> Massbft_obs.Registry.t -> unit
 (** Exposes the live accumulators as polled series
-    ([massbft_prof_phase_seconds{phase=...}],
-    [massbft_prof_windows_total], [massbft_prof_events_total],
+    ([massbft_prof_phase_seconds{phase="execute"}],
+    [massbft_prof_slices_total], [massbft_prof_events_total],
     [massbft_prof_gc_minor_total]) so prof data rides the existing
     Prometheus-text exporter unchanged. *)

@@ -7,24 +7,17 @@ module Trace = Massbft_trace.Trace
 let pct v = 100.0 *. v
 
 let text (r : Prof.report) =
-  let buf = Buffer.create 2048 in
+  let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let plural n = if n = 1 then "" else "s" in
+  add "Host profile: %d shard%s, %d slice%s, lookahead %.3f s\n" r.rp_shards
+    (plural r.rp_shards) r.rp_slices (plural r.rp_slices) r.rp_lookahead;
   add
-    "Host profile: %d shard%s x %d domain%s, %d window%s (%d sequential \
-     slice%s), lookahead %.3f s\n"
-    r.rp_shards
-    (if r.rp_shards = 1 then "" else "s")
-    r.rp_domains
-    (if r.rp_domains = 1 then "" else "s")
-    r.rp_windows
-    (if r.rp_windows = 1 then "" else "s")
-    r.rp_seq_slices
-    (if r.rp_seq_slices = 1 then "" else "s")
-    r.rp_lookahead;
-  add "wall %.3f s for %.1f sim s (%.1fx real time), %d events, %.0f events/window\n"
+    "wall %.3f s for %.1f sim s (%.1fx real time), %d events, %.0f \
+     events/slice\n"
     r.rp_wall_s r.rp_sim_end_s
     (if r.rp_wall_s > 0.0 then r.rp_sim_end_s /. r.rp_wall_s else 0.0)
-    r.rp_events r.rp_events_per_window;
+    r.rp_events r.rp_events_per_slice;
   add "attributed %.3f s = %.1f%% of wall\n" r.rp_attributed_s
     (pct r.rp_attributed_share);
   add "where the wall time went:\n";
@@ -32,23 +25,6 @@ let text (r : Prof.report) =
     (fun (p : Prof.phase) ->
       add "  %-16s %8.3f s  %5.1f%%\n" p.p_name p.p_seconds (pct p.p_share))
     r.rp_wall_attribution;
-  if r.rp_domains > 1 || r.rp_stall_s > 0.0 then begin
-    add "per domain (execute vs barrier stall):\n";
-    List.iter
-      (fun (d : Prof.domain_stat) ->
-        add "  domain %-2d  execute %8.3f s  stall %8.3f s  busy %5.1f%%  gc %d minor / %d major\n"
-          d.ds_id d.ds_execute_s d.ds_stall_s (pct d.ds_busy) d.ds_gc_minor
-          d.ds_gc_major)
-      r.rp_per_domain
-  end;
-  if r.rp_shards > 1 then begin
-    add "per shard:\n";
-    List.iter
-      (fun (s : Prof.shard_stat) ->
-        add "  shard %-3d  execute %8.3f s  %d events\n" s.ss_id s.ss_execute_s
-          s.ss_events)
-      r.rp_per_shard
-  end;
   add "gc: %d minor, %d major, %.0f promoted words\n" r.rp_gc_minor
     r.rp_gc_major r.rp_gc_promoted_w;
   Buffer.contents buf
@@ -57,7 +33,8 @@ let text (r : Prof.report) =
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let schema_version = 1
+(* v2: one slice log replaces v1's per-window driver phases. *)
+let schema_version = 2
 
 let esc s =
   let buf = Buffer.create (String.length s + 2) in
@@ -86,20 +63,10 @@ let jobj fields =
 
 let jarr items = "[" ^ String.concat "," items ^ "]"
 
-let phase_fields (r : Prof.report) =
-  [
-    ("execute", jnum r.rp_execute_span_s);
-    ("barrier_stall", jnum r.rp_stall_s);
-    ("mailbox_merge", jnum r.rp_merge_s);
-    ("coordinator", jnum r.rp_coord_s);
-  ]
-
 let report_fields (r : Prof.report) =
   [
     ("shards", string_of_int r.rp_shards);
-    ("domains", string_of_int r.rp_domains);
-    ("windows", string_of_int r.rp_windows);
-    ("seq_slices", string_of_int r.rp_seq_slices);
+    ("slices", string_of_int r.rp_slices);
     ("lookahead_s", jnum r.rp_lookahead);
     ("wall_s", jnum r.rp_wall_s);
     ("sim_end_s", jnum r.rp_sim_end_s);
@@ -107,10 +74,9 @@ let report_fields (r : Prof.report) =
       jnum (if r.rp_wall_s > 0.0 then r.rp_sim_end_s /. r.rp_wall_s else 0.0)
     );
     ("events", string_of_int r.rp_events);
-    ("events_per_window", jnum r.rp_events_per_window);
+    ("events_per_slice", jnum r.rp_events_per_slice);
     ("attributed_s", jnum r.rp_attributed_s);
     ("attributed_share", jnum r.rp_attributed_share);
-    ("phases", jobj (phase_fields r));
     ( "attribution",
       jarr
         (List.map
@@ -122,32 +88,6 @@ let report_fields (r : Prof.report) =
                  ("share", jnum p.p_share);
                ])
            r.rp_wall_attribution) );
-    ( "per_shard",
-      jarr
-        (List.map
-           (fun (s : Prof.shard_stat) ->
-             jobj
-               [
-                 ("shard", string_of_int s.ss_id);
-                 ("execute_s", jnum s.ss_execute_s);
-                 ("events", string_of_int s.ss_events);
-               ])
-           r.rp_per_shard) );
-    ( "per_domain",
-      jarr
-        (List.map
-           (fun (d : Prof.domain_stat) ->
-             jobj
-               [
-                 ("domain", string_of_int d.ds_id);
-                 ("execute_s", jnum d.ds_execute_s);
-                 ("stall_s", jnum d.ds_stall_s);
-                 ("busy", jnum d.ds_busy);
-                 ("gc_minor", string_of_int d.ds_gc_minor);
-                 ("gc_major", string_of_int d.ds_gc_major);
-                 ("gc_promoted_words", jnum d.ds_gc_promoted_w);
-               ])
-           r.rp_per_domain) );
     ( "gc",
       jobj
         [
@@ -157,39 +97,34 @@ let report_fields (r : Prof.report) =
         ] );
   ]
 
-let window_json (w : Prof.window) =
+let slice_json (s : Prof.slice) =
   jobj
     [
-      ("sim_end_s", jnum w.w_end);
-      ("host_t0_s", jnum w.w_host_t0);
-      ("wall_s", jnum w.w_wall);
-      ("span_s", jnum w.w_span);
-      ("events", string_of_int w.w_events);
-      ("sequential", if w.w_seq then "true" else "false");
-      ("exec_s", jarr (Array.to_list (Array.map jnum w.w_exec)));
-      ("stall_s", jarr (Array.to_list (Array.map jnum w.w_stall)));
-      ("gc_minor", string_of_int w.w_gc_minor);
-      ("gc_major", string_of_int w.w_gc_major);
-      ("gc_promoted_words", jnum w.w_gc_promoted_w);
+      ("sim_end_s", jnum s.s_end);
+      ("host_t0_s", jnum s.s_host_t0);
+      ("wall_s", jnum s.s_wall);
+      ("events", string_of_int s.s_events);
+      ("gc_minor", string_of_int s.s_gc_minor);
+      ("gc_major", string_of_int s.s_gc_major);
+      ("gc_promoted_words", jnum s.s_gc_promoted_w);
     ]
 
-let json ?(windows = false) p =
+let json ?(slices = false) p =
   let r = Prof.report p in
   let fields =
     (("schema_version", string_of_int schema_version) :: report_fields r)
     @
-    if windows then
-      [ ("window_log", jarr (List.map window_json (Prof.windows p))) ]
+    if slices then [ ("slice_log", jarr (List.map slice_json (Prof.slices p))) ]
     else []
   in
   jobj fields
 
-let write_json ?windows p path =
+let write_json ?slices p path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (json ?windows p);
+      output_string oc (json ?slices p);
       output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)
@@ -197,72 +132,18 @@ let write_json ?windows p path =
 (* ------------------------------------------------------------------ *)
 
 (* Builds a Trace sink whose timestamps are *host* seconds since the
-   first profiled window. trace_export.ml maps these onto a separate
-   pid namespace (via the "host.*" categories) so one Perfetto file
-   shows the simulated timeline and the host timeline side by side.
-
-   Per-window coordinator/merge splits are not logged per window (only
-   the totals are), so the coordinator track approximates: the gap
-   between a window's start and its execute region is labeled "setup",
-   the gap after it "merge" — exact at the totals level, approximate
-   per window when the scan and drain costs vary across windows. *)
+   first profiled slice, one span per slice. trace_export.ml puts the
+   host sink's events under their own pid so one Perfetto file shows
+   the simulated timeline and the host timeline side by side. *)
 let to_trace p =
-  let ws = Prof.windows p in
-  let n = List.length ws in
-  let shards, workers =
-    List.fold_left
-      (fun (s, d) (w : Prof.window) ->
-        (max s (Array.length w.w_exec), max d (Array.length w.w_stall)))
-      (1, 1) ws
-  in
-  (* worst case per parallel window: setup + window + merge on the
-     coordinator track, one exec span per shard, one stall span per
-     worker; 2 trace events per span *)
-  let capacity = max 1024 (2 * n * (3 + shards + workers)) in
-  let t = Trace.create ~capacity () in
-  let r = Prof.report p in
-  (* coordinator/merge per-window approximation: split the non-execute
-     remainder of each window proportionally to the run-wide
-     coordinator vs merge totals *)
-  let coord_frac =
-    let tot = r.rp_coord_s +. r.rp_merge_s in
-    if tot > 0.0 then r.rp_coord_s /. tot else 0.5
-  in
+  let ss = Prof.slices p in
+  (* 2 trace events per span *)
+  let t = Trace.create ~capacity:(max 1024 (2 * List.length ss)) () in
   List.iter
-    (fun (w : Prof.window) ->
-      let t0 = w.w_host_t0 in
-      if w.w_seq then
-        Trace.span t ~cat:"host.coord" ~gid:(-1) ~b:t0 ~e:(t0 +. w.w_wall)
-          ~args:[ ("events", Trace.Int w.w_events) ]
-          "seq"
-      else begin
-        let overhead = Float.max (w.w_wall -. w.w_span) 0.0 in
-        let coord = overhead *. coord_frac in
-        let exec_b = t0 +. coord in
-        let exec_e = exec_b +. w.w_span in
-        if coord > 0.0 then
-          Trace.span t ~cat:"host.coord" ~gid:(-1) ~b:t0 ~e:exec_b "setup";
-        Trace.span t ~cat:"host.coord" ~gid:(-1) ~b:exec_b ~e:exec_e
-          ~args:[ ("events", Trace.Int w.w_events) ]
-          "window";
-        if w.w_wall > coord +. w.w_span then
-          Trace.span t ~cat:"host.coord" ~gid:(-1) ~b:exec_e
-            ~e:(t0 +. w.w_wall) "merge";
-        Array.iteri
-          (fun sid dt ->
-            if dt > 0.0 then
-              Trace.span t ~cat:"host.shard" ~gid:sid ~b:exec_b
-                ~e:(exec_b +. dt) "execute")
-          w.w_exec;
-        Array.iteri
-          (fun worker dt ->
-            if dt > 0.0 then
-              (* the stall precedes this window's execute region; clamp
-                 at 0 so the first window's spawn wait stays on-screen *)
-              let b = Float.max (exec_b -. dt) 0.0 in
-              Trace.span t ~cat:"host.domain" ~gid:worker ~b ~e:exec_b
-                "stall")
-          w.w_stall
-      end)
-    ws;
+    (fun (s : Prof.slice) ->
+      Trace.span t ~cat:"host.sim" ~gid:(-1) ~b:s.s_host_t0
+        ~e:(s.s_host_t0 +. s.s_wall)
+        ~args:[ ("events", Trace.Int s.s_events) ]
+        "slice")
+    ss;
   t

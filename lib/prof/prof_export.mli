@@ -2,26 +2,23 @@
     host-timeline trace sink for the dual-timeline Perfetto export. *)
 
 val schema_version : int
-(** Version of the JSON document layout (currently 1). *)
+(** Version of the JSON document layout (currently 2). *)
 
 val text : Prof.report -> string
 (** Ranked "where the wall time went" listing in the style of
-    [Saturation.report], plus per-domain busy fractions and GC totals. *)
+    [Saturation.report], plus GC totals. *)
 
-val json : ?windows:bool -> Prof.t -> string
+val json : ?slices:bool -> Prof.t -> string
 (** The full report as a single-line JSON object ([schema_version],
-    phase totals, ranked attribution, per-shard / per-domain stats, GC
-    deltas). [windows] (default false) appends the raw per-window log
-    under ["window_log"]. *)
+    slice and event totals, ranked attribution, GC deltas). [slices]
+    (default false) appends the raw per-slice log under
+    ["slice_log"]. *)
 
-val write_json : ?windows:bool -> Prof.t -> string -> unit
+val write_json : ?slices:bool -> Prof.t -> string -> unit
 
 val to_trace : Prof.t -> Massbft_trace.Trace.t
-(** Renders the window log as host-time spans — categories
-    ["host.coord"] (setup / window / merge per window, [gid = -1]),
-    ["host.shard"] (per-shard execute, [gid] = shard id) and
-    ["host.domain"] (per-worker barrier stall, [gid] = worker id) —
-    with timestamps in host seconds since the first profiled window.
-    Pass the result as [?host] to
-    {!Massbft_trace.Trace_export.write_chrome_json} to get one Perfetto
-    file showing sim and host timelines side by side. *)
+(** Renders the slice log as host-time spans (category ["host.sim"],
+    one ["slice"] span per profiled slice) with timestamps in host
+    seconds since the first profiled slice. Pass the result as [?host]
+    to {!Massbft_trace.Trace_export.write_chrome_json} to get one
+    Perfetto file showing sim and host timelines side by side. *)

@@ -286,8 +286,8 @@ let provision ~(spec : Topology.spec) plan =
     (* Appended groups need WAN RTTs: use the cluster's own matrix when
        it extends that far (e.g. nationwide has 7 sites), otherwise map
        the new gid onto an existing site, flooring same-site pairs at
-       the cluster's minimum inter-group RTT so the parallel-scheduler
-       lookahead stays positive. *)
+       the cluster's minimum inter-group RTT so the sim's lookahead
+       stays positive. *)
     let base_rtt = spec.Topology.rtt in
     let floor_rtt =
       let m = ref infinity in

@@ -6,102 +6,68 @@
     from its RNG seeds — which the test suite exploits to assert
     protocol-level invariants over thousands of schedules.
 
-    The simulator is time-sharded: [create ~shards:n] builds [n] shards,
-    each owning its own event heap, clock and dispatch accounting, glued
-    together by a coordinator. The default sequential driver ({!run})
-    pops the globally minimal (time, seq) event across all shards and is
-    bit-identical to the historical single-heap scheduler. The parallel
-    driver ({!run_parallel}) advances all shards in lockstep windows of
-    [lookahead] simulated seconds on one OCaml domain per shard, which
-    is safe when every cross-shard interaction ({!post}) carries at
-    least [lookahead] seconds of propagation latency — the conservative
-    synchronization argument of classic parallel DES, instantiated here
-    with the minimum WAN latency between groups. *)
+    One event heap, one clock and one seq counter drive the whole sim.
+    [create ~shards:n] additionally hands out [n] shard handles — one
+    per group in the harness — that are accounting identities only:
+    each keeps its own pending/dispatched counts and its own trace
+    counter track, while every handle schedules into (and can drive)
+    the same queue. *)
 
 type t
-(** A shard handle. A single-shard sim ([create ()]) behaves exactly
-    like the historical global scheduler; all shards of one sim share a
-    coordinator, and any handle can drive {!run}. *)
+(** A shard handle. A single-shard sim ([create ()]) has one handle;
+    all handles of one sim share its queue and clock. *)
 
 type timer
 (** A cancellable handle for a scheduled event. *)
 
 val create : ?shards:int -> ?lookahead:float -> unit -> t
 (** [create ~shards ~lookahead ()] builds a simulator with [shards]
-    (default 1) shards and the given conservative window length in
-    simulated seconds (default 0, meaning the parallel driver is
-    unavailable); returns shard 0. Raises [Invalid_argument] on
-    [shards < 1] or a negative lookahead. *)
+    (default 1) shard handles; returns shard 0. [lookahead] (default 0)
+    is the slice stride a profiled {!run} reports at — the harness
+    passes the minimum WAN one-way latency. Raises [Invalid_argument]
+    on [shards < 1] or a negative lookahead. *)
 
 val shard : t -> int -> t
 (** [shard t i] is shard [i] of [t]'s simulator.
     Raises [Invalid_argument] if out of range. *)
 
 val n_shards : t -> int
-val shard_id : t -> int
 
 val lookahead : t -> float
-(** The conservative window length this sim was created with. *)
+(** The profiling slice stride this sim was created with. *)
 
 val now : t -> float
-(** Current virtual time in seconds. Under the sequential driver this is
-    the one global clock regardless of which shard handle is queried;
-    inside a parallel worker it is the executing shard's clock, and in a
-    barrier callback it is the window edge all clocks are synced to. *)
+(** Current virtual time in seconds; the same on every handle. *)
 
 val set_trace : t -> Massbft_trace.Trace.t -> unit
 (** Attaches a trace sink (shared by all shards); the dispatcher then
     emits sampled ["sim"]-category counters (events dispatched, events
     pending) at most every 100 simulated ms per shard. Multi-shard sims
-    tag each shard's counter track with [gid = shard id] so every track
-    stays monotone in the merged export. Tracing never schedules events,
-    so it cannot change the simulation. Defaults to the disabled
-    {!Massbft_trace.Trace.null}. *)
+    tag each shard's counter track with [gid = shard id]. Tracing never
+    schedules events, so it cannot change the simulation. Defaults to
+    the disabled {!Massbft_trace.Trace.null}. *)
 
-(** {1 Host-side self-profiling hooks}
+(** {1 Host-side self-profiling hook}
 
     Where [set_trace] records {e simulated} time, [set_prof] accounts
-    where the {e host's} wall-clock goes while the simulator runs —
-    the instrument for evaluating the evaluator. The simulator calls
-    the sink at phase boundaries only (a handful of calls per window,
-    never per event); with the default [None] every driver loop is
-    exactly the uninstrumented code path. Attaching a profiler never
-    schedules events or reads simulation state, so profiled runs stay
-    byte-identical to unprofiled ones (golden-fixture verified).
-
-    Threading contract: [hp_execute] / [hp_stall] are called from
-    worker domains (each [sid] or [worker] slot by exactly one domain
-    per window); [hp_coord] / [hp_merge] / [hp_window] / [hp_seq] from
-    the driving thread between barriers, when all workers are parked.
-    The window barrier's mutex gives the happens-before edge that
-    makes worker-written accumulators safe to read from [hp_window]. *)
+    where the {e host's} wall-clock goes while the simulator runs. A
+    profiled {!run} advances in [lookahead]-wide slices and reports
+    each one; with the default [None] the driver loop is exactly the
+    uninstrumented code path. Attaching a profiler never schedules
+    events or reads simulation state, so profiled runs stay
+    byte-identical to unprofiled ones (golden-fixture verified). *)
 
 type host_prof = {
   hp_clock : unit -> float;
       (** host-time source in seconds; must be monotonic *)
-  hp_execute : sid:int -> dt:float -> events:int -> unit;
-      (** one shard's event execution within one parallel window *)
-  hp_stall : worker:int -> dt:float -> unit;
-      (** one worker's barrier wait before entering a window (includes
-          the coordinator's inter-window merge, which is stall from the
-          worker's perspective); the final shutdown park is excluded *)
-  hp_coord : dt:float -> unit;
-      (** coordinator: next-window scan, setup and worker release *)
-  hp_merge : dt:float -> unit;
-      (** coordinator: mailbox drain, clock advance, [on_window] *)
-  hp_window : w_end:float -> span:float -> wall:float -> unit;
-      (** a parallel window completed: [span] is the coordinator-side
-          wait-for-workers segment, [wall] the whole window such that
-          [wall = coord + span + merge] up to clock resolution *)
   hp_seq : until:float -> dt:float -> events:int -> unit;
-      (** one profiled slice of the sequential merge driver (sliced at
-          lookahead width when the sim has one, else the whole range) *)
+      (** one profiled slice of {!run} (sliced at lookahead width when
+          the sim has one, else the whole range) *)
 }
 
 val set_prof : t -> host_prof option -> unit
 (** Attaches (or clears) the host-profiling sink, shared by all
-    shards. Raises [Invalid_argument] while the parallel driver is
-    active. *)
+    shards. *)
 
 val dispatched : t -> int
 (** Events fired on this shard since creation (cancelled excluded). *)
@@ -110,27 +76,12 @@ val dispatched_total : t -> int
 (** Events fired across all shards. *)
 
 val at : t -> float -> (unit -> unit) -> timer
-(** [at t time f] schedules [f] to run at absolute virtual [time].
-    Raises [Invalid_argument] if [time] is in the past. Inside a
-    parallel worker the event is scheduled onto the {e executing} shard
-    (a timer armed by shard [s]'s event runs on [s], whichever handle
-    the caller holds); use {!post} for targeted cross-shard delivery. *)
+(** [at t time f] schedules [f] to run at absolute virtual [time],
+    accounted to shard [t]. Raises [Invalid_argument] if [time] is in
+    the past. *)
 
 val after : t -> float -> (unit -> unit) -> timer
-(** [after t delay f] schedules [f] in [delay >= 0] seconds from the
-    caller's current time (the executing shard's clock when inside a
-    parallel worker). *)
-
-val post : t -> float -> (unit -> unit) -> unit
-(** [post t time f] schedules [f] at [time] on shard [t] specifically —
-    the cross-shard delivery primitive. From a parallel worker on
-    another shard it enqueues into [t]'s mailbox, stamped
-    (time, source shard, per-source seq) so the merge order is a total
-    order independent of domain interleaving; the conservative window
-    contract requires [time] to lie at or beyond the current window's
-    end (i.e. the propagation latency must be >= the lookahead), and a
-    violation raises [Invalid_argument]. Posted events cannot be
-    cancelled. Sequentially this is equivalent to [at]. *)
+(** [after t delay f] schedules [f] in [delay >= 0] seconds. *)
 
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op.
@@ -147,46 +98,20 @@ val pending_total : t -> int
 (** Scheduled events across all shards. *)
 
 val heap_size : t -> int
-(** Physical size of this shard's event heap, including cancelled
-    events awaiting compaction. Exposed so tests can assert the
-    lazy-deletion bound ([heap_size <= 2 * pending + slack]); use
-    {!pending} for the semantic count. *)
-
-val heap_size_total : t -> int
-(** Physical heap size across all shards. *)
+(** Physical size of the event heap, including cancelled events
+    awaiting compaction. Exposed so tests can assert the lazy-deletion
+    bound ([heap_size <= 2 * pending_total + slack]); use {!pending}
+    for the semantic count. *)
 
 val run : t -> until:float -> unit
-(** The sequential driver: executes events in global (time, seq) order
-    across all shards until every queue is empty or the next event is
-    beyond [until]; then advances all clocks to [until]. Dispatch order
-    is bit-identical to the historical single-heap scheduler. *)
-
-val run_parallel :
-  t ->
-  domains:int ->
-  until:float ->
-  ?on_window:(float -> unit) ->
-  unit ->
-  unit
-(** The parallel driver: advances all shards in lockstep windows of
-    [lookahead] simulated seconds, running min(domains, shards) OCaml
-    domains with a barrier per window, at which cross-shard mailboxes
-    are drained in deterministic (time, src, seq) order and all shard
-    clocks sync to the window edge. [on_window] runs single-threaded at
-    each barrier with the window's end time — the safe point for
-    invariant checks. Events exactly at [until] run through the
-    sequential driver after the last window (windows are half-open).
-    Requires a positive finite lookahead and no attached trace sink.
-    Within-shard execution order is deterministic and independent of
-    [domains]; cross-shard FIFO ties at exactly equal timestamps may
-    order differently than the sequential driver (protocol results are
-    compared by the cross-driver equivalence tests instead of byte
-    identity). *)
+(** Executes events in (time, seq) order until the queue is empty or
+    the next event is beyond [until]; then advances the clock to
+    [until]. *)
 
 val run_until_idle : t -> ?limit:int -> unit -> unit
-(** Executes events (across all shards) until none remain. [limit]
-    (default 100 million) bounds the number of events as a runaway
-    guard; exceeding it raises [Failure]. *)
+(** Executes events until none remain. [limit] (default 100 million)
+    bounds the number of events as a runaway guard; exceeding it raises
+    [Failure]. *)
 
 val step : t -> bool
-(** Executes the single globally next event; [false] when empty. *)
+(** Executes the single next event; [false] when empty. *)

@@ -39,16 +39,14 @@ type t = {
   mutable wan_baseline : int;
   mutable lan_baseline : int;
   mutable fault_hook : fault_hook option;
-  faults_dropped : int Atomic.t;
-  faults_delayed : int Atomic.t;
-  faults_duplicated : int Atomic.t;
+  mutable faults_dropped : int;
+  mutable faults_delayed : int;
+  mutable faults_duplicated : int;
   mutable trace : Trace.t;
 }
 
-(* The conservative lookahead a sharded sim of this cluster supports:
-   groups on different shards only interact through WAN propagation, so
-   half the minimum inter-group RTT bounds how far any shard can run
-   ahead without missing an incoming event. [infinity] for one group. *)
+(* Half the minimum inter-group RTT: the shortest time in which one
+   group's event can affect another group. [infinity] for one group. *)
 let min_wan_one_way spec =
   let ng = Array.length spec.group_sizes in
   let m = ref infinity in
@@ -68,8 +66,8 @@ let create sim spec =
     spec.group_sizes;
   if spec.lan_rtt < 0.0 then invalid_arg "Topology.create: negative lan_rtt";
   (* Each group lives on one shard (round-robin when there are fewer
-     shards than groups): its NICs and CPU schedule onto that shard, so
-     the parallel driver never has two domains touching one queue. *)
+     shards than groups): its NICs and CPU account their events to that
+     shard. *)
   let shard_sim g = Sim.shard sim (g mod Sim.n_shards sim) in
   let mk_node g =
     let sim = shard_sim g in
@@ -94,9 +92,9 @@ let create sim spec =
     wan_baseline = 0;
     lan_baseline = 0;
     fault_hook = None;
-    faults_dropped = Atomic.make 0;
-    faults_delayed = Atomic.make 0;
-    faults_duplicated = Atomic.make 0;
+    faults_dropped = 0;
+    faults_delayed = 0;
+    faults_duplicated = 0;
     trace = Trace.null;
   }
 
@@ -161,9 +159,9 @@ let set_lan_bandwidth t a bps =
   Nic.set_bandwidth s.lan_down bps
 
 let set_fault_hook t hook = t.fault_hook <- hook
-let faults_dropped t = Atomic.get t.faults_dropped
-let faults_delayed t = Atomic.get t.faults_delayed
-let faults_duplicated t = Atomic.get t.faults_duplicated
+let faults_dropped t = t.faults_dropped
+let faults_delayed t = t.faults_delayed
+let faults_duplicated t = t.faults_duplicated
 
 (* Local processing latency for a loopback delivery: one event-loop hop,
    effectively immediate but strictly causal. *)
@@ -174,9 +172,10 @@ let send ?(bulk = false) t ~src ~dst ~bytes k =
   if bytes < 0 then invalid_arg "Topology.send: negative size";
   if not src_state.up then ()
   else if addr_equal src dst then
-    Sim.post (shard_of t dst.g)
-      (Sim.now t.sim +. loopback_latency)
-      (fun () -> if dst_state.up then k ())
+    ignore
+      (Sim.at (shard_of t dst.g)
+         (Sim.now t.sim +. loopback_latency)
+         (fun () -> if dst_state.up then k ()))
   else begin
     (* Injected link faults (chaos testing). The hook is [None] outside
        fault experiments, so the fault-free path costs one match. A
@@ -190,15 +189,15 @@ let send ?(bulk = false) t ~src ~dst ~bytes k =
       | Some hook -> hook ~src ~dst ~bulk ~bytes ~now:(Sim.now t.sim)
     in
     match verdict with
-    | Some Net_drop -> Atomic.incr t.faults_dropped
+    | Some Net_drop -> t.faults_dropped <- t.faults_dropped + 1
     | (None | Some (Net_delay _) | Some (Net_dup _)) as verdict ->
         let extra_delay, dup =
           match verdict with
           | Some (Net_delay d) when d > 0.0 ->
-              Atomic.incr t.faults_delayed;
+              t.faults_delayed <- t.faults_delayed + 1;
               (d, None)
           | Some (Net_dup { copies; spacing_s }) when copies > 0 ->
-              Atomic.incr t.faults_duplicated;
+              t.faults_duplicated <- t.faults_duplicated + 1;
               (0.0, Some (copies, Float.max spacing_s loopback_latency))
           | _ -> (0.0, None)
         in
@@ -214,10 +213,8 @@ let send ?(bulk = false) t ~src ~dst ~bytes k =
         let one_way = one_way +. extra_delay in
         (* Store-and-forward: uplink serialization, propagation, downlink
            serialization, then delivery (if the receiver is still up).
-           The propagation leg is the only shard crossing: it posts the
-           downlink arrival onto the destination group's shard at an
-           absolute time computed from the sender's clock, which the WAN
-           latency floor keeps at or beyond the parallel lookahead. *)
+           The downlink arrival is accounted to the destination group's
+           shard. *)
         let dst_sim = shard_of t dst.g in
         Nic.transmit ~bulk up ~bytes (fun () ->
             let tnow = Sim.now t.sim in
@@ -227,19 +224,20 @@ let send ?(bulk = false) t ~src ~dst ~bytes k =
                   [ ("dst", Trace.Str (addr_to_string dst));
                     ("bytes", Trace.Int bytes) ]
                 ~b:tnow ~e:(tnow +. one_way) "propagate";
-            Sim.post dst_sim (tnow +. one_way) (fun () ->
-                Nic.transmit ~bulk down ~bytes (fun () ->
-                    let deliver () = if dst_state.up then k () in
-                    deliver ();
-                    match dup with
-                    | None -> ()
-                    | Some (copies, spacing) ->
-                        for i = 1 to copies do
-                          ignore
-                            (Sim.after t.sim
-                               (spacing *. float_of_int i)
-                               deliver)
-                        done)))
+            ignore
+              (Sim.at dst_sim (tnow +. one_way) (fun () ->
+                   Nic.transmit ~bulk down ~bytes (fun () ->
+                       let deliver () = if dst_state.up then k () in
+                       deliver ();
+                       match dup with
+                       | None -> ()
+                       | Some (copies, spacing) ->
+                           for i = 1 to copies do
+                             ignore
+                               (Sim.after t.sim
+                                  (spacing *. float_of_int i)
+                                  deliver)
+                           done))))
   end
 
 let sum_over t f =

@@ -28,17 +28,16 @@ type spec = {
 }
 
 val min_wan_one_way : spec -> float
-(** Half the minimum inter-group RTT — the conservative lookahead a
-    time-sharded sim of this cluster supports, since groups on
-    different shards only interact through WAN propagation. [infinity]
-    for a single-group spec. *)
+(** Half the minimum inter-group RTT — the shortest time in which one
+    group can affect another; the harness uses it as the profiling
+    slice stride ({!Sim.lookahead}). [infinity] for a single-group
+    spec. *)
 
 type t
 
 val create : Sim.t -> spec -> t
 (** Builds the cluster on [sim]'s shards: group [g]'s NICs and CPU
-    schedule onto shard [g mod n_shards], so with one shard per group
-    the parallel driver never has two domains touching one queue. *)
+    account their events to shard [g mod n_shards]. *)
 
 val sim : t -> Sim.t
 
@@ -108,9 +107,7 @@ type fault_hook =
   src:addr -> dst:addr -> bulk:bool -> bytes:int -> now:float ->
   send_fault option
 (** [now] is the sender's current virtual time, so a hook can make
-    window decisions ([at <= now < at + for_s]) statelessly — the form
-    that stays deterministic under the parallel driver, where hooks run
-    concurrently on the sending group's shard. *)
+    window decisions ([at <= now < at + for_s]) statelessly. *)
 
 val set_fault_hook : t -> fault_hook option -> unit
 (** Installs (or clears) the link-fault hook. The hook must be

@@ -53,19 +53,9 @@ let add_args b args =
   Buffer.add_char b '}'
 
 (* Host-timeline events (from [Prof_export.to_trace]) live in their own
-   pid namespace at >= 1000, well clear of any plausible group count, so
-   Perfetto shows the simulated and host timelines side by side in one
-   file. The category selects the track family; gid indexes within it. *)
-let host_pid_of (ev : Trace.event) =
-  match ev.Trace.cat with
-  | "host.shard" -> 1001 + ev.Trace.gid
-  | "host.domain" -> 1901 + ev.Trace.gid
-  | _ -> 1000 (* "host.coord" and anything uncategorized *)
-
-let host_pid_name pid =
-  if pid = 1000 then "host: coordinator"
-  else if pid >= 1901 then Printf.sprintf "host: domain %d" (pid - 1901)
-  else Printf.sprintf "host: shard %d" (pid - 1001)
+   pid, well clear of any plausible group count, so Perfetto shows the
+   simulated and host timelines side by side in one file. *)
+let host_pid = 1000
 
 let add_common b (ev : Trace.event) ~ph ~pid =
   Buffer.add_string b "{\"name\":";
@@ -134,16 +124,14 @@ let to_chrome_json ?host t =
   | None -> ()
   | Some h ->
       let hevs = sorted_events h in
-      let hpids = List.sort_uniq compare (List.map host_pid_of hevs) in
-      List.iter
-        (fun pid ->
-          sep ();
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-               pid (host_pid_name pid)))
-        hpids;
-      List.iter (fun ev -> add_event b sep (host_pid_of ev) ev) hevs);
+      if hevs <> [] then begin
+        sep ();
+        Buffer.add_string b
+          (Printf.sprintf
+             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
+             host_pid "host: simulator")
+      end;
+      List.iter (fun ev -> add_event b sep host_pid ev) hevs);
   Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"";
   Buffer.add_string b
     (Printf.sprintf ",\"otherData\":{\"emitted\":%d,\"dropped\":%d}}\n"

@@ -18,9 +18,8 @@
 val to_chrome_json : ?host:Trace.t -> Trace.t -> string
 (** [host] is a second sink whose timestamps are {e host} seconds (as
     produced by [Prof_export.to_trace]); its events are appended under
-    a separate pid namespace ([>= 1000]: coordinator, per-shard, and
-    per-domain tracks named ["host: ..."]) so one file shows the
-    simulated and host timelines side by side. *)
+    a separate pid ([1000], named ["host: simulator"]) so one file
+    shows the simulated and host timelines side by side. *)
 
 val write_chrome_json : ?host:Trace.t -> Trace.t -> string -> unit
 (** [write_chrome_json t path] writes {!to_chrome_json} to [path]. *)

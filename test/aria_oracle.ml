@@ -18,9 +18,7 @@ type outcome = {
 (* Per-transaction read/write footprints are kept as prepend-only lists
    (newest first), not hash tables: the workloads touch a handful of
    keys per transaction (YCSB: one; TPC-C: tens), so a linear scan of a
-   few cons cells beats two fresh hash tables per transaction — and the
-   allocation rate matters beyond this module, because every minor GC
-   is a stop-the-world rendezvous across the parallel driver's domains.
+   few cons cells beats two fresh hash tables per transaction.
    A duplicated key in a list only re-checks the same reservation and
    re-reserves the same (key, pos) pair, so dedup is unnecessary for
    correctness. *)

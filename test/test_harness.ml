@@ -136,7 +136,6 @@ let test_bench_json_schema () =
   let scaling =
     {
       Bench_report.sc_groups = 3;
-      sc_domains = 2;
       sc_wall_s = 1.5;
       sc_sim_s = 4.0;
       sc_sim_s_per_wall_s = 4.0 /. 1.5;
@@ -152,12 +151,17 @@ let test_bench_json_schema () =
       check_bool (key ^ " key present") true
         (contains ~needle:("\"" ^ key ^ "\"") doc))
     [
-      "schema_version"; "date"; "mode"; "host_domains"; "micro"; "macro";
+      "schema_version"; "date"; "mode"; "micro"; "macro";
       "name"; "ns_per_run"; "system"; "workload"; "wall_s"; "sim_s";
       "sim_s_per_wall_s"; "committed_txns"; "committed_txns_per_wall_s";
       "throughput_ktps"; "mean_latency_ms"; "p99_latency_ms"; "commit_ratio";
-      "wan_mb"; "scaling"; "groups"; "domains";
+      "wan_mb"; "scaling"; "groups";
     ];
+  List.iter
+    (fun key ->
+      check_bool (key ^ " key gone") false
+        (contains ~needle:("\"" ^ key ^ "\"") doc))
+    [ "host_domains"; "domains"; "host_phases" ];
   check_bool "workload is YCSB-A" true
     (contains ~needle:(W.kind_name W.Ycsb_a) doc);
   (* Every macro value the report carries must be finite; the renderer
@@ -185,27 +189,15 @@ let test_bench_json_schema () =
      with Invalid_argument _ -> true)
 
 let test_bench_scaling_quick () =
-  (* One tiny 2-shard scaling row end-to-end through the public entry
-     point: the committed count must match the sequential row's (the
-     cross-driver determinism contract the table encodes). *)
-  let rows =
-    Bench_report.run_scaling ~quick:true ~groups_list:[ 3 ]
-      ~domains_list:[ 1; 2 ] ()
-  in
-  match rows with
-  | [ a; b ] ->
+  (* One tiny scaling row end-to-end through the public entry point. *)
+  match Bench_report.run_scaling ~quick:true ~groups_list:[ 3 ] () with
+  | [ a ] ->
       check_int "groups" 3 a.Bench_report.sc_groups;
-      check_int "domains row 1" 1 a.Bench_report.sc_domains;
-      check_int "domains row 2" 2 b.Bench_report.sc_domains;
-      check_int "committed agree across drivers" a.Bench_report.sc_committed_txns
-        b.Bench_report.sc_committed_txns;
       check_bool "committed positive" true (a.Bench_report.sc_committed_txns > 0);
-      List.iter
-        (fun (r : Bench_report.scaling) ->
-          check_bool "wall finite" true (Float.is_finite r.sc_wall_s);
-          check_bool "rate finite" true (Float.is_finite r.sc_sim_s_per_wall_s))
-        rows
-  | _ -> Alcotest.fail "expected exactly two scaling rows"
+      check_bool "wall finite" true (Float.is_finite a.Bench_report.sc_wall_s);
+      check_bool "rate finite" true
+        (Float.is_finite a.Bench_report.sc_sim_s_per_wall_s)
+  | _ -> Alcotest.fail "expected exactly one scaling row"
 
 let test_bench_macro_deterministic () =
   (* The simulated side of a macro entry is a pure function of the
@@ -288,131 +280,118 @@ let test_all_figures_registered () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel driver (--domains) equivalence                             *)
+(* Feature composition                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Engine = Massbft.Engine
-module Metrics = Massbft.Metrics
-module Stats = Massbft_util.Stats
-module Ledger = Massbft_exec.Ledger
-module Hexdump = Massbft_util.Hexdump
-module Chaos = Massbft_faults.Chaos
-module Rng = Massbft_util.Rng
+module Fault_spec = Massbft_faults.Fault_spec
+module Invariants = Massbft_faults.Invariants
+module Adv_spec = Massbft_adversary.Adv_spec
+module Evidence = Massbft_adversary.Evidence
+module Reconfig = Massbft_reconfig.Reconfig
+module Reconfig_spec = Massbft_reconfig.Reconfig_spec
+module Trace = Massbft_trace.Trace
+module Sampler = Massbft_obs.Sampler
+module Topology = Massbft_sim.Topology
 
-let check_string = Alcotest.(check string)
-
-(* The results the issue pins across drivers: committed transactions,
-   entries executed, per-group ledger head hashes and leader store
-   fingerprints. independent_stores is set for the sequential run too,
-   so both drivers execute the exact same mode. *)
-let domains_capture ~domains =
-  let spec = Clusters.nationwide ~nodes_per_group:4 () in
-  let cfg =
-    {
-      (small_cfg Config.Massbft) with
-      Config.workload_scale = 0.01;
-      independent_stores = true;
-    }
-  in
-  let captured = ref None in
-  let r =
-    Runner.run ~warmup:2.0 ~duration:4.0 ~domains
-      ~on_engine:(fun e _ _ -> captured := Some e)
-      ~spec ~cfg ()
-  in
-  match !captured with
-  | None -> Alcotest.fail "runner never exposed the engine"
-  | Some e ->
-      let committed =
-        Stats.Counter.get (Engine.metrics e).Metrics.committed_txns
-      in
-      let heads =
-        List.init 3 (fun g ->
-            Hexdump.encode (Ledger.head_hash (Engine.ledger_of e ~gid:g)))
-      in
-      let fingerprints =
-        List.init 3 (fun g ->
-            Hexdump.encode (Engine.leader_store_fingerprint e ~gid:g))
-      in
-      (committed, Engine.entries_executed_total e, heads, fingerprints,
-       r.Runner.entries_executed)
-
-let test_domains_equivalence () =
-  let c1, e1, h1, f1, re1 = domains_capture ~domains:1 in
-  let c4, e4, h4, f4, re4 = domains_capture ~domains:4 in
-  check_bool "sequential run commits" true (c1 > 0);
-  check_int "committed txns" c1 c4;
-  check_int "entries executed" e1 e4;
-  check_int "result entries" re1 re4;
-  List.iteri
-    (fun g (a, b) -> check_string (Printf.sprintf "g%d ledger head" g) a b)
-    (List.combine h1 h4);
-  List.iteri
-    (fun g (a, b) ->
-      check_string (Printf.sprintf "g%d leader store" g) a b)
-    (List.combine f1 f4)
-
-let test_domains_chaos_equivalence () =
-  let spec = Clusters.nationwide ~nodes_per_group:4 () in
-  let cfg =
-    { (small_cfg Config.Massbft) with Config.independent_stores = true }
-  in
-  let schedule =
-    Chaos.gen_schedule (Rng.create 11L) ~cfg ~spec ~duration:8.0
-  in
-  let go domains =
-    Chaos.run_schedule ~duration:8.0 ~domains ~spec ~cfg schedule
-  in
-  let a = go 1 and b = go 2 in
-  check_bool "sequential run executes" true (a.Chaos.executed > 0);
-  check_int "entries executed" a.Chaos.executed b.Chaos.executed;
-  check_int "faults injected" a.Chaos.injected b.Chaos.injected;
-  check_bool "same failure verdict" (Chaos.failed a) (Chaos.failed b);
-  check_int "same violation count"
-    (List.length a.Chaos.violations)
-    (List.length b.Chaos.violations)
-
-let test_domains_guards () =
+(* Every run mode at once: a trace sink, the obs sampler, a fault
+   schedule, an in-model adversary plan and a node-join reconfiguration
+   plan, with the safety/liveness checkers riding along. Each fault is
+   within its group's tolerance: the equivocator is g2's one Byzantine
+   replica, the crash hits g0, and the join lands in g1. *)
+let compose_run () =
   let spec = Clusters.nationwide ~nodes_per_group:4 () in
   let cfg = small_cfg Config.Massbft in
-  let rejects what f =
-    check_bool what true
-      (try
-         ignore (f ());
-         false
-       with Invalid_argument _ -> true)
+  let faults =
+    Fault_spec.of_string
+      "@1.5 link-delay g0->g1 add 0.02 class control for 1\n\
+       @2 crash-node g0/n2\n\
+       @3 recover-node g0/n2\n\
+       @2.5 slow-cpu g1/n2 factor 2 for 1\n"
   in
-  rejects "trace requires domains = 1" (fun () ->
-      Runner.run ~warmup:0.5 ~duration:0.5 ~domains:2
-        ~trace:(Massbft_trace.Trace.create ()) ~spec ~cfg ());
-  rejects "sampler requires domains = 1" (fun () ->
-      let obs = Massbft_obs.Sampler.create (Massbft_obs.Registry.create ()) in
-      Runner.run ~warmup:0.5 ~duration:0.5 ~domains:2 ~obs ~spec ~cfg ());
-  rejects "adversary requires domains = 1" (fun () ->
-      let plan =
-        [
-          {
-            Massbft_adversary.Adv_spec.at = 1.0;
-            strategy =
-              Massbft_adversary.Adv_spec.Equivocate
-                { target = Massbft_adversary.Adv_spec.Leader 0; for_s = 1.0 };
-          };
-        ]
-      in
-      Runner.run ~warmup:0.5 ~duration:0.5 ~domains:2 ~adversary:plan ~spec
-        ~cfg ())
+  let adversary = Adv_spec.of_string "@2 equivocate node:g2/n3 for 2\n" in
+  let reconfig = Reconfig_spec.of_string "@2.5 add-node g1\n" in
+  let byzantine = { Topology.g = 2; n = 3 } in
+  let trace = Trace.create () in
+  let obs = Sampler.create (Massbft_obs.Registry.create ()) in
+  let inv = ref None and controller = ref None in
+  let r =
+    Runner.run ~warmup:1.0 ~duration:11.0 ~trace ~obs ~faults ~adversary
+      ~reconfig
+      ~on_reconfig:(fun c -> controller := Some c)
+      ~on_engine:(fun engine sim _ ->
+        (* Everything has healed once the join at 2.5 s has had the
+           6 s state-transfer allowance Chaos.run_schedule grants. *)
+        let i =
+          Invariants.create ~heal_by:8.5
+            ~compromised:(Topology.addr_equal byzantine)
+            engine sim
+        in
+        Invariants.attach i;
+        inv := Some i)
+      ~spec ~cfg ()
+  in
+  let inv = Option.get !inv in
+  Invariants.finalize inv;
+  let reconfig_violations =
+    List.map
+      (fun (check, detail) ->
+        { Invariants.at = 0.0; check; detail; evidence = None })
+      (Reconfig.final_violations (Option.get !controller))
+  in
+  (* Injections per strategy label: "equivocate" for the adversary,
+     "fault" for the schedule. *)
+  let injected strategy =
+    List.fold_left
+      (fun acc (smp : Massbft_obs.Registry.sample) ->
+        match smp.Massbft_obs.Registry.point with
+        | Massbft_obs.Registry.P_counter n
+          when smp.Massbft_obs.Registry.name = "massbft_faults_injected_total"
+               && List.mem ("strategy", strategy) smp.Massbft_obs.Registry.labels
+          ->
+            acc + n
+        | _ -> acc)
+      0
+      (Massbft_obs.Registry.collect (Sampler.registry obs))
+  in
+  ( r,
+    Invariants.violations inv @ reconfig_violations,
+    Trace.length trace,
+    (Reconfig.epochs (Option.get !controller), injected "equivocate",
+     injected "fault") )
+
+let test_features_compose () =
+  let r, violations, traced, ((epochs, equivocations, faults) as counts) =
+    compose_run ()
+  in
+  check_bool "run commits" true (r.Runner.entries_executed > 0);
+  check_bool "trace recorded" true (traced > 0);
+  check_bool "join reached an epoch boundary" true (epochs >= 1);
+  check_bool "adversary interfered" true (equivocations > 0);
+  check_bool "faults injected" true (faults > 0);
+  check_int "sampler filled per-leader utilization" 3
+    (List.length r.Runner.leader_cpu_util);
+  List.iter
+    (fun (v : Invariants.violation) ->
+      check_bool
+        ("violation carries a verified evidence pair: "
+        ^ Invariants.violation_to_string v)
+        true
+        (match v.Invariants.evidence with
+        | Some p -> Evidence.verify_pair ~master:Evidence.default_master p
+        | None -> false))
+    violations;
+  check_int "no invariant violation" 0 (List.length violations);
+  let r', violations', traced', counts' = compose_run () in
+  check_bool "same-seed runs bit-identical" true
+    (r = r' && violations = violations' && traced = traced' && counts = counts')
 
 let () =
   Alcotest.run "massbft_harness"
     [
-      ( "domains",
+      ( "compose",
         [
-          Alcotest.test_case "parallel = sequential results" `Slow
-            test_domains_equivalence;
-          Alcotest.test_case "chaos verdicts across drivers" `Slow
-            test_domains_chaos_equivalence;
-          Alcotest.test_case "parallel mode guards" `Quick
-            test_domains_guards;
+          Alcotest.test_case "trace + obs + faults + adversary + reconfig"
+            `Slow test_features_compose;
         ] );
       ( "clusters",
         [

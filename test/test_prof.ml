@@ -1,7 +1,6 @@
 (* Tests for massbft_prof: the no-perturbation contract (profiled runs
-   stay byte-identical to the recorded goldens), the accounting
-   identities of the phase breakdown, the report/export shapes, and
-   the overhead budget on the parallel macro row. *)
+   stay byte-identical to the recorded goldens), the report/export
+   shapes, and the attribution and overhead budget on the macro row. *)
 
 module Sim = Massbft_sim.Sim
 module Prof = Massbft_prof.Prof
@@ -55,7 +54,7 @@ let test_goldens_unperturbed () =
       check_bool
         (Config.system_name system ^ " profiler collected slices")
         true
-        (r.Prof.rp_seq_slices > 1);
+        (r.Prof.rp_slices > 1);
       check_bool
         (Config.system_name system ^ " profiler counted events")
         true (r.Prof.rp_events > 0))
@@ -97,7 +96,7 @@ let test_seq_slicing_preserves_order () =
   check_bool "dispatch logs identical" true (plain = profiled);
   check_int "all events fired" (100 + 21) (List.length plain);
   let r = Prof.report p in
-  check_bool "sliced at lookahead width" true (r.Prof.rp_seq_slices >= 30)
+  check_bool "sliced at lookahead width" true (r.Prof.rp_slices >= 30)
 
 let test_seq_run_infinite_until () =
   (* until = infinity must profile as a single slice, not loop. *)
@@ -111,11 +110,11 @@ let test_seq_run_infinite_until () =
   check_int "events fired" 2 !fired;
   Prof.finish p;
   let r = Prof.report p in
-  check_int "single slice" 1 r.Prof.rp_seq_slices;
+  check_int "single slice" 1 r.Prof.rp_slices;
   check_int "events attributed" 2 r.Prof.rp_events
 
 (* ------------------------------------------------------------------ *)
-(* Accounting identities on a 2-shard parallel run                     *)
+(* Report shapes on a 2-shard run                                      *)
 (* ------------------------------------------------------------------ *)
 
 let run_two_shard_profiled () =
@@ -124,102 +123,24 @@ let run_two_shard_profiled () =
   let p = Prof.create () in
   Prof.attach p sim;
   let count = ref 0 in
-  let spin = Array.make 64 0 in
   let rec ping me peer () =
     incr count;
-    (* Real work per event: windows must be long relative to the few
-       microseconds of scheduler noise between them, or the wall-
-       coverage identity drowns on a loaded (or single-core) host. *)
-    for i = 0 to 400_000 do
-      spin.(i land 63) <- spin.(i land 63) + i
-    done;
-    Sim.post peer (Sim.now me +. 0.012) (ping peer me)
+    ignore (Sim.at peer (Sim.now me +. 0.012) (ping peer me))
   in
   ignore (Sim.at s0 0.0 (ping s0 s1));
   ignore (Sim.at s1 0.0 (ping s1 s0));
-  Sim.run_parallel sim ~domains:2 ~until:1.0 ();
+  Sim.run sim ~until:1.0;
   Prof.finish p;
   (p, !count)
 
-let test_phase_accounting_two_shards () =
-  (* Wall coverage is an end-to-end property of the host, not only of
-     the profiler: on a loaded or single-core machine the coordinator
-     can lose the CPU between windows, and that gap is honestly
-     unattributed. The accounting identities must hold on every run;
-     the >= 95% coverage bound gets best-of-3 attempts. *)
+let test_report_text_and_json_shape () =
   let p, count = run_two_shard_profiled () in
-  let p, count =
-    let best = ref (p, count) in
-    let attempts = ref 1 in
-    while
-      !attempts < 3
-      && (Prof.report (fst !best)).Prof.rp_attributed_share < 0.95
-    do
-      incr attempts;
-      let cand = run_two_shard_profiled () in
-      let share p = (Prof.report p).Prof.rp_attributed_share in
-      if share (fst cand) > share (fst !best) then best := cand
-    done;
-    !best
-  in
-  check_bool "events ran" true (count >= 150);
   let r = Prof.report p in
   check_int "two shards" 2 r.Prof.rp_shards;
-  check_int "two domains" 2 r.Prof.rp_domains;
-  check_bool "many windows" true (r.Prof.rp_windows >= 50);
-  (* Every per-window component is non-negative. *)
-  List.iter
-    (fun (w : Prof.window) ->
-      check_bool "wall >= 0" true (w.Prof.w_wall >= 0.0);
-      check_bool "span >= 0" true (w.Prof.w_span >= 0.0);
-      check_bool "span <= wall (clock resolution slack)" true
-        (w.Prof.w_span <= w.Prof.w_wall +. 1e-6);
-      check_bool "events >= 0" true (w.Prof.w_events >= 0);
-      check_bool "gc minor >= 0" true (w.Prof.w_gc_minor >= 0);
-      check_bool "gc major >= 0" true (w.Prof.w_gc_major >= 0);
-      Array.iter
-        (fun v -> check_bool "shard exec >= 0" true (v >= 0.0))
-        w.Prof.w_exec;
-      Array.iter
-        (fun v -> check_bool "worker stall >= 0" true (v >= 0.0))
-        w.Prof.w_stall)
-    (Prof.windows p);
-  (* The driver-timeline identity: coordinator + execute-span + merge
-     account for the summed window walls to within 5%. *)
-  let accounted = r.Prof.rp_coord_s +. r.Prof.rp_execute_span_s +. r.Prof.rp_merge_s in
-  let diff = Float.abs (accounted -. r.Prof.rp_attributed_s) in
-  check_bool
-    (Printf.sprintf "phases sum to window walls (%.4f vs %.4f)" accounted
-       r.Prof.rp_attributed_s)
-    true
-    (diff <= 0.05 *. r.Prof.rp_attributed_s +. 1e-4);
-  (* ... and the window walls account for the measured total wall. *)
-  check_bool
-    (Printf.sprintf "windows cover wall (share %.3f)" r.Prof.rp_attributed_share)
-    true
-    (r.Prof.rp_attributed_share >= 0.95 && r.Prof.rp_attributed_share <= 1.01);
-  (* Ranked attribution covers the same ground and shares sum to ~1. *)
-  let share_sum =
-    List.fold_left (fun acc ph -> acc +. ph.Prof.p_share) 0.0
-      r.Prof.rp_wall_attribution
-  in
-  check_bool "attribution shares sum to ~1" true
-    (Float.abs (share_sum -. 1.0) <= 0.05);
-  (* Per-domain busy fractions are well-formed. *)
-  List.iter
-    (fun (d : Prof.domain_stat) ->
-      check_bool "busy in [0,1]" true
-        (d.Prof.ds_busy >= 0.0 && d.Prof.ds_busy <= 1.0))
-    r.Prof.rp_per_domain;
-  (* Shard event counts add up to the total. *)
-  let shard_events =
-    List.fold_left (fun acc s -> acc + s.Prof.ss_events) 0 r.Prof.rp_per_shard
-  in
-  check_int "per-shard events sum to total" r.Prof.rp_events shard_events
-
-let test_report_text_and_json_shape () =
-  let p, _ = run_two_shard_profiled () in
-  let r = Prof.report p in
+  check_int "every event attributed" count r.Prof.rp_events;
+  check_int "slice events sum to total" r.Prof.rp_events
+    (List.fold_left (fun acc s -> acc + s.Prof.s_events) 0 (Prof.slices p));
+  check_bool "sliced at lookahead width" true (r.Prof.rp_slices >= 90);
   let text = Prof_export.text r in
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
@@ -227,12 +148,10 @@ let test_report_text_and_json_shape () =
     nn = 0 || go 0
   in
   check_bool "text mentions phases" true
-    (contains text "execute"
-    && contains text "mailbox-merge"
-    && contains text "coordinator");
+    (contains text "execute" && contains text "unattributed");
   (* The JSON export parses with the repo's own reader and carries the
      documented keys — the same shape validation CI performs. *)
-  let doc = Json.parse (Prof_export.json ~windows:true p) in
+  let doc = Json.parse (Prof_export.json ~slices:true p) in
   let mem k =
     match Json.member k doc with
     | Some _ -> true
@@ -241,17 +160,17 @@ let test_report_text_and_json_shape () =
   List.iter
     (fun k -> check_bool ("prof json has " ^ k) true (mem k))
     [
-      "schema_version"; "shards"; "domains"; "windows"; "seq_slices";
-      "lookahead_s"; "wall_s"; "sim_end_s"; "events"; "events_per_window";
-      "attributed_s"; "attributed_share"; "phases"; "attribution";
-      "per_shard"; "per_domain"; "gc"; "window_log";
+      "schema_version"; "shards"; "slices"; "lookahead_s"; "wall_s";
+      "sim_end_s"; "events"; "events_per_slice"; "attributed_s";
+      "attributed_share"; "attribution"; "gc"; "slice_log";
     ];
-  (match Option.bind (Json.member "phases" doc) (Json.member "execute") with
-  | Some (Json.Num v) -> check_bool "execute phase positive" true (v > 0.0)
-  | _ -> Alcotest.fail "phases.execute missing");
-  match Option.bind (Json.member "window_log" doc) Json.to_list with
+  (match Json.member "schema_version" doc with
+  | Some (Json.Num v) ->
+      check_int "schema version" Prof_export.schema_version (int_of_float v)
+  | _ -> Alcotest.fail "schema_version missing");
+  match Option.bind (Json.member "slice_log" doc) Json.to_list with
   | Some (_ :: _) -> ()
-  | _ -> Alcotest.fail "window_log empty"
+  | _ -> Alcotest.fail "slice_log empty"
 
 let test_host_trace_export () =
   let p, _ = run_two_shard_profiled () in
@@ -273,7 +192,7 @@ let test_host_trace_export () =
       (fun e -> Option.bind (Json.member "pid" e) Json.to_float)
       events
   in
-  check_bool "has host pids" true (List.exists (fun pid -> pid >= 1000.0) pids);
+  check_bool "has host pid" true (List.mem 1000.0 pids);
   check_bool "has sim pids" true (List.exists (fun pid -> pid < 1000.0) pids);
   (* Host span timestamps are non-negative host-seconds. *)
   List.iter
@@ -301,11 +220,11 @@ let test_registry_series () =
   | Some { Massbft_obs.Registry.point = Massbft_obs.Registry.P_gauge v; _ } ->
       check_bool "execute seconds positive" true (v > 0.0)
   | _ -> Alcotest.fail "massbft_prof_phase_seconds{phase=execute} missing");
-  match find "massbft_prof_windows_total" [] with
+  match find "massbft_prof_slices_total" [] with
   | Some { Massbft_obs.Registry.point = Massbft_obs.Registry.P_counter n; _ }
     ->
-      check_bool "windows counted" true (n > 0)
-  | _ -> Alcotest.fail "massbft_prof_windows_total missing"
+      check_bool "slices counted" true (n > 0)
+  | _ -> Alcotest.fail "massbft_prof_slices_total missing"
 
 (* ------------------------------------------------------------------ *)
 (* Misuse guards                                                       *)
@@ -323,11 +242,15 @@ let test_double_attach_rejected () =
 (* Macro row: attribution and overhead budget                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The acceptance numbers for the MassBFT macro row under the parallel
-   driver: >= 95% of wall attributed to named phases, and profiling
-   overhead within budget. Wall-clock comparisons on shared CI hosts
-   are noisy, so the default overhead bound is lenient (15%, min-of-2
-   runs); MASSBFT_STRICT_PERF=1 asserts the real 2% budget (min-of-4),
+(* The acceptance numbers for the MassBFT macro row: >= 95% of wall
+   attributed to profiled slices, and profiling overhead within budget.
+   Overhead is judged on the process's CPU time, not wall time: dune
+   runs test executables side by side, and a neighbour taking the core
+   stretches wall time without adding CPU time to this process. Plain
+   and profiled runs alternate so host drift hits both sides alike, and
+   each side keeps its fastest run, the one least disturbed by cache
+   and frequency noise. The default bound is lenient (15%, min-of-5
+   each); MASSBFT_STRICT_PERF=1 asserts the real 2% budget (min-of-7),
    which holds on an idle host. *)
 let test_macro_attribution_and_overhead () =
   let strict =
@@ -335,21 +258,21 @@ let test_macro_attribution_and_overhead () =
     | Some ("1" | "true" | "yes") -> true
     | _ -> false
   in
-  let runs = if strict then 4 else 2 in
-  let min_wall ~profiled =
-    let best = ref infinity in
-    let last_prof = ref None in
-    for _ = 1 to runs do
-      let prof = if profiled then Some (Prof.create ()) else None in
-      let m = Bench_report.run_macro ~quick:true ?prof ~domains:4 ~system:Config.Massbft () in
-      if m.Bench_report.wall_s < !best then best := m.Bench_report.wall_s;
-      last_prof := prof
-    done;
-    (!best, !last_prof)
+  let runs = if strict then 7 else 5 in
+  let cpu_s ?prof () =
+    let t0 = Sys.time () in
+    ignore (Bench_report.run_macro ~quick:true ?prof ~system:Config.Massbft ());
+    Sys.time () -. t0
   in
-  let wall_plain, _ = min_wall ~profiled:false in
-  let wall_profiled, prof = min_wall ~profiled:true in
-  (match prof with
+  let plain = ref infinity and profiled = ref infinity in
+  let last_prof = ref None in
+  for _ = 1 to runs do
+    plain := Float.min !plain (cpu_s ());
+    let p = Prof.create () in
+    profiled := Float.min !profiled (cpu_s ~prof:p ());
+    last_prof := Some p
+  done;
+  (match !last_prof with
   | None -> Alcotest.fail "profiler missing"
   | Some p ->
       let r = Prof.report p in
@@ -358,9 +281,9 @@ let test_macro_attribution_and_overhead () =
            (100.0 *. r.Prof.rp_attributed_share))
         true
         (r.Prof.rp_attributed_share >= 0.95);
-      check_bool "parallel windows profiled" true (r.Prof.rp_windows > 0));
+      check_bool "slices profiled" true (r.Prof.rp_slices > 0));
   let budget = if strict then 0.02 else 0.15 in
-  let overhead = (wall_profiled -. wall_plain) /. wall_plain in
+  let overhead = (!profiled -. !plain) /. !plain in
   check_bool
     (Printf.sprintf "profiling overhead %.1f%% within %.0f%% budget"
        (100.0 *. overhead) (100.0 *. budget))
@@ -381,8 +304,6 @@ let () =
         ] );
       ( "accounting",
         [
-          Alcotest.test_case "phase sums on 2-shard run" `Quick
-            test_phase_accounting_two_shards;
           Alcotest.test_case "report text and json shape" `Quick
             test_report_text_and_json_shape;
           Alcotest.test_case "host-timeline trace export" `Quick

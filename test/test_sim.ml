@@ -642,27 +642,49 @@ let test_traffic_baseline_reset () =
   check_int "only post-reset traffic" 7_000 (Topology.wan_bytes_sent topo)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded scheduler                                                   *)
+(* Shard handles                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* A random scheduling workload, interpretable against any shard count:
    every command arms something at a quantized time (forcing plenty of
    equal-timestamp ties), and a fired command's children re-arm through
-   [Sim.after] (executing-shard routing) or [Sim.post] (targeted
-   cross-shard delivery). The sharded sequential merge driver must
-   dispatch any such program in exactly the single-heap order. *)
+   [Sim.after] on the arming shard or [Sim.at] on another shard. Shard
+   handles are accounting identities over one queue, so any such
+   program must dispatch in exactly the single-shard order. Bursts arm
+   many timers across shards and cancel most of them, so the one heap
+   compacts garbage that belongs to several shards. *)
 type shard_cmd = {
   c_shard : int;  (* arming shard (mod the sim's shard count) *)
   c_time : float;
-  c_kind : int;  (* 0 = at; 1 = at then cancel; 2 = post *)
-  c_dst : int;  (* post target (mod shard count) *)
-  c_children : (int * float * int) list;  (* (0=after|1=post, delta, dst) *)
+  c_kind : int;  (* 0 = at; 1 = at then cancel; 2 = at on c_dst; 3 = burst *)
+  c_dst : int;  (* target shard (mod shard count) *)
+  c_burst : int;  (* kind 3: timers armed round-robin, 9 in 10 cancelled *)
+  c_children : (int * float * int) list;
+      (* (0 = after | 1 = at on dst | 2 = after then cancel, delta, dst) *)
 }
+
+(* Per-shard counts add up to the sim-wide ones. *)
+let accounting_ok sim =
+  let sum f =
+    List.fold_left ( + ) 0
+      (List.init (Sim.n_shards sim) (fun i -> f (Sim.shard sim i)))
+  in
+  sum Sim.pending = Sim.pending_total sim
+  && sum Sim.dispatched = Sim.dispatched_total sim
+
+(* Right after any scheduling or cancel, compaction keeps the heap
+   within twice the live events plus the compaction floor. *)
+let heap_bounded sim = Sim.heap_size sim <= (2 * Sim.pending_total sim) + 64
 
 let run_shard_program ~shards cmds =
   let sim = Sim.create ~shards ~lookahead:0.5 () in
   let shard i = Sim.shard sim (i mod Sim.n_shards sim) in
   let log = ref [] in
+  let ok = ref true in
+  let check ~bound =
+    if not (accounting_ok sim && ((not bound) || heap_bounded sim)) then
+      ok := false
+  in
   let emit id = log := id :: !log in
   List.iteri
     (fun i c ->
@@ -671,36 +693,54 @@ let run_shard_program ~shards cmds =
         List.iteri
           (fun j (kind, delta, dst) ->
             let cid = ((i + 1) * 1000) + j in
-            if kind = 0 then
-              ignore (Sim.after (shard c.c_shard) delta (fun () -> emit cid))
-            else
-              Sim.post (shard dst)
-                (Sim.now sim +. delta)
-                (fun () -> emit cid))
+            match kind with
+            | 0 ->
+                ignore (Sim.after (shard c.c_shard) delta (fun () -> emit cid))
+            | 1 ->
+                ignore
+                  (Sim.at (shard dst) (Sim.now sim +. delta) (fun () ->
+                       emit cid))
+            | _ ->
+                Sim.cancel (Sim.after (shard dst) delta (fun () -> emit cid));
+                check ~bound:true)
           c.c_children
       in
-      match c.c_kind with
+      (match c.c_kind with
       | 0 -> ignore (Sim.at (shard c.c_shard) c.c_time fire)
       | 1 ->
           let h = Sim.at (shard c.c_shard) c.c_time fire in
           Sim.cancel h
-      | _ -> Sim.post (shard c.c_dst) c.c_time fire)
+      | 2 -> ignore (Sim.at (shard c.c_dst) c.c_time fire)
+      | _ ->
+          for k = 0 to c.c_burst - 1 do
+            let h =
+              Sim.at (shard (c.c_shard + k)) c.c_time (fun () ->
+                  emit (((i + 1) * 100_000) + k))
+            in
+            if k mod 10 <> 0 then Sim.cancel h
+          done);
+      check ~bound:true)
     cmds;
-  Sim.run_until_idle sim ();
-  List.rev !log
+  while Sim.step sim do
+    check ~bound:false
+  done;
+  (* Every dispatched event logged exactly once. *)
+  if List.length !log <> Sim.dispatched_total sim then ok := false;
+  (List.rev !log, !ok)
 
 let gen_shard_cmds =
   let open QCheck.Gen in
   let time = map (fun k -> float_of_int k *. 0.125) (int_range 0 32) in
   let delta = map (fun k -> float_of_int (k + 1) *. 0.125) (int_range 0 8) in
-  let child = triple (int_range 0 1) delta (int_range 0 3) in
+  let child = triple (int_range 0 2) delta (int_range 0 3) in
   let cmd =
     int_range 0 3 >>= fun c_shard ->
     time >>= fun c_time ->
-    int_range 0 2 >>= fun c_kind ->
+    int_range 0 3 >>= fun c_kind ->
     int_range 0 3 >>= fun c_dst ->
+    int_range 1 120 >>= fun c_burst ->
     list_size (int_range 0 3) child >>= fun c_children ->
-    return { c_shard; c_time; c_kind; c_dst; c_children }
+    return { c_shard; c_time; c_kind; c_dst; c_burst; c_children }
   in
   list_size (int_range 1 40) cmd
 
@@ -709,94 +749,13 @@ let prop_shard_merge_equivalence =
     ~name:"sharded merge driver = single-heap dispatch order"
     (QCheck.make gen_shard_cmds)
     (fun cmds ->
-      let reference = run_shard_program ~shards:1 cmds in
-      run_shard_program ~shards:2 cmds = reference
-      && run_shard_program ~shards:3 cmds = reference
-      && run_shard_program ~shards:4 cmds = reference)
-
-let test_parallel_window_edge () =
-  (* Lookahead 1.0, two shards. A cross-shard post landing exactly on
-     the window's end is legal (the conservative contract is half-open);
-     one landing inside the window is a violation the driver must
-     surface, not silently misorder. *)
-  let sim = Sim.create ~shards:2 ~lookahead:1.0 () in
-  let s1 = Sim.shard sim 1 in
-  let fired_at = ref (-1.0) in
-  ignore
-    (Sim.at sim 0.0 (fun () ->
-         Sim.post s1 1.0 (fun () -> fired_at := Sim.now s1)));
-  Sim.run_parallel sim ~domains:2 ~until:4.0 ();
-  check_float "edge post fires at the window boundary" 1.0 !fired_at;
-  let sim = Sim.create ~shards:2 ~lookahead:1.0 () in
-  let s1 = Sim.shard sim 1 in
-  ignore (Sim.at sim 0.0 (fun () -> Sim.post s1 0.1 (fun () -> ())));
-  check_bool "sub-lookahead cross-shard post raises" true
-    (try
-       Sim.run_parallel sim ~domains:2 ~until:4.0 ();
-       false
-     with Invalid_argument _ -> true)
-
-let test_parallel_matches_sequential () =
-  (* A ping-pong across two shards with exactly-lookahead latency: the
-     parallel driver must deliver the same fire count and times as the
-     sequential merge driver. *)
-  let run_pingpong ~drive =
-    let sim = Sim.create ~shards:2 ~lookahead:0.5 () in
-    let s0 = Sim.shard sim 0 and s1 = Sim.shard sim 1 in
-    let log = ref [] in
-    let rec ping src dst tag () =
-      log := (tag, Sim.now src) :: !log;
-      Sim.post dst (Sim.now src +. 0.5) (ping dst src (1 - tag))
-    in
-    Sim.post s0 0.0 (ping s0 s1 0);
-    drive sim;
-    List.rev !log
-  in
-  let seq = run_pingpong ~drive:(fun sim -> Sim.run sim ~until:6.0) in
-  let par =
-    run_pingpong ~drive:(fun sim -> Sim.run_parallel sim ~domains:2 ~until:6.0 ())
-  in
-  check_int "same ping count" (List.length seq) (List.length par);
-  check_bool "same ping sequence" true (seq = par)
-
-let test_parallel_on_window_barriers () =
-  let sim = Sim.create ~shards:2 ~lookahead:0.5 () in
-  let s1 = Sim.shard sim 1 in
-  ignore (Sim.at sim 0.0 (fun () -> ()));
-  ignore (Sim.at s1 2.4 (fun () -> ()));
-  let edges = ref [] in
-  Sim.run_parallel sim ~domains:2 ~until:3.0
-    ~on_window:(fun w -> edges := w :: !edges)
-    ();
-  let edges = List.rev !edges in
-  check_bool "at least one barrier" true (edges <> []);
-  check_bool "edges strictly increase" true
-    (List.for_all2
-       (fun a b -> a < b)
-       (List.filteri (fun i _ -> i < List.length edges - 1) edges)
-       (List.tl edges));
-  check_float "clock lands on until" 3.0 (Sim.now sim)
-
-let test_parallel_guards () =
-  let sim = Sim.create ~shards:2 ~lookahead:0.5 () in
-  check_bool "domains < 1 rejected" true
-    (try
-       Sim.run_parallel sim ~domains:0 ~until:1.0 ();
-       false
-     with Invalid_argument _ -> true);
-  let flat = Sim.create ~shards:2 () in
-  check_bool "zero lookahead rejected" true
-    (try
-       Sim.run_parallel flat ~domains:2 ~until:1.0 ();
-       false
-     with Invalid_argument _ -> true);
-  let traced = Sim.create ~shards:2 ~lookahead:0.5 () in
-  Sim.set_trace traced (Massbft_trace.Trace.create ());
-  check_bool "trace sink rejected" true
-    (try
-       Sim.run_parallel traced ~domains:2 ~until:1.0 ();
-       false
-     with Invalid_argument _ -> true)
+      let reference, ok1 = run_shard_program ~shards:1 cmds in
+      List.for_all
+        (fun shards ->
+          let log, ok = run_shard_program ~shards cmds in
+          ok && log = reference)
+        [ 2; 3; 4 ]
+      && ok1)
 
 let () =
   Alcotest.run "massbft_sim"
@@ -821,13 +780,6 @@ let () =
       ( "shard",
         [
           QCheck_alcotest.to_alcotest prop_shard_merge_equivalence;
-          Alcotest.test_case "lookahead window edge" `Quick
-            test_parallel_window_edge;
-          Alcotest.test_case "parallel = sequential ping-pong" `Quick
-            test_parallel_matches_sequential;
-          Alcotest.test_case "on_window barriers" `Quick
-            test_parallel_on_window_barriers;
-          Alcotest.test_case "parallel guards" `Quick test_parallel_guards;
         ] );
       ( "nic",
         [
