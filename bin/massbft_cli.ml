@@ -19,14 +19,15 @@ module Adv_spec = Massbft_adversary.Adv_spec
 module Reconfig_spec = Massbft_reconfig.Reconfig_spec
 module Evidence = Massbft_adversary.Evidence
 module Topology = Massbft_sim.Topology
+module Timed_line = Massbft_sim.Timed_line
 module Prof = Massbft_prof.Prof
 module Prof_export = Massbft_prof.Prof_export
 module Bench_check = Massbft_harness.Bench_check
 module Bench_report = Massbft_harness.Bench_report
 
 (* Schedule/plan files come from users and CI artifacts: every way they
-   can be wrong must end in a one-line diagnostic naming the file and
-   the first bad token — not a backtrace — and exit 2 (distinct from a
+   can be wrong must end in a one-line diagnostic naming the file, the
+   line and the first bad token — not a backtrace — and exit 2 (distinct from a
    run failure's exit 1). *)
 let usage_error = 2
 
@@ -46,37 +47,14 @@ let read_file_or_die ~what file =
       close_in ic;
       text
 
-let parse_faults_or_die ~(spec : Topology.spec) file =
-  let what = "fault schedule" in
+(* [parse] and [validate] are one scenario language's reader and
+   deployment check (Fault_spec, Adv_spec or Reconfig_spec). *)
+let parse_scenario_or_die ~what ~parse ~validate ~(spec : Topology.spec) file =
   let text = read_file_or_die ~what file in
-  match Fault_spec.of_string text with
-  | exception Fault_spec.Parse_error msg -> die_parse ~what ~file msg
-  | schedule -> (
-      match
-        Fault_spec.validate ~group_sizes:spec.Topology.group_sizes schedule
-      with
-      | Ok () -> schedule
-      | Error msg -> die_parse ~what ~file msg)
-
-let parse_adversary_or_die ~(spec : Topology.spec) file =
-  let what = "adversary plan" in
-  let text = read_file_or_die ~what file in
-  match Adv_spec.of_string text with
-  | exception Adv_spec.Parse_error msg -> die_parse ~what ~file msg
+  match parse text with
+  | exception Timed_line.Parse_error msg -> die_parse ~what ~file msg
   | plan -> (
-      match Adv_spec.validate ~group_sizes:spec.Topology.group_sizes plan with
-      | Ok () -> plan
-      | Error msg -> die_parse ~what ~file msg)
-
-let parse_reconfig_or_die ~(spec : Topology.spec) file =
-  let what = "reconfiguration plan" in
-  let text = read_file_or_die ~what file in
-  match Reconfig_spec.of_string text with
-  | exception Reconfig_spec.Parse_error msg -> die_parse ~what ~file msg
-  | plan -> (
-      match
-        Reconfig_spec.validate ~group_sizes:spec.Topology.group_sizes plan
-      with
+      match validate ~group_sizes:spec.Topology.group_sizes plan with
       | Ok () -> plan
       | Error msg -> die_parse ~what ~file msg)
 
@@ -214,21 +192,28 @@ let run_cmd =
     let cfg, spec =
       experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
     in
-    let faults = Option.map (parse_faults_or_die ~spec) faults_file in
-    let adversary = Option.map (parse_adversary_or_die ~spec) adversary_file in
-    let reconfig = Option.map (parse_reconfig_or_die ~spec) reconfig_file in
+    let load what parse validate =
+      Option.map (parse_scenario_or_die ~what ~parse ~validate ~spec)
+    in
+    let faults =
+      load "fault schedule" Fault_spec.of_string Fault_spec.validate faults_file
+    in
+    let adversary =
+      load "adversary plan" Adv_spec.of_string Adv_spec.validate adversary_file
+    in
+    let reconfig =
+      load "reconfiguration plan" Reconfig_spec.of_string
+        Reconfig_spec.validate reconfig_file
+    in
     let sink = Option.map (fun _ -> Trace.create ()) trace_file in
     let prof = Option.map (fun _ -> Prof.create ()) prof_file in
     let obs =
       Option.map (fun _ -> Sampler.create (Obs_registry.create ())) metrics_file
     in
+    let cfg = if latency_probe then Runner.latency_probe cfg else cfg in
     let r =
-      if latency_probe then
-        Runner.run_latency_probe ~duration ~warmup ?trace:sink ?obs ?prof
-          ?faults ?adversary ?reconfig ~spec ~cfg ()
-      else
-        Runner.run ~duration ~warmup ?trace:sink ?obs ?prof ?faults ?adversary
-          ?reconfig ~spec ~cfg ()
+      Runner.run ~duration ~warmup ?trace:sink ?obs ?prof ?faults ?adversary
+        ?reconfig ~spec ~cfg ()
     in
     Format.printf "%a@." Runner.pp_result r;
     List.iter
@@ -431,29 +416,28 @@ let drill_cmd =
            ~doc:"Campaign mode: run a seed range instead of --seed; $(docv) \
                  is either N (meaning 1..N) or A..B inclusive.")
   in
-  let strategies_conv =
+  (* A comma-separated list drawn from [known]. *)
+  let names_conv what known =
     let parse s =
       let names =
         String.split_on_char ',' s |> List.map String.trim
         |> List.filter (fun x -> x <> "")
       in
-      if names = [] then Error (`Msg "empty strategy list")
+      if names = [] then Error (`Msg (Printf.sprintf "empty %s list" what))
       else
-        match
-          List.find_opt
-            (fun n -> not (List.mem n Adv_spec.kind_names))
-            names
-        with
+        match List.find_opt (fun n -> not (List.mem n known)) names with
         | Some bad ->
             Error
               (`Msg
-                 (Printf.sprintf "unknown strategy %S (known: %s)" bad
-                    (String.concat ", " Adv_spec.kind_names)))
+                 (Printf.sprintf "unknown %s %S (known: %s)" what bad
+                    (String.concat ", " known)))
         | None -> Ok names
     in
     Arg.conv
       (parse, fun fmt l -> Format.pp_print_string fmt (String.concat "," l))
   in
+  let strategies_conv = names_conv "strategy" Adv_spec.kind_names in
+  let kinds_conv = names_conv "reconfiguration kind" Chaos.reconfig_kinds in
   let adversaries =
     Arg.(value & opt (some strategies_conv) None & info [ "adversary" ]
            ~docv:"STRAT[,STRAT...]"
@@ -464,30 +448,6 @@ let drill_cmd =
                  invariant, or when each safety violation is pinned on a \
                  provably-equivocating node by a verified \
                  conflicting-signed-message evidence pair.")
-  in
-  let kinds_conv =
-    let parse s =
-      let names =
-        String.split_on_char ',' s |> List.map String.trim
-        |> List.filter (fun x -> x <> "")
-      in
-      if names = [] then Error (`Msg "empty reconfiguration kind list")
-      else
-        match
-          List.find_opt
-            (fun n -> not (List.mem n Chaos.reconfig_kinds))
-            names
-        with
-        | Some bad ->
-            Error
-              (`Msg
-                 (Printf.sprintf "unknown reconfiguration kind %S (known: %s)"
-                    bad
-                    (String.concat ", " Chaos.reconfig_kinds)))
-        | None -> Ok names
-    in
-    Arg.conv
-      (parse, fun fmt l -> Format.pp_print_string fmt (String.concat "," l))
   in
   let reconfigs =
     Arg.(value & opt (some kinds_conv) None & info [ "reconfig" ]
@@ -559,73 +519,53 @@ let drill_cmd =
         (match r.Chaos.reconfig_kind with None -> "" | Some k -> "-" ^ k)
         r.Chaos.seed
     in
+    (* Commented "# shrunk to N event(s):" lines after a loadable plan. *)
+    let shrunk_note to_line = function
+      | Some evs ->
+          Printf.sprintf "# shrunk to %d event(s):\n%s" (List.length evs)
+            (String.concat ""
+               (List.map (fun e -> "#   " ^ to_line e ^ "\n") evs))
+      | None -> ""
+    in
     let save_artifact (r : Chaos.drill_result) =
       match artifacts with
       | None -> ()
       | Some dir ->
           (try Unix.mkdir dir 0o755
            with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-          let file = Filename.concat dir (artifact_stem r ^ ".faults") in
-          let oc = open_out file in
-          Printf.fprintf oc "# %s\n# %s\n%s"
-            (Chaos.repro_line ?adversary:r.Chaos.strategy
-               ?reconfig:r.Chaos.reconfig_kind ~seed:r.Chaos.seed
-               ~system:r.Chaos.system ())
-            (String.concat "; "
-               (List.map Massbft_faults.Invariants.violation_to_string
-                  r.Chaos.outcome.Chaos.violations))
-            (Fault_spec.to_string r.Chaos.outcome.Chaos.schedule);
-          (match r.Chaos.shrunk with
-          | Some s ->
-              Printf.fprintf oc "# shrunk to %d event(s):\n%s"
-                (List.length s)
-                (String.concat ""
-                   (List.map
-                      (fun e -> "#   " ^ Fault_spec.event_to_string e ^ "\n")
-                      s))
-          | None -> ());
-          close_out oc;
-          Format.printf "artifact: wrote %s@." file;
-          (* The adversary plan reproduces through `run --adversary`,
-             so it ships as its own loadable file. *)
-          (if r.Chaos.outcome.Chaos.adversary <> [] then begin
-             let afile = Filename.concat dir (artifact_stem r ^ ".adversary") in
-             let oc = open_out afile in
-             Printf.fprintf oc "%s"
-               (Adv_spec.to_string r.Chaos.outcome.Chaos.adversary);
-             (match r.Chaos.shrunk_adversary with
-             | Some p ->
-                 Printf.fprintf oc "# shrunk to %d event(s):\n%s"
-                   (List.length p)
-                   (String.concat ""
-                      (List.map
-                         (fun e -> "#   " ^ Adv_spec.event_to_string e ^ "\n")
-                         p))
-             | None -> ());
-             close_out oc;
-             Format.printf "artifact: wrote %s@." afile
-           end);
-          (* The membership plan reproduces through `run --reconfig`, so
-             it also ships as its own loadable file. *)
-          (if r.Chaos.outcome.Chaos.reconfig <> [] then begin
-             let rfile = Filename.concat dir (artifact_stem r ^ ".reconfig") in
-             let oc = open_out rfile in
-             output_string oc
-               (Reconfig_spec.to_string r.Chaos.outcome.Chaos.reconfig);
-             close_out oc;
-             Format.printf "artifact: wrote %s@." rfile
-           end);
-          match r.Chaos.outcome.Chaos.evidence with
+          let write ?(note = "") ext text =
+            let file = Filename.concat dir (artifact_stem r ^ ext) in
+            let oc = open_out file in
+            output_string oc text;
+            close_out oc;
+            Format.printf "artifact: wrote %s%s@." file note
+          in
+          let o = r.Chaos.outcome in
+          write ".faults"
+            (Printf.sprintf "# %s\n# %s\n%s%s"
+               (Chaos.repro_line ?adversary:r.Chaos.strategy
+                  ?reconfig:r.Chaos.reconfig_kind ~seed:r.Chaos.seed
+                  ~system:r.Chaos.system ())
+               (String.concat "; "
+                  (List.map Massbft_faults.Invariants.violation_to_string
+                     o.Chaos.violations))
+               (Fault_spec.to_string o.Chaos.schedule)
+               (shrunk_note Fault_spec.event_to_string r.Chaos.shrunk));
+          (* The adversary and membership plans reproduce through
+             `run --adversary` / `run --reconfig`, so each ships as its
+             own loadable file. *)
+          if o.Chaos.adversary <> [] then
+            write ".adversary"
+              (Adv_spec.to_string o.Chaos.adversary
+              ^ shrunk_note Adv_spec.event_to_string r.Chaos.shrunk_adversary);
+          if o.Chaos.reconfig <> [] then
+            write ".reconfig" (Reconfig_spec.to_string o.Chaos.reconfig);
+          match o.Chaos.evidence with
           | [] -> ()
           | pairs ->
-              let efile = Filename.concat dir (artifact_stem r ^ ".evidence") in
-              let oc = open_out efile in
-              List.iter
-                (fun p -> output_string oc (Evidence.pair_to_string p))
-                pairs;
-              close_out oc;
-              Format.printf "artifact: wrote %s (%d conflict pairs)@." efile
-                (List.length pairs)
+              write ".evidence"
+                ~note:(Printf.sprintf " (%d conflict pairs)" (List.length pairs))
+                (String.concat "" (List.map Evidence.pair_to_string pairs))
     in
     let report (r : Chaos.drill_result) =
       Format.printf "%a@." Chaos.pp_drill r;
@@ -643,39 +583,28 @@ let drill_cmd =
               (if Chaos.accountable r.Chaos.outcome then
                  " — every violation accounted for"
                else ""));
-        if r.Chaos.outcome.Chaos.adversary <> [] then begin
-          Format.printf "  adversary:@.";
-          List.iter
-            (fun e -> Format.printf "    %s@." (Adv_spec.event_to_string e))
-            r.Chaos.outcome.Chaos.adversary;
-          match r.Chaos.shrunk_adversary with
-          | Some p ->
-              Format.printf "  adversary shrunk to %d event(s):@."
-                (List.length p);
-              List.iter
-                (fun e ->
-                  Format.printf "    %s@." (Adv_spec.event_to_string e))
-                p
+        let events title to_line evs =
+          Format.printf "  %s:@." title;
+          List.iter (fun e -> Format.printf "    %s@." (to_line e)) evs
+        in
+        let shrunk prefix to_line = function
+          | Some evs ->
+              events
+                (Printf.sprintf "%sshrunk to %d event(s)" prefix
+                   (List.length evs))
+                to_line evs
           | None -> ()
+        in
+        let o = r.Chaos.outcome in
+        if o.Chaos.adversary <> [] then begin
+          events "adversary" Adv_spec.event_to_string o.Chaos.adversary;
+          shrunk "adversary " Adv_spec.event_to_string r.Chaos.shrunk_adversary
         end;
-        if r.Chaos.outcome.Chaos.reconfig <> [] then begin
-          Format.printf "  reconfiguration:@.";
-          List.iter
-            (fun e ->
-              Format.printf "    %s@." (Reconfig_spec.event_to_string e))
-            r.Chaos.outcome.Chaos.reconfig
-        end;
-        Format.printf "  schedule:@.";
-        List.iter
-          (fun e -> Format.printf "    %s@." (Fault_spec.event_to_string e))
-          r.Chaos.outcome.Chaos.schedule;
-        (match r.Chaos.shrunk with
-        | Some s ->
-            Format.printf "  shrunk to %d event(s):@." (List.length s);
-            List.iter
-              (fun e -> Format.printf "    %s@." (Fault_spec.event_to_string e))
-              s
-        | None -> ());
+        if o.Chaos.reconfig <> [] then
+          events "reconfiguration" Reconfig_spec.event_to_string
+            o.Chaos.reconfig;
+        events "schedule" Fault_spec.event_to_string o.Chaos.schedule;
+        shrunk "" Fault_spec.event_to_string r.Chaos.shrunk;
         Format.printf "  repro: %s@."
           (Chaos.repro_line ?adversary:r.Chaos.strategy
              ?reconfig:r.Chaos.reconfig_kind ~seed:r.Chaos.seed

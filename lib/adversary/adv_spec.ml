@@ -4,6 +4,7 @@
    shrunk reproducer) and parses back into exactly the same attack. *)
 
 module Topology = Massbft_sim.Topology
+module T = Massbft_sim.Timed_line
 
 (* Who misbehaves. [Leader gid] is adaptive: it resolves to whichever
    node currently holds the group's acting-leader role at each send, so
@@ -71,75 +72,32 @@ let window_of = function
   | Tamper { for_s; _ } ->
       for_s
 
-let fl = Printf.sprintf "%g"
-
-let addr_str (a : Topology.addr) =
-  Printf.sprintf "g%d/n%d" a.Topology.g a.Topology.n
-
 let target_to_string = function
-  | Node a -> "node:" ^ addr_str a
+  | Node a -> "node:" ^ Topology.addr_to_string a
   | Leader g -> Printf.sprintf "leader:g%d" g
 
 let strategy_to_string s =
-  let tgt = target_to_string (target_of s) in
-  match s with
-  | Equivocate { for_s; _ } ->
-      Printf.sprintf "equivocate %s for %s" tgt (fl for_s)
-  | Equivocate_raft { for_s; _ } ->
-      Printf.sprintf "equivocate-raft %s for %s" tgt (fl for_s)
-  | Withhold { for_s; _ } ->
-      Printf.sprintf "withhold %s for %s" tgt (fl for_s)
-  | Split_votes { for_s; _ } ->
-      Printf.sprintf "split-votes %s for %s" tgt (fl for_s)
-  | Replay { copies; gap_s; for_s; _ } ->
-      Printf.sprintf "replay %s copies %d gap %s for %s" tgt copies (fl gap_s)
-        (fl for_s)
-  | Delay_valid { add_s; for_s; _ } ->
-      Printf.sprintf "delay-valid %s add %s for %s" tgt (fl add_s) (fl for_s)
-  | Tamper { for_s; _ } -> Printf.sprintf "tamper %s for %s" tgt (fl for_s)
+  let args =
+    match s with
+    | Replay { copies; gap_s; _ } ->
+        Printf.sprintf " copies %d gap %s" copies (T.fl gap_s)
+    | Delay_valid { add_s; _ } -> " add " ^ T.fl add_s
+    | Equivocate _ | Equivocate_raft _ | Withhold _ | Split_votes _
+    | Tamper _ ->
+        ""
+  in
+  Printf.sprintf "%s %s%s for %s"
+    (T.item_name (kind_name s))
+    (target_to_string (target_of s))
+    args
+    (T.fl (window_of s))
 
-let event_to_string { at; strategy } =
-  Printf.sprintf "@%s %s" (fl at) (strategy_to_string strategy)
-
-let to_string plan =
-  String.concat "" (List.map (fun e -> event_to_string e ^ "\n") plan)
+let event_to_string { at; strategy } = T.line at (strategy_to_string strategy)
+let to_string plan = T.write event_to_string plan
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
-
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail "bad %s %S" what s
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> fail "bad %s %S" what s
-
-let parse_gid s =
-  if String.length s >= 2 && s.[0] = 'g' then
-    parse_int "group" (String.sub s 1 (String.length s - 1))
-  else fail "bad group %S (expected gN)" s
-
-let parse_addr s =
-  match String.index_opt s '/' with
-  | Some i
-    when i >= 2
-         && s.[0] = 'g'
-         && String.length s > i + 2
-         && s.[i + 1] = 'n' ->
-      let g = parse_int "group" (String.sub s 1 (i - 1)) in
-      let n =
-        parse_int "node" (String.sub s (i + 2) (String.length s - i - 2))
-      in
-      { Topology.g; n }
-  | _ -> fail "bad address %S (expected gG/nN)" s
 
 let parse_target s =
   let prefixed p =
@@ -150,107 +108,60 @@ let parse_target s =
     else None
   in
   match prefixed "leader:" with
-  | Some rest -> Leader (parse_gid rest)
+  | Some rest -> Leader (T.gid rest)
   | None -> (
       match prefixed "node:" with
-      | Some rest -> Node (parse_addr rest)
-      | None -> fail "bad target %S (expected leader:gN or node:gG/nN)" s)
-
-let rec kw_args = function
-  | [] -> []
-  | [ k ] -> fail "missing value for %S" k
-  | k :: v :: rest -> (k, v) :: kw_args rest
-
-let kw what args k =
-  match List.assoc_opt k args with
-  | Some v -> v
-  | None -> fail "%s: missing %S" what k
+      | Some rest -> Node (T.addr rest)
+      | None -> T.fail "bad target %S (expected leader:gN or node:gG/nN)" s)
 
 let strategy_of_tokens = function
-  | [ "equivocate"; tgt; "for"; d ] ->
-      Equivocate
-        { target = parse_target tgt; for_s = parse_float "duration" d }
-  | [ "equivocate-raft"; tgt; "for"; d ] ->
-      Equivocate_raft
-        { target = parse_target tgt; for_s = parse_float "duration" d }
-  | [ "withhold"; tgt; "for"; d ] ->
-      Withhold { target = parse_target tgt; for_s = parse_float "duration" d }
-  | [ "split-votes"; tgt; "for"; d ] ->
-      Split_votes
-        { target = parse_target tgt; for_s = parse_float "duration" d }
-  | "replay" :: tgt :: rest ->
-      let args = kw_args rest in
-      Replay
-        {
-          target = parse_target tgt;
-          copies = parse_int "copies" (kw "replay" args "copies");
-          gap_s = parse_float "gap" (kw "replay" args "gap");
-          for_s = parse_float "duration" (kw "replay" args "for");
-        }
-  | "delay-valid" :: tgt :: rest ->
-      let args = kw_args rest in
-      Delay_valid
-        {
-          target = parse_target tgt;
-          add_s = parse_float "delay" (kw "delay-valid" args "add");
-          for_s = parse_float "duration" (kw "delay-valid" args "for");
-        }
-  | [ "tamper"; tgt; "for"; d ] ->
-      Tamper { target = parse_target tgt; for_s = parse_float "duration" d }
-  | tok :: _ -> fail "unknown strategy %S" tok
-  | [] -> fail "empty strategy"
-
-let event_of_string line =
-  match
-    List.filter
-      (fun s -> s <> "")
-      (String.split_on_char ' ' (String.trim line))
-  with
-  | at :: rest when String.length at > 1 && at.[0] = '@' ->
-      {
-        at = parse_float "time" (String.sub at 1 (String.length at - 1));
-        strategy = strategy_of_tokens rest;
-      }
-  | _ -> fail "bad event line %S (expected \"@TIME STRATEGY ...\")" line
+  | [] -> T.fail "empty strategy"
+  | it :: args -> (
+      let windowed keys = T.args it parse_target ("for" :: keys) args in
+      let dur kw = T.float "duration" (kw "for") in
+      match it with
+      | "equivocate" | "equivocate-raft" | "withhold" | "split-votes"
+      | "tamper" -> (
+          let target, kw = windowed [] in
+          let for_s = dur kw in
+          match it with
+          | "equivocate" -> Equivocate { target; for_s }
+          | "equivocate-raft" -> Equivocate_raft { target; for_s }
+          | "withhold" -> Withhold { target; for_s }
+          | "split-votes" -> Split_votes { target; for_s }
+          | _ -> Tamper { target; for_s })
+      | "replay" ->
+          let target, kw = windowed [ "copies"; "gap" ] in
+          Replay
+            {
+              target;
+              copies = T.int "copies" (kw "copies");
+              gap_s = T.float "gap" (kw "gap");
+              for_s = dur kw;
+            }
+      | "delay-valid" ->
+          let target, kw = windowed [ "add" ] in
+          Delay_valid
+            { target; add_s = T.float "delay" (kw "add"); for_s = dur kw }
+      | _ -> T.fail "unknown strategy %S" it)
 
 let of_string text =
-  String.split_on_char '\n' text
-  |> List.filter (fun l ->
-         let l = String.trim l in
-         l <> "" && not (String.length l > 0 && l.[0] = '#'))
-  |> List.map event_of_string
+  T.read (fun at toks -> { at; strategy = strategy_of_tokens toks }) text
 
 (* ------------------------------------------------------------------ *)
 (* Validation and plan queries                                         *)
 (* ------------------------------------------------------------------ *)
 
 let validate ~(group_sizes : int array) plan =
-  let ng = Array.length group_sizes in
-  let check_g what g =
-    if g < 0 || g >= ng then
-      Error (Printf.sprintf "%s: group %d out of range" what g)
-    else Ok ()
-  in
+  let ( >>= ) = T.( >>= ) in
   let check_target what = function
-    | Leader g -> check_g what g
-    | Node a -> (
-        match check_g what a.Topology.g with
-        | Error _ as e -> e
-        | Ok () ->
-            if a.Topology.n < 0 || a.Topology.n >= group_sizes.(a.Topology.g)
-            then
-              Error (Printf.sprintf "%s: node %s out of range" what (addr_str a))
-            else Ok ())
+    | Leader g -> T.check_group what ~ng:(Array.length group_sizes) g
+    | Node a -> T.check_addr what ~group_sizes a
   in
-  let check_pos what v =
-    if v > 0.0 && Float.is_finite v then Ok ()
-    else Error (Printf.sprintf "%s: duration must be positive" what)
-  in
-  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let check_strategy s =
     let what = kind_name s in
     check_target what (target_of s) >>= fun () ->
-    check_pos what (window_of s) >>= fun () ->
+    T.check_window what (window_of s) >>= fun () ->
     match s with
     | Replay { copies; gap_s; _ } ->
         if copies < 1 then Error "replay: copies must be >= 1"
@@ -265,13 +176,10 @@ let validate ~(group_sizes : int array) plan =
     | Tamper _ ->
         Ok ()
   in
-  List.fold_left
-    (fun acc { at; strategy } ->
-      acc >>= fun () ->
-      if at < 0.0 || not (Float.is_finite at) then
-        Error (Printf.sprintf "%s: negative time" (kind_name strategy))
-      else check_strategy strategy)
-    (Ok ()) plan
+  T.all
+    (fun { at; strategy } ->
+      T.check_time (kind_name strategy) at >>= fun () -> check_strategy strategy)
+    plan
 
 (* Every strategy is windowed, so a plan always heals: the adversary
    stops interfering when its last window closes. *)
@@ -280,5 +188,4 @@ let heal_time plan =
     (fun acc { at; strategy } -> Float.max acc (at +. window_of strategy))
     0.0 plan
 
-let sorted plan =
-  List.stable_sort (fun a b -> Float.compare a.at b.at) plan
+let sorted plan = T.sorted (fun e -> e.at) plan

@@ -65,11 +65,10 @@ val event_to_string : event -> string
 val to_string : plan -> string
 (** One event per line, each terminated by a newline. *)
 
-exception Parse_error of string
-
 val of_string : string -> plan
-(** Parses the {!to_string} form. Blank lines and [#] comment lines are
-    skipped. Raises {!Parse_error} on malformed input;
+(** Parses the {!to_string} form with {!Massbft_sim.Timed_line.read}:
+    blank lines and [#] comment lines are skipped, and malformed input
+    raises {!Massbft_sim.Timed_line.Parse_error} naming the line;
     [of_string (to_string p)] reproduces [p] exactly. *)
 
 val validate : group_sizes:int array -> plan -> (unit, string) result

@@ -14,6 +14,7 @@
 
 module Hmac = Massbft_crypto.Hmac
 module Hexdump = Massbft_util.Hexdump
+module T = Massbft_sim.Timed_line
 
 type signed = {
   e_signer : string;  (* "g0/n1" — the node the message is signed by *)
@@ -94,37 +95,24 @@ let signed_to_string s =
 let pair_to_string p =
   signed_to_string p.first ^ "\n" ^ signed_to_string p.second ^ "\n"
 
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
 let signed_of_string line =
-  match
-    List.filter
-      (fun s -> s <> "")
-      (String.split_on_char ' ' (String.trim line))
-  with
+  match T.tokens line with
   | [ "signed"; signer; kind; gid; seq; slot; claim; tag ] ->
-      let int what s =
-        match int_of_string_opt s with
-        | Some i -> i
-        | None -> fail "bad %s %S" what s
-      in
       let hex what s =
         match Hexdump.decode s with
         | v -> v
-        | exception Invalid_argument _ -> fail "bad %s hex %S" what s
+        | exception Invalid_argument _ -> T.fail "bad %s hex %S" what s
       in
       {
         e_signer = signer;
         e_kind = kind;
-        e_gid = int "gid" gid;
-        e_seq = int "seq" seq;
+        e_gid = T.int "gid" gid;
+        e_seq = T.int "seq" seq;
         e_slot = slot;
         e_claim = hex "claim" claim;
         e_tag = hex "tag" tag;
       }
-  | _ -> fail "bad evidence line %S" line
+  | _ -> T.fail "bad evidence line %S" line
 
 let pair_of_string text =
   match
@@ -133,7 +121,7 @@ let pair_of_string text =
       (String.split_on_char '\n' text)
   with
   | [ a; b ] -> { first = signed_of_string a; second = signed_of_string b }
-  | lines -> fail "evidence pair needs exactly 2 lines, got %d" (List.length lines)
+  | lines -> T.fail "evidence pair needs exactly 2 lines, got %d" (List.length lines)
 
 (* ------------------------------------------------------------------ *)
 (* The evidence log                                                    *)

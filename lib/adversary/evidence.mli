@@ -50,11 +50,10 @@ val signed_to_string : signed -> string
 val pair_to_string : pair -> string
 (** Two lines, newline-terminated — the artifact format. *)
 
-exception Parse_error of string
-
 val signed_of_string : string -> signed
 val pair_of_string : string -> pair
-(** Inverses of the printers; raise {!Parse_error} on malformed input. *)
+(** Inverses of the printers; raise {!Massbft_sim.Timed_line.Parse_error}
+    on malformed input. *)
 
 (** {1 The evidence log}
 

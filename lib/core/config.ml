@@ -70,9 +70,6 @@ type t = {
   fetch_timeout_s : float;
   seed : int64;
   independent_stores : bool;
-  byzantine_per_group : int;
-  byzantine_from_s : float;
-  crash_group_at : (int * float) option;
 }
 
 let default ?(system = Massbft) ?(workload = Massbft_workload.Workload.Ycsb_a) () =
@@ -91,7 +88,4 @@ let default ?(system = Massbft) ?(workload = Massbft_workload.Workload.Ycsb_a) (
     fetch_timeout_s = 1.0;
     seed = 42L;
     independent_stores = false;
-    byzantine_per_group = 0;
-    byzantine_from_s = 0.0;
-    crash_group_at = None;
   }

@@ -62,9 +62,6 @@ type t = {
   independent_stores : bool;
       (** each leader executes on its own store (slower; used by the
           convergence tests) instead of the shared memoized store *)
-  byzantine_per_group : int;  (** tampering colluders (Figure 15) *)
-  byzantine_from_s : float;  (** when they turn hostile *)
-  crash_group_at : (int * float) option;  (** (gid, time) (Figure 15) *)
 }
 
 val default : ?system:system -> ?workload:Massbft_workload.Workload.kind -> unit -> t

@@ -102,7 +102,6 @@ let create sim topo cfg =
               n_pbft = None;
               n_content = Entry_tbl.create 256;
               n_rebuilds = Entry_tbl.create 256;
-              n_byz = false;
             }))
   in
   let n_inst = strat.glob.g_instances ng in
@@ -226,30 +225,7 @@ let start t =
   if t.started then invalid_arg "Engine.start: already started";
   t.started <- true;
   Batcher.start t;
-  Global_consensus.start_heartbeats t;
-  (* Byzantine activation: one event per group, on the group's shard. *)
-  if t.cfg.Config.byzantine_per_group > 0 then
-    Array.iteri
-      (fun g group ->
-        ignore
-          (Sim.at (sim_of t g)
-             (Float.max t.cfg.Config.byzantine_from_s (now t))
-             (fun () ->
-               let n = Array.length group in
-               let count =
-                 min t.cfg.Config.byzantine_per_group (Intmath.pbft_f n)
-               in
-               for k = 1 to count do
-                 group.(n - k).n_byz <- true
-               done)))
-      t.nodes;
-  (* Group crash, on the crashing group's shard. *)
-  match t.cfg.Config.crash_group_at with
-  | Some (g, at) ->
-      ignore
-        (Sim.at (sim_of t g) (Float.max at (now t)) (fun () ->
-             Topology.crash_group t.topo g))
-  | None -> ()
+  Global_consensus.start_heartbeats t
 
 (* ------------------------------------------------------------------ *)
 (* Node-level crash / recovery and acting-leader migration             *)

@@ -110,8 +110,8 @@ val recover_group : t -> int -> unit
     traffic; used by recovery experiments). *)
 
 val crash_group : t -> int -> unit
-(** Crash every node of the group now (the programmatic form of
-    [Config.crash_group_at]; the takeover machinery is identical). *)
+(** Crash every node of the group now (what a [crash-group] fault
+    applies). *)
 
 val crash_node : t -> Massbft_sim.Topology.addr -> unit
 (** Crash a single node. Crashing a group's acting leader arms the

@@ -83,7 +83,6 @@ type node = {
   mutable n_pbft : Pbft.t option;
   n_content : unit Entry_tbl.t;
   n_rebuilds : rsym Entry_tbl.t;
-  mutable n_byz : bool;
 }
 
 type leader = {

@@ -70,15 +70,12 @@ let send_chunks t (node : node) e =
         if j <> g && member_now t j then begin
           let plan = plan_between t ~src:g ~dst:j in
           let bytes = chunk_bytes t ~src:g ~dst:j ~entry_len:e.size in
-          let root_tag =
-            if node.n_byz then "tampered:" ^ e.digest else e.digest
-          in
           List.iter
             (fun (c, r) ->
               send ~bulk:true t ~src:node.n_addr
                 ~dst:{ Topology.g = j; n = r }
                 ~bytes
-                (Chunk { eid = e.eid; root_tag; index = c }))
+                (Chunk { eid = e.eid; root_tag = e.digest; index = c }))
             (Transfer_plan.sends_of plan ~sender:node.n_addr.Topology.n)
         end
       done)
@@ -254,16 +251,14 @@ let on_chunk_received t (node : node) ~eid ~root_tag ~index =
 
 let handle_chunk t (node : node) ~eid ~root_tag ~index =
   on_chunk_received t node ~eid ~root_tag ~index;
-  (* Exchange with the rest of the group (a Byzantine receiver forwards
-     a tampered version instead). *)
+  (* Exchange with the rest of the group. *)
   let e = entry_of t eid in
-  let fwd_tag = if node.n_byz then "tampered:" ^ e.digest else root_tag in
   let bytes =
     chunk_bytes t ~src:eid.Types.gid ~dst:node.n_addr.Topology.g
       ~entry_len:e.size
   in
   broadcast_group ~bulk:true t ~src:node.n_addr ~bytes
-    (Chunk_fwd { eid; root_tag = fwd_tag; index })
+    (Chunk_fwd { eid; root_tag; index })
 
 let handle_copy t (node : node) eid =
   if not (has_content node eid) then begin

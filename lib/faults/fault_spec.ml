@@ -4,6 +4,7 @@
    parses back into exactly the same injection. *)
 
 module Topology = Massbft_sim.Topology
+module T = Massbft_sim.Timed_line
 
 type service_class = Any | Bulk | Control
 
@@ -63,281 +64,175 @@ let kind_name = function
   | Lan_degrade _ -> "lan_degrade"
   | Slow_cpu _ -> "slow_cpu"
 
-(* %g keeps the text form compact and round-trips every value the
-   generator emits (times quantized to 1 ms, small factors). *)
-let fl = Printf.sprintf "%g"
+let window_of = function
+  | Partition { for_s; _ }
+  | Link_drop { for_s; _ }
+  | Link_delay { for_s; _ }
+  | Link_dup { for_s; _ }
+  | Wan_degrade { for_s; _ }
+  | Lan_degrade { for_s; _ }
+  | Slow_cpu { for_s; _ } ->
+      Some for_s
+  | Crash_node _ | Recover_node _ | Crash_group _ | Recover_group _ -> None
 
-let addr_str (a : Topology.addr) =
-  Printf.sprintf "g%d/n%d" a.Topology.g a.Topology.n
+let fault_to_string f =
+  let args =
+    match f with
+    | Crash_node a | Recover_node a -> Topology.addr_to_string a
+    | Crash_group g | Recover_group g -> Printf.sprintf "g%d" g
+    | Partition { groups; _ } ->
+        String.concat "," (List.map (Printf.sprintf "g%d") groups)
+    | Link_drop { src_g; dst_g; every; cls; _ } ->
+        Printf.sprintf "g%d->g%d every %d class %s" src_g dst_g every
+          (class_name cls)
+    | Link_delay { src_g; dst_g; add_s; cls; _ } ->
+        Printf.sprintf "g%d->g%d add %s class %s" src_g dst_g (T.fl add_s)
+          (class_name cls)
+    | Link_dup { src_g; dst_g; copies; every; cls; _ } ->
+        Printf.sprintf "g%d->g%d copies %d every %d class %s" src_g dst_g
+          copies every (class_name cls)
+    | Wan_degrade { g; factor; _ } | Lan_degrade { g; factor; _ } ->
+        Printf.sprintf "g%d factor %s" g (T.fl factor)
+    | Slow_cpu { addr; factor; _ } ->
+        Printf.sprintf "%s factor %s" (Topology.addr_to_string addr) (T.fl factor)
+  in
+  T.item_name (kind_name f) ^ " " ^ args
+  ^ match window_of f with Some w -> " for " ^ T.fl w | None -> ""
 
-let fault_to_string = function
-  | Crash_node a -> "crash-node " ^ addr_str a
-  | Recover_node a -> "recover-node " ^ addr_str a
-  | Crash_group g -> Printf.sprintf "crash-group g%d" g
-  | Recover_group g -> Printf.sprintf "recover-group g%d" g
-  | Partition { groups; for_s } ->
-      Printf.sprintf "partition %s for %s"
-        (String.concat ","
-           (List.map (fun g -> Printf.sprintf "g%d" g) groups))
-        (fl for_s)
-  | Link_drop { src_g; dst_g; every; cls; for_s } ->
-      Printf.sprintf "link-drop g%d->g%d every %d class %s for %s" src_g dst_g
-        every (class_name cls) (fl for_s)
-  | Link_delay { src_g; dst_g; add_s; cls; for_s } ->
-      Printf.sprintf "link-delay g%d->g%d add %s class %s for %s" src_g dst_g
-        (fl add_s) (class_name cls) (fl for_s)
-  | Link_dup { src_g; dst_g; copies; every; cls; for_s } ->
-      Printf.sprintf "link-dup g%d->g%d copies %d every %d class %s for %s"
-        src_g dst_g copies every (class_name cls) (fl for_s)
-  | Wan_degrade { g; factor; for_s } ->
-      Printf.sprintf "wan-degrade g%d factor %s for %s" g (fl factor)
-        (fl for_s)
-  | Lan_degrade { g; factor; for_s } ->
-      Printf.sprintf "lan-degrade g%d factor %s for %s" g (fl factor)
-        (fl for_s)
-  | Slow_cpu { addr; factor; for_s } ->
-      Printf.sprintf "slow-cpu %s factor %s for %s" (addr_str addr)
-        (fl factor) (fl for_s)
-
-let event_to_string { at; fault } =
-  Printf.sprintf "@%s %s" (fl at) (fault_to_string fault)
-
-let to_string sched =
-  String.concat "" (List.map (fun e -> event_to_string e ^ "\n") sched)
+let event_to_string { at; fault } = T.line at (fault_to_string fault)
+let to_string sched = T.write event_to_string sched
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
-
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail "bad %s %S" what s
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> fail "bad %s %S" what s
-
-let parse_gid s =
-  if String.length s >= 2 && s.[0] = 'g' then
-    parse_int "group" (String.sub s 1 (String.length s - 1))
-  else fail "bad group %S (expected gN)" s
-
-let parse_addr s =
-  match String.index_opt s '/' with
-  | Some i
-    when i >= 2
-         && s.[0] = 'g'
-         && String.length s > i + 2
-         && s.[i + 1] = 'n' ->
-      let g = parse_int "group" (String.sub s 1 (i - 1)) in
-      let n =
-        parse_int "node" (String.sub s (i + 2) (String.length s - i - 2))
-      in
-      { Topology.g; n }
-  | _ -> fail "bad address %S (expected gG/nN)" s
 
 let parse_link s =
   match
     String.index_opt s '-' |> Option.map (fun i -> (i, String.length s))
   with
   | Some (i, len) when len > i + 2 && s.[i + 1] = '>' ->
-      ( parse_gid (String.sub s 0 i),
-        parse_gid (String.sub s (i + 2) (len - i - 2)) )
-  | _ -> fail "bad link %S (expected gA->gB)" s
+      (T.gid (String.sub s 0 i), T.gid (String.sub s (i + 2) (len - i - 2)))
+  | _ -> T.fail "bad link %S (expected gA->gB)" s
 
 let parse_class s =
   match class_of_name s with
   | Some c -> c
-  | None -> fail "bad service class %S" s
-
-(* [key v key v ...] pairs after the fault's positional arguments. *)
-let rec kw_args = function
-  | [] -> []
-  | [ k ] -> fail "missing value for %S" k
-  | k :: v :: rest -> (k, v) :: kw_args rest
-
-let kw what args k =
-  match List.assoc_opt k args with
-  | Some v -> v
-  | None -> fail "%s: missing %S" what k
+  | None -> T.fail "bad service class %S" s
 
 let fault_of_tokens = function
-  | [ "crash-node"; a ] -> Crash_node (parse_addr a)
-  | [ "recover-node"; a ] -> Recover_node (parse_addr a)
-  | [ "crash-group"; g ] -> Crash_group (parse_gid g)
-  | [ "recover-group"; g ] -> Recover_group (parse_gid g)
-  | "partition" :: groups :: rest ->
-      let args = kw_args rest in
-      Partition
-        {
-          groups =
-            List.map parse_gid (String.split_on_char ',' groups);
-          for_s = parse_float "duration" (kw "partition" args "for");
-        }
-  | "link-drop" :: link :: rest ->
-      let src_g, dst_g = parse_link link in
-      let args = kw_args rest in
-      Link_drop
-        {
-          src_g;
-          dst_g;
-          every = parse_int "every" (kw "link-drop" args "every");
-          cls = parse_class (kw "link-drop" args "class");
-          for_s = parse_float "duration" (kw "link-drop" args "for");
-        }
-  | "link-delay" :: link :: rest ->
-      let src_g, dst_g = parse_link link in
-      let args = kw_args rest in
-      Link_delay
-        {
-          src_g;
-          dst_g;
-          add_s = parse_float "delay" (kw "link-delay" args "add");
-          cls = parse_class (kw "link-delay" args "class");
-          for_s = parse_float "duration" (kw "link-delay" args "for");
-        }
-  | "link-dup" :: link :: rest ->
-      let src_g, dst_g = parse_link link in
-      let args = kw_args rest in
-      Link_dup
-        {
-          src_g;
-          dst_g;
-          copies = parse_int "copies" (kw "link-dup" args "copies");
-          every = parse_int "every" (kw "link-dup" args "every");
-          cls = parse_class (kw "link-dup" args "class");
-          for_s = parse_float "duration" (kw "link-dup" args "for");
-        }
-  | "wan-degrade" :: g :: rest ->
-      let args = kw_args rest in
-      Wan_degrade
-        {
-          g = parse_gid g;
-          factor = parse_float "factor" (kw "wan-degrade" args "factor");
-          for_s = parse_float "duration" (kw "wan-degrade" args "for");
-        }
-  | "lan-degrade" :: g :: rest ->
-      let args = kw_args rest in
-      Lan_degrade
-        {
-          g = parse_gid g;
-          factor = parse_float "factor" (kw "lan-degrade" args "factor");
-          for_s = parse_float "duration" (kw "lan-degrade" args "for");
-        }
-  | "slow-cpu" :: a :: rest ->
-      let args = kw_args rest in
-      Slow_cpu
-        {
-          addr = parse_addr a;
-          factor = parse_float "factor" (kw "slow-cpu" args "factor");
-          for_s = parse_float "duration" (kw "slow-cpu" args "for");
-        }
-  | tok :: _ -> fail "unknown fault %S" tok
-  | [] -> fail "empty fault"
-
-let event_of_string line =
-  match
-    List.filter
-      (fun s -> s <> "")
-      (String.split_on_char ' ' (String.trim line))
-  with
-  | at :: rest when String.length at > 1 && at.[0] = '@' ->
-      {
-        at = parse_float "time" (String.sub at 1 (String.length at - 1));
-        fault = fault_of_tokens rest;
-      }
-  | _ -> fail "bad event line %S (expected \"@TIME FAULT ...\")" line
+  | [] -> T.fail "empty fault"
+  | it :: args -> (
+      let windowed parse keys = T.args it parse ("for" :: keys) args in
+      let dur kw = T.float "duration" (kw "for") in
+      match it with
+      | "crash-node" -> Crash_node (T.arg it T.addr args)
+      | "recover-node" -> Recover_node (T.arg it T.addr args)
+      | "crash-group" -> Crash_group (T.arg it T.gid args)
+      | "recover-group" -> Recover_group (T.arg it T.gid args)
+      | "partition" ->
+          let groups, kw =
+            windowed (fun s -> List.map T.gid (String.split_on_char ',' s)) []
+          in
+          Partition { groups; for_s = dur kw }
+      | "link-drop" ->
+          let (src_g, dst_g), kw = windowed parse_link [ "every"; "class" ] in
+          Link_drop
+            {
+              src_g;
+              dst_g;
+              every = T.int "every" (kw "every");
+              cls = parse_class (kw "class");
+              for_s = dur kw;
+            }
+      | "link-delay" ->
+          let (src_g, dst_g), kw = windowed parse_link [ "add"; "class" ] in
+          Link_delay
+            {
+              src_g;
+              dst_g;
+              add_s = T.float "delay" (kw "add");
+              cls = parse_class (kw "class");
+              for_s = dur kw;
+            }
+      | "link-dup" ->
+          let (src_g, dst_g), kw =
+            windowed parse_link [ "copies"; "every"; "class" ]
+          in
+          Link_dup
+            {
+              src_g;
+              dst_g;
+              copies = T.int "copies" (kw "copies");
+              every = T.int "every" (kw "every");
+              cls = parse_class (kw "class");
+              for_s = dur kw;
+            }
+      | "wan-degrade" | "lan-degrade" ->
+          let g, kw = windowed T.gid [ "factor" ] in
+          let factor = T.float "factor" (kw "factor") in
+          if it = "wan-degrade" then Wan_degrade { g; factor; for_s = dur kw }
+          else Lan_degrade { g; factor; for_s = dur kw }
+      | "slow-cpu" ->
+          let addr, kw = windowed T.addr [ "factor" ] in
+          Slow_cpu
+            { addr; factor = T.float "factor" (kw "factor"); for_s = dur kw }
+      | _ -> T.fail "unknown fault %S" it)
 
 let of_string text =
-  String.split_on_char '\n' text
-  |> List.filter (fun l ->
-         let l = String.trim l in
-         l <> "" && not (String.length l > 0 && l.[0] = '#'))
-  |> List.map event_of_string
+  T.read (fun at toks -> { at; fault = fault_of_tokens toks }) text
 
 (* ------------------------------------------------------------------ *)
 (* Validation and schedule queries                                     *)
 (* ------------------------------------------------------------------ *)
 
 let validate ~(group_sizes : int array) sched =
+  let ( >>= ) = T.( >>= ) in
   let ng = Array.length group_sizes in
-  let check_g what g =
-    if g < 0 || g >= ng then Error (Printf.sprintf "%s: group %d out of range" what g)
-    else Ok ()
+  let link what ~src_g ~dst_g ~for_s =
+    T.check_group what ~ng src_g >>= fun () ->
+    T.check_group what ~ng dst_g >>= fun () -> T.check_window what for_s
   in
-  let check_addr what (a : Topology.addr) =
-    match check_g what a.Topology.g with
-    | Error _ as e -> e
-    | Ok () ->
-        if a.Topology.n < 0 || a.Topology.n >= group_sizes.(a.Topology.g) then
-          Error
-            (Printf.sprintf "%s: node %s out of range" what (addr_str a))
-        else Ok ()
-  in
-  let check_pos what v =
-    if v > 0.0 && Float.is_finite v then Ok ()
-    else Error (Printf.sprintf "%s: duration must be positive" what)
-  in
-  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let check_fault f =
     let what = kind_name f in
     match f with
-    | Crash_node a | Recover_node a -> check_addr what a
-    | Crash_group g | Recover_group g -> check_g what g
+    | Crash_node a | Recover_node a -> T.check_addr what ~group_sizes a
+    | Crash_group g | Recover_group g -> T.check_group what ~ng g
     | Partition { groups; for_s } ->
-        check_pos what for_s >>= fun () ->
+        T.check_window what for_s >>= fun () ->
         if groups = [] then Error "partition: empty group list"
-        else
-          List.fold_left
-            (fun acc g -> acc >>= fun () -> check_g what g)
-            (Ok ()) groups
+        else T.all (T.check_group what ~ng) groups
     | Link_drop { src_g; dst_g; every; for_s; _ } ->
-        check_g what src_g >>= fun () ->
-        check_g what dst_g >>= fun () ->
-        check_pos what for_s >>= fun () ->
+        link what ~src_g ~dst_g ~for_s >>= fun () ->
         if every < 1 then Error "link-drop: every must be >= 1"
         else if src_g = dst_g then Error "link-drop: WAN links only"
         else Ok ()
     | Link_delay { src_g; dst_g; add_s; for_s; _ } ->
-        check_g what src_g >>= fun () ->
-        check_g what dst_g >>= fun () ->
-        check_pos what for_s >>= fun () ->
+        link what ~src_g ~dst_g ~for_s >>= fun () ->
         if add_s <= 0.0 || not (Float.is_finite add_s) then
           Error "link-delay: add must be positive"
         else if src_g = dst_g then Error "link-delay: WAN links only"
         else Ok ()
     | Link_dup { src_g; dst_g; copies; every; for_s; _ } ->
-        check_g what src_g >>= fun () ->
-        check_g what dst_g >>= fun () ->
-        check_pos what for_s >>= fun () ->
+        link what ~src_g ~dst_g ~for_s >>= fun () ->
         if copies < 1 then Error "link-dup: copies must be >= 1"
         else if every < 1 then Error "link-dup: every must be >= 1"
         else if src_g = dst_g then Error "link-dup: WAN links only"
         else Ok ()
     | Wan_degrade { g; factor; for_s } | Lan_degrade { g; factor; for_s } ->
-        check_g what g >>= fun () ->
-        check_pos what for_s >>= fun () ->
+        T.check_group what ~ng g >>= fun () ->
+        T.check_window what for_s >>= fun () ->
         if factor > 0.0 && factor <= 1.0 then Ok ()
         else Error (what ^ ": factor must be in (0, 1]")
     | Slow_cpu { addr; factor; for_s } ->
-        check_addr what addr >>= fun () ->
-        check_pos what for_s >>= fun () ->
+        T.check_addr what ~group_sizes addr >>= fun () ->
+        T.check_window what for_s >>= fun () ->
         if factor >= 1.0 && Float.is_finite factor then Ok ()
         else Error "slow-cpu: factor must be >= 1"
   in
-  List.fold_left
-    (fun acc { at; fault } ->
-      acc >>= fun () ->
-      if at < 0.0 || not (Float.is_finite at) then
-        Error (Printf.sprintf "%s: negative time" (kind_name fault))
-      else check_fault fault)
-    (Ok ()) sched
+  T.all
+    (fun { at; fault } ->
+      T.check_time (kind_name fault) at >>= fun () -> check_fault fault)
+    sched
 
 (* When has every injected fault healed? Crashes heal at their matching
    recover event (infinity if never recovered — disables the liveness
@@ -362,18 +257,9 @@ let heal_time sched =
             recover_at
               (function Recover_group g' -> g = g' | _ -> false)
               at
-        | Recover_node _ | Recover_group _ -> at
-        | Partition { for_s; _ }
-        | Link_drop { for_s; _ }
-        | Link_delay { for_s; _ }
-        | Link_dup { for_s; _ }
-        | Wan_degrade { for_s; _ }
-        | Lan_degrade { for_s; _ }
-        | Slow_cpu { for_s; _ } ->
-            at +. for_s
+        | f -> at +. Option.value ~default:0.0 (window_of f)
       in
       Float.max acc healed)
     0.0 sched
 
-let sorted sched =
-  List.stable_sort (fun a b -> Float.compare a.at b.at) sched
+let sorted sched = T.sorted (fun e -> e.at) sched

@@ -65,17 +65,19 @@ val kind_name : fault -> string
 (** Stable snake_case kind labels ("crash_node", "link_drop", ...) used
     by the injector's metrics and trace spans. *)
 
+val window_of : fault -> float option
+(** [for_s] of a windowed fault; [None] for crashes and recoveries. *)
+
 val fault_to_string : fault -> string
 val event_to_string : event -> string
 
 val to_string : schedule -> string
 (** One event per line, each terminated by a newline. *)
 
-exception Parse_error of string
-
 val of_string : string -> schedule
-(** Parses the {!to_string} form. Blank lines and [#] comment lines are
-    skipped. Raises {!Parse_error} on malformed input.
+(** Parses the {!to_string} form with {!Massbft_sim.Timed_line.read}:
+    blank lines and [#] comment lines are skipped, and malformed input
+    raises {!Massbft_sim.Timed_line.Parse_error} naming the line.
     [of_string (to_string s)] reproduces [s] for every schedule the
     chaos generator emits (times quantized to 1 ms). *)
 

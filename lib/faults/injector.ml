@@ -224,19 +224,6 @@ let heal t fault =
   | F.Slow_cpu { addr; _ } ->
       Cpu.set_speed_factor (Topology.cpu t.topo addr) 1.0
 
-let window_of = function
-  | F.Partition { for_s; _ }
-  | F.Link_drop { for_s; _ }
-  | F.Link_delay { for_s; _ }
-  | F.Link_dup { for_s; _ }
-  | F.Wan_degrade { for_s; _ }
-  | F.Lan_degrade { for_s; _ }
-  | F.Slow_cpu { for_s; _ } ->
-      Some for_s
-  | F.Crash_node _ | F.Recover_node _ | F.Crash_group _ | F.Recover_group _
-    ->
-      None
-
 let arm t =
   if t.armed then invalid_arg "Injector.arm: already armed";
   t.armed <- true;
@@ -247,7 +234,7 @@ let arm t =
          (fun { F.at; fault } ->
            if is_link_fault fault then begin
              let from_s = Float.max at tnow in
-             let for_s = Option.value ~default:0.0 (window_of fault) in
+             let for_s = Option.value ~default:0.0 (F.window_of fault) in
              Some { lf = fault; from_s; until_s = from_s +. for_s; count = ref 0 }
            end
            else None)
@@ -262,7 +249,7 @@ let arm t =
       ignore
         (Sim.at t.sim at (fun () ->
              count_injection t fault;
-             match window_of fault with
+             match F.window_of fault with
              | None ->
                  Trace.instant t.trace ~cat:"fault"
                    (F.kind_name fault)
@@ -285,7 +272,7 @@ let arm t =
           ignore
             (Sim.at gsim at (fun () ->
                  apply t fault;
-                 match window_of fault with
+                 match F.window_of fault with
                  | None -> ()
                  | Some for_s ->
                      ignore (Sim.after gsim for_s (fun () -> heal t fault)))))

@@ -8,203 +8,7 @@
    (default ±25%) — the gate exists to catch step-change regressions
    from a bad refactor, not 3% noise. *)
 
-(* ---- A minimal JSON reader ----
-
-   The repo renders all its JSON by hand (see Bench_report) and has no
-   parser dependency; the gate needs to read back only what we
-   ourselves wrote, so a small recursive-descent parser over the full
-   JSON grammar is enough and keeps the no-new-deps rule intact. *)
-
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-  type state = { s : string; mutable pos : int }
-
-  let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-  let skip_ws st =
-    while
-      st.pos < String.length st.s
-      &&
-      match st.s.[st.pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      st.pos <- st.pos + 1
-    done
-
-  let expect st c =
-    match peek st with
-    | Some d when d = c -> st.pos <- st.pos + 1
-    | Some d -> fail "expected '%c' at offset %d, found '%c'" c st.pos d
-    | None -> fail "expected '%c' at offset %d, found end of input" c st.pos
-
-  let literal st word v =
-    let n = String.length word in
-    if
-      st.pos + n <= String.length st.s
-      && String.sub st.s st.pos n = word
-    then begin
-      st.pos <- st.pos + n;
-      v
-    end
-    else fail "invalid literal at offset %d" st.pos
-
-  let parse_string st =
-    expect st '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if st.pos >= String.length st.s then fail "unterminated string";
-      let c = st.s.[st.pos] in
-      st.pos <- st.pos + 1;
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' -> (
-          if st.pos >= String.length st.s then fail "unterminated escape";
-          let e = st.s.[st.pos] in
-          st.pos <- st.pos + 1;
-          match e with
-          | '"' | '\\' | '/' ->
-              Buffer.add_char buf e;
-              go ()
-          | 'n' ->
-              Buffer.add_char buf '\n';
-              go ()
-          | 't' ->
-              Buffer.add_char buf '\t';
-              go ()
-          | 'r' ->
-              Buffer.add_char buf '\r';
-              go ()
-          | 'b' ->
-              Buffer.add_char buf '\b';
-              go ()
-          | 'f' ->
-              Buffer.add_char buf '\012';
-              go ()
-          | 'u' ->
-              if st.pos + 4 > String.length st.s then fail "bad \\u escape";
-              let hex = String.sub st.s st.pos 4 in
-              st.pos <- st.pos + 4;
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape \"%s\"" hex
-              in
-              (* The repo's own writers only escape control characters,
-                 so plain Latin-1 coverage is sufficient here. *)
-              if code < 0x80 then Buffer.add_char buf (Char.chr code)
-              else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);
-              go ()
-          | _ -> fail "bad escape '\\%c'" e)
-      | c ->
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ()
-
-  let parse_number st =
-    let start = st.pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while
-      st.pos < String.length st.s && is_num_char st.s.[st.pos]
-    do
-      st.pos <- st.pos + 1
-    done;
-    let text = String.sub st.s start (st.pos - start) in
-    match float_of_string_opt text with
-    | Some f -> Num f
-    | None -> fail "bad number %S at offset %d" text start
-
-  let rec parse_value st =
-    skip_ws st;
-    match peek st with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        expect st '{';
-        skip_ws st;
-        if peek st = Some '}' then begin
-          expect st '}';
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws st;
-            let k = parse_string st in
-            skip_ws st;
-            expect st ':';
-            let v = parse_value st in
-            skip_ws st;
-            match peek st with
-            | Some ',' ->
-                expect st ',';
-                members ((k, v) :: acc)
-            | Some '}' ->
-                expect st '}';
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}' at offset %d" st.pos
-          in
-          members []
-        end
-    | Some '[' ->
-        expect st '[';
-        skip_ws st;
-        if peek st = Some ']' then begin
-          expect st ']';
-          Arr []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value st in
-            skip_ws st;
-            match peek st with
-            | Some ',' ->
-                expect st ',';
-                items (v :: acc)
-            | Some ']' ->
-                expect st ']';
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']' at offset %d" st.pos
-          in
-          items []
-        end
-    | Some '"' -> Str (parse_string st)
-    | Some 't' -> literal st "true" (Bool true)
-    | Some 'f' -> literal st "false" (Bool false)
-    | Some 'n' -> literal st "null" Null
-    | Some _ -> parse_number st
-
-  let parse s =
-    let st = { s; pos = 0 } in
-    let v = parse_value st in
-    skip_ws st;
-    if st.pos <> String.length s then
-      fail "trailing bytes at offset %d" st.pos;
-    v
-
-  let of_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> parse (really_input_string ic (in_channel_length ic)))
-
-  let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
-
-  let to_float = function Num f -> Some f | _ -> None
-  let to_string = function Str s -> Some s | _ -> None
-  let to_list = function Arr l -> Some l | _ -> None
-end
+module Json = Massbft_util.Json
 
 (* ---- Baseline extraction ---- *)
 

@@ -7,35 +7,6 @@
     estimates are stable enough for a wide per-benchmark tolerance
     (default ±25%) to separate refactor damage from noise. *)
 
-module Json : sig
-  (** A minimal recursive-descent JSON reader — the repo renders its
-      JSON by hand and carries no parser dependency, so reading our own
-      documents back needs only this. *)
-
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  exception Parse_error of string
-
-  val parse : string -> t
-  (** Raises {!Parse_error} on malformed input (including trailing
-      bytes). *)
-
-  val of_file : string -> t
-
-  val member : string -> t -> t option
-  (** Field lookup; [None] on non-objects and absent keys. *)
-
-  val to_float : t -> float option
-  val to_string : t -> string option
-  val to_list : t -> t list option
-end
-
 type baseline = {
   b_path : string;
   b_date : string;

@@ -2,6 +2,7 @@ module Config = Massbft.Config
 module Engine = Massbft.Engine
 module Metrics = Massbft.Metrics
 module Stats = Massbft_util.Stats
+module Json = Massbft_util.Json
 module W = Massbft_workload.Workload
 
 type micro = { m_name : string; ns_per_run : float }
@@ -123,22 +124,6 @@ let run_scaling ?(quick = false) ?(groups_list = [ 3; 5 ])
 
 (* ---- JSON rendering ---- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let str s = "\"" ^ escape s ^ "\""
-
 let num ~ctx v =
   if not (Float.is_finite v) then
     invalid_arg
@@ -149,7 +134,7 @@ let num ~ctx v =
 
 let obj fields =
   "{"
-  ^ String.concat ", " (List.map (fun (k, v) -> str k ^ ": " ^ v) fields)
+  ^ String.concat ", " (List.map (fun (k, v) -> Json.quote k ^ ": " ^ v) fields)
   ^ "}"
 
 let arr items = "[" ^ String.concat ",\n    " items ^ "]"
@@ -157,7 +142,7 @@ let arr items = "[" ^ String.concat ",\n    " items ^ "]"
 let micro_json m =
   obj
     [
-      ("name", str m.m_name);
+      ("name", Json.quote m.m_name);
       ("ns_per_run", num ~ctx:(m.m_name ^ ".ns_per_run") m.ns_per_run);
     ]
 
@@ -165,8 +150,8 @@ let macro_json m =
   let n ctx v = num ~ctx:(m.system ^ "." ^ ctx) v in
   obj
     [
-      ("system", str m.system);
-      ("workload", str m.workload);
+      ("system", Json.quote m.system);
+      ("workload", Json.quote m.workload);
       ("wall_s", n "wall_s" m.wall_s);
       ("sim_s", n "sim_s" m.sim_s);
       ("sim_s_per_wall_s", n "sim_s_per_wall_s" m.sim_s_per_wall_s);
@@ -202,7 +187,7 @@ let to_json ~date ~mode ?(scaling = []) ~micros ~macros () =
     \  \"macro\": %s,\n\
     \  \"scaling\": %s\n\
      }\n"
-    schema_version (str date) (str mode)
+    schema_version (Json.quote date) (Json.quote mode)
     (arr (List.map micro_json micros))
     (arr (List.map macro_json macros))
     (arr (List.map scaling_json scaling))

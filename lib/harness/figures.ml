@@ -4,6 +4,8 @@ module W = Massbft_workload.Workload
 module Transfer_plan = Massbft.Transfer_plan
 module Chunker = Massbft.Chunker
 module Types = Massbft.Types
+module Fault_spec = Massbft_faults.Fault_spec
+module Adv_spec = Massbft_adversary.Adv_spec
 
 type cell = { name : string; value : float; paper : float option }
 type row = { label : string; cells : cell list }
@@ -37,8 +39,8 @@ let run ?(quick = false) ?obs ?on_engine ~spec ~cfg () =
 
 let probe ?(quick = false) ?on_engine ~spec ~cfg () =
   let warmup, duration = windows ~quick in
-  Runner.run_latency_probe ~warmup ~duration:(duration /. 2.0) ?on_engine ~spec
-    ~cfg ()
+  Runner.run ~warmup ~duration:(duration /. 2.0) ?on_engine ~spec
+    ~cfg:(Runner.latency_probe cfg) ()
 
 (* ------------------------------------------------------------------ *)
 (* Fig 1b: GeoBFT throughput vs group size                             *)
@@ -410,26 +412,31 @@ let fig15 ?(quick = false) () =
   let crash_at = if quick then 12.0 else 40.0 in
   let byz_at = if quick then 7.0 else 20.0 in
   let until = if quick then 20.0 else 60.0 in
-  let cfg =
+  let cfg = base_cfg ~quick ~system:Config.Massbft ~workload:W.Ycsb_a () in
+  let spec = Clusters.nationwide () in
+  (* Two colluding chunk tamperers per 7-node group (f = 2), the last
+     two slots, hostile from [byz_at] to the end of the run. *)
+  let tamper g n =
     {
-      (base_cfg ~quick ~system:Config.Massbft ~workload:W.Ycsb_a ()) with
-      Config.byzantine_per_group = 2;
-      byzantine_from_s = byz_at;
-      crash_group_at = Some (0, crash_at);
-      election_timeout_s = 1.5;
+      Adv_spec.at = byz_at;
+      strategy =
+        Adv_spec.Tamper
+          { target = Adv_spec.Node { Topology.g; n }; for_s = until -. byz_at };
     }
   in
-  let sim = Massbft_sim.Sim.create () in
-  let topo = Topology.create sim (Clusters.nationwide ()) in
-  let eng = Massbft.Engine.create sim topo cfg in
-  Massbft.Engine.start eng;
-  Massbft.Engine.set_measure_from eng 0.0;
-  Massbft_sim.Sim.run sim ~until;
-  let m = Massbft.Engine.metrics eng in
-  let rates = Massbft_util.Stats.Timeseries.rate_series m.Massbft.Metrics.txn_rate in
-  let lats = Massbft_util.Stats.Timeseries.mean_series m.Massbft.Metrics.latency_ts in
+  let res =
+    Runner.run ~warmup:0.0 ~duration:until
+      ~faults:[ { Fault_spec.at = crash_at; fault = Fault_spec.Crash_group 0 } ]
+      ~adversary:
+        (List.concat
+           (List.init (Array.length spec.Topology.group_sizes) (fun g ->
+                [ tamper g 5; tamper g 6 ])))
+      ~spec ~cfg ()
+  in
   let lat_at t =
-    match List.assoc_opt t lats with Some v -> v *. 1000.0 | None -> 0.0
+    match List.assoc_opt t res.Runner.latency_series with
+    | Some v -> v *. 1000.0
+    | None -> 0.0
   in
   let rows =
     List.map
@@ -443,7 +450,7 @@ let fig15 ?(quick = false) () =
           label = Printf.sprintf "t=%5.1fs%s" t marker;
           cells = [ c "ktps" (r /. 1000.0); c "latency_ms" (lat_at t) ];
         })
-      rates
+      res.Runner.rate_series
   in
   {
     id = "fig15";

@@ -151,16 +151,12 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
     binding_resource;
   }
 
-(* A light-load run for latency reporting: small batches and a shallow
-   pipeline, approximating the near-unloaded operating points at which
-   the paper reports its latencies (e.g. GeoBFT's 68 ms is essentially
-   the bare pipeline latency). Throughput numbers always come from a
-   saturated [run]. *)
-let run_latency_probe ?(duration = 6.0) ?(warmup = 2.0) ?trace ?obs ?prof
-    ?on_engine ?faults ?adversary ?reconfig ?on_reconfig ~spec ~cfg () =
-  let probe_cfg = { cfg with Config.max_batch = 40; pipeline = 2 } in
-  run ~duration ~warmup ?trace ?obs ?prof ?on_engine ?faults ?adversary
-    ?reconfig ?on_reconfig ~spec ~cfg:probe_cfg ()
+(* The light-load operating point for latency reporting: small batches
+   and a shallow pipeline, approximating the near-unloaded points at
+   which the paper reports its latencies (e.g. GeoBFT's 68 ms is
+   essentially the bare pipeline latency). Throughput numbers always
+   come from a saturated run. *)
+let latency_probe cfg = { cfg with Config.max_batch = 40; pipeline = 2 }
 
 let pp_result fmt r =
   Format.fprintf fmt

@@ -83,24 +83,10 @@ val run :
     is read — so results (and golden fixtures) are byte-identical with
     or without it. *)
 
-val run_latency_probe :
-  ?duration:float ->
-  ?warmup:float ->
-  ?trace:Massbft_trace.Trace.t ->
-  ?obs:Massbft_obs.Sampler.t ->
-  ?prof:Massbft_prof.Prof.t ->
-  ?on_engine:(Massbft.Engine.t -> Massbft_sim.Sim.t -> Massbft_sim.Topology.t -> unit) ->
-  ?faults:Massbft_faults.Fault_spec.schedule ->
-  ?adversary:Massbft_adversary.Adv_spec.plan ->
-  ?reconfig:Massbft_reconfig.Reconfig_spec.plan ->
-  ?on_reconfig:(Massbft_reconfig.Reconfig.t -> unit) ->
-  spec:Massbft_sim.Topology.spec ->
-  cfg:Massbft.Config.t ->
-  unit ->
-  result
-(** Same cluster and system, but small batches (40 txns) and a shallow
-    pipeline: the near-unloaded operating point whose mean latency
-    corresponds to the latencies the paper reports next to peak
-    throughput. *)
+val latency_probe : Massbft.Config.t -> Massbft.Config.t
+(** The same system with small batches (40 txns) and a shallow pipeline
+    (2): pass the result to {!run} for the near-unloaded operating point
+    whose mean latency corresponds to the latencies the paper reports
+    next to peak throughput. *)
 
 val pp_result : Format.formatter -> result -> unit

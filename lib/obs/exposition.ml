@@ -1,7 +1,4 @@
-let fmt_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
+module Json = Massbft_util.Json
 
 (* Prometheus label-value escaping: backslash, double-quote, newline. *)
 let escape_label_value s =
@@ -70,13 +67,13 @@ let prometheus registry =
       | Registry.P_gauge g ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %s\n" s.name (label_block s.labels)
-               (fmt_float g))
+               (Json.number g))
       | Registry.P_histogram { cumulative; sum; count } ->
           List.iter
             (fun (bound, c) ->
               Buffer.add_string buf
                 (Printf.sprintf "%s_bucket%s %d\n" s.name
-                   (bucket_label_block s.labels (fmt_float bound))
+                   (bucket_label_block s.labels (Json.number bound))
                    c))
             cumulative;
           Buffer.add_string buf
@@ -85,37 +82,21 @@ let prometheus registry =
                count);
           Buffer.add_string buf
             (Printf.sprintf "%s_sum%s %s\n" s.name (label_block s.labels)
-               (fmt_float sum));
+               (Json.number sum));
           Buffer.add_string buf
             (Printf.sprintf "%s_count%s %d\n" s.name (label_block s.labels)
                count))
     (Registry.collect registry);
   Buffer.contents buf
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let add_json_labels buf labels =
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
+      Json.add_quoted buf k;
       Buffer.add_char buf ':';
-      add_json_string buf v)
+      Json.add_quoted buf v)
     labels;
   Buffer.add_char buf '}'
 
@@ -126,9 +107,9 @@ let json registry =
     (fun i (s : Registry.sample) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf "\n  {\"name\":";
-      add_json_string buf s.name;
+      Json.add_quoted buf s.name;
       Buffer.add_string buf ",\"kind\":";
-      add_json_string buf (Registry.kind_to_string s.kind);
+      Json.add_quoted buf (Registry.kind_to_string s.kind);
       Buffer.add_string buf ",\"labels\":";
       add_json_labels buf s.labels;
       (match s.point with
@@ -136,17 +117,17 @@ let json registry =
           Buffer.add_string buf (Printf.sprintf ",\"value\":%d" c)
       | Registry.P_gauge g ->
           Buffer.add_string buf
-            (Printf.sprintf ",\"value\":%s" (fmt_float g))
+            (Printf.sprintf ",\"value\":%s" (Json.number g))
       | Registry.P_histogram { cumulative; sum; count } ->
           Buffer.add_string buf ",\"buckets\":[";
           List.iteri
             (fun j (bound, c) ->
               if j > 0 then Buffer.add_char buf ',';
               Buffer.add_string buf
-                (Printf.sprintf "{\"le\":%s,\"count\":%d}" (fmt_float bound) c))
+                (Printf.sprintf "{\"le\":%s,\"count\":%d}" (Json.number bound) c))
             cumulative;
           Buffer.add_string buf
-            (Printf.sprintf "],\"sum\":%s,\"count\":%d" (fmt_float sum) count));
+            (Printf.sprintf "],\"sum\":%s,\"count\":%d" (Json.number sum) count));
       Buffer.add_string buf "}")
     (Registry.collect registry);
   Buffer.add_string buf "\n]\n";

@@ -16,7 +16,3 @@ val json : Registry.t -> string
 
 val escape_label_value : string -> string
 (** Exposed for the round-trip parser test. *)
-
-val fmt_float : float -> string
-(** Fixed float rendering shared by both exporters (integral values
-    print without a fraction). *)

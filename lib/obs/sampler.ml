@@ -218,7 +218,7 @@ let csv t =
       Array.iter
         (fun v ->
           Buffer.add_char buf ',';
-          Buffer.add_string buf (Exposition.fmt_float v))
+          Buffer.add_string buf (Massbft_util.Json.number v))
         row;
       Buffer.add_char buf '\n')
     (rows t);

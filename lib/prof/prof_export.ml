@@ -1,4 +1,5 @@
 module Trace = Massbft_trace.Trace
+module Json = Massbft_util.Json
 
 (* ------------------------------------------------------------------ *)
 (* Text report (Saturation-style ranked listing)                       *)
@@ -36,30 +37,8 @@ let text (r : Prof.report) =
 (* v2: one slice log replaces v1's per-window driver phases. *)
 let schema_version = 2
 
-let esc s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (esc s)
-
-let jnum f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.9g" f
-
 let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
+  "{" ^ String.concat "," (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields) ^ "}"
 
 let jarr items = "[" ^ String.concat "," items ^ "]"
 
@@ -67,25 +46,25 @@ let report_fields (r : Prof.report) =
   [
     ("shards", string_of_int r.rp_shards);
     ("slices", string_of_int r.rp_slices);
-    ("lookahead_s", jnum r.rp_lookahead);
-    ("wall_s", jnum r.rp_wall_s);
-    ("sim_end_s", jnum r.rp_sim_end_s);
+    ("lookahead_s", Json.number r.rp_lookahead);
+    ("wall_s", Json.number r.rp_wall_s);
+    ("sim_end_s", Json.number r.rp_sim_end_s);
     ( "sim_s_per_wall_s",
-      jnum (if r.rp_wall_s > 0.0 then r.rp_sim_end_s /. r.rp_wall_s else 0.0)
+      Json.number (if r.rp_wall_s > 0.0 then r.rp_sim_end_s /. r.rp_wall_s else 0.0)
     );
     ("events", string_of_int r.rp_events);
-    ("events_per_slice", jnum r.rp_events_per_slice);
-    ("attributed_s", jnum r.rp_attributed_s);
-    ("attributed_share", jnum r.rp_attributed_share);
+    ("events_per_slice", Json.number r.rp_events_per_slice);
+    ("attributed_s", Json.number r.rp_attributed_s);
+    ("attributed_share", Json.number r.rp_attributed_share);
     ( "attribution",
       jarr
         (List.map
            (fun (p : Prof.phase) ->
              jobj
                [
-                 ("phase", jstr p.p_name);
-                 ("seconds", jnum p.p_seconds);
-                 ("share", jnum p.p_share);
+                 ("phase", Json.quote p.p_name);
+                 ("seconds", Json.number p.p_seconds);
+                 ("share", Json.number p.p_share);
                ])
            r.rp_wall_attribution) );
     ( "gc",
@@ -93,20 +72,20 @@ let report_fields (r : Prof.report) =
         [
           ("minor_collections", string_of_int r.rp_gc_minor);
           ("major_collections", string_of_int r.rp_gc_major);
-          ("promoted_words", jnum r.rp_gc_promoted_w);
+          ("promoted_words", Json.number r.rp_gc_promoted_w);
         ] );
   ]
 
 let slice_json (s : Prof.slice) =
   jobj
     [
-      ("sim_end_s", jnum s.s_end);
-      ("host_t0_s", jnum s.s_host_t0);
-      ("wall_s", jnum s.s_wall);
+      ("sim_end_s", Json.number s.s_end);
+      ("host_t0_s", Json.number s.s_host_t0);
+      ("wall_s", Json.number s.s_wall);
       ("events", string_of_int s.s_events);
       ("gc_minor", string_of_int s.s_gc_minor);
       ("gc_major", string_of_int s.s_gc_major);
-      ("gc_promoted_words", jnum s.s_gc_promoted_w);
+      ("gc_promoted_words", Json.number s.s_gc_promoted_w);
     ]
 
 let json ?(slices = false) p =

@@ -114,24 +114,6 @@ let chunk_bytes = 256 * 1024
 (* Small helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let tokens s =
-  List.filter (fun x -> x <> "") (String.split_on_char ' ' (String.trim s))
-
-let kw_int toks key =
-  let rec go = function
-    | k :: v :: _ when k = key -> int_of_string_opt v
-    | _ :: rest -> go rest
-    | [] -> None
-  in
-  go toks
-
-(* The joining gid rides the wire form ("add-group size 4 gid 3") so
-   every leader admits the same physical group. *)
-let wire_gid wire =
-  match kw_int (tokens wire) "gid" with
-  | Some g -> g
-  | None -> invalid_arg ("Reconfig: add-group wire missing gid: " ^ wire)
-
 let members (c : N.t) =
   let ms = ref [] in
   for g = c.N.ng - 1 downto 0 do
@@ -543,7 +525,7 @@ let on_round t (e : N.entry) r =
     let c = t.c in
     let wire = Option.get e.N.conf in
     match Spec.command_of_string wire with
-    | Spec.Add_group _ -> c.N.member_from.(wire_gid wire) <- r + 1
+    | Spec.Add_group _ -> c.N.member_from.(Spec.wire_gid wire) <- r + 1
     | Spec.Remove_group g -> c.N.member_until.(g) <- r + 1
     | Spec.Add_node _ | Spec.Remove_node _ | Spec.Move_leader _ -> ()
   end
@@ -560,7 +542,7 @@ let apply_once t (l : N.leader) (e : N.entry) wire cmd =
     | Spec.Add_node g -> activate_node t g wire
     | Spec.Remove_node g -> retire_node t g
     | Spec.Move_leader a -> place_leader t a
-    | Spec.Add_group { size } -> admit_group t ~src:l ~gid:(wire_gid wire) ~size wire
+    | Spec.Add_group { size } -> admit_group t ~src:l ~gid:(Spec.wire_gid wire) ~size wire
     | Spec.Remove_group g -> expel_group t g);
     let ms = members c in
     Entry_tbl.replace t.members_at e.N.eid ms;
@@ -569,7 +551,7 @@ let apply_once t (l : N.leader) (e : N.entry) wire cmd =
         (* The joiner never executes its own admission entry — the clone
            is its execution. Give it its key range and a synthetic
            boundary record at the donor's position, then start it. *)
-        let gid = wire_gid wire in
+        let gid = Spec.wire_gid wire in
         let dst = c.N.leaders.(gid) in
         (match rank gid ms with
         | Some i -> W.set_shard dst.N.l_gen ~index:i ~count:(List.length ms)
@@ -606,7 +588,7 @@ let on_apply t (l : N.leader) (e : N.entry) =
   | Spec.Add_group _ | Spec.Remove_group _ ->
       let g, joins =
         match cmd with
-        | Spec.Add_group _ -> (wire_gid wire, true)
+        | Spec.Add_group _ -> (Spec.wire_gid wire, true)
         | Spec.Remove_group g -> (g, false)
         | _ -> assert false
       in

@@ -4,6 +4,7 @@
    repro) and parses back into the same transition sequence. *)
 
 module Topology = Massbft_sim.Topology
+module T = Massbft_sim.Timed_line
 
 type command =
   | Add_node of int
@@ -30,117 +31,51 @@ let kind_name = function
 
 let kind_names = [ "add-node"; "remove-node"; "move-leader"; "add-group"; "remove-group" ]
 
-(* %g keeps the text form compact and round-trips every value the
-   generator emits (times quantized to 1 ms). *)
-let fl = Printf.sprintf "%g"
-
-let addr_str (a : Topology.addr) =
-  Printf.sprintf "g%d/n%d" a.Topology.g a.Topology.n
-
 let command_to_string = function
   | Add_node g -> Printf.sprintf "add-node g%d" g
   | Remove_node g -> Printf.sprintf "remove-node g%d" g
-  | Move_leader a -> "move-leader " ^ addr_str a
+  | Move_leader a -> "move-leader " ^ Topology.addr_to_string a
   | Add_group { size } -> Printf.sprintf "add-group size %d" size
   | Remove_group g -> Printf.sprintf "remove-group g%d" g
 
-let event_to_string { at; cmd } =
-  Printf.sprintf "@%s %s" (fl at) (command_to_string cmd)
-
-let to_string plan =
-  String.concat "" (List.map (fun e -> event_to_string e ^ "\n") plan)
+let event_to_string { at; cmd } = T.line at (command_to_string cmd)
+let to_string plan = T.write event_to_string plan
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-exception Parse_error of string
+(* The wire form also takes the controller's bookkeeping key: "add-group
+   size 4 gid 3" pins the joining gid so every leader admits the same
+   physical group. *)
+let wire_keys = [ "size"; "gid" ]
 
-let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
-
-let parse_float what s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> fail "bad %s %S" what s
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> fail "bad %s %S" what s
-
-let parse_gid s =
-  if String.length s >= 2 && s.[0] = 'g' then
-    parse_int "group" (String.sub s 1 (String.length s - 1))
-  else fail "bad group %S (expected gN)" s
-
-let parse_addr s =
-  match String.index_opt s '/' with
-  | Some i
-    when i >= 2
-         && s.[0] = 'g'
-         && String.length s > i + 2
-         && s.[i + 1] = 'n' ->
-      let g = parse_int "group" (String.sub s 1 (i - 1)) in
-      let n =
-        parse_int "node" (String.sub s (i + 2) (String.length s - i - 2))
-      in
-      { Topology.g; n }
-  | _ -> fail "bad address %S (expected gG/nN)" s
-
-let rec kw_args = function
-  | [] -> []
-  | [ k ] -> fail "missing value for %S" k
-  | k :: v :: rest -> (k, v) :: kw_args rest
-
-let kw what args k =
-  match List.assoc_opt k args with
-  | Some v -> v
-  | None -> fail "%s: missing %S" what k
-
-let command_of_tokens = function
-  | [ "add-node"; g ] -> Add_node (parse_gid g)
-  | [ "remove-node"; g ] -> Remove_node (parse_gid g)
-  | [ "move-leader"; a ] -> Move_leader (parse_addr a)
-  | "add-group" :: rest ->
-      let args = kw_args rest in
-      Add_group { size = parse_int "size" (kw "add-group" args "size") }
-  | [ "remove-group"; g ] -> Remove_group (parse_gid g)
-  | tok :: _ -> fail "unknown command %S" tok
-  | [] -> fail "empty command"
+let command_of_tokens ~wire = function
+  | [] -> T.fail "empty command"
+  | it :: args -> (
+      match it with
+      | "add-node" -> Add_node (T.arg it T.gid args)
+      | "remove-node" -> Remove_node (T.arg it T.gid args)
+      | "move-leader" -> Move_leader (T.arg it T.addr args)
+      | "add-group" ->
+          let kw = T.keywords it (if wire then wire_keys else [ "size" ]) args in
+          Add_group { size = T.int "size" (kw "size") }
+      | "remove-group" -> Remove_group (T.arg it T.gid args)
+      | _ -> T.fail "unknown command %S" it)
 
 (* The wire form of a command (what rides inside an epoch-boundary
-   entry's [conf] payload): a command line with no @TIME prefix. The
-   tolerant keyword parser lets the controller append bookkeeping pairs
-   — e.g. "add-group size 4 gid 3" pins the joining gid so every leader
-   applies the same physical group. *)
-let command_of_string s =
-  command_of_tokens
-    (List.filter
-       (fun x -> x <> "")
-       (String.split_on_char ' ' (String.trim s)))
+   entry's [conf] payload): a command line with no @TIME prefix. *)
+let command_of_string s = command_of_tokens ~wire:true (T.tokens s)
 
-let event_of_string line =
-  match
-    List.filter
-      (fun s -> s <> "")
-      (String.split_on_char ' ' (String.trim line))
-  with
-  | at :: rest when String.length at > 1 && at.[0] = '@' ->
-      {
-        at = parse_float "time" (String.sub at 1 (String.length at - 1));
-        cmd = command_of_tokens rest;
-      }
-  | _ -> fail "bad event line %S (expected \"@TIME COMMAND ...\")" line
+let wire_gid wire =
+  match T.tokens wire with
+  | "add-group" :: args -> T.int "gid" (T.keywords "add-group" wire_keys args "gid")
+  | _ -> T.fail "not an add-group command %S" wire
 
 let of_string text =
-  String.split_on_char '\n' text
-  |> List.filter (fun l ->
-         let l = String.trim l in
-         l <> "" && not (String.length l > 0 && l.[0] = '#'))
-  |> List.map event_of_string
+  T.read (fun at toks -> { at; cmd = command_of_tokens ~wire:false toks }) text
 
-let sorted plan =
-  List.stable_sort (fun a b -> Float.compare a.at b.at) plan
+let sorted plan = T.sorted (fun e -> e.at) plan
 
 let last_time plan =
   List.fold_left (fun acc e -> Float.max acc e.at) 0.0 plan
@@ -149,18 +84,21 @@ let last_time plan =
 (* Validation                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Every gid the plan can ever use: whole-group adds take the next
+   unused one. *)
+let max_groups ~base_ng plan =
+  base_ng
+  + List.length
+      (List.filter (fun e -> match e.cmd with Add_group _ -> true | _ -> false)
+         plan)
+
 (* Walk the plan in time order, tracking the evolving membership:
    whole-group adds extend the gid space, node removes must keep the
    group PBFT-viable (n >= 4, so f >= 1), and the coordinator group 0
    (which anchors the global layer) can never leave. *)
 let validate ~(group_sizes : int array) plan =
   let base_ng = Array.length group_sizes in
-  let adds =
-    List.length
-      (List.filter (fun e -> match e.cmd with Add_group _ -> true | _ -> false)
-         plan)
-  in
-  let ngmax = base_ng + adds in
+  let ngmax = max_groups ~base_ng plan in
   let act = Array.make (max 1 ngmax) 0 in
   Array.blit group_sizes 0 act 0 base_ng;
   let is_member = Array.make (max 1 ngmax) false in
@@ -173,14 +111,13 @@ let validate ~(group_sizes : int array) plan =
     done;
     !c
   in
+  let ( >>= ) = T.( >>= ) in
   let check_member what g =
-    if g < 0 || g >= !ng then
-      Error (Printf.sprintf "%s: group %d out of range" what g)
-    else if not is_member.(g) then
+    T.check_group what ~ng:!ng g >>= fun () ->
+    if not is_member.(g) then
       Error (Printf.sprintf "%s: group %d is not a member" what g)
     else Ok ()
   in
-  let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let check_cmd cmd =
     let what = kind_name cmd in
     match cmd with
@@ -203,7 +140,7 @@ let validate ~(group_sizes : int array) plan =
         if a.Topology.n < 0 || a.Topology.n >= act.(a.Topology.g) then
           Error
             (Printf.sprintf "move_leader: node %s not an active slot"
-               (addr_str a))
+               (Topology.addr_to_string a))
         else Ok ()
     | Add_group { size } ->
         if size < 4 then Error "add_group: size must be >= 4 (f >= 1)"
@@ -225,13 +162,9 @@ let validate ~(group_sizes : int array) plan =
           Ok ()
         end
   in
-  List.fold_left
-    (fun acc { at; cmd } ->
-      acc >>= fun () ->
-      if at < 0.0 || not (Float.is_finite at) then
-        Error (Printf.sprintf "%s: negative time" (kind_name cmd))
-      else check_cmd cmd)
-    (Ok ()) (sorted plan)
+  T.all
+    (fun { at; cmd } -> T.check_time (kind_name cmd) at >>= fun () -> check_cmd cmd)
+    (sorted plan)
 
 (* ------------------------------------------------------------------ *)
 (* Provisioning                                                        *)
@@ -249,12 +182,7 @@ type provisioned = {
    the spec unchanged, byte-identically. *)
 let provision ~(spec : Topology.spec) plan =
   let base_ng = Array.length spec.Topology.group_sizes in
-  let adds =
-    List.length
-      (List.filter (fun e -> match e.cmd with Add_group _ -> true | _ -> false)
-         plan)
-  in
-  let ngmax = base_ng + adds in
+  let ngmax = max_groups ~base_ng plan in
   let phys = Array.make (max 1 ngmax) 0 in
   let act = Array.make (max 1 ngmax) 0 in
   Array.blit spec.Topology.group_sizes 0 phys 0 base_ng;

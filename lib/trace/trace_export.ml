@@ -5,27 +5,13 @@
    sequence), floats are printed with fixed formats, and no wall-clock
    or hashtable-iteration order leaks in. *)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+module Json = Massbft_util.Json
 
 let add_value b (v : Trace.value) =
   match v with
   | Trace.Int i -> Buffer.add_string b (string_of_int i)
   | Trace.Float f -> Buffer.add_string b (Printf.sprintf "%.9g" f)
-  | Trace.Str s -> buf_add_json_string b s
+  | Trace.Str s -> Json.add_quoted b s
 
 (* Microsecond timestamps with fixed precision: stable bytes and more
    than enough resolution for a simulator whose finest delay is 1 us. *)
@@ -46,7 +32,7 @@ let add_args b args =
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_char b ',';
-      buf_add_json_string b k;
+      Json.add_quoted b k;
       Buffer.add_char b ':';
       add_value b v)
     args;
@@ -59,9 +45,9 @@ let host_pid = 1000
 
 let add_common b (ev : Trace.event) ~ph ~pid =
   Buffer.add_string b "{\"name\":";
-  buf_add_json_string b ev.Trace.name;
+  Json.add_quoted b ev.Trace.name;
   Buffer.add_string b ",\"cat\":";
-  buf_add_json_string b (if ev.Trace.cat = "" then "default" else ev.Trace.cat);
+  Json.add_quoted b (if ev.Trace.cat = "" then "default" else ev.Trace.cat);
   Buffer.add_string b (Printf.sprintf ",\"ph\":\"%s\",\"ts\":" ph);
   add_ts b ev.Trace.ts;
   Buffer.add_string b

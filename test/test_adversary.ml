@@ -15,8 +15,11 @@ module Registry = Massbft_obs.Registry
 module Clusters = Massbft_harness.Clusters
 module A = Massbft_adversary.Adv_spec
 module Evidence = Massbft_adversary.Evidence
+module Timed_line = Massbft_sim.Timed_line
 module Invariants = Massbft_faults.Invariants
 module Chaos = Massbft_faults.Chaos
+module F = Massbft_faults.Fault_spec
+module Rng = Massbft_util.Rng
 module Golden = Golden_fixture
 
 let check_bool = Alcotest.(check bool)
@@ -89,17 +92,43 @@ let test_parse_comments_and_errors () =
        for 2\n"
   in
   check_int "comments and blanks skipped" 2 (List.length plan);
-  let raises text =
+  let error text =
     match A.of_string text with
-    | _ -> false
-    | exception A.Parse_error _ -> true
+    | _ -> "accepted"
+    | exception Timed_line.Parse_error m -> m
   in
+  let raises text = error text <> "accepted" in
   check_bool "unknown strategy rejected" true (raises "@1 bribe leader:g0 for 1");
   check_bool "missing @time rejected" true (raises "equivocate leader:g0 for 1");
   check_bool "bad target rejected" true (raises "@1 equivocate g0/n1 for 1");
   check_bool "missing keyword arg rejected" true
     (raises "@1 replay leader:g0 copies 2 for 1");
-  check_bool "bad number rejected" true (raises "@1 equivocate leader:g0 for x")
+  check_bool "bad number rejected" true (raises "@1 equivocate leader:g0 for x");
+  check_string "an argument too many names the item, not \"unknown strategy\""
+    {|line 4: tamper: unexpected token "copies"|}
+    (error
+       "# c\n@0 withhold node:g0/n1 for 1\n\n@0.5 tamper node:g0/n3 for 0.2 \
+        copies 9\n")
+
+let prop_chaos_round_trip =
+  QCheck.Test.make
+    ~name:"adversary DSL round-trips every generated plan, for every strategy"
+    ~count:200
+    QCheck.(pair (int_bound 1_000_000) (int_range 3 7))
+    (fun (seed, groups) ->
+      let spec = Clusters.nationwide ~groups ~nodes_per_group:4 () in
+      List.for_all
+        (fun strategy ->
+          let plan, sched =
+            Chaos.gen_adversary
+              (Rng.create (Int64.of_int seed))
+              ~cfg:(small_cfg ()) ~spec ~duration:8.0 ~strategy
+          in
+          let text = A.to_string plan and ftext = F.to_string sched in
+          A.of_string text = plan
+          && A.to_string (A.of_string text) = text
+          && F.of_string ftext = sched)
+        A.kind_names)
 
 let test_validate () =
   let gs = [| 4; 4; 4 |] in
@@ -189,7 +218,7 @@ let test_evidence_text_round_trip () =
   let raises t =
     match Evidence.pair_of_string t with
     | _ -> false
-    | exception Evidence.Parse_error _ -> true
+    | exception Timed_line.Parse_error _ -> true
   in
   check_bool "garbage rejected" true (raises "signed what\n");
   check_bool "bad hex rejected" true
@@ -432,6 +461,7 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_round_trip;
           Alcotest.test_case "comments and parse errors" `Quick
             test_parse_comments_and_errors;
+          QCheck_alcotest.to_alcotest prop_chaos_round_trip;
           Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "heal-time and sorted" `Quick
             test_heal_time_and_sorted;

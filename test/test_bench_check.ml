@@ -6,7 +6,7 @@
 
 module Bench_check = Massbft_harness.Bench_check
 module Bench_report = Massbft_harness.Bench_report
-module Json = Bench_check.Json
+module Json = Massbft_util.Json
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

@@ -13,6 +13,10 @@ module Types = Massbft.Types
 module Ledger = Massbft_exec.Ledger
 module Stats = Massbft_util.Stats
 module Clusters = Massbft_harness.Clusters
+module Fault_spec = Massbft_faults.Fault_spec
+module Injector = Massbft_faults.Injector
+module Adv_spec = Massbft_adversary.Adv_spec
+module Adversary = Massbft_adversary.Adversary
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -29,15 +33,27 @@ let small_cfg ?(system = Config.Massbft) () =
 let small_spec ?group_sizes () =
   Clusters.nationwide ?group_sizes ~nodes_per_group:4 ()
 
+(* [faults] and [adversary] are scenario text (Fault_spec / Adv_spec). *)
 let run_engine ?(until = 6.0) ?(cfg = small_cfg ()) ?(spec = small_spec ())
-    ?(before_run = fun _ _ _ -> ()) () =
+    ?(faults = "") ?(adversary = "") ?(before_run = fun _ _ _ -> ()) () =
   let sim = Sim.create () in
   let topo = Topology.create sim spec in
   let eng = Engine.create sim topo cfg in
   Engine.start eng;
+  Injector.arm
+    (Injector.create ~spec ~schedule:(Fault_spec.of_string faults) eng sim topo);
+  Adversary.arm
+    (Adversary.create ~spec ~plan:(Adv_spec.of_string adversary) eng sim);
   before_run eng sim topo;
   Sim.run sim ~until;
   (eng, sim, topo)
+
+(* The last node of each 4-node group (f = 1) tampers with every chunk
+   it sends or forwards from [from] on. *)
+let tamperers ~from =
+  String.concat ""
+    (List.init 3 (fun g ->
+         Printf.sprintf "@%g tamper node:g%d/n3 for 1000\n" from g))
 
 let committed eng =
   Stats.Counter.get (Engine.metrics eng).Metrics.committed_txns
@@ -205,12 +221,8 @@ let test_wan_traffic_advantage () =
 let test_byzantine_chunk_tampering_tolerated () =
   (* One colluding Byzantine node per 4-node group (f = 1) tampers with
      every chunk it sends or forwards; throughput must survive. *)
-  let clean_cfg = small_cfg () in
-  let byz_cfg =
-    { clean_cfg with Config.byzantine_per_group = 1; byzantine_from_s = 0.0 }
-  in
-  let clean, _, _ = run_engine ~until:8.0 ~cfg:clean_cfg () in
-  let byz, _, _ = run_engine ~until:8.0 ~cfg:byz_cfg () in
+  let clean, _, _ = run_engine ~until:8.0 () in
+  let byz, _, _ = run_engine ~until:8.0 ~adversary:(tamperers ~from:0.0) () in
   let c = committed clean and b = committed byz in
   check_bool (Printf.sprintf "byzantine run commits (%d vs clean %d)" b c) true
     (b > (c * 6 / 10));
@@ -222,10 +234,7 @@ let test_byzantine_chunk_tampering_tolerated () =
 let test_byzantine_activation_mid_run () =
   (* Tampering that begins mid-run (the Figure 15 scenario) must not
      stop progress after the activation point. *)
-  let cfg =
-    { (small_cfg ()) with Config.byzantine_per_group = 1; byzantine_from_s = 3.0 }
-  in
-  let eng, _, _ = run_engine ~until:8.0 ~cfg () in
+  let eng, _, _ = run_engine ~until:8.0 ~adversary:(tamperers ~from:3.0) () in
   let m = Engine.metrics eng in
   let late =
     List.filter (fun (t, r) -> t >= 4.0 && r > 0.0)
@@ -238,14 +247,8 @@ let test_group_crash_massbft_recovers_via_takeover () =
   (* Crash group 0 mid-run: ordering stalls until another group takes
      over instance 0 and assigns frozen timestamps; then throughput from
      groups 1 and 2 resumes (Figure 15). *)
-  let cfg =
-    {
-      (small_cfg ()) with
-      Config.crash_group_at = Some (0, 4.0);
-      election_timeout_s = 0.8;
-    }
-  in
-  let eng, _, _ = run_engine ~until:14.0 ~cfg () in
+  let cfg = { (small_cfg ()) with Config.election_timeout_s = 0.8 } in
+  let eng, _, _ = run_engine ~until:14.0 ~cfg ~faults:"@4 crash-group g0" () in
   let m = Engine.metrics eng in
   let series = Stats.Timeseries.rate_series m.Metrics.txn_rate in
   let before = List.filter (fun (t, _) -> t < 4.0) series in
@@ -265,10 +268,8 @@ let test_group_crash_massbft_recovers_via_takeover () =
 let test_group_crash_geobft_stalls () =
   (* GeoBFT has no group fault tolerance: a crashed group halts the
      round-based ordering (Table I's "Group failure: No"). *)
-  let cfg =
-    { (small_cfg ~system:Config.Geobft ()) with Config.crash_group_at = Some (0, 3.0) }
-  in
-  let eng, _, _ = run_engine ~until:10.0 ~cfg () in
+  let cfg = small_cfg ~system:Config.Geobft () in
+  let eng, _, _ = run_engine ~until:10.0 ~cfg ~faults:"@3 crash-group g0" () in
   let m = Engine.metrics eng in
   let late =
     List.filter (fun (t, r) -> t >= 6.0 && r > 1.0)
@@ -279,18 +280,10 @@ let test_group_crash_geobft_stalls () =
 let test_recovery_transfer_back () =
   (* Crash group 0, recover it later: the cluster keeps making progress
      after recovery and group 0 eventually proposes again. *)
-  let cfg =
-    {
-      (small_cfg ()) with
-      Config.crash_group_at = Some (0, 3.0);
-      election_timeout_s = 0.6;
-    }
-  in
+  let cfg = { (small_cfg ()) with Config.election_timeout_s = 0.6 } in
   let eng, _, _ =
     run_engine ~until:18.0 ~cfg
-      ~before_run:(fun eng sim _ ->
-        ignore (Sim.at sim 7.0 (fun () -> Engine.recover_group eng 0)))
-      ()
+      ~faults:"@3 crash-group g0\n@7 recover-group g0" ()
   in
   let m = Engine.metrics eng in
   let late =
@@ -474,13 +467,13 @@ let test_crash_with_lost_content_unwedges () =
     {
       (small_cfg ()) with
       Config.max_batch = 200;
-      byzantine_per_group = 1;
-      byzantine_from_s = 1.0;
-      crash_group_at = Some (0, 4.0);
       election_timeout_s = 0.8;
     }
   in
-  let eng, _, _ = run_engine ~until:16.0 ~cfg () in
+  let eng, _, _ =
+    run_engine ~until:16.0 ~cfg ~faults:"@4 crash-group g0"
+      ~adversary:(tamperers ~from:1.0) ()
+  in
   let m = Engine.metrics eng in
   let late =
     List.filter (fun (t, r) -> t >= 12.0 && r > 0.0)

@@ -14,9 +14,12 @@ module Stats = Massbft_util.Stats
 module Rng = Massbft_util.Rng
 module Clusters = Massbft_harness.Clusters
 module F = Massbft_faults.Fault_spec
+module Timed_line = Massbft_sim.Timed_line
 module Injector = Massbft_faults.Injector
 module Invariants = Massbft_faults.Invariants
 module Chaos = Massbft_faults.Chaos
+module Adv_spec = Massbft_adversary.Adv_spec
+module Adversary = Massbft_adversary.Adversary
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -82,15 +85,46 @@ let test_parse_comments_and_errors () =
       "# a comment\n\n@1 crash-node g0/n2\n   \n# another\n@2 recover-node g0/n2\n"
   in
   check_int "comments and blanks skipped" 2 (List.length sched);
-  let raises text =
+  let error text =
     match F.of_string text with
-    | _ -> false
-    | exception F.Parse_error _ -> true
+    | _ -> "accepted"
+    | exception Timed_line.Parse_error m -> m
   in
+  let raises text = error text <> "accepted" in
   check_bool "unknown fault rejected" true (raises "@1 explode g0");
   check_bool "missing @time rejected" true (raises "crash-node g0/n0");
   check_bool "bad address rejected" true (raises "@1 crash-node n0/g0");
-  check_bool "missing keyword rejected" true (raises "@1 partition g0")
+  check_bool "missing keyword rejected" true (raises "@1 partition g0");
+  check_string "a typo'd keyword is rejected, with its line"
+    {|line 3: link-delay: unexpected token "evry"|}
+    (error
+       "# c\n\n@1 link-delay g0->g1 add 0.1 class bulk for 0.5 evry 3\n");
+  check_string "one argument too many names the item"
+    {|line 2: crash-group: unexpected token "g1"|}
+    (error "@1 crash-node g0/n0\n@2 crash-group g0 g1\n")
+
+(* A generated run shape: seed, system, group count and size, and run
+   length. *)
+let gen_shape =
+  QCheck.make
+    QCheck.Gen.(
+      quad (int_bound 1_000_000)
+        (oneofl Config.all_systems)
+        (pair (int_range 3 7) (int_range 4 10))
+        (oneofl [ 8.0; 12.0; 30.0 ]))
+
+let prop_chaos_round_trip =
+  QCheck.Test.make ~name:"fault DSL round-trips every generated schedule"
+    ~count:300 gen_shape (fun (seed, system, (groups, nodes), duration) ->
+      let sched =
+        Chaos.gen_schedule
+          (Rng.create (Int64.of_int seed))
+          ~cfg:(small_cfg ~system ())
+          ~spec:(Clusters.nationwide ~groups ~nodes_per_group:nodes ())
+          ~duration
+      in
+      let text = F.to_string sched in
+      F.of_string text = sched && F.to_string (F.of_string text) = text)
 
 let test_validate () =
   let gs = [| 4; 4; 4 |] in
@@ -223,11 +257,20 @@ let geobft_stalls schedule =
   let topo = Topology.create sim spec in
   let engine = Engine.create sim topo cfg in
   let inj = Injector.create ~spec ~schedule engine sim topo in
+  let adv =
+    Adversary.create ~spec
+      ~plan:
+        (Adv_spec.of_string
+           "@1 tamper node:g0/n3 for 17\n@1 tamper node:g1/n3 for 17\n\
+            @1 tamper node:g2/n3 for 17\n")
+      engine sim
+  in
   (* heal_by is forced: the schedule deliberately never recovers, and
      the point is to assert the stall. *)
   let inv = Invariants.create ~liveness_bound_s:1.0 ~heal_by:2.0 engine sim in
   Engine.start engine;
   Injector.arm inj;
+  Adversary.arm adv;
   Invariants.attach inv;
   Sim.run sim ~until:6.0;
   Invariants.finalize inv;
@@ -272,14 +315,7 @@ let test_drill_recovery_and_tamper_safety () =
      replica_prefix / cross_chain / exec_determinism), and throughput
      well after the restore recovers to >= 80% of the pre-crash rate. *)
   let crash_at = 4.0 and recover_at = 6.0 and until = 18.0 in
-  let cfg =
-    {
-      (small_cfg ())
-      with
-      Config.byzantine_per_group = 1;
-      byzantine_from_s = 1.0;
-    }
-  in
+  let cfg = small_cfg () in
   let spec = small_spec () in
   let schedule =
     F.of_string
@@ -290,11 +326,20 @@ let test_drill_recovery_and_tamper_safety () =
   let topo = Topology.create sim spec in
   let engine = Engine.create sim topo cfg in
   let inj = Injector.create ~spec ~schedule engine sim topo in
+  let adv =
+    Adversary.create ~spec
+      ~plan:
+        (Adv_spec.of_string
+           "@1 tamper node:g0/n3 for 17\n@1 tamper node:g1/n3 for 17\n\
+            @1 tamper node:g2/n3 for 17\n")
+      engine sim
+  in
   let inv =
     Invariants.create ~heal_by:(F.heal_time schedule) engine sim
   in
   Engine.start engine;
   Injector.arm inj;
+  Adversary.arm adv;
   Invariants.attach inv;
   Sim.run sim ~until;
   Invariants.finalize inv;
@@ -332,6 +377,7 @@ let () =
           Alcotest.test_case "round-trip" `Quick test_round_trip;
           Alcotest.test_case "comments and parse errors" `Quick
             test_parse_comments_and_errors;
+          QCheck_alcotest.to_alcotest prop_chaos_round_trip;
           Alcotest.test_case "validate" `Quick test_validate;
           Alcotest.test_case "heal-time" `Quick test_heal_time;
           Alcotest.test_case "sorted" `Quick test_sorted;

@@ -103,7 +103,9 @@ let test_runner_probe_lighter_latency () =
   let spec = Clusters.nationwide ~nodes_per_group:4 () in
   let cfg = { (small_cfg Config.Massbft) with Config.max_batch = 500 } in
   let sat = Runner.run ~warmup:2.0 ~duration:4.0 ~spec ~cfg () in
-  let probe = Runner.run_latency_probe ~warmup:2.0 ~duration:4.0 ~spec ~cfg () in
+  let probe =
+    Runner.run ~warmup:2.0 ~duration:4.0 ~spec ~cfg:(Runner.latency_probe cfg) ()
+  in
   check_bool
     (Printf.sprintf "probe latency below saturated (%.0f < %.0f ms)"
        probe.Runner.mean_latency_ms sat.Runner.mean_latency_ms)

@@ -273,9 +273,9 @@ let test_json_well_formed () =
   check_bool "newline escaped" true (contains "\\n")
 
 let test_fmt_float () =
-  check_string "integral" "3" (Exposition.fmt_float 3.0);
-  check_string "fractional" "0.25" (Exposition.fmt_float 0.25);
-  check_string "zero" "0" (Exposition.fmt_float 0.0)
+  check_string "integral" "3" (Massbft_util.Json.number 3.0);
+  check_string "fractional" "0.25" (Massbft_util.Json.number 0.25);
+  check_string "zero" "0" (Massbft_util.Json.number 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Sampler                                                             *)

@@ -7,7 +7,7 @@ module Prof = Massbft_prof.Prof
 module Prof_export = Massbft_prof.Prof_export
 module Trace = Massbft_trace.Trace
 module Trace_export = Massbft_trace.Trace_export
-module Json = Massbft_harness.Bench_check.Json
+module Json = Massbft_util.Json
 module Bench_report = Massbft_harness.Bench_report
 module Config = Massbft.Config
 

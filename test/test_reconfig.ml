@@ -13,6 +13,7 @@ module Rng = Massbft_util.Rng
 module Clusters = Massbft_harness.Clusters
 module Runner = Massbft_harness.Runner
 module R = Massbft_reconfig.Reconfig_spec
+module Timed_line = Massbft_sim.Timed_line
 module Reconfig = Massbft_reconfig.Reconfig
 module F = Massbft_faults.Fault_spec
 module Chaos = Massbft_faults.Chaos
@@ -87,27 +88,27 @@ let test_parse_comments_and_errors () =
       "# a comment\n\n@1 add-node g1\n   \n# another\n@2.5 move-leader g0/n2\n"
   in
   check_int "comments and blanks skipped" 2 (List.length plan);
-  let raises text =
+  let error text =
     match R.of_string text with
-    | _ -> false
-    | exception R.Parse_error _ -> true
+    | _ -> "accepted"
+    | exception Timed_line.Parse_error m -> m
   in
+  let raises text = error text <> "accepted" in
   check_bool "unknown command rejected" true (raises "@1 frobnicate g0");
   check_bool "missing @time rejected" true (raises "add-node g0");
   check_bool "bad group rejected" true (raises "@1 add-node n0");
   check_bool "bad address rejected" true (raises "@1 move-leader n0/g0");
   check_bool "missing keyword rejected" true (raises "@1 add-group g0");
-  check_bool "the diagnostic names the first bad token" true
-    (match R.of_string "@1 frobnicate g0" with
-    | _ -> false
-    | exception R.Parse_error msg ->
-        (* substring check without Str *)
-        let has s sub =
-          let n = String.length s and m = String.length sub in
-          let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-          go 0
-        in
-        has msg "frobnicate")
+  check_string "the diagnostic names the line and the first bad token"
+    {|line 1: unknown command "frobnicate"|} (error "@1 frobnicate g0");
+  check_string "an argument too many names the item and line"
+    {|line 2: add-node: unexpected token "g2"|}
+    (error "@1 add-node g1\n@2 add-node g1 g2\n");
+  check_string "the controller's gid key is wire-form only"
+    {|line 1: add-group: unexpected token "gid"|}
+    (error "@1 add-group size 4 gid 3\n");
+  check_bool "the wire form keeps the gid key" true
+    (R.command_of_string "add-group size 4 gid 3" = R.Add_group { size = 4 })
 
 let test_validate () =
   let gs = [| 4; 4; 4 |] in
@@ -329,9 +330,11 @@ let test_cli_exit2_diagnostics () =
             true (has line tok))
         mentions
     in
-    let bad_reconfig = write ".reconfig" "@1 frobnicate g0\n" in
+    let bad_reconfig =
+      write ".reconfig" "# plan\n@0.5 add-node g1\n@1 frobnicate g0\n"
+    in
     check_die "malformed --reconfig" ("run --reconfig " ^ bad_reconfig)
-      ~mentions:[ bad_reconfig; "frobnicate" ];
+      ~mentions:[ bad_reconfig; "line 3"; "frobnicate" ];
     let bad_faults = write ".faults" "@1 explode g0\n" in
     check_die "malformed --faults" ("run --faults " ^ bad_faults)
       ~mentions:[ bad_faults; "explode" ];
