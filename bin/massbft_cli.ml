@@ -58,6 +58,21 @@ let parse_scenario_or_die ~what ~parse ~validate ~(spec : Topology.spec) file =
       | Ok () -> plan
       | Error msg -> die_parse ~what ~file msg)
 
+(* Output destinations are checked before the run starts, so an
+   unwritable path costs one diagnostic line, not a finished experiment.
+   The check creates the file but leaves an existing one untouched. *)
+let check_writable ~flag file =
+  match open_out_gen [ Open_wronly; Open_creat ] 0o644 file with
+  | oc -> close_out oc
+  | exception Sys_error e ->
+      prerr_endline (Printf.sprintf "massbft: cannot write %s file: %s" flag e);
+      exit usage_error
+
+let write_file file text =
+  let oc = open_out file in
+  output_string oc text;
+  close_out oc
+
 let system_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -91,7 +106,7 @@ let workload_conv =
   in
   Arg.conv (parse, fun fmt w -> Format.pp_print_string fmt (W.kind_name w))
 
-(* ---- shared experiment options (run + trace) ---- *)
+(* ---- experiment options ---- *)
 
 let system_arg =
   Arg.(value & opt system_conv Config.Massbft & info [ "system"; "s" ]
@@ -121,20 +136,6 @@ let scale_arg =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.")
 
-let experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed =
-  let cfg =
-    {
-      (Config.default ~system ~workload ()) with
-      Config.workload_scale = scale;
-      seed = Int64.of_int seed;
-    }
-  in
-  let spec =
-    if worldwide then Clusters.worldwide ~nodes_per_group:nodes ()
-    else Clusters.nationwide ~nodes_per_group:nodes ~groups ()
-  in
-  (cfg, spec)
-
 (* ---- run ---- *)
 
 let run_cmd =
@@ -148,14 +149,17 @@ let run_cmd =
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Also record a structured trace and write it to $(docv) as \
-                 Chrome trace_event JSON (open in Perfetto).")
+           ~doc:"Also record a structured trace, write it to $(docv) as \
+                 Chrome trace_event JSON (open in Perfetto), and print the \
+                 per-entry critical-path report.")
   in
   let metrics_file =
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
            ~doc:"Also sample resource metrics and write them to $(docv): \
                  Prometheus text exposition by default, the JSON export \
-                 for a .json destination, the per-tick CSV for .csv.")
+                 for a .json destination, the per-tick CSV for .csv. \
+                 Prints each group leader's WAN-uplink and CPU utilization \
+                 and the saturation report naming the binding resource.")
   in
   let faults_file =
     Arg.(value & opt (some string) None & info [ "faults" ] ~docv:"FILE"
@@ -181,16 +185,24 @@ let run_cmd =
   let prof_file =
     Arg.(value & opt (some string) None & info [ "prof" ] ~docv:"FILE"
            ~doc:"Also self-profile the simulator's host-side execution \
-                 (wall time, events and GC deltas per scheduler slice) and \
-                 write the profiler's JSON report to $(docv). With --trace, \
-                 the exported trace additionally carries the host \
+                 (wall time, events and GC deltas per scheduler slice), \
+                 print the report and write it as JSON to $(docv). With \
+                 --trace, the exported trace additionally carries the host \
                  timeline.")
   in
   let action system workload nodes groups worldwide duration warmup scale seed
       latency_probe trace_file metrics_file faults_file adversary_file
       reconfig_file prof_file =
-    let cfg, spec =
-      experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
+    let cfg =
+      {
+        (Config.default ~system ~workload ()) with
+        Config.workload_scale = scale;
+        seed = Int64.of_int seed;
+      }
+    in
+    let spec =
+      if worldwide then Clusters.worldwide ~nodes_per_group:nodes ()
+      else Clusters.nationwide ~nodes_per_group:nodes ~groups ()
     in
     let load what parse validate =
       Option.map (parse_scenario_or_die ~what ~parse ~validate ~spec)
@@ -205,6 +217,9 @@ let run_cmd =
       load "reconfiguration plan" Reconfig_spec.of_string
         Reconfig_spec.validate reconfig_file
     in
+    Option.iter (check_writable ~flag:"--trace") trace_file;
+    Option.iter (check_writable ~flag:"--metrics") metrics_file;
+    Option.iter (check_writable ~flag:"--prof") prof_file;
     let sink = Option.map (fun _ -> Trace.create ()) trace_file in
     let prof = Option.map (fun _ -> Prof.create ()) prof_file in
     let obs =
@@ -224,18 +239,16 @@ let run_cmd =
       r.Runner.per_group_ktps;
     (match (metrics_file, obs) with
     | Some file, Some s ->
-        let text =
-          if Filename.check_suffix file ".json" then
-            Exposition.json (Sampler.registry s)
-          else if Filename.check_suffix file ".csv" then Sampler.csv s
-          else Exposition.prometheus (Sampler.registry s)
-        in
-        let oc = open_out file in
-        output_string oc text;
-        close_out oc;
-        (match r.Runner.binding_resource with
-        | Some res -> Format.printf "binding resource: %s@." res
-        | None -> ());
+        List.iteri
+          (fun g (wan, cpu) ->
+            Format.printf "  leader g%d: wan_up busy %.2f  cpu %.2f@." g wan cpu)
+          (List.combine r.Runner.leader_wan_busy r.Runner.leader_cpu_util);
+        print_string (Saturation.report s);
+        write_file file
+          (if Filename.check_suffix file ".json" then
+             Exposition.json (Sampler.registry s)
+           else if Filename.check_suffix file ".csv" then Sampler.csv s
+           else Exposition.prometheus (Sampler.registry s));
         Format.printf "metrics: wrote %s (%d series, %d ticks)@." file
           (List.length (Obs_registry.collect (Sampler.registry s)))
           (Sampler.tick_count s)
@@ -250,9 +263,11 @@ let run_cmd =
     | Some file, Some tr ->
         let host = Option.map Prof_export.to_trace prof in
         Trace_export.write_chrome_json ?host tr file;
-        Format.printf "trace: wrote %s (%d events retained, %d dropped%s)@."
-          file (Trace.length tr) (Trace.dropped tr)
-          (if host = None then "" else ", host timeline attached")
+        Format.printf
+          "trace: wrote %s (%d events retained, %d emitted, %d dropped%s)@."
+          file (Trace.length tr) (Trace.emitted tr) (Trace.dropped tr)
+          (if host = None then "" else ", host timeline attached");
+        print_string (Trace_export.critical_path_report tr)
     | _ -> ()
   in
   Cmd.v
@@ -262,123 +277,6 @@ let run_cmd =
       $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg
       $ latency_probe $ trace_file $ metrics_file $ faults_file
       $ adversary_file $ reconfig_file $ prof_file)
-
-(* ---- trace ---- *)
-
-let trace_cmd =
-  let duration =
-    Arg.(value & opt float 2.0 & info [ "duration"; "d" ]
-           ~doc:"Measurement window, simulated seconds (short by default: \
-                 traces grow with simulated time).")
-  in
-  let out =
-    Arg.(value & opt string "trace.json" & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Where to write the Chrome trace_event JSON.")
-  in
-  let capacity =
-    Arg.(value & opt int 262144 & info [ "capacity" ]
-           ~doc:"Ring-buffer capacity in events; beyond it the oldest events \
-                 are dropped (and counted).")
-  in
-  let report =
-    Arg.(value & flag & info [ "report" ]
-           ~doc:"Also print the per-entry critical-path report.")
-  in
-  let action system workload nodes groups worldwide duration warmup scale seed
-      out capacity report =
-    if capacity <= 0 then begin
-      prerr_endline "massbft: option '--capacity': must be positive";
-      exit 124 (* cmdliner's CLI-error exit status *)
-    end;
-    (* Fail on an unwritable destination now, not after the run. *)
-    (match open_out out with
-    | oc -> close_out oc
-    | exception Sys_error e ->
-        prerr_endline ("massbft: cannot write trace: " ^ e);
-        exit 1);
-    let cfg, spec =
-      experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
-    in
-    let tr = Trace.create ~capacity () in
-    let r = Runner.run ~duration ~warmup ~trace:tr ~spec ~cfg () in
-    Trace_export.write_chrome_json tr out;
-    Format.printf "%a@." Runner.pp_result r;
-    Format.printf "trace: wrote %s (%d events retained, %d emitted, %d dropped)@."
-      out (Trace.length tr) (Trace.emitted tr) (Trace.dropped tr);
-    if report then print_string (Trace_export.critical_path_report tr)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Run one experiment with event tracing on and export a \
-          Perfetto-loadable trace plus an optional critical-path report.")
-    Term.(
-      const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
-      $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg $ out
-      $ capacity $ report)
-
-(* ---- metrics ---- *)
-
-let metrics_cmd =
-  let duration =
-    Arg.(value & opt float 6.0 & info [ "duration"; "d" ]
-           ~doc:"Measurement window, simulated seconds.")
-  in
-  let period =
-    Arg.(value & opt float 0.1 & info [ "period" ]
-           ~doc:"Sampling tick, simulated seconds.")
-  in
-  let threshold =
-    Arg.(value & opt float 0.95 & info [ "threshold" ]
-           ~doc:"Busy fraction above which a sampling window counts as \
-                 saturated.")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Also write the registry to $(docv) (same format selection \
-                 as 'run --metrics').")
-  in
-  let action system workload nodes groups worldwide duration warmup scale seed
-      period threshold out =
-    if period <= 0.0 then begin
-      prerr_endline "massbft: option '--period': must be positive";
-      exit 124
-    end;
-    let cfg, spec =
-      experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
-    in
-    let s = Sampler.create ~period (Obs_registry.create ()) in
-    let r = Runner.run ~duration ~warmup ~obs:s ~spec ~cfg () in
-    Format.printf "%a@." Runner.pp_result r;
-    List.iteri
-      (fun g b ->
-        Format.printf "  leader g%d: wan_up busy %.2f  cpu %.2f@." g b
-          (List.nth r.Runner.leader_cpu_util g))
-      r.Runner.leader_wan_busy;
-    print_string (Saturation.report ~threshold s);
-    match out with
-    | None -> ()
-    | Some file ->
-        let text =
-          if Filename.check_suffix file ".json" then
-            Exposition.json (Sampler.registry s)
-          else if Filename.check_suffix file ".csv" then Sampler.csv s
-          else Exposition.prometheus (Sampler.registry s)
-        in
-        let oc = open_out file in
-        output_string oc text;
-        close_out oc;
-        Format.printf "metrics: wrote %s@." file
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run one experiment with resource sampling on and print the \
-          saturation report attributing the binding resource.")
-    Term.(
-      const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
-      $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg $ period
-      $ threshold $ out)
 
 (* ---- drill ---- *)
 
@@ -535,9 +433,7 @@ let drill_cmd =
            with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
           let write ?(note = "") ext text =
             let file = Filename.concat dir (artifact_stem r ^ ext) in
-            let oc = open_out file in
-            output_string oc text;
-            close_out oc;
+            write_file file text;
             Format.printf "artifact: wrote %s%s@." file note
           in
           let o = r.Chaos.outcome in
@@ -692,67 +588,18 @@ let drill_cmd =
       $ worldwide_arg $ scale $ seed $ seeds $ adversaries $ reconfigs
       $ duration $ quick $ no_shrink $ artifacts $ trace_file)
 
-(* ---- prof ---- *)
-
-let prof_cmd =
-  let duration =
-    Arg.(value & opt float 6.0 & info [ "duration"; "d" ]
-           ~doc:"Measurement window, simulated seconds.")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE"
-           ~doc:"Also write the profiler's JSON report (with the raw \
-                 per-slice log) to $(docv).")
-  in
-  let trace_file =
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Also write a Perfetto-loadable trace to $(docv), carrying \
-                 the simulated timeline and the host timeline side by \
-                 side.")
-  in
-  let action system workload nodes groups worldwide duration warmup scale seed
-      out trace_file =
-    let cfg, spec =
-      experiment_setup ~system ~workload ~nodes ~groups ~worldwide ~scale ~seed
-    in
-    let p = Prof.create () in
-    let sink = Option.map (fun _ -> Trace.create ()) trace_file in
-    let r = Runner.run ~duration ~warmup ?trace:sink ~prof:p ~spec ~cfg () in
-    Format.printf "%a@.@." Runner.pp_result r;
-    print_string (Prof_export.text (Prof.report p));
-    (match out with
-    | None -> ()
-    | Some file ->
-        Prof_export.write_json ~slices:true p file;
-        Format.printf "prof: wrote %s@." file);
-    match (trace_file, sink) with
-    | Some file, Some tr ->
-        Trace_export.write_chrome_json ~host:(Prof_export.to_trace p) tr file;
-        Format.printf "trace: wrote %s (sim + host timelines)@." file
-    | _ -> ()
-  in
-  Cmd.v
-    (Cmd.info "prof"
-       ~doc:
-         "Run one experiment with host-side self-profiling on: account the \
-          simulator's own wall-clock per scheduler slice, sample GC deltas, \
-          and print the report (ranked wall-time attribution, events per \
-          slice, GC totals).")
-    Term.(
-      const action $ system_arg $ workload_arg $ nodes_arg $ groups_arg
-      $ worldwide_arg $ duration $ warmup_arg $ scale_arg $ seed_arg
-      $ out $ trace_file)
-
 (* ---- bench ---- *)
 
 let bench_cmd =
   let full =
     Arg.(value & flag & info [ "full" ]
-           ~doc:"Run the full bechamel quota instead of the quick smoke \
-                 pass. The gate compares against committed baselines that \
-                 were measured in full mode; quick mode stays within the \
-                 default tolerance for every current benchmark and is what \
-                 CI uses.")
+           ~doc:"Full mode: the full bechamel quota, and macro rows at full \
+                 scale over 4 + 12 simulated seconds (scaling table: 3 and 5 \
+                 groups). The default quick mode runs a reduced quota and \
+                 1 + 3 s macro rows at 1% scale (scaling table: 3 groups). \
+                 The gate compares against committed baselines that were \
+                 measured in full mode; quick mode stays within the default \
+                 tolerance for every current benchmark.")
   in
   let check_file =
     Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE"
@@ -767,33 +614,74 @@ let bench_cmd =
   in
   let json_file =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Write this run's micro results to $(docv) in the \
-                 Bench_report schema (micro rows only; the bench executable \
-                 writes full baselines).")
+           ~doc:"Also run the scheduler scaling table (first, from the \
+                 pristine process) and one YCSB-A macro row per system, and \
+                 write the full baseline to $(docv) in the Bench_report \
+                 schema.")
   in
   let action full check_file tolerance json_file =
     if tolerance <= 0.0 then begin
       prerr_endline "massbft: option '--tolerance': must be positive";
       exit 124
     end;
-    let micros = Massbft_bench.Micros.run_micro ~quick:(not full) () in
-    (match json_file with
-    | None -> ()
-    | Some file ->
+    Option.iter (check_writable ~flag:"--json") json_file;
+    let quick = not full in
+    let mode = if quick then "quick" else "full" in
+    let recording = json_file <> None in
+    (* The scaling table runs first: measuring its rows from the pristine
+       process keeps them free of the heap growth the micro and macro
+       sections leave behind. *)
+    let scaling =
+      if not recording then []
+      else begin
+        Printf.printf
+          "=== scheduler scaling (MassBFT YCSB-A, groups, %s mode) ===\n" mode;
+        Printf.printf "  %-7s %9s %16s %15s\n" "groups" "wall_s" "sim_s/wall_s"
+          "committed_txns";
+        let rows =
+          Bench_report.run_scaling ~quick
+            ~on_row:(fun (s : Bench_report.scaling) ->
+              Printf.printf "  %-7d %9.2f %16.3f %15d\n%!" s.sc_groups
+                s.sc_wall_s s.sc_sim_s_per_wall_s s.sc_committed_txns)
+            ()
+        in
+        print_newline ();
+        rows
+      end
+    in
+    let micros = Massbft_bench.Micros.run_micro ~quick () in
+    let macros =
+      if not recording then []
+      else begin
+        Printf.printf "=== macro benchmarks (YCSB-A, nationwide, %s mode) ===\n"
+          mode;
+        let rows =
+          List.map
+            (fun system ->
+              let m = Bench_report.run_macro ~quick ~system () in
+              Printf.printf
+                "  %-9s %8.2f ktps  %6.2fs wall  %5.2f sim-s/wall-s  %8.0f \
+                 txns/wall-s\n%!"
+                m.system m.throughput_ktps m.wall_s m.sim_s_per_wall_s
+                m.committed_txns_per_wall_s;
+              m)
+            Config.all_systems
+        in
+        print_newline ();
+        rows
+      end
+    in
+    Option.iter
+      (fun file ->
         let tm = Unix.localtime (Unix.time ()) in
         let date =
           Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
             (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
         in
-        let doc =
-          Bench_report.to_json ~date
-            ~mode:(if full then "full" else "quick")
-            ~micros ~macros:[] ()
-        in
-        let oc = open_out file in
-        output_string oc doc;
-        close_out oc;
-        Format.printf "wrote %s@." file);
+        write_file file
+          (Bench_report.to_json ~date ~mode ~scaling ~micros ~macros ());
+        Printf.printf "wrote %s\n%!" file)
+      json_file;
     match check_file with
     | None -> ()
     | Some file ->
@@ -818,8 +706,10 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the micro-benchmark suite; with --check, gate against a \
-          committed baseline report and exit non-zero on regressions.")
+         "Run the micro-benchmark suite; with --json, also the macro rows \
+          and scaling table, recorded as a baseline report; with --check, \
+          gate the micro results against a committed baseline report and \
+          exit non-zero on regressions.")
     Term.(const action $ full $ check_file $ tolerance $ json_file)
 
 (* ---- figures ---- *)
@@ -843,8 +733,12 @@ let figures_cmd =
     if selected = [] then prerr_endline "no matching figures (see 'massbft list')"
     else
       List.iter
-        (fun (_, _, (f : ?quick:bool -> unit -> Figures.figure)) ->
-          Format.printf "%a@." Figures.pp_figure (f ~quick ()))
+        (fun (id, _, (f : ?quick:bool -> unit -> Figures.figure)) ->
+          let t0 = Unix.gettimeofday () in
+          let fig = f ~quick () in
+          Format.printf "%a[%s took %.1fs wall-clock]@.@." Figures.pp_figure
+            fig id
+            (Unix.gettimeofday () -. t0))
         selected
   in
   Cmd.v
@@ -893,7 +787,6 @@ let main =
        ~doc:
          "MassBFT: fast and scalable geo-distributed BFT consensus \
           (reproduction of the ICDE 2025 paper).")
-    [ run_cmd; trace_cmd; metrics_cmd; prof_cmd; bench_cmd; drill_cmd;
-      figures_cmd; list_cmd; plan_cmd ]
+    [ run_cmd; bench_cmd; drill_cmd; figures_cmd; list_cmd; plan_cmd ]
 
 let () = exit (Cmd.eval main)

@@ -1,7 +1,4 @@
 module Config = Massbft.Config
-module Engine = Massbft.Engine
-module Metrics = Massbft.Metrics
-module Stats = Massbft_util.Stats
 module Json = Massbft_util.Json
 module W = Massbft_workload.Workload
 
@@ -38,7 +35,7 @@ let schema_version = 4
    scale); full mode the figure harness proper. *)
 let windows ~quick = if quick then (1.0, 3.0) else (4.0, 12.0)
 
-let run_macro ?(quick = false) ?prof ~system () =
+let run_macro ?(quick = false) ?groups ~system () =
   let warmup, duration = windows ~quick in
   let cfg =
     {
@@ -46,20 +43,11 @@ let run_macro ?(quick = false) ?prof ~system () =
       Config.workload_scale = (if quick then 0.01 else 1.0);
     }
   in
-  let spec = Clusters.nationwide () in
-  let engine = ref None in
+  let spec = Clusters.nationwide ?groups () in
   let t0 = Unix.gettimeofday () in
-  let r =
-    Runner.run ~warmup ~duration ?prof
-      ~on_engine:(fun e _ _ -> engine := Some e)
-      ~spec ~cfg ()
-  in
+  let r = Runner.run ~warmup ~duration ~spec ~cfg () in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let committed =
-    match !engine with
-    | None -> 0
-    | Some e -> Stats.Counter.get (Engine.metrics e).Metrics.committed_txns
-  in
+  let committed = r.Runner.committed_txns in
   let sim_s = warmup +. duration in
   {
     system = Config.system_name system;
@@ -77,47 +65,25 @@ let run_macro ?(quick = false) ?prof ~system () =
     wan_mb = r.Runner.wan_mb;
   }
 
-let run_scaling_row ~quick ~groups =
-  (* Each row starts from a compacted major heap: the macro section
-     abandons hundreds of MB of stores and ledgers per system, and the
-     resulting fragmentation bleeds 20%+ into whichever rows run later
-     in the same process — the rows must measure the driver, not the
-     report's section order. *)
-  Gc.compact ();
-  let warmup, duration = windows ~quick in
-  let cfg =
-    {
-      (Config.default ~system:Config.Massbft ~workload:W.Ycsb_a ()) with
-      Config.workload_scale = (if quick then 0.01 else 1.0);
-    }
+(* Each row is a MassBFT macro run at its group count; {!Runner.run}
+   compacts the heap first, so rows measure the scheduler rather than
+   the fragmentation earlier runs in the same process left behind. *)
+let run_scaling ?(quick = false) ?groups_list ?(on_row = fun _ -> ()) () =
+  let groups_list =
+    Option.value groups_list ~default:(if quick then [ 3 ] else [ 3; 5 ])
   in
-  let spec = Clusters.nationwide ~groups () in
-  let engine = ref None in
-  let t0 = Unix.gettimeofday () in
-  ignore
-    (Runner.run ~warmup ~duration
-       ~on_engine:(fun e _ _ -> engine := Some e)
-       ~spec ~cfg ());
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let committed =
-    match !engine with
-    | None -> 0
-    | Some e -> Stats.Counter.get (Engine.metrics e).Metrics.committed_txns
-  in
-  let sim_s = warmup +. duration in
-  {
-    sc_groups = groups;
-    sc_wall_s = wall_s;
-    sc_sim_s = sim_s;
-    sc_sim_s_per_wall_s = (if wall_s > 0.0 then sim_s /. wall_s else 0.0);
-    sc_committed_txns = committed;
-  }
-
-let run_scaling ?(quick = false) ?(groups_list = [ 3; 5 ])
-    ?(on_row = fun _ -> ()) () =
   List.map
     (fun groups ->
-      let row = run_scaling_row ~quick ~groups in
+      let m = run_macro ~quick ~groups ~system:Config.Massbft () in
+      let row =
+        {
+          sc_groups = groups;
+          sc_wall_s = m.wall_s;
+          sc_sim_s = m.sim_s;
+          sc_sim_s_per_wall_s = m.sim_s_per_wall_s;
+          sc_committed_txns = m.committed_txns;
+        }
+      in
       on_row row;
       row)
     groups_list

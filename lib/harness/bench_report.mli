@@ -1,13 +1,14 @@
 (** Benchmark baseline reports ([BENCH_<date>.json]).
 
-    The bench executable records two kinds of entries:
+    [massbft bench --json] records three kinds of entries:
 
     - {e micro}: bechamel OLS estimates (nanoseconds per run) for the
       named substrate hot paths;
     - {e macro}: one full engine run per system on YCSB-A over the
       nationwide cluster, pairing the simulated-side results (which are
       deterministic for a fixed seed) with the wall-clock cost of
-      producing them.
+      producing them;
+    - {e scaling}: the MassBFT macro run repeated per group count.
 
     The JSON is rendered here, by hand, so the schema lives in one
     place and tests can validate it without a JSON parser dependency.
@@ -32,19 +33,13 @@ type macro = {
 }
 
 val run_macro :
-  ?quick:bool ->
-  ?prof:Massbft_prof.Prof.t ->
-  system:Massbft.Config.system ->
-  unit ->
-  macro
-(** One engine run on YCSB-A over the 3×7 nationwide cluster. Quick
-    mode (1 s warmup + 3 s measurement at 1% workload scale) is the CI
-    smoke setting; full mode uses the figure-harness windows (4 s +
-    12 s at full scale). Simulated-side fields are deterministic:
+  ?quick:bool -> ?groups:int -> system:Massbft.Config.system -> unit -> macro
+(** One engine run on YCSB-A over the nationwide cluster ([groups]
+    groups of 7, default 3). Quick mode (1 s warmup + 3 s measurement
+    at 1% workload scale) is the CI smoke setting; full mode uses the
+    figure-harness windows (4 s + 12 s at full scale). Simulated-side fields are deterministic:
     two calls with the same parameters agree on everything except
-    [wall_s] and the two [*_per_wall_s] rates derived from it.
-    [prof] (a fresh profiler, passed through to {!Runner.run}) stays
-    queryable afterwards for the full report. *)
+    [wall_s] and the two [*_per_wall_s] rates derived from it. *)
 
 type scaling = {
   sc_groups : int;  (** cluster group count *)
@@ -60,10 +55,9 @@ val run_scaling :
   ?on_row:(scaling -> unit) ->
   unit ->
   scaling list
-(** The scheduler scaling table: one MassBFT/YCSB-A run per group
-    count over the nationwide cluster, each from a compacted heap.
-    [on_row] fires after each row, for progress output. Default groups:
-    3 and 5. *)
+(** The scheduler scaling table: one MassBFT {!run_macro} per group
+    count. [on_row] fires after each row, for progress output. Default
+    groups: 3 in quick mode, 3 and 5 in full mode. *)
 
 val to_json :
   date:string ->

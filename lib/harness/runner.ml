@@ -19,6 +19,7 @@ type result = {
   mean_latency_ms : float;
   p99_latency_ms : float;
   commit_ratio : float;
+  committed_txns : int;
   entries_executed : int;
   wan_mb : float;
   lan_mb : float;
@@ -128,6 +129,7 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
     mean_latency_ms = Metrics.mean_latency_ms m;
     p99_latency_ms = Metrics.p99_latency_ms m;
     commit_ratio = Metrics.commit_ratio m;
+    committed_txns = Stats.Counter.get m.Metrics.committed_txns;
     entries_executed = entries;
     wan_mb;
     lan_mb = float_of_int (Engine.lan_bytes engine) /. 1e6;

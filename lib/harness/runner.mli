@@ -9,6 +9,7 @@ type result = {
   mean_latency_ms : float;
   p99_latency_ms : float;
   commit_ratio : float;  (** Aria committed / (committed + conflicted) *)
+  committed_txns : int;  (** Aria-committed, cluster-wide, whole run *)
   entries_executed : int;
   wan_mb : float;  (** during the measurement window *)
   lan_mb : float;

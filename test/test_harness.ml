@@ -1,6 +1,6 @@
 (* Tests for the experiment harness: cluster topologies, the runner's
    accounting, and the cheap figures (the expensive sweeps are covered
-   by bench/main.ml and spot-checked here in quick mode). *)
+   by `massbft figures` and spot-checked here in quick mode). *)
 
 module Clusters = Massbft_harness.Clusters
 module Runner = Massbft_harness.Runner

@@ -12,6 +12,7 @@ module Sim = Massbft_sim.Sim
 module Clusters = Massbft_harness.Clusters
 module Runner = Massbft_harness.Runner
 module Config = Massbft.Config
+module Json = Massbft_util.Json
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -434,6 +435,53 @@ let test_saturation_massbft_cpu () =
       check_bool "some leader CPU hot in result" true
         (List.exists (fun u -> u > 0.5) r.Runner.leader_cpu_util)
 
+(* [massbft run] is the one front end for traced, metered and profiled
+   experiments: a short run with all three sinks writes all three files
+   and prints each one's report. Runs from _build/default/test, next to
+   the built CLI. *)
+let test_cli_run_exports () =
+  let cli = Filename.concat (Filename.concat ".." "bin") "massbft_cli.exe" in
+  let tmp ext = Filename.temp_file "massbft_run" ext in
+  let t = tmp ".json" and m = tmp ".prom" and p = tmp ".prof" in
+  let out = tmp ".out" in
+  let code =
+    Sys.command
+      (Printf.sprintf
+         "%s run -n 4 --scale 0.01 --warmup 0.2 -d 0.5 --trace %s --metrics %s \
+          --prof %s > %s"
+         cli t m p out)
+  in
+  check_int "exit 0" 0 code;
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  List.iter
+    (fun f -> check_bool (f ^ " non-empty") true (read f <> ""))
+    [ t; m; p ];
+  let stdout = read out in
+  let contains needle =
+    let nl = String.length needle and sl = String.length stdout in
+    let rec go i =
+      i + nl <= sl && (String.sub stdout i nl = needle || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun needle -> check_bool ("stdout has " ^ needle) true (contains needle))
+    [ "critical path, "; "Saturation report:"; "Host profile:" ];
+  (* Sim tracks sit below pid 1000, the host timeline at and above it. *)
+  let doc = Json.parse (read t) in
+  let pids =
+    match Option.bind (Json.member "traceEvents" doc) Json.to_list with
+    | None -> Alcotest.fail "no traceEvents"
+    | Some events ->
+        List.filter_map
+          (fun e -> Option.bind (Json.member "pid" e) Json.to_float)
+          events
+  in
+  check_bool "has sim pids" true (List.exists (fun pid -> pid < 1000.0) pids);
+  check_bool "has host pids" true
+    (List.exists (fun pid -> pid >= 1000.0) pids);
+  List.iter Sys.remove [ t; m; p; out ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -470,5 +518,7 @@ let () =
             test_saturation_baseline_wan;
           Alcotest.test_case "massbft 16/group binds on cpu" `Slow
             test_saturation_massbft_cpu;
+          Alcotest.test_case "cli run writes every export" `Quick
+            test_cli_run_exports;
         ] );
     ]

@@ -8,7 +8,8 @@ module Prof_export = Massbft_prof.Prof_export
 module Trace = Massbft_trace.Trace
 module Trace_export = Massbft_trace.Trace_export
 module Json = Massbft_util.Json
-module Bench_report = Massbft_harness.Bench_report
+module Runner = Massbft_harness.Runner
+module Clusters = Massbft_harness.Clusters
 module Config = Massbft.Config
 
 let check_int = Alcotest.(check int)
@@ -259,9 +260,19 @@ let test_macro_attribution_and_overhead () =
     | _ -> false
   in
   let runs = if strict then 7 else 5 in
+  (* The quick MassBFT macro row: YCSB-A at 1% scale, 1 + 3 sim-s. *)
+  let cfg =
+    {
+      (Config.default ~system:Config.Massbft
+         ~workload:Massbft_workload.Workload.Ycsb_a ())
+      with
+      Config.workload_scale = 0.01;
+    }
+  in
+  let spec = Clusters.nationwide () in
   let cpu_s ?prof () =
     let t0 = Sys.time () in
-    ignore (Bench_report.run_macro ~quick:true ?prof ~system:Config.Massbft ());
+    ignore (Runner.run ~warmup:1.0 ~duration:3.0 ?prof ~spec ~cfg ());
     Sys.time () -. t0
   in
   let plain = ref infinity and profiled = ref infinity in

@@ -348,6 +348,17 @@ let test_cli_exit2_diagnostics () =
     let invalid = write "2.reconfig" "@1 remove-group g0\n" in
     check_die "invalid --reconfig" ("run --reconfig " ^ invalid)
       ~mentions:[ invalid ];
+    (* Output destinations are checked before the run starts. *)
+    List.iter
+      (fun flag ->
+        check_die ("unwritable " ^ flag)
+          (Printf.sprintf
+             "run -n 4 --scale 0.01 --warmup 0.2 -d 0.3 %s /nonexistent/out"
+             flag)
+          ~mentions:[ flag; "/nonexistent/out" ])
+      [ "--trace"; "--metrics"; "--prof" ];
+    check_die "unwritable bench --json" "bench --json /nonexistent/b.json"
+      ~mentions:[ "--json"; "/nonexistent/b.json" ];
     List.iter Sys.remove [ bad_reconfig; bad_faults; bad_adv; invalid ]
   end
 
