@@ -166,7 +166,7 @@ let rec pump t (l : leader) =
       (* The head can only be repaired by a fetch after a crash gap;
          give the chunks one timeout to arrive on their own. *)
       ignore
-        (Sim.after t.sim t.cfg.Config.fetch_timeout_s (fun () ->
+        (Sim.after (sim_of t l.l_gid) t.cfg.Config.fetch_timeout_s (fun () ->
              if
                alive t l.l_addr
                && not (has_content (node_of t l.l_addr) eid)

@@ -285,9 +285,10 @@ and ord_strategy = {
 
 let now t = Sim.now t.sim
 
-(* The sim shard handle group [gid]'s events are accounted to — the
-   handle arm-time code (Engine.start, Batcher.start, heartbeats)
-   schedules per-group ticks on. *)
+(* The sim shard handle group [gid]'s events are accounted to: per-group
+   ticks (Engine.start, Batcher.start, heartbeats) and every other event
+   that belongs to one group (fetch timeouts and backoff, delayed
+   adversary ships) are scheduled on it. *)
 let sim_of t gid = Topology.shard_of t.topo gid
 let node_of t (a : Topology.addr) = t.nodes.(a.Topology.g).(a.Topology.n)
 
@@ -349,7 +350,8 @@ let send ?(bulk = false) t ~src ~dst ~bytes m =
               if adv_delay_s <= 0.0 then ship adv_msg
               else
                 ignore
-                  (Sim.after t.sim adv_delay_s (fun () -> ship adv_msg)))
+                  (Sim.after (sim_of t src.Topology.g) adv_delay_s (fun () ->
+                       ship adv_msg)))
             ds)
 
 (* Broadcasts cover the group's *active* slots only — a spare past the
@@ -367,17 +369,8 @@ let charge_cpu t (a : Topology.addr) seconds k = Cpu.submit (cpu_of t a) ~second
    parallel: spread the work over every core, continuing when the last
    slice finishes. *)
 let charge_cpu_parallel t (a : Topology.addr) seconds k =
-  let cores = Topology.cores t.topo in
   if seconds <= 0.0 then k ()
-  else begin
-    let slice = seconds /. float_of_int cores in
-    let remaining = ref cores in
-    for _ = 1 to cores do
-      Cpu.submit (cpu_of t a) ~seconds:slice (fun () ->
-          decr remaining;
-          if !remaining = 0 then k ())
-    done
-  end
+  else Cpu.submit_parallel (cpu_of t a) ~slices:(Topology.cores t.topo) ~seconds k
 
 let measuring t created_at = created_at >= t.metrics.Metrics.measure_from
 

@@ -179,7 +179,7 @@ and fetch_issue t (l : leader) eid =
           ~attempt ~base:(2.0 *. ft) ~cap:(8.0 *. ft)
       in
       ignore
-        (Sim.after t.sim delay (fun () ->
+        (Sim.after (sim_of t l.l_gid) delay (fun () ->
              if Entry_tbl.mem l.l_fetching eid then fetch_issue t l eid))
 
 (* A satisfied fetch frees its pump slot (part of the engine's

@@ -13,7 +13,20 @@ val submit : t -> seconds:float -> (unit -> unit) -> unit
 (** [submit t ~seconds k] enqueues a task needing [seconds] of
     single-core compute; [k] runs at its completion. Tasks start in FIFO
     order on the earliest-free core. The cost is stretched by the
-    current {!set_speed_factor} at submission time. *)
+    current {!set_speed_factor} at submission time. It is
+    [submit_parallel ~slices:1]. *)
+
+val submit_parallel :
+  t -> slices:int -> seconds:float -> (unit -> unit) -> unit
+(** [submit_parallel t ~slices ~seconds k] splits [seconds] of compute
+    into [slices] equal tasks, reserves each exactly as {!submit} would
+    (earliest-free core, speed factor, busy accounting, trace spans),
+    and runs [k] once, when the latest slice finishes. It schedules one
+    event instead of one per slice. That event fires exactly where the
+    last slice's completion would have in (time, seq) order, because
+    the slices are reserved back to back with nothing scheduled in
+    between. Raises [Invalid_argument] on [slices < 1] or a negative
+    duration. *)
 
 val set_speed_factor : t -> float -> unit
 (** Gray-failure hook: stretch every subsequently submitted task by
@@ -27,9 +40,10 @@ val speed_factor : t -> float
 
 val set_trace : t -> Massbft_trace.Trace.t -> gid:int -> node:int -> unit
 (** Attaches a trace sink and this CPU's owning node. Every subsequent
-    {!submit} then emits ["cpu"]-category spans: a [wait] span when the
-    job queues behind busy cores and a [run] span for its execution,
-    both tagged with the chosen core. Defaults to the disabled sink. *)
+    task (each slice of a {!submit_parallel}) then emits
+    ["cpu"]-category spans: a [wait] span when it queues behind busy
+    cores and a [run] span for its execution, both tagged with the
+    chosen core. Defaults to the disabled sink. *)
 
 val utilization : t -> since:float -> float
 (** Fraction of core-time busy since virtual time [since] (diagnostic;
@@ -42,6 +56,9 @@ val busy_seconds : t -> float
 (** Total core-seconds of work accepted so far. *)
 
 val queue_depth : t -> int
-(** Number of submitted tasks whose completion has not yet fired —
-    running plus queued. The observability sampler polls this as the
-    per-node CPU queue-depth gauge. *)
+(** Number of submitted tasks (each slice of a {!submit_parallel}
+    counts as one) that have not finished yet — running plus queued. A
+    slice that ends before its charge's completion leaves the count at
+    its own finish time: once [now] reaches that time. The
+    observability sampler polls this as the per-node CPU queue-depth
+    gauge. *)

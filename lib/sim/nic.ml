@@ -47,8 +47,8 @@ let set_trace t tr ~gid ~node ~link =
   t.tr_node <- node;
   t.tr_link <- link
 
-let transmit ?(bulk = false) t ~bytes k =
-  if bytes < 0 then invalid_arg "Nic.transmit: negative size";
+let reserve ?(bulk = false) t ~bytes =
+  if bytes < 0 then invalid_arg "Nic.reserve: negative size";
   let queue_head = if bulk then t.busy_until else t.ctrl_busy_until in
   let now = Sim.now t.sim in
   let start = Float.max now queue_head in
@@ -74,7 +74,9 @@ let transmit ?(bulk = false) t ~bytes k =
       ~args:[ ("link", Trace.Str link); ("bytes", Trace.Int bytes) ]
       ~b:start ~e:finish "xmit"
   end;
-  ignore (Sim.at t.sim finish k)
+  finish
+
+let transmit ?bulk t ~bytes k = ignore (Sim.at t.sim (reserve ?bulk t ~bytes) k)
 
 let busy_until t = t.busy_until
 let ctrl_busy_until t = t.ctrl_busy_until

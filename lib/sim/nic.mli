@@ -21,10 +21,15 @@ val set_bandwidth : t -> float -> unit
 (** Takes effect for subsequently enqueued transmissions (Figure 14's
     mid-experiment bandwidth mix is configured before the run). *)
 
-val transmit : ?bulk:bool -> t -> bytes:int -> (unit -> unit) -> unit
-(** [transmit t ~bytes k] enqueues a [bytes]-sized frame; [k] runs when
-    the last bit has left the interface. Frames drain in FIFO order at
-    the configured rate within their class.
+val reserve : ?bulk:bool -> t -> bytes:int -> float
+(** [reserve t ~bytes] enqueues a [bytes]-sized frame and returns the
+    virtual time at which its last bit leaves the interface. Frames
+    drain in FIFO order at the configured rate within their class. The
+    byte and busy-time counters and the trace spans are updated at
+    once; nothing is scheduled, so a caller that knows what happens
+    after the frame leaves (like {!Topology.send}'s propagation leg)
+    can schedule that directly. Raises [Invalid_argument] on a negative
+    size.
 
     [bulk] (default [false]) selects the service class. Control frames
     (votes, acks, consensus metadata) and bulk frames (entry chunks and
@@ -34,9 +39,13 @@ val transmit : ?bulk:bool -> t -> bytes:int -> (unit -> unit) -> unit
     Bulk capacity is unaffected in practice because control traffic is a
     negligible byte fraction. *)
 
+val transmit : ?bulk:bool -> t -> bytes:int -> (unit -> unit) -> unit
+(** [transmit t ~bytes k] is {!reserve} followed by one event that runs
+    [k] at the returned finish time. *)
+
 val set_trace : t -> Massbft_trace.Trace.t -> gid:int -> node:int -> link:string -> unit
 (** Attaches a trace sink and this NIC's identity. Every subsequent
-    {!transmit} then emits ["nic"]-category spans: a [queue] span when
+    {!reserve} then emits ["nic"]-category spans: a [queue] span when
     the frame waits behind the class queue, and an [xmit] span for its
     serialization; both carry the link label (suffixed [".bulk"] for
     the bulk class) and frame size. Defaults to the disabled sink. *)

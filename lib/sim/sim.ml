@@ -1,4 +1,3 @@
-module Heap = Massbft_util.Heap
 module Trace = Massbft_trace.Trace
 
 (* One event heap, one clock, one seq counter. Events fire in (time,
@@ -8,12 +7,18 @@ module Trace = Massbft_trace.Trace
    the one queue: each keeps its own pending/dispatched counts and its
    own trace-counter track, and any handle drives the whole sim. *)
 
-(* The timer handle carries a back-reference to its shard so [cancel]
-   can maintain the live/garbage accounting without widening the public
-   [cancel : timer -> unit] signature. *)
-type timer = { mutable cancelled : bool; mutable fired : bool; owner : t }
+type state = Pending | Fired | Cancelled
 
-and event = { time : float; seq : int; handle : timer; fn : unit -> unit }
+(* The event record is also the cancel handle: its back-reference to
+   its shard lets [cancel] maintain the live/garbage accounting without
+   widening the public [cancel : timer -> unit] signature. *)
+type timer = {
+  time : float;
+  seq : int;
+  fn : unit -> unit;
+  owner : t;
+  mutable state : state;
+}
 
 and t = {
   sid : int;
@@ -23,9 +28,12 @@ and t = {
   mutable last_trace_at : float;
 }
 
+(* [heap.(0 .. size-1)] is a binary min-heap in (time, seq) order; slots
+   past [size] alias live events (or are stale once the heap empties). *)
 and core = {
   mutable shards : t array;
-  queue : event Heap.t;
+  mutable heap : timer array;
+  mutable size : int;
   lookahead : float;
   mutable clock : float;
   mutable next_seq : int;
@@ -44,13 +52,58 @@ and host_prof = {
       (* one profiled slice of [run] *)
 }
 
-(* Hand-specialized (time, seq) order: this comparison runs on every
-   sift of every heap operation, and the polymorphic [compare] would
-   take the generic structural-comparison path for both fields. *)
-let compare_event a b =
-  if a.time < b.time then -1
-  else if a.time > b.time then 1
-  else Stdlib.Int.compare a.seq b.seq
+(* Hand-specialized (time, seq) order, inlined into every sift step.
+   Seqs are unique, so this is a strict total order and any correct heap
+   pops events in exactly one sequence. *)
+let[@inline] earlier a b =
+  a.time < b.time || ((not (a.time > b.time)) && a.seq < b.seq)
+
+(* Hole-based sifts: move the displaced parents/children, write [e]
+   once where it lands. *)
+let rec sift_up h i e =
+  if i = 0 then h.(0) <- e
+  else
+    let p = (i - 1) / 2 in
+    let pe = h.(p) in
+    if earlier e pe then begin
+      h.(i) <- pe;
+      sift_up h p e
+    end
+    else h.(i) <- e
+
+let rec sift_down h size i e =
+  let l = (2 * i) + 1 in
+  if l >= size then h.(i) <- e
+  else
+    let r = l + 1 in
+    let c = if r < size && earlier h.(r) h.(l) then r else l in
+    let ce = h.(c) in
+    if earlier ce e then begin
+      h.(i) <- ce;
+      sift_down h size c e
+    end
+    else h.(i) <- e
+
+let push c e =
+  let cap = Array.length c.heap in
+  if c.size = cap then begin
+    let grown = Array.make (if cap = 0 then 256 else 2 * cap) e in
+    Array.blit c.heap 0 grown 0 c.size;
+    c.heap <- grown
+  end;
+  let i = c.size in
+  c.size <- i + 1;
+  sift_up c.heap i e
+
+(* Removes and returns the minimum; the heap must be non-empty. The
+   vacated tail slot keeps aliasing the (still live) moved element. *)
+let pop c =
+  let h = c.heap in
+  let top = h.(0) in
+  let n = c.size - 1 in
+  c.size <- n;
+  if n > 0 then sift_down h n 0 h.(n);
+  top
 
 let create ?(shards = 1) ?(lookahead = 0.0) () =
   if shards < 1 then invalid_arg "Sim.create: shards must be >= 1";
@@ -58,7 +111,8 @@ let create ?(shards = 1) ?(lookahead = 0.0) () =
   let core =
     {
       shards = [||];
-      queue = Heap.create ~cmp:compare_event;
+      heap = [||];
+      size = 0;
       lookahead;
       clock = 0.0;
       next_seq = 0;
@@ -100,12 +154,11 @@ let at t time fn =
     invalid_arg
       (Printf.sprintf "Sim.at: scheduling in the past (%.9f < %.9f)" time
          c.clock);
-  let handle = { cancelled = false; fired = false; owner = t } in
-  let seq = c.next_seq in
-  c.next_seq <- seq + 1;
-  Heap.push c.queue { time; seq; handle; fn };
+  let e = { time; seq = c.next_seq; fn; owner = t; state = Pending } in
+  c.next_seq <- c.next_seq + 1;
+  push c e;
   t.live <- t.live + 1;
-  handle
+  e
 
 let after t delay fn =
   if delay < 0.0 then invalid_arg "Sim.after: negative delay";
@@ -116,9 +169,34 @@ let after t delay fn =
    memory proportional to live events. *)
 let compaction_min_size = 64
 
+(* Drops every cancelled event and re-heapifies bottom-up (Floyd): O(n),
+   no allocation. *)
+let compact c =
+  let h = c.heap in
+  let kept = ref 0 in
+  for i = 0 to c.size - 1 do
+    let e = h.(i) in
+    if e.state <> Cancelled then begin
+      h.(!kept) <- e;
+      incr kept
+    end
+  done;
+  let n = !kept in
+  if n = 0 then c.heap <- [||]
+  else begin
+    (* Alias the vacated tail to a live event so dropped ones are
+       reclaimable. *)
+    Array.fill h n (c.size - n) h.(0);
+    for i = (n / 2) - 1 downto 0 do
+      sift_down h n i h.(i)
+    done
+  end;
+  c.size <- n;
+  c.garbage <- 0
+
 let cancel handle =
-  if not handle.cancelled && not handle.fired then begin
-    handle.cancelled <- true;
+  if handle.state = Pending then begin
+    handle.state <- Cancelled;
     let t = handle.owner in
     let c = t.core in
     t.live <- t.live - 1;
@@ -131,23 +209,19 @@ let cancel handle =
        order of survivors is untouched — the (time, seq) comparator is
        a total order — so a compacted run dispatches bit-identically to
        an uncompacted one. *)
-    let size = Heap.length c.queue in
-    if 2 * c.garbage > size && size >= compaction_min_size then begin
-      Heap.filter_in_place c.queue (fun e -> not e.handle.cancelled);
-      c.garbage <- 0
-    end
+    if 2 * c.garbage > c.size && c.size >= compaction_min_size then compact c
   end
 
 let pending t = t.live
-let pending_total t = Heap.length t.core.queue - t.core.garbage
-let heap_size t = Heap.length t.core.queue
+let pending_total t = t.core.size - t.core.garbage
+let heap_size t = t.core.size
 
 let fire c e =
   c.clock <- e.time;
-  if e.handle.cancelled then c.garbage <- c.garbage - 1
+  if e.state = Cancelled then c.garbage <- c.garbage - 1
   else begin
-    let s = e.handle.owner in
-    e.handle.fired <- true;
+    let s = e.owner in
+    e.state <- Fired;
     s.live <- s.live - 1;
     s.dispatched <- s.dispatched + 1;
     let tr = c.trace in
@@ -167,13 +241,8 @@ let fire c e =
   end
 
 let run_plain c ~until =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek c.queue with
-    | Some e when e.time <= until ->
-        ignore (Heap.pop c.queue);
-        fire c e
-    | _ -> continue := false
+  while c.size > 0 && c.heap.(0).time <= until do
+    fire c (pop c)
   done;
   if c.clock < until then c.clock <- until
 
@@ -213,11 +282,11 @@ let run t ~until =
 
 let step t =
   let c = t.core in
-  match Heap.pop c.queue with
-  | None -> false
-  | Some e ->
-      fire c e;
-      true
+  if c.size = 0 then false
+  else begin
+    fire c (pop c);
+    true
+  end
 
 let run_until_idle t ?(limit = 100_000_000) () =
   let count = ref 0 in

@@ -213,31 +213,29 @@ let send ?(bulk = false) t ~src ~dst ~bytes k =
         let one_way = one_way +. extra_delay in
         (* Store-and-forward: uplink serialization, propagation, downlink
            serialization, then delivery (if the receiver is still up).
-           The downlink arrival is accounted to the destination group's
-           shard. *)
+           The uplink's finish time is known now, so the arrival is
+           scheduled directly, on the destination group's shard, with a
+           seq drawn at send time (DESIGN §13). *)
         let dst_sim = shard_of t dst.g in
-        Nic.transmit ~bulk up ~bytes (fun () ->
-            let tnow = Sim.now t.sim in
-            if Trace.enabled t.trace then
-              Trace.span t.trace ~cat:"net" ~gid:src.g ~node:src.n
-                ~args:
-                  [ ("dst", Trace.Str (addr_to_string dst));
-                    ("bytes", Trace.Int bytes) ]
-                ~b:tnow ~e:(tnow +. one_way) "propagate";
-            ignore
-              (Sim.at dst_sim (tnow +. one_way) (fun () ->
-                   Nic.transmit ~bulk down ~bytes (fun () ->
-                       let deliver () = if dst_state.up then k () in
-                       deliver ();
-                       match dup with
-                       | None -> ()
-                       | Some (copies, spacing) ->
-                           for i = 1 to copies do
-                             ignore
-                               (Sim.after t.sim
-                                  (spacing *. float_of_int i)
-                                  deliver)
-                           done))))
+        let finish = Nic.reserve ~bulk up ~bytes in
+        let arrival = finish +. one_way in
+        if Trace.enabled t.trace then
+          Trace.span t.trace ~cat:"net" ~gid:src.g ~node:src.n
+            ~args:
+              [ ("dst", Trace.Str (addr_to_string dst)); ("bytes", Trace.Int bytes) ]
+            ~b:finish ~e:arrival "propagate";
+        ignore
+          (Sim.at dst_sim arrival (fun () ->
+               Nic.transmit ~bulk down ~bytes (fun () ->
+                   let deliver () = if dst_state.up then k () in
+                   deliver ();
+                   match dup with
+                   | None -> ()
+                   | Some (copies, spacing) ->
+                       for i = 1 to copies do
+                         ignore
+                           (Sim.after dst_sim (spacing *. float_of_int i) deliver)
+                       done)))
   end
 
 let sum_over t f =

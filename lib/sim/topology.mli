@@ -57,8 +57,14 @@ val send :
     [k] on delivery. The message is dropped (and [k] never runs) if
     [src] is crashed now or [dst] is crashed at delivery time. Sending
     to self delivers after the local processing latency with no NIC
-    cost. [bulk] selects the NIC service class (see {!Nic.transmit}):
-    entry payloads are bulk, consensus control traffic is not. *)
+    cost. [bulk] selects the NIC service class (see {!Nic.reserve}):
+    entry payloads are bulk, consensus control traffic is not.
+
+    A remote send schedules two events, both on [dst]'s group shard:
+    the arrival at the sender's uplink finish ({!Nic.reserve}) plus the
+    one-way delay, and the downlink completion that delivers. Duplicate
+    copies from a [Net_dup] fault are scheduled on that shard too. The
+    ["propagate"] span is emitted at send time. *)
 
 val set_trace : t -> Massbft_trace.Trace.t -> unit
 (** Attaches a trace sink to every NIC and CPU in the cluster (see

@@ -165,6 +165,109 @@ let test_churn_dispatch_order_unchanged () =
     "survivors fire in (time, seq) order" expected_order (List.rev !fired)
 
 (* ------------------------------------------------------------------ *)
+(* Event heap                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The binary heap inside [Sim], through its interface: [at] pushes,
+   [step] pops, [run ~until] peeks, and cancellation with compaction
+   filters in place. [fire_order] schedules [times] and returns the
+   indices that fire; a picked index [j] is cancelled when index [2j] is
+   scheduled, so cancellations reach deep into a heap still growing. *)
+let fire_order ?(cancelled = fun _ -> false) times =
+  let sim = Sim.create () in
+  let fired = ref [] and n = List.length times in
+  let hs = Array.make n None in
+  let cancel j = if cancelled j then Option.iter Sim.cancel hs.(j) in
+  List.iteri
+    (fun i time ->
+      hs.(i) <- Some (Sim.at sim time (fun () -> fired := i :: !fired));
+      if i mod 2 = 0 then cancel (i / 2))
+    times;
+  for j = (n + 1) / 2 to n - 1 do
+    cancel j
+  done;
+  Sim.run_until_idle sim ();
+  List.rev !fired
+
+(* The (time, seq) order the uncancelled indices must fire in. *)
+let sorted_survivors ?(cancelled = fun _ -> false) times =
+  List.mapi (fun i time -> (time, i)) times
+  |> List.filter (fun (_, i) -> not (cancelled i))
+  |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
+  |> List.map snd
+
+let test_heap_drain_order () =
+  (* 1000 events, ten per timestamp, scheduled out of order: the heap
+     grows past its first allocation and still pops (time, seq). *)
+  let times = List.init 1000 (fun i -> float_of_int (i * 7919 mod 1000 / 10)) in
+  Alcotest.(check (list int)) "sorted, FIFO on ties" (sorted_survivors times)
+    (fire_order times)
+
+let test_heap_empty () =
+  let sim = Sim.create () in
+  check_bool "step on empty" false (Sim.step sim);
+  Sim.run sim ~until:1.0;
+  check_float "run on empty advances the clock" 1.0 (Sim.now sim)
+
+let test_heap_peek_stable () =
+  let sim = Sim.create () in
+  List.iter (fun t -> ignore (Sim.at sim t ignore)) [ 4.; 2.; 6. ];
+  Sim.run sim ~until:1.0;
+  check_int "head beyond until stays" 3 (Sim.pending sim);
+  Sim.run sim ~until:2.0;
+  check_int "head fires once reached" 2 (Sim.pending sim)
+
+let test_heap_filter_in_place () =
+  (* Cancelling everything evicts the garbage in place and leaves a
+     usable heap. *)
+  let sim = Sim.create () in
+  List.iter Sim.cancel (List.init 200 (fun i -> Sim.at sim (float_of_int i) ignore));
+  check_bool "garbage evicted" true (Sim.heap_size sim < 64);
+  let fired = ref false in
+  ignore (Sim.at sim 1.0 (fun () -> fired := true));
+  Sim.run_until_idle sim ();
+  check_bool "usable after emptying" true (!fired && Sim.heap_size sim = 0)
+
+let prop_heap_sorts =
+  QCheck.Test.make ~name:"heap drains any list in sorted order"
+    QCheck.(list (map float_of_int small_int))
+    (fun times -> fire_order times = sorted_survivors times)
+
+(* [Some d] schedules at [now + d], [None] steps; the model is the
+   sorted list of pending (time, seq) keys. *)
+let prop_heap_interleaved =
+  QCheck.Test.make ~name:"interleaved at/step pop in order"
+    QCheck.(list (option small_int))
+    (fun ops ->
+      let sim = Sim.create () in
+      let model = ref [] and seq = ref 0 and last = ref (-1) in
+      List.for_all
+        (function
+          | Some d ->
+              let key = (Sim.now sim +. float_of_int d, !seq) in
+              incr seq;
+              ignore (Sim.at sim (fst key) (fun () -> last := snd key));
+              model := List.merge compare !model [ key ];
+              true
+          | None -> (
+              match !model with
+              | [] -> not (Sim.step sim)
+              | (_, s) :: rest ->
+                  model := rest;
+                  Sim.step sim && !last = s))
+        ops)
+
+(* A random at/cancel stream that crosses the compaction threshold
+   several times. *)
+let prop_heap_filter =
+  QCheck.Test.make ~count:1000 ~name:"filter_in_place = sort of filtered list"
+    QCheck.(list_of_size Gen.(int_range 64 800) (pair (float_bound_exclusive 10.) (int_bound 3)))
+    (fun stream ->
+      let times = List.map fst stream and picks = Array.of_list (List.map snd stream) in
+      let cancelled i = picks.(i) > 0 in
+      fire_order ~cancelled times = sorted_survivors ~cancelled times)
+
+(* ------------------------------------------------------------------ *)
 (* Nic                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -350,7 +453,56 @@ let test_cpu_queue_depth () =
   ignore
     (Sim.at sim 1.5 (fun () -> check_int "one completed" 1 (Cpu.queue_depth cpu)));
   Sim.run_until_idle sim ();
-  check_int "drained" 0 (Cpu.queue_depth cpu)
+  check_int "drained" 0 (Cpu.queue_depth cpu);
+  (* A 4-core parallel charge behind single tasks of 0.5, 1.5 and 2.5 s:
+     its 1 s slices finish at 1.0, 1.5, 2.0 and 2.5, and the depth steps
+     down at each slice's own finish, as on a twin CPU given the slices
+     as single submits. *)
+  let sim = Sim.create () in
+  let par = Cpu.create sim ~cores:4 and twin = Cpu.create sim ~cores:4 in
+  List.iter
+    (fun seconds -> List.iter (fun c -> Cpu.submit c ~seconds ignore) [ par; twin ])
+    [ 0.5; 1.5; 2.5 ];
+  Cpu.submit_parallel par ~slices:4 ~seconds:4.0 ignore;
+  for _ = 1 to 4 do
+    Cpu.submit twin ~seconds:1.0 ignore
+  done;
+  let depths = ref [] in
+  List.iter
+    (fun at ->
+      ignore
+        (Sim.at sim at (fun () ->
+             depths := (Cpu.queue_depth par, Cpu.queue_depth twin) :: !depths)))
+    [ 0.25; 0.75; 1.25; 1.75; 2.25; 2.75 ];
+  Sim.run_until_idle sim ();
+  Alcotest.(check (list (pair int int)))
+    "slice by slice"
+    (List.map (fun d -> (d, d)) [ 7; 6; 5; 3; 2; 0 ])
+    (List.rev !depths)
+
+let test_cpu_submit_parallel () =
+  (* 1 s slices behind a 0.5 s task on 2 cores run over [0, 1], [0.5,
+     1.5] and [1, 2]: one continuation, at 2.0, and the core-time of
+     three single submits. Equal slices on idle cores share one finish
+     and leave the depth together, with the continuation. *)
+  let sim = Sim.create () in
+  let par = Cpu.create sim ~cores:2 and twin = Cpu.create sim ~cores:2 in
+  List.iter (fun c -> Cpu.submit c ~seconds:0.5 ignore) [ par; twin ];
+  let fired = ref [] in
+  Cpu.submit_parallel par ~slices:3 ~seconds:3.0 (fun () ->
+      fired := Sim.now sim :: !fired);
+  for _ = 1 to 3 do
+    Cpu.submit twin ~seconds:1.0 ignore
+  done;
+  Sim.run_until_idle sim ();
+  Alcotest.(check (list (float 1e-9))) "one continuation" [ 2.0 ] !fired;
+  check_float "busy seconds" (Cpu.busy_seconds twin) (Cpu.busy_seconds par);
+  check_float "utilization" (Cpu.utilization twin ~since:0.0)
+    (Cpu.utilization par ~since:0.0);
+  Cpu.submit_parallel par ~slices:2 ~seconds:1.0 ignore;
+  check_int "two slices queued" 2 (Cpu.queue_depth par);
+  Sim.run_until_idle sim ();
+  check_int "equal finishes drained together" 0 (Cpu.queue_depth par)
 
 (* ------------------------------------------------------------------ *)
 (* Topology                                                            *)
@@ -534,7 +686,7 @@ let test_fault_hook_delay () =
   check_float "delayed by 0.5 s" (!plain +. 0.5) !delayed
 
 let test_fault_hook_dup () =
-  let sim = Sim.create () in
+  let sim = Sim.create ~shards:2 () in
   let topo = Topology.create sim (spec ()) in
   let delivered = ref 0 in
   Topology.set_fault_hook topo
@@ -547,7 +699,11 @@ let test_fault_hook_dup () =
   check_int "one duplication event" 1 (Topology.faults_duplicated topo);
   (* Receive-side duplication: the NIC serialized the payload once. *)
   check_int "duplicate copies are free on the wire" 10
-    (Topology.wan_bytes_sent topo)
+    (Topology.wan_bytes_sent topo);
+  (* Every event past the sender's uplink belongs to group 1: the
+     arrival, the downlink completion and both copies. *)
+  check_int "counted on the receiver's shard" 4 (Sim.dispatched (Sim.shard sim 1));
+  check_int "nothing on the sender's shard" 0 (Sim.dispatched sim)
 
 let test_fault_hook_skips_loopback () =
   let sim = Sim.create () in
@@ -640,6 +796,93 @@ let test_traffic_baseline_reset () =
     (fun () -> ());
   Sim.run_until_idle sim ();
   check_int "only post-reset traffic" 7_000 (Topology.wan_bytes_sent topo)
+
+let spec3 =
+  { (spec ~groups:[| 2; 2; 2 |] ()) with
+    rtt = (fun g h -> 0.02 +. (0.01 *. float_of_int (g + h))) }
+
+(* A deterministic duplicating hook keyed on the message size. *)
+let dup_hook ~src:_ ~dst:_ ~bulk:_ ~bytes ~now:_ =
+  if bytes mod 3 > 0 then None
+  else Some (Topology.Net_dup { copies = 1 + (bytes mod 2); spacing_s = 0.0007 })
+
+(* The store-and-forward send as three scheduled hops (uplink
+   completion, propagation arrival, downlink completion), built from
+   [Nic.transmit] and [Sim.at] over another topology's NICs and
+   liveness: the model [Topology.send]'s fused uplink must agree with. *)
+let three_hop_send topo ~bulk ~(src : Topology.addr) ~(dst : Topology.addr)
+    ~bytes k =
+  let sim = Topology.sim topo in
+  let deliver () = if Topology.alive topo dst then k () in
+  let copies = if bytes mod 3 > 0 then 0 else 1 + (bytes mod 2) in
+  let wan = src.g <> dst.g in
+  let one_way = (if wan then spec3.rtt src.g dst.g else spec3.lan_rtt) /. 2.0 in
+  if not (Topology.alive topo src) then ()
+  else if Topology.addr_equal src dst then ignore (Sim.after sim 1e-6 deliver)
+  else
+    Nic.transmit ~bulk
+      (Topology.nic topo src (if wan then Wan_up else Lan_up))
+      ~bytes
+      (fun () ->
+        ignore
+          (Sim.at sim (Sim.now sim +. one_way) (fun () ->
+               Nic.transmit ~bulk
+                 (Topology.nic topo dst (if wan then Wan_down else Lan_down))
+                 ~bytes
+                 (fun () ->
+                   deliver ();
+                   for i = 1 to copies do
+                     ignore (Sim.after sim (0.0007 *. float_of_int i) deliver)
+                   done))))
+
+(* Runs timed sends plus one receiver crash and recovery through
+   [Topology.send] ([fused]) or the three-hop model, and returns the
+   deliveries as (time, ids delivered at that time, sorted): within one
+   timestamp the two may differ, as the fused arrival draws its seq at
+   send time. *)
+let run_sends ~fused (sends, (crash_at, victim, down_for)) =
+  let sim = Sim.create () in
+  let topo = Topology.create sim spec3 in
+  let send =
+    if fused then begin
+      Topology.set_fault_hook topo (Some dup_hook);
+      fun ~bulk -> Topology.send ~bulk topo
+    end
+    else three_hop_send topo
+  in
+  let log = ref [] in
+  List.iteri
+    (fun id (at, src, dst, bytes, bulk) ->
+      ignore
+        (Sim.at sim at (fun () ->
+             send ~bulk ~src ~dst ~bytes (fun () ->
+                 log := (Sim.now sim, id) :: !log))))
+    sends;
+  ignore (Sim.at sim crash_at (fun () -> Topology.crash topo victim));
+  ignore (Sim.at sim (crash_at +. down_for) (fun () -> Topology.recover topo victim));
+  Sim.run_until_idle sim ();
+  List.fold_left
+    (fun acc (time, id) ->
+      match acc with
+      | (t, ids) :: rest when t = time -> (t, id :: ids) :: rest
+      | _ -> (time, [ id ]) :: acc)
+    [] !log
+  |> List.map (fun (t, ids) -> (t, List.sort compare ids))
+
+let prop_fused_send =
+  let open QCheck.Gen in
+  let addr = map2 (fun g n -> { Topology.g; n }) (int_bound 2) (int_bound 1) in
+  let send =
+    map
+      (fun (at, src, dst, (bytes, bulk)) -> (at, src, dst, bytes, bulk))
+      (quad (float_bound_exclusive 0.2) addr addr
+         (pair (int_range 1 100_000) bool))
+  in
+  QCheck.Test.make ~count:300 ~name:"fused uplink = three-hop send"
+    (QCheck.make
+       (pair (list_size (int_range 1 60) send)
+          (triple (float_bound_exclusive 0.25) addr (float_bound_exclusive 0.05))))
+    (fun program -> run_sends ~fused:true program = run_sends ~fused:false program)
 
 (* ------------------------------------------------------------------ *)
 (* Shard handles                                                       *)
@@ -830,6 +1073,16 @@ let () =
           Alcotest.test_case "churn keeps dispatch order" `Quick
             test_churn_dispatch_order_unchanged;
         ] );
+      ( "heap",
+        [
+          Alcotest.test_case "drain order" `Quick test_heap_drain_order;
+          Alcotest.test_case "empty" `Quick test_heap_empty;
+          Alcotest.test_case "peek stable" `Quick test_heap_peek_stable;
+          Alcotest.test_case "filter_in_place" `Quick test_heap_filter_in_place;
+          QCheck_alcotest.to_alcotest prop_heap_sorts;
+          QCheck_alcotest.to_alcotest prop_heap_interleaved;
+          QCheck_alcotest.to_alcotest prop_heap_filter;
+        ] );
       ( "shard",
         [
           QCheck_alcotest.to_alcotest prop_shard_merge_equivalence;
@@ -858,6 +1111,7 @@ let () =
           Alcotest.test_case "utilization multi-core partial" `Quick
             test_cpu_utilization_multi_core_partial;
           Alcotest.test_case "queue depth" `Quick test_cpu_queue_depth;
+          Alcotest.test_case "parallel charge" `Quick test_cpu_submit_parallel;
         ] );
       ("dsl", [ Alcotest.test_case "timed-line core" `Quick test_timed_line ]);
       ( "topology",
@@ -886,5 +1140,6 @@ let () =
           Alcotest.test_case "self send" `Quick test_self_send;
           Alcotest.test_case "bandwidth override" `Quick test_bandwidth_override;
           Alcotest.test_case "traffic baseline reset" `Quick test_traffic_baseline_reset;
+          QCheck_alcotest.to_alcotest prop_fused_send;
         ] );
     ]

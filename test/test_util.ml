@@ -204,99 +204,6 @@ let test_zipf_invalid () =
       ignore (Zipf.create ~n:10 ~theta:1.0))
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_heap_order () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  check_int "length" 7 (Heap.length h);
-  Alcotest.(check (list int))
-    "drain sorted"
-    [ 1; 2; 3; 5; 7; 8; 9 ]
-    (List.init 7 (fun _ -> Heap.pop_exn h))
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  check_bool "empty" true (Heap.is_empty h);
-  check_bool "pop empty" true (Heap.pop h = None);
-  check_bool "peek empty" true (Heap.peek h = None);
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h))
-
-let test_heap_peek_stable () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 4; 2; 6 ];
-  check_bool "peek min" true (Heap.peek h = Some 2);
-  check_int "peek does not remove" 3 (Heap.length h)
-
-let test_heap_to_sorted_list () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Alcotest.(check (list int)) "sorted view" [ 1; 2; 3 ] (Heap.to_sorted_list h);
-  check_int "non-destructive" 3 (Heap.length h)
-
-let test_heap_filter_in_place () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 9; 4; 7; 2; 8; 1; 6; 3; 5; 0 ];
-  Heap.filter_in_place h (fun x -> x land 1 = 0);
-  check_int "evens kept" 5 (Heap.length h);
-  Alcotest.(check (list int))
-    "drain order preserved"
-    [ 0; 2; 4; 6; 8 ]
-    (List.init 5 (fun _ -> Heap.pop_exn h));
-  (* Filtering everything away leaves a usable empty heap. *)
-  List.iter (Heap.push h) [ 1; 2 ];
-  Heap.filter_in_place h (fun _ -> false);
-  check_bool "emptied" true (Heap.is_empty h);
-  Heap.push h 42;
-  check_bool "usable after emptying" true (Heap.pop h = Some 42)
-
-let prop_heap_filter =
-  QCheck.Test.make ~name:"filter_in_place = sort of filtered list"
-    QCheck.(pair (list small_int) small_int)
-    (fun (xs, k) ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      Heap.filter_in_place h (fun x -> x mod 3 <> k mod 3);
-      let expected =
-        List.sort compare (List.filter (fun x -> x mod 3 <> k mod 3) xs)
-      in
-      List.init (Heap.length h) (fun _ -> Heap.pop_exn h) = expected)
-
-let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap drains any list in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let drained = List.init (List.length xs) (fun _ -> Heap.pop_exn h) in
-      drained = List.sort compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"interleaved push/pop maintains heap property"
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, v) ->
-          if is_push then begin
-            Heap.push h v;
-            model := List.sort compare (v :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some x, m :: rest ->
-                model := rest;
-                x = m
-            | _ -> false)
-        ops)
-
-(* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -517,17 +424,6 @@ let () =
           Alcotest.test_case "skew" `Quick test_zipf_skew;
           Alcotest.test_case "scrambled spread" `Quick test_zipf_scrambled_spread;
           Alcotest.test_case "invalid params" `Quick test_zipf_invalid;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "drain order" `Quick test_heap_order;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek stable" `Quick test_heap_peek_stable;
-          Alcotest.test_case "to_sorted_list" `Quick test_heap_to_sorted_list;
-          Alcotest.test_case "filter_in_place" `Quick test_heap_filter_in_place;
-          qt prop_heap_sorts;
-          qt prop_heap_interleaved;
-          qt prop_heap_filter;
         ] );
       ( "stats",
         [
