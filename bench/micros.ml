@@ -183,6 +183,17 @@ let bench_orderer =
          done;
          assert (!executed > 500)))
 
+(* The full-scale YCSB-A generator (1M rows, Zipf 0.99) cutting one
+   500-txn batch, as Batcher.form_batch does on every batch tick of the
+   ycsb-a macro. The generator keeps its state across runs, like a
+   leader's, and is built when the benchmark runs: its Zipf table costs
+   a pass over the million rows. *)
+let bench_ycsb_batch =
+  Test.make_with_resource ~name:"workload/ycsb-a-500-txn-batch" Test.uniq
+    ~allocate:(fun () -> W.create W.Ycsb_a ~seed:7L)
+    ~free:ignore
+    (Staged.stage (fun w -> ignore (List.init 500 (fun _ -> W.next w))))
+
 let aria_batch =
   let w = W.create ~scale:0.01 W.Ycsb_a ~seed:7L in
   List.init 500 (fun _ -> W.next w)
@@ -291,8 +302,8 @@ let micro_tests =
     bench_gf16_mul_slice; bench_gf16_xor_slice; bench_rs_encode;
     bench_rs_decode;
     bench_rs16_encode; bench_rs16_decode; bench_plan;
-    bench_chunker; bench_rebuild; bench_orderer; bench_aria; bench_aria_tpcc;
-    bench_pbft;
+    bench_chunker; bench_rebuild; bench_orderer; bench_ycsb_batch; bench_aria;
+    bench_aria_tpcc; bench_pbft;
     bench_sim; bench_sim_churn;
   ]
 

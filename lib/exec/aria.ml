@@ -85,7 +85,7 @@ let cell tbl key =
    rest reuse it. *)
 let snapshot store c =
   if not c.loaded then begin
-    c.snapshot <- Kvstore.get store c.key;
+    c.snapshot <- Kvstore.get_hashed store c.key ~hash:c.hash;
     c.loaded <- true
   end;
   c.snapshot
@@ -111,12 +111,61 @@ type exec_record = {
   logic_abort : bool;
 }
 
+(* The batch is also the one execution context: the [Txn.ctx] closures
+   are built once per batch over it, and [run_body] resets the running
+   transaction's footprint and last-key cache before each body runs. *)
 type batch = {
   store : Kvstore.t;
   tbl : table;
   mutable reads : int;
   mutable writes : int;
+  mutable serial : bool;
+      (* fallback lane: reads the transaction's own writes do not
+         satisfy go to the live store, not the pre-batch snapshot *)
+  mutable txn_reads : cell list;  (* the running transaction's footprint *)
+  mutable txn_writes : writes;
+  (* A read-modify-write passes the same key string to [read] and
+     [write]; remembering the last key's cell saves the second hash. *)
+  mutable last_key : string;
+  mutable last : cell;
 }
+
+let lookup b k =
+  if k == b.last_key && b.last != nil then b.last
+  else begin
+    let c = cell b.tbl k in
+    b.last_key <- k;
+    b.last <- c;
+    c
+  end
+
+let context b =
+  {
+    Txn.read =
+      (fun k ->
+        b.reads <- b.reads + 1;
+        let c = lookup b k in
+        b.txn_reads <- c :: b.txn_reads;
+        match own_write c b.txn_writes with
+        | Some _ as v -> v
+        | None ->
+            if b.serial then Kvstore.get_hashed b.store c.key ~hash:c.hash
+            else snapshot b.store c);
+    write =
+      (fun k v ->
+        b.writes <- b.writes + 1;
+        b.txn_writes <- Write { cell = lookup b k; value = v; older = b.txn_writes });
+    abort = (fun () -> raise Txn.Logic_abort);
+  }
+
+(* Runs [txn]'s body over the batch's context, from an empty footprint
+   and last-key cache; true if it logic-aborted. *)
+let run_body b ctx txn =
+  b.txn_reads <- [];
+  b.txn_writes <- Done;
+  b.last_key <- "";
+  b.last <- nil;
+  try txn.Txn.body ctx; false with Txn.Logic_abort -> true
 
 (* Reservation and the three conflict tests, over cells only. *)
 let rec reserve_writes pos = function
@@ -141,44 +190,14 @@ let rec war pos = function
 
 let rec raw pos = function [] -> false | c :: rest -> c.min_w < pos || raw pos rest
 
-let run_one b pos txn =
-  let reads_l = ref [] and writes_l = ref Done in
-  (* A read-modify-write passes the same key string to [read] and
-     [write]; remembering the last key's cell saves the second hash. *)
-  let last_key = ref "" and last = ref nil in
-  let lookup k =
-    if k == !last_key && !last != nil then !last
-    else begin
-      let c = cell b.tbl k in
-      last_key := k;
-      last := c;
-      c
-    end
-  in
-  let ctx =
-    {
-      Txn.read =
-        (fun k ->
-          b.reads <- b.reads + 1;
-          let c = lookup k in
-          reads_l := c :: !reads_l;
-          match own_write c !writes_l with
-          | Some _ as v -> v
-          | None -> snapshot b.store c);
-      write =
-        (fun k v ->
-          b.writes <- b.writes + 1;
-          writes_l := Write { cell = lookup k; value = v; older = !writes_l });
-      abort = (fun () -> raise Txn.Logic_abort);
-    }
-  in
-  let logic_abort = try txn.Txn.body ctx; false with Txn.Logic_abort -> true in
+let run_one b ctx pos txn =
+  let logic_abort = run_body b ctx txn in
   (* Logic aborts hold no reservations: their effects vanish. *)
   if not logic_abort then begin
-    reserve_writes pos !writes_l;
-    reserve_reads pos !reads_l
+    reserve_writes pos b.txn_writes;
+    reserve_reads pos b.txn_reads
   end;
-  { txn; pos; reads_l = !reads_l; writes_l = !writes_l; logic_abort }
+  { txn; pos; reads_l = b.txn_reads; writes_l = b.txn_writes; logic_abort }
 
 (* Apply oldest-first so the newest write to a key lands last. The
    recursion depth is the transaction's write count — tens at most.
@@ -190,54 +209,29 @@ let rec apply_writes store effects = function
   | Done -> ()
   | Write w ->
       apply_writes store effects w.older;
-      Kvstore.put store w.cell.key w.value;
+      Kvstore.put_hashed store w.cell.key ~hash:w.cell.hash w.value;
       effects := (w.cell.key, w.value) :: !effects
-
-(* Latest buffered write for [k], honoring shadowing (newest first). *)
-let rec wfind k = function
-  | [] -> None
-  | (k', v) :: rest -> if String.equal k k' then Some v else wfind k rest
-
-let rec apply_pairs store effects = function
-  | [] -> ()
-  | (k, v) :: rest ->
-      apply_pairs store effects rest;
-      Kvstore.put store k v;
-      effects := (k, v) :: !effects
 
 (* Aria's fallback lane: serial execution with immediate visibility;
    deterministic because the order is the list order. *)
-let run_fallback b effects txns committed logic =
+let run_fallback b ctx effects txns committed logic =
+  b.serial <- true;
   List.iter
     (fun (txn : Txn.t) ->
-      let writes_l = ref [] in
-      let aborted = ref false in
-      let ctx =
-        {
-          Txn.read =
-            (fun k ->
-              b.reads <- b.reads + 1;
-              match wfind k !writes_l with
-              | Some v -> Some v
-              | None -> Kvstore.get b.store k);
-          write =
-            (fun k v ->
-              b.writes <- b.writes + 1;
-              writes_l := (k, v) :: !writes_l);
-          abort = (fun () -> raise Txn.Logic_abort);
-        }
-      in
-      (try txn.Txn.body ctx with Txn.Logic_abort -> aborted := true);
-      if !aborted then logic := txn :: !logic
+      if run_body b ctx txn then logic := txn :: !logic
       else begin
-        apply_pairs b.store effects !writes_l;
+        apply_writes b.store effects b.txn_writes;
         committed := txn :: !committed
       end)
     txns
 
 let execute_batch ?(reorder = true) ?(fallback = []) store txns =
-  let b = { store; tbl = table_create (List.length txns); reads = 0; writes = 0 } in
-  let records = List.mapi (fun pos txn -> run_one b pos txn) txns in
+  let b =
+    { store; tbl = table_create (List.length txns); reads = 0; writes = 0;
+      serial = false; txn_reads = []; txn_writes = Done; last_key = ""; last = nil }
+  in
+  let ctx = context b in
+  let records = List.mapi (fun pos txn -> run_one b ctx pos txn) txns in
   let committed = ref [] and conflicted = ref [] and logic = ref [] in
   let effects = ref [] in
   List.iter
@@ -258,7 +252,7 @@ let execute_batch ?(reorder = true) ?(fallback = []) store txns =
         end
       end)
     records;
-  run_fallback b effects fallback committed logic;
+  run_fallback b ctx effects fallback committed logic;
   {
     committed = List.rev !committed;
     conflicted = List.rev !conflicted;

@@ -75,8 +75,7 @@ let insert t i key h v =
   Array.unsafe_set t.vals i v;
   t.count <- t.count + 1
 
-let get t key =
-  let h = Hashtbl.hash key in
+let get_hashed t key ~hash:h =
   let i = slot t.tags t.keys key h in
   if Bytes.unsafe_get t.tags i <> '\000' then Some (Array.unsafe_get t.vals i)
   else
@@ -87,11 +86,13 @@ let get t key =
         r
     | None -> None
 
-let put t key value =
-  let h = Hashtbl.hash key in
+let put_hashed t key ~hash:h value =
   let i = slot t.tags t.keys key h in
   if Bytes.unsafe_get t.tags i <> '\000' then Array.unsafe_set t.vals i value
   else insert t i key h value
+
+let get t key = get_hashed t key ~hash:(Hashtbl.hash key)
+let put t key value = put_hashed t key ~hash:(Hashtbl.hash key) value
 
 let size t = t.count
 

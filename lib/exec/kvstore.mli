@@ -23,6 +23,12 @@ val create : ?init:(string -> string option) -> unit -> t
 val get : t -> string -> string option
 val put : t -> string -> string -> unit
 
+val get_hashed : t -> string -> hash:int -> string option
+val put_hashed : t -> string -> hash:int -> string -> unit
+(** [get] and [put] for a caller that already holds the key's hash:
+    [hash] must be [Hashtbl.hash key]. Aria's batch cells carry it, so
+    an operation hashes its key once. *)
+
 val size : t -> int
 (** Number of materialized keys (written or faulted-in). *)
 

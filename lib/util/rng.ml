@@ -1,4 +1,6 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* xoshiro256**'s s0..s3, little-endian at offsets 0, 8, 16, 24 (see
+   rng.mli): [mutable int64] record fields would box on every store. *)
+type t = Bytes.t
 
 (* splitmix64: expands a 64-bit seed into the four xoshiro words. *)
 let splitmix64 state =
@@ -9,6 +11,14 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 s2;
+  Bytes.set_int64_le t 24 s3;
+  t
+
 let create seed =
   let state = ref seed in
   let s0 = splitmix64 state in
@@ -17,38 +27,41 @@ let create seed =
   let s3 = splitmix64 state in
   (* xoshiro must not start from the all-zero state. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    of_words 1L 2L 3L 4L
+  else of_words s0 s1 s2 s3
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next_int64 t =
+let[@inline] next_int64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tt = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tt;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  Bytes.set_int64_le t 0 (logxor s0 s3);
+  Bytes.set_int64_le t 8 (logxor s1 s2);
+  Bytes.set_int64_le t 16 (logxor s2 (shift_left s1 17));
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
 let split t = create (next_int64 t)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
+
+(* Rejection sampling on the top bits to avoid modulo bias. The bound
+   travels as an [int] and is widened inside: an [int64] argument would
+   be boxed on every call. *)
+let rec draw t bound =
+  let bound64 = Int64.of_int bound in
+  let r = Int64.shift_right_logical (next_int64 t) 1 in
+  let v = Int64.rem r bound64 in
+  if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int bound64) 1L then draw t bound
+  else Int64.to_int v
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling on the top bits to avoid modulo bias. *)
-  let bound64 = Int64.of_int bound in
-  let rec draw () =
-    let r = Int64.shift_right_logical (next_int64 t) 1 in
-    let v = Int64.rem r bound64 in
-    if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int bound64) 1L then draw ()
-    else Int64.to_int v
-  in
-  draw ()
+  draw t bound
 
 let int_in t ~lo ~hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";

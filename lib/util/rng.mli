@@ -4,7 +4,15 @@
     randomized component (workload generators, network jitter, fault
     injection) draws from an explicit [Rng.t] rather than the global
     [Random] state. The generator is xoshiro256** seeded through
-    splitmix64, the combination recommended by its authors. *)
+    splitmix64, the combination recommended by its authors.
+
+    State layout: [t] is one 32-byte [Bytes] holding the four 64-bit
+    state words s0..s3 little-endian at offsets 0, 8, 16 and 24, read
+    and written with [Bytes.get_int64_le]/[set_int64_le] so the words
+    stay unboxed and a draw allocates nothing ([float] still boxes its
+    result). Every golden rests on this stream: test_util pins it draw
+    for draw against a boxed-record oracle (test/rng_oracle.ml) and
+    against known-answer vectors. *)
 
 type t
 

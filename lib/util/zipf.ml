@@ -1,10 +1,9 @@
 type t = {
   n : int;
-  theta : float;
   alpha : float;
   zetan : float;
   eta : float;
-  zeta2 : float;
+  half_pow_theta : float;  (* 0.5 ** theta, fixed at [create] *)
 }
 
 (* zeta(n, theta) = sum_{i=1..n} 1/i^theta. O(n) once at construction. *)
@@ -26,14 +25,13 @@ let create ~n ~theta =
     (1.0 -. Float.pow (2.0 /. float_of_int n) (1.0 -. theta))
     /. (1.0 -. (zeta2 /. zetan))
   in
-  { n; theta; alpha; zetan; eta; zeta2 = zeta 2 theta }
+  { n; alpha; zetan; eta; half_pow_theta = Float.pow 0.5 theta }
 
 let next t rng =
-  ignore t.zeta2;
   let u = Rng.float rng 1.0 in
   let uz = u *. t.zetan in
   if uz < 1.0 then 0
-  else if uz < 1.0 +. Float.pow 0.5 t.theta then 1
+  else if uz < 1.0 +. t.half_pow_theta then 1
   else
     let v =
       float_of_int t.n

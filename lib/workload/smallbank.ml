@@ -39,16 +39,16 @@ let shard_account t a =
       let lo = min (i * span) (max 0 (t.cfg.accounts - span)) in
       lo + (a mod span)
 
-(* By concatenation, not [Printf.sprintf], like the other workloads'
-   keys; [string_of_int] prints exactly what ["%d"] does. *)
-let checking_key a = "sb/c/" ^ string_of_int a
-let savings_key a = "sb/s/" ^ string_of_int a
+(* One allocation per key, through [Keyfmt], like the other workloads'
+   keys; the bytes are those of ["%d"]. *)
+let checking_key a = Keyfmt.cat1 "sb/c/" a ""
+let savings_key a = Keyfmt.cat1 "sb/s/" a ""
 
 let preload cfg key =
-  let prefix_c = "sb/c/" and prefix_s = "sb/s/" in
   if
     String.length key > 5
-    && (String.sub key 0 5 = prefix_c || String.sub key 0 5 = prefix_s)
+    && (String.starts_with ~prefix:"sb/c/" key
+       || String.starts_with ~prefix:"sb/s/" key)
   then Some (Txn.of_int cfg.initial_balance)
   else None
 

@@ -83,34 +83,24 @@ let nurand rng ~a ~c ~lo ~hi =
   let y = Rng.int_in rng ~lo ~hi in
   (((x lor y) + c) mod (hi - lo + 1)) + lo
 
-(* Keys and values are built by concatenation, not [Printf.sprintf]:
-   transaction bodies mint tens of them each time they execute, so their
-   cost lands in the execution layer. [string_of_int] prints exactly
-   what ["%d"] does. *)
-let num = string_of_int
-let warehouse_ytd_key w = "tpcc/w/" ^ num w ^ "/ytd"
-let warehouse_tax_key w = "tpcc/w/" ^ num w ^ "/tax"
-let district_next_oid_key ~w ~d = "tpcc/d/" ^ num w ^ "/" ^ num d ^ "/next_oid"
-let district_ytd_key ~w ~d = "tpcc/d/" ^ num w ^ "/" ^ num d ^ "/ytd"
-let district_tax_key ~w ~d = "tpcc/d/" ^ num w ^ "/" ^ num d ^ "/tax"
-
-let customer_key ~w ~d ~c field =
-  "tpcc/c/" ^ num w ^ "/" ^ num d ^ "/" ^ num c ^ field
-
+(* Transaction bodies mint tens of keys and values each time they
+   execute, so their cost lands in the execution layer. Each is one
+   allocation through [Keyfmt], with the bytes of ["%d"]. *)
+let warehouse_ytd_key w = Keyfmt.cat1 "tpcc/w/" w "/ytd"
+let warehouse_tax_key w = Keyfmt.cat1 "tpcc/w/" w "/tax"
+let district_next_oid_key ~w ~d = Keyfmt.cat2 "tpcc/d/" w "/" d "/next_oid"
+let district_ytd_key ~w ~d = Keyfmt.cat2 "tpcc/d/" w "/" d "/ytd"
+let district_tax_key ~w ~d = Keyfmt.cat2 "tpcc/d/" w "/" d "/tax"
+let customer_key ~w ~d ~c field = Keyfmt.cat3 "tpcc/c/" w "/" d "/" c field
 let customer_balance_key ~w ~d ~c = customer_key ~w ~d ~c "/bal"
 let customer_ytd_key ~w ~d ~c = customer_key ~w ~d ~c "/ytd"
 let customer_cnt_key ~w ~d ~c = customer_key ~w ~d ~c "/cnt"
-let stock_qty_key ~w ~i:item = "tpcc/s/" ^ num w ^ "/" ^ num item ^ "/qty"
-let stock_ytd_key ~w ~i:item = "tpcc/s/" ^ num w ^ "/" ^ num item ^ "/ytd"
-let order_key ~w ~d ~o = "tpcc/o/" ^ num w ^ "/" ^ num d ^ "/" ^ num o
-
-let order_line_key ~w ~d ~o ~n =
-  "tpcc/ol/" ^ num w ^ "/" ^ num d ^ "/" ^ num o ^ "/" ^ num n
-
-let order_value ~c ~lines = "c=" ^ num c ^ ";lines=" ^ num lines
-
-let order_line_value ~i:item ~w ~q =
-  "i=" ^ num item ^ ";w=" ^ num w ^ ";q=" ^ num q
+let stock_qty_key ~w ~i:item = Keyfmt.cat2 "tpcc/s/" w "/" item "/qty"
+let stock_ytd_key ~w ~i:item = Keyfmt.cat2 "tpcc/s/" w "/" item "/ytd"
+let order_key ~w ~d ~o = Keyfmt.cat3 "tpcc/o/" w "/" d "/" o ""
+let order_line_key ~w ~d ~o ~n = Keyfmt.cat4 "tpcc/ol/" w "/" d "/" o "/" n ""
+let order_value ~c ~lines = Keyfmt.cat2 "c=" c ";lines=" lines ""
+let order_line_value ~i:item ~w ~q = Keyfmt.cat3 "i=" item ";w=" w ";q=" q ""
 
 let preload _cfg key =
   (* Lazily materialized initial rows; only prefixes that exist in the

@@ -38,7 +38,9 @@ val preload : config -> (string -> string option)
 
 (** Key and value encodings, exposed for tests and examples. Each
     returns the bytes of a ["%d"]-style format, e.g.
-    [customer_balance_key ~w ~d ~c] is ["tpcc/c/<w>/<d>/<c>/bal"]. *)
+    [customer_balance_key ~w ~d ~c] is ["tpcc/c/<w>/<d>/<c>/bal"], and
+    is built by {!Keyfmt} in one allocation: transaction bodies mint
+    tens of these per execution. *)
 
 val warehouse_ytd_key : int -> string
 val warehouse_tax_key : int -> string

@@ -13,4 +13,4 @@ let make ~id ~label ~wire_size body =
   { id; label; wire_size; body }
 
 let int_value s = match int_of_string_opt s with Some v -> v | None -> 0
-let of_int = string_of_int
+let of_int = Keyfmt.int

@@ -264,6 +264,51 @@ let test_aria_logic_abort_holds_no_reservation () =
   check_int "t2 commits despite t1's write" 1 (List.length o.Aria.committed);
   check_bool "good value stored" true (Kvstore.get s "k" = Some "good")
 
+(* Aria builds one context per batch and resets the running
+   transaction's footprint and last-key cache before each body. A
+   logic-aborted writer of [k] must leave nothing behind for the next
+   transaction, which reads [k] through the same key string: not its
+   buffered write (the read sees the pre-batch value, and nothing of it
+   is applied), and not its read of [r] (a leaked read reservation
+   would make t2's write of [r] a WAR and, with t2's RAW on [w], abort
+   it). The fallback lane runs the same bodies through the same
+   context. *)
+let test_aria_context_reset_per_txn () =
+  let k = "k" in
+  let run ~fallback_lane =
+    let s = Kvstore.create () in
+    Kvstore.put s k "pre";
+    Kvstore.put s "r" "r0";
+    let seen = ref None in
+    let t0 = mk (fun ctx ->
+        ignore (ctx.Txn.read "r");
+        ctx.Txn.write k "poison";
+        ctx.Txn.abort ())
+    in
+    let t1 = mk (fun ctx ->
+        seen := ctx.Txn.read k;
+        ctx.Txn.write "w" "x")
+    in
+    let t2 = mk (fun ctx ->
+        ignore (ctx.Txn.read "w");
+        ctx.Txn.write "r" "r1")
+    in
+    let o =
+      if fallback_lane then Aria.execute_batch s [] ~fallback:[ t0; t1; t2 ]
+      else Aria.execute_batch s [ t0; t1; t2 ]
+    in
+    let lane = if fallback_lane then "fallback: " else "batch: " in
+    Alcotest.(check (option string)) (lane ^ "t1 reads the pre-batch k") (Some "pre") !seen;
+    check_int (lane ^ "t0 logic-aborted") 1 (List.length o.Aria.logic_aborted);
+    check_int (lane ^ "t1 and t2 commit") 2 (List.length o.Aria.committed);
+    Alcotest.(check (list (pair string string)))
+      (lane ^ "effects are t1's and t2's writes only")
+      [ ("w", "x"); ("r", "r1") ] o.Aria.effects;
+    Alcotest.(check (option string)) (lane ^ "k untouched") (Some "pre") (Kvstore.get s k)
+  in
+  run ~fallback_lane:false;
+  run ~fallback_lane:true
+
 let test_aria_determinism () =
   (* Same batch against same state on two stores -> identical outcomes
      and states. *)
@@ -556,6 +601,7 @@ let () =
           Alcotest.test_case "fallback logic abort" `Quick test_fallback_logic_abort_final;
           Alcotest.test_case "fallback deterministic" `Quick test_fallback_deterministic_order;
           qt prop_aria_matches_oracle;
+          Alcotest.test_case "context reset per txn" `Quick test_aria_context_reset_per_txn;
         ] );
       ( "ledger",
         [

@@ -156,6 +156,103 @@ let test_rng_bytes () =
   let b2 = Rng.bytes rng 100 in
   check_bool "two draws differ" false (Bytes.equal b b2)
 
+(* The first eight draws for two seeds, recorded from the boxed-record
+   generator (test/rng_oracle.ml). Every golden rests on this stream. *)
+let test_rng_known_answers () =
+  let expect seed words =
+    let r = Rng.create seed in
+    List.iteri
+      (fun i w ->
+        Alcotest.(check int64) (Printf.sprintf "seed %Ld draw %d" seed i) w
+          (Rng.next_int64 r))
+      words
+  in
+  expect 0L
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+      0x6aa594f1262d2d2cL; 0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+      0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ];
+  expect 42L
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L ]
+
+type rng_op =
+  | Next
+  | Int of int
+  | Int_in of int * int
+  | Float of float
+  | Bool
+  | Copy
+  | Split
+
+let print_rng_op = function
+  | Next -> "next_int64"
+  | Int b -> Printf.sprintf "int %d" b
+  | Int_in (lo, hi) -> Printf.sprintf "int_in %d..%d" lo hi
+  | Float b -> Printf.sprintf "float %h" b
+  | Bool -> "bool"
+  | Copy -> "copy"
+  | Split -> "split"
+
+(* Bounds near max_int make the rejection loop redraw often. *)
+let gen_rng_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Next);
+        ( 3,
+          map
+            (fun b -> Int b)
+            (oneof
+               [ int_range 1 1000; int_range 1 max_int;
+                 map (fun k -> max_int - k) (int_range 0 1000) ]) );
+        ( 2,
+          map2
+            (fun lo span -> Int_in (lo, lo + span))
+            (int_range (-1_000_000) 1_000_000)
+            (int_range 0 1_000_000) );
+        (2, map (fun b -> Float b) (float_range 1e-3 1e6));
+        (2, return Bool);
+        (1, return Copy);
+        (1, return Split);
+      ])
+
+(* After [copy] or [split] both sides go on with the new generator; the
+   old one draws once first, so a copy that aliased its source, or a
+   split that did not advance it, shows as a mismatch. *)
+let prop_rng_oracle =
+  QCheck.Test.make ~count:300 ~name:"Rng = boxed-record oracle, draw for draw"
+    QCheck.(
+      pair int64
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map print_rng_op ops))
+           Gen.(list_size (int_range 1 200) gen_rng_op)))
+    (fun (seed, ops) ->
+      let module O = Rng_oracle in
+      let rec go r o = function
+        | [] -> Rng.next_int64 r = O.next_int64 o
+        | op :: rest ->
+            let same, r, o =
+              match op with
+              | Next -> (Rng.next_int64 r = O.next_int64 o, r, o)
+              | Int b -> (Rng.int r b = O.int o b, r, o)
+              | Int_in (lo, hi) -> (Rng.int_in r ~lo ~hi = O.int_in o ~lo ~hi, r, o)
+              | Float b ->
+                  ( Int64.bits_of_float (Rng.float r b)
+                    = Int64.bits_of_float (O.float o b),
+                    r, o )
+              | Bool -> (Rng.bool r = O.bool o, r, o)
+              | Copy ->
+                  let r' = Rng.copy r and o' = O.copy o in
+                  (Rng.next_int64 r = O.next_int64 o, r', o')
+              | Split ->
+                  let r' = Rng.split r and o' = O.split o in
+                  (Rng.next_int64 r = O.next_int64 o, r', o')
+            in
+            same && go r o rest
+      in
+      go (Rng.create seed) (O.create seed) ops)
+
 (* ------------------------------------------------------------------ *)
 (* Zipf                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -417,6 +514,8 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "bytes" `Quick test_rng_bytes;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          qt prop_rng_oracle;
         ] );
       ( "zipf",
         [

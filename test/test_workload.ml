@@ -361,6 +361,58 @@ let prop_tpcc_preload_unchanged =
     (QCheck.make ~print:Fun.id QCheck.Gen.(map (String.concat "") (list_size (int_range 0 5) piece)))
     (fun key -> Tpcc.preload Tpcc.default key = old_tpcc_preload key)
 
+(* The same builders, plus YCSB's key and the integer values, against
+   the [^]/[string_of_int] concatenations they replaced. Edge ints
+   (digit-count boundaries, max_int, negatives, min_int) are drawn as
+   often as random ones. *)
+let prop_builders_match_concat =
+  let edge = [ 0; 9; 10; 99; 100; 999; 1000; max_int; -1; -9; -10; -100; min_int; min_int + 1 ] in
+  let arg = QCheck.(oneof [ oneofl edge; small_signed_int; int ]) in
+  QCheck.Test.make ~name:"key/value builders = ^/string_of_int forms" ~count:1000
+    QCheck.(quad arg arg arg arg)
+    (fun (a, b, c, d) ->
+      let n = string_of_int in
+      List.for_all
+        (fun (got, want) -> String.equal got want)
+        [
+          (Keyfmt.int a, n a);
+          (Txn.of_int a, n a);
+          (Ycsb.key ~row:a ~col:b, "ycsb/u" ^ n a ^ "/f" ^ n b);
+          (Tpcc.warehouse_ytd_key a, "tpcc/w/" ^ n a ^ "/ytd");
+          (Tpcc.warehouse_tax_key a, "tpcc/w/" ^ n a ^ "/tax");
+          (Tpcc.district_next_oid_key ~w:a ~d:b, "tpcc/d/" ^ n a ^ "/" ^ n b ^ "/next_oid");
+          (Tpcc.district_ytd_key ~w:a ~d:b, "tpcc/d/" ^ n a ^ "/" ^ n b ^ "/ytd");
+          (Tpcc.district_tax_key ~w:a ~d:b, "tpcc/d/" ^ n a ^ "/" ^ n b ^ "/tax");
+          (Tpcc.customer_balance_key ~w:a ~d:b ~c, "tpcc/c/" ^ n a ^ "/" ^ n b ^ "/" ^ n c ^ "/bal");
+          (Tpcc.customer_ytd_key ~w:a ~d:b ~c, "tpcc/c/" ^ n a ^ "/" ^ n b ^ "/" ^ n c ^ "/ytd");
+          (Tpcc.customer_cnt_key ~w:a ~d:b ~c, "tpcc/c/" ^ n a ^ "/" ^ n b ^ "/" ^ n c ^ "/cnt");
+          (Tpcc.stock_qty_key ~w:a ~i:b, "tpcc/s/" ^ n a ^ "/" ^ n b ^ "/qty");
+          (Tpcc.stock_ytd_key ~w:a ~i:b, "tpcc/s/" ^ n a ^ "/" ^ n b ^ "/ytd");
+          (Tpcc.order_key ~w:a ~d:b ~o:c, "tpcc/o/" ^ n a ^ "/" ^ n b ^ "/" ^ n c);
+          ( Tpcc.order_line_key ~w:a ~d:b ~o:c ~n:d,
+            "tpcc/ol/" ^ n a ^ "/" ^ n b ^ "/" ^ n c ^ "/" ^ n d );
+          (Tpcc.order_value ~c:a ~lines:b, "c=" ^ n a ^ ";lines=" ^ n b);
+          (Tpcc.order_line_value ~i:a ~w:b ~q:c, "i=" ^ n a ^ ";w=" ^ n b ^ ";q=" ^ n c);
+          (Smallbank.checking_key a, "sb/c/" ^ n a);
+          (Smallbank.savings_key a, "sb/s/" ^ n a);
+        ])
+
+(* SmallBank's initializer as it was written with [String.sub]. *)
+let old_smallbank_preload cfg key =
+  if
+    String.length key > 5
+    && (String.sub key 0 5 = "sb/c/" || String.sub key 0 5 = "sb/s/")
+  then Some (string_of_int cfg.Smallbank.initial_balance)
+  else None
+
+let prop_smallbank_preload_unchanged =
+  let piece = QCheck.Gen.oneofl [ "sb/"; "sb/c/"; "sb/s/"; "c/"; "7"; "/"; "sb"; "x" ] in
+  QCheck.Test.make ~name:"preload = its String.sub version" ~count:2000
+    (QCheck.make ~print:Fun.id QCheck.Gen.(map (String.concat "") (list_size (int_range 0 4) piece)))
+    (fun key ->
+      Smallbank.preload Smallbank.default key
+      = old_smallbank_preload Smallbank.default key)
+
 let () =
   Alcotest.run "massbft_workload"
     [
@@ -370,6 +422,7 @@ let () =
           Alcotest.test_case "sequential ids" `Quick test_ids_unique_and_increasing;
           Alcotest.test_case "paper wire sizes" `Quick test_avg_wire_sizes_match_paper;
           Alcotest.test_case "generated sizes sane" `Quick test_generated_sizes_track_averages;
+          QCheck_alcotest.to_alcotest prop_builders_match_concat;
         ] );
       ( "ycsb",
         [
@@ -383,6 +436,7 @@ let () =
           Alcotest.test_case "overdraft aborts" `Quick test_smallbank_overdraft_aborts;
           Alcotest.test_case "deposit effect" `Quick test_smallbank_deposit_effect;
           Alcotest.test_case "preload" `Quick test_smallbank_preload;
+          QCheck_alcotest.to_alcotest prop_smallbank_preload_unchanged;
         ] );
       ( "tpcc",
         [
