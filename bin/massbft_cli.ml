@@ -387,12 +387,22 @@ let drill_cmd =
   in
   let trace_file =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record a structured trace of the (single-seed) drill and \
+           ~doc:"Record a structured trace of the single-seed drill and \
                  write Chrome trace_event JSON to $(docv); fault injections \
-                 appear as 'fault'-category spans.")
+                 appear as 'fault'-category spans. Rejected with --seeds.")
   in
   let action system all_systems nodes groups worldwide scale seed seeds
       adversaries reconfigs duration quick no_shrink artifacts trace_file =
+    (* A trace records one seed's runs; a campaign would bury them. *)
+    let campaign_mode = seeds <> None in
+    (match trace_file with
+    | Some _ when campaign_mode ->
+        prerr_endline
+          "massbft: --trace records a single-seed drill; it cannot be \
+           combined with --seeds";
+        exit usage_error
+    | Some file -> check_writable ~flag:"--trace" file
+    | None -> ());
     let duration = if quick then 8.0 else duration in
     let cfg =
       { (Config.default ~system ()) with Config.workload_scale = scale }
@@ -508,71 +518,35 @@ let drill_cmd =
         save_artifact r
       end
     in
-    let failures =
+    let seeds =
       match seeds with
-      | Some (lo, hi) ->
-          let seeds =
-            List.init (hi - lo + 1) (fun i -> Int64.of_int (lo + i))
-          in
-          let systems = if all_systems then Config.all_systems else [ system ] in
-          let c =
-            Chaos.campaign ~duration ~shrink_failures:(not no_shrink) ~systems
-              ~adversaries:(Option.value ~default:[] adversaries)
-              ~reconfigs:(Option.value ~default:[] reconfigs)
-              ~on_run:report ~spec ~cfg ~seeds ()
-          in
-          let hard = List.filter bad c.Chaos.results in
-          Format.printf "campaign: %d runs, %d failed%s@." c.Chaos.total
-            (List.length hard)
-            (let accounted =
-               List.length c.Chaos.failures - List.length hard
-             in
-             if accounted > 0 then
-               Printf.sprintf " (+%d accountable, evidence on file)" accounted
-             else "");
-          List.length hard
-      | None ->
-          let systems = if all_systems then Config.all_systems else [ system ] in
-          let axis =
-            match adversaries with
-            | None -> [ None ]
-            | Some l -> List.map Option.some l
-          in
-          let rec_axis =
-            match reconfigs with
-            | None -> [ None ]
-            | Some l -> List.map Option.some l
-          in
-          let sink = Option.map (fun _ -> Trace.create ()) trace_file in
-          let results =
-            List.concat_map
-              (fun system ->
-                List.concat_map
-                  (fun adversary ->
-                    List.map
-                      (fun reconfig ->
-                        let r =
-                          Chaos.drill ~duration
-                            ~shrink_failures:(not no_shrink) ?trace:sink
-                            ?adversary ?reconfig ~spec
-                            ~cfg:{ cfg with Config.system }
-                            ~seed:(Int64.of_int seed) ()
-                        in
-                        report r;
-                        r)
-                      rec_axis)
-                  axis)
-              systems
-          in
-          (match (trace_file, sink) with
-          | Some file, Some tr ->
-              Trace_export.write_chrome_json tr file;
-              Format.printf "trace: wrote %s (%d events retained, %d dropped)@."
-                file (Trace.length tr) (Trace.dropped tr)
-          | _ -> ());
-          List.length (List.filter bad results)
+      | Some (lo, hi) -> List.init (hi - lo + 1) (fun i -> Int64.of_int (lo + i))
+      | None -> [ Int64.of_int seed ]
     in
-    if failures > 0 then exit 1
+    let sink = Option.map (fun _ -> Trace.create ()) trace_file in
+    let c =
+      Chaos.campaign ~duration ?trace:sink ~shrink_failures:(not no_shrink)
+        ~systems:(if all_systems then Config.all_systems else [ system ])
+        ~adversaries:(Option.value ~default:[] adversaries)
+        ~reconfigs:(Option.value ~default:[] reconfigs)
+        ~on_run:report ~spec ~cfg ~seeds ()
+    in
+    let hard = List.length (List.filter bad c.Chaos.results) in
+    (match (trace_file, sink) with
+    | Some file, Some tr ->
+        Trace_export.write_chrome_json tr file;
+        Format.printf "trace: wrote %s (%d events retained, %d dropped)@." file
+          (Trace.length tr) (Trace.dropped tr)
+    | _ -> ());
+    (* Only campaign mode summarizes: a single-seed drill's report lines
+       are its whole output. *)
+    if campaign_mode then
+      Format.printf "campaign: %d runs, %d failed%s@." c.Chaos.total hard
+        (let accounted = List.length c.Chaos.failures - hard in
+         if accounted > 0 then
+           Printf.sprintf " (+%d accountable, evidence on file)" accounted
+         else "");
+    if hard > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "drill"

@@ -19,12 +19,11 @@
    Run with:  dune exec examples/fault_drill.exe *)
 
 module Sim = Massbft_sim.Sim
-module Topology = Massbft_sim.Topology
 module Config = Massbft.Config
 module Engine = Massbft.Engine
 module Stats = Massbft_util.Stats
 module Fault_spec = Massbft_faults.Fault_spec
-module Injector = Massbft_faults.Injector
+module Deployment = Massbft_faults.Deployment
 module Invariants = Massbft_faults.Invariants
 module Adv_spec = Massbft_adversary.Adv_spec
 module Adversary = Massbft_adversary.Adversary
@@ -58,9 +57,6 @@ let adversary =
        byz_at byz_at byz_at byz_at byz_at byz_at)
 
 let () =
-  let sim = Sim.create () in
-  let spec = Massbft_harness.Clusters.nationwide () in
-  let topo = Topology.create sim spec in
   let cfg =
     {
       (Config.default ~system:Config.Massbft
@@ -73,26 +69,20 @@ let () =
       election_timeout_s = 1.0;
     }
   in
-  let engine = Engine.create sim topo cfg in
-  let inj = Injector.create ~spec ~schedule engine sim topo in
-  let adv = Adversary.create ~spec ~plan:adversary engine sim in
+  let d =
+    Deployment.build ~faults:schedule ~adversary
+      ~spec:(Massbft_harness.Clusters.nationwide ()) ~cfg ()
+  in
   (* heal_by stays at the fault schedule's horizon: the tampering never
      heals, and the point of the drill is that liveness returns anyway
      once the crashed data center is restored. *)
-  let inv =
-    Invariants.create
-      ~heal_by:(Fault_spec.heal_time schedule)
-      ~compromised:(Adversary.is_compromised adv)
-      engine sim
-  in
-  Engine.start engine;
-  Injector.arm inj;
-  Adversary.arm adv;
+  let inv = Deployment.invariants ~heal_by:(Fault_spec.heal_time schedule) d in
+  Deployment.start d;
   Invariants.attach inv;
-  Sim.run sim ~until;
+  Sim.run d.sim ~until;
   Invariants.finalize inv;
 
-  let m = Engine.metrics engine in
+  let m = Engine.metrics d.engine in
   (* Annotate rows by bucket index, not by float equality on the bucket
      start: the series reports txn_rate's 1 s buckets, and an injection
      time belongs to the bucket containing it. *)
@@ -114,7 +104,7 @@ let () =
     (Stats.Timeseries.rate_series m.Massbft.Metrics.txn_rate);
 
   Printf.printf "\ntampered sends rewritten by the adversary: %d\n"
-    (Adversary.injected_total adv);
+    (Adversary.injected_total (Option.get d.adversary));
 
   (* The checkers watched the whole run: cross-group chain agreement,
      honest-replica prefix agreement, monotone commit indexes,

@@ -110,7 +110,7 @@ let start t =
       let lsim = sim_of t l.l_gid in
       let rec tick () =
         ignore
-          (Sim.after lsim t.cfg.Config.batch_timeout_s (fun () ->
+          (Sim.after lsim Config.batch_timeout_s (fun () ->
                if alive t l.l_addr then begin
                  l.l_batch_pending <- true;
                  try_batch t l

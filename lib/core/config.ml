@@ -25,7 +25,11 @@ let global_of = function
   | Steward -> Single_raft
   | Geobft -> Direct_broadcast
 
-let ordering_of ~epoch_rounds = function
+let batch_timeout_s = 0.020
+let fetch_timeout_s = 1.0
+let epoch_rounds = 5
+
+let ordering_of = function
   | Massbft -> Async_vts
   | Baseline | Geobft | Br | Ebr -> Sync_rounds
   | Iss -> Epoch_rounds epoch_rounds
@@ -59,15 +63,12 @@ type t = {
   system : system;
   workload : Massbft_workload.Workload.kind;
   workload_scale : float;
-  batch_timeout_s : float;
   max_batch : int;
   pipeline : int;
-  epoch_rounds : int;
   cost : cost_model;
   reorder : bool;
   overlapped_vts : bool;
   election_timeout_s : float;
-  fetch_timeout_s : float;
   seed : int64;
   independent_stores : bool;
 }
@@ -77,15 +78,12 @@ let default ?(system = Massbft) ?(workload = Massbft_workload.Workload.Ycsb_a) (
     system;
     workload;
     workload_scale = 0.01;
-    batch_timeout_s = 0.020;
     max_batch = 500;
     pipeline = 8;
-    epoch_rounds = 5;
     cost = default_cost;
     reorder = true;
     overlapped_vts = true;
     election_timeout_s = 1.5;
-    fetch_timeout_s = 1.0;
     seed = 42L;
     independent_stores = false;
   }

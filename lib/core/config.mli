@@ -25,9 +25,16 @@ type ordering = Sync_rounds | Epoch_rounds of int | Async_vts | Global_log
 val replication_of : system -> replication
 val global_of : system -> global_consensus
 
-val ordering_of : epoch_rounds:int -> system -> ordering
-(** [epoch_rounds] applies to [Iss] only (the paper's 0.1 s epoch over a
-    20 ms batch timeout gives 5). *)
+val batch_timeout_s : float  (** 0.020 in every paper experiment *)
+
+val fetch_timeout_s : float  (** 1.0: the content-miss repair timer *)
+
+val epoch_rounds : int
+(** 5: ISS's epoch length in rounds (the paper's 0.1 s epoch over the
+    20 ms batch timeout). *)
+
+val ordering_of : system -> ordering
+(** [Iss] orders in epochs of {!epoch_rounds} rounds. *)
 
 (** CPU cost model, per DESIGN.md: real crypto/codec run in tests and
     benches; inside the simulator their cost is charged on the node's
@@ -46,10 +53,8 @@ type t = {
   system : system;
   workload : Massbft_workload.Workload.kind;
   workload_scale : float;  (** keyspace scale for simulation speed *)
-  batch_timeout_s : float;  (** 0.020 in every paper experiment *)
   max_batch : int;  (** transactions per entry *)
   pipeline : int;  (** entries in flight per group *)
-  epoch_rounds : int;  (** ISS epoch length in rounds *)
   cost : cost_model;
   reorder : bool;  (** Aria deterministic reordering *)
   overlapped_vts : bool;
@@ -57,7 +62,6 @@ type t = {
           Raft propose, saving ~1 RTT) vs Figure 7a's serial two-phase
           variant — the ablation of §V-B *)
   election_timeout_s : float;
-  fetch_timeout_s : float;  (** content-miss repair timer *)
   seed : int64;
   independent_stores : bool;
       (** each leader executes on its own store (slower; used by the

@@ -64,10 +64,7 @@ let resolve_strategies (cfg : Config.t) =
     | Config.Direct_broadcast -> Global_consensus.direct_broadcast
   in
   let ord =
-    match
-      Config.ordering_of ~epoch_rounds:cfg.Config.epoch_rounds
-        cfg.Config.system
-    with
+    match Config.ordering_of cfg.Config.system with
     | Config.Sync_rounds -> Ordering.sync_rounds
     | Config.Epoch_rounds k -> Ordering.epoch_rounds k
     | Config.Async_vts -> Ordering.async_vts

@@ -13,7 +13,7 @@ module Stats = Massbft_util.Stats
    run always agree. *)
 let phase_spans t e ~tnow =
   let m = t.metrics in
-  let batch_wait = t.cfg.Config.batch_timeout_s /. 2.0 in
+  let batch_wait = Config.batch_timeout_s /. 2.0 in
   let coding = t.strat.repl.r_coding_s t e in
   let always =
     [
@@ -65,7 +65,7 @@ let record_metrics t e outcome =
     (List.length outcome.Aria.logic_aborted);
   Stats.Counter.add m.Metrics.entries_executed 1;
   Stats.Timeseries.add m.Metrics.txn_rate ~time:tnow (float_of_int n_committed);
-  let batch_wait = t.cfg.Config.batch_timeout_s /. 2.0 in
+  let batch_wait = Config.batch_timeout_s /. 2.0 in
   let latency = tnow -. e.created_at +. batch_wait in
   Stats.Summary.add m.Metrics.latency_s latency;
   Stats.Timeseries.add m.Metrics.latency_ts ~time:tnow latency;
@@ -76,10 +76,14 @@ let record_metrics t e outcome =
     (fun (summary, name, b, dur) ->
       Stats.Summary.add summary dur;
       if Trace.enabled t.trace then begin
+        (* Under faults an entry can be ordered before its proposing
+           leader stamps the commit, so the "order" phase can come out
+           negative; the summary keeps the value, the span is drawn
+           empty. *)
         let b = Float.max 0.0 b in
         Trace.span t.trace ~cat:"entry.phase" ~gid:e.eid.Types.gid ~node:0
           ~eid:(e.eid.Types.gid, e.eid.Types.seq)
-          ~b ~e:(b +. dur) name
+          ~b ~e:(b +. Float.max 0.0 dur) name
       end)
     (phase_spans t e ~tnow)
 
@@ -166,7 +170,7 @@ let rec pump t (l : leader) =
       (* The head can only be repaired by a fetch after a crash gap;
          give the chunks one timeout to arrive on their own. *)
       ignore
-        (Sim.after (sim_of t l.l_gid) t.cfg.Config.fetch_timeout_s (fun () ->
+        (Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
              if
                alive t l.l_addr
                && not (has_content (node_of t l.l_addr) eid)

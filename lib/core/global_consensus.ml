@@ -49,7 +49,7 @@ let ack_guard t (l : leader) inst ~index payload release =
   | Entry_meta { eid } ->
       if not (has_content (node_of t l.l_addr) eid) then
         ignore
-          (Sim.after (sim_of t l.l_gid) t.cfg.Config.fetch_timeout_s (fun () ->
+          (Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
                if
                  alive t l.l_addr
                  && not (has_content (node_of t l.l_addr) eid)
@@ -81,7 +81,7 @@ let ack_guard t (l : leader) inst ~index payload release =
   | Ts { eid; _ } ->
       if not (has_content (node_of t l.l_addr) eid) then
         ignore
-          (Sim.after (sim_of t l.l_gid) t.cfg.Config.fetch_timeout_s (fun () ->
+          (Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
                if
                  alive t l.l_addr
                  && not (has_content (node_of t l.l_addr) eid)

@@ -171,7 +171,7 @@ and fetch_issue t (l : leader) eid =
          equals the old fixed retry period, so the first retry fires on
          the familiar schedule while a persistent loss (crashed donor,
          long partition) stops hammering the same dead timer slot. *)
-      let ft = t.cfg.Config.fetch_timeout_s in
+      let ft = Config.fetch_timeout_s in
       let delay =
         Backoff.delay ~seed:t.cfg.Config.seed
           ~salt:

@@ -19,8 +19,6 @@ module Sim = Massbft_sim.Sim
 module Topology = Massbft_sim.Topology
 module Engine = Massbft.Engine
 module Config = Massbft.Config
-module Trace = Massbft_trace.Trace
-module Registry = Massbft_obs.Registry
 module Rng = Massbft_util.Rng
 module Intmath = Massbft_util.Intmath
 module F = Fault_spec
@@ -382,63 +380,13 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace ?registry
     | Some b -> b
     | None -> Float.max 3.0 (4.0 *. cfg.Config.election_timeout_s)
   in
-  (* Each run allocates a full cluster; keep long campaigns flat. *)
-  Gc.compact ();
-  (* Reconfiguration plans expand the topology up front (dark slots for
-     everything the plan will activate); an empty plan returns the spec
-     unchanged, byte-identically. *)
-  (match R.validate ~group_sizes:spec.Topology.group_sizes reconfig with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Chaos.run_schedule: bad reconfiguration plan: " ^ e));
-  let provisioned = R.provision ~spec reconfig in
-  let spec = provisioned.R.p_spec in
-  let ng = Array.length spec.Topology.group_sizes in
-  let sim =
-    Sim.create ~shards:ng ~lookahead:(Topology.min_wan_one_way spec) ()
+  let d =
+    Deployment.build ?trace ?registry ~faults:schedule ~adversary ~reconfig
+      ~spec ~cfg ()
   in
-  let topo = Topology.create sim spec in
-  let engine = Engine.create sim topo cfg in
-  (match trace with Some tr -> Engine.set_trace engine tr | None -> ());
-  let controller = Reconfig.arm engine ~provisioned reconfig in
-  let inj = Injector.create ?trace ?registry ~spec ~schedule engine sim topo in
-  let adv =
-    match adversary with
-    | [] -> None
-    | plan -> Some (Adversary.create ?trace ?registry ~spec ~plan engine sim)
-  in
-  (* A join is only "healed" once its state transfer lands and the
-     admission epoch executes; give it a transfer allowance past the
-     command time before the liveness watchdog starts judging. *)
-  let reconfig_heal =
-    if reconfig = [] then neg_infinity
-    else
-      R.last_time reconfig
-      +.
-      if
-        List.exists
-          (fun (e : R.event) ->
-            match e.R.cmd with
-            | R.Add_node _ | R.Add_group _ -> true
-            | _ -> false)
-          reconfig
-      then 6.0
-      else 1.5
-  in
-  let heal =
-    Float.max reconfig_heal
-      (Float.max (F.heal_time schedule) (A.heal_time adversary))
-  in
-  let inv =
-    match adv with
-    | None -> Invariants.create ~liveness_bound_s ~heal_by:heal engine sim
-    | Some a ->
-        Invariants.create ~liveness_bound_s ~heal_by:heal
-          ~compromised:(Adversary.is_compromised a)
-          ~evidence:(Adversary.evidence a) engine sim
-  in
-  Engine.start engine;
-  Injector.arm inj;
-  (match adv with Some a -> Adversary.arm a | None -> ());
+  let heal = Deployment.heal_time d in
+  let inv = Deployment.invariants ~liveness_bound_s d in
+  Deployment.start d;
   (* Run past the heal point far enough for the liveness watchdog to
      have a verdict. *)
   let until =
@@ -447,19 +395,10 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace ?registry
     else duration
   in
   Invariants.attach inv;
-  Sim.run sim ~until;
+  Sim.run d.sim ~until;
   Invariants.finalize inv;
-  (* The controller's epoch-aware end-of-run checks (boundary agreement
-     across leaders, on-chain config records, join state-transfer
-     equality) merge into the same violation stream the checkers
-     feed. *)
-  let reconfig_violations =
-    List.map
-      (fun (check, detail) ->
-        { Invariants.at = Sim.now sim; check; detail; evidence = None })
-      (Reconfig.final_violations controller)
-  in
-  let violations = Invariants.violations inv @ reconfig_violations in
+  let violations = Deployment.violations d inv in
+  let adv = d.adversary in
   let unaccountable =
     (* A violation is accounted for when it carries a conflict pair
        that verifies against the run's evidence log — the adversary was
@@ -482,11 +421,11 @@ let run_schedule ?(duration = 10.0) ?liveness_bound_s ?trace ?registry
       (match adv with
       | Some a -> Evidence.conflicts (Adversary.evidence a)
       | None -> []);
-    executed = Engine.entries_executed_total engine;
-    injected = Injector.injected_total inj;
+    executed = Engine.entries_executed_total d.engine;
+    injected = Injector.injected_total d.injector;
     adv_injected = (match adv with Some a -> Adversary.injected_total a | None -> 0);
-    epochs = Reconfig.epochs controller;
-    transfer_retries = Reconfig.transfer_retries controller;
+    epochs = Reconfig.epochs d.controller;
+    transfer_retries = Reconfig.transfer_retries d.controller;
     ran_until = until;
   }
 
@@ -622,7 +561,7 @@ type campaign_result = {
   failures : drill_result list;
 }
 
-let campaign ?duration ?liveness_bound_s ?(shrink_failures = false)
+let campaign ?duration ?liveness_bound_s ?trace ?(shrink_failures = false)
     ?(systems = Config.all_systems) ?(adversaries = []) ?(reconfigs = [])
     ?on_run ~spec ~cfg ~seeds () =
   (* The axes: systems x seeds x adversary strategies x reconfiguration
@@ -649,7 +588,7 @@ let campaign ?duration ?liveness_bound_s ?(shrink_failures = false)
                 List.map
                   (fun seed ->
                     let r =
-                      drill ?duration ?liveness_bound_s ~shrink_failures
+                      drill ?duration ?liveness_bound_s ?trace ~shrink_failures
                         ?adversary ?reconfig ~spec
                         ~cfg:{ cfg with Config.system } ~seed ()
                     in

@@ -89,20 +89,15 @@ val run_schedule :
   cfg:Massbft.Config.t ->
   Fault_spec.schedule ->
   outcome
-(** Build a fresh deployment, arm the injector and the invariant
-    checkers, and run for [duration] (default 10.0) simulated seconds —
-    extended past the schedule's heal time when needed so the liveness
-    watchdog gets a verdict. [liveness_bound_s] defaults to
+(** Build and start a fresh {!Deployment}, attach the invariant
+    checkers ({!Deployment.invariants}) after arming, and run for
+    [duration] (default 10.0) simulated seconds — extended past
+    {!Deployment.heal_time} when needed so the liveness watchdog gets a
+    verdict. [liveness_bound_s] defaults to
     [max 3.0 (4 * election_timeout_s)]: post-heal recovery from a group
     outage legitimately spans several election timeouts (takeover,
-    catch-up, transfer-back).
-
-    [reconfig] validates, provisions and arms a live-membership plan
-    before the cluster starts; the controller's epoch-aware end-of-run
-    checks merge into [violations], and a join extends the heal horizon
-    by a state-transfer allowance before the liveness watchdog starts
-    judging. An empty or omitted plan changes
-    nothing. *)
+    catch-up, transfer-back). [violations] include the reconfiguration
+    controller's end-of-run checks ({!Deployment.violations}). *)
 
 val failed : outcome -> bool
 
@@ -162,6 +157,7 @@ type campaign_result = {
 val campaign :
   ?duration:float ->
   ?liveness_bound_s:float ->
+  ?trace:Massbft_trace.Trace.t ->
   ?shrink_failures:bool ->
   ?systems:Massbft.Config.system list ->
   ?adversaries:string list ->
@@ -174,9 +170,10 @@ val campaign :
   campaign_result
 (** Every system (default: all seven) times every seed — times every
     [adversaries] strategy and every [reconfigs] kind when those axes
-    are given, overriding [cfg]'s system per run. [shrink_failures]
-    defaults to false here — campaigns report; {!drill} reproduces and
-    shrinks. *)
+    are given, overriding [cfg]'s system per run, in that nesting order
+    (systems outermost, seeds innermost). [trace] is shared by every
+    run's first (unshrunk) pass. [shrink_failures] defaults to false
+    here — campaigns report; {!drill} reproduces and shrinks. *)
 
 val repro_line :
   ?adversary:string ->

@@ -5,6 +5,7 @@ module Transfer_plan = Massbft.Transfer_plan
 module Chunker = Massbft.Chunker
 module Types = Massbft.Types
 module Fault_spec = Massbft_faults.Fault_spec
+module Deployment = Massbft_faults.Deployment
 module Adv_spec = Massbft_adversary.Adv_spec
 
 type cell = { name : string; value : float; paper : float option }
@@ -33,13 +34,13 @@ let base_cfg ?(quick = false) ~system ~workload () =
     Config.workload_scale = (if quick then 0.01 else 1.0);
   }
 
-let run ?(quick = false) ?obs ?on_engine ~spec ~cfg () =
+let run ?(quick = false) ?obs ?on_start ~spec ~cfg () =
   let warmup, duration = windows ~quick in
-  Runner.run ~warmup ~duration ?obs ?on_engine ~spec ~cfg ()
+  Runner.run ~warmup ~duration ?obs ?on_start ~spec ~cfg ()
 
-let probe ?(quick = false) ?on_engine ~spec ~cfg () =
+let probe ?(quick = false) ?on_start ~spec ~cfg () =
   let warmup, duration = windows ~quick in
-  Runner.run ~warmup ~duration:(duration /. 2.0) ?on_engine ~spec
+  Runner.run ~warmup ~duration:(duration /. 2.0) ?on_start ~spec
     ~cfg:(Runner.latency_probe cfg) ()
 
 (* ------------------------------------------------------------------ *)
@@ -371,17 +372,18 @@ let fig14 ?(quick = false) () =
         let spec =
           { (Clusters.nationwide ()) with Topology.wan_bps = 40e6 }
         in
-        let degrade _ _ topo =
+        let degrade (d : Deployment.t) =
           for g = 0 to 2 do
             for k = 1 to slow do
               (* Degrade the highest-numbered nodes, keeping leaders fast. *)
-              Topology.set_wan_bandwidth topo { Topology.g; n = 7 - k } 20e6
+              Topology.set_wan_bandwidth d.Deployment.topo
+                { Topology.g; n = 7 - k } 20e6
             done
           done
         in
         let obs = fresh_sampler () in
-        let r = run ~quick ~obs ~on_engine:degrade ~spec ~cfg () in
-        let l = probe ~quick ~on_engine:degrade ~spec ~cfg () in
+        let r = run ~quick ~obs ~on_start:degrade ~spec ~cfg () in
+        let l = probe ~quick ~on_start:degrade ~spec ~cfg () in
         {
           label = Printf.sprintf "%d slow nodes/group" slow;
           cells =

@@ -6,11 +6,8 @@ module Metrics = Massbft.Metrics
 module Stats = Massbft_util.Stats
 module Sampler = Massbft_obs.Sampler
 module Saturation = Massbft_obs.Saturation
-module Injector = Massbft_faults.Injector
-module Adversary = Massbft_adversary.Adversary
+module Deployment = Massbft_faults.Deployment
 module Prof = Massbft_prof.Prof
-module Reconfig = Massbft_reconfig.Reconfig
-module Reconfig_spec = Massbft_reconfig.Reconfig_spec
 
 type result = {
   system : Config.system;
@@ -33,39 +30,21 @@ type result = {
   binding_resource : string option;
 }
 
-let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
-    ?adversary ?reconfig ?on_reconfig ~spec ~cfg () =
-  (* Sequential experiment sweeps allocate a full cluster per run;
-     compact between them so long figure suites stay within memory. *)
-  Gc.compact ();
-  (* A reconfiguration plan expands the topology up front: every slot
-     the plan will ever activate is provisioned dark. An empty plan
-     returns the spec unchanged, byte-identically. *)
-  let plan = Option.value ~default:[] reconfig in
-  (match Reconfig_spec.validate ~group_sizes:spec.Topology.group_sizes plan with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Runner.run: bad reconfiguration plan: " ^ e));
-  let provisioned = Reconfig_spec.provision ~spec plan in
-  let spec = provisioned.Reconfig_spec.p_spec in
-  (* One shard handle per physical group, dark slots included, so
-     per-group event accounting and trace tracks stay separate. *)
-  let ng = Array.length spec.Topology.group_sizes in
-  let sim =
-    Sim.create ~shards:ng ~lookahead:(Topology.min_wan_one_way spec) ()
+let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_start ?faults
+    ?adversary ?reconfig ~spec ~cfg () =
+  let d =
+    Deployment.build ?trace
+      ?registry:(Option.map Sampler.registry obs)
+      ?faults ?adversary ?reconfig ~spec ~cfg ()
   in
-  let topo = Topology.create sim spec in
-  let engine = Engine.create sim topo cfg in
-  (match trace with Some tr -> Engine.set_trace engine tr | None -> ());
+  let { Deployment.sim; topo; engine; _ } = d in
   (* The host profiler hooks the driver loop only (no events, no sim
      state), so it composes with every run mode. *)
-  (match prof with Some p -> Prof.attach p sim | None -> ());
-  (* Arm the reconfiguration controller before the engine starts: the
-     dark slots must be crashed and the membership masks installed
-     before the first batch timer fires. An empty plan arms nothing. *)
-  let controller = Reconfig.arm engine ~provisioned plan in
-  (match on_reconfig with Some f -> f controller | None -> ());
+  Option.iter (fun p -> Prof.attach p sim) prof;
   (* With no sampler, nothing below schedules a single event: the run
-     is bit-identical to one without observability. *)
+     is bit-identical to one without observability. The sampler's
+     first tick lands after the controller's plan triggers and before
+     the engine's first timers. *)
   (match obs with
   | Some s ->
       Sampler.watch_sim s sim;
@@ -73,25 +52,9 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_engine ?faults
       Engine.set_obs engine s;
       Sampler.attach s sim
   | None -> ());
-  Engine.start engine;
+  Deployment.start d;
   Engine.set_measure_from engine warmup;
-  (match on_engine with Some f -> f engine sim topo | None -> ());
-  (* Fault schedules arm through the same injector as the chaos fuzzer;
-     [?faults:None] (or an empty schedule) arms nothing and the run
-     stays bit-identical to a fault-free build. *)
-  (match faults with
-  | Some schedule when schedule <> [] ->
-      let registry = Option.map Sampler.registry obs in
-      Injector.arm
-        (Injector.create ?trace ?registry ~spec ~schedule engine sim topo)
-  | Some _ | None -> ());
-  (* Adversary plans arm the Byzantine interposer on the typed send
-     path; same no-op contract as faults for [None] / []. *)
-  (match adversary with
-  | Some plan when plan <> [] ->
-      let registry = Option.map Sampler.registry obs in
-      Adversary.arm (Adversary.create ?trace ?registry ~spec ~plan engine sim)
-  | Some _ | None -> ());
+  Option.iter (fun f -> f d) on_start;
   ignore
     (Sim.at sim warmup (fun () ->
          Topology.reset_traffic_baseline topo;

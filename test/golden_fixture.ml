@@ -7,7 +7,7 @@
    contents — fails the differential test. *)
 
 module Sim = Massbft_sim.Sim
-module Topology = Massbft_sim.Topology
+module Deployment = Massbft_faults.Deployment
 module Config = Massbft.Config
 module Engine = Massbft.Engine
 module Metrics = Massbft.Metrics
@@ -25,37 +25,36 @@ type t = {
   executed : (int * int) list array;  (* per group: (gid, seq) order *)
 }
 
-(* Fixed capture parameters: 3 groups x 4 nodes, small batches, seed 0,
-   6 simulated seconds. Changing any of these invalidates the recorded
-   fixtures — re-run `dune exec test/golden_record.exe`. *)
-let groups = 3
-let until = 6.0
-
-let cfg_of system =
+(* The small cluster the integration tests share: 3 groups x 4 nodes,
+   tiny batches. *)
+let small_cfg ?(system = Config.Massbft) () =
   {
     (Config.default ~system ()) with
     Config.max_batch = 40;
     pipeline = 4;
     workload_scale = 0.001;
-    seed = 0L;
   }
 
-(* [attach] runs between Engine.start and the clock moving — the seam
-   no-op tests use to hang an (empty) adversary or injector on the run
-   and assert the fingerprint still matches the recorded golden. *)
+let small_spec ?group_sizes () =
+  Clusters.nationwide ?group_sizes ~nodes_per_group:4 ()
+
+(* Fixed capture parameters: the small cluster at seed 0, 6 simulated
+   seconds. Changing any of these invalidates the recorded fixtures —
+   re-run `dune exec test/golden_record.exe`. *)
+let groups = 3
+let until = 6.0
+let cfg_of system = { (small_cfg ~system ()) with Config.seed = 0L }
+
+(* [attach] receives the started deployment before the clock moves —
+   the seam no-op tests use to hang an (empty) adversary or a profiler
+   on the run and assert the fingerprint still matches the recorded
+   golden. *)
 let capture ?attach ~system () =
-  (* One shard per group, like the runner: the fixtures exercise the
-     sharded sequential merge driver, whose dispatch order is provably
-     identical to the historical single-heap scheduler. *)
-  let spec = Clusters.nationwide ~groups ~nodes_per_group:4 () in
-  let sim =
-    Sim.create ~shards:groups ~lookahead:(Topology.min_wan_one_way spec) ()
-  in
-  let topo = Topology.create sim spec in
-  let eng = Engine.create sim topo (cfg_of system) in
-  Engine.start eng;
-  (match attach with Some f -> f eng sim topo | None -> ());
-  Sim.run sim ~until;
+  let d = Deployment.build ~spec:(small_spec ()) ~cfg:(cfg_of system) () in
+  Deployment.start d;
+  Option.iter (fun f -> f d) attach;
+  Sim.run d.sim ~until;
+  let eng = d.engine in
   {
     system;
     committed =

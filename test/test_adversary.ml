@@ -26,15 +26,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let small_cfg ?(system = Config.Massbft) () =
-  {
-    (Config.default ~system ()) with
-    Config.max_batch = 40;
-    pipeline = 4;
-    workload_scale = 0.001;
-  }
-
-let small_spec () = Clusters.nationwide ~nodes_per_group:4 ()
+let small_cfg = Golden_fixture.small_cfg
+let small_spec = Golden_fixture.small_spec
 
 (* ------------------------------------------------------------------ *)
 (* DSL                                                                 *)
@@ -273,11 +266,11 @@ let test_noop_golden () =
       in
       let fresh =
         Golden.capture
-          ~attach:(fun engine sim _topo ->
+          ~attach:(fun d ->
             let adv =
               Massbft_adversary.Adversary.create
                 ~spec:(Clusters.nationwide ~nodes_per_group:4 ())
-                ~plan:[] engine sim
+                ~plan:[] d.Massbft_faults.Deployment.engine d.sim
             in
             Massbft_adversary.Adversary.arm adv)
           ~system ()

@@ -14,39 +14,27 @@ module Ledger = Massbft_exec.Ledger
 module Stats = Massbft_util.Stats
 module Clusters = Massbft_harness.Clusters
 module Fault_spec = Massbft_faults.Fault_spec
-module Injector = Massbft_faults.Injector
+module Deployment = Massbft_faults.Deployment
 module Adv_spec = Massbft_adversary.Adv_spec
-module Adversary = Massbft_adversary.Adversary
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* Small, fast cluster: 3 groups x 4 nodes, tiny batches. *)
-let small_cfg ?(system = Config.Massbft) () =
-  {
-    (Config.default ~system ()) with
-    Config.max_batch = 40;
-    pipeline = 4;
-    workload_scale = 0.001;
-  }
-
-let small_spec ?group_sizes () =
-  Clusters.nationwide ?group_sizes ~nodes_per_group:4 ()
+let small_cfg = Golden_fixture.small_cfg
+let small_spec = Golden_fixture.small_spec
 
 (* [faults] and [adversary] are scenario text (Fault_spec / Adv_spec). *)
 let run_engine ?(until = 6.0) ?(cfg = small_cfg ()) ?(spec = small_spec ())
     ?(faults = "") ?(adversary = "") ?(before_run = fun _ _ _ -> ()) () =
-  let sim = Sim.create () in
-  let topo = Topology.create sim spec in
-  let eng = Engine.create sim topo cfg in
-  Engine.start eng;
-  Injector.arm
-    (Injector.create ~spec ~schedule:(Fault_spec.of_string faults) eng sim topo);
-  Adversary.arm
-    (Adversary.create ~spec ~plan:(Adv_spec.of_string adversary) eng sim);
-  before_run eng sim topo;
-  Sim.run sim ~until;
-  (eng, sim, topo)
+  let d =
+    Deployment.build ~faults:(Fault_spec.of_string faults)
+      ~adversary:(Adv_spec.of_string adversary) ~spec ~cfg ()
+  in
+  Deployment.start d;
+  before_run d.engine d.sim d.topo;
+  Sim.run d.sim ~until;
+  (d.engine, d.sim, d.topo)
 
 (* The last node of each 4-node group (f = 1) tampers with every chunk
    it sends or forwards from [from] on. *)
@@ -553,8 +541,7 @@ let test_tpcc_commit_ratio_below_kv () =
 let test_iss_respects_epoch_barrier () =
   (* An ISS group never executes an epoch-k entry before every round of
      epoch k-1 has executed: examine the executed sequence. *)
-  let cfg = { (small_cfg ~system:Config.Iss ()) with Config.epoch_rounds = 5 } in
-  let eng, _, _ = run_engine ~cfg () in
+  let eng, _, _ = run_engine ~cfg:(small_cfg ~system:Config.Iss ()) () in
   let ids = Engine.executed_ids eng ~gid:0 in
   check_bool "progress" true (List.length ids > 20);
   (* Round r = seq; epochs are 5 rounds: by the time any entry of epoch

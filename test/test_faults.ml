@@ -19,22 +19,15 @@ module Injector = Massbft_faults.Injector
 module Invariants = Massbft_faults.Invariants
 module Chaos = Massbft_faults.Chaos
 module Adv_spec = Massbft_adversary.Adv_spec
-module Adversary = Massbft_adversary.Adversary
+module Deployment = Massbft_faults.Deployment
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
 (* Same small cluster the engine tests use: 3 groups x 4 nodes. *)
-let small_cfg ?(system = Config.Massbft) () =
-  {
-    (Config.default ~system ()) with
-    Config.max_batch = 40;
-    pipeline = 4;
-    workload_scale = 0.001;
-  }
-
-let small_spec () = Clusters.nationwide ~nodes_per_group:4 ()
+let small_cfg = Golden_fixture.small_cfg
+let small_spec = Golden_fixture.small_spec
 
 (* ------------------------------------------------------------------ *)
 (* DSL                                                                 *)
@@ -247,32 +240,30 @@ let test_shrink_minimal () =
   check_bool "a passing schedule is returned unchanged" true
     (Chaos.shrink ~fails healthy == healthy)
 
+(* The last node of each 4-node group (f = 1) tampers with every chunk
+   it sends or forwards from 1 s on. *)
+let tamperers =
+  Adv_spec.of_string
+    "@1 tamper node:g0/n3 for 17\n@1 tamper node:g1/n3 for 17\n\
+     @1 tamper node:g2/n3 for 17\n"
+
 (* GeoBFT has no global retransmission: an (unhealed) group crash stalls
    the round barrier forever, which the liveness watchdog must flag.
    This is the "deliberately broken" case — the chaos generator never
    draws it, but the checkers must catch it when it happens. *)
 let geobft_stalls schedule =
-  let cfg = small_cfg ~system:Config.Geobft () and spec = small_spec () in
-  let sim = Sim.create () in
-  let topo = Topology.create sim spec in
-  let engine = Engine.create sim topo cfg in
-  let inj = Injector.create ~spec ~schedule engine sim topo in
-  let adv =
-    Adversary.create ~spec
-      ~plan:
-        (Adv_spec.of_string
-           "@1 tamper node:g0/n3 for 17\n@1 tamper node:g1/n3 for 17\n\
-            @1 tamper node:g2/n3 for 17\n")
-      engine sim
+  let d =
+    Deployment.build ~faults:schedule ~adversary:tamperers ~spec:(small_spec ())
+      ~cfg:(small_cfg ~system:Config.Geobft ()) ()
   in
   (* heal_by is forced: the schedule deliberately never recovers, and
      the point is to assert the stall. *)
-  let inv = Invariants.create ~liveness_bound_s:1.0 ~heal_by:2.0 engine sim in
-  Engine.start engine;
-  Injector.arm inj;
-  Adversary.arm adv;
+  let inv =
+    Invariants.create ~liveness_bound_s:1.0 ~heal_by:2.0 d.engine d.sim
+  in
+  Deployment.start d;
   Invariants.attach inv;
-  Sim.run sim ~until:6.0;
+  Sim.run d.sim ~until:6.0;
   Invariants.finalize inv;
   List.exists
     (fun (v : Invariants.violation) -> v.Invariants.check = "liveness")
@@ -322,33 +313,18 @@ let test_drill_recovery_and_tamper_safety () =
       (Printf.sprintf "@%g crash-group g0\n@%g recover-group g0\n" crash_at
          recover_at)
   in
-  let sim = Sim.create () in
-  let topo = Topology.create sim spec in
-  let engine = Engine.create sim topo cfg in
-  let inj = Injector.create ~spec ~schedule engine sim topo in
-  let adv =
-    Adversary.create ~spec
-      ~plan:
-        (Adv_spec.of_string
-           "@1 tamper node:g0/n3 for 17\n@1 tamper node:g1/n3 for 17\n\
-            @1 tamper node:g2/n3 for 17\n")
-      engine sim
-  in
-  let inv =
-    Invariants.create ~heal_by:(F.heal_time schedule) engine sim
-  in
-  Engine.start engine;
-  Injector.arm inj;
-  Adversary.arm adv;
+  let d = Deployment.build ~faults:schedule ~adversary:tamperers ~spec ~cfg () in
+  let inv = Invariants.create ~heal_by:(F.heal_time schedule) d.engine d.sim in
+  Deployment.start d;
   Invariants.attach inv;
-  Sim.run sim ~until;
+  Sim.run d.sim ~until;
   Invariants.finalize inv;
   List.iter
     (fun v -> Alcotest.fail (Invariants.violation_to_string v))
     (Invariants.violations inv);
-  check_int "both events injected" 2 (Injector.injected_total inj);
+  check_int "both events injected" 2 (Injector.injected_total d.injector);
   let series =
-    Stats.Timeseries.rate_series (Engine.metrics engine).Metrics.txn_rate
+    Stats.Timeseries.rate_series (Engine.metrics d.engine).Metrics.txn_rate
   in
   let window lo hi =
     let rates =

@@ -70,13 +70,7 @@ let test_cluster_overrides () =
 (* Runner                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let small_cfg system =
-  {
-    (Config.default ~system ()) with
-    Config.max_batch = 40;
-    pipeline = 4;
-    workload_scale = 0.001;
-  }
+let small_cfg system = Golden_fixture.small_cfg ~system ()
 
 let test_runner_result_sanity () =
   let r =
@@ -287,59 +281,48 @@ let test_all_figures_registered () =
 
 module Fault_spec = Massbft_faults.Fault_spec
 module Invariants = Massbft_faults.Invariants
+module Deployment = Massbft_faults.Deployment
+module Chaos = Massbft_faults.Chaos
 module Adv_spec = Massbft_adversary.Adv_spec
 module Evidence = Massbft_adversary.Evidence
 module Reconfig = Massbft_reconfig.Reconfig
 module Reconfig_spec = Massbft_reconfig.Reconfig_spec
 module Trace = Massbft_trace.Trace
 module Sampler = Massbft_obs.Sampler
-module Topology = Massbft_sim.Topology
 
-(* Every run mode at once: a trace sink, the obs sampler, a fault
-   schedule, an in-model adversary plan and a node-join reconfiguration
-   plan, with the safety/liveness checkers riding along. Each fault is
-   within its group's tolerance: the equivocator is g2's one Byzantine
-   replica, the crash hits g0, and the join lands in g1. *)
+(* One scenario of every kind, each within its group's tolerance: the
+   equivocator is g2's one Byzantine replica, the crash hits g0, and the
+   join lands in g1. *)
+let compose_spec = Golden_fixture.small_spec
+
+let compose_faults =
+  Fault_spec.of_string
+    "@1.5 link-delay g0->g1 add 0.02 class control for 1\n\
+     @2 crash-node g0/n2\n\
+     @3 recover-node g0/n2\n\
+     @2.5 slow-cpu g1/n2 factor 2 for 1\n"
+
+let compose_adversary = Adv_spec.of_string "@2 equivocate node:g2/n3 for 2\n"
+let compose_reconfig = Reconfig_spec.of_string "@2.5 add-node g1\n"
+
+(* Every run mode at once: a trace sink, the obs sampler, the fault
+   schedule, the adversary plan and the reconfiguration plan, with the
+   chaos fuzzer's safety/liveness checkers riding along. *)
 let compose_run () =
-  let spec = Clusters.nationwide ~nodes_per_group:4 () in
-  let cfg = small_cfg Config.Massbft in
-  let faults =
-    Fault_spec.of_string
-      "@1.5 link-delay g0->g1 add 0.02 class control for 1\n\
-       @2 crash-node g0/n2\n\
-       @3 recover-node g0/n2\n\
-       @2.5 slow-cpu g1/n2 factor 2 for 1\n"
-  in
-  let adversary = Adv_spec.of_string "@2 equivocate node:g2/n3 for 2\n" in
-  let reconfig = Reconfig_spec.of_string "@2.5 add-node g1\n" in
-  let byzantine = { Topology.g = 2; n = 3 } in
   let trace = Trace.create () in
   let obs = Sampler.create (Massbft_obs.Registry.create ()) in
-  let inv = ref None and controller = ref None in
+  let started = ref None in
   let r =
-    Runner.run ~warmup:1.0 ~duration:11.0 ~trace ~obs ~faults ~adversary
-      ~reconfig
-      ~on_reconfig:(fun c -> controller := Some c)
-      ~on_engine:(fun engine sim _ ->
-        (* Everything has healed once the join at 2.5 s has had the
-           6 s state-transfer allowance Chaos.run_schedule grants. *)
-        let i =
-          Invariants.create ~heal_by:8.5
-            ~compromised:(Topology.addr_equal byzantine)
-            engine sim
-        in
+    Runner.run ~warmup:1.0 ~duration:11.0 ~trace ~obs ~faults:compose_faults
+      ~adversary:compose_adversary ~reconfig:compose_reconfig
+      ~on_start:(fun d ->
+        let i = Deployment.invariants d in
         Invariants.attach i;
-        inv := Some i)
-      ~spec ~cfg ()
+        started := Some (d, i))
+      ~spec:(compose_spec ()) ~cfg:(small_cfg Config.Massbft) ()
   in
-  let inv = Option.get !inv in
+  let d, inv = Option.get !started in
   Invariants.finalize inv;
-  let reconfig_violations =
-    List.map
-      (fun (check, detail) ->
-        { Invariants.at = 0.0; check; detail; evidence = None })
-      (Reconfig.final_violations (Option.get !controller))
-  in
   (* Injections per strategy label: "equivocate" for the adversary,
      "fault" for the schedule. *)
   let injected strategy =
@@ -356,9 +339,9 @@ let compose_run () =
       (Massbft_obs.Registry.collect (Sampler.registry obs))
   in
   ( r,
-    Invariants.violations inv @ reconfig_violations,
+    Deployment.violations d inv,
     Trace.length trace,
-    (Reconfig.epochs (Option.get !controller), injected "equivocate",
+    (Reconfig.epochs d.Deployment.controller, injected "equivocate",
      injected "fault") )
 
 let test_features_compose () =
@@ -387,6 +370,35 @@ let test_features_compose () =
   check_bool "same-seed runs bit-identical" true
     (r = r' && violations = violations' && traced = traced' && counts = counts')
 
+(* One scenario, two entry points: the runner and the chaos fuzzer build and
+   start the cluster through the same Deployment calls, so over the same
+   simulated span they drive the identical simulation (the fuzzer's
+   checkers only read state). *)
+let test_runner_matches_chaos () =
+  let spec = compose_spec () and cfg = small_cfg Config.Massbft in
+  let o =
+    Chaos.run_schedule ~adversary:compose_adversary ~reconfig:compose_reconfig
+      ~spec ~cfg compose_faults
+  in
+  let started = ref None in
+  ignore
+    (Runner.run ~warmup:0.0 ~duration:o.Chaos.ran_until ~faults:compose_faults
+       ~adversary:compose_adversary ~reconfig:compose_reconfig
+       ~on_start:(fun d -> started := Some d)
+       ~spec ~cfg ());
+  let d = Option.get !started in
+  check_bool "the scenario bites" true
+    (o.Chaos.executed > 0 && o.Chaos.injected > 0 && o.Chaos.adv_injected > 0
+   && o.Chaos.epochs >= 1);
+  check_int "executed entries" o.Chaos.executed
+    (Massbft.Engine.entries_executed_total d.Deployment.engine);
+  check_int "fault injections" o.Chaos.injected
+    (Massbft_faults.Injector.injected_total d.Deployment.injector);
+  check_int "adversary interferences" o.Chaos.adv_injected
+    (Massbft_adversary.Adversary.injected_total
+       (Option.get d.Deployment.adversary));
+  check_int "epochs" o.Chaos.epochs (Reconfig.epochs d.Deployment.controller)
+
 let () =
   Alcotest.run "massbft_harness"
     [
@@ -394,6 +406,8 @@ let () =
         [
           Alcotest.test_case "trace + obs + faults + adversary + reconfig"
             `Slow test_features_compose;
+          Alcotest.test_case "runner and chaos drive one simulation" `Slow
+            test_runner_matches_chaos;
         ] );
       ( "clusters",
         [

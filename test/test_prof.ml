@@ -35,7 +35,7 @@ let test_goldens_unperturbed () =
       let p = Prof.create () in
       let g =
         Golden_fixture.capture
-          ~attach:(fun _ sim _ -> Prof.attach p sim)
+          ~attach:(fun d -> Prof.attach p d.Massbft_faults.Deployment.sim)
           ~system ()
       in
       Prof.finish p;

@@ -22,15 +22,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let small_cfg ?(system = Config.Massbft) () =
-  {
-    (Config.default ~system ()) with
-    Config.max_batch = 40;
-    pipeline = 4;
-    workload_scale = 0.001;
-  }
-
-let small_spec () = Clusters.nationwide ~nodes_per_group:4 ()
+let small_cfg = Golden_fixture.small_cfg
+let small_spec = Golden_fixture.small_spec
 
 (* ------------------------------------------------------------------ *)
 (* DSL                                                                 *)
@@ -200,7 +193,7 @@ let test_join_receipt () =
   let ctl = ref None in
   let _ =
     Runner.run ~duration:8.0 ~warmup:2.0 ~reconfig:plan
-      ~on_reconfig:(fun c -> ctl := Some c)
+      ~on_start:(fun d -> ctl := Some d.Massbft_faults.Deployment.controller)
       ~spec ~cfg ()
   in
   let c = match !ctl with Some c -> c | None -> Alcotest.fail "no controller" in
@@ -359,6 +352,12 @@ let test_cli_exit2_diagnostics () =
       [ "--trace"; "--metrics"; "--prof" ];
     check_die "unwritable bench --json" "bench --json /nonexistent/b.json"
       ~mentions:[ "--json"; "/nonexistent/b.json" ];
+    check_die "unwritable drill --trace"
+      "drill --seed 7 -s massbft --quick --trace /nonexistent/t.json"
+      ~mentions:[ "--trace"; "/nonexistent/t.json" ];
+    check_die "drill --trace with --seeds"
+      "drill --seeds 2 --quick --trace /nonexistent/t.json"
+      ~mentions:[ "--trace"; "--seeds" ];
     List.iter Sys.remove [ bad_reconfig; bad_faults; bad_adv; invalid ]
   end
 
