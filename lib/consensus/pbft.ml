@@ -46,6 +46,7 @@ type t = {
   mutable cur_view : int;
   mutable in_view_change : bool;
   slots : (int, slot) Hashtbl.t;
+  mutable held_votes : int;  (* voter ids across every slot's vote sets *)
   vc : (int, vc_state) Hashtbl.t;  (* keyed by target view *)
   mutable proposed : ISet.t;  (* seqs this leader proposed in cur_view *)
   mutable trace : Trace.t;
@@ -67,6 +68,7 @@ let create (cfg : config) cb =
     cur_view = 0;
     in_view_change = false;
     slots = Hashtbl.create 64;
+    held_votes = 0;
     vc = Hashtbl.create 4;
     proposed = ISet.empty;
     trace = Trace.null;
@@ -85,6 +87,13 @@ let decided t seq =
   | None -> None
   | Some s -> s.decided_digest
 
+let count_votes votes = SMap.fold (fun _ ids n -> n + ISet.cardinal ids) votes 0
+
+let drop_votes t s =
+  t.held_votes <- t.held_votes - count_votes s.prepares - count_votes s.commits;
+  s.prepares <- SMap.empty;
+  s.commits <- SMap.empty
+
 let slot t seq =
   match Hashtbl.find_opt t.slots seq with
   | Some s ->
@@ -92,8 +101,7 @@ let slot t seq =
       if s.slot_view < t.cur_view then begin
         s.slot_view <- t.cur_view;
         s.accepted <- None;
-        s.prepares <- SMap.empty;
-        s.commits <- SMap.empty;
+        drop_votes t s;
         s.sent_commit <- false;
         s.prepared <- false
       end;
@@ -118,12 +126,16 @@ let broadcast t msg =
     if i <> t.cfg.me then t.cb.send i msg
   done
 
-let add_vote votes digest id =
-  let cur = Option.value ~default:ISet.empty (SMap.find_opt digest votes) in
-  SMap.add digest (ISet.add id cur) votes
-
 let votes_for votes digest =
   Option.value ~default:ISet.empty (SMap.find_opt digest votes)
+
+let add_vote t votes digest id =
+  let cur = votes_for votes digest in
+  if ISet.mem id cur then votes
+  else begin
+    t.held_votes <- t.held_votes + 1;
+    SMap.add digest (ISet.add id cur) votes
+  end
 
 (* Re-examine a slot after any state change and move it forward. *)
 let rec advance t seq s =
@@ -138,7 +150,7 @@ let rec advance t seq s =
       (* Phase 3: first time prepared, cast our commit. *)
       if s.prepared && not s.sent_commit then begin
         s.sent_commit <- true;
-        s.commits <- add_vote s.commits d t.cfg.me;
+        s.commits <- add_vote t s.commits d t.cfg.me;
         broadcast t (Commit { view = s.slot_view; seq; digest = d });
         advance t seq s
       end
@@ -146,6 +158,8 @@ let rec advance t seq s =
         let committers = votes_for s.commits d in
         if ISet.cardinal committers >= t.quorum then begin
           s.decided_digest <- Some d;
+          (* A decided slot never reads its votes again. *)
+          drop_votes t s;
           t.cb.decide
             {
               cert_seq = seq;
@@ -165,9 +179,9 @@ let accept_pre_prepare t ~seq ~digest =
         s.accepted <- Some digest;
         (* The leader's pre-prepare doubles as its prepare vote. *)
         s.prepares <-
-          add_vote s.prepares digest (leader_of_view ~n:t.n ~view:t.cur_view);
+          add_vote t s.prepares digest (leader_of_view ~n:t.n ~view:t.cur_view);
         if (not t.cfg.skip_prepare) && not (is_leader t) then begin
-          s.prepares <- add_vote s.prepares digest t.cfg.me;
+          s.prepares <- add_vote t s.prepares digest t.cfg.me;
           broadcast t (Prepare { view = t.cur_view; seq; digest })
         end;
         advance t seq s
@@ -277,6 +291,14 @@ let resize t ~n =
   t.quorum <- (2 * t.f) + 1
 
 let size t = t.n
+let retained_votes t = t.held_votes
+
+let decided_votes t =
+  Hashtbl.fold
+    (fun _ s n ->
+      if s.decided_digest = None then n
+      else n + count_votes s.prepares + count_votes s.commits)
+    t.slots 0
 
 (* State transfer: record a decided slot verbatim on a joining replica,
    without re-running consensus or firing [decide] — the embedder has
@@ -286,7 +308,8 @@ let install_decided t ~seq ~digest =
   let s = slot t seq in
   if s.decided_digest = None then begin
     s.accepted <- Some digest;
-    s.decided_digest <- Some digest
+    s.decided_digest <- Some digest;
+    drop_votes t s
   end
 
 let handle t ~from msg =
@@ -302,14 +325,18 @@ let handle t ~from msg =
     | Prepare { view; seq; digest } ->
         if view = t.cur_view && not t.in_view_change then begin
           let s = slot t seq in
-          s.prepares <- add_vote s.prepares digest from;
-          advance t seq s
+          if s.decided_digest = None then begin
+            s.prepares <- add_vote t s.prepares digest from;
+            advance t seq s
+          end
         end
     | Commit { view; seq; digest } ->
         if view = t.cur_view && not t.in_view_change then begin
           let s = slot t seq in
-          s.commits <- add_vote s.commits digest from;
-          advance t seq s
+          if s.decided_digest = None then begin
+            s.commits <- add_vote t s.commits digest from;
+            advance t seq s
+          end
         end
     | View_change { new_view; prepared } ->
         if new_view > t.cur_view then begin

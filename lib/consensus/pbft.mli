@@ -108,6 +108,17 @@ val resize : t -> n:int -> unit
 val size : t -> int
 (** The current group size ([n] after any {!resize}). *)
 
+val retained_votes : t -> int
+(** Voter ids held across every slot's prepare and commit sets, kept as
+    a running count (O(1)). A slot drops its sets when it decides or
+    when a view change voids them, and a decided slot records no later
+    votes. Memory censuses read this instead of walking the replica,
+    whose callbacks reach the whole embedder. *)
+
+val decided_votes : t -> int
+(** Voter ids held by decided slots, by a walk over every slot. Zero by
+    construction; a check for tests and censuses. *)
+
 val install_decided : t -> seq:int -> digest:string -> unit
 (** State transfer onto a joining replica: record [digest] as decided at
     [seq] without re-running consensus or firing [decide]. First

@@ -41,7 +41,8 @@ type 'p t = {
   mutable commit_idx : int;
   mutable delivered_idx : int;  (* highest index passed to on_deliver *)
   pending : (int, 'p * int) Hashtbl.t;  (* out-of-order appends awaiting gaps *)
-  acks : (int, ISet.t) Hashtbl.t;  (* leader: per-index accept voters *)
+  acks : (int, ISet.t) Hashtbl.t;
+      (* leader: per-index accept voters, above commit_idx only *)
   mutable acked_to_leader : ISet.t;  (* follower: indices already acked *)
   mutable commit_note_max : int;  (* leader-advertised commit watermark *)
   mutable leader_hint : int option;  (* sender of cur_term leader traffic *)
@@ -97,6 +98,8 @@ let set_trace t tr ~inst =
 let acks_for t i =
   ISet.elements (Option.value ~default:ISet.empty (Hashtbl.find_opt t.acks i))
 
+let retained_acks t = Hashtbl.length t.acks
+
 let role t = t.cur_role
 let term t = t.cur_term
 let last_index t = t.last_idx
@@ -141,6 +144,7 @@ let advance_commit_to t target =
     match Hashtbl.find_opt t.log (t.commit_idx + 1) with
     | Some (entry, term) when term = t.cur_term ->
         t.commit_idx <- t.commit_idx + 1;
+        Hashtbl.remove t.acks t.commit_idx;
         t.cb.on_commit ~index:t.commit_idx entry
     | Some _ | None -> continue := false
   done
@@ -288,10 +292,13 @@ let handle t ~from msg =
     | Append_ack { term; index } ->
         if term > t.cur_term then step_down t term
         else if term = t.cur_term && t.cur_role = Leader then begin
-          let cur =
-            Option.value ~default:ISet.empty (Hashtbl.find_opt t.acks index)
-          in
-          Hashtbl.replace t.acks index (ISet.add from cur);
+          (* A committed index never reads its ack set again. *)
+          if index > t.commit_idx then begin
+            let cur =
+              Option.value ~default:ISet.empty (Hashtbl.find_opt t.acks index)
+            in
+            Hashtbl.replace t.acks index (ISet.add from cur)
+          end;
           leader_recheck_commit t
         end
     | Commit_note { term; index } ->

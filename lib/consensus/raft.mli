@@ -71,7 +71,13 @@ val set_trace : 'p t -> Massbft_trace.Trace.t -> inst:int -> unit
     on elections and role changes. Defaults to the disabled sink. *)
 
 val acks_for : 'p t -> int -> int list
-(** Accept voters recorded for a log index (leader-side diagnostic). *)
+(** Accept voters recorded for a log index (leader-side diagnostic).
+    Empty at or below the commit index: committing an index drops its
+    ack set, and a later ack for it is not recorded. *)
+
+val retained_acks : 'p t -> int
+(** Ack sets currently held (O(1)). Memory censuses read this instead
+    of walking the replica, whose callbacks reach the whole embedder. *)
 
 val role : 'p t -> role
 val term : 'p t -> int

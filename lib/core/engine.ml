@@ -99,6 +99,7 @@ let create sim topo cfg =
               n_pbft = None;
               n_content = Entry_tbl.create 256;
               n_rebuilds = Entry_tbl.create 256;
+              n_rebuilding = 0;
             }))
   in
   let n_inst = strat.glob.g_instances ng in

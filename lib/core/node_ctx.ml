@@ -111,14 +111,18 @@ type entry = {
 type rsym = {
   rb_buckets : (string, ISet.t ref) Hashtbl.t;
   mutable rb_black : ISet.t;
-  mutable rb_done : bool;
 }
+
+(* A finished rebuild keeps only the done mark: later chunks for it are
+   no-ops, so its buckets and blacklist are released. *)
+type rebuild = Rebuilding of rsym | Rebuilt
 
 type node = {
   n_addr : Topology.addr;
   mutable n_pbft : Pbft.t option;
   n_content : unit Entry_tbl.t;
-  n_rebuilds : rsym Entry_tbl.t;
+  n_rebuilds : rebuild Entry_tbl.t;
+  mutable n_rebuilding : int;  (* entries in [Rebuilding] *)
 }
 
 type leader = {
@@ -149,8 +153,10 @@ type leader = {
       (* distinct voter node-ids per tag: duplicate deliveries (an
          injectable fault) must not fake a quorum *)
   l_accept_notes : int ref Entry_tbl.t;
-  l_ts_mark : (string, unit) Hashtbl.t;  (* Ts proposed, key inst|gid|seq *)
-  l_ts_seen : (string, unit) Hashtbl.t;  (* Ts committed (first wins) *)
+  l_ts_mark : (int * Types.entry_id, unit) Hashtbl.t;
+      (* Ts proposed, keyed by (instance, entry) *)
+  l_ts_seen : (int * Types.entry_id, unit) Hashtbl.t;
+      (* Ts committed (first wins) *)
   l_last_heard : float array;  (* per instance *)
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
   l_committed_unexec : unit Entry_tbl.t;

@@ -75,14 +75,18 @@ type entry = {
 type rsym = {
   rb_buckets : (string, ISet.t ref) Hashtbl.t;
   mutable rb_black : ISet.t;
-  mutable rb_done : bool;
 }
+
+type rebuild =
+  | Rebuilding of rsym
+  | Rebuilt  (** done mark: the buckets and blacklist are released *)
 
 type node = {
   n_addr : Topology.addr;
   mutable n_pbft : Pbft.t option;
   n_content : unit Entry_tbl.t;
-  n_rebuilds : rsym Entry_tbl.t;
+  n_rebuilds : rebuild Entry_tbl.t;
+  mutable n_rebuilding : int;  (** entries in [Rebuilding] *)
 }
 
 type leader = {
@@ -108,8 +112,8 @@ type leader = {
   l_accept_pending : (string, unit -> unit) Hashtbl.t;
   l_accept_votes : (string, ISet.t ref) Hashtbl.t;
   l_accept_notes : int ref Entry_tbl.t;
-  l_ts_mark : (string, unit) Hashtbl.t;
-  l_ts_seen : (string, unit) Hashtbl.t;
+  l_ts_mark : (int * Types.entry_id, unit) Hashtbl.t;
+  l_ts_seen : (int * Types.entry_id, unit) Hashtbl.t;
   l_last_heard : float array;
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
   l_committed_unexec : unit Entry_tbl.t;

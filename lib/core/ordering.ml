@@ -68,20 +68,17 @@ and try_rounds t (l : leader) =
    the Raft adapter (Global_consensus) calls in at its deliver/commit/
    role-change hooks. *)
 
-let ts_key inst (eid : Types.entry_id) =
-  Printf.sprintf "%d|%d|%d" inst eid.Types.gid eid.Types.seq
-
 let assign_ts t (l : leader) eid =
   (* Overlapped VTS assignment: stamp the entry with our clock and
      replicate through our own instance (Fig. 7b). *)
   if
     t.strat.ord.o_vts
     && eid.Types.gid <> l.l_gid
-    && (not (Hashtbl.mem l.l_ts_mark (ts_key l.l_gid eid)))
-    && (not (Hashtbl.mem l.l_ts_seen (ts_key l.l_gid eid)))
+    && (not (Hashtbl.mem l.l_ts_mark (l.l_gid, eid)))
+    && (not (Hashtbl.mem l.l_ts_seen (l.l_gid, eid)))
     && Raft.role l.l_rafts.(l.l_gid) = Raft.Leader
   then begin
-    Hashtbl.replace l.l_ts_mark (ts_key l.l_gid eid) ();
+    Hashtbl.replace l.l_ts_mark (l.l_gid, eid) ();
     ignore (Raft.propose l.l_rafts.(l.l_gid) (Ts { eid; ts = l.l_clk }))
   end
 
@@ -95,10 +92,10 @@ let stamp_led_instances (l : leader) eid =
     if
       j <> eid.Types.gid
       && Raft.role l.l_rafts.(j) = Raft.Leader
-      && (not (Hashtbl.mem l.l_ts_seen (ts_key j eid)))
-      && not (Hashtbl.mem l.l_ts_mark (ts_key j eid))
+      && (not (Hashtbl.mem l.l_ts_seen (j, eid)))
+      && not (Hashtbl.mem l.l_ts_mark (j, eid))
     then begin
-      Hashtbl.replace l.l_ts_mark (ts_key j eid) ();
+      Hashtbl.replace l.l_ts_mark (j, eid) ();
       ignore (Raft.propose l.l_rafts.(j) (Ts { eid; ts = l.l_clk_of.(j) }))
     end
   done
@@ -112,10 +109,10 @@ let stamp_committed_unexec (l : leader) inst =
     (fun eid () ->
       if
         eid.Types.gid <> inst
-        && (not (Hashtbl.mem l.l_ts_seen (ts_key inst eid)))
-        && not (Hashtbl.mem l.l_ts_mark (ts_key inst eid))
+        && (not (Hashtbl.mem l.l_ts_seen (inst, eid)))
+        && not (Hashtbl.mem l.l_ts_mark (inst, eid))
       then begin
-        Hashtbl.replace l.l_ts_mark (ts_key inst eid) ();
+        Hashtbl.replace l.l_ts_mark (inst, eid) ();
         ignore
           (Raft.propose l.l_rafts.(inst) (Ts { eid; ts = l.l_clk_of.(inst) }))
       end)
@@ -124,7 +121,7 @@ let stamp_committed_unexec (l : leader) inst =
 (* A Ts record committed in instance [inst]'s log: feed the Orderer
    (first commit wins). *)
 let on_ts_commit (l : leader) inst ~eid ~ts =
-  let key = ts_key inst eid in
+  let key = (inst, eid) in
   if not (Hashtbl.mem l.l_ts_seen key) then begin
     Hashtbl.replace l.l_ts_seen key ();
     match l.l_orderer with

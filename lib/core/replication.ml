@@ -199,51 +199,54 @@ let rebuild_state (node : node) eid =
   match Entry_tbl.find_opt node.n_rebuilds eid with
   | Some r -> r
   | None ->
-      let r =
-        { rb_buckets = Hashtbl.create 2; rb_black = ISet.empty; rb_done = false }
-      in
+      let r = Rebuilding { rb_buckets = Hashtbl.create 2; rb_black = ISet.empty } in
       Entry_tbl.replace node.n_rebuilds eid r;
+      node.n_rebuilding <- node.n_rebuilding + 1;
       r
 
 let on_chunk_received t (node : node) ~eid ~root_tag ~index =
   let e = entry_of t eid in
-  let r = rebuild_state node eid in
-  if (not r.rb_done) && not (ISet.mem index r.rb_black) then begin
-    let bucket =
-      match Hashtbl.find_opt r.rb_buckets root_tag with
-      | Some b -> b
-      | None ->
-          let b = ref ISet.empty in
-          Hashtbl.replace r.rb_buckets root_tag b;
-          b
-    in
-    if not (ISet.mem index !bucket) then begin
-      bucket := ISet.add index !bucket;
-      let g = node.n_addr.Topology.g in
-      let plan = plan_between t ~src:eid.Types.gid ~dst:g in
-      if ISet.cardinal !bucket >= plan.Transfer_plan.n_data then
-        if String.equal root_tag e.digest then begin
-          r.rb_done <- true;
-          let cost =
-            float_of_int e.size *. t.cfg.Config.cost.Config.decode_per_byte_s
-          in
-          if Trace.enabled t.trace then begin
-            let tnow = now t in
-            Trace.span t.trace ~cat:"entry" ~gid:g ~node:node.n_addr.Topology.n
-              ~eid:(eid.Types.gid, eid.Types.seq) ~b:tnow ~e:(tnow +. cost)
-              "rebuild"
-          end;
-          charge_cpu t node.n_addr cost (fun () ->
-              if alive t node.n_addr then content_event t node eid)
+  match rebuild_state node eid with
+  | Rebuilt -> ()
+  | Rebuilding r ->
+      if not (ISet.mem index r.rb_black) then begin
+        let bucket =
+          match Hashtbl.find_opt r.rb_buckets root_tag with
+          | Some b -> b
+          | None ->
+              let b = ref ISet.empty in
+              Hashtbl.replace r.rb_buckets root_tag b;
+              b
+        in
+        if not (ISet.mem index !bucket) then begin
+          bucket := ISet.add index !bucket;
+          let g = node.n_addr.Topology.g in
+          let plan = plan_between t ~src:eid.Types.gid ~dst:g in
+          if ISet.cardinal !bucket >= plan.Transfer_plan.n_data then
+            if String.equal root_tag e.digest then begin
+              Entry_tbl.replace node.n_rebuilds eid Rebuilt;
+              node.n_rebuilding <- node.n_rebuilding - 1;
+              let cost =
+                float_of_int e.size *. t.cfg.Config.cost.Config.decode_per_byte_s
+              in
+              if Trace.enabled t.trace then begin
+                let tnow = now t in
+                Trace.span t.trace ~cat:"entry" ~gid:g
+                  ~node:node.n_addr.Topology.n
+                  ~eid:(eid.Types.gid, eid.Types.seq) ~b:tnow ~e:(tnow +. cost)
+                  "rebuild"
+              end;
+              charge_cpu t node.n_addr cost (fun () ->
+                  if alive t node.n_addr then content_event t node eid)
+            end
+            else begin
+              (* Fake bucket: certificate validation fails, ids are burned
+                 (the DoS defence of §IV-C). *)
+              r.rb_black <- ISet.union r.rb_black !bucket;
+              Hashtbl.remove r.rb_buckets root_tag
+            end
         end
-        else begin
-          (* Fake bucket: certificate validation fails, ids are burned
-             (the DoS defence of §IV-C). *)
-          r.rb_black <- ISet.union r.rb_black !bucket;
-          Hashtbl.remove r.rb_buckets root_tag
-        end
-    end
-  end
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Receiver-side message handlers                                      *)
@@ -325,10 +328,6 @@ let observe (t : Node_ctx.t) sampler =
               "Entries with some chunks received but not yet rebuilt on \
                this node"
             ~labels:(obs_node_labels node)
-            (fun ~now:_ ~dt:_ ->
-              float_of_int
-                (Entry_tbl.fold
-                   (fun _ r acc -> if r.rb_done then acc else acc + 1)
-                   node.n_rebuilds 0)))
+            (fun ~now:_ ~dt:_ -> float_of_int node.n_rebuilding))
         group)
     t.nodes

@@ -272,6 +272,92 @@ let test_pbft_view_change_preserves_prepared () =
       (List.for_all (fun (_, d) -> d = "keep") decisions.(i))
   done
 
+(* A decided slot drops its vote sets and records no later vote: late,
+   duplicate and rival Prepare and Commit votes leave it decided once,
+   with its first certificate. *)
+let test_pbft_decided_slot_keeps_no_votes () =
+  let n = 4 in
+  let bus = Bus.create n in
+  let certs = Array.make n [] in
+  let replicas =
+    Array.init n (fun me ->
+        Pbft.create
+          { Pbft.n; me; skip_prepare = false }
+          {
+            Pbft.send = (fun dst msg -> Bus.send bus ~src:me ~dst msg);
+            decide = (fun c -> certs.(me) <- c :: certs.(me));
+          })
+  in
+  bus.Bus.handler <- Some (fun dst ~from msg -> Pbft.handle replicas.(dst) ~from msg);
+  Pbft.propose replicas.(0) ~seq:1 ~digest:"d1";
+  Bus.run bus;
+  let first = Array.map List.hd certs in
+  let late =
+    List.concat_map
+      (fun digest ->
+        [
+          Pbft.Prepare { view = 0; seq = 1; digest };
+          Pbft.Commit { view = 0; seq = 1; digest };
+        ])
+      [ "d1"; "rival" ]
+  in
+  for src = 0 to n - 1 do
+    for dst = 0 to n - 1 do
+      if src <> dst then
+        List.iter
+          (fun m ->
+            Bus.send bus ~src ~dst m;
+            Bus.send bus ~src ~dst m)
+          late
+    done
+  done;
+  Bus.run bus;
+  Array.iteri
+    (fun i cs ->
+      let name what = Printf.sprintf "replica %d %s" i what in
+      check_int (name "decides once") 1 (List.length cs);
+      check_bool (name "keeps its certificate") true (List.hd cs = first.(i));
+      check_int (name "retains no votes") 0 (Pbft.retained_votes replicas.(i));
+      check_int (name "decided slots hold no votes") 0 (Pbft.decided_votes replicas.(i)))
+    certs
+
+(* A view change after a decide carries only the prepared but undecided
+   slots into the new view. *)
+let test_pbft_view_change_after_decide () =
+  let bus, replicas, decisions = make_pbft_cluster 4 in
+  let deliver dst ~from msg = Pbft.handle replicas.(dst) ~from msg in
+  Pbft.propose replicas.(0) ~seq:1 ~digest:"done";
+  Bus.run bus;
+  (* Seq 2 prepares everywhere, but every commit is lost. *)
+  bus.Bus.handler <-
+    Some (fun dst ~from msg -> match msg with Pbft.Commit _ -> () | _ -> deliver dst ~from msg);
+  Pbft.propose replicas.(0) ~seq:2 ~digest:"open";
+  Bus.run bus;
+  check_bool "the open slot holds votes" true (Pbft.retained_votes replicas.(1) > 0);
+  let reproposed = ref [] in
+  bus.Bus.handler <-
+    Some
+      (fun dst ~from msg ->
+        (match msg with
+        | Pbft.New_view { reproposals; _ } -> reproposed := reproposals
+        | _ -> ());
+        deliver dst ~from msg);
+  Bus.crash bus 0;
+  for i = 1 to 3 do
+    Pbft.start_view_change replicas.(i)
+  done;
+  Bus.run bus;
+  Alcotest.(check (list (pair int string)))
+    "only the undecided slot is re-proposed" [ (2, "open") ] !reproposed;
+  for i = 1 to 3 do
+    Alcotest.(check (list (pair int string)))
+      (Printf.sprintf "replica %d decides each slot once" i)
+      [ (1, "done"); (2, "open") ]
+      (List.sort compare decisions.(i));
+    check_int (Printf.sprintf "replica %d retains no votes" i) 0
+      (Pbft.retained_votes replicas.(i))
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Raft                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -590,6 +676,32 @@ let test_raft_propose_errors () =
        false
      with Invalid_argument _ -> true)
 
+(* Committing an index drops its ack set, and a later ack at or below
+   the commit index is not recorded; the commit index stays put. *)
+let test_raft_late_ack_not_recorded () =
+  let bus, replicas, events = make_raft_cluster ~initial_leader:0 5 in
+  let leader = replicas.(0) in
+  ignore (Raft.propose leader "a");
+  ignore (Raft.propose leader "b");
+  Bus.run bus;
+  check_int "committed" 2 (Raft.commit_index leader);
+  check_int "no ack sets after commit" 0 (Raft.retained_acks leader);
+  (* An index short of a majority keeps its ack set. *)
+  List.iter (Bus.crash bus) [ 2; 3; 4 ];
+  ignore (Raft.propose leader "c");
+  Bus.run bus;
+  check_int "one ack set in flight" 1 (Raft.retained_acks leader);
+  let term = Raft.term leader in
+  List.iter
+    (fun (from, index) -> Raft.handle leader ~from (Raft.Append_ack { term; index }))
+    [ (1, 1); (2, 2); (3, 1); (4, 2); (2, 2) ];
+  Bus.run bus;
+  check_int "commit index unchanged" 2 (Raft.commit_index leader);
+  check_int "late acks not recorded" 1 (Raft.retained_acks leader);
+  Alcotest.(check (list int)) "committed index has no voters" [] (Raft.acks_for leader 2);
+  Alcotest.(check (list (pair int string)))
+    "commits unchanged" [ (1, "a"); (2, "b") ] events.(0).committed
+
 let () =
   Alcotest.run "massbft_consensus"
     [
@@ -608,6 +720,8 @@ let () =
           Alcotest.test_case "view change elects leader" `Quick test_pbft_view_change_elects_new_leader;
           Alcotest.test_case "view change join rule" `Quick test_pbft_view_change_join_rule;
           Alcotest.test_case "view change preserves prepared" `Quick test_pbft_view_change_preserves_prepared;
+          Alcotest.test_case "decided slot keeps no votes" `Quick test_pbft_decided_slot_keeps_no_votes;
+          Alcotest.test_case "view change after decide" `Quick test_pbft_view_change_after_decide;
         ] );
       ( "raft",
         [
@@ -630,5 +744,6 @@ let () =
           Alcotest.test_case "heartbeat repairs lag" `Quick test_raft_heartbeat_catches_up_lagging_follower;
           Alcotest.test_case "heartbeat follower no-op" `Quick test_raft_heartbeat_noop_on_follower;
           Alcotest.test_case "commit watermark" `Quick test_raft_commit_watermark_semantics;
+          Alcotest.test_case "late ack not recorded" `Quick test_raft_late_ack_not_recorded;
         ] );
     ]

@@ -662,6 +662,44 @@ let test_debug_dump system ~instances () =
     check_bool "massbft dump shows orderer heads" true
       (contains final "head[0]")
 
+(* ------------------------------------------------------------------ *)
+(* Per-entry state lifetime                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Finished rebuilds keep only the done mark, decided PBFT slots keep no
+   votes, and no Raft replica keeps an ack set at or below its commit
+   index. *)
+let check_released label eng =
+  let c = Census.take (Engine.ctx eng) in
+  print_string (Census.to_string c);
+  let name what = Printf.sprintf "%s: %s" label what in
+  check_bool (name "rebuilds finished") true (c.Census.rebuilt > 0);
+  check_int (name "finished rebuilds keep the done mark") 0
+    c.Census.unreleased_rebuilds;
+  check_int (name "in-progress counter") c.Census.rebuilding
+    c.Census.rebuilding_gauge;
+  check_int (name "decided slots keep no votes") 0 c.Census.decided_votes;
+  check_int (name "no acks at or below a commit index") 0 c.Census.stale_acks;
+  check_bool (name "census walks the engine") true
+    (List.for_all (fun (_, w) -> w > 0) c.Census.words)
+
+let test_census_released_state () =
+  let eng, _, _ = run_engine ~until:3.0 () in
+  check_released "massbft" eng
+
+let test_census_after_view_change () =
+  let eng, _, _ =
+    run_engine ~until:8.0
+      ~before_run:(fun eng sim _ ->
+        ignore
+          (Sim.at sim 1.0 (fun () ->
+               Engine.crash_node eng { Topology.g = 1; n = 0 })))
+      ()
+  in
+  check_bool "view change moved group 1's leader" true
+    ((Engine.acting_leader eng ~gid:1).Topology.n <> 0);
+  check_released "after a view change" eng
+
 let () =
   Alcotest.run "massbft_engine"
     [
@@ -729,5 +767,9 @@ let () =
             (test_debug_dump Config.Massbft ~instances:3);
           Alcotest.test_case "debug dump steward" `Quick
             (test_debug_dump Config.Steward ~instances:1);
+          Alcotest.test_case "census released state" `Quick
+            test_census_released_state;
+          Alcotest.test_case "census after view change" `Slow
+            test_census_after_view_change;
         ] );
     ]
