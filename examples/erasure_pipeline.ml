@@ -84,5 +84,8 @@ let () =
       Printf.printf
         "\nrebuilt entry matches the original: %b (%d bytes, digest %s)\n"
         (String.equal e entry) (String.length e)
-        (Hexdump.short (Massbft_crypto.Sha256.digest e))
-  | None -> print_endline "\nrebuild failed (should not happen!)"
+        (Hexdump.short (Massbft_crypto.Sha256.digest e));
+      if not (String.equal e entry) then exit 1
+  | None ->
+      print_endline "\nrebuild failed";
+      exit 1

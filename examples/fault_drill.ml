@@ -118,4 +118,5 @@ let () =
   print_endline
     "(after the restore, data center 0 first streams back the entries it\n\
     \ missed -- bounded by its 20 Mbps downlinks -- and only then contributes\n\
-    \ its own proposals again, so full throughput returns gradually)"
+    \ its own proposals again, so full throughput returns gradually)";
+  if not (Invariants.ok inv) then exit 1

@@ -53,3 +53,6 @@ val is_compromised : t -> Topology.addr -> bool
 (** True once [a] has ever matched an active strategy's target — the
     run's (sticky) compromised set. Invariant checkers use this to
     restrict safety comparisons to honest replicas. *)
+
+val tampered_tag : string -> string
+(** The one fake root tag [tamper] stamps on an entry's chunks. *)

@@ -104,18 +104,10 @@ type entry = {
   mutable exec_count : int;  (* leaders that executed it, for pruning *)
 }
 
-(* Symbolic receiver-side rebuild state: the bucket-classification logic
-   of Rebuild, over virtual chunk identities (root tags instead of real
-   Merkle roots). Byte-level behaviour is covered by Rebuild's tests;
-   sizes here match Chunker.chunk_wire_size exactly. *)
-type rsym = {
-  rb_buckets : (string, ISet.t ref) Hashtbl.t;
-  mutable rb_black : ISet.t;
-}
-
-(* A finished rebuild keeps only the done mark: later chunks for it are
-   no-ops, so its buckets and blacklist are released. *)
-type rebuild = Rebuilding of rsym | Rebuilt
+(* A node's rebuild of one entry: the classifier while it runs, then a
+   constant done mark (later chunks are no-ops, so the classifier's
+   buckets and blacklist are released). *)
+type rebuild = Rebuilding of Rebuild.Symbolic.t | Rebuilt
 
 type node = {
   n_addr : Topology.addr;

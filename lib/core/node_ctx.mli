@@ -72,13 +72,8 @@ type entry = {
   mutable exec_count : int;
 }
 
-type rsym = {
-  rb_buckets : (string, ISet.t ref) Hashtbl.t;
-  mutable rb_black : ISet.t;
-}
-
 type rebuild =
-  | Rebuilding of rsym
+  | Rebuilding of Rebuild.Symbolic.t
   | Rebuilt  (** done mark: the buckets and blacklist are released *)
 
 type node = {

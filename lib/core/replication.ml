@@ -12,9 +12,9 @@
      its chunks per the Algorithm 1 transfer plan; receivers rebuild
      (MassBFT / EBR).
 
-   This module also owns the receiver side: symbolic chunk rebuild with
-   the bucket classification of Rebuild (§IV-C's DoS defence), full-copy
-   handling, and the post-crash content fetch pump. *)
+   This module also owns the receiver side: chunk rebuild through
+   Rebuild's classifier (§IV-C's DoS defence), full-copy handling, and
+   the post-crash content fetch pump. *)
 
 open Node_ctx
 
@@ -192,61 +192,47 @@ let on_content t (l : leader) eid =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Symbolic chunk rebuild                                              *)
+(* Chunk rebuild                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let rebuild_state (node : node) eid =
-  match Entry_tbl.find_opt node.n_rebuilds eid with
-  | Some r -> r
-  | None ->
-      let r = Rebuilding { rb_buckets = Hashtbl.create 2; rb_black = ISet.empty } in
-      Entry_tbl.replace node.n_rebuilds eid r;
-      node.n_rebuilding <- node.n_rebuilding + 1;
-      r
+(* One chunk through the node's classifier for [eid]: created on the
+   entry's first chunk, replaced by the done mark once it rebuilds. *)
+let classify (node : node) eid ~plan ~digest chunk =
+  let state =
+    match Entry_tbl.find_opt node.n_rebuilds eid with
+    | Some s -> s
+    | None ->
+        let s = Rebuilding (Rebuild.Symbolic.create ()) in
+        Entry_tbl.replace node.n_rebuilds eid s;
+        node.n_rebuilding <- node.n_rebuilding + 1;
+        s
+  in
+  match state with
+  | Rebuilt -> Rebuild.Already_done
+  | Rebuilding r -> (
+      match Rebuild.Symbolic.add r ~plan digest chunk with
+      | Rebuild.Rebuilt () as v ->
+          Entry_tbl.replace node.n_rebuilds eid Rebuilt;
+          node.n_rebuilding <- node.n_rebuilding - 1;
+          v
+      | v -> v)
 
 let on_chunk_received t (node : node) ~eid ~root_tag ~index =
   let e = entry_of t eid in
-  match rebuild_state node eid with
-  | Rebuilt -> ()
-  | Rebuilding r ->
-      if not (ISet.mem index r.rb_black) then begin
-        let bucket =
-          match Hashtbl.find_opt r.rb_buckets root_tag with
-          | Some b -> b
-          | None ->
-              let b = ref ISet.empty in
-              Hashtbl.replace r.rb_buckets root_tag b;
-              b
-        in
-        if not (ISet.mem index !bucket) then begin
-          bucket := ISet.add index !bucket;
-          let g = node.n_addr.Topology.g in
-          let plan = plan_between t ~src:eid.Types.gid ~dst:g in
-          if ISet.cardinal !bucket >= plan.Transfer_plan.n_data then
-            if String.equal root_tag e.digest then begin
-              Entry_tbl.replace node.n_rebuilds eid Rebuilt;
-              node.n_rebuilding <- node.n_rebuilding - 1;
-              let cost =
-                float_of_int e.size *. t.cfg.Config.cost.Config.decode_per_byte_s
-              in
-              if Trace.enabled t.trace then begin
-                let tnow = now t in
-                Trace.span t.trace ~cat:"entry" ~gid:g
-                  ~node:node.n_addr.Topology.n
-                  ~eid:(eid.Types.gid, eid.Types.seq) ~b:tnow ~e:(tnow +. cost)
-                  "rebuild"
-              end;
-              charge_cpu t node.n_addr cost (fun () ->
-                  if alive t node.n_addr then content_event t node eid)
-            end
-            else begin
-              (* Fake bucket: certificate validation fails, ids are burned
-                 (the DoS defence of §IV-C). *)
-              r.rb_black <- ISet.union r.rb_black !bucket;
-              Hashtbl.remove r.rb_buckets root_tag
-            end
-        end
-      end
+  let g = node.n_addr.Topology.g in
+  let plan = plan_between t ~src:eid.Types.gid ~dst:g in
+  match classify node eid ~plan ~digest:e.digest { Rebuild.root_tag; index } with
+  | Rebuild.Rebuilt () ->
+      let cost = float_of_int e.size *. t.cfg.Config.cost.Config.decode_per_byte_s in
+      if Trace.enabled t.trace then begin
+        let tnow = now t in
+        Trace.span t.trace ~cat:"entry" ~gid:g ~node:node.n_addr.Topology.n
+          ~eid:(eid.Types.gid, eid.Types.seq) ~b:tnow ~e:(tnow +. cost)
+          "rebuild"
+      end;
+      charge_cpu t node.n_addr cost (fun () ->
+          if alive t node.n_addr then content_event t node eid)
+  | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Receiver-side message handlers                                      *)

@@ -31,6 +31,11 @@ val on_content : t -> leader -> Types.entry_id -> unit
 (** Content arrived at a leader: release the fetch slot, refill the
     pump. Part of the engine's on-leader-content composition. *)
 
+val classify : node -> Types.entry_id -> plan:Transfer_plan.t -> digest:string ->
+  Rebuild.symbolic_chunk -> unit Rebuild.verdict
+(** One chunk through the node's classifier for the entry: created on the
+    first chunk, replaced by the [Rebuilt] mark once it rebuilds. *)
+
 val on_chunk_received :
   t -> node -> eid:Types.entry_id -> root_tag:string -> index:int -> unit
 

@@ -52,14 +52,13 @@ let count_rebuilds (c : N.t) pick =
 
 let genuine_bucket_complete c (node : N.node) eid = function
   | N.Rebuilt -> false
-  | N.Rebuilding rs -> (
+  | N.Rebuilding rs ->
       let plan =
         Replication.plan_between c ~src:eid.Massbft.Types.gid
           ~dst:node.N.n_addr.Massbft_sim.Topology.g
       in
-      match Hashtbl.find_opt rs.N.rb_buckets (N.entry_of c eid).N.digest with
-      | Some b -> N.ISet.cardinal !b >= plan.Transfer_plan.n_data
-      | None -> false)
+      Massbft.Rebuild.Symbolic.bucket_size rs (N.entry_of c eid).N.digest
+      >= plan.Transfer_plan.n_data
 
 let take (c : N.t) =
   {

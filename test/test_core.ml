@@ -691,6 +691,159 @@ let test_rebuild_mixed_interleaving () =
   check_bool "rebuilt through the noise" true !rebuilt
 
 (* ------------------------------------------------------------------ *)
+(* One classifier, two payload models                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine's virtual chunks must classify exactly as real bytes do.
+   One delivery stream drives Rebuild on real chunks and the engine's
+   own glue (Replication.classify) on root tags, with the honest Merkle
+   root mapped to the digest and the fake one to the tamper adversary's
+   tag. The stream carries one fake encoding shipped by colluding
+   senders (<= f1) and relayed by colluding receivers (<= f2, relaying
+   either version per delivery), duplicates, a few byte-only corrupted
+   chunks, and a random order. *)
+
+let verdict_shape : _ Rebuild.verdict -> unit Rebuild.verdict = function
+  | Rebuild.Rebuilt _ -> Rebuild.Rebuilt ()
+  | Accepted -> Accepted
+  | Rejected_proof -> Rejected_proof
+  | Rejected_blacklisted -> Rejected_blacklisted
+  | Rejected_duplicate -> Rejected_duplicate
+  | Rejected_fake_bucket ids -> Rejected_fake_bucket ids
+  | Already_done -> Already_done
+
+let verdict_name : unit Rebuild.verdict -> string = function
+  | Rebuild.Rebuilt () -> "rebuilt"
+  | Accepted -> "accepted"
+  | Rejected_proof -> "proof"
+  | Rejected_blacklisted -> "blacklisted"
+  | Rejected_duplicate -> "duplicate"
+  | Rejected_fake_bucket ids ->
+      "fake[" ^ String.concat "," (List.map string_of_int ids) ^ "]"
+  | Already_done -> "done"
+
+(* True when the stream burned a fake bucket. *)
+let classifiers_agree ~n1 ~n2 ~seed =
+  let module N = Node_ctx in
+  let module Sha256 = Massbft_crypto.Sha256 in
+  let plan = Transfer_plan.generate ~n1 ~n2 in
+  let rng = Rng.create (Int64.of_int seed) in
+  let entry = String.init (1 + Rng.int rng 3000) (fun _ -> Char.chr (Rng.int rng 256)) in
+  let fake_entry = String.map (fun c -> Char.chr (Char.code c lxor 1)) entry in
+  let digest = Sha256.digest entry in
+  let honest = Chunker.encode ~plan ~entry in
+  let fake = Chunker.encode ~plan ~entry:fake_entry in
+  let tag_of_root root =
+    if String.equal root honest.(0).Chunker.root then digest
+    else Massbft_adversary.Adversary.tampered_tag digest
+  in
+  (* The observing receiver is node 0, honest; colluders are picked
+     among the senders and among its peers. *)
+  let pick n ~from ~upto =
+    let ids = Array.init (n - from) (fun i -> from + i) in
+    Rng.shuffle rng ids;
+    (* Full collusion half the time: it is what fills a fake bucket. *)
+    let k = if Rng.bool rng then upto else Rng.int rng (upto + 1) in
+    Array.to_list (Array.sub ids 0 (min (Array.length ids) k))
+  in
+  let bad_senders = pick n1 ~from:0 ~upto:(Massbft_util.Intmath.pbft_f n1) in
+  let bad_relays = pick n2 ~from:1 ~upto:(Massbft_util.Intmath.pbft_f n2) in
+  let deliveries = ref [] in
+  for c = 0 to plan.Transfer_plan.n_total - 1 do
+    let bad_sender = List.mem (Transfer_plan.sender_of_chunk plan c) bad_senders in
+    let bad_relay = List.mem (Transfer_plan.receiver_of_chunk plan c) bad_relays in
+    for _ = 0 to Rng.int rng 3 do
+      let faked = bad_sender || (bad_relay && Rng.int rng 8 > 0) in
+      deliveries := (false, if faked then fake.(c) else honest.(c)) :: !deliveries
+    done
+  done;
+  for _ = 1 to Rng.int rng 4 do
+    let c = Rng.choose rng honest in
+    let bad =
+      if Rng.bool rng then { c with Chunker.payload = c.Chunker.payload ^ "!" }
+      else { c with Chunker.index = plan.Transfer_plan.n_total }
+    in
+    deliveries := (true, bad) :: !deliveries
+  done;
+  let stream = Array.of_list !deliveries in
+  Rng.shuffle rng stream;
+  let rb =
+    Rebuild.create ~plan ~validate:(fun e -> String.equal (Sha256.digest e) digest) ()
+  in
+  let node =
+    {
+      N.n_addr = { Massbft_sim.Topology.g = 1; n = 0 };
+      n_pbft = None;
+      n_content = N.Entry_tbl.create 1;
+      n_rebuilds = N.Entry_tbl.create 1;
+      n_rebuilding = 0;
+    }
+  in
+  let eid = { Types.gid = 0; seq = 1 } in
+  let sym_black = ref [] in
+  Array.iteri
+    (fun step (corrupted, (c : Chunker.chunk)) ->
+      let fail fmt =
+        QCheck.Test.fail_reportf ("%dx%d seed %d, step %d (chunk %d): " ^^ fmt) n1 n2 seed
+          step c.Chunker.index
+      in
+      let black_before = Rebuild.blacklisted rb in
+      let bv = Rebuild.add rb c in
+      (match bv with
+      | Rebuild.Rebuilt e when not (String.equal (Sha256.digest e) digest) ->
+          fail "rebuilt payload does not hash to the digest"
+      | _ -> ());
+      if corrupted then begin
+        (match bv with
+        | Rebuild.Rejected_proof | Rejected_blacklisted | Already_done -> ()
+        | v -> fail "corrupted chunk got %s" (verdict_name (verdict_shape v)));
+        if Rebuild.blacklisted rb <> black_before then
+          fail "corrupted chunk changed the blacklist"
+      end
+      else begin
+        let sv =
+          Replication.classify node eid ~plan ~digest
+            { Rebuild.root_tag = tag_of_root c.Chunker.root; index = c.Chunker.index }
+        in
+        if verdict_shape bv <> sv then
+          fail "bytes %s, symbolic %s" (verdict_name (verdict_shape bv)) (verdict_name sv);
+        (match N.Entry_tbl.find node.N.n_rebuilds eid with
+        | N.Rebuilding r ->
+            sym_black := Rebuild.Symbolic.blacklisted r;
+            if node.N.n_rebuilding <> 1 then fail "in-progress count %d" node.N.n_rebuilding
+        | N.Rebuilt ->
+            if node.N.n_rebuilding <> 0 then fail "done count %d" node.N.n_rebuilding);
+        if Rebuild.blacklisted rb <> !sym_black then fail "blacklists differ"
+      end)
+    stream;
+  (* Honest senders relayed by honest peers hand over at least n_data
+     chunks, so the rebuild always completes. *)
+  if Rebuild.result rb <> Some entry then
+    QCheck.Test.fail_reportf "%dx%d seed %d: never rebuilt" n1 n2 seed;
+  !sym_black <> []
+
+let prop_classifiers_agree =
+  QCheck.Test.make ~name:"bytes and symbolic classifiers agree" ~count:150
+    QCheck.(
+      pair
+        (make ~print:(fun (a, b) -> Printf.sprintf "%dx%d" a b)
+           Gen.(frequency [ (9, pair (int_range 1 10) (int_range 1 10)); (1, return (16, 17)) ]))
+        (* a seed has nothing to shrink toward *)
+        (make ~print:string_of_int Gen.int))
+    (fun ((n1, n2), seed) ->
+      match Transfer_plan.generate ~n1 ~n2 with
+      | exception Invalid_argument _ -> QCheck.assume_fail ()
+      | _ ->
+          ignore (classifiers_agree ~n1 ~n2 ~seed);
+          true)
+
+let test_classifiers_agree_gf16 () =
+  (* 16x17 is 272 chunks: the GF(2^16) path, on every run, with at
+     least one stream whose fake bucket fills and is burned. *)
+  let rec run seed = seed <= 64 && (classifiers_agree ~n1:16 ~n2:17 ~seed || run (seed + 1)) in
+  check_bool "some stream burned a fake bucket" true (run 1)
+
+(* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -762,5 +915,8 @@ let () =
           Alcotest.test_case "fake bucket blacklists" `Quick test_rebuild_fake_bucket_blacklists;
           Alcotest.test_case "mixed interleaving" `Quick test_rebuild_mixed_interleaving;
           Alcotest.test_case "gf16 chunk path (272 chunks)" `Quick test_chunker_gf16_path;
+          qt prop_classifiers_agree;
+          Alcotest.test_case "classifiers agree on gf16 (272 chunks)" `Quick
+            test_classifiers_agree_gf16;
         ] );
     ]
