@@ -103,6 +103,10 @@ let create sim topo cfg =
             }))
   in
   let n_inst = strat.glob.g_instances ng in
+  let gens =
+    W.create_streams ~scale:cfg.Config.workload_scale cfg.Config.workload
+      ~seeds:(Array.init ng (fun g -> Int64.add cfg.Config.seed (Int64.of_int (g * 7919))))
+  in
   let leaders =
     Array.init ng (fun g ->
         {
@@ -115,9 +119,7 @@ let create sim topo cfg =
           l_clk = 0;
           l_clk_of = Array.make (max n_inst 1) 0;
           l_retry = [];
-          l_gen =
-            W.create ~scale:cfg.Config.workload_scale cfg.Config.workload
-              ~seed:(Int64.add cfg.Config.seed (Int64.of_int (g * 7919)));
+          l_gen = gens.(g);
           l_in_flight = 0;
           l_next_seq = 1;
           l_batch_pending = false;

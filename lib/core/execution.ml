@@ -89,13 +89,14 @@ let record_metrics t e outcome =
 
 let do_execute t (l : leader) e =
   (* Execute-once, replay-elsewhere: the first leader to reach the entry
-     runs the full Aria pass; every group's store is a deterministic
-     replica applying the same entries in the same order, so later
-     leaders reproduce the identical post-state from the memoized write
-     effects. With a shared store ([independent_stores = false]) the
-     effects are already applied, so later leaders touch nothing; with
-     per-group stores each leader replays the effect list onto its own
-     copy — a fraction of the cost of re-running the batch. *)
+     runs the full Aria pass and memoizes the outcome; every group's
+     store is a deterministic replica applying the same entries in the
+     same order. With per-group stores ([independent_stores]) each later
+     leader replays the memoized writes onto its own copy — a fraction
+     of the cost of re-running the batch. With a shared store the writes
+     are already applied, so later leaders touch nothing and the memo
+     drops them: an entry stays until every leader has run it, through a
+     whole group outage under faults. *)
   let outcome =
     match e.outcome with
     | Some o ->
@@ -106,7 +107,8 @@ let do_execute t (l : leader) e =
           Aria.execute_batch ~reorder:t.cfg.Config.reorder ~fallback:e.fb_txns
             l.l_store e.txns
         in
-        e.outcome <- Some o;
+        e.outcome <-
+          Some (if t.cfg.Config.independent_stores then o else Aria.without_writes o);
         o
   in
   ignore
@@ -116,8 +118,7 @@ let do_execute t (l : leader) e =
   l.l_executed_count <- l.l_executed_count + 1;
   Entry_tbl.remove l.l_committed_unexec e.eid;
   (* Once every leader has executed the entry its content (transaction
-     closures, memoized outcome and effects) is dead weight; keep the
-     metadata. *)
+     closures, memoized outcome) is dead weight; keep the metadata. *)
   e.exec_count <- e.exec_count + 1;
   (* Pruning is disabled under a reconfiguration plan: a dark group's
      leader executes the backlog only after its cutover, and a joiner's

@@ -1,14 +1,5 @@
 module Txn = Massbft_workload.Txn
 
-type outcome = {
-  committed : Txn.t list;
-  conflicted : Txn.t list;
-  logic_aborted : Txn.t list;
-  reads : int;
-  writes : int;
-  effects : (string * string) list;
-}
-
 (* One cell per distinct key a batch touches. It holds everything the
    batch needs to know about the key: the pre-batch value, loaded from
    the store at most once, and the key's two reservations, the smallest
@@ -30,14 +21,25 @@ let rec nil =
     min_r = max_int; next = nil }
 
 (* The batch table: chains threaded through the cells themselves, so a
-   new key costs one allocation. It starts at the batch's length capped
-   at 64 buckets, because a bucket array of 256 words or more is born in
-   the major heap, and a fresh one per batch shows in the peak heap. *)
-type table = { mutable buckets : cell array; mutable cells : int }
+   new key costs one allocation. One table is kept per domain and
+   emptied after every batch, so its bucket array grows to the largest
+   batch's key count once instead of doubling up from a small start in
+   every batch. It lists the buckets a batch fills, so emptying it costs
+   the batch's keys, not the largest batch's. *)
+type table = {
+  mutable buckets : cell array;
+  mutable cells : int;
+  mutable used : int array;  (* the first [n_used] are the non-empty buckets *)
+  mutable n_used : int;
+}
 
-let table_create n =
-  let rec pow2 b = if b >= n || b >= 64 then b else pow2 (2 * b) in
-  { buckets = Array.make (pow2 8) nil; cells = 0 }
+let table_key =
+  Domain.DLS.new_key (fun () ->
+      { buckets = Array.make 64 nil; cells = 0; used = Array.make 64 0; n_used = 0 })
+
+let note_used tbl i =
+  Array.unsafe_set tbl.used tbl.n_used i;
+  tbl.n_used <- tbl.n_used + 1
 
 let resize tbl =
   let b = Array.make (2 * Array.length tbl.buckets) nil in
@@ -52,13 +54,40 @@ let resize tbl =
     end
   in
   Array.iter move tbl.buckets;
-  tbl.buckets <- b
+  tbl.buckets <- b;
+  tbl.used <- Array.make (Array.length b) 0;
+  tbl.n_used <- 0;
+  Array.iteri (fun i c -> if c != nil then note_used tbl i) b
+
+(* Unlinks a chain as it empties it: an outcome keeps the cells of its
+   committed writes, and a cell still chained to the rest of its bucket
+   would keep those alive too. A kept cell also drops its pre-batch
+   value, which the store has already replaced. *)
+let rec unlink c =
+  if c != nil then begin
+    let next = c.next in
+    c.next <- nil;
+    c.snapshot <- None;
+    unlink next
+  end
+
+let clear tbl =
+  let b = tbl.buckets in
+  for k = 0 to tbl.n_used - 1 do
+    let i = Array.unsafe_get tbl.used k in
+    unlink (Array.unsafe_get b i);
+    Array.unsafe_set b i nil
+  done;
+  tbl.n_used <- 0;
+  tbl.cells <- 0
 
 let add tbl key h i =
   let b = tbl.buckets in
+  let head = Array.unsafe_get b i in
+  if head == nil then note_used tbl i;
   let c =
     { key; hash = h; loaded = false; snapshot = None; min_w = max_int;
-      min_r = max_int; next = Array.unsafe_get b i }
+      min_r = max_int; next = head }
   in
   Array.unsafe_set b i c;
   tbl.cells <- tbl.cells + 1;
@@ -92,12 +121,26 @@ let snapshot store c =
 
 (* A transaction's buffered writes, newest first: the head shadows the
    tail. Every write is kept, duplicates included, because each one is
-   applied and reported in [effects]. *)
+   applied and reported by [effects]. *)
 type writes = Done | Write of { cell : cell; value : string; older : writes }
 
 let rec own_write c = function
   | Done -> None
   | Write w -> if w.cell == c then Some w.value else own_write c w.older
+
+(* The write chains of the committed transactions, newest transaction
+   first. The batch's store mutation is read back from them on demand
+   instead of being copied out write by write. *)
+type applied = writes list
+
+type outcome = {
+  committed : Txn.t list;
+  conflicted : Txn.t list;
+  logic_aborted : Txn.t list;
+  reads : int;
+  writes : int;
+  applied : applied;
+}
 
 (* Footprints are kept as prepend-only lists (reads newest first, with
    repeats), not per-transaction hash tables: the workloads touch a
@@ -128,6 +171,7 @@ type batch = {
      [write]; remembering the last key's cell saves the second hash. *)
   mutable last_key : string;
   mutable last : cell;
+  mutable applied : applied;
 }
 
 let lookup b k =
@@ -200,40 +244,34 @@ let run_one b ctx pos txn =
   { txn; pos; reads_l = b.txn_reads; writes_l = b.txn_writes; logic_abort }
 
 (* Apply oldest-first so the newest write to a key lands last. The
-   recursion depth is the transaction's write count — tens at most.
-   Every applied write is also pushed onto [effects] (newest first), so
-   the batch's cumulative store mutation survives in the outcome: a
-   replica holding an identical store can reach the identical post-state
-   by replaying the effect list instead of re-running the batch. *)
-let rec apply_writes store effects = function
+   recursion depth is the transaction's write count — tens at most. *)
+let rec apply_writes store = function
   | Done -> ()
   | Write w ->
-      apply_writes store effects w.older;
-      Kvstore.put_hashed store w.cell.key ~hash:w.cell.hash w.value;
-      effects := (w.cell.key, w.value) :: !effects
+      apply_writes store w.older;
+      Kvstore.put_hashed store w.cell.key ~hash:w.cell.hash w.value
+
+let commit b chain =
+  apply_writes b.store chain;
+  b.applied <- chain :: b.applied
 
 (* Aria's fallback lane: serial execution with immediate visibility;
    deterministic because the order is the list order. *)
-let run_fallback b ctx effects txns committed logic =
+let run_fallback b ctx txns committed logic =
   b.serial <- true;
   List.iter
     (fun (txn : Txn.t) ->
       if run_body b ctx txn then logic := txn :: !logic
       else begin
-        apply_writes b.store effects b.txn_writes;
+        commit b b.txn_writes;
         committed := txn :: !committed
       end)
     txns
 
-let execute_batch ?(reorder = true) ?(fallback = []) store txns =
-  let b =
-    { store; tbl = table_create (List.length txns); reads = 0; writes = 0;
-      serial = false; txn_reads = []; txn_writes = Done; last_key = ""; last = nil }
-  in
+let run_batch b reorder fallback txns =
   let ctx = context b in
   let records = List.mapi (fun pos txn -> run_one b ctx pos txn) txns in
   let committed = ref [] and conflicted = ref [] and logic = ref [] in
-  let effects = ref [] in
   List.iter
     (fun r ->
       if r.logic_abort then logic := r.txn :: !logic
@@ -248,22 +286,45 @@ let execute_batch ?(reorder = true) ?(fallback = []) store txns =
         if abort then conflicted := r.txn :: !conflicted
         else begin
           committed := r.txn :: !committed;
-          apply_writes store effects r.writes_l
+          commit b r.writes_l
         end
       end)
     records;
-  run_fallback b ctx effects fallback committed logic;
+  run_fallback b ctx fallback committed logic;
   {
     committed = List.rev !committed;
     conflicted = List.rev !conflicted;
     logic_aborted = List.rev !logic;
     reads = b.reads;
     writes = b.writes;
-    effects = List.rev !effects;
+    applied = b.applied;
   }
 
-let apply_effects store o =
-  List.iter (fun (k, v) -> Kvstore.put store k v) o.effects
+let execute_batch ?(reorder = true) ?(fallback = []) store txns =
+  let tbl = Domain.DLS.get table_key in
+  let b =
+    { store; tbl; reads = 0; writes = 0; serial = false; txn_reads = [];
+      txn_writes = Done; last_key = ""; last = nil; applied = [] }
+  in
+  match run_batch b reorder fallback txns with
+  | o -> clear tbl; o
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      clear tbl;
+      Printexc.raise_with_backtrace e bt
+
+(* Chains are newest transaction first and each chain newest write
+   first, so consing while walking both yields application order. *)
+let rec effects_of acc = function
+  | Done -> acc
+  | Write w -> effects_of ((w.cell.key, w.value) :: acc) w.older
+
+let effects (o : outcome) = List.fold_left effects_of [] o.applied
+
+let apply_effects store (o : outcome) =
+  List.iter (apply_writes store) (List.rev o.applied)
+
+let without_writes (o : outcome) = { o with applied = [] }
 
 let commit_rate o =
   let c = List.length o.committed and a = List.length o.conflicted in

@@ -18,19 +18,31 @@
     aborts (e.g. TPC-C's 1 % invalid-item rollback, SmallBank overdraft
     refusals) are final.
 
-    Layout: a batch keeps one cell per distinct key in a batch-local
-    table, so each read or write hashes its key once (and a write to
-    the key the transaction just read, not at all). A cell holds the
-    key's pre-batch value, loaded from the store at most once per batch
-    and only by a read that the reader's own writes do not satisfy, so
-    the store faults in exactly the keys a per-read lookup would; and
-    the key's two reservations, the smallest positions of a
-    non-aborted writer and reader. Transactions buffer their reads and
-    writes as cells; reservation and validation walk those lists and
-    hash nothing. Committed writes reach the store through
-    {!Kvstore.put}. The fallback lane runs against the store directly. *)
+    Layout: a batch keeps one cell per distinct key in a batch table,
+    so each read or write hashes its key once (and a write to the key
+    the transaction just read, not at all). A cell holds the key's
+    pre-batch value, loaded from the store at most once per batch and
+    only by a read that the reader's own writes do not satisfy, so the
+    store faults in exactly the keys a per-read lookup would; and the
+    key's two reservations, the smallest positions of a non-aborted
+    writer and reader. Transactions buffer their reads and writes as
+    cells; reservation and validation walk those lists and hash
+    nothing. Committed writes reach the store through
+    {!Kvstore.put_hashed}. The fallback lane runs against the store
+    directly.
+
+    The batch table is kept per domain and emptied at the end of every
+    batch (also when a body raises), so its bucket array is sized once
+    by the largest batch rather than regrown in each; emptying it visits
+    only the buckets the batch filled. A call is therefore not
+    re-entrant: a transaction body must not run [execute_batch] itself.
+    The outcome keeps the committed transactions' write chains, and
+    {!effects} reads the store mutation back from them on demand. *)
 
 module Txn = Massbft_workload.Txn
+
+type applied
+(** The write chains of a batch's committed transactions. *)
 
 type outcome = {
   committed : Txn.t list;  (** in batch order *)
@@ -38,14 +50,9 @@ type outcome = {
   logic_aborted : Txn.t list;  (** rolled back by their own logic *)
   reads : int;  (** total read operations executed *)
   writes : int;  (** total write operations executed *)
-  effects : (string * string) list;
-      (** every store write the batch performed, in application order —
-          the batch's cumulative mutation of the store. A node holding
-          an identical pre-batch store reaches the identical post-state
-          by replaying these with {!apply_effects}, skipping
-          re-execution; this is how replica stores under
-          [independent_stores] avoid paying the full Aria pass per
-          group. *)
+  applied : applied;
+      (** the committed transactions' buffered writes; read them
+          through {!effects} or {!apply_effects} *)
 }
 
 val execute_batch :
@@ -61,10 +68,23 @@ val execute_batch :
     aborts). This bounds retries to one round and prevents hot-key
     livelock. *)
 
+val effects : outcome -> (string * string) list
+(** Every store write the batch performed, in application order — the
+    batch's cumulative mutation of the store. Built on demand from the
+    committed transactions' write chains; nothing is copied while the
+    batch runs. *)
+
 val apply_effects : Kvstore.t -> outcome -> unit
-(** Replays [o.effects] onto [store]. Given the store state the batch
-    originally executed against, this reproduces the post-batch store
-    exactly (deterministic replication by write-set shipping). *)
+(** Replays {!effects} onto [store] without building the list. Given the
+    store state the batch originally executed against, this reproduces
+    the post-batch store exactly (deterministic replication by
+    write-set shipping). This is how replica stores under
+    [independent_stores] avoid paying the full Aria pass per group. *)
+
+val without_writes : outcome -> outcome
+(** [o] with no write chains: its {!effects} are empty. For a holder
+    that will never replay [o], so that the chains and the key cells
+    they point to are not kept alive with it. *)
 
 val commit_rate : outcome -> float
 (** committed / (committed + conflicted), 1.0 for empty batches. *)

@@ -86,3 +86,19 @@ let cat4 a i b j c k d l e =
   let p = put_int buf p l wl in
   ignore (put_str buf p e);
   Bytes.unsafe_to_string buf
+
+(* Key tests for the preload initializers, which run once per faulted
+   key. [String.starts_with] and [ends_with] allocate a closure per call
+   in OCaml 5.1; these compare in a top-level loop and allocate
+   nothing. *)
+let rec same_from s off p i =
+  i = String.length p
+  || Char.equal (String.unsafe_get s (off + i)) (String.unsafe_get p i)
+     && same_from s off p (i + 1)
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix && same_from s 0 prefix 0
+
+let ends_with ~suffix s =
+  let off = String.length s - String.length suffix in
+  off >= 0 && same_from s off suffix 0

@@ -20,3 +20,8 @@ val cat3 :
 val cat4 :
   string -> int -> string -> int -> string -> int -> string -> int -> string ->
   string
+
+val starts_with : prefix:string -> string -> bool
+val ends_with : suffix:string -> string -> bool
+(** [String.starts_with] and [String.ends_with], without their
+    allocation: the store initializers test every key they fault in. *)

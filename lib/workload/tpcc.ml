@@ -104,13 +104,14 @@ let order_line_value ~i:item ~w ~q = Keyfmt.cat3 "i=" item ";w=" w ";q=" q ""
 
 let preload _cfg key =
   (* Lazily materialized initial rows; only prefixes that exist in the
-     schema get defaults. *)
-  if String.starts_with ~prefix:"tpcc/d/" key && String.ends_with ~suffix:"next_oid" key
+     schema get defaults. The key checks allocate nothing: they run once
+     per faulted key. *)
+  if Keyfmt.starts_with ~prefix:"tpcc/d/" key && Keyfmt.ends_with ~suffix:"next_oid" key
   then Some "1"
-  else if String.starts_with ~prefix:"tpcc/s/" key && String.ends_with ~suffix:"qty" key
+  else if Keyfmt.starts_with ~prefix:"tpcc/s/" key && Keyfmt.ends_with ~suffix:"qty" key
   then Some "100"
-  else if String.ends_with ~suffix:"tax" key then Some "10"
-  else if String.starts_with ~prefix:"tpcc/" key then Some "0"
+  else if Keyfmt.ends_with ~suffix:"tax" key then Some "10"
+  else if Keyfmt.starts_with ~prefix:"tpcc/" key then Some "0"
   else None
 
 let read_int ctx k = Txn.int_value (Option.value ~default:"0" (ctx.Txn.read k))

@@ -12,5 +12,5 @@ let make ~id ~label ~wire_size body =
   if wire_size < 0 then invalid_arg "Txn.make: negative wire size";
   { id; label; wire_size; body }
 
-let int_value s = match int_of_string_opt s with Some v -> v | None -> 0
+let int_value s = match int_of_string s with v -> v | exception Failure _ -> 0
 let of_int = Keyfmt.int

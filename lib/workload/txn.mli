@@ -35,6 +35,7 @@ exception Logic_abort
 
 val int_value : string -> int
 (** Decodes an integer stored as a value; 0 for absent/garbage (store
-    values in this codebase are decimal strings). *)
+    values in this codebase are decimal strings). A valid value decodes
+    without allocating. *)
 
 val of_int : int -> string

@@ -33,9 +33,12 @@ type gen =
 
 type t = { kind : kind; gen : gen }
 
-let create ?(scale = 1.0) kind ~seed =
+let check_scale scale =
   if scale <= 0.0 || scale > 1.0 then
-    invalid_arg "Workload.create: scale must be in (0, 1]";
+    invalid_arg "Workload.create: scale must be in (0, 1]"
+
+let create ?(scale = 1.0) kind ~seed =
+  check_scale scale;
   let gen =
     match kind with
     | Ycsb_a -> G_ycsb (Ycsb.create (ycsb_config ~scale Ycsb.A) ~seed)
@@ -44,6 +47,17 @@ let create ?(scale = 1.0) kind ~seed =
     | Tpcc -> G_tpcc (Tpcc.create (tpcc_config ~scale) ~seed)
   in
   { kind; gen }
+
+let create_streams ?(scale = 1.0) kind ~seeds =
+  check_scale scale;
+  let ycsb mix =
+    Array.map (fun g -> { kind; gen = G_ycsb g })
+      (Ycsb.create_streams (ycsb_config ~scale mix) ~seeds)
+  in
+  match kind with
+  | Ycsb_a -> ycsb Ycsb.A
+  | Ycsb_b -> ycsb Ycsb.B
+  | Smallbank | Tpcc -> Array.map (fun seed -> create ~scale kind ~seed) seeds
 
 let next t =
   match t.gen with

@@ -17,6 +17,11 @@ val create : ?scale:float -> kind -> seed:int64 -> t
 (** A transaction stream. [scale] (default 1.0) shrinks the keyspace for
     fast tests — e.g. 0.001 turns YCSB's 1 M rows into 1 k. *)
 
+val create_streams : ?scale:float -> kind -> seeds:int64 array -> t array
+(** [create ?scale kind ~seed] for each seed, with the read-only tables
+    built once and shared: the YCSB streams of one engine share one
+    Zipf table instead of summing over every row each. *)
+
 val next : t -> Txn.t
 val kind : t -> kind
 

@@ -34,17 +34,25 @@ type t = {
          instead of a fresh 100-byte allocation per write *)
 }
 
-let create cfg ~seed =
+let create_streams cfg ~seeds =
   if cfg.rows <= 0 || cfg.columns <= 0 then
     invalid_arg "Ycsb.create: empty table";
-  {
-    cfg;
-    zipf = Zipf.create ~n:cfg.rows ~theta:cfg.theta;
-    rng = Rng.create seed;
-    next_id = 0;
-    shard = None;
-    value = String.make cfg.value_size 'v';
-  }
+  (* The Zipf constants sum over every row and never change: the
+     streams share one table. *)
+  let zipf = Zipf.create ~n:cfg.rows ~theta:cfg.theta in
+  Array.map
+    (fun seed ->
+      {
+        cfg;
+        zipf;
+        rng = Rng.create seed;
+        next_id = 0;
+        shard = None;
+        value = String.make cfg.value_size 'v';
+      })
+    seeds
+
+let create cfg ~seed = (create_streams cfg ~seeds:[| seed |]).(0)
 
 let set_shard t ~index ~count =
   if count < 1 || index < 0 || index >= count then

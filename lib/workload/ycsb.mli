@@ -23,6 +23,10 @@ type t
 
 val create : config -> seed:int64 -> t
 
+val create_streams : config -> seeds:int64 array -> t array
+(** One generator per seed, each the one [create] would return, sharing
+    one Zipf table: building it sums over every row. *)
+
 val next : t -> Txn.t
 (** Draws the next transaction: a read or an update of one cell of a
     Zipf-popular row. *)

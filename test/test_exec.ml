@@ -303,11 +303,47 @@ let test_aria_context_reset_per_txn () =
     check_int (lane ^ "t1 and t2 commit") 2 (List.length o.Aria.committed);
     Alcotest.(check (list (pair string string)))
       (lane ^ "effects are t1's and t2's writes only")
-      [ ("w", "x"); ("r", "r1") ] o.Aria.effects;
+      [ ("w", "x"); ("r", "r1") ] (Aria.effects o);
+    let o' = Aria.without_writes o in
+    check_bool (lane ^ "without_writes drops the writes only") true
+      (Aria.effects o' = [] && o'.Aria.committed == o.Aria.committed
+      && o'.Aria.logic_aborted == o.Aria.logic_aborted);
     Alcotest.(check (option string)) (lane ^ "k untouched") (Some "pre") (Kvstore.get s k)
   in
   run ~fallback_lane:false;
   run ~fallback_lane:true
+
+(* A body that raises leaves the batch table empty for the next batch,
+   and the exception reaches the caller with the backtrace of the body's
+   raise, not one starting in [Aria]. *)
+exception Body_failed
+
+let failing_body (_ : Txn.ctx) = raise Body_failed
+
+let test_aria_body_exception () =
+  let s = Kvstore.create () in
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let raised =
+    match Aria.execute_batch s [ write_txn "a" "1"; mk failing_body ] with
+    | _ -> None
+    | exception Body_failed -> Some (Printexc.get_raw_backtrace ())
+  in
+  Printexc.record_backtrace recording;
+  check_bool "the body's exception propagates" true (Option.is_some raised);
+  check_bool "nothing applied" true (Kvstore.get s "a" = None);
+  (match Option.bind raised Printexc.backtrace_slots with
+  | Some slots when Array.length slots > 0 -> (
+      match Printexc.Slot.location slots.(0) with
+      | Some loc ->
+          Alcotest.(check string) "backtrace starts at the body's raise" "test/test_exec.ml"
+            loc.Printexc.filename
+      | None -> ())
+  | _ -> ());
+  (* A leftover write reservation on "a" at position 0 would abort this
+     reader at position 1 under the standard (non-reordering) rule. *)
+  let o = Aria.execute_batch ~reorder:false s [ write_txn "b" "1"; read_txn "a" ] in
+  check_int "both commit on an empty table" 2 (List.length o.Aria.committed)
 
 let test_aria_determinism () =
   (* Same batch against same state on two stores -> identical outcomes
@@ -451,7 +487,7 @@ type op =
   | Copy of int * int  (* read the first key, write its value to the second *)
   | Abort_above of int * int  (* read, logic-abort if the value exceeds *)
 
-let shared_keys = Array.init 8 (fun k -> "h" ^ string_of_int k)
+let shared_keys = Array.init 256 (fun k -> "h" ^ string_of_int k)
 
 (* Odd-numbered ops pass the shared key string, even ones a fresh copy,
    so both physically equal and merely equal key strings reach [ctx]. *)
@@ -471,9 +507,10 @@ let run_ops ops ctx =
       | Abort_above (k, t) -> if value (key_of n k) > t then ctx.Txn.abort ())
     ops
 
-let gen_op =
+(* Ops over keys [0, keys). *)
+let gen_op keys =
   let open QCheck.Gen in
-  let key = int_range 0 7 in
+  let key = int_range 0 (keys - 1) in
   frequency
     [
       (3, map (fun k -> Read k) key);
@@ -483,14 +520,20 @@ let gen_op =
       (1, map2 (fun k t -> Abort_above (k, t)) key (int_range 0 30));
     ]
 
-let gen_txn = QCheck.Gen.(list_size (int_range 0 6) gen_op)
+let gen_txn keys = QCheck.Gen.(list_size (int_range 0 6) (gen_op keys))
 
-(* Up to three consecutive batches, each with its fallback lane and
-   reordering flag, over one store. *)
+(* Consecutive batches over one store, each with its fallback lane and
+   reordering flag: first a wide one over 256 keys, which touches well
+   over 64 distinct keys and grows the batch table, then up to three
+   over eight hot keys that the wide one also touched. *)
 let gen_batches =
   QCheck.Gen.(
-    list_size (int_range 1 3)
-      (triple bool (list_size (int_range 0 25) gen_txn) (list_size (int_range 0 4) gen_txn)))
+    let batch keys txns =
+      triple bool (list_size txns (gen_txn keys)) (list_size (int_range 0 4) (gen_txn keys))
+    in
+    map2 (fun wide hot -> wide :: hot)
+      (batch 256 (int_range 60 100))
+      (list_size (int_range 1 3) (batch 8 (int_range 0 25))))
 
 let show_op = function
   | Read k -> Printf.sprintf "R%d" k
@@ -527,10 +570,119 @@ let prop_aria_matches_oracle =
           && ids n.Aria.logic_aborted = ids o.Aria_oracle.logic_aborted
           && n.Aria.reads = o.Aria_oracle.reads
           && n.Aria.writes = o.Aria_oracle.writes
-          && n.Aria.effects = o.Aria_oracle.effects
+          && Aria.effects n = o.Aria_oracle.effects
           && Kvstore.size s_new = Kvstore.size s_old
           && String.equal (Kvstore.fingerprint s_new) (Kvstore.fingerprint s_old))
         batches)
+
+(* A long fixed-seed TPC-C stream through both executors, as the engine
+   feeds it: each batch's conflicted transactions run in the next
+   batch's fallback lane. Twenty full 500-txn batches over four
+   warehouses (hot districts, so every lane and conflict rule fires)
+   grow the batch table; the small batches after them run in the grown
+   table. *)
+let test_aria_tpcc_matches_oracle () =
+  let module Tpcc = Massbft_workload.Tpcc in
+  let cfg = { Tpcc.default with Tpcc.warehouses = 4 } in
+  let g = Tpcc.create cfg ~seed:2024L in
+  let s_new = Kvstore.create ~init:(Tpcc.preload cfg) () in
+  let s_old = Kvstore.create ~init:(Tpcc.preload cfg) () in
+  let ids = List.map (fun (t : Txn.t) -> t.Txn.id) in
+  let fallback = ref [] in
+  List.iteri
+    (fun i size ->
+      let txs = List.init size (fun _ -> Tpcc.next g) in
+      let n = Aria.execute_batch ~fallback:!fallback s_new txs in
+      let o = Aria_oracle.execute_batch ~fallback:!fallback s_old txs in
+      let at what = Printf.sprintf "batch %d (%d txns): %s" i size what in
+      let check_ids what a b = Alcotest.(check (list int)) (at what) (ids b) (ids a) in
+      check_ids "committed" n.Aria.committed o.Aria_oracle.committed;
+      check_ids "conflicted" n.Aria.conflicted o.Aria_oracle.conflicted;
+      check_ids "logic aborted" n.Aria.logic_aborted o.Aria_oracle.logic_aborted;
+      check_int (at "reads") o.Aria_oracle.reads n.Aria.reads;
+      check_int (at "writes") o.Aria_oracle.writes n.Aria.writes;
+      check_bool (at "effects") true (Aria.effects n = o.Aria_oracle.effects);
+      check_int (at "store size") (Kvstore.size s_old) (Kvstore.size s_new);
+      Alcotest.(check string)
+        (at "store fingerprint") (Kvstore.fingerprint s_old) (Kvstore.fingerprint s_new);
+      fallback := n.Aria.conflicted)
+    (List.init 20 (fun _ -> 500) @ [ 40; 1; 7; 120; 3 ])
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per transaction on the execution layer's two
+   macro-shaped inputs, and per call on its per-operation helpers. The
+   counts are exact and deterministic for one compiler, so a budget is
+   the value measured on OCaml 5.1 (native, no flambda) plus 2%: one
+   extra allocation per read breaks it. Other compilers allocate
+   differently; there the figures are printed, not enforced. *)
+let budget_enforced =
+  Sys.backend_type = Sys.Native
+  && String.length Sys.ocaml_version >= 4
+  && String.sub Sys.ocaml_version 0 4 = "5.1."
+
+let check_budget what ~measured ~budget =
+  Printf.printf "%s: %.3f words (budget %.3f%s)\n" what measured budget
+    (if budget_enforced then "" else ", not enforced on OCaml " ^ Sys.ocaml_version);
+  if budget_enforced then
+    check_bool (Printf.sprintf "%s: %.2f words <= %.2f" what measured budget) true
+      (measured <= budget)
+
+(* Words per txn of one 500-txn batch of the full-scale workload's
+   stream, over a store that 20 earlier batches have warmed, as the
+   macro runs it. *)
+let batch_words kind =
+  let w = Workload.create kind ~seed:7L in
+  let store = Kvstore.create ~init:(Workload.preload kind) () in
+  let batch () = List.init 500 (fun _ -> Workload.next w) in
+  for _ = 1 to 20 do ignore (Aria.execute_batch store (batch ())) done;
+  let batch = batch () in
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Aria.execute_batch store batch));
+  (Gc.minor_words () -. w0) /. 500.0
+
+let test_budget_tpcc () =
+  check_budget "tpcc 500-txn batch, per txn" ~measured:(batch_words Workload.Tpcc)
+    ~budget:(419.524 *. 1.02)
+
+let test_budget_ycsb () =
+  check_budget "ycsb-a 500-txn batch, per txn" ~measured:(batch_words Workload.Ycsb_a)
+    ~budget:(29.028 *. 1.02)
+
+(* A [for] loop, not [Array.iter]: its closure would be counted. *)
+let words_per_call f inputs =
+  let n = Array.length inputs in
+  let w0 = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Sys.opaque_identity (f (Array.unsafe_get inputs i)))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The store initializers run once per faulted key, [int_value] once per
+   read value: neither may allocate. The keys cover every branch. *)
+let test_budget_helpers () =
+  let module Tpcc = Massbft_workload.Tpcc in
+  let module Smallbank = Massbft_workload.Smallbank in
+  let tpcc = Workload.preload Workload.Tpcc and smallbank = Workload.preload Workload.Smallbank in
+  let tpcc_keys =
+    [| Tpcc.district_next_oid_key ~w:3 ~d:4; Tpcc.stock_qty_key ~w:3 ~i:77;
+       Tpcc.warehouse_tax_key 3; Tpcc.district_tax_key ~w:3 ~d:4;
+       Tpcc.customer_balance_key ~w:3 ~d:4 ~c:5; Tpcc.stock_ytd_key ~w:1 ~i:2;
+       Tpcc.order_line_key ~w:1 ~d:2 ~o:3 ~n:4; "sb/c/1"; ""; "tpcc" |]
+  in
+  let smallbank_keys =
+    [| Smallbank.checking_key 12; Smallbank.savings_key 999_999; "sb/c/"; "sb/x/1"; "tpcc/w/1/tax"; "" |]
+  in
+  let ints =
+    Array.map Txn.of_int
+      [| 0; 7; -7; 100; 10_000; -123_456; 999_999_999_999_999_999; -999_999_999_999_999_999 |]
+  in
+  check_budget "Tpcc.preload, per call" ~measured:(words_per_call tpcc tpcc_keys) ~budget:0.0;
+  check_budget "Smallbank.preload, per call" ~measured:(words_per_call smallbank smallbank_keys)
+    ~budget:0.0;
+  check_budget "Txn.int_value, per call" ~measured:(words_per_call Txn.int_value ints) ~budget:0.0
 
 (* ------------------------------------------------------------------ *)
 (* Ledger                                                              *)
@@ -601,7 +753,15 @@ let () =
           Alcotest.test_case "fallback logic abort" `Quick test_fallback_logic_abort_final;
           Alcotest.test_case "fallback deterministic" `Quick test_fallback_deterministic_order;
           qt prop_aria_matches_oracle;
+          Alcotest.test_case "tpcc stream = oracle" `Quick test_aria_tpcc_matches_oracle;
           Alcotest.test_case "context reset per txn" `Quick test_aria_context_reset_per_txn;
+          Alcotest.test_case "body exception" `Quick test_aria_body_exception;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "tpcc batch" `Quick test_budget_tpcc;
+          Alcotest.test_case "ycsb-a batch" `Quick test_budget_ycsb;
+          Alcotest.test_case "per-op helpers" `Quick test_budget_helpers;
         ] );
       ( "ledger",
         [

@@ -413,6 +413,66 @@ let prop_smallbank_preload_unchanged =
       Smallbank.preload Smallbank.default key
       = old_smallbank_preload Smallbank.default key)
 
+(* [Txn.int_value] against the [int_of_string_opt] decoding it
+   replaced: every printed int, 18- to 20-digit strings with and
+   without a sign, and the forms [int_of_string] parses or rejects
+   beyond plain decimals, each drawn about thirty times. *)
+let old_int_value s = match int_of_string_opt s with Some v -> v | None -> 0
+
+let int_value_edges =
+  [ ""; "-"; "+"; "+7"; "-+7"; "--7"; "0x1f"; "-0x1f"; "0o17"; "0b101"; "0u9"; "1_000";
+    "1_"; "_1"; "007"; "-007"; "0"; "-0"; " 1"; "1 "; "1a"; "a";
+    "999999999999999999"; "-999999999999999999"; "1000000000000000000";
+    "-1000000000000000000"; "4611686018427387903"; "4611686018427387904";
+    "-4611686018427387904"; "-4611686018427387905"; "9999999999999999999";
+    "99999999999999999999"; "-99999999999999999999"; "00000000000000000000042" ]
+
+let prop_int_value_matches =
+  let digitish =
+    QCheck.Gen.(
+      map (String.concat "")
+        (list_size (int_range 0 22)
+           (oneofl [ "0"; "1"; "5"; "9"; "-"; "+"; "_"; "x"; " " ])))
+  in
+  let printed =
+    QCheck.Gen.(map string_of_int (oneof [ oneofl [ 0; max_int; min_int; -1 ]; int; small_signed_int ]))
+  in
+  QCheck.Test.make ~name:"int_value = int_of_string_opt or 0" ~count:3000
+    (QCheck.make ~print:Fun.id QCheck.Gen.(oneof [ oneofl int_value_edges; printed; digitish ]))
+    (fun s -> Txn.int_value s = old_int_value s)
+
+let prop_key_tests_match_string =
+  let word = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '/' ]) (int_range 0 6)) in
+  QCheck.Test.make ~name:"Keyfmt starts/ends_with = String's" ~count:3000
+    (QCheck.make ~print:QCheck.Print.(pair Fun.id Fun.id) (QCheck.Gen.pair word word))
+    (fun (p, s) ->
+      Keyfmt.starts_with ~prefix:p s = String.starts_with ~prefix:p s
+      && Keyfmt.ends_with ~suffix:p s = String.ends_with ~suffix:p s)
+
+(* [create_streams] makes, per seed, the stream [create] would. *)
+let test_streams_match_create () =
+  List.iter
+    (fun kind ->
+      let seeds = [| 5L; 6L; 7L |] in
+      let streams = Workload.create_streams ~scale:0.001 kind ~seeds in
+      Array.iteri
+        (fun i seed ->
+          let a = streams.(i) and b = Workload.create ~scale:0.001 kind ~seed in
+          let sa = Hashtbl.create 64 and sb = Hashtbl.create 64 in
+          for _ = 1 to 100 do
+            let ta = Workload.next a and tb = Workload.next b in
+            let name = Workload.kind_name kind in
+            Alcotest.(check string) (name ^ " labels equal") ta.Txn.label tb.Txn.label;
+            check_int (name ^ " ids equal") ta.Txn.id tb.Txn.id;
+            let ra, _, xa = run_body sa ta and rb, _, xb = run_body sb tb in
+            Alcotest.(check (list string)) (name ^ " reads equal") ra rb;
+            check_bool (name ^ " aborts equal") xa xb
+          done;
+          let sorted h = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []) in
+          check_bool "stores equal" true (sorted sa = sorted sb))
+        seeds)
+    Workload.all_kinds
+
 let () =
   Alcotest.run "massbft_workload"
     [
@@ -423,6 +483,9 @@ let () =
           Alcotest.test_case "paper wire sizes" `Quick test_avg_wire_sizes_match_paper;
           Alcotest.test_case "generated sizes sane" `Quick test_generated_sizes_track_averages;
           QCheck_alcotest.to_alcotest prop_builders_match_concat;
+          QCheck_alcotest.to_alcotest prop_int_value_matches;
+          QCheck_alcotest.to_alcotest prop_key_tests_match_string;
+          Alcotest.test_case "streams = create per seed" `Quick test_streams_match_create;
         ] );
       ( "ycsb",
         [
