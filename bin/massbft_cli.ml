@@ -255,7 +255,7 @@ let run_cmd =
     | _ -> ());
     (match (prof_file, prof) with
     | Some file, Some p ->
-        Prof_export.write_json ~slices:true p file;
+        Prof_export.write_json p file;
         Format.printf "prof: wrote %s@." file;
         print_string (Prof_export.text (Prof.report p))
     | _ -> ());

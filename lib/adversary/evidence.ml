@@ -149,8 +149,6 @@ let create_log ?(master = default_master) () =
     recorded = 0;
   }
 
-let master_of log = log.master
-
 let observe log ~signer ~kind ~gid ~seq ~slot ~claim =
   let key = canonical ~signer ~kind ~gid ~seq ~slot ~claim:"" in
   let claims =

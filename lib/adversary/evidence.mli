@@ -66,8 +66,6 @@ type log
 
 val create_log : ?master:string -> unit -> log
 
-val master_of : log -> string
-
 val observe :
   log ->
   signer:string ->

@@ -130,8 +130,7 @@ let create sim topo cfg =
           l_accept_pending = Hashtbl.create 32;
           l_accept_votes = Hashtbl.create 32;
           l_accept_notes = Entry_tbl.create 64;
-          l_ts_mark = Hashtbl.create 256;
-          l_ts_seen = Hashtbl.create 256;
+          l_ts = Hashtbl.create 256;
           l_last_heard = Array.make (max n_inst 1) 0.0;
           l_waiting_content = Entry_tbl.create 64;
           l_committed_unexec = Entry_tbl.create 64;
@@ -494,7 +493,6 @@ let n_groups t = t.ng
 let group_size t g = Topology.group_size t.topo g
 let config t = t.cfg
 let acting_leader t ~gid = t.leaders.(gid).l_addr
-let node_alive t a = alive t a
 let executed_count t ~gid = t.leaders.(gid).l_executed_count
 let raft_instances t = Array.length t.leaders.(0).l_rafts
 

@@ -133,7 +133,6 @@ val now : t -> float
 val n_groups : t -> int
 val group_size : t -> int -> int
 val config : t -> Config.t
-val node_alive : t -> Massbft_sim.Topology.addr -> bool
 
 val acting_leader : t -> gid:int -> Massbft_sim.Topology.addr
 (** The node currently holding the group's acting-leader role. *)

@@ -145,10 +145,9 @@ type leader = {
       (* distinct voter node-ids per tag: duplicate deliveries (an
          injectable fault) must not fake a quorum *)
   l_accept_notes : int ref Entry_tbl.t;
-  l_ts_mark : (int * Types.entry_id, unit) Hashtbl.t;
-      (* Ts proposed, keyed by (instance, entry) *)
-  l_ts_seen : (int * Types.entry_id, unit) Hashtbl.t;
-      (* Ts committed (first wins) *)
+  l_ts : (int * Types.entry_id, bool) Hashtbl.t;
+      (* (instance, entry) -> Ts committed yet? Present once we proposed
+         a Ts record or one committed (first wins). *)
   l_last_heard : float array;  (* per instance *)
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
   l_committed_unexec : unit Entry_tbl.t;

@@ -107,8 +107,7 @@ type leader = {
   l_accept_pending : (string, unit -> unit) Hashtbl.t;
   l_accept_votes : (string, ISet.t ref) Hashtbl.t;
   l_accept_notes : int ref Entry_tbl.t;
-  l_ts_mark : (int * Types.entry_id, unit) Hashtbl.t;
-  l_ts_seen : (int * Types.entry_id, unit) Hashtbl.t;
+  l_ts : (int * Types.entry_id, bool) Hashtbl.t;
   l_last_heard : float array;
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
   l_committed_unexec : unit Entry_tbl.t;

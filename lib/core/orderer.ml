@@ -120,8 +120,6 @@ let head_vts t i =
   if i < 0 || i >= t.ng then invalid_arg "Orderer.head_vts: bad group id";
   t.heads.(i)
 
-let pending_timestamps t = Entry_tbl.length t.entries - t.ng
-
 (* ------------------------------------------------------------------ *)
 (* Membership reconfiguration support                                  *)
 (* ------------------------------------------------------------------ *)
@@ -129,25 +127,16 @@ let pending_timestamps t = Entry_tbl.length t.entries - t.ng
 (* Flip a group's participation. Deactivation removes a constraint, so
    the drain loop re-runs (entries blocked only on the departed group's
    head become decidable); activation adds a candidate whose head must
-   already sit at the right sequence (see [set_head]). Every orderer
-   instance must flip at the same position in the execution order —
-   the controller does so inside the epoch-boundary entry's on_execute,
-   where the re-entrant [drain] call is absorbed by the guard and the
-   outer loop re-evaluates the minimum with the new mask. *)
+   already sit at the group's next unexecuted sequence (nothing here
+   moves it). Every orderer instance must flip at the same position in
+   the execution order — the controller does so inside the
+   epoch-boundary entry's on_execute, where the re-entrant [drain] call
+   is absorbed by the guard and the outer loop re-evaluates the minimum
+   with the new mask. *)
 let set_active t i b =
   if i < 0 || i >= t.ng then invalid_arg "Orderer.set_active: bad group id";
   t.active.(i) <- b;
   drain t
-
-let is_active t i =
-  if i < 0 || i >= t.ng then invalid_arg "Orderer.is_active: bad group id";
-  t.active.(i)
-
-(* Position a (re)joining group's head at its first post-join sequence
-   number. *)
-let set_head t i ~seq =
-  if i < 0 || i >= t.ng then invalid_arg "Orderer.set_head: bad group id";
-  t.heads.(i) <- get_entry t { Types.gid = i; seq }
 
 let copy_vts (v : Vts.t) =
   { v with Vts.vts = Array.copy v.Vts.vts; set = Array.copy v.Vts.set }

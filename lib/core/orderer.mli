@@ -36,10 +36,6 @@ val head_of : t -> int -> Types.entry_id
 val head_vts : t -> int -> Vts.t
 (** Its current (partially inferred) VTS — for diagnostics and tests. *)
 
-val pending_timestamps : t -> int
-(** Timestamps received for entries at or beyond the heads that have not
-    yet been consumed by execution (diagnostic). *)
-
 (** {1 Membership reconfiguration (massbft_reconfig)} *)
 
 val set_active : t -> int -> bool -> unit
@@ -48,12 +44,6 @@ val set_active : t -> int -> bool -> unit
     orderer instance must flip at the same position in the execution
     order (the controller flips inside the epoch-boundary entry's
     execution). *)
-
-val is_active : t -> int -> bool
-
-val set_head : t -> int -> seq:int -> unit
-(** Position a (re)joining group's head at its first post-join sequence
-    number. *)
 
 val copy_state : src:t -> into:t -> unit
 (** State transfer onto a joining leader's fresh orderer: adopt [src]'s

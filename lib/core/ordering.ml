@@ -66,7 +66,18 @@ and try_rounds t (l : leader) =
    but which entries get stamped, with what clock, and what a committed
    Ts record means are ordering questions — so the lane lives here and
    the Raft adapter (Global_consensus) calls in at its deliver/commit/
-   role-change hooks. *)
+   role-change hooks.
+
+   [l_ts] holds one flag per (instance, entry) this leader has stamped
+   or seen committed: [false] once we proposed a Ts record, [true] once
+   one committed. An entry is stamped in an instance only while it has
+   no flag there. *)
+
+let unstamped (l : leader) inst eid = not (Hashtbl.mem l.l_ts (inst, eid))
+
+let stamp (l : leader) inst eid ts =
+  Hashtbl.replace l.l_ts (inst, eid) false;
+  ignore (Raft.propose l.l_rafts.(inst) (Ts { eid; ts }))
 
 let assign_ts t (l : leader) eid =
   (* Overlapped VTS assignment: stamp the entry with our clock and
@@ -74,13 +85,9 @@ let assign_ts t (l : leader) eid =
   if
     t.strat.ord.o_vts
     && eid.Types.gid <> l.l_gid
-    && (not (Hashtbl.mem l.l_ts_mark (l.l_gid, eid)))
-    && (not (Hashtbl.mem l.l_ts_seen (l.l_gid, eid)))
+    && unstamped l l.l_gid eid
     && Raft.role l.l_rafts.(l.l_gid) = Raft.Leader
-  then begin
-    Hashtbl.replace l.l_ts_mark (l.l_gid, eid) ();
-    ignore (Raft.propose l.l_rafts.(l.l_gid) (Ts { eid; ts = l.l_clk }))
-  end
+  then stamp l l.l_gid eid l.l_clk
 
 (* Catch-all timestamp assignment for every instance this leader
    currently leads: covers taken-over instances (frozen clocks on
@@ -92,12 +99,8 @@ let stamp_led_instances (l : leader) eid =
     if
       j <> eid.Types.gid
       && Raft.role l.l_rafts.(j) = Raft.Leader
-      && (not (Hashtbl.mem l.l_ts_seen (j, eid)))
-      && not (Hashtbl.mem l.l_ts_mark (j, eid))
-    then begin
-      Hashtbl.replace l.l_ts_mark (j, eid) ();
-      ignore (Raft.propose l.l_rafts.(j) (Ts { eid; ts = l.l_clk_of.(j) }))
-    end
+      && unstamped l j eid
+    then stamp l j eid l.l_clk_of.(j)
   done
 
 (* Stamp every committed-but-unexecuted entry still lacking instance
@@ -107,23 +110,16 @@ let stamp_led_instances (l : leader) eid =
 let stamp_committed_unexec (l : leader) inst =
   Entry_tbl.iter
     (fun eid () ->
-      if
-        eid.Types.gid <> inst
-        && (not (Hashtbl.mem l.l_ts_seen (inst, eid)))
-        && not (Hashtbl.mem l.l_ts_mark (inst, eid))
-      then begin
-        Hashtbl.replace l.l_ts_mark (inst, eid) ();
-        ignore
-          (Raft.propose l.l_rafts.(inst) (Ts { eid; ts = l.l_clk_of.(inst) }))
-      end)
+      if eid.Types.gid <> inst && unstamped l inst eid then
+        stamp l inst eid l.l_clk_of.(inst))
     l.l_committed_unexec
 
 (* A Ts record committed in instance [inst]'s log: feed the Orderer
    (first commit wins). *)
 let on_ts_commit (l : leader) inst ~eid ~ts =
   let key = (inst, eid) in
-  if not (Hashtbl.mem l.l_ts_seen key) then begin
-    Hashtbl.replace l.l_ts_seen key ();
+  if Hashtbl.find_opt l.l_ts key <> Some true then begin
+    Hashtbl.replace l.l_ts key true;
     match l.l_orderer with
     | Some o -> Orderer.on_timestamp o ~from_gid:inst ~eid ~ts
     | None -> ()

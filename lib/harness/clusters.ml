@@ -11,8 +11,6 @@ let nationwide_sites =
     "Guangzhou";
   |]
 
-let worldwide_sites = [| "HongKong"; "London"; "SiliconValley" |]
-
 (* Symmetric RTT matrices in seconds. The three primary nationwide sites
    use the paper's reported extremes (26.7 and 43.4 ms); the rest are
    plausible intra-China distances in the same band. *)

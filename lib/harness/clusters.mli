@@ -23,8 +23,6 @@ val cores : int
 val nationwide_sites : string array
 (** 7 data-center names, in the order groups are assigned. *)
 
-val worldwide_sites : string array
-
 val nationwide :
   ?group_sizes:int array -> ?nodes_per_group:int -> ?groups:int -> unit ->
   Massbft_sim.Topology.spec

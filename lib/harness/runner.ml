@@ -38,9 +38,6 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_start ?faults
       ?faults ?adversary ?reconfig ~spec ~cfg ()
   in
   let { Deployment.sim; topo; engine; _ } = d in
-  (* The host profiler hooks the driver loop only (no events, no sim
-     state), so it composes with every run mode. *)
-  Option.iter (fun p -> Prof.attach p sim) prof;
   (* With no sampler, nothing below schedules a single event: the run
      is bit-identical to one without observability. The sampler's
      first tick lands after the controller's plan triggers and before
@@ -60,10 +57,12 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_start ?faults
          Topology.reset_traffic_baseline topo;
          (* Saturation shares cover only the measurement window. *)
          match obs with Some s -> Sampler.reset s | None -> ()));
-  Sim.run sim ~until:(warmup +. duration);
-  (* Freeze the profiler's wall endpoint at the moment the clock stops
-     moving: metric extraction below is not scheduler time. *)
-  (match prof with Some p -> Prof.finish p | None -> ());
+  (* The host profiler drives the run in slices; it schedules no events
+     and reads no sim state, so it composes with every run mode. *)
+  let until = warmup +. duration in
+  (match prof with
+  | Some p -> Prof.run p sim ~until
+  | None -> Sim.run sim ~until);
   let m = Engine.metrics engine in
   let entries = Stats.Counter.get m.Metrics.entries_executed in
   let wan_mb = float_of_int (Engine.wan_bytes engine) /. 1e6 in

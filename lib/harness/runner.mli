@@ -61,10 +61,9 @@ val run :
     [faults], [adversary] and [reconfig] are armed as
     {!Massbft_faults.Deployment.build} documents; their times are
     absolute simulated seconds, so events meant for the measurement
-    window must land after [warmup]. [prof] is a fresh, unattached
-    {!Massbft_prof.Prof.t}, attached before the clock moves and frozen
-    the moment the drive loop returns, so its report covers exactly the
-    scheduler's own execution.
+    window must land after [warmup]. With [prof], the run is driven by
+    {!Massbft_prof.Prof.run} instead of [Sim.run], so its report covers
+    exactly the scheduler's own execution.
 
     All of these compose, in any combination. Omitting any of them (or
     passing an empty schedule or plan) schedules nothing: the run is

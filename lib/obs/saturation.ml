@@ -6,9 +6,13 @@ type verdict = {
   windows : int;
 }
 
-let default_threshold = 0.95
+(* A window counts as saturated at this busy fraction or above. *)
+let threshold = 0.95
 
-let analyze ?(threshold = default_threshold) sampler =
+(* Rows the text report lists before summarizing the rest. *)
+let top = 10
+
+let analyze sampler =
   let rows = Sampler.rows sampler in
   let n = List.length rows in
   if n = 0 then []
@@ -38,18 +42,18 @@ let analyze ?(threshold = default_threshold) sampler =
                | c -> c)
            | c -> c)
 
-let binding ?threshold sampler =
-  match analyze ?threshold sampler with [] -> None | v :: _ -> Some v
+let binding sampler =
+  match analyze sampler with [] -> None | v :: _ -> Some v
 
 let pct v = 100.0 *. v
 
-let describe ~threshold v =
+let describe v =
   Printf.sprintf "%s >=%.0f%% busy for %.1f%% of the measurement window (mean %.2f, peak %.2f)"
     v.resource (pct threshold) (pct v.saturated_share) v.mean v.peak
 
-let report ?(threshold = default_threshold) ?(top = 10) sampler =
+let report sampler =
   let buf = Buffer.create 1024 in
-  match analyze ~threshold sampler with
+  match analyze sampler with
   | [] ->
       Buffer.add_string buf "saturation: no samples recorded\n";
       Buffer.contents buf
@@ -59,7 +63,7 @@ let report ?(threshold = default_threshold) ?(top = 10) sampler =
            "Saturation report: %d windows of %.3f s, threshold %.0f%%\n"
            best.windows (Sampler.period sampler) (pct threshold));
       Buffer.add_string buf
-        (Printf.sprintf "binding resource: %s\n" (describe ~threshold best));
+        (Printf.sprintf "binding resource: %s\n" (describe best));
       List.iteri
         (fun i v ->
           if i < top then

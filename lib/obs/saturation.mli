@@ -9,23 +9,17 @@ type verdict = {
   mean : float;  (** mean busy fraction over the recorded windows *)
   peak : float;  (** highest single-window busy fraction *)
   saturated_share : float;
-      (** fraction of windows with busy fraction [>= threshold] *)
+      (** fraction of windows with busy fraction [>= 0.95] *)
   windows : int;  (** number of recorded windows *)
 }
 
-val default_threshold : float
-(** [0.95]. *)
+val binding : Sampler.t -> verdict option
+(** The resource that saturated for the largest share of the run: the
+    first of one verdict per resource-tagged column, ranked by saturated
+    share, then mean, then name — deterministic. [None] when no rows
+    were recorded. *)
 
-val analyze : ?threshold:float -> Sampler.t -> verdict list
-(** One verdict per resource-tagged column, sorted most-binding first:
-    by saturated share, then mean, then name — deterministic. Empty
-    when no rows were recorded. *)
-
-val binding : ?threshold:float -> Sampler.t -> verdict option
-(** The head of {!analyze}: the resource that saturated for the largest
-    share of the run. *)
-
-val report : ?threshold:float -> ?top:int -> Sampler.t -> string
+val report : Sampler.t -> string
 (** Human-readable summary: the binding resource in the
     ["g0/n0 wan_up >=95% busy for 87% of the measurement window"]
-    style, then a table of the [top] (default 10) resources. *)
+    style, then a table of the 10 most binding resources. *)

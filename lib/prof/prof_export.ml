@@ -2,10 +2,8 @@ module Trace = Massbft_trace.Trace
 module Json = Massbft_util.Json
 
 (* ------------------------------------------------------------------ *)
-(* Text report (Saturation-style ranked listing)                       *)
+(* Text report                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let pct v = 100.0 *. v
 
 let text (r : Prof.report) =
   let buf = Buffer.create 1024 in
@@ -19,13 +17,6 @@ let text (r : Prof.report) =
     r.rp_wall_s r.rp_sim_end_s
     (if r.rp_wall_s > 0.0 then r.rp_sim_end_s /. r.rp_wall_s else 0.0)
     r.rp_events r.rp_events_per_slice;
-  add "attributed %.3f s = %.1f%% of wall\n" r.rp_attributed_s
-    (pct r.rp_attributed_share);
-  add "where the wall time went:\n";
-  List.iter
-    (fun (p : Prof.phase) ->
-      add "  %-16s %8.3f s  %5.1f%%\n" p.p_name p.p_seconds (pct p.p_share))
-    r.rp_wall_attribution;
   add "gc: %d minor, %d major, %.0f promoted words\n" r.rp_gc_minor
     r.rp_gc_major r.rp_gc_promoted_w;
   Buffer.contents buf
@@ -34,8 +25,9 @@ let text (r : Prof.report) =
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* v2: one slice log replaces v1's per-window driver phases. *)
-let schema_version = 2
+(* v2: one slice log replaces v1's per-window driver phases. v3: wall
+   time is the sum of the slices, so the attribution fields are gone. *)
+let schema_version = 3
 
 let jobj fields =
   "{" ^ String.concat "," (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields) ^ "}"
@@ -54,19 +46,6 @@ let report_fields (r : Prof.report) =
     );
     ("events", string_of_int r.rp_events);
     ("events_per_slice", Json.number r.rp_events_per_slice);
-    ("attributed_s", Json.number r.rp_attributed_s);
-    ("attributed_share", Json.number r.rp_attributed_share);
-    ( "attribution",
-      jarr
-        (List.map
-           (fun (p : Prof.phase) ->
-             jobj
-               [
-                 ("phase", Json.quote p.p_name);
-                 ("seconds", Json.number p.p_seconds);
-                 ("share", Json.number p.p_share);
-               ])
-           r.rp_wall_attribution) );
     ( "gc",
       jobj
         [
@@ -88,22 +67,19 @@ let slice_json (s : Prof.slice) =
       ("gc_promoted_words", Json.number s.s_gc_promoted_w);
     ]
 
-let json ?(slices = false) p =
+let json p =
   let r = Prof.report p in
-  let fields =
-    (("schema_version", string_of_int schema_version) :: report_fields r)
-    @
-    if slices then [ ("slice_log", jarr (List.map slice_json (Prof.slices p))) ]
-    else []
-  in
-  jobj fields
+  jobj
+    (("schema_version", string_of_int schema_version)
+     :: report_fields r
+    @ [ ("slice_log", jarr (List.map slice_json (Prof.slices p))) ])
 
-let write_json ?slices p path =
+let write_json p path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (json ?slices p);
+      output_string oc (json p);
       output_char oc '\n')
 
 (* ------------------------------------------------------------------ *)

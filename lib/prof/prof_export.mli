@@ -2,19 +2,18 @@
     host-timeline trace sink for the dual-timeline Perfetto export. *)
 
 val schema_version : int
-(** Version of the JSON document layout (currently 2). *)
+(** Version of the JSON document layout (currently 3). *)
 
 val text : Prof.report -> string
-(** Ranked "where the wall time went" listing in the style of
-    [Saturation.report], plus GC totals. *)
+(** Slice and event totals, wall time against simulated time, and GC
+    totals. *)
 
-val json : ?slices:bool -> Prof.t -> string
+val json : Prof.t -> string
 (** The full report as a single-line JSON object ([schema_version],
-    slice and event totals, ranked attribution, GC deltas). [slices]
-    (default false) appends the raw per-slice log under
-    ["slice_log"]. *)
+    slice and event totals, wall time, GC deltas) with the raw
+    per-slice log under ["slice_log"]. *)
 
-val write_json : ?slices:bool -> Prof.t -> string -> unit
+val write_json : Prof.t -> string -> unit
 
 val to_trace : Prof.t -> Massbft_trace.Trace.t
 (** Renders the slice log as host-time spans (category ["host.sim"],

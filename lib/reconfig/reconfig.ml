@@ -102,7 +102,6 @@ type t = {
   applied : unit Entry_tbl.t;  (* executed-side flip, once per eid *)
   members_at : int list Entry_tbl.t;  (* membership after each boundary *)
   pending : (string, transfer) Hashtbl.t;  (* wire command -> transfer *)
-  mutable transfers : transfer list;
   mutable boundaries : boundary list;  (* newest first *)
   mutable joins : join_report list;
   mutable retries : int;
@@ -263,7 +262,6 @@ let start_transfer t ~wire ~gid ~dst ~lan =
       x_done = false;
     }
   in
-  t.transfers <- x :: t.transfers;
   Hashtbl.replace t.pending wire x;
   ship t x;
   watch t x
@@ -419,8 +417,7 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
   dst.N.l_executed_rev <- src.N.l_executed_rev;
   dst.N.l_executed_count <- src.N.l_executed_count;
   Array.blit src.N.l_clk_of 0 dst.N.l_clk_of 0 (Array.length src.N.l_clk_of);
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst.N.l_ts_mark k v) src.N.l_ts_mark;
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst.N.l_ts_seen k v) src.N.l_ts_seen;
+  Hashtbl.iter (fun k v -> Hashtbl.replace dst.N.l_ts k v) src.N.l_ts;
   Entry_tbl.iter
     (fun k v -> Entry_tbl.replace dst.N.l_committed_unexec k v)
     src.N.l_committed_unexec;
@@ -634,7 +631,6 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
       applied = Entry_tbl.create 8;
       members_at = Entry_tbl.create 8;
       pending = Hashtbl.create 8;
-      transfers = [];
       boundaries = [];
       joins = [];
       retries = 0;
@@ -687,23 +683,6 @@ let boundaries t = List.rev t.boundaries
 let joins t = List.rev t.joins
 let transfer_retries t = t.retries
 let epochs t = Entry_tbl.length t.applied
-let transfers_bytes t = List.fold_left (fun a x -> a + x.x_bytes) 0 t.transfers
-
-let boundary_to_string b =
-  Printf.sprintf "@%.3f %s at %s pos %d (g%d)" b.b_at b.b_cmd
-    (Types.entry_id_to_string b.b_eid)
-    b.b_pos b.b_gid
-
-let join_to_string j =
-  Printf.sprintf
-    "g%d joined via g%d: %d bytes / %d chunks / %d retries in %.3fs; \
-     fingerprint %s height %d"
-    j.j_gid j.j_donor j.j_bytes j.j_chunks j.j_retries
-    (j.j_activated -. j.j_started)
-    (if j.j_fingerprint = j.j_src_fingerprint then "matches donor"
-     else "DIVERGES from donor")
-    j.j_height
-
 (* End-of-run epoch-aware checks, reported as (check, detail) pairs the
    chaos layer merges with the standard invariant violations:
    - epoch agreement: every leader applied each boundary with the same

@@ -63,10 +63,6 @@ val transfer_retries : t -> int
 val epochs : t -> int
 (** Epoch boundaries executed so far. *)
 
-val transfers_bytes : t -> int
-val boundary_to_string : boundary -> string
-val join_to_string : join_report -> string
-
 val final_violations : t -> (string * string) list
 (** End-of-run epoch-aware checks as (check, detail) pairs: boundary
     agreement across leaders, the on-chain config record, join-time

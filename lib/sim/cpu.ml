@@ -47,8 +47,6 @@ let set_speed_factor t f =
     invalid_arg "Cpu.set_speed_factor: factor must be finite and >= 1";
   t.speed_factor <- f
 
-let speed_factor t = t.speed_factor
-
 (* The [early] heap holds few entries (at most [slices - 1] per
    outstanding parallel charge), so a plain binary heap of floats will
    do. *)

@@ -36,8 +36,6 @@ val set_speed_factor : t -> float -> unit
     their original cost — the factor models the machine slowing down,
     not history rewriting. *)
 
-val speed_factor : t -> float
-
 val set_trace : t -> Massbft_trace.Trace.t -> gid:int -> node:int -> unit
 (** Attaches a trace sink and this CPU's owning node. Every subsequent
     task (each slice of a {!submit_parallel}) then emits

@@ -39,17 +39,6 @@ and core = {
   mutable next_seq : int;
   mutable garbage : int;  (* cancelled events still sitting in the heap *)
   mutable trace : Trace.t;
-  mutable prof : host_prof option;
-}
-
-(* Host-side self-profiling sink. The simulator never reads the host
-   clock itself — a profiled [run] advances in slices and reports each
-   one, never per event. [None] (the default) keeps the driver loop
-   exactly as fast and allocation-free as an uninstrumented build. *)
-and host_prof = {
-  hp_clock : unit -> float;  (* host time in seconds; must be monotonic *)
-  hp_seq : until:float -> dt:float -> events:int -> unit;
-      (* one profiled slice of [run] *)
 }
 
 (* Hand-specialized (time, seq) order, inlined into every sift step.
@@ -118,7 +107,6 @@ let create ?(shards = 1) ?(lookahead = 0.0) () =
       next_seq = 0;
       garbage = 0;
       trace = Trace.null;
-      prof = None;
     }
   in
   core.shards <-
@@ -136,7 +124,6 @@ let n_shards t = Array.length t.core.shards
 let lookahead t = t.core.lookahead
 let now t = t.core.clock
 let set_trace t tr = t.core.trace <- tr
-let set_prof t p = t.core.prof <- p
 let dispatched t = t.dispatched
 
 let dispatched_total t =
@@ -240,45 +227,12 @@ let fire c e =
     e.fn ()
   end
 
-let run_plain c ~until =
+let run t ~until =
+  let c = t.core in
   while c.size > 0 && c.heap.(0).time <= until do
     fire c (pop c)
   done;
   if c.clock < until then c.clock <- until
-
-let run t ~until =
-  let c = t.core in
-  match c.prof with
-  | None -> run_plain c ~until
-  | Some p when not (Float.is_finite until) ->
-      (* Unbounded runs cannot be sliced; account the whole drain as
-         one slice. *)
-      let t0 = p.hp_clock () in
-      let d0 = dispatched_total t in
-      run_plain c ~until;
-      p.hp_seq ~until ~dt:(p.hp_clock () -. t0)
-        ~events:(dispatched_total t - d0)
-  | Some p ->
-      (* Profiled driver: advance in lookahead-width slices (whole-range
-         when the sim has no lookahead) so per-slice wall time and GC
-         deltas are visible without touching the host clock per event.
-         Slicing changes nothing observable — events fire in the same
-         total order and the clock only ever advances — so golden
-         fixtures stay byte-identical under profiling. *)
-      let stride =
-        if c.lookahead > 0.0 then c.lookahead
-        else Float.max (until -. c.clock) 1e-9
-      in
-      let continue = ref true in
-      while !continue do
-        let w_end = Float.min (c.clock +. stride) until in
-        let t0 = p.hp_clock () in
-        let d0 = dispatched_total t in
-        run_plain c ~until:w_end;
-        p.hp_seq ~until:w_end ~dt:(p.hp_clock () -. t0)
-          ~events:(dispatched_total t - d0);
-        if w_end >= until then continue := false
-      done
 
 let step t =
   let c = t.core in

@@ -11,7 +11,11 @@
     per group in the harness — that are accounting identities only:
     each keeps its own pending/dispatched counts and its own trace
     counter track, while every handle schedules into (and can drive)
-    the same queue. *)
+    the same queue.
+
+    The simulator never reads the host clock. Host-side profiling
+    drives it from outside: [Massbft_prof.Prof.run] calls {!run} once
+    per [lookahead]-wide slice and times each call. *)
 
 type t
 (** A shard handle. A single-shard sim ([create ()]) has one handle;
@@ -23,9 +27,9 @@ type timer
 val create : ?shards:int -> ?lookahead:float -> unit -> t
 (** [create ~shards ~lookahead ()] builds a simulator with [shards]
     (default 1) shard handles; returns shard 0. [lookahead] (default 0)
-    is the slice stride a profiled {!run} reports at — the harness
-    passes the minimum WAN one-way latency. Raises [Invalid_argument]
-    on [shards < 1] or a negative lookahead. *)
+    is the slice stride [Massbft_prof.Prof.run] drives {!run} at — the
+    harness passes the minimum WAN one-way latency. Raises
+    [Invalid_argument] on [shards < 1] or a negative lookahead. *)
 
 val shard : t -> int -> t
 (** [shard t i] is shard [i] of [t]'s simulator.
@@ -34,7 +38,7 @@ val shard : t -> int -> t
 val n_shards : t -> int
 
 val lookahead : t -> float
-(** The profiling slice stride this sim was created with. *)
+(** The slice stride this sim was created with. *)
 
 val now : t -> float
 (** Current virtual time in seconds; the same on every handle. *)
@@ -46,28 +50,6 @@ val set_trace : t -> Massbft_trace.Trace.t -> unit
     tag each shard's counter track with [gid = shard id]. Tracing never
     schedules events, so it cannot change the simulation. Defaults to
     the disabled {!Massbft_trace.Trace.null}. *)
-
-(** {1 Host-side self-profiling hook}
-
-    Where [set_trace] records {e simulated} time, [set_prof] accounts
-    where the {e host's} wall-clock goes while the simulator runs. A
-    profiled {!run} advances in [lookahead]-wide slices and reports
-    each one; with the default [None] the driver loop is exactly the
-    uninstrumented code path. Attaching a profiler never schedules
-    events or reads simulation state, so profiled runs stay
-    byte-identical to unprofiled ones (golden-fixture verified). *)
-
-type host_prof = {
-  hp_clock : unit -> float;
-      (** host-time source in seconds; must be monotonic *)
-  hp_seq : until:float -> dt:float -> events:int -> unit;
-      (** one profiled slice of {!run} (sliced at lookahead width when
-          the sim has one, else the whole range) *)
-}
-
-val set_prof : t -> host_prof option -> unit
-(** Attaches (or clears) the host-profiling sink, shared by all
-    shards. *)
 
 val dispatched : t -> int
 (** Events fired on this shard since creation (cancelled excluded). *)

@@ -244,7 +244,6 @@ let sum_over t f =
     0 t.nodes
 
 let wan_bytes_sent t = sum_over t (fun n -> Nic.bytes_sent n.wan_up) - t.wan_baseline
-let wan_bytes_sent_of t a = Nic.bytes_sent (state t a).wan_up
 let lan_bytes_sent t = sum_over t (fun n -> Nic.bytes_sent n.lan_up) - t.lan_baseline
 
 let wan_uplink_backlog_s t a = Nic.backlog_s (state t a).wan_up

@@ -131,7 +131,6 @@ val faults_duplicated : t -> int
 val wan_bytes_sent : t -> int
 (** Total bytes accepted by all WAN uplinks since creation. *)
 
-val wan_bytes_sent_of : t -> addr -> int
 val lan_bytes_sent : t -> int
 
 val reset_traffic_baseline : t -> unit

@@ -11,8 +11,6 @@ let encode s =
     s;
   Bytes.unsafe_to_string out
 
-let encode_bytes b = encode (Bytes.to_string b)
-
 let nibble_of_hex c =
   match c with
   | '0' .. '9' -> Char.code c - Char.code '0'

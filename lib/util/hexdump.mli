@@ -4,8 +4,6 @@
 val encode : string -> string
 (** [encode s] is the lowercase hex rendering of [s]. *)
 
-val encode_bytes : Bytes.t -> string
-
 val decode : string -> string
 (** [decode hex] inverts {!encode}. Raises [Invalid_argument] on odd
     length or non-hex characters. *)

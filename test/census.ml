@@ -68,7 +68,7 @@ let take (c : N.t) =
         ("rebuild states", words (per_node c (fun n -> n.N.n_rebuilds)));
         ("content sets", words (per_node c (fun n -> n.N.n_content)));
         ("entry registry", words (c.N.entries, c.N.by_digest));
-        ("VTS stamp tables", words (per_leader c (fun l -> (l.N.l_ts_mark, l.N.l_ts_seen))));
+        ("VTS stamp tables", words (per_leader c (fun l -> l.N.l_ts)));
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));
         ("stores", words (c.N.shared_store, per_leader c (fun l -> l.N.l_store)));
         ("metrics", words c.N.metrics);

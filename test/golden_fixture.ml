@@ -45,15 +45,16 @@ let groups = 3
 let until = 6.0
 let cfg_of system = { (small_cfg ~system ()) with Config.seed = 0L }
 
-(* [attach] receives the started deployment before the clock moves —
-   the seam no-op tests use to hang an (empty) adversary or a profiler
-   on the run and assert the fingerprint still matches the recorded
+(* [attach] receives the started deployment before the clock moves and
+   [run] (default [Sim.run]) drives it — the seams no-op tests use to
+   hang an (empty) adversary on the run, or to drive it with a
+   profiler, and assert the fingerprint still matches the recorded
    golden. *)
-let capture ?attach ~system () =
+let capture ?attach ?(run = Sim.run) ~system () =
   let d = Deployment.build ~spec:(small_spec ()) ~cfg:(cfg_of system) () in
   Deployment.start d;
   Option.iter (fun f -> f d) attach;
-  Sim.run d.sim ~until;
+  run d.sim ~until;
   let eng = d.engine in
   {
     system;

@@ -1,6 +1,7 @@
 (* Tests for massbft_prof: the no-perturbation contract (profiled runs
-   stay byte-identical to the recorded goldens), the report/export
-   shapes, and the attribution and overhead budget on the macro row. *)
+   stay byte-identical to the recorded goldens), the slice log's
+   coverage of the run, the report/export shapes, and the overhead
+   budget on the macro row. *)
 
 module Sim = Massbft_sim.Sim
 module Prof = Massbft_prof.Prof
@@ -33,12 +34,7 @@ let test_goldens_unperturbed () =
   List.iter
     (fun system ->
       let p = Prof.create () in
-      let g =
-        Golden_fixture.capture
-          ~attach:(fun d -> Prof.attach p d.Massbft_faults.Deployment.sim)
-          ~system ()
-      in
-      Prof.finish p;
+      let g = Golden_fixture.capture ~run:(Prof.run p) ~system () in
       let recorded = read_file (golden_path system) in
       check_string
         (Config.system_name system ^ " profiled run matches golden")
@@ -49,8 +45,8 @@ let test_goldens_unperturbed () =
       check_int
         (Config.system_name system ^ " committed count unperturbed")
         unprofiled.Golden_fixture.committed g.Golden_fixture.committed;
-      (* ... and the profiler actually collected: the sequential driver
-         slices at lookahead width, so a 6 s run has many slices. *)
+      (* ... and the profiler actually collected: it slices at
+         lookahead width, so a 6 s run has many slices. *)
       let r = Prof.report p in
       check_bool
         (Config.system_name system ^ " profiler collected slices")
@@ -62,11 +58,11 @@ let test_goldens_unperturbed () =
     Config.all_systems
 
 (* ------------------------------------------------------------------ *)
-(* Sequential-driver slicing: dispatch order identical under prof      *)
+(* Slicing: dispatch order identical under prof                       *)
 (* ------------------------------------------------------------------ *)
 
 let test_seq_slicing_preserves_order () =
-  (* The same event program, with and without a profiler attached: the
+  (* The same event program, driven by Sim.run and by Prof.run: the
      dispatch log (event id, virtual now at fire) must be identical. *)
   let program sim log =
     for i = 0 to 99 do
@@ -87,9 +83,8 @@ let test_seq_slicing_preserves_order () =
     let sim = Sim.create ~shards:2 ~lookahead:0.01 () in
     let log = ref [] in
     let p = Prof.create () in
-    if prof then Prof.attach p sim;
     program sim log;
-    Sim.run sim ~until:0.5;
+    if prof then Prof.run p sim ~until:0.5 else Sim.run sim ~until:0.5;
     (List.rev !log, p)
   in
   let plain, _ = run_once ~prof:false () in
@@ -103,13 +98,11 @@ let test_seq_run_infinite_until () =
   (* until = infinity must profile as a single slice, not loop. *)
   let sim = Sim.create () in
   let p = Prof.create () in
-  Prof.attach p sim;
   let fired = ref 0 in
   ignore (Sim.at sim 1.0 (fun () -> incr fired));
   ignore (Sim.at sim 2.0 (fun () -> incr fired));
-  Sim.run sim ~until:infinity;
+  Prof.run p sim ~until:infinity;
   check_int "events fired" 2 !fired;
-  Prof.finish p;
   let r = Prof.report p in
   check_int "single slice" 1 r.Prof.rp_slices;
   check_int "events attributed" 2 r.Prof.rp_events
@@ -122,23 +115,40 @@ let run_two_shard_profiled () =
   let sim = Sim.create ~shards:2 ~lookahead:0.01 () in
   let s0 = Sim.shard sim 0 and s1 = Sim.shard sim 1 in
   let p = Prof.create () in
-  Prof.attach p sim;
-  let count = ref 0 in
   let rec ping me peer () =
-    incr count;
     ignore (Sim.at peer (Sim.now me +. 0.012) (ping peer me))
   in
   ignore (Sim.at s0 0.0 (ping s0 s1));
   ignore (Sim.at s1 0.0 (ping s1 s0));
-  Sim.run sim ~until:1.0;
-  Prof.finish p;
-  (p, !count)
+  Prof.run p sim ~until:1.0;
+  (p, Sim.dispatched_total sim)
+
+(* The slice log covers the run exactly: consecutive slices end at
+   strictly increasing simulated times, the last at [until]; their
+   events add up to what the sim dispatched and their walls to the
+   report's wall time. *)
+let test_slices_cover_run () =
+  let p, dispatched = run_two_shard_profiled () in
+  let ss = Prof.slices p in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a.Prof.s_end < b.Prof.s_end && increasing rest
+    | _ -> true
+  in
+  check_bool "slice ends strictly increasing" true (increasing ss);
+  Alcotest.(check (float 0.0))
+    "last slice ends at until" 1.0
+    (List.nth ss (List.length ss - 1)).Prof.s_end;
+  check_int "slice events sum to dispatched" dispatched
+    (List.fold_left (fun acc s -> acc + s.Prof.s_events) 0 ss);
+  Alcotest.(check (float 0.0))
+    "slice walls sum to wall" (Prof.report p).Prof.rp_wall_s
+    (List.fold_left (fun acc s -> acc +. s.Prof.s_wall) 0.0 ss)
 
 let test_report_text_and_json_shape () =
-  let p, count = run_two_shard_profiled () in
+  let p, dispatched = run_two_shard_profiled () in
   let r = Prof.report p in
   check_int "two shards" 2 r.Prof.rp_shards;
-  check_int "every event attributed" count r.Prof.rp_events;
+  check_int "every event counted" dispatched r.Prof.rp_events;
   check_int "slice events sum to total" r.Prof.rp_events
     (List.fold_left (fun acc s -> acc + s.Prof.s_events) 0 (Prof.slices p));
   check_bool "sliced at lookahead width" true (r.Prof.rp_slices >= 90);
@@ -148,11 +158,11 @@ let test_report_text_and_json_shape () =
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
     nn = 0 || go 0
   in
-  check_bool "text mentions phases" true
-    (contains text "execute" && contains text "unattributed");
+  check_bool "text reports wall and gc" true
+    (contains text "wall" && contains text "gc:");
   (* The JSON export parses with the repo's own reader and carries the
      documented keys — the same shape validation CI performs. *)
-  let doc = Json.parse (Prof_export.json ~slices:true p) in
+  let doc = Json.parse (Prof_export.json p) in
   let mem k =
     match Json.member k doc with
     | Some _ -> true
@@ -162,9 +172,11 @@ let test_report_text_and_json_shape () =
     (fun k -> check_bool ("prof json has " ^ k) true (mem k))
     [
       "schema_version"; "shards"; "slices"; "lookahead_s"; "wall_s";
-      "sim_end_s"; "events"; "events_per_slice"; "attributed_s";
-      "attributed_share"; "attribution"; "gc"; "slice_log";
+      "sim_end_s"; "events"; "events_per_slice"; "gc"; "slice_log";
     ];
+  List.iter
+    (fun k -> check_bool ("prof json lacks " ^ k) false (mem k))
+    [ "attributed_s"; "attributed_share"; "attribution" ];
   (match Json.member "schema_version" doc with
   | Some (Json.Num v) ->
       check_int "schema version" Prof_export.schema_version (int_of_float v)
@@ -217,10 +229,10 @@ let test_registry_series () =
         && (label = [] || s.Massbft_obs.Registry.labels = label))
       samples
   in
-  (match find "massbft_prof_phase_seconds" [ ("phase", "execute") ] with
+  (match find "massbft_prof_wall_seconds" [] with
   | Some { Massbft_obs.Registry.point = Massbft_obs.Registry.P_gauge v; _ } ->
-      check_bool "execute seconds positive" true (v > 0.0)
-  | _ -> Alcotest.fail "massbft_prof_phase_seconds{phase=execute} missing");
+      check_bool "wall seconds positive" true (v > 0.0)
+  | _ -> Alcotest.fail "massbft_prof_wall_seconds missing");
   match find "massbft_prof_slices_total" [] with
   | Some { Massbft_obs.Registry.point = Massbft_obs.Registry.P_counter n; _ }
     ->
@@ -228,24 +240,11 @@ let test_registry_series () =
   | _ -> Alcotest.fail "massbft_prof_slices_total missing"
 
 (* ------------------------------------------------------------------ *)
-(* Misuse guards                                                       *)
+(* Macro row: overhead budget                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_double_attach_rejected () =
-  let sim = Sim.create () in
-  let p = Prof.create () in
-  Prof.attach p sim;
-  Alcotest.check_raises "second attach rejected"
-    (Invalid_argument "Prof.attach: already attached") (fun () ->
-      Prof.attach p (Sim.create ()))
-
-(* ------------------------------------------------------------------ *)
-(* Macro row: attribution and overhead budget                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The acceptance numbers for the MassBFT macro row: >= 95% of wall
-   attributed to profiled slices, and profiling overhead within budget.
-   Overhead is judged on the process's CPU time, not wall time: dune
+(* The acceptance number for the MassBFT macro row: profiling overhead
+   within budget. Overhead is judged on the process's CPU time, not wall time: dune
    runs test executables side by side, and a neighbour taking the core
    stretches wall time without adding CPU time to this process. Plain
    and profiled runs alternate so host drift hits both sides alike, and
@@ -253,7 +252,7 @@ let test_double_attach_rejected () =
    and frequency noise. The default bound is lenient (15%, min-of-5
    each); MASSBFT_STRICT_PERF=1 asserts the real 2% budget (min-of-7),
    which holds on an idle host. *)
-let test_macro_attribution_and_overhead () =
+let test_macro_overhead () =
   let strict =
     match Sys.getenv_opt "MASSBFT_STRICT_PERF" with
     | Some ("1" | "true" | "yes") -> true
@@ -276,23 +275,12 @@ let test_macro_attribution_and_overhead () =
     Sys.time () -. t0
   in
   let plain = ref infinity and profiled = ref infinity in
-  let last_prof = ref None in
+  let p = Prof.create () in
   for _ = 1 to runs do
     plain := Float.min !plain (cpu_s ());
-    let p = Prof.create () in
-    profiled := Float.min !profiled (cpu_s ~prof:p ());
-    last_prof := Some p
+    profiled := Float.min !profiled (cpu_s ~prof:p ())
   done;
-  (match !last_prof with
-  | None -> Alcotest.fail "profiler missing"
-  | Some p ->
-      let r = Prof.report p in
-      check_bool
-        (Printf.sprintf "attribution >= 95%% (got %.1f%%)"
-           (100.0 *. r.Prof.rp_attributed_share))
-        true
-        (r.Prof.rp_attributed_share >= 0.95);
-      check_bool "slices profiled" true (r.Prof.rp_slices > 0));
+  check_bool "slices profiled" true ((Prof.report p).Prof.rp_slices > 0);
   let budget = if strict then 0.02 else 0.15 in
   let overhead = (!profiled -. !plain) /. !plain in
   check_bool
@@ -320,12 +308,11 @@ let () =
           Alcotest.test_case "host-timeline trace export" `Quick
             test_host_trace_export;
           Alcotest.test_case "registry series" `Quick test_registry_series;
-          Alcotest.test_case "double attach rejected" `Quick
-            test_double_attach_rejected;
+          Alcotest.test_case "slice log covers the run" `Quick
+            test_slices_cover_run;
         ] );
       ( "macro",
         [
-          Alcotest.test_case "attribution and overhead budget" `Slow
-            test_macro_attribution_and_overhead;
+          Alcotest.test_case "overhead budget" `Slow test_macro_overhead;
         ] );
     ]
