@@ -583,7 +583,8 @@ let bench_cmd =
                  or disappeared from the suite.")
   in
   let tolerance =
-    Arg.(value & opt float 25.0 & info [ "tolerance" ] ~docv:"PCT"
+    Arg.(value & opt float (100.0 *. Bench_check.default_tolerance)
+         & info [ "tolerance" ] ~docv:"PCT"
            ~doc:"Per-benchmark tolerance for --check, in percent.")
   in
   let json_file =

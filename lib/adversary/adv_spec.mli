@@ -58,7 +58,6 @@ val kind_names : string list
 val target_of : strategy -> target
 val window_of : strategy -> float
 
-val target_to_string : target -> string
 val strategy_to_string : strategy -> string
 val event_to_string : event -> string
 

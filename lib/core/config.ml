@@ -70,7 +70,6 @@ type t = {
   overlapped_vts : bool;
   election_timeout_s : float;
   seed : int64;
-  independent_stores : bool;
 }
 
 let default ?(system = Massbft) ?(workload = Massbft_workload.Workload.Ycsb_a) () =
@@ -85,5 +84,4 @@ let default ?(system = Massbft) ?(workload = Massbft_workload.Workload.Ycsb_a) (
     overlapped_vts = true;
     election_timeout_s = 1.5;
     seed = 42L;
-    independent_stores = false;
   }

@@ -47,8 +47,6 @@ type cost_model = {
   decode_per_byte_s : float;  (** rebuild, per entry byte *)
 }
 
-val default_cost : cost_model
-
 type t = {
   system : system;
   workload : Massbft_workload.Workload.kind;
@@ -63,9 +61,6 @@ type t = {
           variant — the ablation of §V-B *)
   election_timeout_s : float;
   seed : int64;
-  independent_stores : bool;
-      (** each leader executes on its own store (slower; used by the
-          convergence tests) instead of the shared memoized store *)
 }
 
 val default : ?system:system -> ?workload:Massbft_workload.Workload.kind -> unit -> t

@@ -84,13 +84,6 @@ let create sim topo cfg =
       ~init:(W.preload ~scale:cfg.Config.workload_scale cfg.Config.workload)
       ()
   in
-  let mk_store () =
-    if cfg.Config.independent_stores then
-      Kvstore.create
-        ~init:(W.preload ~scale:cfg.Config.workload_scale cfg.Config.workload)
-        ()
-    else shared_store
-  in
   let nodes =
     Array.init ng (fun g ->
         Array.init (Topology.group_size topo g) (fun n ->
@@ -114,7 +107,6 @@ let create sim topo cfg =
           l_addr = { Topology.g; n = 0 };
           l_rafts = [||];
           l_orderer = None;
-          l_store = mk_store ();
           l_ledger = Ledger.create ();
           l_clk = 0;
           l_clk_of = Array.make (max n_inst 1) 0;
@@ -160,7 +152,11 @@ let create sim topo cfg =
       leaders;
       entries = Entry_tbl.create 1024;
       by_digest = Hashtbl.create 1024;
-      plans = Array.make_matrix ng ng None;
+      plans =
+        Array.init ng (fun s ->
+            Array.init ng (fun d ->
+                plans_for ~n1:(Topology.group_size topo s)
+                  ~n2:(Topology.group_size topo d)));
       metrics = Metrics.create ();
       shared_store;
       strat;
@@ -266,7 +262,7 @@ let migrate_leader t (l : leader) (na : Topology.addr) =
        never re-hit the exactly-once equality threshold. *)
     Entry_tbl.iter
       (fun eid () ->
-        if eid.Types.gid <> l.l_gid && not (Entry_tbl.mem l.l_round_ready eid)
+        if eid.Types.gid <> l.l_gid && not (Ordering.round_ready l eid)
         then t.strat.glob.g_on_content t l eid)
       (node_of t na).n_content
   end;
@@ -309,6 +305,18 @@ let check_group_leadership t (l : leader) =
     if n < 1 then []
     else List.filter (alive t) (List.init n (fun i -> { Topology.g; n = i }))
   in
+  let rec first_live_view v =
+    let la = { Topology.g; n = Pbft.leader_of_view ~n ~view:v } in
+    if alive t la then v else first_live_view (v + 1)
+  in
+  let start_view_change target =
+    List.iter
+      (fun a ->
+        match (node_of t a).n_pbft with
+        | Some p -> Pbft.start_view_change ~target p
+        | None -> ())
+      live
+  in
   (* [n < 1]: a dark (pre-admission) or expelled group under an armed
      reconfiguration plan — nothing to lead. *)
   if n >= 1 && List.length live >= Intmath.pbft_quorum n then begin
@@ -349,17 +357,7 @@ let check_group_leadership t (l : leader) =
                 l.l_stall_ticks <- l.l_stall_ticks + 1;
                 if l.l_stall_ticks >= 2 then begin
                   l.l_stall_ticks <- 0;
-                  let rec first_live_view v =
-                    let la = { Topology.g; n = Pbft.leader_of_view ~n ~view:v } in
-                    if alive t la then v else first_live_view (v + 1)
-                  in
-                  let target = first_live_view (Pbft.view p + 1) in
-                  List.iter
-                    (fun b ->
-                      match (node_of t b).n_pbft with
-                      | Some q -> Pbft.start_view_change ~target q
-                      | None -> ())
-                    live
+                  start_view_change (first_live_view (Pbft.view p + 1))
                 end
               end
               else begin
@@ -377,18 +375,9 @@ let check_group_leadership t (l : leader) =
                 | None -> acc)
               0 live
           in
-          let rec first_live_view v =
-            let la = { Topology.g; n = Pbft.leader_of_view ~n ~view:v } in
-            if alive t la then v else first_live_view (v + 1)
-          in
           let target = first_live_view (max (maxv + 1) l.l_vc_target) in
           l.l_vc_target <- target;
-          List.iter
-            (fun a ->
-              match (node_of t a).n_pbft with
-              | Some p -> Pbft.start_view_change ~target p
-              | None -> ())
-            live
+          start_view_change target
         end
   end
 
@@ -511,7 +500,6 @@ let entry_digest t eid =
 
 let proposed_seqs t ~gid = t.leaders.(gid).l_next_seq - 1
 let store_fingerprint t = Kvstore.fingerprint t.shared_store
-let leader_store_fingerprint t ~gid = Kvstore.fingerprint t.leaders.(gid).l_store
 let ledger_of t ~gid = t.leaders.(gid).l_ledger
 
 let entries_executed_total t =

@@ -86,13 +86,10 @@ val executed_ids : t -> gid:int -> Types.entry_id list
     — the object of the agreement tests. *)
 
 val store_fingerprint : t -> string
-(** Fingerprint of the executed database state (shared memoized store;
-    with [independent_stores] semantics preserved per leader, see
-    {!leader_store_fingerprint}). *)
-
-val leader_store_fingerprint : t -> gid:int -> string
-(** Per-leader store fingerprint; only distinct from
-    {!store_fingerprint} when the config sets [independent_stores]. *)
+(** Fingerprint of the deployment's one database: every entry executes
+    once, at the first leader to reach it, into the shared memoized
+    store. What the groups agree on is the order — compare their
+    ledgers ({!ledger_of}). *)
 
 val ledger_of : t -> gid:int -> Massbft_exec.Ledger.t
 (** The globally ordered ledger as built by group [gid]'s leader. *)
@@ -168,8 +165,3 @@ val submit_conf : t -> string -> unit
     the coordinator group. It is formed into a zero-txn epoch-boundary
     entry and ordered through global consensus like any batch; the
     controller's apply hook fires when leaders execute it. *)
-
-val migrate_leader : t -> Node_ctx.leader -> Massbft_sim.Topology.addr -> unit
-(** Hand the group's acting-leader role to [addr] (the move-leader
-    reconfiguration command; also driven internally after view
-    changes). *)

@@ -88,27 +88,21 @@ let record_metrics t e outcome =
     (phase_spans t e ~tnow)
 
 let do_execute t (l : leader) e =
-  (* Execute-once, replay-elsewhere: the first leader to reach the entry
-     runs the full Aria pass and memoizes the outcome; every group's
-     store is a deterministic replica applying the same entries in the
-     same order. With per-group stores ([independent_stores]) each later
-     leader replays the memoized writes onto its own copy — a fraction
-     of the cost of re-running the batch. With a shared store the writes
-     are already applied, so later leaders touch nothing and the memo
-     drops them: an entry stays until every leader has run it, through a
-     whole group outage under faults. *)
+  (* Execute once: the first leader to reach the entry runs the Aria
+     pass against the deployment's one store and memoizes the outcome;
+     every later leader takes the memo and touches no data. The writes
+     are already applied, so the memo drops them: an entry stays until
+     every leader has run it, through a whole group outage under
+     faults. *)
   let outcome =
     match e.outcome with
-    | Some o ->
-        if t.cfg.Config.independent_stores then Aria.apply_effects l.l_store o;
-        o
+    | Some o -> o
     | None ->
         let o =
           Aria.execute_batch ~reorder:t.cfg.Config.reorder ~fallback:e.fb_txns
-            l.l_store e.txns
+            t.shared_store e.txns
         in
-        e.outcome <-
-          Some (if t.cfg.Config.independent_stores then o else Aria.without_writes o);
+        e.outcome <- Some (Aria.without_writes o);
         o
   in
   ignore

@@ -1,9 +1,9 @@
 (* Local-consensus stage: the PBFT adapter. Wires one PBFT replica per
-   node (the skip-prepare accept variant used for global-accept rounds
-   lives in Global_consensus; the replicas here run full three-phase
-   PBFT), charges the batch signature-verification cost on Pre_prepare
-   receipt, and turns decide certificates into the dissemination +
-   global phase via the resolved strategies. *)
+   node (the replicas run full three-phase PBFT), charges the batch
+   signature-verification cost on Pre_prepare receipt, and turns decide
+   certificates into the dissemination + global phase via the resolved
+   strategies. The skip-prepare accept variant used for global-accept
+   rounds is [accept_round] below; Global_consensus drives it. *)
 
 open Node_ctx
 

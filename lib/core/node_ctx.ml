@@ -127,7 +127,6 @@ type leader = {
          view's live leader. *)
   mutable l_rafts : rpayload Raft.t array;  (* per instance; may be empty *)
   mutable l_orderer : Orderer.t option;
-  l_store : Kvstore.t;
   l_ledger : Ledger.t;
   mutable l_clk : int;  (* own committed-entry count *)
   l_clk_of : int array;  (* last committed seq per instance *)
@@ -186,6 +185,23 @@ type leader = {
 (* The context and the strategy records                                *)
 (* ------------------------------------------------------------------ *)
 
+(* One group pair's dissemination plans, built on first use for the
+   active sizes [p_n1] -> [p_n2]. *)
+type plans = {
+  p_n1 : int;
+  p_n2 : int;
+  p_transfer : Transfer_plan.t Lazy.t;
+  p_bijective : Bijective_plan.t Lazy.t;
+}
+
+let plans_for ~n1 ~n2 =
+  {
+    p_n1 = n1;
+    p_n2 = n2;
+    p_transfer = lazy (Transfer_plan.generate ~n1 ~n2);
+    p_bijective = lazy (Bijective_plan.generate ~n1 ~n2);
+  }
+
 type t = {
   sim : Sim.t;
   topo : Topology.t;
@@ -195,7 +211,7 @@ type t = {
   leaders : leader array;
   entries : entry Entry_tbl.t;
   by_digest : (string, entry) Hashtbl.t;
-  plans : Transfer_plan.t option array array;  (* [src_group][dst_group] *)
+  plans : plans array array;  (* [src_group][dst_group] *)
   metrics : Metrics.t;
   shared_store : Kvstore.t;
   strat : strategies;
@@ -306,7 +322,6 @@ let register_entry t (e : entry) =
 
 let entry_by_digest t digest = Hashtbl.find_opt t.by_digest digest
 let entries_snapshot t = Entry_tbl.fold (fun _ e acc -> e :: acc) t.entries []
-let registered_entries t = Entry_tbl.length t.entries
 
 let entry_of t eid =
   match Entry_tbl.find_opt t.entries eid with
@@ -455,4 +470,4 @@ let observe t sampler =
       t.fetch_retries);
   Massbft_obs.Registry.gauge_fn reg ~name:"massbft_entries_registered"
     ~help:"Entries known to the registry (all states)" [] (fun () ->
-      float_of_int (registered_entries t))
+      float_of_int (Entry_tbl.length t.entries))

@@ -91,7 +91,6 @@ type leader = {
           engine after a PBFT view change deposes a crashed leader *)
   mutable l_rafts : rpayload Raft.t array;
   mutable l_orderer : Orderer.t option;
-  l_store : Kvstore.t;
   l_ledger : Ledger.t;
   mutable l_clk : int;
   l_clk_of : int array;
@@ -127,6 +126,18 @@ type leader = {
   mutable l_stall_ticks : int;
 }
 
+(** One group pair's dissemination plans, generated on first use for
+    the active sizes [p_n1] -> [p_n2]. Plans are pure functions of the
+    sizes. *)
+type plans = {
+  p_n1 : int;
+  p_n2 : int;
+  p_transfer : Transfer_plan.t Lazy.t;  (** Algorithm 1 (chunks) *)
+  p_bijective : Bijective_plan.t Lazy.t;  (** §IV-A (full copies) *)
+}
+
+val plans_for : n1:int -> n2:int -> plans
+
 type t = {
   sim : Sim.t;
   topo : Topology.t;
@@ -136,9 +147,13 @@ type t = {
   leaders : leader array;
   entries : entry Entry_tbl.t;
   by_digest : (string, entry) Hashtbl.t;
-  plans : Transfer_plan.t option array array;
+  plans : plans array array;
+      (** [src_group][dst_group]; replaced when either active size
+          changes (see [Replication.plan_between]) *)
   metrics : Metrics.t;
   shared_store : Kvstore.t;
+      (** the deployment's one database: each entry executes into it
+          once, at the first leader to reach the entry *)
   strat : strategies;
   deliver : t -> src:Topology.addr -> dst:Topology.addr -> msg -> unit;
   on_leader_content : t -> leader -> Types.entry_id -> unit;
@@ -199,7 +214,6 @@ val sim_of : t -> int -> Sim.t
 val register_entry : t -> entry -> unit
 val entry_by_digest : t -> string -> entry option
 val entries_snapshot : t -> entry list
-val registered_entries : t -> int
 
 val node_of : t -> Topology.addr -> node
 val leader_addr : t -> int -> Topology.addr
@@ -208,7 +222,6 @@ val leader_addr : t -> int -> Topology.addr
 
 val is_acting_leader : t -> Topology.addr -> bool
 val alive : t -> Topology.addr -> bool
-val cpu_of : t -> Topology.addr -> Cpu.t
 val entry_of : t -> Types.entry_id -> entry
 val active_size : t -> int -> int
 val group_f : t -> int -> int

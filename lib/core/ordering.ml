@@ -15,8 +15,14 @@
 
 open Node_ctx
 
+(* [l_round_ready] holds marks for open rounds only: closing a round
+   drops its marks, and everything below [l_next_round] counts as
+   ready. *)
+let round_ready (l : leader) (eid : Types.entry_id) =
+  eid.Types.seq < l.l_next_round || Entry_tbl.mem l.l_round_ready eid
+
 let rec mark_round_ready t (l : leader) eid =
-  if not (Entry_tbl.mem l.l_round_ready eid) then begin
+  if not (round_ready l eid) then begin
     Entry_tbl.replace l.l_round_ready eid ();
     try_rounds t l
   end
@@ -39,6 +45,7 @@ and try_rounds t (l : leader) =
     let r = l.l_next_round in
     l.l_next_round <- r + 1;
     for g = 0 to t.ng - 1 do
+      Entry_tbl.remove l.l_round_ready { Types.gid = g; seq = r };
       if member_in_round t g r then begin
         let eid = { Types.gid = g; seq = r } in
         (* An epoch-boundary entry in this round fixes the membership

@@ -3,6 +3,10 @@
 
 open Node_ctx
 
+val round_ready : leader -> Types.entry_id -> bool
+(** The entry was marked ready for its round, or its round has
+    closed. *)
+
 val mark_round_ready : t -> leader -> Types.entry_id -> unit
 (** Record that the entry is ready for its round and close every
     now-complete round in sequence (round-based strategies; also the

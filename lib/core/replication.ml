@@ -18,33 +18,21 @@
 
 open Node_ctx
 
-(* Plans for *active* group sizes under a reconfiguration, keyed by the
-   size pair (two group pairs with the same sizes share a plan). Only
-   consulted when a plan is armed. *)
-let active_plans : (int * int, Transfer_plan.t) Hashtbl.t = Hashtbl.create 16
-
-let plan_between t ~src ~dst =
-  if t.reconfig_on then begin
-    let key = (active_size t src, active_size t dst) in
-    match Hashtbl.find_opt active_plans key with
-    | Some p -> p
-    | None ->
-        let n1, n2 = key in
-        let p = Transfer_plan.generate ~n1 ~n2 in
-        Hashtbl.replace active_plans key p;
-        p
+(* The deployment's plans from group [src] to group [dst], for the
+   groups' active sizes: a reconfiguration that resizes either group
+   replaces the pair's plans; otherwise every call returns the same
+   record. *)
+let plans t ~src ~dst =
+  let p = t.plans.(src).(dst) in
+  let n1 = active_size t src and n2 = active_size t dst in
+  if p.p_n1 = n1 && p.p_n2 = n2 then p
+  else begin
+    let p = plans_for ~n1 ~n2 in
+    t.plans.(src).(dst) <- p;
+    p
   end
-  else
-    match t.plans.(src).(dst) with
-    | Some p -> p
-    | None ->
-        let p =
-          Transfer_plan.generate
-            ~n1:(Topology.group_size t.topo src)
-            ~n2:(Topology.group_size t.topo dst)
-        in
-        t.plans.(src).(dst) <- Some p;
-        p
+
+let plan_between t ~src ~dst = Lazy.force (plans t ~src ~dst).p_transfer
 
 let chunk_bytes t ~src ~dst ~entry_len =
   Chunker.chunk_wire_size ~plan:(plan_between t ~src ~dst) ~entry_len
@@ -89,9 +77,7 @@ let send_bijective_copies t (node : node) e =
   else
   for j = 0 to t.ng - 1 do
     if j <> g && member_now t j then begin
-      let plan =
-        Bijective_plan.generate ~n1:(active_size t g) ~n2:(active_size t j)
-      in
+      let plan = Lazy.force (plans t ~src:g ~dst:j).p_bijective in
       List.iter
         (fun r ->
           send ~bulk:true t ~src:node.n_addr

@@ -17,8 +17,8 @@ val encoded_bijective : repl_strategy
     Algorithm 1 transfer plan (MassBFT / EBR). *)
 
 val plan_between : t -> src:int -> dst:int -> Transfer_plan.t
-(** The (memoized) Algorithm 1 transfer plan from group [src] to group
-    [dst], generated on first use. *)
+(** The Algorithm 1 transfer plan from group [src] to group [dst] at
+    their active sizes, memoized per deployment. *)
 
 val send_oneway_copies : t -> leader -> entry -> skip:int list -> unit
 (** Ship f_j + 1 full copies to each remote group not in [skip]

@@ -5,7 +5,6 @@ type entry_id = { gid : int; seq : int }
     (1-based) — e_{i,m} in the paper. *)
 
 val entry_id_to_string : entry_id -> string
-val entry_id_compare : entry_id -> entry_id -> int
 val entry_id_equal : entry_id -> entry_id -> bool
 
 module Entry_map : Map.S with type key = entry_id

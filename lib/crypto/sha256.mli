@@ -30,8 +30,5 @@ val hex : string -> string
 (** [hex s] is the lowercase hex digest of [s] — convenience for tests
     and logging. *)
 
-val digest_size : int
-(** 32. *)
-
 val block_size : int
 (** 64; exposed for HMAC. *)

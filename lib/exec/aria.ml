@@ -321,9 +321,6 @@ let rec effects_of acc = function
 
 let effects (o : outcome) = List.fold_left effects_of [] o.applied
 
-let apply_effects store (o : outcome) =
-  List.iter (apply_writes store) (List.rev o.applied)
-
 let without_writes (o : outcome) = { o with applied = [] }
 
 let commit_rate o =

@@ -52,7 +52,7 @@ type outcome = {
   writes : int;  (** total write operations executed *)
   applied : applied;
       (** the committed transactions' buffered writes; read them
-          through {!effects} or {!apply_effects} *)
+          through {!effects} *)
 }
 
 val execute_batch :
@@ -74,17 +74,11 @@ val effects : outcome -> (string * string) list
     committed transactions' write chains; nothing is copied while the
     batch runs. *)
 
-val apply_effects : Kvstore.t -> outcome -> unit
-(** Replays {!effects} onto [store] without building the list. Given the
-    store state the batch originally executed against, this reproduces
-    the post-batch store exactly (deterministic replication by
-    write-set shipping). This is how replica stores under
-    [independent_stores] avoid paying the full Aria pass per group. *)
-
 val without_writes : outcome -> outcome
 (** [o] with no write chains: its {!effects} are empty. For a holder
-    that will never replay [o], so that the chains and the key cells
-    they point to are not kept alive with it. *)
+    that keeps [o] after its writes are applied (the engine's
+    execute-once memo), so that the chains and the key cells they point
+    to are not kept alive with it. *)
 
 val commit_rate : outcome -> float
 (** committed / (committed + conflicted), 1.0 for empty batches. *)

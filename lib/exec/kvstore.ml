@@ -101,8 +101,6 @@ let iter f t =
     (fun i c -> if c <> '\000' then f (Array.unsafe_get t.keys i) (Array.unsafe_get t.vals i))
     t.tags
 
-let copy_into ~src ~dst = iter (put dst) src
-
 let fingerprint t =
   (* XOR of per-binding hashes: order-insensitive, so the slot layout
      (which depends on insertion history) never shows. *)

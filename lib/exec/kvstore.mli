@@ -32,13 +32,7 @@ val put_hashed : t -> string -> hash:int -> string -> unit
 val size : t -> int
 (** Number of materialized keys (written or faulted-in). *)
 
-val copy_into : src:t -> dst:t -> unit
-(** Overwrite [dst]'s materialized bindings with [src]'s (state transfer
-    onto a joining node's store). Keys present only in [dst] are kept —
-    callers transfer into a fresh store. *)
-
 val fingerprint : t -> string
 (** An order-insensitive digest of the materialized contents — equal
-    fingerprints mean equal states. Used by tests to check that all
-    nodes converge to identical databases (the paper's agreement
-    property, observed at the state level). *)
+    fingerprints mean equal states. The golden fixtures pin a run's
+    executed database by it. *)

@@ -20,8 +20,6 @@ module Topology = Massbft_sim.Topology
     [Bulk], consensus votes and acks [Control]. *)
 type service_class = Any | Bulk | Control
 
-val class_name : service_class -> string
-
 type fault =
   | Crash_node of Topology.addr
   | Recover_node of Topology.addr

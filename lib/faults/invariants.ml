@@ -261,37 +261,15 @@ let attach ?(period = 0.25) t =
   in
   tick ()
 
-(* End-of-run checks over final state: hash-chain integrity of every
-   group's ledger, plus execution determinism — equal-height ledgers
-   (which cross_chain has shown hash-equal) must have produced equal
-   database states. *)
+(* End-of-run check over final state: hash-chain integrity of every
+   group's ledger. *)
 let finalize t =
   check_now t;
-  let ng = Engine.n_groups t.engine in
-  for g = 0 to ng - 1 do
+  for g = 0 to Engine.n_groups t.engine - 1 do
     if not (Ledger.verify (Engine.ledger_of t.engine ~gid:g)) then
       record ?evidence:(any_evidence t) t "ledger_integrity"
         (Printf.sprintf "group %d's ledger fails hash-chain verification" g)
-  done;
-  let heights =
-    List.init ng (fun g -> Ledger.height (Engine.ledger_of t.engine ~gid:g))
-  in
-  match heights with
-  | h0 :: rest when h0 > 0 && List.for_all (fun h -> h = h0) rest ->
-      let fp0 = Engine.leader_store_fingerprint t.engine ~gid:0 in
-      for g = 1 to ng - 1 do
-        if
-          not
-            (String.equal fp0
-               (Engine.leader_store_fingerprint t.engine ~gid:g))
-        then
-          record ?evidence:(any_evidence t) t "exec_determinism"
-            (Printf.sprintf
-               "groups 0 and %d executed the same %d-block chain to \
-                different database states"
-               g h0)
-      done
-  | _ -> ()
+  done
 
 let violations t = List.rev t.violations
 let ok t = t.violations = []

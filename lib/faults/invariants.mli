@@ -14,9 +14,9 @@
       entries keep advancing within a bound (a watchdog — reported at
       most once per run);
 
-    plus, at {!finalize}: per-group ledger hash-chain integrity and
-    execution determinism (equal-height ledgers must yield equal
-    database fingerprints).
+    plus, at {!finalize}: per-group ledger hash-chain integrity. (The
+    groups execute into one shared store, so there is no per-group
+    database to compare; agreement is on the hash-chained ledgers.)
 
     Under an adversary ({!Massbft_adversary.Adversary}), pass the run's
     [compromised] predicate and [evidence] log: safety comparisons then
@@ -74,8 +74,8 @@ val check_now : t -> unit
 (** One polling pass, incremental over the growth since the last. *)
 
 val finalize : t -> unit
-(** End-of-run pass: a last {!check_now}, ledger verification, and the
-    execution-determinism comparison. Call after the simulation. *)
+(** End-of-run pass: a last {!check_now} and ledger verification. Call
+    after the simulation. *)
 
 val violations : t -> violation list
 (** Oldest first. *)

@@ -20,9 +20,6 @@ val lan_bps : float
 val cores : int
 (** 8. *)
 
-val nationwide_sites : string array
-(** 7 data-center names, in the order groups are assigned. *)
-
 val nationwide :
   ?group_sizes:int array -> ?nodes_per_group:int -> ?groups:int -> unit ->
   Massbft_sim.Topology.spec

@@ -513,11 +513,35 @@ let ablations ?(quick = false) () =
 (* Tables I and II                                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* Table II as configured: each row reads the system's strategies from
+   [Config], the same functions the engine resolves them by. *)
 let tables () =
-  let feature sys repl glob order coding =
+  let repl = function
+    | Config.Leader_oneway -> "one-way (leader)"
+    | Config.Bijective_full -> "bijective (full)"
+    | Config.Encoded_bijective -> "encoded bijective"
+  in
+  let global = function
+    | Config.Single_raft -> "single Raft"
+    | Config.Per_group_raft -> "per-group Raft"
+    | Config.Direct_broadcast -> "broadcast"
+  in
+  let order = function
+    | Config.Global_log -> "global log"
+    | Config.Epoch_rounds _ -> "sync epochs"
+    | Config.Sync_rounds -> "sync rounds"
+    | Config.Async_vts -> "async VTS"
+  in
+  let feature sys =
+    let r = Config.replication_of sys in
     {
-      label = Printf.sprintf "%-9s  repl=%-18s global=%-15s order=%-12s coding=%s"
-          sys repl glob order coding;
+      label =
+        Printf.sprintf "%-9s  repl=%-18s global=%-15s order=%-12s coding=%s"
+          (Config.system_name sys) (repl r)
+          (global (Config.global_of sys))
+          (order (Config.ordering_of sys))
+          (if r = Config.Encoded_bijective then "erasure-coded"
+           else "entire block");
       cells = [];
     }
   in
@@ -526,15 +550,8 @@ let tables () =
     title = "Tables I/II: systems implemented in this engine";
     expectation = "feature matrix as configured by Config.system";
     rows =
-      [
-        feature "Steward" "one-way (leader)" "single Raft" "global log" "entire block";
-        feature "ISS" "one-way (leader)" "per-group Raft" "sync epochs" "entire block";
-        feature "GeoBFT" "one-way (leader)" "broadcast" "sync rounds" "entire block";
-        feature "Baseline" "one-way (leader)" "per-group Raft" "sync rounds" "entire block";
-        feature "BR" "bijective (full)" "per-group Raft" "sync rounds" "entire block";
-        feature "EBR" "encoded bijective" "per-group Raft" "sync rounds" "erasure-coded";
-        feature "MassBFT" "encoded bijective" "per-group Raft" "async VTS" "erasure-coded";
-      ];
+      List.map feature
+        Config.[ Steward; Iss; Geobft; Baseline; Br; Ebr; Massbft ];
   }
 
 let all =

@@ -36,16 +36,6 @@ let label_block labels =
       in
       "{" ^ String.concat "," pairs ^ "}"
 
-(* le-labelled block for histogram bucket lines. *)
-let bucket_label_block labels le =
-  let pairs =
-    List.map
-      (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label_value v))
-      labels
-    @ [ Printf.sprintf "le=\"%s\"" le ]
-  in
-  "{" ^ String.concat "," pairs ^ "}"
-
 let prometheus registry =
   let buf = Buffer.create 4096 in
   let last_header = ref "" in
@@ -67,25 +57,7 @@ let prometheus registry =
       | Registry.P_gauge g ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %s\n" s.name (label_block s.labels)
-               (Json.number g))
-      | Registry.P_histogram { cumulative; sum; count } ->
-          List.iter
-            (fun (bound, c) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" s.name
-                   (bucket_label_block s.labels (Json.number bound))
-                   c))
-            cumulative;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket%s %d\n" s.name
-               (bucket_label_block s.labels "+Inf")
-               count);
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %s\n" s.name (label_block s.labels)
-               (Json.number sum));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" s.name (label_block s.labels)
-               count))
+               (Json.number g)))
     (Registry.collect registry);
   Buffer.contents buf
 
@@ -117,17 +89,7 @@ let json registry =
           Buffer.add_string buf (Printf.sprintf ",\"value\":%d" c)
       | Registry.P_gauge g ->
           Buffer.add_string buf
-            (Printf.sprintf ",\"value\":%s" (Json.number g))
-      | Registry.P_histogram { cumulative; sum; count } ->
-          Buffer.add_string buf ",\"buckets\":[";
-          List.iteri
-            (fun j (bound, c) ->
-              if j > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf
-                (Printf.sprintf "{\"le\":%s,\"count\":%d}" (Json.number bound) c))
-            cumulative;
-          Buffer.add_string buf
-            (Printf.sprintf "],\"sum\":%s,\"count\":%d" (Json.number sum) count));
+            (Printf.sprintf ",\"value\":%s" (Json.number g)));
       Buffer.add_string buf "}")
     (Registry.collect registry);
   Buffer.add_string buf "\n]\n";

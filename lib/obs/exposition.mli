@@ -6,13 +6,9 @@
 val prometheus : Registry.t -> string
 (** Prometheus text exposition (version 0.0.4): one [# HELP] (when
     non-empty) and [# TYPE] line per family, then one line per series.
-    Histograms expand to cumulative [_bucket] lines with [le] labels
-    (plus [+Inf]), [_sum] and [_count]. Label values are escaped per
-    the format (backslash, double quote, newline). *)
+    Label values are escaped per the format (backslash, double quote,
+    newline). *)
 
 val json : Registry.t -> string
-(** A JSON array of series objects with [name], [kind], [labels], and
-    either [value] or [buckets]/[sum]/[count] fields. *)
-
-val escape_label_value : string -> string
-(** Exposed for the round-trip parser test. *)
+(** A JSON array of series objects with [name], [kind], [labels] and
+    [value] fields. *)

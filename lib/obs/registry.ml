@@ -1,28 +1,19 @@
 type labels = (string * string) list
 
-type kind = Counter | Gauge | Histogram
+type kind = Counter | Gauge
 
 let kind_to_string = function
   | Counter -> "counter"
   | Gauge -> "gauge"
-  | Histogram -> "histogram"
 
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
-
-type histogram = {
-  h_bounds : float array;  (* ascending upper bounds, exclusive of +inf *)
-  h_counts : int array;  (* length = bounds + 1 (overflow) *)
-  mutable h_sum : float;
-  mutable h_count : int;
-}
 
 type value =
   | V_counter of counter
   | V_counter_fn of (unit -> int)
   | V_gauge of gauge
   | V_gauge_fn of (unit -> float)
-  | V_histogram of histogram
 
 type series = { s_labels : labels; s_value : value }
 
@@ -98,43 +89,9 @@ let gauge_fn t ~name ?(help = "") labels fn =
   let f = family t ~name ~help Gauge in
   add_series f ~labels (V_gauge_fn fn)
 
-let histogram t ~name ?(help = "") ~buckets labels =
-  if Array.length buckets = 0 then
-    invalid_arg "Registry.histogram: need at least one bucket bound";
-  Array.iteri
-    (fun i b ->
-      if i > 0 && buckets.(i - 1) >= b then
-        invalid_arg "Registry.histogram: bucket bounds must be increasing")
-    buckets;
-  let f = family t ~name ~help Histogram in
-  let h =
-    {
-      h_bounds = Array.copy buckets;
-      h_counts = Array.make (Array.length buckets + 1) 0;
-      h_sum = 0.0;
-      h_count = 0;
-    }
-  in
-  add_series f ~labels (V_histogram h);
-  h
-
-let observe h v =
-  let n = Array.length h.h_bounds in
-  let rec slot i = if i >= n || v <= h.h_bounds.(i) then i else slot (i + 1) in
-  let i = slot 0 in
-  h.h_counts.(i) <- h.h_counts.(i) + 1;
-  h.h_sum <- h.h_sum +. v;
-  h.h_count <- h.h_count + 1
-
-let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
-
 (* ---- snapshots for the exporters ---- *)
 
-type point =
-  | P_counter of int
-  | P_gauge of float
-  | P_histogram of { cumulative : (float * int) list; sum : float; count : int }
+type point = P_counter of int | P_gauge of float
 
 type sample = { name : string; help : string; kind : kind; labels : labels; point : point }
 
@@ -145,16 +102,6 @@ let sample_of_series f s =
     | V_counter_fn fn -> P_counter (fn ())
     | V_gauge g -> P_gauge g.g
     | V_gauge_fn fn -> P_gauge (fn ())
-    | V_histogram h ->
-        let acc = ref 0 in
-        let cumulative =
-          List.init
-            (Array.length h.h_bounds)
-            (fun i ->
-              acc := !acc + h.h_counts.(i);
-              (h.h_bounds.(i), !acc))
-        in
-        P_histogram { cumulative; sum = h.h_sum; count = h.h_count }
   in
   { name = f.f_name; help = f.f_help; kind = f.f_kind; labels = s.s_labels; point }
 

@@ -18,7 +18,7 @@ type labels = (string * string) list
 (** Label pairs. Order is irrelevant: series identity uses the
     key-sorted form. Duplicate keys keep an arbitrary single entry. *)
 
-type kind = Counter | Gauge | Histogram
+type kind = Counter | Gauge
 
 val kind_to_string : kind -> string
 
@@ -55,32 +55,12 @@ val gauge_fn : t -> name:string -> ?help:string -> labels -> (unit -> float) -> 
     for values that already live in protocol state (queue lengths,
     roles) so sampling stays read-only. *)
 
-type histogram
-(** Fixed-bucket distribution: observations land in the first bucket
-    whose upper bound is [>=] the value, or the implicit [+inf]
-    overflow bucket. *)
-
-val histogram :
-  t -> name:string -> ?help:string -> buckets:float array -> labels -> histogram
-(** [buckets] are strictly increasing finite upper bounds; the [+inf]
-    bucket is implicit. The array is copied. *)
-
-val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
-val histogram_sum : histogram -> float
-
 (** {1 Snapshots}
 
     Exporters consume an immutable snapshot; polled gauges are
     evaluated here. *)
 
-type point =
-  | P_counter of int
-  | P_gauge of float
-  | P_histogram of { cumulative : (float * int) list; sum : float; count : int }
-      (** [cumulative] pairs each finite bound with the count of
-          observations [<=] it (Prometheus [le] semantics); [count]
-          includes the overflow bucket. *)
+type point = P_counter of int | P_gauge of float
 
 type sample = { name : string; help : string; kind : kind; labels : labels; point : point }
 

@@ -15,8 +15,11 @@
    executing it applies the flip at the same logical position (the
    [reconfig_apply] seam). A joining group's leader is activated by
    cloning the first executor's replicated state at that exact cut, so
-   it resumes with the incumbents' store fingerprint, ledger head and
-   ordering state, then proposes its own entries from the next epoch. *)
+   it resumes with the incumbents' ledger head and ordering state, then
+   proposes its own entries from the next epoch. The database itself is
+   the deployment's one shared store (entries execute once), so the
+   transfer is modelled by its cost — bytes priced from the store's
+   size — and nothing is copied. *)
 
 module Sim = Massbft_sim.Sim
 module Topology = Massbft_sim.Topology
@@ -62,8 +65,6 @@ type join_report = {
   j_retries : int;
   j_started : float;
   j_activated : float;
-  j_fingerprint : string;  (* joiner store fingerprint at activation *)
-  j_src_fingerprint : string;  (* clone source's, same instant *)
   j_height : int;
   j_src_height : int;
   j_head : string;
@@ -241,7 +242,7 @@ let start_transfer t ~wire ~gid ~dst ~lan =
   in
   let dl = c.N.leaders.(donor) in
   let bytes =
-    (Kvstore.size dl.N.l_store * 96)
+    (Kvstore.size c.N.shared_store * 96)
     + (Ledger.height dl.N.l_ledger * 160)
     + 4096
   in
@@ -320,7 +321,6 @@ let activate_node t g wire =
   realign t g;
   let x = Hashtbl.find_opt t.pending wire in
   let l = c.N.leaders.(g) in
-  let fp = Kvstore.fingerprint l.N.l_store in
   let h = Ledger.height l.N.l_ledger and hh = Ledger.head_hash l.N.l_ledger in
   add_join t
     {
@@ -332,8 +332,6 @@ let activate_node t g wire =
       j_retries = (match x with Some x -> x.x_retries | None -> 0);
       j_started = (match x with Some x -> x.x_started | None -> N.now c);
       j_activated = N.now c;
-      j_fingerprint = fp;
-      j_src_fingerprint = fp;
       j_height = h;
       j_src_height = h;
       j_head = hh;
@@ -395,7 +393,7 @@ let expel_group t g =
 
 (* The consistent-cut clone: the first member leader to execute the
    admission boundary has, at that instant, exactly the agreed pre-epoch
-   state — store, ledger, ordering and commit bookkeeping. The joiner
+   state — ledger, ordering and commit bookkeeping. The joiner
    adopts all of it, marks every global-consensus commit index at or
    below the cut as transferred history (anti-entropy backfills the
    rest under [l_skip_commits_below]), and starts proposing in the next
@@ -406,8 +404,6 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
   c.N.active_n.(gid) <- size;
   c.N.g_member.(gid) <- true;
   if not c.N.strat.N.ord.N.o_rounds then c.N.member_from.(gid) <- 0;
-  if dst.N.l_store != src.N.l_store then
-    Kvstore.copy_into ~src:src.N.l_store ~dst:dst.N.l_store;
   List.iter
     (fun (b : Ledger.block) ->
       ignore
@@ -421,6 +417,11 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
   Entry_tbl.iter
     (fun k v -> Entry_tbl.replace dst.N.l_committed_unexec k v)
     src.N.l_committed_unexec;
+  (* Marks below the cut's next round are implied by [l_next_round]. *)
+  Entry_tbl.filter_map_inplace
+    (fun (k : Types.entry_id) v ->
+      if k.Types.seq < src.N.l_next_round then None else Some v)
+    dst.N.l_round_ready;
   Entry_tbl.iter
     (fun k v -> Entry_tbl.replace dst.N.l_round_ready k v)
     src.N.l_round_ready;
@@ -500,8 +501,6 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
       j_retries = (match x with Some x -> x.x_retries | None -> 0);
       j_started = (match x with Some x -> x.x_started | None -> N.now c);
       j_activated = N.now c;
-      j_fingerprint = Kvstore.fingerprint dst.N.l_store;
-      j_src_fingerprint = Kvstore.fingerprint src.N.l_store;
       j_height = Ledger.height dst.N.l_ledger;
       j_src_height = Ledger.height src.N.l_ledger;
       j_head = Ledger.head_hash dst.N.l_ledger;
@@ -689,8 +688,8 @@ let epochs t = Entry_tbl.length t.applied
      command at the same position in its executed stream;
    - on-chain record: each boundary is a zero-txn block in the
      coordinator's ledger;
-   - join state transfer: at activation the joiner's store fingerprint,
-     ledger height and head hash equalled the clone source's;
+   - join state transfer: at activation the joiner's ledger height and
+     head hash equalled the clone source's;
    - join chain agreement: a joined group's ledger stays a prefix-
      consistent replica of the coordinator's afterwards. *)
 let final_violations t =
@@ -745,10 +744,6 @@ let final_violations t =
   end;
   List.iter
     (fun j ->
-      if j.j_fingerprint <> j.j_src_fingerprint then
-        add "join_state_transfer"
-          (Printf.sprintf "g%d activated with a store diverging from g%d"
-             j.j_gid j.j_donor);
       if j.j_height <> j.j_src_height || j.j_head <> j.j_src_head then
         add "join_state_transfer"
           (Printf.sprintf
@@ -764,15 +759,7 @@ let final_violations t =
         let m = min (Ledger.height lj) (Ledger.height l0) in
         if p < m then
           add "join_chain_agreement"
-            (Printf.sprintf "g%d diverges from g0 at height %d" j.j_gid p);
-        if
-          Ledger.height lj = Ledger.height l0
-          && Engine.leader_store_fingerprint t.eng ~gid:j.j_gid
-             <> Engine.leader_store_fingerprint t.eng ~gid:0
-        then
-          add "join_exec_determinism"
-            (Printf.sprintf
-               "g%d equal-height store fingerprint differs from g0" j.j_gid)
+            (Printf.sprintf "g%d diverges from g0 at height %d" j.j_gid p)
       end)
     t.joins;
   List.rev !vs

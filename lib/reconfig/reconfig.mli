@@ -38,8 +38,6 @@ type join_report = {
   j_retries : int;
   j_started : float;
   j_activated : float;
-  j_fingerprint : string;
-  j_src_fingerprint : string;
   j_height : int;
   j_src_height : int;
   j_head : string;
@@ -66,5 +64,5 @@ val epochs : t -> int
 val final_violations : t -> (string * string) list
 (** End-of-run epoch-aware checks as (check, detail) pairs: boundary
     agreement across leaders, the on-chain config record, join-time
-    state-transfer equality, and post-join chain/exec agreement between
-    the joined group and the coordinator. Empty means clean. *)
+    ledger equality with the clone source, and post-join chain agreement
+    between the joined group and the coordinator. Empty means clean. *)

@@ -78,7 +78,6 @@ let reserve ?(bulk = false) t ~bytes =
 
 let transmit ?bulk t ~bytes k = ignore (Sim.at t.sim (reserve ?bulk t ~bytes) k)
 
-let busy_until t = t.busy_until
 let ctrl_busy_until t = t.ctrl_busy_until
 let bytes_sent t = t.bulk_bytes_sent + t.ctrl_bytes_sent
 let class_bytes_sent t = function

@@ -50,10 +50,6 @@ val set_trace : t -> Massbft_trace.Trace.t -> gid:int -> node:int -> link:string
     serialization; both carry the link label (suffixed [".bulk"] for
     the bulk class) and frame size. Defaults to the disabled sink. *)
 
-val busy_until : t -> float
-(** The virtual time at which the bulk-class queue drains; [now] or
-    earlier when idle. *)
-
 val ctrl_busy_until : t -> float
 (** Same for the control-class queue. *)
 

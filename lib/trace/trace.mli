@@ -115,8 +115,6 @@ val span :
 type open_span
 (** Handle for a span whose end is not yet known. *)
 
-val null_span : open_span
-
 val span_begin :
   t ->
   ?ts:float ->
@@ -127,9 +125,9 @@ val span_begin :
   ?args:(string * value) list ->
   string ->
   open_span
-(** Emits a Span_begin and returns the handle to close it with.
-    Returns {!null_span} on a disabled sink. *)
+(** Emits a Span_begin and returns the handle to close it with. On a
+    disabled sink the handle is inert. *)
 
 val span_end : t -> ?ts:float -> ?args:(string * value) list -> open_span -> unit
 (** Emits the matching Span_end (same id, name and identity as the
-    begin). No-op for {!null_span}. *)
+    begin). No-op for an inert handle. *)

@@ -70,7 +70,7 @@ let take (c : N.t) =
         ("entry registry", words (c.N.entries, c.N.by_digest));
         ("VTS stamp tables", words (per_leader c (fun l -> l.N.l_ts)));
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));
-        ("stores", words (c.N.shared_store, per_leader c (fun l -> l.N.l_store)));
+        ("store", words c.N.shared_store);
         ("metrics", words c.N.metrics);
       ];
     pbft_votes = fold_pbft c Pbft.retained_votes;

@@ -1,8 +1,8 @@
 (* Integration tests: full protocol deployments over the simulated
    cluster. These check system-level properties — progress for every
    system, agreement on execution order and ledgers across groups,
-   state convergence with independent stores, Byzantine chunk tampering
-   tolerance, and group-crash takeover with VTS continuation. *)
+   Byzantine chunk tampering tolerance, and group-crash takeover with
+   VTS continuation. *)
 
 module Sim = Massbft_sim.Sim
 module Topology = Massbft_sim.Topology
@@ -115,28 +115,6 @@ let test_ledger_agreement () =
   let common = min (Ledger.height la) (Ledger.height lb) in
   check_bool "nonempty ledgers" true (common > 5);
   check_int "hash-linked prefix identical" common (Ledger.equal_prefix la lb)
-
-let test_store_convergence_independent () =
-  (* With independent stores, leaders that executed the same number of
-     entries hold byte-identical databases. *)
-  let cfg = { (small_cfg ()) with Config.independent_stores = true } in
-  let eng, _, _ = run_engine ~cfg () in
-  let counts =
-    List.map (fun g -> List.length (Engine.executed_ids eng ~gid:g)) [ 0; 1; 2 ]
-  in
-  check_bool "executed something" true (List.for_all (fun c -> c > 5) counts);
-  (match counts with
-  | [ a; b; c ] when a = b && b = c ->
-      let f0 = Engine.leader_store_fingerprint eng ~gid:0 in
-      let f1 = Engine.leader_store_fingerprint eng ~gid:1 in
-      let f2 = Engine.leader_store_fingerprint eng ~gid:2 in
-      Alcotest.(check string) "stores 0~1 converge" f0 f1;
-      Alcotest.(check string) "stores 0~2 converge" f0 f2
-  | _ ->
-      (* Progress differed; agreement on the common prefix was already
-         checked above. *)
-      ());
-  ignore (Engine.store_fingerprint eng)
 
 let test_determinism_across_runs () =
   (* Same seed, same cluster: identical executed order and identical
@@ -714,7 +692,6 @@ let () =
         [
           Alcotest.test_case "execution order across groups" `Slow test_execution_agreement;
           Alcotest.test_case "ledger prefix" `Quick test_ledger_agreement;
-          Alcotest.test_case "store convergence" `Quick test_store_convergence_independent;
           Alcotest.test_case "run determinism" `Quick test_determinism_across_runs;
           Alcotest.test_case "per-group FIFO" `Quick test_per_group_fifo_execution;
         ] );

@@ -303,7 +303,7 @@ let test_drill_recovery_and_tamper_safety () =
   (* The §VI-E drill at test scale: Byzantine chunk tampering from 1 s,
      a whole data center down at 4 s, restored at 6 s. Invariants stay
      green throughout (a tampered chunk reaching a ledger would break
-     replica_prefix / cross_chain / exec_determinism), and throughput
+     replica_prefix / cross_chain / ledger_integrity), and throughput
      well after the restore recovers to >= 80% of the pre-crash rate. *)
   let crash_at = 4.0 and recover_at = 6.0 and until = 18.0 in
   let cfg = small_cfg () in

@@ -66,22 +66,6 @@ let test_polled_instruments () =
       | n, _ -> Alcotest.failf "unexpected sample %s" n)
     (Registry.collect reg)
 
-let test_histogram_buckets () =
-  let reg = Registry.create () in
-  let h = Registry.histogram reg ~name:"lat" ~buckets:[| 0.1; 1.0 |] [] in
-  Registry.observe h 0.05;
-  Registry.observe h 0.5;
-  Registry.observe h 5.0;
-  check_int "count includes overflow" 3 (Registry.histogram_count h);
-  check_float "sum" 5.55 (Registry.histogram_sum h);
-  match Registry.collect reg with
-  | [ { Registry.point = P_histogram { cumulative; sum; count }; _ } ] ->
-      check_bool "cumulative le semantics" true
-        (cumulative = [ (0.1, 1); (1.0, 2) ]);
-      check_float "snapshot sum" 5.55 sum;
-      check_int "snapshot count" 3 count
-  | _ -> Alcotest.fail "expected one histogram sample"
-
 let test_registration_rules () =
   let reg = Registry.create () in
   ignore (Registry.counter reg ~name:"x_total" [ ("a", "1"); ("b", "2") ]);
@@ -94,10 +78,7 @@ let test_registration_rules () =
     (raises_invalid (fun () ->
          ignore (Registry.gauge reg ~name:"x_total" [ ("a", "9") ])));
   check_bool "bad metric name rejected" true
-    (raises_invalid (fun () -> ignore (Registry.counter reg ~name:"9bad" [])));
-  check_bool "non-increasing buckets rejected" true
-    (raises_invalid (fun () ->
-         ignore (Registry.histogram reg ~name:"h" ~buckets:[| 1.0; 1.0 |] [])))
+    (raises_invalid (fun () -> ignore (Registry.counter reg ~name:"9bad" [])))
 
 let test_collect_sorted () =
   let reg = Registry.create () in
@@ -174,20 +155,6 @@ let valid_metric_name s =
        (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
        s
 
-let strip_suffix name =
-  let drop sfx =
-    let ls = String.length sfx and ln = String.length name in
-    if ln > ls && String.sub name (ln - ls) ls = sfx then
-      Some (String.sub name 0 (ln - ls))
-    else None
-  in
-  match drop "_bucket" with
-  | Some b -> b
-  | None -> (
-      match drop "_sum" with
-      | Some b -> b
-      | None -> ( match drop "_count" with Some b -> b | None -> name))
-
 let nasty = "a\"b\\c\nd"
 
 let round_trip_registry () =
@@ -196,10 +163,6 @@ let round_trip_registry () =
   Registry.inc ~by:41 c;
   let g = Registry.gauge reg ~name:"rt_depth" ~help:"queue \"depth\"" [] in
   Registry.set g 2.25;
-  let h = Registry.histogram reg ~name:"rt_lat" ~buckets:[| 0.1; 1.0 |] [] in
-  Registry.observe h 0.05;
-  Registry.observe h 0.5;
-  Registry.observe h 5.0;
   reg
 
 let test_prometheus_round_trip () =
@@ -216,7 +179,7 @@ let test_prometheus_round_trip () =
         | [ _; _; name; kind ] ->
             check_bool ("TYPE name valid: " ^ name) true (valid_metric_name name);
             check_bool ("TYPE kind valid: " ^ kind) true
-              (List.mem kind [ "counter"; "gauge"; "histogram" ]);
+              (List.mem kind [ "counter"; "gauge" ]);
             Hashtbl.replace types name kind
         | _ -> Alcotest.failf "malformed TYPE line: %s" line
       end
@@ -228,7 +191,7 @@ let test_prometheus_round_trip () =
         let name, labels, value = parse_series_line line in
         check_bool ("series name valid: " ^ name) true (valid_metric_name name);
         check_bool ("TYPE precedes series: " ^ name) true
-          (Hashtbl.mem types (strip_suffix name));
+          (Hashtbl.mem types name);
         series := (name, labels, value) :: !series
       end)
     lines;
@@ -239,21 +202,9 @@ let test_prometheus_round_trip () =
       check_string "nasty label round-trips" nasty v;
       check_float "counter value" 41.0 x
   | _ -> Alcotest.fail "rt_reqs_total series missing");
-  (match find "rt_depth" with
+  match find "rt_depth" with
   | [ (_, [], x) ] -> check_float "gauge value" 2.25 x
-  | _ -> Alcotest.fail "rt_depth series missing");
-  let buckets = find "rt_lat_bucket" in
-  check_int "3 bucket lines (incl +Inf)" 3 (List.length buckets);
-  let le l = List.assoc "le" l in
-  let counts = List.map (fun (_, l, v) -> (le l, v)) buckets in
-  check_bool "cumulative bucket counts" true
-    (counts = [ ("0.1", 1.0); ("1", 2.0); ("+Inf", 3.0) ]);
-  (match find "rt_lat_count" with
-  | [ (_, _, x) ] -> check_float "_count equals +Inf bucket" 3.0 x
-  | _ -> Alcotest.fail "rt_lat_count missing");
-  match find "rt_lat_sum" with
-  | [ (_, _, x) ] -> check_float "_sum" 5.55 x
-  | _ -> Alcotest.fail "rt_lat_sum missing"
+  | _ -> Alcotest.fail "rt_depth series missing"
 
 let test_prometheus_deterministic () =
   let a = Exposition.prometheus (round_trip_registry ()) in
@@ -270,7 +221,6 @@ let test_json_well_formed () =
     go 0
   in
   check_bool "counter present" true (contains "\"rt_reqs_total\"");
-  check_bool "histogram fields" true (contains "\"buckets\"");
   check_bool "newline escaped" true (contains "\\n")
 
 let test_fmt_float () =
@@ -413,6 +363,42 @@ let test_saturation_baseline_wan () =
       check_bool "leader uplink hot in result" true
         (List.exists (fun b -> b > 0.5) r.Runner.leader_wan_busy)
 
+(* The round-barrier gauge counts marks of open rounds only: closing a
+   round drops its marks, and proposals run at most [pipeline] rounds
+   ahead, so no leader ever holds more than ng × pipeline. *)
+let test_round_ready_bounded () =
+  let obs = fresh_sampler () in
+  let cfg = quick_cfg ~scale:0.01 Config.Baseline in
+  let r =
+    Runner.run ~warmup:1.0 ~duration:6.0 ~obs
+      ~spec:(Clusters.nationwide ~nodes_per_group:4 ())
+      ~cfg ()
+  in
+  check_bool "made progress" true (r.Runner.entries_executed > 0);
+  let rows = Sampler.rows obs in
+  (* The largest value any leader's series of [name] took at any tick. *)
+  let peak name =
+    let cols =
+      List.concat
+        (List.mapi
+           (fun i (n, _) -> if n = name then [ i ] else [])
+           (Sampler.columns obs))
+    in
+    List.fold_left
+      (fun acc (_, row) ->
+        List.fold_left (fun acc i -> Float.max acc row.(i)) acc cols)
+      0.0 rows
+  in
+  check_bool "rows recorded" true (rows <> []);
+  let bound = 3 * cfg.Config.pipeline in
+  check_bool "rounds closed beyond the bound" true
+    (peak "massbft_ordering_next_round" > float_of_int bound);
+  let ready = peak "massbft_ordering_round_ready" in
+  check_bool
+    (Printf.sprintf "round_ready peak %.0f <= ng x pipeline = %d" ready bound)
+    true
+    (ready <= float_of_int bound)
+
 let test_saturation_massbft_cpu () =
   (* Figure 13a: with 16 nodes per group, MassBFT's signature
      verification makes the CPU the binding resource. (With much larger
@@ -492,7 +478,6 @@ let () =
           Alcotest.test_case "counter basics" `Quick test_counter_basics;
           Alcotest.test_case "gauge basics" `Quick test_gauge_basics;
           Alcotest.test_case "polled instruments" `Quick test_polled_instruments;
-          Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
           Alcotest.test_case "registration rules" `Quick test_registration_rules;
           Alcotest.test_case "collect sorted" `Quick test_collect_sorted;
         ] );
@@ -516,6 +501,8 @@ let () =
             test_observed_run_bit_identical;
           Alcotest.test_case "baseline binds on leader wan_up" `Slow
             test_saturation_baseline_wan;
+          Alcotest.test_case "round barrier keeps open rounds only" `Quick
+            test_round_ready_bounded;
           Alcotest.test_case "massbft 16/group binds on cpu" `Slow
             test_saturation_massbft_cpu;
           Alcotest.test_case "cli run writes every export" `Quick

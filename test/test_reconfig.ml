@@ -184,9 +184,8 @@ let test_empty_plan_is_byte_identical () =
 (* ------------------------------------------------------------------ *)
 
 let test_join_receipt () =
-  (* A node join must activate with the donor's exact store fingerprint
-     and committed prefix, and every epoch-aware end-of-run check must
-     come back clean. *)
+  (* A node join must activate with the donor's committed prefix, and
+     every epoch-aware end-of-run check must come back clean. *)
   let cfg = small_cfg () in
   let spec = small_spec () in
   let plan = [ { R.at = 2.0; cmd = R.Add_node 1 } ] in
@@ -205,8 +204,6 @@ let test_join_receipt () =
   | [ j ] ->
       check_int "joined g1" 1 j.Reconfig.j_gid;
       check_bool "transfer moved bytes" true (j.Reconfig.j_bytes > 0);
-      check_string "store fingerprint matches the donor's"
-        j.Reconfig.j_src_fingerprint j.Reconfig.j_fingerprint;
       check_int "ledger height matches the donor's" j.Reconfig.j_src_height
         j.Reconfig.j_height;
       check_string "head hash matches the donor's" j.Reconfig.j_src_head
