@@ -2,7 +2,8 @@
    (SHA-256, HMAC, Merkle trees, GF arithmetic, Reed-Solomon coding
    over both GF(256) and GF(65536), transfer plans, chunker/rebuild,
    VTS ordering, Aria execution on YCSB and TPC-C, PBFT rounds, and the
-   simulator core including a schedule/cancel/poll churn case).
+   simulator core including a schedule/cancel/poll churn case and one
+   network hop through the topology).
 
    A library rather than part of the bench executable so the CLI's
    [massbft bench] subcommand can run the same suite — the regression
@@ -27,6 +28,8 @@ module Kvstore = Massbft_exec.Kvstore
 module W = Massbft_workload.Workload
 module Pbft = Massbft_consensus.Pbft
 module Sim = Massbft_sim.Sim
+module Topology = Massbft_sim.Topology
+module Clusters = Massbft_harness.Clusters
 module Bench_report = Massbft_harness.Bench_report
 
 (* ------------------------------------------------------------------ *)
@@ -295,6 +298,24 @@ let bench_sim_churn =
          assert (!fired = 1_000 && Sim.pending sim = 0);
          ignore !acc))
 
+(* One fault-free WAN control message and one LAN bulk chunk through
+   [Topology.send], from send to delivery, on the paper's nationwide
+   3x7 cluster: the path every message of a macro row takes (uplink
+   reservation, arrival event, downlink, delivery event). The NICs are
+   idle again when each run ends. *)
+let bench_remote_send =
+  let sim = Sim.create ~shards:3 () in
+  let topo = Topology.create sim (Clusters.nationwide ()) in
+  let src = { Topology.g = 0; n = 0 } in
+  let wan_dst = { Topology.g = 1; n = 0 } and lan_dst = { Topology.g = 0; n = 1 } in
+  let delivered = ref 0 in
+  let deliver () = incr delivered in
+  Test.make ~name:"sim/remote-send"
+    (Staged.stage (fun () ->
+         Topology.send ~bulk:false topo ~src ~dst:wan_dst ~bytes:Types.vote_bytes deliver;
+         Topology.send ~bulk:true topo ~src ~dst:lan_dst ~bytes:16_384 deliver;
+         Sim.run_until_idle sim ()))
+
 let micro_tests =
   [
     bench_sha256; bench_hmac; bench_merkle_build; bench_merkle_verify;
@@ -304,7 +325,7 @@ let micro_tests =
     bench_rs16_encode; bench_rs16_decode; bench_plan;
     bench_chunker; bench_rebuild; bench_orderer; bench_ycsb_batch; bench_aria;
     bench_aria_tpcc; bench_pbft;
-    bench_sim; bench_sim_churn;
+    bench_sim; bench_sim_churn; bench_remote_send;
   ]
 
 let run_micro ?(print = true) ~quick () =

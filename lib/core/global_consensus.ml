@@ -75,7 +75,7 @@ let ack_guard t (l : leader) inst ~index payload release =
                     if t.strat.ord.o_vts then
                       for j = 0 to t.ng - 1 do
                         if j <> l.l_gid && member_now t j then
-                          send t ~src:l.l_addr ~dst:(leader_addr t j)
+                          send ~bulk:false t ~src:l.l_addr ~dst:(leader_addr t j)
                             ~bytes:Types.vote_bytes (Accept_note { eid })
                       done)))
   | Ts { eid; _ } ->
@@ -289,7 +289,7 @@ let direct_broadcast =
         (* Content arrival is the commitment event: credit the proposer
            and mark the entry's round. *)
         if eid.Types.gid <> l.l_gid then
-          send t ~src:l.l_addr
+          send ~bulk:false t ~src:l.l_addr
             ~dst:(leader_addr t eid.Types.gid)
             ~bytes:Types.vote_bytes (Recv_note { eid });
         Ordering.mark_round_ready t l eid);
@@ -331,7 +331,7 @@ let install t ~n_inst =
               {
                 Raft.send =
                   (fun dst_g rmsg ->
-                    send t ~src:l.l_addr ~dst:(leader_addr t dst_g)
+                    send ~bulk:false t ~src:l.l_addr ~dst:(leader_addr t dst_g)
                       ~bytes:(raft_msg_bytes t rmsg)
                       (Raft_m { inst; rmsg }));
                 on_deliver = (fun ~index:_ p -> on_raft_deliver t l inst p);

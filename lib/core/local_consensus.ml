@@ -68,12 +68,12 @@ let accept_round t (l : leader) ~tag k =
        so duplicated deliveries cannot inflate the tally. *)
     Hashtbl.replace l.l_accept_votes tag
       (ref (ISet.singleton l.l_addr.Topology.n));
-    broadcast_group t ~src:l.l_addr ~bytes:Types.vote_bytes (Accept_req { tag })
+    broadcast_group ~bulk:false t ~src:l.l_addr ~bytes:Types.vote_bytes (Accept_req { tag })
   end
 
 let handle_accept_req t ~(src : Topology.addr) ~(dst : Topology.addr) tag =
   (* Follower's vote in the skip-prepare accept round. *)
-  send t ~src:dst ~dst:src ~bytes:Types.vote_bytes (Accept_vote { tag })
+  send ~bulk:false t ~src:dst ~dst:src ~bytes:Types.vote_bytes (Accept_vote { tag })
 
 let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) tag =
   if is_acting_leader t dst then begin

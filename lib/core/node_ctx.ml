@@ -343,36 +343,37 @@ let copy_bytes t eid =
   let e = entry_of t eid in
   e.size + Types.certificate_bytes ~n:t.active_n.(eid.Types.gid)
 
-let send ?(bulk = false) t ~src ~dst ~bytes m =
-  let ship m =
-    Topology.send ~bulk t.topo ~src ~dst ~bytes (fun () ->
-        t.deliver t ~src ~dst m)
-  in
+let ship t ~bulk ~src ~dst ~bytes m =
+  Topology.send ~bulk t.topo ~src ~dst ~bytes (fun () -> t.deliver t ~src ~dst m)
+
+(* With no adversary hook a send is one [Topology.send]: no per-call
+   closure beyond the delivery continuation. *)
+let send t ~bulk ~src ~dst ~bytes m =
   match t.adv_hook with
-  | None -> ship m
+  | None -> ship t ~bulk ~src ~dst ~bytes m
   | Some hook -> (
       match hook ~src ~dst ~bulk ~bytes m with
-      | None -> ship m
+      | None -> ship t ~bulk ~src ~dst ~bytes m
       | Some ds ->
           (* An empty list withholds the message; a delayed delivery
              holds the rewritten message back before it even reaches the
              sender's NIC (the attacker chooses when to emit). *)
           List.iter
             (fun { adv_msg; adv_delay_s } ->
-              if adv_delay_s <= 0.0 then ship adv_msg
+              if adv_delay_s <= 0.0 then ship t ~bulk ~src ~dst ~bytes adv_msg
               else
                 ignore
                   (Sim.after (sim_of t src.Topology.g) adv_delay_s (fun () ->
-                       ship adv_msg)))
+                       ship t ~bulk ~src ~dst ~bytes adv_msg)))
             ds)
 
 (* Broadcasts cover the group's *active* slots only — a spare past the
    active prefix is dark until its activation epoch. *)
-let broadcast_group ?(bulk = false) t ~src ~bytes m =
+let broadcast_group t ~bulk ~src ~bytes m =
   let gid = src.Topology.g in
   for n = 0 to t.active_n.(gid) - 1 do
     let dst = { Topology.g = gid; n } in
-    if not (Topology.addr_equal src dst) then send ~bulk t ~src ~dst ~bytes m
+    if not (Topology.addr_equal src dst) then send t ~bulk ~src ~dst ~bytes m
   done
 
 let charge_cpu t (a : Topology.addr) seconds k = Cpu.submit (cpu_of t a) ~seconds k

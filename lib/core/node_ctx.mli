@@ -240,18 +240,20 @@ val copy_bytes : t -> Types.entry_id -> int
     PBFT certificate. *)
 
 val send :
-  ?bulk:bool ->
   t ->
+  bulk:bool ->
   src:Topology.addr ->
   dst:Topology.addr ->
   bytes:int ->
   msg ->
   unit
 (** Typed send: charges the topology's NICs/links, then hands the
-    message to the engine's dispatcher ([t.deliver]). *)
+    message to the engine's dispatcher ([t.deliver]). [bulk] selects
+    the NIC service class (entry payloads are bulk, control traffic is
+    not); see {!Topology.send}. *)
 
 val broadcast_group :
-  ?bulk:bool -> t -> src:Topology.addr -> bytes:int -> msg -> unit
+  t -> bulk:bool -> src:Topology.addr -> bytes:int -> msg -> unit
 
 val charge_cpu : t -> Topology.addr -> float -> (unit -> unit) -> unit
 

@@ -150,7 +150,7 @@ and fetch_issue t (l : leader) eid =
       if target <> l.l_gid then begin
         trace_entry t eid "fetch_req" ~gid:l.l_gid ~node:0
           ~args:[ ("target", Trace.Int target) ];
-        send t ~src:l.l_addr ~dst:(leader_addr t target) ~bytes:Types.vote_bytes
+        send ~bulk:false t ~src:l.l_addr ~dst:(leader_addr t target) ~bytes:Types.vote_bytes
           (Fetch_req { eid })
       end;
       (* Capped exponential backoff with deterministic jitter: the base

@@ -2,15 +2,21 @@ module Trace = Massbft_trace.Trace
 
 type cls = Bulk | Ctrl
 
-type t = {
-  sim : Sim.t;
+(* An all-float record is stored flat, so updating these fields on
+   every frame allocates nothing. *)
+type queues = {
   mutable bandwidth_bps : float;
   mutable busy_until : float;  (* bulk-class queue *)
   mutable ctrl_busy_until : float;  (* control-class queue *)
-  mutable bulk_bytes_sent : int;
-  mutable ctrl_bytes_sent : int;
   mutable bulk_busy_s : float;  (* cumulative serialization time accepted *)
   mutable ctrl_busy_s : float;
+}
+
+type t = {
+  sim : Sim.t;
+  q : queues;
+  mutable bulk_bytes_sent : int;
+  mutable ctrl_bytes_sent : int;
   mutable trace : Trace.t;
   mutable tr_gid : int;
   mutable tr_node : int;
@@ -22,24 +28,27 @@ let create sim ~bandwidth_bps =
     invalid_arg "Nic.create: bandwidth must be positive";
   {
     sim;
-    bandwidth_bps;
-    busy_until = 0.0;
-    ctrl_busy_until = 0.0;
+    q =
+      {
+        bandwidth_bps;
+        busy_until = 0.0;
+        ctrl_busy_until = 0.0;
+        bulk_busy_s = 0.0;
+        ctrl_busy_s = 0.0;
+      };
     bulk_bytes_sent = 0;
     ctrl_bytes_sent = 0;
-    bulk_busy_s = 0.0;
-    ctrl_busy_s = 0.0;
     trace = Trace.null;
     tr_gid = -1;
     tr_node = -1;
     tr_link = "";
   }
 
-let bandwidth t = t.bandwidth_bps
+let bandwidth t = t.q.bandwidth_bps
 
 let set_bandwidth t bps =
   if bps <= 0.0 then invalid_arg "Nic.set_bandwidth: bandwidth must be positive";
-  t.bandwidth_bps <- bps
+  t.q.bandwidth_bps <- bps
 
 let set_trace t tr ~gid ~node ~link =
   t.trace <- tr;
@@ -47,22 +56,24 @@ let set_trace t tr ~gid ~node ~link =
   t.tr_node <- node;
   t.tr_link <- link
 
-let reserve ?(bulk = false) t ~bytes =
+let reserve ~bulk t ~bytes =
   if bytes < 0 then invalid_arg "Nic.reserve: negative size";
-  let queue_head = if bulk then t.busy_until else t.ctrl_busy_until in
+  let q = t.q in
+  let queue_head = if bulk then q.busy_until else q.ctrl_busy_until in
   let now = Sim.now t.sim in
-  let start = Float.max now queue_head in
-  let duration = float_of_int bytes *. 8.0 /. t.bandwidth_bps in
+  (* [Float.max] without its call: neither time is NaN. *)
+  let start = if queue_head > now then queue_head else now in
+  let duration = float_of_int bytes *. 8.0 /. q.bandwidth_bps in
   let finish = start +. duration in
   if bulk then begin
-    t.busy_until <- finish;
+    q.busy_until <- finish;
     t.bulk_bytes_sent <- t.bulk_bytes_sent + bytes;
-    t.bulk_busy_s <- t.bulk_busy_s +. duration
+    q.bulk_busy_s <- q.bulk_busy_s +. duration
   end
   else begin
-    t.ctrl_busy_until <- finish;
+    q.ctrl_busy_until <- finish;
     t.ctrl_bytes_sent <- t.ctrl_bytes_sent + bytes;
-    t.ctrl_busy_s <- t.ctrl_busy_s +. duration
+    q.ctrl_busy_s <- q.ctrl_busy_s +. duration
   end;
   if Trace.enabled t.trace then begin
     let link = if bulk then t.tr_link ^ ".bulk" else t.tr_link in
@@ -76,23 +87,23 @@ let reserve ?(bulk = false) t ~bytes =
   end;
   finish
 
-let transmit ?bulk t ~bytes k = ignore (Sim.at t.sim (reserve ?bulk t ~bytes) k)
+let transmit ?(bulk = false) t ~bytes k = ignore (Sim.at t.sim (reserve ~bulk t ~bytes) k)
 
-let ctrl_busy_until t = t.ctrl_busy_until
+let ctrl_busy_until t = t.q.ctrl_busy_until
 let bytes_sent t = t.bulk_bytes_sent + t.ctrl_bytes_sent
 let class_bytes_sent t = function
   | Bulk -> t.bulk_bytes_sent
   | Ctrl -> t.ctrl_bytes_sent
 
 let class_busy_seconds t = function
-  | Bulk -> t.bulk_busy_s
-  | Ctrl -> t.ctrl_busy_s
+  | Bulk -> t.q.bulk_busy_s
+  | Ctrl -> t.q.ctrl_busy_s
 
 let backlog_s t =
   let now = Sim.now t.sim in
   Float.max 0.0
-    (Float.max (t.busy_until -. now) (t.ctrl_busy_until -. now))
+    (Float.max (t.q.busy_until -. now) (t.q.ctrl_busy_until -. now))
 
 let class_backlog_s t cls =
-  let head = match cls with Bulk -> t.busy_until | Ctrl -> t.ctrl_busy_until in
+  let head = match cls with Bulk -> t.q.busy_until | Ctrl -> t.q.ctrl_busy_until in
   Float.max 0.0 (head -. Sim.now t.sim)

@@ -21,7 +21,7 @@ val set_bandwidth : t -> float -> unit
 (** Takes effect for subsequently enqueued transmissions (Figure 14's
     mid-experiment bandwidth mix is configured before the run). *)
 
-val reserve : ?bulk:bool -> t -> bytes:int -> float
+val reserve : bulk:bool -> t -> bytes:int -> float
 (** [reserve t ~bytes] enqueues a [bytes]-sized frame and returns the
     virtual time at which its last bit leaves the interface. Frames
     drain in FIFO order at the configured rate within their class. The
@@ -31,7 +31,9 @@ val reserve : ?bulk:bool -> t -> bytes:int -> float
     can schedule that directly. Raises [Invalid_argument] on a negative
     size.
 
-    [bulk] (default [false]) selects the service class. Control frames
+    [bulk] selects the service class; it is a plain [bool], not an
+    optional argument, so the per-message path boxes nothing to pass
+    it. Control frames
     (votes, acks, consensus metadata) and bulk frames (entry chunks and
     copies) model separate TCP streams: a small control frame is never
     stuck behind a deep bulk queue, which is how real deployments behave
@@ -41,7 +43,7 @@ val reserve : ?bulk:bool -> t -> bytes:int -> float
 
 val transmit : ?bulk:bool -> t -> bytes:int -> (unit -> unit) -> unit
 (** [transmit t ~bytes k] is {!reserve} followed by one event that runs
-    [k] at the returned finish time. *)
+    [k] at the returned finish time. [bulk] defaults to [false]. *)
 
 val set_trace : t -> Massbft_trace.Trace.t -> gid:int -> node:int -> link:string -> unit
 (** Attaches a trace sink and this NIC's identity. Every subsequent

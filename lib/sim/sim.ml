@@ -11,10 +11,9 @@ type state = Pending | Fired | Cancelled
 
 (* The event record is also the cancel handle: its back-reference to
    its shard lets [cancel] maintain the live/garbage accounting without
-   widening the public [cancel : timer -> unit] signature. *)
+   widening the public [cancel : timer -> unit] signature. Its time and
+   seq live in the heap's flat arrays, not in the record. *)
 type timer = {
-  time : float;
-  seq : int;
   fn : unit -> unit;
   owner : t;
   mutable state : state;
@@ -28,12 +27,23 @@ and t = {
   mutable last_trace_at : float;
 }
 
-(* [heap.(0 .. size-1)] is a binary min-heap in (time, seq) order; slots
-   past [size] alias live events (or are stale once the heap empties). *)
+(* The first [size] entries of [times], [seqs] and [slots] form a binary
+   min-heap in (time, seq) order; entry [i]'s event is
+   [events.(slots.(i))]. Sifts move unboxed floats and ints only, so no
+   sift step pays the write barrier: an event is written into [events]
+   once when scheduled, and its slot is cleared (to [idle]) and returned
+   to the [free] stack once when it leaves the heap. All five arrays
+   share one capacity. *)
 and core = {
   mutable shards : t array;
-  mutable heap : timer array;
+  mutable times : Float.Array.t;
+  mutable seqs : int array;
+  mutable slots : int array;
   mutable size : int;
+  mutable events : timer array;
+  mutable free : int array;  (* [free.(0 .. n_free-1)]: unused slots *)
+  mutable n_free : int;
+  idle : timer;  (* fills unused slots, so they keep no closure alive *)
   lookahead : float;
   mutable clock : float;
   mutable next_seq : int;
@@ -41,78 +51,158 @@ and core = {
   mutable trace : Trace.t;
 }
 
-(* Hand-specialized (time, seq) order, inlined into every sift step.
-   Seqs are unique, so this is a strict total order and any correct heap
-   pops events in exactly one sequence. *)
-let[@inline] earlier a b =
-  a.time < b.time || ((not (a.time > b.time)) && a.seq < b.seq)
+(* Hole-based sifts: they compare unboxed times, read seqs only on an
+   exact tie, move the displaced parents/children and write the sifted
+   entry once where it lands. Seqs are unique, so (time, seq) is a
+   strict total order and any correct heap pops events in exactly one
+   sequence. *)
 
-(* Hole-based sifts: move the displaced parents/children, write [e]
-   once where it lands. *)
-let rec sift_up h i e =
-  if i = 0 then h.(0) <- e
-  else
-    let p = (i - 1) / 2 in
-    let pe = h.(p) in
-    if earlier e pe then begin
-      h.(i) <- pe;
-      sift_up h p e
+(* Sifts up the entry just stored at [i]. It carries the newest seq, so
+   on a time tie it is never earlier than its parent: only times are
+   compared on the way up. *)
+let sift_up c i =
+  let times = c.times and seqs = c.seqs and slots = c.slots in
+  let t = Float.Array.unsafe_get times i
+  and seq = Array.unsafe_get seqs i
+  and slot = Array.unsafe_get slots i in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) / 2 in
+    let pt = Float.Array.unsafe_get times p in
+    if t < pt then begin
+      Float.Array.unsafe_set times !i pt;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs p);
+      Array.unsafe_set slots !i (Array.unsafe_get slots p);
+      i := p
     end
-    else h.(i) <- e
+    else moving := false
+  done;
+  Float.Array.unsafe_set times !i t;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
 
-let rec sift_down h size i e =
-  let l = (2 * i) + 1 in
-  if l >= size then h.(i) <- e
-  else
-    let r = l + 1 in
-    let c = if r < size && earlier h.(r) h.(l) then r else l in
-    let ce = h.(c) in
-    if earlier ce e then begin
-      h.(i) <- ce;
-      sift_down h size c e
+(* Sifts the entry at [src] down from [i] within the first [size]. *)
+let sift_down c size i src =
+  let times = c.times and seqs = c.seqs and slots = c.slots in
+  let t = Float.Array.unsafe_get times src
+  and seq = Array.unsafe_get seqs src
+  and slot = Array.unsafe_get slots src in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    if l >= size then moving := false
+    else begin
+      let r = l + 1 in
+      let ch =
+        if r < size then begin
+          let lt = Float.Array.unsafe_get times l
+          and rt = Float.Array.unsafe_get times r in
+          if rt < lt
+             || (rt = lt && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+          then r
+          else l
+        end
+        else l
+      in
+      let ct = Float.Array.unsafe_get times ch
+      and cseq = Array.unsafe_get seqs ch in
+      if ct < t || (ct = t && cseq < seq) then begin
+        Float.Array.unsafe_set times !i ct;
+        Array.unsafe_set seqs !i cseq;
+        Array.unsafe_set slots !i (Array.unsafe_get slots ch);
+        i := ch
+      end
+      else moving := false
     end
-    else h.(i) <- e
+  done;
+  Float.Array.unsafe_set times !i t;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
 
-let push c e =
-  let cap = Array.length c.heap in
-  if c.size = cap then begin
-    let grown = Array.make (if cap = 0 then 256 else 2 * cap) e in
-    Array.blit c.heap 0 grown 0 c.size;
-    c.heap <- grown
-  end;
+(* Doubles the capacity (256 at first); the new slots go on the free
+   stack. *)
+let grow c =
+  let cap = Array.length c.seqs in
+  let cap' = if cap = 0 then 256 else 2 * cap in
+  let times = Float.Array.create cap' and seqs = Array.make cap' 0
+  and slots = Array.make cap' 0 and events = Array.make cap' c.idle
+  and free = Array.make cap' 0 in
+  Float.Array.blit c.times 0 times 0 c.size;
+  Array.blit c.seqs 0 seqs 0 c.size;
+  Array.blit c.slots 0 slots 0 c.size;
+  Array.blit c.events 0 events 0 cap;
+  Array.blit c.free 0 free 0 c.n_free;
+  for slot = cap' - 1 downto cap do
+    free.(c.n_free) <- slot;
+    c.n_free <- c.n_free + 1
+  done;
+  c.times <- times;
+  c.seqs <- seqs;
+  c.slots <- slots;
+  c.events <- events;
+  c.free <- free
+
+(* Inlined into [at] and [after], so a time computed by [after] is
+   stored without being boxed. The slot bookkeeping keeps its bounds
+   checks: a lost slot fails loudly instead of corrupting memory. *)
+let[@inline] push c time seq e =
   let i = c.size in
+  if i = Array.length c.seqs then grow c;
+  c.n_free <- c.n_free - 1;
+  let slot = c.free.(c.n_free) in
+  c.events.(slot) <- e;
   c.size <- i + 1;
-  sift_up c.heap i e
+  Float.Array.unsafe_set c.times i time;
+  Array.unsafe_set c.seqs i seq;
+  Array.unsafe_set c.slots i slot;
+  sift_up c i
 
-(* Removes and returns the minimum; the heap must be non-empty. The
-   vacated tail slot keeps aliasing the (still live) moved element. *)
+let release c slot =
+  c.events.(slot) <- c.idle;
+  c.free.(c.n_free) <- slot;
+  c.n_free <- c.n_free + 1
+
+(* Removes and returns the minimum and advances the clock to its time;
+   the heap must be non-empty. *)
 let pop c =
-  let h = c.heap in
-  let top = h.(0) in
+  let slot = c.slots.(0) in
+  let top = c.events.(slot) in
+  release c slot;
+  c.clock <- Float.Array.get c.times 0;
   let n = c.size - 1 in
   c.size <- n;
-  if n > 0 then sift_down h n 0 h.(n);
+  if n > 0 then sift_down c n 0 n;
   top
 
 let create ?(shards = 1) ?(lookahead = 0.0) () =
   if shards < 1 then invalid_arg "Sim.create: shards must be >= 1";
   if lookahead < 0.0 then invalid_arg "Sim.create: negative lookahead";
-  let core =
+  let rec core =
     {
       shards = [||];
-      heap = [||];
+      times = Float.Array.create 0;
+      seqs = [||];
+      slots = [||];
       size = 0;
+      events = [||];
+      free = [||];
+      n_free = 0;
+      idle;
       lookahead;
       clock = 0.0;
       next_seq = 0;
       garbage = 0;
       trace = Trace.null;
     }
+  and idle = { fn = ignore; owner = shard0; state = Fired }
+  and shard0 =
+    { sid = 0; core; live = 0; dispatched = 0; last_trace_at = neg_infinity }
   in
   core.shards <-
     Array.init shards (fun sid ->
-        { sid; core; live = 0; dispatched = 0; last_trace_at = neg_infinity });
-  core.shards.(0)
+        if sid = 0 then shard0
+        else { sid; core; live = 0; dispatched = 0; last_trace_at = neg_infinity });
+  shard0
 
 let shard t i =
   let shards = t.core.shards in
@@ -135,21 +225,27 @@ let dispatched_total t =
    cannot perturb the event order. *)
 let trace_counter_period = 0.1
 
-let at t time fn =
+let past time now =
+  invalid_arg
+    (Printf.sprintf "Sim.at: scheduling in the past or at NaN (%.9f < %.9f)"
+       time now)
+
+let[@inline] schedule t time fn =
   let c = t.core in
-  if time < c.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.at: scheduling in the past (%.9f < %.9f)" time
-         c.clock);
-  let e = { time; seq = c.next_seq; fn; owner = t; state = Pending } in
-  c.next_seq <- c.next_seq + 1;
-  push c e;
+  (* One comparison rejects both the past and NaN. *)
+  if not (time >= c.clock) then past time c.clock;
+  let e = { fn; owner = t; state = Pending } in
+  let seq = c.next_seq in
+  c.next_seq <- seq + 1;
+  push c time seq e;
   t.live <- t.live + 1;
   e
 
+let at t time fn = schedule t time fn
+
 let after t delay fn =
   if delay < 0.0 then invalid_arg "Sim.after: negative delay";
-  at t (t.core.clock +. delay) fn
+  schedule t (t.core.clock +. delay) fn
 
 (* Below this size an occasional linear pop-through of garbage is
    cheaper than rebuilding; above it, compaction keeps pop cost and
@@ -157,27 +253,33 @@ let after t delay fn =
 let compaction_min_size = 64
 
 (* Drops every cancelled event and re-heapifies bottom-up (Floyd): O(n),
-   no allocation. *)
+   no allocation. An emptied heap gives its arrays back. *)
 let compact c =
-  let h = c.heap in
+  let times = c.times and seqs = c.seqs and slots = c.slots in
   let kept = ref 0 in
   for i = 0 to c.size - 1 do
-    let e = h.(i) in
-    if e.state <> Cancelled then begin
-      h.(!kept) <- e;
+    let slot = slots.(i) in
+    if c.events.(slot).state = Cancelled then release c slot
+    else begin
+      Float.Array.set times !kept (Float.Array.get times i);
+      seqs.(!kept) <- seqs.(i);
+      slots.(!kept) <- slot;
       incr kept
     end
   done;
   let n = !kept in
-  if n = 0 then c.heap <- [||]
-  else begin
-    (* Alias the vacated tail to a live event so dropped ones are
-       reclaimable. *)
-    Array.fill h n (c.size - n) h.(0);
+  if n = 0 then begin
+    c.times <- Float.Array.create 0;
+    c.seqs <- [||];
+    c.slots <- [||];
+    c.events <- [||];
+    c.free <- [||];
+    c.n_free <- 0
+  end
+  else
     for i = (n / 2) - 1 downto 0 do
-      sift_down h n i h.(i)
-    done
-  end;
+      sift_down c n i i
+    done;
   c.size <- n;
   c.garbage <- 0
 
@@ -203,8 +305,8 @@ let pending t = t.live
 let pending_total t = t.core.size - t.core.garbage
 let heap_size t = t.core.size
 
+(* [e] was just popped, so the clock reads its time. *)
 let fire c e =
-  c.clock <- e.time;
   if e.state = Cancelled then c.garbage <- c.garbage - 1
   else begin
     let s = e.owner in
@@ -212,16 +314,17 @@ let fire c e =
     s.live <- s.live - 1;
     s.dispatched <- s.dispatched + 1;
     let tr = c.trace in
-    if Trace.enabled tr && e.time -. s.last_trace_at >= trace_counter_period
+    if Trace.enabled tr && c.clock -. s.last_trace_at >= trace_counter_period
     then begin
       (* One throttle per shard, and on multi-shard sims one counter
          track per shard (gid = shard id), so each group's load reads
          as its own track in the Perfetto export. *)
-      s.last_trace_at <- e.time;
+      let time = c.clock in
+      s.last_trace_at <- time;
       let gid = if Array.length c.shards = 1 then None else Some s.sid in
-      Trace.counter tr ~ts:e.time ~cat:"sim" ?gid "dispatched"
+      Trace.counter tr ~ts:time ~cat:"sim" ?gid "dispatched"
         (float_of_int s.dispatched);
-      Trace.counter tr ~ts:e.time ~cat:"sim" ?gid "pending"
+      Trace.counter tr ~ts:time ~cat:"sim" ?gid "pending"
         (float_of_int s.live)
     end;
     e.fn ()
@@ -229,7 +332,7 @@ let fire c e =
 
 let run t ~until =
   let c = t.core in
-  while c.size > 0 && c.heap.(0).time <= until do
+  while c.size > 0 && Float.Array.get c.times 0 <= until do
     fire c (pop c)
   done;
   if c.clock < until then c.clock <- until

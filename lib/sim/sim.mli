@@ -60,10 +60,11 @@ val dispatched_total : t -> int
 val at : t -> float -> (unit -> unit) -> timer
 (** [at t time f] schedules [f] to run at absolute virtual [time],
     accounted to shard [t]. Raises [Invalid_argument] if [time] is in
-    the past. *)
+    the past or NaN. *)
 
 val after : t -> float -> (unit -> unit) -> timer
-(** [after t delay f] schedules [f] in [delay >= 0] seconds. *)
+(** [after t delay f] schedules [f] in [delay >= 0] seconds; a
+    negative or NaN delay raises [Invalid_argument]. *)
 
 val cancel : timer -> unit
 (** Cancelling an already-fired or cancelled timer is a no-op.

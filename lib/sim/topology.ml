@@ -36,6 +36,10 @@ type t = {
   sim : Sim.t;
   spec : spec;
   nodes : node_state array array;
+  shards : Sim.t array;  (* group [g]'s shard handle *)
+  one_way : float array array;
+      (* [one_way.(g).(h)]: half of [rtt g h], and half of [lan_rtt] on
+         the diagonal; computed once, at [create] *)
   mutable wan_baseline : int;
   mutable lan_baseline : int;
   mutable fault_hook : fault_hook option;
@@ -64,13 +68,32 @@ let create sim spec =
     (fun s ->
       if s < 1 then invalid_arg "Topology.create: empty group")
     spec.group_sizes;
-  if spec.lan_rtt < 0.0 then invalid_arg "Topology.create: negative lan_rtt";
+  (* [not (x >= 0.0)] also rejects NaN, which would otherwise schedule
+     NaN-time events. *)
+  if not (spec.lan_rtt >= 0.0) then
+    invalid_arg "Topology.create: lan_rtt must be >= 0 (and not NaN)";
+  let ng = Array.length spec.group_sizes in
+  let one_way =
+    Array.init ng (fun g ->
+        Array.init ng (fun h ->
+            if g = h then spec.lan_rtt /. 2.0
+            else begin
+              let rtt = spec.rtt g h in
+              if not (rtt >= 0.0) then
+                invalid_arg
+                  (Printf.sprintf
+                     "Topology.create: WAN rtt %g between groups %d and %d \
+                      must be >= 0 (and not NaN)"
+                     rtt g h);
+              rtt /. 2.0
+            end))
+  in
   (* Each group lives on one shard (round-robin when there are fewer
      shards than groups): its NICs and CPU account their events to that
      shard. *)
-  let shard_sim g = Sim.shard sim (g mod Sim.n_shards sim) in
+  let shards = Array.init ng (fun g -> Sim.shard sim (g mod Sim.n_shards sim)) in
   let mk_node g =
-    let sim = shard_sim g in
+    let sim = shards.(g) in
     {
       wan_up = Nic.create sim ~bandwidth_bps:spec.wan_bps;
       wan_down = Nic.create sim ~bandwidth_bps:spec.wan_bps;
@@ -89,6 +112,8 @@ let create sim spec =
     sim;
     spec;
     nodes;
+    shards;
+    one_way;
     wan_baseline = 0;
     lan_baseline = 0;
     fault_hook = None;
@@ -100,7 +125,9 @@ let create sim spec =
 
 let sim t = t.sim
 let n_groups t = Array.length t.nodes
-let shard_of t g = Sim.shard t.sim (g mod Sim.n_shards t.sim)
+let shard_of t g =
+  if g < 0 || g >= n_groups t then invalid_arg "Topology.shard_of: bad group";
+  t.shards.(g)
 
 let group_size t g =
   if g < 0 || g >= n_groups t then invalid_arg "Topology.group_size: bad group";
@@ -167,76 +194,78 @@ let faults_duplicated t = t.faults_duplicated
    effectively immediate but strictly causal. *)
 let loopback_latency = 1e-6
 
-let send ?(bulk = false) t ~src ~dst ~bytes k =
+(* [copies] re-deliveries follow the original, [spacing] apart. *)
+type dup = { copies : int; spacing : float }
+
+let no_dup = { copies = 0; spacing = 0.0 }
+
+(* Store-and-forward: uplink serialization, propagation, downlink
+   serialization, then delivery (if the receiver is still up). The
+   uplink's finish time is known now, so the arrival is scheduled
+   directly, on the destination group's shard, with a seq drawn at send
+   time (DESIGN §13); the arrival reserves the downlink and schedules
+   the delivery. [extra] stretches propagation ([Net_delay]); [dup]
+   re-delivers ([Net_dup]). *)
+let remote t ~bulk ~(src : addr) ~(dst : addr) ~src_state ~dst_state ~bytes
+    ~extra ~dup k =
+  let wan = src.g <> dst.g in
+  let up = if wan then src_state.wan_up else src_state.lan_up in
+  let down = if wan then dst_state.wan_down else dst_state.lan_down in
+  let one_way = t.one_way.(src.g).(dst.g) +. extra in
+  let dst_sim = t.shards.(dst.g) in
+  let finish = Nic.reserve ~bulk up ~bytes in
+  let arrival = finish +. one_way in
+  if Trace.enabled t.trace then
+    Trace.span t.trace ~cat:"net" ~gid:src.g ~node:src.n
+      ~args:
+        [ ("dst", Trace.Str (addr_to_string dst)); ("bytes", Trace.Int bytes) ]
+      ~b:finish ~e:arrival "propagate";
+  ignore
+    (Sim.at dst_sim arrival (fun () ->
+         ignore
+           (Sim.at dst_sim (Nic.reserve ~bulk down ~bytes) (fun () ->
+                if dst_state.up then k ();
+                for i = 1 to dup.copies do
+                  ignore
+                    (Sim.after dst_sim (dup.spacing *. float_of_int i) (fun () ->
+                         if dst_state.up then k ()))
+                done))))
+
+let send ~bulk t ~src ~dst ~bytes k =
   let src_state = state t src and dst_state = state t dst in
   if bytes < 0 then invalid_arg "Topology.send: negative size";
   if not src_state.up then ()
   else if addr_equal src dst then
     ignore
-      (Sim.at (shard_of t dst.g)
+      (Sim.at t.shards.(dst.g)
          (Sim.now t.sim +. loopback_latency)
          (fun () -> if dst_state.up then k ()))
-  else begin
+  else
     (* Injected link faults (chaos testing). The hook is [None] outside
        fault experiments, so the fault-free path costs one match. A
        dropped message vanishes at the sender's egress (no bandwidth is
        consumed); a delay stretches propagation; a duplicate re-delivers
        the payload after the original (receive-side duplication — the
        NIC serialized it once, as with a transport-level retransmit). *)
-    let verdict =
-      match t.fault_hook with
-      | None -> None
-      | Some hook -> hook ~src ~dst ~bulk ~bytes ~now:(Sim.now t.sim)
-    in
-    match verdict with
-    | Some Net_drop -> t.faults_dropped <- t.faults_dropped + 1
-    | (None | Some (Net_delay _) | Some (Net_dup _)) as verdict ->
-        let extra_delay, dup =
-          match verdict with
-          | Some (Net_delay d) when d > 0.0 ->
-              t.faults_delayed <- t.faults_delayed + 1;
-              (d, None)
-          | Some (Net_dup { copies; spacing_s }) when copies > 0 ->
-              t.faults_duplicated <- t.faults_duplicated + 1;
-              (0.0, Some (copies, Float.max spacing_s loopback_latency))
-          | _ -> (0.0, None)
-        in
-        let up, down, one_way =
-          if src.g = dst.g then
-            (src_state.lan_up, dst_state.lan_down, t.spec.lan_rtt /. 2.0)
-          else begin
-            let rtt = t.spec.rtt src.g dst.g in
-            if rtt < 0.0 then invalid_arg "Topology.send: negative WAN rtt";
-            (src_state.wan_up, dst_state.wan_down, rtt /. 2.0)
-          end
-        in
-        let one_way = one_way +. extra_delay in
-        (* Store-and-forward: uplink serialization, propagation, downlink
-           serialization, then delivery (if the receiver is still up).
-           The uplink's finish time is known now, so the arrival is
-           scheduled directly, on the destination group's shard, with a
-           seq drawn at send time (DESIGN §13). *)
-        let dst_sim = shard_of t dst.g in
-        let finish = Nic.reserve ~bulk up ~bytes in
-        let arrival = finish +. one_way in
-        if Trace.enabled t.trace then
-          Trace.span t.trace ~cat:"net" ~gid:src.g ~node:src.n
-            ~args:
-              [ ("dst", Trace.Str (addr_to_string dst)); ("bytes", Trace.Int bytes) ]
-            ~b:finish ~e:arrival "propagate";
-        ignore
-          (Sim.at dst_sim arrival (fun () ->
-               Nic.transmit ~bulk down ~bytes (fun () ->
-                   let deliver () = if dst_state.up then k () in
-                   deliver ();
-                   match dup with
-                   | None -> ()
-                   | Some (copies, spacing) ->
-                       for i = 1 to copies do
-                         ignore
-                           (Sim.after dst_sim (spacing *. float_of_int i) deliver)
-                       done)))
-  end
+    match t.fault_hook with
+    | None ->
+        remote t ~bulk ~src ~dst ~src_state ~dst_state ~bytes ~extra:0.0
+          ~dup:no_dup k
+    | Some hook -> (
+        match hook ~src ~dst ~bulk ~bytes ~now:(Sim.now t.sim) with
+        | Some Net_drop -> t.faults_dropped <- t.faults_dropped + 1
+        | Some (Net_delay d) when d > 0.0 ->
+            t.faults_delayed <- t.faults_delayed + 1;
+            remote t ~bulk ~src ~dst ~src_state ~dst_state ~bytes ~extra:d
+              ~dup:no_dup k
+        | Some (Net_dup { copies; spacing_s }) when copies > 0 ->
+            t.faults_duplicated <- t.faults_duplicated + 1;
+            remote t ~bulk ~src ~dst ~src_state ~dst_state ~bytes ~extra:0.0
+              ~dup:{ copies; spacing = Float.max spacing_s loopback_latency }
+              k
+        | None | Some (Net_delay _ | Net_dup _) ->
+            remote t ~bulk ~src ~dst ~src_state ~dst_state ~bytes ~extra:0.0
+              ~dup:no_dup k)
 
 let sum_over t f =
   Array.fold_left

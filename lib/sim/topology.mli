@@ -37,12 +37,16 @@ type t
 
 val create : Sim.t -> spec -> t
 (** Builds the cluster on [sim]'s shards: group [g]'s NICs and CPU
-    account their events to shard [g mod n_shards]. *)
+    account their events to shard [g mod n_shards]. Every group pair's
+    one-way delay ([rtt g h /. 2.0], and [lan_rtt /. 2.0] within a
+    group) is computed here, once. Raises [Invalid_argument] on an
+    empty group, or on a negative or NaN [lan_rtt] or WAN RTT. *)
 
 val sim : t -> Sim.t
 
 val shard_of : t -> int -> Sim.t
-(** [shard_of t g] is the sim shard that owns group [g]'s events. *)
+(** [shard_of t g] is the sim shard that owns group [g]'s events.
+    Raises [Invalid_argument] for a group outside the topology. *)
 
 val n_groups : t -> int
 val group_size : t -> int -> int
@@ -52,17 +56,19 @@ val group_nodes : t -> int -> addr list
 val valid_addr : t -> addr -> bool
 
 val send :
-  ?bulk:bool -> t -> src:addr -> dst:addr -> bytes:int -> (unit -> unit) -> unit
-(** [send t ~src ~dst ~bytes k] moves a [bytes]-sized message and runs
+  bulk:bool -> t -> src:addr -> dst:addr -> bytes:int -> (unit -> unit) -> unit
+(** [send ~bulk t ~src ~dst ~bytes k] moves a [bytes]-sized message and runs
     [k] on delivery. The message is dropped (and [k] never runs) if
     [src] is crashed now or [dst] is crashed at delivery time. Sending
     to self delivers after the local processing latency with no NIC
     cost. [bulk] selects the NIC service class (see {!Nic.reserve}):
-    entry payloads are bulk, consensus control traffic is not.
+    entry payloads are bulk, consensus control traffic is not. It is a
+    plain [bool] so that no call boxes an option.
 
     A remote send schedules two events, both on [dst]'s group shard:
     the arrival at the sender's uplink finish ({!Nic.reserve}) plus the
-    one-way delay, and the downlink completion that delivers. Duplicate
+    one-way delay, and the downlink completion that delivers, which the
+    arrival schedules after reserving the downlink. Duplicate
     copies from a [Net_dup] fault are scheduled on that shard too. The
     ["propagate"] span is emitted at send time. *)
 

@@ -89,6 +89,23 @@ let test_past_scheduling_rejected () =
        false
      with Invalid_argument _ -> true)
 
+let test_nan_time_rejected () =
+  let sim = Sim.create () in
+  check_bool "at NaN raises" true
+    (try
+       ignore (Sim.at sim Float.nan ignore);
+       false
+     with Invalid_argument _ -> true);
+  check_bool "after NaN raises" true
+    (try
+       ignore (Sim.after sim Float.nan ignore);
+       false
+     with Invalid_argument _ -> true);
+  check_int "nothing scheduled" 0 (Sim.pending sim);
+  ignore (Sim.at sim 1.0 ignore);
+  Sim.run_until_idle sim ();
+  check_float "clock unharmed" 1.0 (Sim.now sim)
+
 let test_pending () =
   let sim = Sim.create () in
   let a = Sim.after sim 1.0 (fun () -> ()) in
@@ -137,6 +154,28 @@ let test_cancel_compaction_bounds_heap () =
   Sim.run_until_idle sim ();
   check_int "only keepers fired" !keepers !fired;
   check_int "empty after run" 0 (Sim.heap_size sim)
+
+let test_slots_recycled () =
+  (* Fill the heap's first capacity, let compaction evict most of it,
+     then refill past the old capacity: every event slot must come back
+     to the free stack, or the refill runs out of slots. *)
+  let sim = Sim.create () in
+  let fired = ref [] in
+  let arm i time = Sim.at sim time (fun () -> fired := i :: !fired) in
+  let first = Array.init 256 (fun i -> arm i (float_of_int (i mod 8))) in
+  Array.iteri (fun i h -> if i mod 5 <> 0 then Sim.cancel h) first;
+  check_bool "compacted" true (Sim.heap_size sim < 256);
+  for i = 256 to 999 do
+    ignore (arm i (float_of_int (i mod 8)))
+  done;
+  Sim.run_until_idle sim ();
+  let expected =
+    List.init 1000 Fun.id
+    |> List.filter (fun i -> i >= 256 || i mod 5 = 0)
+    |> List.stable_sort (fun a b -> compare (a mod 8) (b mod 8))
+  in
+  Alcotest.(check (list int)) "survivors and refill fire in (time, seq) order" expected
+    (List.rev !fired)
 
 let test_churn_dispatch_order_unchanged () =
   (* Compaction must not reorder or drop survivors: a run with heavy
@@ -266,6 +305,92 @@ let prop_heap_filter =
       let times = List.map fst stream and picks = Array.of_list (List.map snd stream) in
       let cancelled i = picks.(i) > 0 in
       fire_order ~cancelled times = sorted_survivors ~cancelled times)
+
+(* A random at/after/cancel/run program against a model that keeps
+   every scheduled (time, seq) key and fires the live ones in sorted
+   order. Times are quarter-second multiples over a short span, so
+   exact-time ties are common, and bursts arm up to 150 timers at one
+   time and cancel most of them, which crosses the compaction
+   threshold. *)
+type sched_op =
+  | Op_at of int  (* at now + k/4 *)
+  | Op_after of int  (* after k/4 *)
+  | Op_cancel of int  (* cancel handle (k mod handles so far) *)
+  | Op_burst of int * int  (* k timers at now + d/4, all but every 7th cancelled *)
+  | Op_run of int  (* run until now + k/4 *)
+
+let run_sched_program ops =
+  let sim = Sim.create ~shards:2 () in
+  (* id -> (handle, time, live); ids follow scheduling order, as seqs do. *)
+  let timers = Hashtbl.create 64 in
+  let fired = ref [] and expected = ref [] and ok = ref true in
+  let arm ~via_after k =
+    let id = Hashtbl.length timers in
+    let delta = float_of_int k /. 4.0 in
+    let time = Sim.now sim +. delta in
+    let emit () = fired := id :: !fired in
+    let shard = Sim.shard sim (id mod 2) in
+    let h = if via_after then Sim.after shard delta emit else Sim.at shard time emit in
+    Hashtbl.replace timers id (h, time, ref true);
+    id
+  in
+  let cancel id =
+    Option.iter
+      (fun (h, _, live) ->
+        Sim.cancel h;
+        live := false)
+      (Hashtbl.find_opt timers id)
+  in
+  let live () = Hashtbl.fold (fun _ (_, _, l) n -> if !l then n + 1 else n) timers 0 in
+  (* The model fires its live timers up to [until] in (time, id) order. *)
+  let model_run until =
+    let due =
+      Hashtbl.fold
+        (fun id (_, time, live) acc -> if !live && time <= until then (time, id, live) :: acc else acc)
+        timers []
+    in
+    List.iter (fun (_, _, live) -> live := false) due;
+    List.sort compare (List.map (fun (time, id, _) -> (time, id)) due)
+    |> List.iter (fun (_, id) -> expected := id :: !expected)
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Op_at k -> ignore (arm ~via_after:false k)
+      | Op_after k -> ignore (arm ~via_after:true k)
+      | Op_cancel k -> if Hashtbl.length timers > 0 then cancel (k mod Hashtbl.length timers)
+      | Op_burst (k, d) ->
+          for j = 0 to k - 1 do
+            let id = arm ~via_after:false d in
+            if j mod 7 <> 0 then cancel id
+          done
+      | Op_run k ->
+          let until = Sim.now sim +. (float_of_int k /. 4.0) in
+          model_run until;
+          Sim.run sim ~until);
+      let live = live () in
+      if Sim.pending_total sim <> live || Sim.heap_size sim > (2 * live) + 64 then
+        ok := false)
+    ops;
+  model_run infinity;
+  Sim.run_until_idle sim ();
+  !ok && !fired = !expected
+
+let prop_dispatch_order =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Op_at k) (int_range 0 12));
+        (3, map (fun k -> Op_after k) (int_range 0 12));
+        (3, map (fun k -> Op_cancel k) nat);
+        (1, map2 (fun k d -> Op_burst (k, d)) (int_range 1 150) (int_range 0 12));
+        (2, map (fun k -> Op_run k) (int_range 0 8));
+      ]
+  in
+  QCheck.Test.make ~count:300 ~name:"dispatch order = sort by (time, seq)"
+    (QCheck.make (list_size (int_range 1 80) op))
+    run_sched_program
 
 (* ------------------------------------------------------------------ *)
 (* Nic                                                                 *)
@@ -529,13 +654,29 @@ let test_topology_shape () =
   check_bool "valid addr" true (Topology.valid_addr topo { g = 1; n = 6 });
   check_bool "invalid addr" false (Topology.valid_addr topo { g = 1; n = 7 })
 
+let test_bad_delays_rejected () =
+  let rejects what spec =
+    check_bool what true
+      (match Topology.create (Sim.create ()) spec with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "NaN lan_rtt" { (spec ()) with lan_rtt = Float.nan };
+  rejects "negative lan_rtt" { (spec ()) with lan_rtt = -0.001 };
+  let groups = [| 2; 2; 2 |] in
+  (* One bad pair among good ones fails at create, not at its first send. *)
+  let bad_pair v = fun g h -> if (g, h) = (2, 1) then v else 0.03 in
+  rejects "negative WAN rtt" { (spec ~groups ()) with rtt = bad_pair (-0.01) };
+  rejects "NaN WAN rtt" { (spec ~groups ()) with rtt = bad_pair Float.nan };
+  ignore (Topology.create (Sim.create ()) { (spec ~groups ()) with rtt = bad_pair 0.0 })
+
 let test_wan_latency_and_bandwidth () =
   let sim = Sim.create () in
   let topo = Topology.create sim (spec ()) in
   let arrived = ref 0.0 in
   (* 100 KB over 20 Mbps uplink + 15 ms propagation + 20 Mbps downlink:
      0.04 + 0.015 + 0.04 = 0.095 s. *)
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> arrived := Sim.now sim);
   Sim.run_until_idle sim ();
   check_float "store-and-forward WAN" 0.095 !arrived;
@@ -545,7 +686,7 @@ let test_lan_fast_path () =
   let sim = Sim.create () in
   let topo = Topology.create sim (spec ()) in
   let arrived = ref 0.0 in
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 0; n = 1 } ~bytes:100_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 0; n = 1 } ~bytes:100_000
     (fun () -> arrived := Sim.now sim);
   Sim.run_until_idle sim ();
   (* 2 * (100KB at 2.5Gbps = 0.32ms) + 0.25ms = ~0.89 ms: well under WAN. *)
@@ -561,7 +702,7 @@ let test_leader_uplink_bottleneck () =
   let topo = Topology.create sim (spec ~groups:[| 1; 8 |] ()) in
   let last = ref 0.0 in
   for n = 0 to 7 do
-    Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n } ~bytes:250_000
+    Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n } ~bytes:250_000
       (fun () -> last := Float.max !last (Sim.now sim))
   done;
   Sim.run_until_idle sim ();
@@ -576,16 +717,16 @@ let test_crash_drops_messages () =
   let topo = Topology.create sim (spec ()) in
   let delivered = ref 0 in
   Topology.crash topo { g = 1; n = 0 };
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
     (fun () -> incr delivered);
   (* Crash of the source also suppresses sends. *)
   Topology.crash topo { g = 0; n = 1 };
-  Topology.send topo ~src:{ g = 0; n = 1 } ~dst:{ g = 1; n = 1 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 1 } ~dst:{ g = 1; n = 1 } ~bytes:10
     (fun () -> incr delivered);
   Sim.run_until_idle sim ();
   check_int "both dropped" 0 !delivered;
   Topology.recover topo { g = 1; n = 0 };
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
     (fun () -> incr delivered);
   Sim.run_until_idle sim ();
   check_int "delivered after recovery" 1 !delivered
@@ -594,7 +735,7 @@ let test_crash_mid_flight () =
   let sim = Sim.create () in
   let topo = Topology.create sim (spec ()) in
   let delivered = ref 0 in
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> incr delivered);
   (* Receiver dies while the message is in flight. *)
   ignore (Sim.after sim 0.01 (fun () -> Topology.crash topo { g = 1; n = 0 }));
@@ -625,7 +766,7 @@ let test_crash_then_recover_before_arrival_delivers () =
   let delivered = ref 0 in
   (* 100 KB at 20 Mbps: 0.04 s uplink + propagation + 0.04 s downlink,
      so delivery lands well after 0.08 s. *)
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> incr delivered);
   ignore (Sim.after sim 0.010 (fun () -> Topology.crash topo { g = 1; n = 0 }));
   ignore (Sim.after sim 0.050 (fun () -> Topology.recover topo { g = 1; n = 0 }));
@@ -636,13 +777,13 @@ let test_sender_crash_keeps_egressed_bytes_in_flight () =
   let sim = Sim.create () in
   let topo = Topology.create sim (spec ()) in
   let delivered = ref 0 in
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> incr delivered);
   ignore (Sim.after sim 0.010 (fun () -> Topology.crash topo { g = 0; n = 0 }));
   Sim.run_until_idle sim ();
   check_int "already-egressed message still delivers" 1 !delivered;
   (* But new sends from the crashed node are suppressed at the source. *)
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
     (fun () -> incr delivered);
   Sim.run_until_idle sim ();
   check_int "post-crash send suppressed" 1 !delivered
@@ -659,7 +800,7 @@ let test_fault_hook_drop () =
   Topology.send ~bulk:true topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 }
     ~bytes:50_000
     (fun () -> incr delivered);
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:50_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:50_000
     (fun () -> incr delivered);
   Sim.run_until_idle sim ();
   check_int "bulk dropped, control through" 1 !delivered;
@@ -672,13 +813,13 @@ let test_fault_hook_delay () =
   let sim = Sim.create () in
   let topo = Topology.create sim (spec ()) in
   let plain = ref 0.0 and delayed = ref 0.0 in
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
     (fun () -> plain := Sim.now sim);
   Sim.run_until_idle sim ();
   let t0 = Sim.now sim in
   Topology.set_fault_hook topo
     (Some (fun ~src:_ ~dst:_ ~bulk:_ ~bytes:_ ~now:_ -> Some (Topology.Net_delay 0.5)));
-  Topology.send topo ~src:{ g = 0; n = 1 } ~dst:{ g = 1; n = 1 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 1 } ~dst:{ g = 1; n = 1 } ~bytes:10
     (fun () -> delayed := Sim.now sim -. t0);
   Sim.run_until_idle sim ();
   check_int "delay counted" 1 (Topology.faults_delayed topo);
@@ -692,7 +833,7 @@ let test_fault_hook_dup () =
   Topology.set_fault_hook topo
     (Some (fun ~src:_ ~dst:_ ~bulk:_ ~bytes:_ ~now:_ ->
          Some (Topology.Net_dup { copies = 2; spacing_s = 0.001 })));
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
     (fun () -> incr delivered);
   Sim.run_until_idle sim ();
   check_int "original + 2 copies" 3 !delivered;
@@ -711,7 +852,7 @@ let test_fault_hook_skips_loopback () =
   let delivered = ref 0 in
   Topology.set_fault_hook topo
     (Some (fun ~src:_ ~dst:_ ~bulk:_ ~bytes:_ ~now:_ -> Some Topology.Net_drop));
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 0; n = 0 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 0; n = 0 } ~bytes:10
     (fun () -> incr delivered);
   Sim.run_until_idle sim ();
   check_int "loopback is not a link" 1 !delivered;
@@ -724,7 +865,7 @@ let test_fault_hook_uninstall () =
   Topology.set_fault_hook topo
     (Some (fun ~src:_ ~dst:_ ~bulk:_ ~bytes:_ ~now:_ -> Some Topology.Net_drop));
   Topology.set_fault_hook topo None;
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:10
     (fun () -> incr delivered);
   Sim.run_until_idle sim ();
   check_int "healed link delivers" 1 !delivered
@@ -751,7 +892,7 @@ let test_topology_backlog_includes_control () =
   let a = { Topology.g = 0; n = 0 } in
   (* A control-class (non-bulk) message must register on the uplink
      backlog diagnostic: 250 KB at 20 Mbps = 0.1 s of queue. *)
-  Topology.send topo ~src:a ~dst:{ Topology.g = 1; n = 0 } ~bytes:250_000
+  Topology.send ~bulk:false topo ~src:a ~dst:{ Topology.g = 1; n = 0 } ~bytes:250_000
     (fun () -> ());
   check_float "control traffic counts" 0.1
     (Topology.wan_uplink_backlog_s topo a);
@@ -761,7 +902,7 @@ let test_self_send () =
   let sim = Sim.create () in
   let topo = Topology.create sim (spec ()) in
   let delivered = ref false in
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 0; n = 0 } ~bytes:999
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 0; n = 0 } ~bytes:999
     (fun () -> delivered := true);
   Sim.run_until_idle sim ();
   check_bool "loopback delivers" true !delivered;
@@ -774,9 +915,9 @@ let test_bandwidth_override () =
   (* Degrade one node to 10 Mbps: its 100 KB send takes 0.08 s uplink. *)
   Topology.set_wan_bandwidth topo { g = 0; n = 0 } 10e6;
   let slow = ref 0.0 and fast = ref 0.0 in
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> slow := Sim.now sim);
-  Topology.send topo ~src:{ g = 0; n = 1 } ~dst:{ g = 1; n = 1 } ~bytes:100_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 1 } ~dst:{ g = 1; n = 1 } ~bytes:100_000
     (fun () -> fast := Sim.now sim);
   Sim.run_until_idle sim ();
   check_bool
@@ -786,13 +927,13 @@ let test_bandwidth_override () =
 let test_traffic_baseline_reset () =
   let sim = Sim.create () in
   let topo = Topology.create sim (spec ()) in
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:5_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:5_000
     (fun () -> ());
   Sim.run_until_idle sim ();
   check_int "warmup counted" 5_000 (Topology.wan_bytes_sent topo);
   Topology.reset_traffic_baseline topo;
   check_int "baseline zeroed" 0 (Topology.wan_bytes_sent topo);
-  Topology.send topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:7_000
+  Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:7_000
     (fun () -> ());
   Sim.run_until_idle sim ();
   check_int "only post-reset traffic" 7_000 (Topology.wan_bytes_sent topo)
@@ -883,6 +1024,173 @@ let prop_fused_send =
        (pair (list_size (int_range 1 60) send)
           (triple (float_bound_exclusive 0.25) addr (float_bound_exclusive 0.05))))
     (fun program -> run_sends ~fused:true program = run_sends ~fused:false program)
+
+(* The store-and-forward send as two scheduled hops: the uplink is
+   reserved at send time ([Nic.reserve]) and the arrival scheduled at
+   its finish plus the one-way delay ([Sim.at]); the arrival serializes
+   through the downlink with [Nic.transmit], whose completion delivers.
+   Fault verdicts apply as documented on [Topology.send_fault]. Runs
+   over another topology's NICs and liveness; [Topology.send] must
+   reproduce its every delivery time and order. *)
+let two_hop_send topo ~hook ~bulk ~(src : Topology.addr) ~(dst : Topology.addr)
+    ~bytes k =
+  let sim = Topology.sim topo in
+  let dst_sim = Topology.shard_of topo dst.g in
+  let deliver () = if Topology.alive topo dst then k () in
+  if not (Topology.alive topo src) then ()
+  else if Topology.addr_equal src dst then
+    ignore (Sim.at dst_sim (Sim.now sim +. 1e-6) deliver)
+  else
+    let verdict =
+      match hook with
+      | None -> None
+      | Some hook -> hook ~src ~dst ~bulk ~bytes ~now:(Sim.now sim)
+    in
+    let extra, copies, spacing =
+      match verdict with
+      | Some (Topology.Net_delay d) when d > 0.0 -> (d, 0, 0.0)
+      | Some (Topology.Net_dup { copies; spacing_s }) when copies > 0 ->
+          (0.0, copies, Float.max spacing_s 1e-6)
+      | _ -> (0.0, 0, 0.0)
+    in
+    if verdict <> Some Topology.Net_drop then begin
+      let wan = src.g <> dst.g in
+      let rtt = if wan then spec3.rtt src.g dst.g else spec3.lan_rtt in
+      let one_way = (rtt /. 2.0) +. extra in
+      let finish =
+        Nic.reserve ~bulk (Topology.nic topo src (if wan then Wan_up else Lan_up)) ~bytes
+      in
+      ignore
+        (Sim.at dst_sim (finish +. one_way) (fun () ->
+             Nic.transmit ~bulk
+               (Topology.nic topo dst (if wan then Wan_down else Lan_down))
+               ~bytes
+               (fun () ->
+                 deliver ();
+                 for i = 1 to copies do
+                   ignore (Sim.after dst_sim (spacing *. float_of_int i) deliver)
+                 done)))
+    end
+
+(* Deterministic hooks keyed on the message, one per verdict kind. *)
+let hooks : (string * Topology.fault_hook option) list =
+  [
+    ("no hook", None);
+    ("hook -> None", Some (fun ~src:_ ~dst:_ ~bulk:_ ~bytes:_ ~now:_ -> None));
+    ( "hook -> Net_delay",
+      Some
+        (fun ~src:_ ~dst:_ ~bulk:_ ~bytes ~now:_ ->
+          if bytes mod 2 = 0 then Some (Topology.Net_delay (float_of_int (bytes mod 7) *. 0.003))
+          else None) );
+    ("hook -> Net_dup", Some dup_hook);
+  ]
+
+(* Every delivery as (time, send id), in delivery order, through
+   [Topology.send] or the two-hop model, on a three-shard sim. *)
+let run_send_stream ~model ~hook (sends, (crash_at, victim, down_for)) =
+  let sim = Sim.create ~shards:3 () in
+  let topo = Topology.create sim spec3 in
+  let send =
+    if model then two_hop_send topo ~hook
+    else begin
+      Topology.set_fault_hook topo hook;
+      fun ~bulk -> Topology.send ~bulk topo
+    end
+  in
+  let log = ref [] in
+  List.iteri
+    (fun id (at, src, dst, bytes, bulk) ->
+      ignore
+        (Sim.at sim at (fun () ->
+             send ~bulk ~src ~dst ~bytes (fun () -> log := (Sim.now sim, id) :: !log))))
+    sends;
+  ignore (Sim.at sim crash_at (fun () -> Topology.crash topo victim));
+  ignore (Sim.at sim (crash_at +. down_for) (fun () -> Topology.recover topo victim));
+  Sim.run_until_idle sim ();
+  List.rev !log
+
+let prop_send_path =
+  let open QCheck.Gen in
+  let addr = map2 (fun g n -> { Topology.g; n }) (int_bound 2) (int_bound 1) in
+  (* Half the sends start on a 5 ms grid, so sends, arrivals and
+     deliveries often share a timestamp exactly. *)
+  let at =
+    oneof [ float_bound_exclusive 0.2; map (fun k -> float_of_int k *. 0.005) (int_bound 40) ]
+  in
+  let send =
+    map
+      (fun (at, src, dst, (bytes, bulk)) -> (at, src, dst, bytes, bulk))
+      (quad at addr addr (pair (int_range 1 100_000) bool))
+  in
+  QCheck.Test.make ~count:200 ~name:"send path = two-hop model, with and without fault hooks"
+    (QCheck.make
+       (pair (list_size (int_range 1 60) send)
+          (triple (float_bound_exclusive 0.25) addr (float_bound_exclusive 0.05))))
+    (fun stream ->
+      List.for_all
+        (fun (_, hook) ->
+          run_send_stream ~model:false ~hook stream = run_send_stream ~model:true ~hook stream)
+        hooks)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per fault-free remote message, from [Topology.send]
+   through the arrival to delivery (the continuation is allocated once,
+   outside the count), and per [Sim.at] plus its dispatch. The counts
+   are exact and deterministic for one compiler, so a budget is the
+   value measured on OCaml 5.1 (native, no flambda, as dune's default
+   profile builds it) plus 2%: one more word per message breaks it.
+   Other compilers allocate differently; there the figures are printed,
+   not enforced. *)
+let budget_enforced =
+  Sys.backend_type = Sys.Native
+  && String.length Sys.ocaml_version >= 4
+  && String.sub Sys.ocaml_version 0 4 = "5.1."
+
+let check_budget what ~measured ~budget =
+  Printf.printf "%s: %.3f words (budget %.3f%s)\n" what measured budget
+    (if budget_enforced then "" else ", not enforced on OCaml " ^ Sys.ocaml_version);
+  if budget_enforced then
+    check_bool (Printf.sprintf "%s: %.2f words <= %.2f" what measured budget) true
+      (measured <= budget)
+
+(* Runs [round] 10 times to warm up (the heap reaches its first
+   capacity), then returns the words per call over 1000 more. *)
+let words_per_round round =
+  for _ = 1 to 10 do round () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do round () done;
+  (Gc.minor_words () -. w0) /. 1000.0
+
+let delivered () = ()
+
+let message_words ~wan ~bulk =
+  let sim = Sim.create ~shards:2 () in
+  let topo = Topology.create sim (spec ()) in
+  let src = { Topology.g = 0; n = 0 } and dst = { Topology.g = (if wan then 1 else 0); n = 1 } in
+  words_per_round (fun () ->
+      Topology.send ~bulk topo ~src ~dst ~bytes:1_000 delivered;
+      Sim.run_until_idle sim ())
+
+let test_budget_message () =
+  List.iter
+    (fun (wan, bulk) ->
+      check_budget
+        (Printf.sprintf "%s %s message" (if wan then "WAN" else "LAN")
+           (if bulk then "bulk" else "ctrl"))
+        ~measured:(message_words ~wan ~bulk) ~budget:(35.0 *. 1.02))
+    [ (true, true); (true, false); (false, true); (false, false) ]
+
+let test_budget_event () =
+  let sim = Sim.create () in
+  check_budget "Sim.at + one dispatch"
+    ~measured:
+      (words_per_round (fun () ->
+           ignore (Sim.at sim (Sim.now sim +. 1.0) delivered);
+           ignore (Sim.step sim)))
+    ~budget:(8.0 *. 1.02)
 
 (* ------------------------------------------------------------------ *)
 (* Shard handles                                                       *)
@@ -1065,6 +1373,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "past scheduling rejected" `Quick test_past_scheduling_rejected;
+          Alcotest.test_case "NaN time rejected" `Quick test_nan_time_rejected;
           Alcotest.test_case "pending count" `Quick test_pending;
           Alcotest.test_case "pending excludes fired" `Quick
             test_pending_excludes_fired;
@@ -1072,6 +1381,7 @@ let () =
             test_cancel_compaction_bounds_heap;
           Alcotest.test_case "churn keeps dispatch order" `Quick
             test_churn_dispatch_order_unchanged;
+          Alcotest.test_case "slots recycled across compaction" `Quick test_slots_recycled;
         ] );
       ( "heap",
         [
@@ -1082,6 +1392,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_interleaved;
           QCheck_alcotest.to_alcotest prop_heap_filter;
+          QCheck_alcotest.to_alcotest prop_dispatch_order;
         ] );
       ( "shard",
         [
@@ -1117,6 +1428,7 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "shape" `Quick test_topology_shape;
+          Alcotest.test_case "bad delays rejected at create" `Quick test_bad_delays_rejected;
           Alcotest.test_case "WAN latency+bandwidth" `Quick test_wan_latency_and_bandwidth;
           Alcotest.test_case "LAN fast path" `Quick test_lan_fast_path;
           Alcotest.test_case "leader uplink bottleneck" `Quick test_leader_uplink_bottleneck;
@@ -1141,5 +1453,11 @@ let () =
           Alcotest.test_case "bandwidth override" `Quick test_bandwidth_override;
           Alcotest.test_case "traffic baseline reset" `Quick test_traffic_baseline_reset;
           QCheck_alcotest.to_alcotest prop_fused_send;
+          QCheck_alcotest.to_alcotest prop_send_path;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "remote message" `Quick test_budget_message;
+          Alcotest.test_case "event" `Quick test_budget_event;
         ] );
     ]
