@@ -128,13 +128,13 @@ let create sim topo cfg =
           l_committed_unexec = Entry_tbl.create 64;
           l_round_ready = Entry_tbl.create 64;
           l_next_round = 1;
+          l_sweeping = false;
           l_recv_notes = Entry_tbl.create 64;
           l_steward_proposed = Entry_tbl.create 64;
           l_fetching = Entry_tbl.create 16;
           l_fetch_q = Queue.create ();
           l_fetch_out = 0;
           l_pending_conf = Queue.create ();
-          l_deferred = Queue.create ();
           l_skip_commits_below = Array.make (max n_inst 1) 0;
           l_stuck = Hashtbl.create 8;
           l_vc_target = 0;
@@ -170,9 +170,8 @@ let create sim topo cfg =
       g_member = Array.make ng true;
       member_from = Array.make ng 0;
       member_until = Array.make ng max_int;
-      reconfig_on = false;
+      reconfig_order = None;
       reconfig_apply = None;
-      reconfig_round = None;
       fetch_retries = 0;
     }
   in

@@ -1,8 +1,9 @@
 (* Execution stage: the per-leader ordered execution queue, Aria batch
    execution + ledger append, and per-entry metrics/trace recording.
    Entries enter through [enqueue] (from the ordering or global
-   strategies); the pump executes them in queue order, gated on holding
-   the entry's content. *)
+   strategies), which places them in the leader's order and pumps; the
+   pump executes them in queue order, gated on holding the entry's
+   content. *)
 
 open Node_ctx
 module Stats = Massbft_util.Stats
@@ -112,12 +113,11 @@ let do_execute t (l : leader) e =
   l.l_executed_count <- l.l_executed_count + 1;
   Entry_tbl.remove l.l_committed_unexec e.eid;
   (* Once every leader has executed the entry its content (transaction
-     closures, memoized outcome) is dead weight; keep the metadata. *)
+     closures, memoized outcome) is dead weight; keep the metadata. A
+     dark or removed group never executes, so under a membership change
+     an entry a joiner may still replay is never released. *)
   e.exec_count <- e.exec_count + 1;
-  (* Pruning is disabled under a reconfiguration plan: a dark group's
-     leader executes the backlog only after its cutover, and a joiner's
-     replay must still find the content. *)
-  if (not t.reconfig_on) && e.exec_count >= t.ng then begin
+  if e.exec_count >= t.ng then begin
     e.txns <- [];
     e.fb_txns <- [];
     e.outcome <- None
@@ -172,21 +172,28 @@ let rec pump t (l : leader) =
              then Replication.want_fetch t l eid))
   end
 
-let enqueue t (l : leader) eid =
-  (* A leader whose group is not (yet) a member buffers instead of
-     executing: a joining group replays the donor's prefix by state
-     transfer, then drains this buffer at its cutover so nothing
-     commits twice and nothing is lost. *)
-  if t.reconfig_on && not (member_now t l.l_gid) then Queue.push eid l.l_deferred
-  else begin
-  (match Entry_tbl.find_opt t.entries eid with
-  | Some e when eid.Types.gid = l.l_gid && e.ordered_at = 0.0 ->
-      e.ordered_at <- now t;
-      trace_entry t eid "ordered" ~node:0
-  | _ -> ());
-    Queue.push eid l.l_exec_q;
-    pump t l
+(* The entry's position in this leader's order is final: an epoch
+   boundary switches membership here, before anything after it is
+   ordered. A non-member drops the entry — a joiner receives the prefix
+   by its cutover clone, a removed group is gone. *)
+let place t (l : leader) eid =
+  if member_now t l.l_gid then begin
+    (match Entry_tbl.find_opt t.entries eid with
+    | Some e -> (
+        if eid.Types.gid = l.l_gid && e.ordered_at = 0.0 then begin
+          e.ordered_at <- now t;
+          trace_entry t eid "ordered" ~node:0
+        end;
+        match (e.conf, t.reconfig_order) with
+        | Some _, Some hook -> hook t l e
+        | _ -> ())
+    | None -> ());
+    Queue.push eid l.l_exec_q
   end
+
+let enqueue t (l : leader) eid =
+  place t l eid;
+  pump t l
 
 let observe (t : Node_ctx.t) sampler =
   Array.iter

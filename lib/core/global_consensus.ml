@@ -187,10 +187,7 @@ let handle_raft_m t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst rmsg =
      would be consumed exactly once and then wiped with the cloned
      state, silently losing them. After the epoch flip the anti-entropy
      probes backfill everything, gated by [l_skip_commits_below]. *)
-  if
-    is_acting_leader t dst
-    && ((not t.reconfig_on) || member_now t dst.Topology.g)
-  then begin
+  if is_acting_leader t dst && member_now t dst.Topology.g then begin
     let l = t.leaders.(dst.Topology.g) in
     if inst < Array.length l.l_last_heard then
       l.l_last_heard.(inst) <- now t;
@@ -260,23 +257,21 @@ let direct_broadcast =
            the missing notes up front so the exactly-once equality in
            [handle_recv_note] still fires — the counter walks through
            every value by +1 increments, so pre-crediting never skips
-           the threshold. Reconfig-free runs never enter this branch. *)
-        (if t.reconfig_on then begin
-           let missing = ref 0 in
-           for j = 0 to t.ng - 1 do
-             if j <> l.l_gid && not (member_now t j) then incr missing
-           done;
-           if !missing > 0 then begin
-             let notes =
-               match Entry_tbl.find_opt l.l_recv_notes e.eid with
-               | Some r -> r
-               | None ->
-                   let r = ref 0 in
-                   Entry_tbl.replace l.l_recv_notes e.eid r;
-                   r
-             in
-             notes := !notes + !missing
-           end
+           the threshold. Reconfig-free runs count no missing note. *)
+        (let missing = ref 0 in
+         for j = 0 to t.ng - 1 do
+           if j <> l.l_gid && not (member_now t j) then incr missing
+         done;
+         if !missing > 0 then begin
+           let notes =
+             match Entry_tbl.find_opt l.l_recv_notes e.eid with
+             | Some r -> r
+             | None ->
+                 let r = ref 0 in
+                 Entry_tbl.replace l.l_recv_notes e.eid r;
+                 r
+           in
+           notes := !notes + !missing
          end);
         (* No global consensus: the entry is ready for ordering here. *)
         Ordering.mark_round_ready t l e.eid;
@@ -372,10 +367,7 @@ let start_heartbeats t =
                     probes nor campaigns: a stale-log election would only
                     inflate terms and depose working leaders. Its
                     [l_last_heard] is refreshed at the cutover clone. *)
-                 if
-                   alive t l.l_addr
-                   && ((not t.reconfig_on) || member_now t l.l_gid)
-                 then begin
+                 if alive t l.l_addr && member_now t l.l_gid then begin
                    Array.iteri
                      (fun inst raft ->
                        if Raft.role raft = Raft.Leader then begin

@@ -152,6 +152,7 @@ type leader = {
   l_committed_unexec : unit Entry_tbl.t;
   l_round_ready : unit Entry_tbl.t;
   mutable l_next_round : int;
+  mutable l_sweeping : bool;  (* a round-barrier sweep is running *)
   l_recv_notes : int ref Entry_tbl.t;
   l_steward_proposed : unit Entry_tbl.t;
   l_fetching : int ref Entry_tbl.t;  (* wanted content, with attempt count *)
@@ -160,9 +161,6 @@ type leader = {
   l_pending_conf : string Queue.t;
       (* reconfiguration commands awaiting an epoch-boundary entry; the
          batcher drains one per batch slot ahead of client txns *)
-  l_deferred : Types.entry_id Queue.t;
-      (* execution enqueues buffered while this group is not yet a
-         member (a joining group catching up); replayed at cutover *)
   mutable l_skip_commits_below : int array;
       (* per global-consensus instance: commit indices at or below this
          are history a joining leader received via state transfer, not
@@ -227,28 +225,27 @@ type t = {
       (* the adversary interposer; [None] outside adversary drills *)
   mutable trace : Trace.t;
   (* -- live-membership state (massbft_reconfig). In reconfig-free runs
-     every array below is the identity configuration and [reconfig_on]
-     is false, so nothing off the static path is ever consulted. *)
+     every array below is the identity configuration and both seams are
+     [None], so every membership test reduces to the static path. *)
   active_n : int array;
       (* active node slots per group: slots [0, active_n) participate in
          PBFT quorums; provisioned spares and retired slots do not *)
   g_member : bool array;
-      (* instantaneous group membership: gates batching and replication
-         sends (a dark group neither produces nor receives) *)
+      (* instantaneous group membership: gates batching, replication
+         sends and execution placement (a dark group neither produces,
+         receives nor executes) *)
   member_from : int array;
   member_until : int array;
-      (* round-indexed membership window [from, until) for the round-
-         barrier ordering families; derived deterministically from the
-         position of the epoch-boundary entry in the total order *)
-  mutable reconfig_on : bool;  (* a reconfiguration plan is armed *)
+      (* round-indexed membership window [from, until), read only by the
+         round-barrier ordering families; written at the placement seam
+         from the epoch-boundary entry's round *)
+  mutable reconfig_order : (t -> leader -> entry -> unit) option;
+      (* placement seam: fired when a leader's ordering stage places an
+         epoch-boundary entry, so membership switches at that position
+         of the order (round windows, orderer masks) *)
   mutable reconfig_apply : (t -> leader -> entry -> unit) option;
-      (* the reconfig controller's apply hook, invoked by the execution
-         stage when a leader executes an epoch-boundary entry *)
-  mutable reconfig_round : (t -> entry -> int -> unit) option;
-      (* round-barrier seam: the first leader to close the round holding
-         an epoch-boundary entry registers the round-indexed membership
-         masks (idempotent, and deterministic because derived from the
-         entry's position) before any leader evaluates the next round *)
+      (* execution seam: fired when a leader executes an epoch-boundary
+         entry (node resizes, crashes, the joiner's clone, key ranges) *)
   mutable fetch_retries : int;
       (* fetch-lane retries rescheduled by backoff, for the obs registry *)
 }

@@ -112,13 +112,13 @@ type leader = {
   l_committed_unexec : unit Entry_tbl.t;
   l_round_ready : unit Entry_tbl.t;
   mutable l_next_round : int;
+  mutable l_sweeping : bool;
   l_recv_notes : int ref Entry_tbl.t;
   l_steward_proposed : unit Entry_tbl.t;
   l_fetching : int ref Entry_tbl.t;
   l_fetch_q : Types.entry_id Queue.t;
   mutable l_fetch_out : int;
   l_pending_conf : string Queue.t;
-  l_deferred : Types.entry_id Queue.t;
   mutable l_skip_commits_below : int array;
   l_stuck : (string, int ref) Hashtbl.t;
   mutable l_vc_target : int;
@@ -164,17 +164,19 @@ type t = {
   active_n : int array;
       (** active node slots per group — quorum math runs over these, not
           the physical sizes (identical without a reconfiguration) *)
-  g_member : bool array;  (** instantaneous group membership *)
+  g_member : bool array;
+      (** instantaneous group membership; a non-member neither batches,
+          receives replication traffic nor executes *)
   member_from : int array;
   member_until : int array;
       (** round-indexed membership window for round-barrier ordering *)
-  mutable reconfig_on : bool;
+  mutable reconfig_order : (t -> leader -> entry -> unit) option;
+      (** the reconfig controller's placement hook, fired when a leader's
+          ordering stage places an epoch-boundary entry into its
+          execution order *)
   mutable reconfig_apply : (t -> leader -> entry -> unit) option;
       (** the reconfig controller's apply hook, fired at execution of an
           epoch-boundary entry *)
-  mutable reconfig_round : (t -> entry -> int -> unit) option;
-      (** fired (idempotently) when a round barrier closes over an
-          epoch-boundary entry, before the next round is evaluated *)
   mutable fetch_retries : int;
 }
 

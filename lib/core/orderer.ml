@@ -129,9 +129,11 @@ let head_vts t i =
    head become decidable); activation adds a candidate whose head must
    already sit at the group's next unexecuted sequence (nothing here
    moves it). Every orderer instance must flip at the same position in
-   the execution order — the controller does so inside the
-   epoch-boundary entry's on_execute, where the re-entrant [drain] call
-   is absorbed by the guard and the outer loop re-evaluates the minimum
+   the order — the controller does so inside the epoch-boundary entry's
+   on_execute, i.e. when the entry is emitted, not when it later
+   executes (under a backlog the orderer would by then have emitted
+   later entries under the old mask). The re-entrant [drain] call is
+   absorbed by the guard and the outer loop re-evaluates the minimum
    with the new mask. *)
 let set_active t i b =
   if i < 0 || i >= t.ng then invalid_arg "Orderer.set_active: bad group id";

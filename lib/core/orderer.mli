@@ -41,9 +41,9 @@ val head_vts : t -> int -> Vts.t
 val set_active : t -> int -> bool -> unit
 (** Flip group [i]'s participation in the order: inactive heads are
     neither candidates nor constraints. Re-runs the drain loop. Every
-    orderer instance must flip at the same position in the execution
-    order (the controller flips inside the epoch-boundary entry's
-    execution). *)
+    orderer instance must flip at the same position in the order: the
+    controller flips inside [on_execute] of the epoch-boundary entry,
+    i.e. when this orderer emits it, before it emits anything after. *)
 
 val copy_state : src:t -> into:t -> unit
 (** State transfer onto a joining leader's fresh orderer: adopt [src]'s

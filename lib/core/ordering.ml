@@ -41,29 +41,26 @@ and try_rounds t (l : leader) =
     done;
     !ok
   in
-  while round_complete l.l_next_round do
-    let r = l.l_next_round in
-    l.l_next_round <- r + 1;
-    for g = 0 to t.ng - 1 do
-      Entry_tbl.remove l.l_round_ready { Types.gid = g; seq = r };
-      if member_in_round t g r then begin
-        let eid = { Types.gid = g; seq = r } in
-        (* An epoch-boundary entry in this round fixes the membership
-           masks for later rounds — registered here, synchronously,
-           because rounds close strictly in order but execute
-           asynchronously. *)
-        (if t.reconfig_on then
-           match t.reconfig_round with
-           | Some hook ->
-               let e = entry_of t eid in
-               if e.conf <> None then hook t e r
-           | None -> ());
-        Execution.enqueue t l eid
-      end
+  (* A zero-CPU entry (an epoch boundary) executes synchronously inside
+     the pump, and its side effects can close the next round. A sweep
+     re-entered that way returns at once: the outer sweep places the
+     rest of round r first, then re-evaluates the barrier, so round r+1
+     never lands ahead of round r's remaining entries. *)
+  if not l.l_sweeping then begin
+    l.l_sweeping <- true;
+    while round_complete l.l_next_round do
+      let r = l.l_next_round in
+      l.l_next_round <- r + 1;
+      for g = 0 to t.ng - 1 do
+        Entry_tbl.remove l.l_round_ready { Types.gid = g; seq = r };
+        if member_in_round t g r then
+          Execution.enqueue t l { Types.gid = g; seq = r }
+      done;
+      (* ISS: closing a round may unblock the next epoch's proposals. *)
+      Batcher.try_batch t t.leaders.(l.l_gid)
     done;
-    (* ISS: closing a round may unblock the next epoch's proposals. *)
-    Batcher.try_batch t t.leaders.(l.l_gid)
-  done
+    l.l_sweeping <- false
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The VTS stamping lane (Async_vts / MassBFT)                         *)

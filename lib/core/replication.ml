@@ -53,7 +53,7 @@ let send_chunks t (node : node) e =
          inside the charge window can retire this slot out of every
          active dissemination plan, and a retired slot must not ship
          chunks. *)
-      if not (t.reconfig_on && node.n_addr.Topology.n >= active_size t g) then
+      if node.n_addr.Topology.n < active_size t g then
       for j = 0 to t.ng - 1 do
         if j <> g && member_now t j then begin
           let plan = plan_between t ~src:g ~dst:j in
@@ -73,7 +73,7 @@ let send_bijective_copies t (node : node) e =
      cluster-sending plan, f1 + f2 + 1 full copies for similar group
      sizes. *)
   let g = node.n_addr.Topology.g in
-  if t.reconfig_on && node.n_addr.Topology.n >= active_size t g then ()
+  if node.n_addr.Topology.n >= active_size t g then ()
   else
   for j = 0 to t.ng - 1 do
     if j <> g && member_now t j then begin

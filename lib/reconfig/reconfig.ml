@@ -9,14 +9,13 @@
    donor rotation), and then submits the command's one-line wire form
    to the coordinator group, where the batcher forms it into a zero-txn
    epoch-boundary entry. That entry rides global consensus like any
-   batch, so its position in the total order is the agreed cut: the
-   first leader to close its round registers the round-indexed
-   membership masks (the [reconfig_round] seam), and each leader
-   executing it applies the flip at the same logical position (the
-   [reconfig_apply] seam). A joining group's leader is activated by
-   cloning the first executor's replicated state at that exact cut, so
-   it resumes with the incumbents' ledger head and ordering state, then
-   proposes its own entries from the next epoch. The database itself is
+   batch, so its position in the total order is the agreed cut: each
+   leader switches membership where its ordering stage places the entry
+   (the [reconfig_order] seam), and applies the rest of the flip when it
+   executes it (the [reconfig_apply] seam). A joining group's leader is
+   activated by cloning the first executor's replicated state at that
+   exact cut, so it resumes with the incumbents' ledger head and
+   ordering state, then proposes its own entries from the next epoch. The database itself is
    the deployment's one shared store (entries execute once), so the
    transfer is modelled by its cost — bytes priced from the store's
    size — and nothing is copied. *)
@@ -95,11 +94,8 @@ type transfer = {
 type t = {
   eng : Engine.t;
   c : N.t;
-  plan : Spec.plan;
-  base_ng : int;
   mutable next_gid : int;  (* next unused gid for add-group *)
   next_slot : int array;  (* next dark slot to power up, per group *)
-  flipped : unit Entry_tbl.t;  (* round-mask registration, once per eid *)
   applied : unit Entry_tbl.t;  (* executed-side flip, once per eid *)
   members_at : int list Entry_tbl.t;  (* membership after each boundary *)
   pending : (string, transfer) Hashtbl.t;  (* wire command -> transfer *)
@@ -360,7 +356,6 @@ let place_leader t (a : Topology.addr) =
 let expel_group t g =
   let c = t.c in
   c.N.g_member.(g) <- false;
-  if not c.N.strat.N.ord.N.o_rounds then c.N.member_until.(g) <- 0;
   (* GeoBFT releases a proposer's pipeline slot when [ng - 1] delivery
      notes arrive; in-flight proposals whose copies reached the
      departing group before the crash are stranded one note short.
@@ -403,7 +398,6 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
   let dst = c.N.leaders.(gid) in
   c.N.active_n.(gid) <- size;
   c.N.g_member.(gid) <- true;
-  if not c.N.strat.N.ord.N.o_rounds then c.N.member_from.(gid) <- 0;
   List.iter
     (fun (b : Ledger.block) ->
       ignore
@@ -426,8 +420,6 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
     (fun k v -> Entry_tbl.replace dst.N.l_round_ready k v)
     src.N.l_round_ready;
   dst.N.l_next_round <- src.N.l_next_round;
-  (* Anything buffered while dark is part of the cloned history. *)
-  Queue.clear dst.N.l_deferred;
   if c.N.strat.N.ord.N.o_rounds then begin
     (* The zero-transaction boundary executes synchronously inside its
        round's enqueue sweep (zero CPU cost short-circuits the charge),
@@ -511,25 +503,31 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
 (* The two engine seams                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Round-barrier seam: the first leader to close the round holding the
-   boundary registers the round-indexed membership window before any
-   leader evaluates the next round's barrier. Only the window is
-   registered here — the instantaneous flip waits for execution. *)
-let on_round t (e : N.entry) r =
-  if not (Entry_tbl.mem t.flipped e.N.eid) then begin
-    Entry_tbl.replace t.flipped e.N.eid ();
-    let c = t.c in
-    let wire = Option.get e.N.conf in
-    match Spec.command_of_string wire with
-    | Spec.Add_group _ -> c.N.member_from.(Spec.wire_gid wire) <- r + 1
-    | Spec.Remove_group g -> c.N.member_until.(g) <- r + 1
-    | Spec.Add_node _ | Spec.Remove_node _ | Spec.Move_leader _ -> ()
-  end
+(* Placement seam: every entry [l] orders after the boundary is ordered
+   under the new membership. The first leader to place it writes the
+   round window before any leader evaluates the next round; [l]'s
+   orderer flips before emitting anything later — the departing
+   leader's own included, as it orders until expelled. Idempotent. *)
+let on_order t (l : N.leader) (e : N.entry) =
+  let c = t.c in
+  let wire = Option.get e.N.conf in
+  let next = e.N.eid.Types.seq + 1 in
+  match Spec.command_of_string wire with
+  | Spec.Remove_group g ->
+      c.N.member_until.(g) <- next;
+      Option.iter (fun o -> Orderer.set_active o g false) l.N.l_orderer
+  | Spec.Add_group _ -> (
+      let gid = Spec.wire_gid wire in
+      c.N.member_from.(gid) <- next;
+      match l.N.l_orderer with
+      | Some o when l.N.l_gid <> gid -> Orderer.set_active o gid true
+      | _ -> ())
+  | Spec.Add_node _ | Spec.Remove_node _ | Spec.Move_leader _ -> ()
 
 (* Executed-side flip, applied once globally (first executor) plus a
-   per-executor part: each leader flips its own orderer mask and key
-   range at its own execution of the boundary, which is the same
-   position in every leader's order. *)
+   per-executor part: each leader takes its key range at its own
+   execution of the boundary, which is the same position in every
+   leader's order. *)
 let apply_once t (l : N.leader) (e : N.entry) wire cmd =
   if not (Entry_tbl.mem t.applied e.N.eid) then begin
     Entry_tbl.replace t.applied e.N.eid ();
@@ -581,17 +579,8 @@ let on_apply t (l : N.leader) (e : N.entry) =
     }
     :: t.boundaries;
   match cmd with
-  | Spec.Add_group _ | Spec.Remove_group _ ->
-      let g, joins =
-        match cmd with
-        | Spec.Add_group _ -> (Spec.wire_gid wire, true)
-        | Spec.Remove_group g -> (g, false)
-        | _ -> assert false
-      in
-      (match l.N.l_orderer with
-      | Some o when l.N.l_gid <> g -> Orderer.set_active o g joins
-      | _ -> ());
-      (match Entry_tbl.find_opt t.members_at e.N.eid with
+  | Spec.Add_group _ | Spec.Remove_group _ -> (
+      match Entry_tbl.find_opt t.members_at e.N.eid with
       | Some ms -> (
           match rank l.N.l_gid ms with
           | Some i -> W.set_shard l.N.l_gen ~index:i ~count:(List.length ms)
@@ -622,11 +611,8 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
     {
       eng;
       c;
-      plan;
-      base_ng;
       next_gid = base_ng;
       next_slot = Array.copy provisioned.Spec.p_active;
-      flipped = Entry_tbl.create 8;
       applied = Entry_tbl.create 8;
       members_at = Entry_tbl.create 8;
       pending = Hashtbl.create 8;
@@ -636,7 +622,6 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
     }
   in
   if plan <> [] then begin
-    c.N.reconfig_on <- true;
     Array.blit provisioned.Spec.p_active 0 c.N.active_n 0 ng;
     Array.blit provisioned.Spec.p_member 0 c.N.g_member 0 ng;
     for g = 0 to ng - 1 do
@@ -660,7 +645,7 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
             c.N.nodes.(g)
       end
     done;
-    c.N.reconfig_round <- Some (fun _c e r -> on_round t e r);
+    c.N.reconfig_order <- Some (fun _c l e -> on_order t l e);
     c.N.reconfig_apply <- Some (fun _c l e -> on_apply t l e);
     (* Leader re-placement and post-resize re-alignment ride the
        engine's leadership watchdog; fault-free reconfig runs need it

@@ -6,9 +6,12 @@
     quorum — until their epoch. Each plan event powers the hardware up,
     catches it up by a rate-limited chunked state transfer (capped
     backoff, donor rotation), then orders the command through global
-    consensus as a zero-transaction epoch-boundary entry, so every
-    group applies the membership flip at the same position in the total
-    order. An empty plan arms nothing: the run is byte-identical to one
+    consensus as a zero-transaction epoch-boundary entry. Membership
+    switches where each leader's ordering stage places that entry into
+    its execution order, so every group applies the flip at the same
+    position in the total order; the execution-side work (resizes, the
+    joiner's clone, key ranges) runs when each leader executes it. An
+    empty plan arms nothing: the run is byte-identical to one
     without the reconfiguration subsystem. *)
 
 module Topology = Massbft_sim.Topology
@@ -49,7 +52,7 @@ type t
 val arm : Engine.t -> provisioned:Spec.provisioned -> Spec.plan -> t
 (** Arm the plan on a not-yet-started engine that was created from
     [provisioned.p_spec]. Installs the membership masks, crashes the
-    dark slots, installs the engine's [reconfig_round]/[reconfig_apply]
+    dark slots, installs the engine's [reconfig_order]/[reconfig_apply]
     seams and schedules the plan's triggers. An empty plan changes
     nothing. *)
 

@@ -2,10 +2,12 @@
    as a qcheck property, parse errors, the validation floors), seeded
    determinism of the scenario generator, the no-op guarantee (an empty
    plan perturbs nothing, byte-identically, for every system), a join's
-   state-transfer receipt, the mid-transfer-crash drill (a deliberately
-   intolerable schedule is detected and ddmin-shrinks to its culprit
-   while the plan — the scenario's identity — stays fixed), and the
-   CLI's exit-2 one-line diagnostics for malformed plan files. *)
+   state-transfer receipt, content release under a plan, group-removal
+   drills that fork the chain if the flip lands at the wrong point, the
+   mid-transfer-crash drill (a deliberately intolerable schedule is
+   detected and ddmin-shrinks to its culprit while the plan — the
+   scenario's identity — stays fixed), and the CLI's exit-2 one-line
+   diagnostics for malformed plan files. *)
 
 module Topology = Massbft_sim.Topology
 module Config = Massbft.Config
@@ -17,6 +19,7 @@ module Timed_line = Massbft_sim.Timed_line
 module Reconfig = Massbft_reconfig.Reconfig
 module F = Massbft_faults.Fault_spec
 module Chaos = Massbft_faults.Chaos
+module N = Massbft.Node_ctx
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -212,6 +215,62 @@ let test_join_receipt () =
         (j.Reconfig.j_activated > j.Reconfig.j_started)
   | js -> Alcotest.fail (Printf.sprintf "expected 1 join, got %d" (List.length js))
 
+(* A node join changes no group's membership, so every leader executes
+   every entry: once the last one has, the entry's transaction closures
+   and memoized outcome are released exactly as in a run without a
+   plan. *)
+let test_join_releases_executed_content () =
+  let cfg = small_cfg () in
+  let spec = small_spec () in
+  let plan = [ { R.at = 2.0; cmd = R.Add_node 1 } ] in
+  let eng = ref None in
+  let _ =
+    Runner.run ~duration:6.0 ~warmup:2.0 ~reconfig:plan
+      ~on_start:(fun d -> eng := Some d.Massbft_faults.Deployment.engine)
+      ~spec ~cfg ()
+  in
+  let c =
+    match !eng with
+    | Some e -> Massbft.Engine.ctx e
+    | None -> Alcotest.fail "no engine"
+  in
+  let done_by_all = ref 0 and kept = ref 0 in
+  Massbft.Types.Entry_tbl.iter
+    (fun _ (e : N.entry) ->
+      if e.N.exec_count >= c.N.ng then begin
+        incr done_by_all;
+        if e.N.txns <> [] || e.N.fb_txns <> [] || e.N.outcome <> None then
+          incr kept
+      end)
+    c.N.entries;
+  check_bool "entries executed by every leader" true (!done_by_all > 0);
+  check_int "of those, entries still holding content" 0 !kept
+
+(* ------------------------------------------------------------------ *)
+(* Group removal: every leader switches at the boundary's position     *)
+(* ------------------------------------------------------------------ *)
+
+(* Seeds that fork the cross-group chain when the departing group's
+   membership flips at the wrong point: on GeoBFT, a round sweep
+   re-entered from the zero-CPU boundary's execution orders round r+1
+   ahead of round r's remaining entries; on MassBFT, an orderer that
+   flips its mask when the boundary executes has already ordered a
+   backlog under the old mask. The drill runs the CLI's quick
+   configuration (nationwide 3x7, 1% scale, 8 s). *)
+let test_group_remove_no_fork (system, seed) () =
+  let cfg = { (Config.default ~system ()) with Config.workload_scale = 0.01 } in
+  let spec = Clusters.nationwide ~nodes_per_group:7 ~groups:3 () in
+  let r =
+    Chaos.drill ~duration:8.0 ~reconfig:"group-remove" ~shrink_failures:false
+      ~spec ~cfg ~seed ()
+  in
+  let o = r.Chaos.outcome in
+  List.iter
+    (fun v ->
+      Alcotest.fail (Massbft_faults.Invariants.violation_to_string v))
+    o.Chaos.violations;
+  check_int "one epoch boundary executed" 1 o.Chaos.epochs
+
 (* ------------------------------------------------------------------ *)
 (* Mid-transfer-crash drill: detect and shrink                         *)
 (* ------------------------------------------------------------------ *)
@@ -382,7 +441,17 @@ let () =
       ( "join",
         [
           Alcotest.test_case "state-transfer receipt" `Slow test_join_receipt;
+          Alcotest.test_case "executed content released" `Slow
+            test_join_releases_executed_content;
         ] );
+      ( "remove",
+        List.map
+          (fun ((system, seed) as case) ->
+            Alcotest.test_case
+              (Printf.sprintf "%s seed %Ld: no fork" (Config.system_name system)
+                 seed)
+              `Slow (test_group_remove_no_fork case))
+          [ (Config.Geobft, 3L); (Config.Massbft, 2L); (Config.Massbft, 7L) ] );
       ( "drill",
         [
           Alcotest.test_case "mid-transfer crash: detect and shrink" `Slow
