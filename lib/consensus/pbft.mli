@@ -18,7 +18,15 @@
     plays this role; signature CPU costs are charged by the engine's
     cost model). Byzantine *content* faults are tolerated by quorum
     counting; a replica accepts only the first pre-prepare per (view,
-    seq) and needs 2f + 1 matching votes to decide. *)
+    seq) and needs 2f + 1 matching votes to decide.
+
+    Cost per vote: a slot keeps one tally per digest voted for in its
+    view (one in the normal case, more only under equivocation), each a
+    {!Massbft_util.Bitset} of voter ids with a kept count, and slots sit
+    in an int-keyed table with the identity hash. Recording a vote and
+    testing a quorum allocate nothing once the slot exists. Only the
+    accepted digest's count is ever read, so the order in which
+    equivocated digests were seen does not matter. *)
 
 type msg =
   | Pre_prepare of { view : int; seq : int; digest : string }
@@ -33,7 +41,8 @@ type certificate = {
   cert_seq : int;
   cert_digest : string;
   cert_view : int;
-  cert_signers : int list;  (** the 2f+1 replicas whose commits decided *)
+  cert_signers : int list;
+      (** the 2f+1 replicas whose commits decided, ascending *)
 }
 
 type config = {
@@ -109,10 +118,10 @@ val size : t -> int
 (** The current group size ([n] after any {!resize}). *)
 
 val retained_votes : t -> int
-(** Voter ids held across every slot's prepare and commit sets, kept as
-    a running count (O(1)). A slot drops its sets when it decides or
-    when a view change voids them, and a decided slot records no later
-    votes. Memory censuses read this instead of walking the replica,
+(** Voter ids held across every slot's prepare and commit tallies, kept
+    as a running count (O(1)). A slot drops its tallies when it decides
+    or when a view change voids them, and a decided slot records no
+    later votes. Memory censuses read this instead of walking the replica,
     whose callbacks reach the whole embedder. *)
 
 val decided_votes : t -> int

@@ -27,7 +27,14 @@
     certificates, so two different entries can never occupy the same
     index (the paper relies on the same argument to run CFT consensus
     over Byzantine groups); log-conflict truncation is therefore
-    omitted. *)
+    omitted.
+
+    Cost per message: the log, the out-of-order buffer and the leader's
+    per-index ack sets are int-keyed tables with the identity hash; an
+    ack set, the candidate's election votes and the follower's record
+    of indices it already acked are {!Massbft_util.Bitset}s, so an ack
+    allocates nothing once its index has a set, and the acked record
+    costs one bit per log index. *)
 
 type role = Leader | Follower | Candidate
 
@@ -71,9 +78,9 @@ val set_trace : 'p t -> Massbft_trace.Trace.t -> inst:int -> unit
     on elections and role changes. Defaults to the disabled sink. *)
 
 val acks_for : 'p t -> int -> int list
-(** Accept voters recorded for a log index (leader-side diagnostic).
-    Empty at or below the commit index: committing an index drops its
-    ack set, and a later ack for it is not recorded. *)
+(** Accept voters recorded for a log index (leader-side diagnostic),
+    ascending. Empty at or below the commit index: committing an index
+    drops its ack set, and a later ack for it is not recorded. *)
 
 val retained_acks : 'p t -> int
 (** Ack sets currently held (O(1)). Memory censuses read this instead

@@ -30,8 +30,10 @@ let dispatch t ~(src : Topology.addr) ~(dst : Topology.addr) m =
   | Copy { eid } -> Replication.handle_copy t node eid
   | Copy_fwd { eid } -> content_event t node eid
   | Raft_m { inst; rmsg } -> Global_consensus.handle_raft_m t ~src ~dst ~inst rmsg
-  | Accept_req { tag } -> Local_consensus.handle_accept_req t ~src ~dst tag
-  | Accept_vote { tag } -> Local_consensus.handle_accept_vote t ~src ~dst tag
+  | Accept_req { inst; index } ->
+      Local_consensus.handle_accept_req t ~src ~dst ~inst ~index
+  | Accept_vote { inst; index } ->
+      Local_consensus.handle_accept_vote t ~src ~dst ~inst ~index
   | Accept_note { eid } -> Local_consensus.handle_accept_note t ~dst eid
   | Recv_note { eid } -> Global_consensus.handle_recv_note t ~dst eid
   | Fetch_req { eid } -> Replication.handle_fetch_req t node ~src eid
@@ -119,8 +121,7 @@ let create sim topo cfg =
           l_exec_busy = false;
           l_executed_rev = [];
           l_executed_count = 0;
-          l_accept_pending = Hashtbl.create 32;
-          l_accept_votes = Hashtbl.create 32;
+          l_accept = Inttbl.create 32;
           l_accept_notes = Entry_tbl.create 64;
           l_ts = Hashtbl.create 256;
           l_last_heard = Array.make (max n_inst 1) 0.0;
@@ -136,7 +137,7 @@ let create sim topo cfg =
           l_fetch_out = 0;
           l_pending_conf = Queue.create ();
           l_skip_commits_below = Array.make (max n_inst 1) 0;
-          l_stuck = Hashtbl.create 8;
+          l_stuck = Inttbl.create 8;
           l_vc_target = 0;
           l_stall_seq = 0;
           l_stall_ticks = 0;
@@ -517,7 +518,7 @@ let debug_dump t =
            l.l_gid (alive t l.l_addr) l.l_in_flight l.l_next_seq l.l_clk
            (Queue.length l.l_exec_q) l.l_executed_count (List.length l.l_retry)
            (Entry_tbl.length l.l_waiting_content)
-           (Hashtbl.length l.l_accept_pending)
+           (Inttbl.length l.l_accept)
            (Entry_tbl.length l.l_fetching));
       Buffer.add_string buf
         (Printf.sprintf "  fetch: out=%d queued=%d\n" l.l_fetch_out

@@ -63,8 +63,7 @@ let ack_guard t (l : leader) inst ~index payload release =
           in
           charge_cpu t l.l_addr cert_cost (fun () ->
               if alive t l.l_addr then
-                Local_consensus.accept_round t l
-                  ~tag:(Printf.sprintf "acc|%d|%d" inst index)
+                Local_consensus.accept_round t l ~inst ~index
                   (fun () ->
                     release ();
                     (* Slow-receiver support (§V-C): advertise the
@@ -145,19 +144,19 @@ let unwedge_check t (l : leader) inst raft =
     match blocked_eid with
     | None -> ()
     | Some eid ->
-        let key = Printf.sprintf "%d|%d" inst idx in
+        let key = round_key t ~inst ~index:idx in
         let ticks =
-          match Hashtbl.find_opt l.l_stuck key with
+          match Inttbl.find_opt l.l_stuck key with
           | Some r -> r
           | None ->
               let r = ref 0 in
-              Hashtbl.replace l.l_stuck key r;
+              Inttbl.replace l.l_stuck key r;
               r
         in
         incr ticks;
         if !ticks = 1 then Replication.want_fetch t l eid
         else if !ticks >= 4 then begin
-          Hashtbl.remove l.l_stuck key;
+          Inttbl.remove l.l_stuck key;
           trace_entry t eid "unwedge_noop" ~gid:l.l_gid ~node:0
             ~args:[ ("inst", Trace.Int inst); ("index", Trace.Int idx) ];
           Raft.replace_uncommitted raft ~index:idx Noop

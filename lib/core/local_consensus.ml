@@ -59,37 +59,36 @@ let handle t (node : node) ~(src : Topology.addr) pm =
    votes (the skip-prepare variant of §V-B). Global_consensus drives
    this from its content-gated ack guards. *)
 
-let accept_round t (l : leader) ~tag k =
+let accept_round t (l : leader) ~inst ~index k =
   let quorum = Intmath.pbft_quorum (active_size t l.l_gid) in
   if quorum <= 1 then k ()
   else begin
-    Hashtbl.replace l.l_accept_pending tag k;
     (* Votes are a set of voter node ids (the leader's own vote counts),
        so duplicated deliveries cannot inflate the tally. *)
-    Hashtbl.replace l.l_accept_votes tag
-      (ref (ISet.singleton l.l_addr.Topology.n));
-    broadcast_group ~bulk:false t ~src:l.l_addr ~bytes:Types.vote_bytes (Accept_req { tag })
+    let a_votes = Bitset.create () in
+    Bitset.add a_votes l.l_addr.Topology.n;
+    Inttbl.replace l.l_accept (round_key t ~inst ~index) { a_votes; a_release = k };
+    broadcast_group ~bulk:false t ~src:l.l_addr ~bytes:Types.vote_bytes
+      (Accept_req { inst; index })
   end
 
-let handle_accept_req t ~(src : Topology.addr) ~(dst : Topology.addr) tag =
+let handle_accept_req t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
   (* Follower's vote in the skip-prepare accept round. *)
-  send ~bulk:false t ~src:dst ~dst:src ~bytes:Types.vote_bytes (Accept_vote { tag })
+  send ~bulk:false t ~src:dst ~dst:src ~bytes:Types.vote_bytes
+    (Accept_vote { inst; index })
 
-let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) tag =
+let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
   if is_acting_leader t dst then begin
     let l = t.leaders.(dst.Topology.g) in
-    match Hashtbl.find_opt l.l_accept_votes tag with
+    let key = round_key t ~inst ~index in
+    match Inttbl.find_opt l.l_accept key with
     | None -> ()
-    | Some votes ->
-        votes := ISet.add src.Topology.n !votes;
+    | Some r ->
+        Bitset.add r.a_votes src.Topology.n;
         let quorum = Intmath.pbft_quorum (active_size t dst.Topology.g) in
-        if ISet.cardinal !votes >= quorum then begin
-          match Hashtbl.find_opt l.l_accept_pending tag with
-          | Some k ->
-              Hashtbl.remove l.l_accept_pending tag;
-              Hashtbl.remove l.l_accept_votes tag;
-              k ()
-          | None -> ()
+        if Bitset.cardinal r.a_votes >= quorum then begin
+          Inttbl.remove l.l_accept key;
+          r.a_release ()
         end
   end
 

@@ -32,7 +32,8 @@ module Ledger = Massbft_exec.Ledger
 module Trace = Massbft_trace.Trace
 module Intmath = Massbft_util.Intmath
 module Entry_tbl = Types.Entry_tbl
-module ISet = Set.Make (Int)
+module Bitset = Massbft_util.Bitset
+module Inttbl = Massbft_util.Inttbl
 
 (* ------------------------------------------------------------------ *)
 (* Wire messages                                                       *)
@@ -54,8 +55,9 @@ type msg =
   | Copy of { eid : Types.entry_id }  (* full entry copy *)
   | Copy_fwd of { eid : Types.entry_id }
   | Raft_m of { inst : int; rmsg : rpayload Raft.msg }
-  | Accept_req of { tag : string }
-  | Accept_vote of { tag : string }
+  | Accept_req of { inst : int; index : int }
+      (* skip-prepare accept round on Raft instance [inst]'s [index] *)
+  | Accept_vote of { inst : int; index : int }
   | Accept_note of { eid : Types.entry_id }
   | Recv_note of { eid : Types.entry_id }  (* GeoBFT delivery credit *)
   | Fetch_req of { eid : Types.entry_id }
@@ -117,6 +119,11 @@ type node = {
   mutable n_rebuilding : int;  (* entries in [Rebuilding] *)
 }
 
+(* A leader's open skip-prepare accept round: the distinct voter node
+   ids so far (duplicate deliveries, an injectable fault, must not fake
+   a quorum) and the continuation the quorum releases. *)
+type accept_round = { a_votes : Bitset.t; a_release : unit -> unit }
+
 type leader = {
   l_gid : int;
   mutable l_addr : Topology.addr;
@@ -139,10 +146,7 @@ type leader = {
   mutable l_exec_busy : bool;
   mutable l_executed_rev : Types.entry_id list;
   mutable l_executed_count : int;
-  l_accept_pending : (string, unit -> unit) Hashtbl.t;
-  l_accept_votes : (string, ISet.t ref) Hashtbl.t;
-      (* distinct voter node-ids per tag: duplicate deliveries (an
-         injectable fault) must not fake a quorum *)
+  l_accept : accept_round Inttbl.t;  (* keyed by [round_key] *)
   l_accept_notes : int ref Entry_tbl.t;
   l_ts : (int * Types.entry_id, bool) Hashtbl.t;
       (* (instance, entry) -> Ts committed yet? Present once we proposed
@@ -165,7 +169,7 @@ type leader = {
       (* per global-consensus instance: commit indices at or below this
          are history a joining leader received via state transfer, not
          work to re-execute (raft backfill replays the whole log) *)
-  l_stuck : (string, int ref) Hashtbl.t;
+  l_stuck : int ref Inttbl.t;  (* keyed by [round_key] *)
       (* ticks a led instance's head-of-line entry has been unackable *)
   mutable l_vc_target : int;
       (* highest local view-change target the engine's liveness watchdog
@@ -294,6 +298,10 @@ and ord_strategy = {
 (* ------------------------------------------------------------------ *)
 
 let now t = Sim.now t.sim
+
+(* Instances number fewer than the provisioned groups, so the key is
+   unique per (instance, index) pair. *)
+let round_key t ~inst ~index = (index * t.ng) + inst
 
 (* The sim shard handle group [gid]'s events are accounted to: per-group
    ticks (Engine.start, Batcher.start, heartbeats) and every other event

@@ -17,7 +17,8 @@ module Ledger = Massbft_exec.Ledger
 module Trace = Massbft_trace.Trace
 module Intmath = Massbft_util.Intmath
 module Entry_tbl = Types.Entry_tbl
-module ISet : Set.S with type elt = int
+module Bitset = Massbft_util.Bitset
+module Inttbl = Massbft_util.Inttbl
 
 type rpayload =
   | Entry_meta of { eid : Types.entry_id }
@@ -31,8 +32,11 @@ type msg =
   | Copy of { eid : Types.entry_id }
   | Copy_fwd of { eid : Types.entry_id }
   | Raft_m of { inst : int; rmsg : rpayload Raft.msg }
-  | Accept_req of { tag : string }
-  | Accept_vote of { tag : string }
+  | Accept_req of { inst : int; index : int }
+      (** skip-prepare accept round on Raft instance [inst]'s log
+          [index]; the pair, folded into one int by {!round_key}, keys
+          the leader's open round *)
+  | Accept_vote of { inst : int; index : int }
   | Accept_note of { eid : Types.entry_id }
   | Recv_note of { eid : Types.entry_id }
   | Fetch_req of { eid : Types.entry_id }
@@ -84,6 +88,10 @@ type node = {
   mutable n_rebuilding : int;  (** entries in [Rebuilding] *)
 }
 
+(** A leader's open skip-prepare accept round: the distinct voter node
+    ids so far and the continuation the quorum releases. *)
+type accept_round = { a_votes : Bitset.t; a_release : unit -> unit }
+
 type leader = {
   l_gid : int;
   mutable l_addr : Topology.addr;
@@ -103,8 +111,7 @@ type leader = {
   mutable l_exec_busy : bool;
   mutable l_executed_rev : Types.entry_id list;
   mutable l_executed_count : int;
-  l_accept_pending : (string, unit -> unit) Hashtbl.t;
-  l_accept_votes : (string, ISet.t ref) Hashtbl.t;
+  l_accept : accept_round Inttbl.t;  (** keyed by {!round_key} *)
   l_accept_notes : int ref Entry_tbl.t;
   l_ts : (int * Types.entry_id, bool) Hashtbl.t;
   l_last_heard : float array;
@@ -120,7 +127,7 @@ type leader = {
   mutable l_fetch_out : int;
   l_pending_conf : string Queue.t;
   mutable l_skip_commits_below : int array;
-  l_stuck : (string, int ref) Hashtbl.t;
+  l_stuck : int ref Inttbl.t;  (** keyed by {!round_key} *)
   mutable l_vc_target : int;
   mutable l_stall_seq : int;
   mutable l_stall_ticks : int;
@@ -207,6 +214,11 @@ and ord_strategy = {
 }
 
 val now : t -> float
+
+val round_key : t -> inst:int -> index:int -> int
+(** One int per (global-consensus instance, log index) pair, keying the
+    leaders' accept rounds and unwedge tick counts ([index * ng + inst];
+    an instance id is below [ng]). *)
 
 val sim_of : t -> int -> Sim.t
 (** The shard handle group [gid]'s events are accounted to (see

@@ -1,4 +1,4 @@
-module ISet = Set.Make (Int)
+module Bitset = Massbft_util.Bitset
 
 type 'e verdict =
   | Accepted
@@ -30,37 +30,35 @@ end
 module Classifier (P : PAYLOAD) = struct
   type bucket = {
     key : string;
-    mutable ids : ISet.t;
-    mutable count : int;  (* [ISet.cardinal ids], kept to skip the walk *)
+    ids : Bitset.t;
     mutable held : P.held;
   }
 
   (* Buckets are a list: one genuine root plus one per fake encoding
      (the tamper adversary makes one per entry), so it stays short. *)
-  type t = { mutable buckets : bucket list; mutable black : ISet.t }
+  type t = { mutable buckets : bucket list; black : Bitset.t }
 
-  let create () = { buckets = []; black = ISet.empty }
+  let create () = { buckets = []; black = Bitset.create () }
   let find t key = List.find_opt (fun b -> String.equal b.key key) t.buckets
 
   let add t ~plan cert c =
     let i = P.index c in
-    if ISet.mem i t.black then Rejected_blacklisted
+    if Bitset.mem t.black i then Rejected_blacklisted
     else if not (P.well_formed plan c) then Rejected_proof
     else
       let b =
         match find t (P.key c) with
         | Some b -> b
         | None ->
-            let b = { key = P.key c; ids = ISet.empty; count = 0; held = P.empty } in
+            let b = { key = P.key c; ids = Bitset.create (); held = P.empty } in
             t.buckets <- b :: t.buckets;
             b
       in
-      if ISet.mem i b.ids then Rejected_duplicate
+      if Bitset.mem b.ids i then Rejected_duplicate
       else begin
-        b.ids <- ISet.add i b.ids;
-        b.count <- b.count + 1;
+        Bitset.add b.ids i;
         b.held <- P.hold b.held c;
-        if b.count < plan.Transfer_plan.n_data then Accepted
+        if Bitset.cardinal b.ids < plan.Transfer_plan.n_data then Accepted
         else
           match P.rebuild plan cert b.key b.held with
           | Some entry -> Rebuilt entry
@@ -68,13 +66,16 @@ module Classifier (P : PAYLOAD) = struct
               (* Every chunk under this key is fake: burn the ids and drop
                  the bucket. Other (also fake) buckets holding burned ids
                  can keep waiting; they never validate. *)
-              t.black <- ISet.union t.black b.ids;
+              let ids = Bitset.elements b.ids in
+              List.iter (Bitset.add t.black) ids;
               t.buckets <- List.filter (fun b' -> b' != b) t.buckets;
-              Rejected_fake_bucket (ISet.elements b.ids)
+              Rejected_fake_bucket ids
       end
 
-  let blacklisted t = ISet.elements t.black
-  let bucket_size t key = match find t key with Some b -> b.count | None -> 0
+  let blacklisted t = Bitset.elements t.black
+
+  let bucket_size t key =
+    match find t key with Some b -> Bitset.cardinal b.ids | None -> 0
 end
 
 type symbolic_chunk = { root_tag : string; index : int }

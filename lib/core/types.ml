@@ -1,6 +1,6 @@
 type entry_id = { gid : int; seq : int }
 
-let entry_id_to_string e = Printf.sprintf "e(%d,%d)" e.gid e.seq
+let entry_id_to_string e = Massbft_workload.Keyfmt.cat2 "e(" e.gid "," e.seq ")"
 
 let entry_id_compare a b =
   let c = compare a.gid b.gid in

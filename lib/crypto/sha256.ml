@@ -54,25 +54,29 @@ let ( ^. ) a b = a lxor b
 let ( +. ) a b = (a + b) land mask
 let rotr x n = ((x lsr n) |. (x lsl (32 - n))) land mask
 let shr x n = x lsr n
+let byte b o = Char.code (Bytes.unsafe_get b o)
 
+(* One range check up front; every load below is then in bounds ([w]
+   and [k] hold 64 words, the block 64 bytes from [pos]), so they skip
+   the per-access checks. *)
 let compress ctx block pos =
+  if pos < 0 || pos > Bytes.length block - block_size then
+    invalid_arg "Sha256.compress: block out of bounds";
   let w = ctx.w in
   for i = 0 to 15 do
     let o = pos + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block o) lsl 24)
-      lor (Char.code (Bytes.get block (o + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (o + 2)) lsl 8)
-      lor Char.code (Bytes.get block (o + 3))
+    Array.unsafe_set w i
+      ((byte block o lsl 24)
+      lor (byte block (o + 1) lsl 16)
+      lor (byte block (o + 2) lsl 8)
+      lor byte block (o + 3))
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 ^. rotr w.(i - 15) 18 ^. shr w.(i - 15) 3
-    in
-    let s1 =
-      rotr w.(i - 2) 17 ^. rotr w.(i - 2) 19 ^. shr w.(i - 2) 10
-    in
-    w.(i) <- w.(i - 16) +. s0 +. w.(i - 7) +. s1
+    let w15 = Array.unsafe_get w (i - 15) and w2 = Array.unsafe_get w (i - 2) in
+    let s0 = rotr w15 7 ^. rotr w15 18 ^. shr w15 3 in
+    let s1 = rotr w2 17 ^. rotr w2 19 ^. shr w2 10 in
+    Array.unsafe_set w i
+      (Array.unsafe_get w (i - 16) +. s0 +. Array.unsafe_get w (i - 7) +. s1)
   done;
   let a = ref ctx.h.(0)
   and b = ref ctx.h.(1)
@@ -85,7 +89,7 @@ let compress ctx block pos =
   for i = 0 to 63 do
     let s1 = rotr !e 6 ^. rotr !e 11 ^. rotr !e 25 in
     let ch = (!e &. !f) ^. (lnot !e &. !g) in
-    let temp1 = !hh +. s1 +. ch +. k.(i) +. w.(i) in
+    let temp1 = !hh +. s1 +. ch +. Array.unsafe_get k i +. Array.unsafe_get w i in
     let s0 = rotr !a 2 ^. rotr !a 13 ^. rotr !a 22 in
     let maj = (!a &. !b) ^. (!a &. !c) ^. (!b &. !c) in
     let temp2 = s0 +. maj in

@@ -1,4 +1,5 @@
 module Sha256 = Massbft_crypto.Sha256
+module Keyfmt = Massbft_workload.Keyfmt
 
 type block = {
   height : int;
@@ -16,10 +17,18 @@ let genesis_hash = Sha256.digest "massbft-genesis"
 
 let create () = { rev_blocks = []; len = 0 }
 
+(* The preimage is "blk|height|gid|seq|txn_count|payload_digest|prev_hash"
+   (ints in decimal), built without the format interpreter: the ints
+   through [Keyfmt], the digests blitted behind them. *)
 let hash_block ~height ~gid ~seq ~txn_count ~payload_digest ~prev_hash =
-  Sha256.digest
-    (Printf.sprintf "blk|%d|%d|%d|%d|%s|%s" height gid seq txn_count
-       payload_digest prev_hash)
+  let head = Keyfmt.cat4 "blk|" height "|" gid "|" seq "|" txn_count "|" in
+  let hl = String.length head and pl = String.length payload_digest in
+  let b = Bytes.create (hl + pl + 1 + String.length prev_hash) in
+  Bytes.blit_string head 0 b 0 hl;
+  Bytes.blit_string payload_digest 0 b hl pl;
+  Bytes.set b (hl + pl) '|';
+  Bytes.blit_string prev_hash 0 b (hl + pl + 1) (String.length prev_hash);
+  Sha256.digest_bytes b
 
 let head_hash t =
   match t.rev_blocks with [] -> genesis_hash | b :: _ -> b.block_hash

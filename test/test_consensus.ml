@@ -702,6 +702,406 @@ let test_raft_late_ack_not_recorded () =
   Alcotest.(check (list (pair int string)))
     "commits unchanged" [ (1, "a"); (2, "b") ] events.(0).committed
 
+(* ------------------------------------------------------------------ *)
+(* Bitset tallies against the set-based oracles                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One replica of each implementation is fed the same stream of
+   operations. After every step both must have emitted the same sends,
+   decisions (certificates with their signers) or commits, and hold the
+   same state and retained vote or ack counts. The streams repeat and
+   equivocate votes, change views and terms, and resize the group. *)
+
+let raised f =
+  match f () with () -> "" | exception e -> Printexc.to_string e
+
+module type PBFT_IMPL = sig
+  type t
+
+  val create : Pbft.config -> Pbft.callbacks -> t
+  val handle : t -> from:int -> Pbft.msg -> unit
+  val propose : t -> seq:int -> digest:string -> unit
+  val start_view_change : ?target:int -> t -> unit
+  val rejoin : t -> view:int -> unit
+  val resize : t -> n:int -> unit
+  val install_decided : t -> seq:int -> digest:string -> unit
+  val view : t -> int
+  val in_view_change : t -> bool
+  val decided : t -> int -> string option
+  val proposed : t -> seq:int -> bool
+  val retained_votes : t -> int
+  val decided_votes : t -> int
+end
+
+type pbft_op =
+  | P_votes of { kind : int; view : int; seq : int; digest : string; voters : int list }
+  | P_view_change of { voters : int list; new_view : int; prepared : (int * string) list }
+  | P_new_view of { from : int; view : int; reproposals : (int * string) list }
+  | P_propose of { seq : int; digest : string }
+  | P_start_view_change of int option
+  | P_rejoin of int
+  | P_resize of int
+  | P_install of { seq : int; digest : string }
+
+let pbft_max_seq = 4
+
+(* A View_change's prepared pairs come from a hash-table walk, whose
+   order is not part of the protocol. *)
+let normalize_pbft = function
+  | Pbft.View_change { new_view; prepared } ->
+      Pbft.View_change { new_view; prepared = List.sort compare prepared }
+  | m -> m
+
+type pbft_event = P_send of int * Pbft.msg | P_decide of Pbft.certificate
+
+module Pbft_run (M : PBFT_IMPL) = struct
+  let run ~n ~me ~skip_prepare ops =
+    let events = ref [] in
+    let r =
+      M.create
+        { Pbft.n; me; skip_prepare }
+        {
+          Pbft.send = (fun dst m -> events := P_send (dst, normalize_pbft m) :: !events);
+          decide = (fun c -> events := P_decide c :: !events);
+        }
+    in
+    let step op =
+      match op with
+      | P_votes { kind; view; seq; digest; voters } ->
+          List.iter
+            (fun from ->
+              M.handle r ~from
+                (match kind with
+                | 0 -> Pbft.Pre_prepare { view; seq; digest }
+                | 1 -> Pbft.Prepare { view; seq; digest }
+                | _ -> Pbft.Commit { view; seq; digest }))
+            voters
+      | P_view_change { voters; new_view; prepared } ->
+          List.iter
+            (fun from -> M.handle r ~from (Pbft.View_change { new_view; prepared }))
+            voters
+      | P_new_view { from; view; reproposals } ->
+          M.handle r ~from (Pbft.New_view { view; reproposals })
+      | P_propose { seq; digest } -> M.propose r ~seq ~digest
+      | P_start_view_change target -> M.start_view_change ?target r
+      | P_rejoin view -> M.rejoin r ~view
+      | P_resize n -> M.resize r ~n
+      | P_install { seq; digest } -> M.install_decided r ~seq ~digest
+    in
+    List.map
+      (fun op ->
+        events := [];
+        let exn = raised (fun () -> step op) in
+        let seqs = List.init (pbft_max_seq + 1) Fun.id in
+        ( exn,
+          List.rev !events,
+          (M.view r, M.in_view_change r, M.retained_votes r, M.decided_votes r),
+          List.map (fun seq -> (M.decided r seq, M.proposed r ~seq)) seqs ))
+      ops
+end
+
+module Pbft_real_run = Pbft_run (Pbft)
+module Pbft_oracle_run = Pbft_run (Pbft_oracle)
+
+let gen_pbft_ops ~n =
+  let open QCheck.Gen in
+  (* Mostly one digest and the first views, so bursts pile onto the same
+     slot and reach quorums; the other digests equivocate. *)
+  let digest = frequency [ (4, return "a"); (1, return "b"); (1, return "c") ] in
+  let seq = int_range 1 pbft_max_seq in
+  let view = frequency [ (4, return 0); (1, int_range 1 3) ] in
+  (* Out-of-range senders and repeats, or the whole group in a random
+     order, duplicates included. *)
+  let voters =
+    frequency
+      [
+        (1, list_size (int_range 0 ((3 * n / 2) + 1)) (int_range (-1) n));
+        ( 1,
+          map2
+            (fun ids dups -> ids @ dups)
+            (shuffle_l (List.init n Fun.id))
+            (list_size (int_range 0 3) (int_range 0 (n - 1))) );
+      ]
+  in
+  let pairs = list_size (int_range 0 3) (pair seq digest) in
+  let op =
+    frequency
+      [
+        ( 12,
+          map
+            (fun (kind, view, seq, digest, voters) ->
+              P_votes { kind; view; seq; digest; voters })
+            (tup5 (int_range 0 2) view seq digest voters) );
+        ( 2,
+          map3
+            (fun voters new_view prepared -> P_view_change { voters; new_view; prepared })
+            voters (int_range 1 4) pairs );
+        ( 1,
+          map3
+            (fun from view reproposals -> P_new_view { from; view; reproposals })
+            (int_range 0 (n - 1)) (int_range 1 4) pairs );
+        (3, map2 (fun seq digest -> P_propose { seq; digest }) seq digest);
+        (1, map (fun t -> P_start_view_change t) (opt (int_range 0 4)));
+        (1, map (fun v -> P_rejoin v) (int_range 0 4));
+        (1, map (fun k -> P_resize k) (int_range (max 1 (n - 3)) (n + 3)));
+        (1, map2 (fun seq digest -> P_install { seq; digest }) seq digest);
+      ]
+  in
+  pair (int_range 0 (n - 1)) (pair bool (list_size (int_range 1 40) op))
+
+let print_pbft_op = function
+  | P_votes { kind; view; seq; digest; voters } ->
+      Printf.sprintf "votes(kind %d v%d s%d %s from [%s])" kind view seq digest
+        (String.concat ";" (List.map string_of_int voters))
+  | P_view_change { voters; new_view; prepared } ->
+      Printf.sprintf "view_change(nv %d, %d prepared, from [%s])" new_view
+        (List.length prepared)
+        (String.concat ";" (List.map string_of_int voters))
+  | P_new_view { from; view; reproposals } ->
+      Printf.sprintf "new_view(v%d from %d, %d reproposals)" view from
+        (List.length reproposals)
+  | P_propose { seq; digest } -> Printf.sprintf "propose(s%d %s)" seq digest
+  | P_start_view_change t ->
+      Printf.sprintf "start_view_change(%s)"
+        (match t with Some v -> string_of_int v | None -> "-")
+  | P_rejoin v -> Printf.sprintf "rejoin(%d)" v
+  | P_resize k -> Printf.sprintf "resize(%d)" k
+  | P_install { seq; digest } -> Printf.sprintf "install(s%d %s)" seq digest
+
+let prop_pbft_matches_oracle ~n ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "PBFT tallies = set-based oracle, n=%d" n)
+    (QCheck.make
+       ~print:(fun (me, (skip, ops)) ->
+         Printf.sprintf "me=%d skip_prepare=%b\n%s" me skip
+           (String.concat "\n" (List.map print_pbft_op ops)))
+       (gen_pbft_ops ~n))
+    (fun (me, (skip_prepare, ops)) ->
+      Pbft_real_run.run ~n ~me ~skip_prepare ops
+      = Pbft_oracle_run.run ~n ~me ~skip_prepare ops)
+
+module type RAFT_IMPL = sig
+  type 'p t
+
+  val create : ?initial_leader:int -> ng:int -> me:int -> 'p Raft.callbacks -> 'p t
+  val handle : 'p t -> from:int -> 'p Raft.msg -> unit
+  val propose : 'p t -> 'p -> int
+  val replace_uncommitted : 'p t -> index:int -> 'p -> unit
+  val heartbeat : 'p t -> unit
+  val start_election : 'p t -> unit
+  val acks_for : 'p t -> int -> int list
+  val retained_acks : 'p t -> int
+  val role : 'p t -> Raft.role
+  val term : 'p t -> int
+  val last_index : 'p t -> int
+  val commit_index : 'p t -> int
+  val entry_at : 'p t -> int -> 'p option
+end
+
+type raft_op =
+  | R_msg of { senders : int list; msg : int Raft.msg }
+  | R_propose of int
+  | R_replace of { index : int; entry : int }
+  | R_heartbeat
+  | R_election
+  | R_release of int  (** releases one parked ack guard *)
+
+let raft_max_index = 7
+
+type raft_event =
+  | R_send of int * int Raft.msg
+  | R_deliver of int * int
+  | R_commit of int * int
+  | R_role of Raft.role * int
+
+module Raft_run (M : RAFT_IMPL) = struct
+  let run ~ng ~me ~initial_leader ops =
+    let events = ref [] in
+    let parked = ref [] in
+    let push e = events := e :: !events in
+    let r =
+      M.create ?initial_leader ~ng ~me
+        {
+          Raft.send = (fun dst m -> push (R_send (dst, m)));
+          on_deliver = (fun ~index p -> push (R_deliver (index, p)));
+          on_commit = (fun ~index p -> push (R_commit (index, p)));
+          on_role = (fun role ~term -> push (R_role (role, term)));
+          (* Every third index waits for an explicit release, so acks
+             arrive late, out of order or never. *)
+          ack_guard =
+            (fun ~index _ k -> if index mod 3 = 0 then parked := !parked @ [ k ] else k ());
+        }
+    in
+    let step op =
+      match op with
+      | R_msg { senders; msg } -> List.iter (fun from -> M.handle r ~from msg) senders
+      | R_propose p -> ignore (M.propose r p)
+      | R_replace { index; entry } -> M.replace_uncommitted r ~index entry
+      | R_heartbeat -> M.heartbeat r
+      | R_election -> M.start_election r
+      | R_release i -> (
+          match !parked with
+          | [] -> ()
+          | l ->
+              let k = List.nth l (i mod List.length l) in
+              parked := List.filter (fun k' -> k' != k) l;
+              k ())
+    in
+    List.map
+      (fun op ->
+        events := [];
+        let exn = raised (fun () -> step op) in
+        let idx = List.init (raft_max_index + 2) Fun.id in
+        ( exn,
+          List.rev !events,
+          (M.role r, M.term r, M.last_index r, M.commit_index r, M.retained_acks r),
+          List.map (fun i -> (M.acks_for r i, M.entry_at r i)) idx ))
+      ops
+end
+
+module Raft_real_run = Raft_run (Raft)
+module Raft_oracle_run = Raft_run (Raft_oracle)
+
+let gen_raft_ops ~ng =
+  let open QCheck.Gen in
+  (* Few terms and mostly low indices, so appends extend the log and
+     later messages hit the entries stored. *)
+  let term = int_range 0 2 in
+  let index = frequency [ (3, int_range 1 3); (1, int_range 0 raft_max_index) ] in
+  let entry = int_range 0 3 in
+  let one = map (fun s -> [ s ]) (int_range (-1) ng) in
+  let burst =
+    frequency
+      [
+        (1, list_size (int_range 0 ((3 * ng / 2) + 1)) (int_range (-1) ng));
+        (1, shuffle_l (List.init ng Fun.id));
+      ]
+  in
+  let msg =
+    frequency
+      [
+        (4, pair one (map3 (fun term index entry -> Raft.Append { term; index; entry }) term index entry));
+        (4, pair burst (map2 (fun term index -> Raft.Append_ack { term; index }) term index));
+        (2, pair one (map2 (fun term index -> Raft.Commit_note { term; index }) term index));
+        ( 1,
+          pair one
+            (map2 (fun term last_index -> Raft.Request_vote { term; last_index }) term index) );
+        (2, pair burst (map2 (fun term granted -> Raft.Vote { term; granted }) term bool));
+        (1, pair one (map (fun term -> Raft.Probe { term }) term));
+        ( 1,
+          pair one
+            (map3
+               (fun term last_index commit_index ->
+                 Raft.Probe_reply { term; last_index; commit_index })
+               term index index) );
+        (1, pair one (map (fun term -> Raft.Timeout_now { term }) term));
+        (2, pair one (map3 (fun term index entry -> Raft.Replace { term; index; entry }) term index entry));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (10, map (fun (senders, msg) -> R_msg { senders; msg }) msg);
+        (3, map (fun p -> R_propose p) entry);
+        (1, map2 (fun index entry -> R_replace { index; entry }) index entry);
+        (1, return R_heartbeat);
+        (1, return R_election);
+        (3, map (fun i -> R_release i) nat);
+      ]
+  in
+  triple (int_range 0 (ng - 1)) (opt (int_range 0 (ng - 1))) (list_size (int_range 1 60) op)
+
+let print_raft_op = function
+  | R_msg { senders; msg } ->
+      let name =
+        match msg with
+        | Raft.Append { term; index; entry } -> Printf.sprintf "append(t%d i%d e%d)" term index entry
+        | Raft.Append_ack { term; index } -> Printf.sprintf "ack(t%d i%d)" term index
+        | Raft.Commit_note { term; index } -> Printf.sprintf "commit_note(t%d i%d)" term index
+        | Raft.Request_vote { term; last_index } ->
+            Printf.sprintf "request_vote(t%d last %d)" term last_index
+        | Raft.Vote { term; granted } -> Printf.sprintf "vote(t%d %b)" term granted
+        | Raft.Probe { term } -> Printf.sprintf "probe(t%d)" term
+        | Raft.Probe_reply { term; last_index; commit_index } ->
+            Printf.sprintf "probe_reply(t%d last %d commit %d)" term last_index commit_index
+        | Raft.Timeout_now { term } -> Printf.sprintf "timeout_now(t%d)" term
+        | Raft.Replace { term; index; entry } -> Printf.sprintf "replace(t%d i%d e%d)" term index entry
+      in
+      Printf.sprintf "%s from [%s]" name (String.concat ";" (List.map string_of_int senders))
+  | R_propose p -> Printf.sprintf "propose(%d)" p
+  | R_replace { index; entry } -> Printf.sprintf "replace_uncommitted(i%d e%d)" index entry
+  | R_heartbeat -> "heartbeat"
+  | R_election -> "election"
+  | R_release i -> Printf.sprintf "release(%d)" i
+
+let prop_raft_matches_oracle ~ng ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "Raft tallies = set-based oracle, ng=%d" ng)
+    (QCheck.make
+       ~print:(fun (me, leader, ops) ->
+         Printf.sprintf "me=%d initial_leader=%s\n%s" me
+           (match leader with Some l -> string_of_int l | None -> "-")
+           (String.concat "\n" (List.map print_raft_op ops)))
+       (gen_raft_ops ~ng))
+    (fun (me, initial_leader, ops) ->
+      Raft_real_run.run ~ng ~me ~initial_leader ops
+      = Raft_oracle_run.run ~ng ~me ~initial_leader ops)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor-heap words per PBFT normal-case slot at n = 7: the leader
+   proposes, an in-memory queue delivers every pre-prepare, prepare and
+   commit, and all seven replicas decide (the perfbench PBFT replay's
+   loop). The count is exact and deterministic for one compiler, so the
+   budget is the value measured on OCaml 5.1 (native, no flambda, as
+   dune's default profile builds it) plus 2%. Other compilers allocate
+   differently; there the figure is printed, not enforced. *)
+let budget_enforced =
+  Sys.backend_type = Sys.Native
+  && String.length Sys.ocaml_version >= 4
+  && String.sub Sys.ocaml_version 0 4 = "5.1."
+
+let pbft_slot_words () =
+  let n = 7 and slots = 1000 and warmup = 100 in
+  let q = Queue.create () in
+  let decided = ref 0 in
+  let replicas =
+    Array.init n (fun me ->
+        Pbft.create
+          { Pbft.n; me; skip_prepare = false }
+          {
+            Pbft.send = (fun dst msg -> Queue.push (dst, me, msg) q);
+            decide = (fun _ -> incr decided);
+          })
+  in
+  let digests = Array.init slots (fun s -> Digest.string (string_of_int s)) in
+  let run lo hi =
+    for s = lo to hi do
+      Pbft.propose replicas.(0) ~seq:(s + 1) ~digest:digests.(s);
+      while not (Queue.is_empty q) do
+        let dst, from, msg = Queue.pop q in
+        Pbft.handle replicas.(dst) ~from msg
+      done
+    done
+  in
+  run 0 (warmup - 1);
+  let w0 = Gc.minor_words () in
+  run warmup (slots - 1);
+  let words = (Gc.minor_words () -. w0) /. float_of_int (slots - warmup) in
+  check_int "every replica decided every slot" (n * slots) !decided;
+  words
+
+let test_budget_pbft_slot () =
+  let measured = pbft_slot_words () in
+  let budget = 1042.4 *. 1.02 in
+  Printf.printf "PBFT slot at n=7: %.3f words (budget %.3f%s)\n" measured budget
+    (if budget_enforced then "" else ", not enforced on OCaml " ^ Sys.ocaml_version);
+  if budget_enforced then
+    check_bool (Printf.sprintf "PBFT slot: %.2f words <= %.2f" measured budget) true
+      (measured <= budget)
+
 let () =
   Alcotest.run "massbft_consensus"
     [
@@ -746,4 +1146,15 @@ let () =
           Alcotest.test_case "commit watermark" `Quick test_raft_commit_watermark_semantics;
           Alcotest.test_case "late ack not recorded" `Quick test_raft_late_ack_not_recorded;
         ] );
+      ( "tally oracle",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_pbft_matches_oracle ~n:4 ~count:500;
+            prop_pbft_matches_oracle ~n:7 ~count:500;
+            prop_pbft_matches_oracle ~n:70 ~count:200;
+            prop_raft_matches_oracle ~ng:3 ~count:500;
+            prop_raft_matches_oracle ~ng:5 ~count:500;
+            prop_raft_matches_oracle ~ng:70 ~count:200;
+          ] );
+      ("budget", [ Alcotest.test_case "PBFT slot at n=7" `Quick test_budget_pbft_slot ]);
     ]

@@ -490,6 +490,80 @@ let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex decode inverts encode" QCheck.string (fun s ->
       Hexdump.decode (Hexdump.encode s) = s)
 
+(* ------------------------------------------------------------------ *)
+(* Bitset                                                              *)
+(* ------------------------------------------------------------------ *)
+
+module ISet = Set.Make (Int)
+
+type bitset_op = B_add of int | B_remove of int | B_clear
+
+(* Every op on a Bitset and on a Set.Make (Int) model, elements spread
+   over several machine words: after each op the two agree on every
+   membership in range, the cardinal and the ascending elements. *)
+let prop_bitset_model =
+  let open QCheck in
+  let elt = Gen.(frequency [ (3, int_range 0 70); (1, int_range 0 400) ]) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (6, map (fun i -> B_add i) elt);
+          (3, map (fun i -> B_remove i) (int_range (-2) 400));
+          (1, return B_clear);
+        ])
+  in
+  Test.make ~count:300 ~name:"Bitset = Set.Make (Int) model"
+    (make
+       ~print:(fun ops ->
+         String.concat ";"
+           (List.map
+              (function
+                | B_add i -> "add " ^ string_of_int i
+                | B_remove i -> "remove " ^ string_of_int i
+                | B_clear -> "clear")
+              ops))
+       Gen.(list_size (int_range 0 120) op))
+    (fun ops ->
+      let b = Bitset.create () in
+      let model = ref ISet.empty in
+      List.for_all
+        (fun op ->
+          (match op with
+          | B_add i ->
+              Bitset.add b i;
+              model := ISet.add i !model
+          | B_remove i ->
+              Bitset.remove b i;
+              model := ISet.remove i !model
+          | B_clear ->
+              Bitset.clear b;
+              model := ISet.empty);
+          Bitset.cardinal b = ISet.cardinal !model
+          && Bitset.elements b = ISet.elements !model
+          && List.for_all
+               (fun i -> Bitset.mem b i = ISet.mem i !model)
+               (List.init 410 (fun i -> i - 3)))
+        ops)
+
+let test_bitset_edges () =
+  let b = Bitset.create () in
+  Alcotest.check_raises "negative add"
+    (Invalid_argument "Bitset.add: negative element") (fun () -> Bitset.add b (-1));
+  (* The top bit of a word is the int's sign bit. *)
+  let top = Sys.int_size - 1 in
+  List.iter (Bitset.add b) [ top; 0; top + 1; (3 * Sys.int_size) + 5; top ];
+  Alcotest.(check (list int))
+    "ascending across words" [ 0; top; top + 1; (3 * Sys.int_size) + 5 ]
+    (Bitset.elements b);
+  Alcotest.(check int) "cardinal" 4 (Bitset.cardinal b);
+  check_bool "absent past the last word" false (Bitset.mem b 100_000);
+  Bitset.remove b top;
+  Bitset.remove b top;
+  Alcotest.(check int) "remove is idempotent" 3 (Bitset.cardinal b);
+  Bitset.clear b;
+  Alcotest.(check (list int)) "cleared" [] (Bitset.elements b)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "massbft_util"
@@ -549,4 +623,6 @@ let () =
           Alcotest.test_case "invalid input" `Quick test_hex_invalid;
           qt prop_hex_roundtrip;
         ] );
+      ( "bitset",
+        [ Alcotest.test_case "word edges" `Quick test_bitset_edges; qt prop_bitset_model ] );
     ]
