@@ -18,7 +18,9 @@
     plays this role; signature CPU costs are charged by the engine's
     cost model). Byzantine *content* faults are tolerated by quorum
     counting; a replica accepts only the first pre-prepare per (view,
-    seq) and needs 2f + 1 matching votes to decide.
+    seq) and needs 2f + 1 matching votes to decide. Sequence numbers
+    are non-negative; a message for a negative one, and a view-change
+    pair naming one, are ignored.
 
     Cost per vote: a slot keeps one tally per digest voted for in its
     view (one in the normal case, more only under equivocation), each a
@@ -26,7 +28,14 @@
     in an int-keyed table with the identity hash. Recording a vote and
     testing a quorum allocate nothing once the slot exists. Only the
     accepted digest's count is ever read, so the order in which
-    equivocated digests were seen does not matter. *)
+    equivocated digests were seen does not matter.
+
+    Cost per decided sequence number: one word. Deciding removes the
+    slot, votes and all, and records the digest (shared with the
+    message that carried it) in an array indexed by sequence number
+    that grows by doubling. A decided sequence number never opens a
+    slot again: late pre-prepares, prepares and commits for it, and
+    new-view reproposals of it, are no-ops. *)
 
 type msg =
   | Pre_prepare of { view : int; seq : int; digest : string }
@@ -76,7 +85,7 @@ val leader_of_view : n:int -> view:int -> int
 val view : t -> int
 val is_leader : t -> bool
 val decided : t -> int -> string option
-(** The digest decided at a sequence number, if any. *)
+(** The digest decided at a sequence number, if any (O(1)). *)
 
 val propose : t -> seq:int -> digest:string -> unit
 (** Leader-only: start consensus on [digest] at [seq]. Raises
@@ -106,7 +115,7 @@ val proposed : t -> seq:int -> bool
 val rejoin : t -> view:int -> unit
 (** Post-recovery state transfer: adopt [view] if it is ahead of ours,
     so a replica that was down while its group changed views can vote
-    again. Decided slots are kept; stale vote sets are voided. *)
+    again. Decided digests are kept; stale vote sets are voided. *)
 
 val resize : t -> n:int -> unit
 (** Live membership reconfiguration: adopt the group's new active size
@@ -118,17 +127,23 @@ val size : t -> int
 (** The current group size ([n] after any {!resize}). *)
 
 val retained_votes : t -> int
-(** Voter ids held across every slot's prepare and commit tallies, kept
-    as a running count (O(1)). A slot drops its tallies when it decides
-    or when a view change voids them, and a decided slot records no
-    later votes. Memory censuses read this instead of walking the replica,
-    whose callbacks reach the whole embedder. *)
+(** Voter ids held across every open slot's prepare and commit tallies,
+    kept as a running count (O(1)). A slot's tallies go when it decides
+    or when a view change voids them. Memory censuses read this and the
+    two counts below instead of walking the replica, whose callbacks
+    reach the whole embedder. *)
 
-val decided_votes : t -> int
-(** Voter ids held by decided slots, by a walk over every slot. Zero by
-    construction; a check for tests and censuses. *)
+val open_slots : t -> int
+(** Undecided sequence numbers holding a slot (O(1)): the pipeline in
+    flight plus any stranded by a crash, never a decided one. *)
+
+val decided_words : t -> int
+(** Words of the decided-digest array (O(1)): one per sequence number
+    up to the highest decided, plus at most as many again of doubling
+    slack. The digests themselves are shared with the messages. *)
 
 val install_decided : t -> seq:int -> digest:string -> unit
 (** State transfer onto a joining replica: record [digest] as decided at
     [seq] without re-running consensus or firing [decide]. First
-    decision wins. *)
+    decision wins; an open slot at [seq] is closed and its votes
+    dropped. Raises [Invalid_argument] on a negative [seq]. *)

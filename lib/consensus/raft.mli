@@ -86,6 +86,11 @@ val retained_acks : 'p t -> int
 (** Ack sets currently held (O(1)). Memory censuses read this instead
     of walking the replica, whose callbacks reach the whole embedder. *)
 
+val log_length : 'p t -> int
+(** Log entries held, contiguous and out-of-order ones together (O(1)).
+    The log is never truncated, so this grows with every entry the
+    instance carries. *)
+
 val role : 'p t -> role
 val term : 'p t -> int
 val last_index : 'p t -> int

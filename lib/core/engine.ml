@@ -89,13 +89,7 @@ let create sim topo cfg =
   let nodes =
     Array.init ng (fun g ->
         Array.init (Topology.group_size topo g) (fun n ->
-            {
-              n_addr = { Topology.g; n };
-              n_pbft = None;
-              n_content = Entry_tbl.create 256;
-              n_rebuilds = Entry_tbl.create 256;
-              n_rebuilding = 0;
-            }))
+            make_node ~ng { Topology.g; n }))
   in
   let n_inst = strat.glob.g_instances ng in
   let gens =
@@ -119,11 +113,12 @@ let create sim topo cfg =
           l_batch_pending = false;
           l_exec_q = Queue.create ();
           l_exec_busy = false;
+          l_head_timer = None;
           l_executed_rev = [];
           l_executed_count = 0;
           l_accept = Inttbl.create 32;
           l_accept_notes = Entry_tbl.create 64;
-          l_ts = Hashtbl.create 256;
+          l_ts = make_ts_marks ~n_inst:(max n_inst 1) ~ng;
           l_last_heard = Array.make (max n_inst 1) 0.0;
           l_waiting_content = Entry_tbl.create 64;
           l_committed_unexec = Entry_tbl.create 64;
@@ -259,11 +254,16 @@ let migrate_leader t (l : leader) (na : Topology.addr) =
        never credited, wedging the round barrier here and the proposer's
        window there. Run the reaction now for everything unprocessed —
        marking is idempotent and a duplicate Recv_note can overshoot but
-       never re-hit the exactly-once equality threshold. *)
-    Entry_tbl.iter
-      (fun eid () ->
-        if eid.Types.gid <> l.l_gid && not (Ordering.round_ready l eid)
-        then t.strat.glob.g_on_content t l eid)
+       never re-hit the exactly-once equality threshold. Remote content
+       is visited in ascending (group, seq) order. *)
+    Array.iteri
+      (fun g seqs ->
+        if g <> l.l_gid then
+          List.iter
+            (fun seq ->
+              let eid = { Types.gid = g; seq } in
+              if not (Ordering.round_ready l eid) then t.strat.glob.g_on_content t l eid)
+            (Bitset.elements seqs))
       (node_of t na).n_content
   end;
   (match (node_of t na).n_pbft with

@@ -138,6 +138,11 @@ let do_execute t (l : leader) e =
   | None -> ());
   Batcher.try_batch t l
 
+let head_timer_pending (l : leader) eid =
+  match l.l_head_timer with
+  | Some pending -> Types.entry_id_equal pending eid
+  | None -> false
+
 let rec pump t (l : leader) =
   if (not l.l_exec_busy) && not (Queue.is_empty l.l_exec_q) then begin
     let eid = Queue.peek l.l_exec_q in
@@ -161,15 +166,21 @@ let rec pump t (l : leader) =
           l.l_exec_busy <- false;
           pump t l)
     end
-    else
+    else if not (head_timer_pending l eid) then begin
       (* The head can only be repaired by a fetch after a crash gap;
-         give the chunks one timeout to arrive on their own. *)
+         give the chunks one timeout to arrive on their own. One timer
+         per head is enough: a later pump finding the same head missing
+         would arm a copy that fires after it, and [want_fetch] on a
+         wanted entry is a no-op. *)
+      l.l_head_timer <- Some eid;
       ignore
         (Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
+             if head_timer_pending l eid then l.l_head_timer <- None;
              if
                alive t l.l_addr
                && not (has_content (node_of t l.l_addr) eid)
              then Replication.want_fetch t l eid))
+    end
   end
 
 (* The entry's position in this leader's order is final: an epoch

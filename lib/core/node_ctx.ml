@@ -106,18 +106,37 @@ type entry = {
   mutable exec_count : int;  (* leaders that executed it, for pruning *)
 }
 
-(* A node's rebuild of one entry: the classifier while it runs, then a
-   constant done mark (later chunks are no-ops, so the classifier's
-   buckets and blacklist are released). *)
-type rebuild = Rebuilding of Rebuild.Symbolic.t | Rebuilt
-
+(* Per-entry yes/no state is one bit per entry: a bitset per proposing
+   group, indexed by the entry's sequence number. A node's rebuild of an
+   entry holds its classifier in [n_rebuilding] while it runs; once it
+   rebuilds, the classifier (buckets, blacklist) is dropped and the
+   entry's done bit is set, so later chunks are no-ops. *)
 type node = {
   n_addr : Topology.addr;
   mutable n_pbft : Pbft.t option;
-  n_content : unit Entry_tbl.t;
-  n_rebuilds : rebuild Entry_tbl.t;
-  mutable n_rebuilding : int;  (* entries in [Rebuilding] *)
+  n_content : Bitset.t array;  (* [gid]: seqs whose content we hold *)
+  n_rebuilt : Bitset.t array;  (* [gid]: seqs whose rebuild finished *)
+  n_rebuilding : Rebuild.Symbolic.t Entry_tbl.t;  (* rebuilds in progress *)
 }
+
+let make_node ~ng n_addr =
+  {
+    n_addr;
+    n_pbft = None;
+    n_content = Array.init ng (fun _ -> Bitset.create ());
+    n_rebuilt = Array.init ng (fun _ -> Bitset.create ());
+    n_rebuilding = Entry_tbl.create 16;
+  }
+
+(* A leader's VTS marks for one (instance, proposing group) pair, by the
+   entry's sequence number: [ts_seen] once we proposed a Ts record or
+   one committed, [ts_committed] once one committed. *)
+type ts_marks = { ts_seen : Bitset.t; ts_committed : Bitset.t }
+
+let make_ts_marks ~n_inst ~ng =
+  Array.init n_inst (fun _ ->
+      Array.init ng (fun _ ->
+          { ts_seen = Bitset.create (); ts_committed = Bitset.create () }))
 
 (* A leader's open skip-prepare accept round: the distinct voter node
    ids so far (duplicate deliveries, an injectable fault, must not fake
@@ -144,13 +163,13 @@ type leader = {
   mutable l_batch_pending : bool;
   l_exec_q : Types.entry_id Queue.t;
   mutable l_exec_busy : bool;
+  mutable l_head_timer : Types.entry_id option;
+      (* the queue head whose content timeout is pending, if any *)
   mutable l_executed_rev : Types.entry_id list;
   mutable l_executed_count : int;
   l_accept : accept_round Inttbl.t;  (* keyed by [round_key] *)
   l_accept_notes : int ref Entry_tbl.t;
-  l_ts : (int * Types.entry_id, bool) Hashtbl.t;
-      (* (instance, entry) -> Ts committed yet? Present once we proposed
-         a Ts record or one committed (first wins). *)
+  l_ts : ts_marks array array;  (* [instance].(proposing gid) *)
   l_last_heard : float array;  (* per instance *)
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
   l_committed_unexec : unit Entry_tbl.t;
@@ -404,7 +423,8 @@ let trace_entry t ?(gid = -1) ?(node = -1) ?args (eid : Types.entry_id) name =
 (* Content tracking                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let has_content node eid = Entry_tbl.mem node.n_content eid
+let has_content node (eid : Types.entry_id) =
+  Bitset.mem node.n_content.(eid.Types.gid) eid.Types.seq
 
 (* A node came to hold an entry's full content (formed it, rebuilt it
    from chunks, or received a copy). Stage reactions — fetch-slot
@@ -412,7 +432,7 @@ let has_content node eid = Entry_tbl.mem node.n_content eid
    composed into [on_leader_content] by the engine at create. *)
 let content_event t (node : node) eid =
   if not (has_content node eid) then begin
-    Entry_tbl.replace node.n_content eid ();
+    Bitset.add node.n_content.(eid.Types.gid) eid.Types.seq;
     if is_acting_leader t node.n_addr then
       t.on_leader_content t t.leaders.(node.n_addr.Topology.g) eid
   end

@@ -76,17 +76,35 @@ type entry = {
   mutable exec_count : int;
 }
 
-type rebuild =
-  | Rebuilding of Rebuild.Symbolic.t
-  | Rebuilt  (** done mark: the buckets and blacklist are released *)
-
+(** Per-entry yes/no state costs one bit per entry: one
+    {!Massbft_util.Bitset} per proposing group, indexed by the entry's
+    sequence number. *)
 type node = {
   n_addr : Topology.addr;
   mutable n_pbft : Pbft.t option;
-  n_content : unit Entry_tbl.t;
-  n_rebuilds : rebuild Entry_tbl.t;
-  mutable n_rebuilding : int;  (** entries in [Rebuilding] *)
+  n_content : Bitset.t array;
+      (** [.(gid)]: the seqs of group [gid]'s entries whose full content
+          this node holds *)
+  n_rebuilt : Bitset.t array;
+      (** [.(gid)]: done marks, the seqs whose chunk rebuild finished;
+          later chunks for them are no-ops *)
+  n_rebuilding : Rebuild.Symbolic.t Entry_tbl.t;
+      (** the classifiers of rebuilds in progress, dropped (buckets and
+          blacklist with them) when the rebuild completes *)
 }
+
+val make_node : ng:int -> Topology.addr -> node
+(** A node with no PBFT replica and no content, for a deployment of
+    [ng] provisioned groups. *)
+
+(** A leader's VTS marks for one (instance, proposing group) pair, by
+    sequence number. *)
+type ts_marks = {
+  ts_seen : Bitset.t;  (** we proposed a Ts record, or one committed *)
+  ts_committed : Bitset.t;  (** a Ts record committed (first wins) *)
+}
+
+val make_ts_marks : n_inst:int -> ng:int -> ts_marks array array
 
 (** A leader's open skip-prepare accept round: the distinct voter node
     ids so far and the continuation the quorum releases. *)
@@ -109,11 +127,14 @@ type leader = {
   mutable l_batch_pending : bool;
   l_exec_q : Types.entry_id Queue.t;
   mutable l_exec_busy : bool;
+  mutable l_head_timer : Types.entry_id option;
+      (** the execution-queue head whose content timeout is pending: the
+          pump arms at most one per head *)
   mutable l_executed_rev : Types.entry_id list;
   mutable l_executed_count : int;
   l_accept : accept_round Inttbl.t;  (** keyed by {!round_key} *)
   l_accept_notes : int ref Entry_tbl.t;
-  l_ts : (int * Types.entry_id, bool) Hashtbl.t;
+  l_ts : ts_marks array array;  (** [.(instance).(proposing gid)] *)
   l_last_heard : float array;
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
   l_committed_unexec : unit Entry_tbl.t;

@@ -72,15 +72,18 @@ and try_rounds t (l : leader) =
    the Raft adapter (Global_consensus) calls in at its deliver/commit/
    role-change hooks.
 
-   [l_ts] holds one flag per (instance, entry) this leader has stamped
-   or seen committed: [false] once we proposed a Ts record, [true] once
-   one committed. An entry is stamped in an instance only while it has
-   no flag there. *)
+   [l_ts] holds two bits per (instance, entry): [ts_seen] once we
+   proposed a Ts record or one committed, [ts_committed] once one
+   committed. An entry is stamped in an instance only while it is not
+   seen there. *)
 
-let unstamped (l : leader) inst eid = not (Hashtbl.mem l.l_ts (inst, eid))
+let marks (l : leader) inst (eid : Types.entry_id) = l.l_ts.(inst).(eid.Types.gid)
+
+let unstamped (l : leader) inst eid =
+  not (Bitset.mem (marks l inst eid).ts_seen eid.Types.seq)
 
 let stamp (l : leader) inst eid ts =
-  Hashtbl.replace l.l_ts (inst, eid) false;
+  Bitset.add (marks l inst eid).ts_seen eid.Types.seq;
   ignore (Raft.propose l.l_rafts.(inst) (Ts { eid; ts }))
 
 let assign_ts t (l : leader) eid =
@@ -121,9 +124,10 @@ let stamp_committed_unexec (l : leader) inst =
 (* A Ts record committed in instance [inst]'s log: feed the Orderer
    (first commit wins). *)
 let on_ts_commit (l : leader) inst ~eid ~ts =
-  let key = (inst, eid) in
-  if Hashtbl.find_opt l.l_ts key <> Some true then begin
-    Hashtbl.replace l.l_ts key true;
+  let m = marks l inst eid in
+  if not (Bitset.mem m.ts_committed eid.Types.seq) then begin
+    Bitset.add m.ts_seen eid.Types.seq;
+    Bitset.add m.ts_committed eid.Types.seq;
     match l.l_orderer with
     | Some o -> Orderer.on_timestamp o ~from_gid:inst ~eid ~ts
     | None -> ()

@@ -182,26 +182,26 @@ let on_content t (l : leader) eid =
 (* ------------------------------------------------------------------ *)
 
 (* One chunk through the node's classifier for [eid]: created on the
-   entry's first chunk, replaced by the done mark once it rebuilds. *)
-let classify (node : node) eid ~plan ~digest chunk =
-  let state =
-    match Entry_tbl.find_opt node.n_rebuilds eid with
-    | Some s -> s
-    | None ->
-        let s = Rebuilding (Rebuild.Symbolic.create ()) in
-        Entry_tbl.replace node.n_rebuilds eid s;
-        node.n_rebuilding <- node.n_rebuilding + 1;
-        s
-  in
-  match state with
-  | Rebuilt -> Rebuild.Already_done
-  | Rebuilding r -> (
-      match Rebuild.Symbolic.add r ~plan digest chunk with
-      | Rebuild.Rebuilt () as v ->
-          Entry_tbl.replace node.n_rebuilds eid Rebuilt;
-          node.n_rebuilding <- node.n_rebuilding - 1;
-          v
-      | v -> v)
+   entry's first chunk, dropped for the entry's done bit once it
+   rebuilds. *)
+let classify (node : node) (eid : Types.entry_id) ~plan ~digest chunk =
+  let rebuilt = node.n_rebuilt.(eid.Types.gid) in
+  if Bitset.mem rebuilt eid.Types.seq then Rebuild.Already_done
+  else
+    let r =
+      match Entry_tbl.find_opt node.n_rebuilding eid with
+      | Some r -> r
+      | None ->
+          let r = Rebuild.Symbolic.create () in
+          Entry_tbl.replace node.n_rebuilding eid r;
+          r
+    in
+    match Rebuild.Symbolic.add r ~plan digest chunk with
+    | Rebuild.Rebuilt () as v ->
+        Entry_tbl.remove node.n_rebuilding eid;
+        Bitset.add rebuilt eid.Types.seq;
+        v
+    | v -> v
 
 let on_chunk_received t (node : node) ~eid ~root_tag ~index =
   let e = entry_of t eid in
@@ -300,6 +300,7 @@ let observe (t : Node_ctx.t) sampler =
               "Entries with some chunks received but not yet rebuilt on \
                this node"
             ~labels:(obs_node_labels node)
-            (fun ~now:_ ~dt:_ -> float_of_int node.n_rebuilding))
+            (fun ~now:_ ~dt:_ ->
+              float_of_int (Entry_tbl.length node.n_rebuilding)))
         group)
     t.nodes

@@ -34,7 +34,8 @@ val on_content : t -> leader -> Types.entry_id -> unit
 val classify : node -> Types.entry_id -> plan:Transfer_plan.t -> digest:string ->
   Rebuild.symbolic_chunk -> unit Rebuild.verdict
 (** One chunk through the node's classifier for the entry: created on the
-    first chunk, replaced by the [Rebuilt] mark once it rebuilds. *)
+    first chunk (in [n_rebuilding]), dropped for the entry's done bit in
+    [n_rebuilt] once it rebuilds. *)
 
 val on_chunk_received :
   t -> node -> eid:Types.entry_id -> root_tag:string -> index:int -> unit

@@ -24,6 +24,7 @@ module Sim = Massbft_sim.Sim
 module Topology = Massbft_sim.Topology
 module Engine = Massbft.Engine
 module N = Massbft.Node_ctx
+module Bitset = Massbft_util.Bitset
 module Types = Massbft.Types
 module Config = Massbft.Config
 module Backoff = Massbft.Backoff
@@ -407,7 +408,20 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
   dst.N.l_executed_rev <- src.N.l_executed_rev;
   dst.N.l_executed_count <- src.N.l_executed_count;
   Array.blit src.N.l_clk_of 0 dst.N.l_clk_of 0 (Array.length src.N.l_clk_of);
-  Hashtbl.iter (fun k v -> Hashtbl.replace dst.N.l_ts k v) src.N.l_ts;
+  (* The source's VTS marks overwrite the joiner's, entry by entry. *)
+  Array.iteri
+    (fun inst row ->
+      Array.iteri
+        (fun g (m : N.ts_marks) ->
+          let d = dst.N.l_ts.(inst).(g) in
+          List.iter
+            (fun seq ->
+              Bitset.add d.N.ts_seen seq;
+              if Bitset.mem m.N.ts_committed seq then Bitset.add d.N.ts_committed seq
+              else Bitset.remove d.N.ts_committed seq)
+            (Bitset.elements m.N.ts_seen))
+        row)
+    src.N.l_ts;
   Entry_tbl.iter
     (fun k v -> Entry_tbl.replace dst.N.l_committed_unexec k v)
     src.N.l_committed_unexec;

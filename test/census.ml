@@ -5,29 +5,41 @@
 
    PBFT and Raft replicas are not walked: their callbacks reach the
    whole engine, so [Obj.reachable_words] on one would count everything.
-   They are represented by their O(1) retained-vote and retained-ack
-   counters instead. *)
+   They are represented by their O(1) counters instead: retained votes,
+   open slots and decided-digest words per PBFT replica, retained ack
+   sets and log length per Raft replica. *)
 
 module N = Massbft.Node_ctx
 module Replication = Massbft.Replication
 module Transfer_plan = Massbft.Transfer_plan
 module Pbft = Massbft_consensus.Pbft
 module Raft = Massbft_consensus.Raft
+module Topology = Massbft_sim.Topology
+
+type holder = { h_name : string; h_words : int; h_entries : int }
+(* One holder of per-entry state: its words and the entries it indexes
+   (a node's content and done bits with its in-progress rebuilds, and a
+   leader's VTS marks, index every executed entry; a PBFT replica's
+   decided digests index its group's proposed seqs). *)
 
 type t = {
   words : (string * int) list;
       (* reachable words per component; the first row is the whole
          engine context, and rows may share data with each other *)
   pbft_votes : int;  (* voter ids held by every replica's vote sets *)
+  pbft_open_slots : int;  (* undecided slots held by every replica *)
+  max_open_slots : int;  (* the most open slots one replica holds *)
+  pbft_decided_words : int;  (* decided-digest array words, all replicas *)
   raft_acks : int;  (* ack sets held by every leader-side Raft replica *)
-  rebuilding : int;  (* rebuild states in progress *)
+  raft_log : int;  (* log entries held by every Raft replica *)
+  rebuilding : int;  (* rebuild classifiers in progress *)
   rebuilt : int;  (* done marks of finished rebuilds *)
   unreleased_rebuilds : int;
-      (* in-progress states holding a complete genuine bucket: a finished
-         rebuild that kept its buckets *)
-  rebuilding_gauge : int;  (* the nodes' in-progress counters, summed *)
-  decided_votes : int;  (* voter ids held by decided PBFT slots *)
+      (* in-progress classifiers holding a complete genuine bucket: a
+         finished rebuild that kept its buckets *)
   stale_acks : int;  (* non-empty ack sets at or below a commit index *)
+  executed : int;  (* the most entries one leader has executed *)
+  holders : holder list;
 }
 
 let words x = Obj.reachable_words (Obj.repr x)
@@ -45,49 +57,90 @@ let fold_rafts (c : N.t) f =
     (fun acc (l : N.leader) -> Array.fold_left (fun acc r -> acc + f r) acc l.N.l_rafts)
     0 c.N.leaders
 
-let count_rebuilds (c : N.t) pick =
-  fold_nodes c (fun node ->
-      N.Entry_tbl.fold (fun eid r acc -> if pick node eid r then acc + 1 else acc)
-        node.N.n_rebuilds 0)
+let genuine_bucket_complete c (node : N.node) eid rs =
+  let plan =
+    Replication.plan_between c ~src:eid.Massbft.Types.gid ~dst:node.N.n_addr.Topology.g
+  in
+  Massbft.Rebuild.Symbolic.bucket_size rs (N.entry_of c eid).N.digest
+  >= plan.Transfer_plan.n_data
 
-let genuine_bucket_complete c (node : N.node) eid = function
-  | N.Rebuilt -> false
-  | N.Rebuilding rs ->
-      let plan =
-        Replication.plan_between c ~src:eid.Massbft.Types.gid
-          ~dst:node.N.n_addr.Massbft_sim.Topology.g
-      in
-      Massbft.Rebuild.Symbolic.bucket_size rs (N.entry_of c eid).N.digest
-      >= plan.Transfer_plan.n_data
+let addr_name (a : Topology.addr) = Printf.sprintf "g%d/n%d" a.Topology.g a.Topology.n
+
+let holders (c : N.t) ~executed =
+  let nodes = List.concat_map Array.to_list (Array.to_list c.N.nodes) in
+  List.map
+    (fun (node : N.node) ->
+      {
+        h_name = "content, done and rebuild state of " ^ addr_name node.N.n_addr;
+        h_words = words (node.N.n_content, node.N.n_rebuilt, node.N.n_rebuilding);
+        h_entries = executed;
+      })
+    nodes
+  @ List.map
+      (fun (l : N.leader) ->
+        {
+          h_name = Printf.sprintf "VTS marks of leader %d" l.N.l_gid;
+          h_words = words l.N.l_ts;
+          h_entries = executed;
+        })
+      (Array.to_list c.N.leaders)
+  @ List.filter_map
+      (fun (node : N.node) ->
+        Option.map
+          (fun p ->
+            let g = node.N.n_addr.Topology.g in
+            {
+              h_name = "decided digests of " ^ addr_name node.N.n_addr;
+              h_words = Pbft.decided_words p;
+              h_entries = c.N.leaders.(g).N.l_next_seq - 1;
+            })
+          node.N.n_pbft)
+      nodes
 
 let take (c : N.t) =
+  let executed =
+    Array.fold_left (fun m (l : N.leader) -> max m l.N.l_executed_count) 0 c.N.leaders
+  in
   {
     words =
       [
         ("engine", words c);
-        ("rebuild states", words (per_node c (fun n -> n.N.n_rebuilds)));
-        ("content sets", words (per_node c (fun n -> n.N.n_content)));
+        ("rebuild states", words (per_node c (fun n -> n.N.n_rebuilding)));
+        ("content bits", words (per_node c (fun n -> n.N.n_content)));
+        ("done bits", words (per_node c (fun n -> n.N.n_rebuilt)));
         ("entry registry", words (c.N.entries, c.N.by_digest));
-        ("VTS stamp tables", words (per_leader c (fun l -> l.N.l_ts)));
+        ("VTS marks", words (per_leader c (fun l -> l.N.l_ts)));
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));
         ("store", words c.N.shared_store);
         ("metrics", words c.N.metrics);
       ];
     pbft_votes = fold_pbft c Pbft.retained_votes;
+    pbft_open_slots = fold_pbft c Pbft.open_slots;
+    max_open_slots =
+      Array.fold_left
+        (Array.fold_left (fun m (node : N.node) ->
+             match node.N.n_pbft with Some p -> max m (Pbft.open_slots p) | None -> m))
+        0 c.N.nodes;
+    pbft_decided_words = fold_pbft c Pbft.decided_words;
     raft_acks = fold_rafts c Raft.retained_acks;
-    rebuilding =
-      count_rebuilds c (fun _ _ -> function N.Rebuilding _ -> true | N.Rebuilt -> false);
+    raft_log = fold_rafts c Raft.log_length;
+    rebuilding = fold_nodes c (fun node -> N.Entry_tbl.length node.N.n_rebuilding);
     rebuilt =
-      count_rebuilds c (fun _ _ -> function N.Rebuilt -> true | N.Rebuilding _ -> false);
-    unreleased_rebuilds = count_rebuilds c (genuine_bucket_complete c);
-    rebuilding_gauge = fold_nodes c (fun node -> node.N.n_rebuilding);
-    decided_votes = fold_pbft c Pbft.decided_votes;
+      fold_nodes c (fun node ->
+          Array.fold_left (fun n b -> n + N.Bitset.cardinal b) 0 node.N.n_rebuilt);
+    unreleased_rebuilds =
+      fold_nodes c (fun node ->
+          N.Entry_tbl.fold
+            (fun eid rs n -> if genuine_bucket_complete c node eid rs then n + 1 else n)
+            node.N.n_rebuilding 0);
     stale_acks =
       fold_rafts c (fun r ->
           List.length
             (List.filter
                (fun i -> Raft.acks_for r i <> [])
                (List.init (Raft.commit_index r) succ)));
+    executed;
+    holders = holders c ~executed;
   }
 
 let mb w = float_of_int (w * (Sys.word_size / 8)) /. 1e6
@@ -96,7 +149,11 @@ let to_string t =
   String.concat ""
     (List.map (fun (name, w) -> Printf.sprintf "%-18s %8.2f MB\n" name (mb w)) t.words
     @ [
-        Printf.sprintf "PBFT votes held    %8d\nRaft ack sets held %8d\n" t.pbft_votes
-          t.raft_acks;
+        Printf.sprintf "PBFT votes held    %8d\nPBFT open slots    %8d (at most %d per replica)\n"
+          t.pbft_votes t.pbft_open_slots t.max_open_slots;
+        Printf.sprintf "PBFT decided words %8d\n" t.pbft_decided_words;
+        Printf.sprintf "Raft ack sets held %8d\nRaft log entries   %8d\n" t.raft_acks
+          t.raft_log;
         Printf.sprintf "rebuilds           %8d in progress, %d done\n" t.rebuilding t.rebuilt;
+        Printf.sprintf "entries executed   %8d (most by one leader)\n" t.executed;
       ])

@@ -1,6 +1,7 @@
-(* PBFT as it stood before the vote tallies moved onto bitsets: one
-   [Set.Make (Int)] of voters per digest in a [Map.Make (String)] per
-   slot and phase, and slots in a polymorphic [Hashtbl]. Kept as a test
+(* PBFT as it stood before the vote tallies moved onto bitsets and
+   decided digests into an array: one [Set.Make (Int)] of voters per
+   digest in a [Map.Make (String)] per slot and phase, and every slot,
+   decided ones included, in a polymorphic [Hashtbl]. Kept as a test
    oracle only; test_consensus drives it and Massbft_consensus.Pbft
    with the same message streams and checks that both send, decide and
    retain the same. The wire types are the real module's. *)
@@ -269,12 +270,8 @@ let resize t ~n =
 let size t = t.n
 let retained_votes t = t.held_votes
 
-let decided_votes t =
-  Hashtbl.fold
-    (fun _ s n ->
-      if s.decided_digest = None then n
-      else n + count_votes s.prepares + count_votes s.commits)
-    t.slots 0
+let open_slots t =
+  Hashtbl.fold (fun _ s n -> if s.decided_digest = None then n + 1 else n) t.slots 0
 
 (* State transfer: record a decided slot verbatim on a joining replica,
    without re-running consensus or firing [decide] — the embedder has

@@ -318,8 +318,38 @@ let test_pbft_decided_slot_keeps_no_votes () =
       check_int (name "decides once") 1 (List.length cs);
       check_bool (name "keeps its certificate") true (List.hd cs = first.(i));
       check_int (name "retains no votes") 0 (Pbft.retained_votes replicas.(i));
-      check_int (name "decided slots hold no votes") 0 (Pbft.decided_votes replicas.(i)))
+      check_int (name "keeps no slot for the decided seq") 0 (Pbft.open_slots replicas.(i)))
     certs
+
+(* Sequence numbers are non-negative: a vote for a negative one opens
+   no slot, and a view change naming one neither raises at the new
+   leader nor re-proposes it. *)
+let test_pbft_negative_seq_ignored () =
+  let n = 4 in
+  let sent = ref [] in
+  let r =
+    Pbft.create
+      { Pbft.n; me = 1; skip_prepare = false }
+      { Pbft.send = (fun _ m -> sent := m :: !sent); decide = (fun _ -> ()) }
+  in
+  List.iter
+    (fun m -> List.iter (fun from -> Pbft.handle r ~from m) [ 0; 2; 3 ])
+    [
+      Pbft.Pre_prepare { view = 0; seq = -1; digest = "x" };
+      Pbft.Prepare { view = 0; seq = -1; digest = "x" };
+      Pbft.Commit { view = 0; seq = -1; digest = "x" };
+    ];
+  check_int "no slot for a negative seq" 0 (Pbft.open_slots r);
+  check_int "no votes held" 0 (Pbft.retained_votes r);
+  List.iter
+    (fun from ->
+      Pbft.handle r ~from (Pbft.View_change { new_view = 1; prepared = [ (-1, "x") ] }))
+    [ 0; 2; 3 ];
+  check_int "replica 1 leads view 1" 1 (Pbft.view r);
+  check_bool "the new view re-proposes nothing" true
+    (List.exists
+       (function Pbft.New_view { view = 1; reproposals = [] } -> true | _ -> false)
+       !sent)
 
 (* A view change after a decide carries only the prepared but undecided
    slots into the new view. *)
@@ -730,7 +760,7 @@ module type PBFT_IMPL = sig
   val decided : t -> int -> string option
   val proposed : t -> seq:int -> bool
   val retained_votes : t -> int
-  val decided_votes : t -> int
+  val open_slots : t -> int
 end
 
 type pbft_op =
@@ -795,7 +825,7 @@ module Pbft_run (M : PBFT_IMPL) = struct
         let seqs = List.init (pbft_max_seq + 1) Fun.id in
         ( exn,
           List.rev !events,
-          (M.view r, M.in_view_change r, M.retained_votes r, M.decided_votes r),
+          (M.view r, M.in_view_change r, M.retained_votes r, M.open_slots r),
           List.map (fun seq -> (M.decided r seq, M.proposed r ~seq)) seqs ))
       ops
 end
@@ -879,6 +909,80 @@ let prop_pbft_matches_oracle ~n ~count =
     (fun (me, (skip_prepare, ops)) ->
       Pbft_real_run.run ~n ~me ~skip_prepare ops
       = Pbft_oracle_run.run ~n ~me ~skip_prepare ops)
+
+(* Streams aimed at decided sequence numbers, where a replica that
+   forgot a decision could open a fresh slot and decide the seq twice.
+   Every stream first decides seqs 1 and 2 in view 0 ([decided_prefix];
+   seqs 3 and 4 stay open), then mixes late pre-prepares, prepares and commits for any
+   seq, view changes and New_view reproposals that name decided seqs,
+   and installs over open and decided seqs. *)
+let decided_prefix ~n ~me ~skip_prepare =
+  let all = List.init n Fun.id in
+  let decide seq digest =
+    (if me = 0 then [ P_propose { seq; digest } ]
+     else [ P_votes { kind = 0; view = 0; seq; digest; voters = [ 0 ] } ])
+    @ (if skip_prepare then []
+       else [ P_votes { kind = 1; view = 0; seq; digest; voters = all } ])
+    @ [ P_votes { kind = 2; view = 0; seq; digest; voters = all } ]
+  in
+  decide 1 "d1" @ decide 2 "d2"
+
+let gen_pbft_decided_ops ~n =
+  let open QCheck.Gen in
+  let digest = frequency [ (3, return "a"); (1, return "b") ] in
+  let seq = frequency [ (3, int_range 1 2); (1, int_range 3 pbft_max_seq) ] in
+  let view = frequency [ (3, return 0); (1, int_range 1 3) ] in
+  let everyone =
+    map
+      (fun dups -> List.init n Fun.id @ dups)
+      (list_size (int_range 0 2) (int_range 0 (n - 1)))
+  in
+  let pairs = list_size (int_range 1 3) (pair seq digest) in
+  let op =
+    frequency
+      [
+        ( 8,
+          map
+            (fun (kind, view, seq, digest, voters) ->
+              P_votes { kind; view; seq; digest; voters })
+            (tup5 (int_range 0 2) view seq digest everyone) );
+        ( 2,
+          map3
+            (fun voters new_view prepared -> P_view_change { voters; new_view; prepared })
+            everyone (int_range 1 4) pairs );
+        ( 3,
+          map2
+            (fun view reproposals ->
+              P_new_view { from = Pbft.leader_of_view ~n ~view; view; reproposals })
+            (int_range 1 4) pairs );
+        (2, map2 (fun seq digest -> P_install { seq; digest }) seq digest);
+        (1, map2 (fun seq digest -> P_propose { seq; digest }) seq digest);
+        (1, map (fun t -> P_start_view_change t) (opt (int_range 0 4)));
+      ]
+  in
+  map
+    (fun (me, (skip_prepare, tail)) ->
+      (me, (skip_prepare, decided_prefix ~n ~me ~skip_prepare @ tail)))
+    (pair (int_range 0 (n - 1)) (pair bool (list_size (int_range 1 30) op)))
+
+let prop_pbft_decided_matches_oracle ~n ~count =
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "PBFT decided slots = set-based oracle, n=%d" n)
+    (QCheck.make
+       ~print:(fun (me, (skip, ops)) ->
+         Printf.sprintf "me=%d skip_prepare=%b\n%s" me skip
+           (String.concat "\n" (List.map print_pbft_op ops)))
+       (gen_pbft_decided_ops ~n))
+    (fun (me, (skip_prepare, ops)) ->
+      let real = Pbft_real_run.run ~n ~me ~skip_prepare ops in
+      (* The prefix decides seqs 1 and 2, so the rest of the stream runs
+         against decided slots. *)
+      let _, _, _, after_prefix =
+        List.nth real (List.length (decided_prefix ~n ~me ~skip_prepare) - 1)
+      in
+      fst (List.nth after_prefix 1) = Some "d1"
+      && fst (List.nth after_prefix 2) = Some "d2"
+      && real = Pbft_oracle_run.run ~n ~me ~skip_prepare ops)
 
 module type RAFT_IMPL = sig
   type 'p t
@@ -1095,7 +1199,7 @@ let pbft_slot_words () =
 
 let test_budget_pbft_slot () =
   let measured = pbft_slot_words () in
-  let budget = 1042.4 *. 1.02 in
+  let budget = 1017.1 *. 1.02 in
   Printf.printf "PBFT slot at n=7: %.3f words (budget %.3f%s)\n" measured budget
     (if budget_enforced then "" else ", not enforced on OCaml " ^ Sys.ocaml_version);
   if budget_enforced then
@@ -1122,6 +1226,7 @@ let () =
           Alcotest.test_case "view change preserves prepared" `Quick test_pbft_view_change_preserves_prepared;
           Alcotest.test_case "decided slot keeps no votes" `Quick test_pbft_decided_slot_keeps_no_votes;
           Alcotest.test_case "view change after decide" `Quick test_pbft_view_change_after_decide;
+          Alcotest.test_case "negative seq ignored" `Quick test_pbft_negative_seq_ignored;
         ] );
       ( "raft",
         [
@@ -1152,6 +1257,8 @@ let () =
             prop_pbft_matches_oracle ~n:4 ~count:500;
             prop_pbft_matches_oracle ~n:7 ~count:500;
             prop_pbft_matches_oracle ~n:70 ~count:200;
+            prop_pbft_decided_matches_oracle ~n:4 ~count:500;
+            prop_pbft_decided_matches_oracle ~n:7 ~count:300;
             prop_raft_matches_oracle ~ng:3 ~count:500;
             prop_raft_matches_oracle ~ng:5 ~count:500;
             prop_raft_matches_oracle ~ng:70 ~count:200;

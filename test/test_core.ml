@@ -770,15 +770,7 @@ let classifiers_agree ~n1 ~n2 ~seed =
   let rb =
     Rebuild.create ~plan ~validate:(fun e -> String.equal (Sha256.digest e) digest) ()
   in
-  let node =
-    {
-      N.n_addr = { Massbft_sim.Topology.g = 1; n = 0 };
-      n_pbft = None;
-      n_content = N.Entry_tbl.create 1;
-      n_rebuilds = N.Entry_tbl.create 1;
-      n_rebuilding = 0;
-    }
-  in
+  let node = N.make_node ~ng:2 { Massbft_sim.Topology.g = 1; n = 0 } in
   let eid = { Types.gid = 0; seq = 1 } in
   let sym_black = ref [] in
   Array.iteri
@@ -807,12 +799,14 @@ let classifiers_agree ~n1 ~n2 ~seed =
         in
         if verdict_shape bv <> sv then
           fail "bytes %s, symbolic %s" (verdict_name (verdict_shape bv)) (verdict_name sv);
-        (match N.Entry_tbl.find node.N.n_rebuilds eid with
-        | N.Rebuilding r ->
+        let done_mark = N.Bitset.mem node.N.n_rebuilt.(0) eid.Types.seq in
+        (match N.Entry_tbl.find_opt node.N.n_rebuilding eid with
+        | Some r ->
             sym_black := Rebuild.Symbolic.blacklisted r;
-            if node.N.n_rebuilding <> 1 then fail "in-progress count %d" node.N.n_rebuilding
-        | N.Rebuilt ->
-            if node.N.n_rebuilding <> 0 then fail "done count %d" node.N.n_rebuilding);
+            if done_mark then fail "done mark set while rebuilding"
+        | None -> if not done_mark then fail "classifier dropped without a done mark");
+        if N.Entry_tbl.length node.N.n_rebuilding > 1 then
+          fail "%d classifiers for one entry" (N.Entry_tbl.length node.N.n_rebuilding);
         if Rebuild.blacklisted rb <> !sym_black then fail "blacklists differ"
       end)
     stream;

@@ -640,23 +640,43 @@ let test_debug_dump system ~instances () =
     check_bool "massbft dump shows orderer heads" true
       (contains final "head[0]")
 
+(* A round barrier closing on a head whose content is missing places
+   every group's entry and pumps once per placement; the pump arms one
+   content timeout for that head, not one per pump, and the timeout
+   still hands the head to the fetch lane. *)
+let test_closing_round_arms_one_head_timer () =
+  let d =
+    Deployment.build ~faults:(Fault_spec.of_string "") ~adversary:(Adv_spec.of_string "")
+      ~spec:(small_spec ()) ~cfg:(small_cfg ~system:Config.Baseline ()) ()
+  in
+  let c = Engine.ctx d.engine in
+  let l = c.Massbft.Node_ctx.leaders.(0) in
+  let ng = Engine.n_groups d.engine in
+  let before = Sim.pending_total d.sim in
+  for g = 0 to ng - 1 do
+    Massbft.Ordering.mark_round_ready c l { Types.gid = g; seq = 1 }
+  done;
+  check_int "the round placed every group's entry" ng
+    (Queue.length l.Massbft.Node_ctx.l_exec_q);
+  check_int "one timer for the content-less head" 1 (Sim.pending_total d.sim - before);
+  Sim.run d.sim ~until:(Config.fetch_timeout_s +. 1e-6);
+  check_bool "the timeout wants the head fetched" true
+    (Massbft.Node_ctx.Entry_tbl.mem l.Massbft.Node_ctx.l_fetching
+       { Types.gid = 0; seq = 1 })
+
 (* ------------------------------------------------------------------ *)
 (* Per-entry state lifetime                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Finished rebuilds keep only the done mark, decided PBFT slots keep no
-   votes, and no Raft replica keeps an ack set at or below its commit
-   index. *)
+(* Finished rebuilds keep only their done bit, and no Raft replica
+   keeps an ack set at or below its commit index. *)
 let check_released label eng =
   let c = Census.take (Engine.ctx eng) in
   print_string (Census.to_string c);
   let name what = Printf.sprintf "%s: %s" label what in
   check_bool (name "rebuilds finished") true (c.Census.rebuilt > 0);
-  check_int (name "finished rebuilds keep the done mark") 0
+  check_int (name "finished rebuilds keep no classifier") 0
     c.Census.unreleased_rebuilds;
-  check_int (name "in-progress counter") c.Census.rebuilding
-    c.Census.rebuilding_gauge;
-  check_int (name "decided slots keep no votes") 0 c.Census.decided_votes;
   check_int (name "no acks at or below a commit index") 0 c.Census.stale_acks;
   check_bool (name "census walks the engine") true
     (List.for_all (fun (_, w) -> w > 0) c.Census.words)
@@ -677,6 +697,40 @@ let test_census_after_view_change () =
   check_bool "view change moved group 1's leader" true
     ((Engine.acting_leader eng ~gid:1).Topology.n <> 0);
   check_released "after a view change" eng
+
+(* Per-entry state costs bits, plus one word per decided PBFT slot.
+   Run to 3 s and on to 9 s, one deployment keeps its open PBFT slots
+   within the pipeline, and every per-entry holder (a node's content and
+   done bits, a leader's VTS marks, a replica's decided digests) within
+   two words per entry it indexes, plus a constant for its headers. A
+   hash table keyed by entry costs five or more words per binding and
+   fails this. *)
+let test_census_per_entry_bounded () =
+  let check_bounded c =
+    print_string (Census.to_string c);
+    let at what = Printf.sprintf "%d entries executed: %s" c.Census.executed what in
+    check_bool (at "some") true (c.Census.executed > 100);
+    check_bool
+      (at (Printf.sprintf "at most 8 open PBFT slots per replica (%d)" c.Census.max_open_slots))
+      true
+      (c.Census.max_open_slots <= 8);
+    List.iter
+      (fun (h : Census.holder) ->
+        check_bool
+          (at
+             (Printf.sprintf "%s: %d words for %d entries" h.Census.h_name h.Census.h_words
+                h.Census.h_entries))
+          true
+          (h.Census.h_words <= (2 * h.Census.h_entries) + 256))
+      c.Census.holders
+  in
+  let eng, sim, _ = run_engine ~until:3.0 () in
+  let early = Census.take (Engine.ctx eng) in
+  check_bounded early;
+  Sim.run sim ~until:9.0;
+  let late = Census.take (Engine.ctx eng) in
+  check_bounded late;
+  check_bool "execution went on" true (late.Census.executed > 2 * early.Census.executed)
 
 let () =
   Alcotest.run "massbft_engine"
@@ -725,6 +779,8 @@ let () =
           Alcotest.test_case "agreement on all workloads" `Slow test_agreement_on_every_workload;
           Alcotest.test_case "tpcc hotspot ratio" `Slow test_tpcc_commit_ratio_below_kv;
           Alcotest.test_case "ISS epoch barrier" `Quick test_iss_respects_epoch_barrier;
+          Alcotest.test_case "closing round arms one head timer" `Quick
+            test_closing_round_arms_one_head_timer;
         ] );
       ( "heterogeneous",
         [
@@ -748,5 +804,7 @@ let () =
             test_census_released_state;
           Alcotest.test_case "census after view change" `Slow
             test_census_after_view_change;
+          Alcotest.test_case "census per-entry state bounded" `Quick
+            test_census_per_entry_bounded;
         ] );
     ]
