@@ -328,12 +328,13 @@ let micro_tests =
     bench_sim; bench_sim_churn; bench_remote_send;
   ]
 
-let run_micro ?(print = true) ~quick () =
+let run_micro ?(print = true) () =
   if print then print_endline "=== micro-benchmarks (bechamel) ===";
-  let cfg =
-    if quick then Benchmark.cfg ~limit:25 ~quota:(Time.second 0.05) ()
-    else Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-  in
+  (* Bechamel compacts the heap before every sample, about 25 ms on a
+     2-vCPU host, so a 0.5 s quota buys some 20 samples: what the OLS
+     fit needs to separate a sub-10-us per-run cost from the per-sample
+     cost. *)
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
   let test = Test.make_grouped ~name:"massbft" ~fmt:"%s %s" micro_tests in
   let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
   let ols =

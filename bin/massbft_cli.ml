@@ -567,13 +567,12 @@ let drill_cmd =
 let bench_cmd =
   let full =
     Arg.(value & flag & info [ "full" ]
-           ~doc:"Full mode: the full bechamel quota, and macro rows at full \
-                 scale over 4 + 12 simulated seconds (scaling table: 3 and 5 \
-                 groups). The default quick mode runs a reduced quota and \
-                 1 + 3 s macro rows at 1% scale (scaling table: 3 groups). \
-                 The gate compares against committed baselines that were \
-                 measured in full mode; quick mode stays within the default \
-                 tolerance for every current benchmark.")
+           ~doc:"Full mode: macro rows at full scale over 4 + 12 simulated \
+                 seconds (scaling table: 3 and 5 groups). The default quick \
+                 mode runs 1 + 3 s macro rows at 1% scale (scaling table: 3 \
+                 groups). Both modes run the same micro-benchmarks. The gate \
+                 compares against committed baselines that were measured \
+                 in full mode.")
   in
   let check_file =
     Arg.(value & opt (some string) None & info [ "check" ] ~docv:"FILE"
@@ -624,7 +623,7 @@ let bench_cmd =
         rows
       end
     in
-    let micros = Massbft_bench.Micros.run_micro ~quick () in
+    let micros = Massbft_bench.Micros.run_micro () in
     let macros =
       if not recording then []
       else begin

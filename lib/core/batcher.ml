@@ -1,9 +1,8 @@
 (* Batching stage: client load generation, the 20 ms batch timer and
    the pipeline window. A leader forms a batch when its timer has
    fired ([l_batch_pending]), fewer than [pipeline] own entries are in
-   flight, and the ordering strategy's window admits the next sequence
-   number (round-based systems cap how far a group may run ahead; ISS
-   additionally gates on epoch boundaries). *)
+   flight, and the ordering axis admits the next sequence number
+   ([admits]). *)
 
 open Node_ctx
 module Sha256 = Massbft_crypto.Sha256
@@ -65,7 +64,7 @@ let form_batch t (l : leader) =
       exec_count = 0;
     }
   in
-  register_entry t e;
+  Entry_tbl.replace t.entries eid e;
   trace_entry t eid "batch_formed" ~node:0
     ~args:[ ("txns", Trace.Int e.txn_count); ("bytes", Trace.Int size) ];
   content_event t (node_of t l.l_addr) eid;
@@ -88,6 +87,24 @@ let form_batch t (l : leader) =
             Pbft.propose pbft ~seq ~digest
         | Some _ | None -> ())
 
+(* May the group propose sequence number [seq] yet? *)
+let admits t (l : leader) seq =
+  match t.ord with
+  | Config.Sync_rounds ->
+      (* Round-based protocols propose exactly one entry per round: a
+         group may run at most a pipeline's worth of rounds ahead of the
+         slowest group (otherwise Figure 2's backlog grows without
+         bound). *)
+      seq - l.l_next_round < t.cfg.Config.pipeline
+  | Config.Epoch_rounds k ->
+      (* A proposal in epoch e requires every round of the preceding
+         epochs (rounds 1 .. e*k) to have executed locally — the
+         epoch-boundary synchronization that gives ISS its latency
+         profile. *)
+      let epoch = (seq - 1) / k in
+      epoch = 0 || l.l_next_round > epoch * k
+  | Config.Async_vts | Config.Global_log -> true
+
 let try_batch t (l : leader) =
   if
     t.started
@@ -95,7 +112,7 @@ let try_batch t (l : leader) =
     && alive t l.l_addr
     && l.l_batch_pending
     && l.l_in_flight < t.cfg.Config.pipeline
-    && t.strat.ord.o_allows t l l.l_next_seq
+    && admits t l l.l_next_seq
   then begin
     l.l_batch_pending <- false;
     form_batch t l

@@ -2,7 +2,7 @@
 
 val try_batch : Node_ctx.t -> Node_ctx.leader -> unit
 (** Form the next batch if the timer has fired, the pipeline window has
-    room, and the ordering strategy admits the next sequence number.
+    room, and the ordering axis admits the next sequence number.
     Stages call this whenever one of those conditions may have just
     become true (commit, round close, execution). *)
 

@@ -1,8 +1,8 @@
 (* The engine: a thin conductor over the stage modules.
 
-   Construction resolves [Config.system] exactly once into the
-   [Node_ctx.strategies] record (one strategy value per Table II axis)
-   and wires the stages: Local_consensus (per-group PBFT),
+   Construction derives the three Table II axes of [Config.system] once
+   into the context's [repl], [glob] and [ord] fields and wires the
+   stages: Local_consensus (per-group PBFT),
    Replication (dissemination + rebuild + fetch), Global_consensus
    (Raft with content-gated acks), Ordering (rounds / epochs / global
    log / VTS), Execution (Aria + ledger), Batcher (load + batching).
@@ -27,52 +27,27 @@ let dispatch t ~(src : Topology.addr) ~(dst : Topology.addr) m =
       Replication.handle_chunk t node ~eid ~root_tag ~index
   | Chunk_fwd { eid; root_tag; index } ->
       Replication.on_chunk_received t node ~eid ~root_tag ~index
-  | Copy { eid } -> Replication.handle_copy t node eid
+  | Copy { eid } ->
+      if Replication.handle_copy t node eid then Global_consensus.on_copy t node eid
   | Copy_fwd { eid } -> content_event t node eid
   | Raft_m { inst; rmsg } -> Global_consensus.handle_raft_m t ~src ~dst ~inst rmsg
   | Accept_req { inst; index } ->
-      Local_consensus.handle_accept_req t ~src ~dst ~inst ~index
+      Global_consensus.handle_accept_req t ~src ~dst ~inst ~index
   | Accept_vote { inst; index } ->
-      Local_consensus.handle_accept_vote t ~src ~dst ~inst ~index
-  | Accept_note { eid } -> Local_consensus.handle_accept_note t ~dst eid
+      Global_consensus.handle_accept_vote t ~src ~dst ~inst ~index
+  | Accept_note { eid } -> Global_consensus.handle_accept_note t ~dst eid
   | Recv_note { eid } -> Global_consensus.handle_recv_note t ~dst eid
   | Fetch_req { eid } -> Replication.handle_fetch_req t node ~src eid
 
 (* Cross-stage reactions to content arriving at a leader, in a fixed
    order: release the fetch slot, run the content-gated ack guards
-   (Lemma V.1), let the global strategy react (GeoBFT commits here),
-   then pump the execution queue. *)
+   (Lemma V.1), let the global stage react (GeoBFT commits here), then
+   pump the execution queue. *)
 let leader_content t (l : leader) eid =
   Replication.on_content t l eid;
   run_content_waiters l eid;
-  t.strat.glob.g_on_content t l eid;
+  Global_consensus.on_content t l eid;
   Execution.pump t l
-
-(* ------------------------------------------------------------------ *)
-(* Strategy resolution — the single place Config.system is consulted   *)
-(* ------------------------------------------------------------------ *)
-
-let resolve_strategies (cfg : Config.t) =
-  let repl =
-    match Config.replication_of cfg.Config.system with
-    | Config.Leader_oneway -> Replication.leader_oneway
-    | Config.Bijective_full -> Replication.bijective_full
-    | Config.Encoded_bijective -> Replication.encoded_bijective
-  in
-  let glob =
-    match Config.global_of cfg.Config.system with
-    | Config.Per_group_raft -> Global_consensus.per_group_raft
-    | Config.Single_raft -> Global_consensus.single_raft
-    | Config.Direct_broadcast -> Global_consensus.direct_broadcast
-  in
-  let ord =
-    match Config.ordering_of cfg.Config.system with
-    | Config.Sync_rounds -> Ordering.sync_rounds
-    | Config.Epoch_rounds k -> Ordering.epoch_rounds k
-    | Config.Async_vts -> Ordering.async_vts
-    | Config.Global_log -> Ordering.global_log
-  in
-  { repl; glob; ord }
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -80,7 +55,7 @@ let resolve_strategies (cfg : Config.t) =
 
 let create sim topo cfg =
   let ng = Topology.n_groups topo in
-  let strat = resolve_strategies cfg in
+  let glob = Config.global_of cfg.Config.system in
   let shared_store =
     Kvstore.create
       ~init:(W.preload ~scale:cfg.Config.workload_scale cfg.Config.workload)
@@ -91,7 +66,7 @@ let create sim topo cfg =
         Array.init (Topology.group_size topo g) (fun n ->
             make_node ~ng { Topology.g; n }))
   in
-  let n_inst = strat.glob.g_instances ng in
+  let n_inst = Global_consensus.instances glob ~ng in
   let gens =
     W.create_streams ~scale:cfg.Config.workload_scale cfg.Config.workload
       ~seeds:(Array.init ng (fun g -> Int64.add cfg.Config.seed (Int64.of_int (g * 7919))))
@@ -114,8 +89,6 @@ let create sim topo cfg =
           l_exec_q = Queue.create ();
           l_exec_busy = false;
           l_head_timer = None;
-          l_executed_rev = [];
-          l_executed_count = 0;
           l_accept = Inttbl.create 32;
           l_accept_notes = Entry_tbl.create 64;
           l_ts = make_ts_marks ~n_inst:(max n_inst 1) ~ng;
@@ -147,7 +120,6 @@ let create sim topo cfg =
       nodes;
       leaders;
       entries = Entry_tbl.create 1024;
-      by_digest = Hashtbl.create 1024;
       plans =
         Array.init ng (fun s ->
             Array.init ng (fun d ->
@@ -155,7 +127,9 @@ let create sim topo cfg =
                   ~n2:(Topology.group_size topo d)));
       metrics = Metrics.create ();
       shared_store;
-      strat;
+      repl = Config.replication_of cfg.Config.system;
+      glob;
+      ord = Config.ordering_of cfg.Config.system;
       deliver = dispatch;
       on_leader_content = leader_content;
       started = false;
@@ -226,11 +200,12 @@ let start t =
    endpoints) — to the group's new PBFT view leader. Routing to the new
    holder models leader discovery/redirect, which settles well under one
    WAN RTT in a real deployment. The sweep below re-drives the proposer
-   pipeline for entries stranded by the crash:
+   pipeline for entries stranded by the crash, after the global stage's
+   own reaction (GeoBFT's proposer-window reset):
 
    - decided at this replica but never globally started (the old acting
      leader died before seeing the decide): stamp [decided_at] and run
-     the global strategy now;
+     the global phase now;
    - never prepared anywhere (so absent from the New_view reproposals):
      propose afresh in the new view. *)
 let migrate_leader t (l : leader) (na : Topology.addr) =
@@ -240,32 +215,7 @@ let migrate_leader t (l : leader) (na : Topology.addr) =
     Trace.instant t.trace ~cat:"engine" ~gid:l.l_gid ~node:na.Topology.n
       ~args:[ ("from", Trace.Int old.Topology.n) ]
       "leader_migrated";
-  (* GeoBFT flow control: Recv_notes addressed to the dead leader are
-     gone for good (no global retransmission in direct broadcast), so
-     pending note rounds can never complete. Reset the proposer window
-     rather than let stranded slots throttle the group forever —
-     commitment itself was already stamped at send time. *)
-  if Config.global_of t.cfg.Config.system = Config.Direct_broadcast then begin
-    Entry_tbl.reset l.l_recv_notes;
-    l.l_in_flight <- 0;
-    (* Remote content that reached this node (via the group's LAN
-       forwarding) while it was a mere follower never saw the leader's
-       receive reaction: the round was never marked and the proposer was
-       never credited, wedging the round barrier here and the proposer's
-       window there. Run the reaction now for everything unprocessed —
-       marking is idempotent and a duplicate Recv_note can overshoot but
-       never re-hit the exactly-once equality threshold. Remote content
-       is visited in ascending (group, seq) order. *)
-    Array.iteri
-      (fun g seqs ->
-        if g <> l.l_gid then
-          List.iter
-            (fun seq ->
-              let eid = { Types.gid = g; seq } in
-              if not (Ordering.round_ready l eid) then t.strat.glob.g_on_content t l eid)
-            (Bitset.elements seqs))
-      (node_of t na).n_content
-  end;
+  Global_consensus.on_leader_migrated t l na;
   (match (node_of t na).n_pbft with
   | None -> ()
   | Some pbft ->
@@ -280,7 +230,7 @@ let migrate_leader t (l : leader) (na : Topology.addr) =
                   if e.decided_at = 0.0 then begin
                     e.decided_at <- now t;
                     trace_entry t eid "decided" ~node:na.Topology.n;
-                    t.strat.glob.g_start t l e
+                    Global_consensus.start t l e
                   end
               | None ->
                   if
@@ -476,13 +426,19 @@ let submit_conf t cmd =
 
 let metrics t = t.metrics
 let set_measure_from t at = t.metrics.Metrics.measure_from <- at
-let executed_ids t ~gid = List.rev t.leaders.(gid).l_executed_rev
+(* The leader's ledger is its execution order: one block per executed
+   entry, appended in order. *)
+let executed_ids t ~gid =
+  List.map
+    (fun (b : Ledger.block) -> { Types.gid = b.Ledger.gid; seq = b.Ledger.seq })
+    (Ledger.blocks t.leaders.(gid).l_ledger)
+
 let now t = Node_ctx.now t
 let n_groups t = t.ng
 let group_size t g = Topology.group_size t.topo g
 let config t = t.cfg
 let acting_leader t ~gid = t.leaders.(gid).l_addr
-let executed_count t ~gid = t.leaders.(gid).l_executed_count
+let executed_count t ~gid = Ledger.height t.leaders.(gid).l_ledger
 let raft_instances t = Array.length t.leaders.(0).l_rafts
 
 let raft_commit_index t ~gid ~inst =
@@ -503,7 +459,7 @@ let store_fingerprint t = Kvstore.fingerprint t.shared_store
 let ledger_of t ~gid = t.leaders.(gid).l_ledger
 
 let entries_executed_total t =
-  Array.fold_left (fun acc l -> acc + l.l_executed_count) 0 t.leaders
+  Array.fold_left (fun acc l -> acc + Ledger.height l.l_ledger) 0 t.leaders
 
 let wan_bytes t = Topology.wan_bytes_sent t.topo
 let lan_bytes t = Topology.lan_bytes_sent t.topo
@@ -516,7 +472,7 @@ let debug_dump t =
         (Printf.sprintf
            "leader g%d alive=%b in_flight=%d next_seq=%d clk=%d execq=%d executed=%d retry=%d waitc=%d acceptp=%d fetch=%d\n"
            l.l_gid (alive t l.l_addr) l.l_in_flight l.l_next_seq l.l_clk
-           (Queue.length l.l_exec_q) l.l_executed_count (List.length l.l_retry)
+           (Queue.length l.l_exec_q) (Ledger.height l.l_ledger) (List.length l.l_retry)
            (Entry_tbl.length l.l_waiting_content)
            (Inttbl.length l.l_accept)
            (Entry_tbl.length l.l_fetching));

@@ -1,7 +1,7 @@
 (* Execution stage: the per-leader ordered execution queue, Aria batch
    execution + ledger append, and per-entry metrics/trace recording.
    Entries enter through [enqueue] (from the ordering or global
-   strategies), which places them in the leader's order and pumps; the
+   stages), which places them in the leader's order and pumps; the
    pump executes them in queue order, gated on holding the entry's
    content. *)
 
@@ -15,7 +15,7 @@ module Stats = Massbft_util.Stats
 let phase_spans t e ~tnow =
   let m = t.metrics in
   let batch_wait = Config.batch_timeout_s /. 2.0 in
-  let coding = t.strat.repl.r_coding_s t e in
+  let coding = Replication.coding_s t e in
   let always =
     [
       (m.Metrics.phase_batch_s, "batch", e.created_at -. batch_wait, batch_wait);
@@ -109,8 +109,6 @@ let do_execute t (l : leader) e =
   ignore
     (Ledger.append l.l_ledger ~gid:e.eid.Types.gid ~seq:e.eid.Types.seq
        ~txn_count:e.txn_count ~payload_digest:e.digest);
-  l.l_executed_rev <- e.eid :: l.l_executed_rev;
-  l.l_executed_count <- l.l_executed_count + 1;
   Entry_tbl.remove l.l_committed_unexec e.eid;
   (* Once every leader has executed the entry its content (transaction
      closures, memoized outcome) is dead weight; keep the metadata. A

@@ -1,15 +1,16 @@
 (* Global-consensus stage: the Raft adapter with content-gated acks
-   (Lemma V.1), plus heartbeats/elections and log unwedging. The VTS
-   stamping lane it drives lives in Ordering; the skip-prepare accept
-   rounds it gates on live in Local_consensus. Three strategies
+   (Lemma V.1) and the skip-prepare accept rounds they gate on, plus
+   heartbeats/elections and log unwedging. The VTS stamping lane it
+   drives lives in Ordering. [instances], [start], [on_content],
+   [on_copy] and [on_leader_migrated] match on the global-consensus axis
    (Table II):
 
-   - [per_group_raft]: one Raft instance per group, led by that group's
+   - [Per_group_raft]: one Raft instance per group, led by that group's
      leader; followers of an instance are the other groups' leaders
      (MassBFT / Baseline / ISS / BR / EBR).
-   - [single_raft]: Steward — one global Raft at group 0; remote
+   - [Single_raft]: Steward — one global Raft at group 0; remote
      entries are forwarded to G0 as full copies and proposed there.
-   - [direct_broadcast]: GeoBFT — no global consensus; content arrival
+   - [Direct_broadcast]: GeoBFT — no global consensus; content arrival
      at every group is the commitment event, credited back to the
      proposer with Recv_notes. *)
 
@@ -25,6 +26,66 @@ let raft_msg_bytes t rmsg =
   | Raft.Append_ack _ | Raft.Commit_note _ | Raft.Request_vote _
   | Raft.Vote _ | Raft.Probe _ | Raft.Probe_reply _ | Raft.Timeout_now _ ->
       Types.vote_bytes
+
+(* ------------------------------------------------------------------ *)
+(* Skip-prepare accept rounds                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The accept decision on a remote entry skips PBFT's prepare phase:
+   the leader broadcasts the request and collects a quorum of direct
+   votes (the skip-prepare variant of §V-B). The content-gated ack
+   guards below drive it. *)
+
+let accept_round t (l : leader) ~inst ~index k =
+  let quorum = Intmath.pbft_quorum (active_size t l.l_gid) in
+  if quorum <= 1 then k ()
+  else begin
+    (* Votes are a set of voter node ids (the leader's own vote counts),
+       so duplicated deliveries cannot inflate the tally. *)
+    let a_votes = Bitset.create () in
+    Bitset.add a_votes l.l_addr.Topology.n;
+    Inttbl.replace l.l_accept (round_key t ~inst ~index) { a_votes; a_release = k };
+    broadcast_group ~bulk:false t ~src:l.l_addr ~bytes:Types.vote_bytes
+      (Accept_req { inst; index })
+  end
+
+let handle_accept_req t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
+  (* Follower's vote in the skip-prepare accept round. *)
+  send ~bulk:false t ~src:dst ~dst:src ~bytes:Types.vote_bytes
+    (Accept_vote { inst; index })
+
+let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
+  if is_acting_leader t dst then begin
+    let l = t.leaders.(dst.Topology.g) in
+    let key = round_key t ~inst ~index in
+    match Inttbl.find_opt l.l_accept key with
+    | None -> ()
+    | Some r ->
+        Bitset.add r.a_votes src.Topology.n;
+        let quorum = Intmath.pbft_quorum (active_size t dst.Topology.g) in
+        if Bitset.cardinal r.a_votes >= quorum then begin
+          Inttbl.remove l.l_accept key;
+          r.a_release ()
+        end
+  end
+
+let handle_accept_note t ~(dst : Topology.addr) eid =
+  if is_acting_leader t dst then begin
+    let l = t.leaders.(dst.Topology.g) in
+    let notes =
+      match Entry_tbl.find_opt l.l_accept_notes eid with
+      | Some r -> r
+      | None ->
+          let r = ref 0 in
+          Entry_tbl.replace l.l_accept_notes eid r;
+          r
+    in
+    incr notes;
+    (* f_g + 1 groups holding the entry imply it is replicated; the
+       proposer counts implicitly, so f_g accept notes suffice for a
+       slow receiver to stamp the entry without holding it (§V-C). *)
+    if !notes >= max 1 (fg t) then Ordering.assign_ts t l eid
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Raft callbacks                                                      *)
@@ -63,7 +124,7 @@ let ack_guard t (l : leader) inst ~index payload release =
           in
           charge_cpu t l.l_addr cert_cost (fun () ->
               if alive t l.l_addr then
-                Local_consensus.accept_round t l ~inst ~index
+                accept_round t l ~inst ~index
                   (fun () ->
                     release ();
                     (* Slow-receiver support (§V-C): advertise the
@@ -71,12 +132,17 @@ let ack_guard t (l : leader) inst ~index payload release =
                        VTS-ordered system (MassBFT) runs this lane —
                        round-based systems synchronize through their
                        rounds instead. *)
-                    if t.strat.ord.o_vts then
-                      for j = 0 to t.ng - 1 do
-                        if j <> l.l_gid && member_now t j then
-                          send ~bulk:false t ~src:l.l_addr ~dst:(leader_addr t j)
-                            ~bytes:Types.vote_bytes (Accept_note { eid })
-                      done)))
+                    match t.ord with
+                    | Config.Async_vts ->
+                        for j = 0 to t.ng - 1 do
+                          if j <> l.l_gid && member_now t j then
+                            send ~bulk:false t ~src:l.l_addr
+                              ~dst:(leader_addr t j) ~bytes:Types.vote_bytes
+                              (Accept_note { eid })
+                        done
+                    | Config.Sync_rounds | Config.Epoch_rounds _
+                    | Config.Global_log ->
+                        ())))
   | Ts { eid; _ } ->
       if not (has_content (node_of t l.l_addr) eid) then
         ignore
@@ -95,7 +161,7 @@ let on_raft_commit t (l : leader) inst payload =
       l.l_clk_of.(inst) <- eid.Types.seq;
       Entry_tbl.replace l.l_committed_unexec eid ();
       if not t.cfg.Config.overlapped_vts then Ordering.assign_ts t l eid;
-      t.strat.ord.o_on_commit t l eid;
+      Ordering.on_commit t l eid;
       if eid.Types.gid = l.l_gid then begin
         l.l_clk <- max l.l_clk eid.Types.seq;
         (* A recovered leader may re-propose an in-flight entry that in
@@ -194,8 +260,8 @@ let handle_raft_m t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst rmsg =
       Raft.handle l.l_rafts.(inst) ~from:src.Topology.g rmsg
   end
 
-(* Recv_notes are only ever emitted by the direct-broadcast strategy,
-   so no configuration guard is needed here. *)
+(* Recv_notes are only ever emitted under [Direct_broadcast], so no
+   configuration guard is needed here. *)
 let handle_recv_note t ~(dst : Topology.addr) eid =
   if is_acting_leader t dst then begin
     let l = t.leaders.(dst.Topology.g) in
@@ -229,86 +295,117 @@ let handle_recv_note t ~(dst : Topology.addr) eid =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Strategy values                                                     *)
+(* The global-consensus axis                                           *)
 (* ------------------------------------------------------------------ *)
 
-let per_group_raft =
-  {
-    g_instances = (fun ng -> ng);
-    g_start =
-      (fun t l e ->
-        if t.strat.repl.r_oneway then
-          Replication.send_oneway_copies t l e ~skip:[];
-        if Raft.role l.l_rafts.(l.l_gid) = Raft.Leader then
-          ignore (Raft.propose l.l_rafts.(l.l_gid) (Entry_meta { eid = e.eid })));
-    g_on_content = (fun _ _ _ -> ());
-    g_on_copy = (fun _ _ _ -> ());
-  }
+(* Raft instances per leader for [ng] groups. *)
+let instances glob ~ng =
+  match glob with
+  | Config.Per_group_raft -> ng
+  | Config.Single_raft -> 1
+  | Config.Direct_broadcast -> 0
 
-let direct_broadcast =
-  {
-    g_instances = (fun _ -> 0);
-    g_start =
-      (fun t l e ->
-        Replication.send_oneway_copies t l e ~skip:[];
-        (* Under a reconfiguration some groups are dark: they receive no
-           copy, yet the commit threshold stays [ng - 1] notes. Credit
-           the missing notes up front so the exactly-once equality in
-           [handle_recv_note] still fires — the counter walks through
-           every value by +1 increments, so pre-crediting never skips
-           the threshold. Reconfig-free runs count no missing note. *)
-        (let missing = ref 0 in
-         for j = 0 to t.ng - 1 do
-           if j <> l.l_gid && not (member_now t j) then incr missing
-         done;
-         if !missing > 0 then begin
-           let notes =
-             match Entry_tbl.find_opt l.l_recv_notes e.eid with
-             | Some r -> r
-             | None ->
-                 let r = ref 0 in
-                 Entry_tbl.replace l.l_recv_notes e.eid r;
-                 r
-           in
-           notes := !notes + !missing
-         end);
-        (* No global consensus: the entry is ready for ordering here. *)
-        Ordering.mark_round_ready t l e.eid;
-        if e.committed_at = 0.0 then begin
-          e.committed_at <- now t;
-          trace_entry t e.eid "committed" ~node:0
-        end);
-    g_on_content =
-      (fun t l eid ->
-        (* Content arrival is the commitment event: credit the proposer
-           and mark the entry's round. *)
-        if eid.Types.gid <> l.l_gid then
-          send ~bulk:false t ~src:l.l_addr
-            ~dst:(leader_addr t eid.Types.gid)
-            ~bytes:Types.vote_bytes (Recv_note { eid });
-        Ordering.mark_round_ready t l eid);
-    g_on_copy = (fun _ _ _ -> ());
-  }
+(* The proposer's leader starts the global phase of its decided entry. *)
+let start t (l : leader) e =
+  match t.glob with
+  | Config.Per_group_raft ->
+      Replication.on_global_start t l e;
+      if Raft.role l.l_rafts.(l.l_gid) = Raft.Leader then
+        ignore (Raft.propose l.l_rafts.(l.l_gid) (Entry_meta { eid = e.eid }))
+  | Config.Single_raft ->
+      if l.l_gid = 0 then steward_propose t l e
+      else
+        (* Forward the certified entry to the global leader group. *)
+        send ~bulk:true t ~src:l.l_addr ~dst:(leader_addr t 0)
+          ~bytes:(copy_bytes t e.eid) (Copy { eid = e.eid })
+  | Config.Direct_broadcast ->
+      Replication.send_oneway_copies t l e ~skip:[];
+      (* Under a reconfiguration some groups are dark: they receive no
+         copy, yet the commit threshold stays [ng - 1] notes. Credit the
+         missing notes up front so the exactly-once equality in
+         [handle_recv_note] still fires — the counter walks through
+         every value by +1 increments, so pre-crediting never skips the
+         threshold. Reconfig-free runs count no missing note. *)
+      (let missing = ref 0 in
+       for j = 0 to t.ng - 1 do
+         if j <> l.l_gid && not (member_now t j) then incr missing
+       done;
+       if !missing > 0 then begin
+         let notes =
+           match Entry_tbl.find_opt l.l_recv_notes e.eid with
+           | Some r -> r
+           | None ->
+               let r = ref 0 in
+               Entry_tbl.replace l.l_recv_notes e.eid r;
+               r
+         in
+         notes := !notes + !missing
+       end);
+      (* No global consensus: the entry is ready for ordering here. *)
+      Ordering.mark_round_ready t l e.eid;
+      if e.committed_at = 0.0 then begin
+        e.committed_at <- now t;
+        trace_entry t e.eid "committed" ~node:0
+      end
 
-let single_raft =
-  {
-    g_instances = (fun _ -> 1);
-    g_start =
-      (fun t l e ->
-        if l.l_gid = 0 then steward_propose t l e
-        else
-          (* Forward the certified entry to the global leader group. *)
-          send ~bulk:true t ~src:l.l_addr ~dst:(leader_addr t 0)
-            ~bytes:(copy_bytes t e.eid) (Copy { eid = e.eid }));
-    g_on_content = (fun _ _ _ -> ());
-    g_on_copy =
-      (fun t node eid ->
-        if
-          is_acting_leader t node.n_addr
-          && node.n_addr.Topology.g = 0
-          && eid.Types.gid <> 0
-        then steward_propose t t.leaders.(0) (entry_of t eid));
-  }
+(* GeoBFT: content arrival is the commitment event — credit the
+   proposer and mark the entry's round. *)
+let credit_content t (l : leader) eid =
+  if eid.Types.gid <> l.l_gid then
+    send ~bulk:false t ~src:l.l_addr
+      ~dst:(leader_addr t eid.Types.gid)
+      ~bytes:Types.vote_bytes (Recv_note { eid });
+  Ordering.mark_round_ready t l eid
+
+(* Content arrived at a leader (part of the engine's on-leader-content
+   composition). *)
+let on_content t (l : leader) eid =
+  match t.glob with
+  | Config.Direct_broadcast -> credit_content t l eid
+  | Config.Per_group_raft | Config.Single_raft -> ()
+
+(* A full copy brought a node new content: Steward's global leader
+   proposes remote entries in its single log. *)
+let on_copy t (node : node) eid =
+  match t.glob with
+  | Config.Single_raft ->
+      if
+        is_acting_leader t node.n_addr
+        && node.n_addr.Topology.g = 0
+        && eid.Types.gid <> 0
+      then steward_propose t t.leaders.(0) (entry_of t eid)
+  | Config.Per_group_raft | Config.Direct_broadcast -> ()
+
+(* The acting-leader role moved to [na] (the engine's migration).
+   GeoBFT flow control: Recv_notes addressed to the dead leader are
+   gone for good (no global retransmission in direct broadcast), so
+   pending note rounds can never complete. Reset the proposer window
+   rather than let stranded slots throttle the group forever —
+   commitment itself was already stamped at send time. *)
+let on_leader_migrated t (l : leader) (na : Topology.addr) =
+  match t.glob with
+  | Config.Per_group_raft | Config.Single_raft -> ()
+  | Config.Direct_broadcast ->
+      Entry_tbl.reset l.l_recv_notes;
+      l.l_in_flight <- 0;
+      (* Remote content that reached this node (via the group's LAN
+         forwarding) while it was a mere follower never saw the leader's
+         receive reaction: the round was never marked and the proposer
+         was never credited, wedging the round barrier here and the
+         proposer's window there. Run the reaction now for everything
+         unprocessed — marking is idempotent and a duplicate Recv_note
+         can overshoot but never re-hit the exactly-once equality
+         threshold. Remote content is visited in ascending (group, seq)
+         order. *)
+      Array.iteri
+        (fun g seqs ->
+          if g <> l.l_gid then
+            List.iter
+              (fun seq ->
+                let eid = { Types.gid = g; seq } in
+                if not (Ordering.round_ready l eid) then credit_content t l eid)
+              (Bitset.elements seqs))
+        (node_of t na).n_content
 
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
@@ -340,11 +437,13 @@ let install t ~n_inst =
                 on_role = (fun role ~term:_ -> on_raft_role t l inst role);
                 ack_guard = (fun ~index p k -> ack_guard t l inst ~index p k);
               });
-      if t.strat.ord.o_vts then
-        l.l_orderer <-
-          Some
-            (Orderer.create ~ng:t.ng ~on_execute:(fun eid ->
-                 Execution.enqueue t l eid)))
+      match t.ord with
+      | Config.Async_vts ->
+          l.l_orderer <-
+            Some
+              (Orderer.create ~ng:t.ng ~on_execute:(fun eid ->
+                   Execution.enqueue t l eid))
+      | Config.Sync_rounds | Config.Epoch_rounds _ | Config.Global_log -> ())
     t.leaders
 
 (* Heartbeats + crash detection (only meaningful with global Raft).

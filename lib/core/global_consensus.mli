@@ -1,25 +1,50 @@
 (* Global-consensus stage: the Raft adapter with content-gated acks
-   (Lemma V.1), VTS stamping, skip-prepare accept rounds, heartbeats
-   and log unwedging. *)
+   (Lemma V.1), the skip-prepare accept rounds they gate on, heartbeats
+   and log unwedging, matched on the global-consensus axis. *)
 
 open Node_ctx
 
-val per_group_raft : glob_strategy
-(** One Raft instance per group (MassBFT / Baseline / ISS / BR / EBR). *)
+val instances : Config.global_consensus -> ng:int -> int
+(** Raft instances per leader for [ng] groups: one per group under
+    [Per_group_raft] (MassBFT / Baseline / ISS / BR / EBR), one at group
+    0 under [Single_raft] (Steward), none under [Direct_broadcast]
+    (GeoBFT). *)
 
-val single_raft : glob_strategy
-(** Steward: one global Raft at group 0; remote entries are forwarded
-    there as full copies. *)
+val start : t -> leader -> entry -> unit
+(** The proposer's leader starts the global phase of its decided entry:
+    propose it in the group's own instance, forward it to Steward's
+    global leader, or (GeoBFT) ship it and count it committed. *)
 
-val direct_broadcast : glob_strategy
-(** GeoBFT: no global consensus — content arrival at every group is the
-    commitment event, credited back to the proposer with Recv_notes. *)
+val on_content : t -> leader -> Types.entry_id -> unit
+(** Content arrived at a leader; under [Direct_broadcast] this is the
+    commitment event, credited back to the proposer with a Recv_note.
+    Part of the engine's on-leader-content composition. *)
+
+val on_copy : t -> node -> Types.entry_id -> unit
+(** A full copy brought the node new content: Steward's group-0 leader
+    proposes a remote entry in the single global log. *)
+
+val on_leader_migrated : t -> leader -> Topology.addr -> unit
+(** The group's acting-leader role moved to the address. Under
+    [Direct_broadcast], reset the proposer window (notes sent to the
+    dead leader are lost) and run the receive reaction for remote
+    content the new leader took in as a follower. *)
 
 val handle_raft_m :
   t -> src:Topology.addr -> dst:Topology.addr -> inst:int ->
   rpayload Raft.msg -> unit
 
 val handle_recv_note : t -> dst:Topology.addr -> Types.entry_id -> unit
+
+val handle_accept_req :
+  t -> src:Topology.addr -> dst:Topology.addr -> inst:int -> index:int -> unit
+
+val handle_accept_vote :
+  t -> src:Topology.addr -> dst:Topology.addr -> inst:int -> index:int -> unit
+
+val handle_accept_note : t -> dst:Topology.addr -> Types.entry_id -> unit
+(** A remote group accepted the entry (VTS ordering's slow-receiver
+    lane, §V-C): at f_g notes, stamp it without holding it. *)
 
 val install : t -> n_inst:int -> unit
 (** Create the per-leader Raft instances (and the Orderer under VTS

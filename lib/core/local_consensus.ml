@@ -1,23 +1,34 @@
 (* Local-consensus stage: the PBFT adapter. Wires one PBFT replica per
    node (the replicas run full three-phase PBFT), charges the batch
    signature-verification cost on Pre_prepare receipt, and turns decide
-   certificates into the dissemination + global phase via the resolved
-   strategies. The skip-prepare accept variant used for global-accept
-   rounds is [accept_round] below; Global_consensus drives it. *)
+   certificates into dissemination (Replication) and the global phase
+   (Global_consensus). The skip-prepare accept rounds of the global
+   phase live in Global_consensus, their only caller. *)
 
 open Node_ctx
 
-let local_msg_bytes t m =
+(* The entry a PBFT message of group [g] names: the group's entry at
+   [seq], if [digest] is its digest. A forged digest (equivocation)
+   names nothing. *)
+let named_entry t g ~seq digest =
+  match Entry_tbl.find_opt t.entries { Types.gid = g; seq } with
+  | Some e when String.equal e.digest digest -> Some e
+  | Some _ | None -> None
+
+let local_msg_bytes t g m =
   match m with
-  | Pbft.Pre_prepare { digest; _ } -> (
-      match entry_by_digest t digest with
+  | Pbft.Pre_prepare { seq; digest; _ } -> (
+      match named_entry t g ~seq digest with
       | Some e -> e.size + Types.header_bytes + Types.signature_bytes
       | None -> Types.vote_bytes)
   | Pbft.Prepare _ | Pbft.Commit _ -> Types.vote_bytes
   | Pbft.View_change _ | Pbft.New_view _ -> 4 * Types.vote_bytes
 
 let on_decide t (node : node) (cert : Pbft.certificate) =
-  match entry_by_digest t cert.Pbft.cert_digest with
+  match
+    named_entry t node.n_addr.Topology.g ~seq:cert.Pbft.cert_seq
+      cert.Pbft.cert_digest
+  with
   | None -> ()
   | Some e ->
       let addr = node.n_addr in
@@ -28,20 +39,20 @@ let on_decide t (node : node) (cert : Pbft.certificate) =
           trace_entry t e.eid "decided" ~node:addr.Topology.n
         end;
       (* Per-node dissemination (chunks / bijective copies). *)
-      t.strat.repl.r_on_decide t node e;
+      Replication.on_decide t node e;
       if is_acting_leader t addr && addr.Topology.g = e.eid.Types.gid then
-        t.strat.glob.g_start t t.leaders.(addr.Topology.g) e
+        Global_consensus.start t t.leaders.(addr.Topology.g) e
 
 let handle t (node : node) ~(src : Topology.addr) pm =
   match node.n_pbft with
   | None -> ()
   | Some pbft -> (
       match pm with
-      | Pbft.Pre_prepare { digest; _ } ->
+      | Pbft.Pre_prepare { seq; digest; _ } ->
           (* Receiving the batch: verify every client signature before
              voting (the paper's dominant local cost). *)
           let cost =
-            match entry_by_digest t digest with
+            match named_entry t node.n_addr.Topology.g ~seq digest with
             | Some e ->
                 float_of_int e.txn_count *. t.cfg.Config.cost.Config.sig_verify_s
             | None -> 0.0
@@ -49,66 +60,6 @@ let handle t (node : node) ~(src : Topology.addr) pm =
           charge_cpu_parallel t node.n_addr cost (fun () ->
               if alive t node.n_addr then Pbft.handle pbft ~from:src.Topology.n pm)
       | _ -> Pbft.handle pbft ~from:src.Topology.n pm)
-
-(* ------------------------------------------------------------------ *)
-(* Skip-prepare accept rounds                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The accept decision on a remote entry skips PBFT's prepare phase:
-   the leader broadcasts the request and collects a quorum of direct
-   votes (the skip-prepare variant of §V-B). Global_consensus drives
-   this from its content-gated ack guards. *)
-
-let accept_round t (l : leader) ~inst ~index k =
-  let quorum = Intmath.pbft_quorum (active_size t l.l_gid) in
-  if quorum <= 1 then k ()
-  else begin
-    (* Votes are a set of voter node ids (the leader's own vote counts),
-       so duplicated deliveries cannot inflate the tally. *)
-    let a_votes = Bitset.create () in
-    Bitset.add a_votes l.l_addr.Topology.n;
-    Inttbl.replace l.l_accept (round_key t ~inst ~index) { a_votes; a_release = k };
-    broadcast_group ~bulk:false t ~src:l.l_addr ~bytes:Types.vote_bytes
-      (Accept_req { inst; index })
-  end
-
-let handle_accept_req t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
-  (* Follower's vote in the skip-prepare accept round. *)
-  send ~bulk:false t ~src:dst ~dst:src ~bytes:Types.vote_bytes
-    (Accept_vote { inst; index })
-
-let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
-  if is_acting_leader t dst then begin
-    let l = t.leaders.(dst.Topology.g) in
-    let key = round_key t ~inst ~index in
-    match Inttbl.find_opt l.l_accept key with
-    | None -> ()
-    | Some r ->
-        Bitset.add r.a_votes src.Topology.n;
-        let quorum = Intmath.pbft_quorum (active_size t dst.Topology.g) in
-        if Bitset.cardinal r.a_votes >= quorum then begin
-          Inttbl.remove l.l_accept key;
-          r.a_release ()
-        end
-  end
-
-let handle_accept_note t ~(dst : Topology.addr) eid =
-  if is_acting_leader t dst then begin
-    let l = t.leaders.(dst.Topology.g) in
-    let notes =
-      match Entry_tbl.find_opt l.l_accept_notes eid with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Entry_tbl.replace l.l_accept_notes eid r;
-          r
-    in
-    incr notes;
-    (* f_g + 1 groups holding the entry imply it is replicated; the
-       proposer counts implicitly, so f_g accept notes suffice for a
-       slow receiver to stamp the entry without holding it (§V-C). *)
-    if !notes >= max 1 (fg t) then Ordering.assign_ts t l eid
-  end
 
 (* Create the per-node PBFT replicas. Called once from [Engine.create]. *)
 let install t =
@@ -129,7 +80,7 @@ let install t =
                     in
                     send ~bulk t ~src:node.n_addr
                       ~dst:{ Topology.g; n = dst_n }
-                      ~bytes:(local_msg_bytes t pm) (Local pm));
+                      ~bytes:(local_msg_bytes t g pm) (Local pm));
                 decide = (fun cert -> on_decide t node cert);
               }
           in

@@ -1,4 +1,6 @@
-(* Local-consensus stage: the per-group PBFT adapter. *)
+(* Local-consensus stage: the per-group PBFT adapter. Decided batches
+   go straight to Replication and Global_consensus; the skip-prepare
+   accept rounds live in Global_consensus. *)
 
 open Node_ctx
 
@@ -9,20 +11,6 @@ val handle : t -> node -> src:Topology.addr -> Pbft.msg -> unit
 val install : t -> unit
 (** Create the per-node PBFT replicas. Called once from
     [Engine.create]. *)
-
-val accept_round :
-  t -> leader -> inst:int -> index:int -> (unit -> unit) -> unit
-(** Reach local consensus on the accept decision for Raft instance
-    [inst]'s log [index] via the skip-prepare variant (§V-B): broadcast
-    the request, run the continuation at a quorum of votes. A new round
-    on the same pair replaces an open one. *)
-
-val handle_accept_req :
-  t -> src:Topology.addr -> dst:Topology.addr -> inst:int -> index:int -> unit
-
-val handle_accept_vote :
-  t -> src:Topology.addr -> dst:Topology.addr -> inst:int -> index:int -> unit
-val handle_accept_note : t -> dst:Topology.addr -> Types.entry_id -> unit
 
 val observe : Node_ctx.t -> Massbft_obs.Sampler.t -> unit
 (** Register the per-replica PBFT role and view gauges. Part of

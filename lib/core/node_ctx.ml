@@ -13,11 +13,11 @@
    [on_leader_content], a composition the engine also fixes at
    construction, so no stage needs a forward reference to another.
 
-   [Config.system] is resolved exactly once, at [Engine.create], into
-   the [strategies] record: one strategy value per Table II axis
-   (replication / global consensus / ordering), each a record of
-   closures the stages consult instead of re-matching configuration
-   variants per message. *)
+   The three Table II axes of [Config.system] are derived once, at
+   [Engine.create], into the immutable [repl], [glob] and [ord] fields.
+   Each stage matches on its own axis, so adding an axis value is a
+   constructor plus the sites the compiler's exhaustiveness check
+   reports. *)
 
 module Sim = Massbft_sim.Sim
 module Topology = Massbft_sim.Topology
@@ -165,8 +165,6 @@ type leader = {
   mutable l_exec_busy : bool;
   mutable l_head_timer : Types.entry_id option;
       (* the queue head whose content timeout is pending, if any *)
-  mutable l_executed_rev : Types.entry_id list;
-  mutable l_executed_count : int;
   l_accept : accept_round Inttbl.t;  (* keyed by [round_key] *)
   l_accept_notes : int ref Entry_tbl.t;
   l_ts : ts_marks array array;  (* [instance].(proposing gid) *)
@@ -203,7 +201,7 @@ type leader = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* The context and the strategy records                                *)
+(* The context                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* One group pair's dissemination plans, built on first use for the
@@ -231,11 +229,12 @@ type t = {
   nodes : node array array;
   leaders : leader array;
   entries : entry Entry_tbl.t;
-  by_digest : (string, entry) Hashtbl.t;
   plans : plans array array;  (* [src_group][dst_group] *)
   metrics : Metrics.t;
   shared_store : Kvstore.t;
-  strat : strategies;
+  repl : Config.replication;  (* the Table II axes, fixed at create *)
+  glob : Config.global_consensus;
+  ord : Config.ordering;
   deliver : t -> src:Topology.addr -> dst:Topology.addr -> msg -> unit;
       (* the engine's message dispatcher, installed at create *)
   on_leader_content : t -> leader -> Types.entry_id -> unit;
@@ -273,45 +272,6 @@ type t = {
       (* fetch-lane retries rescheduled by backoff, for the obs registry *)
 }
 
-(* The Table II axes as first-class strategy records, resolved from
-   [Config.system] once at [Engine.create]. *)
-and strategies = {
-  repl : repl_strategy;
-  glob : glob_strategy;
-  ord : ord_strategy;
-}
-
-and repl_strategy = {
-  r_on_decide : t -> node -> entry -> unit;
-      (* per-node dissemination when local consensus decides a batch
-         (chunks for encoded-bijective, full copies for bijective; the
-         one-way strategy ships from the global-consensus stage instead) *)
-  r_oneway : bool;
-      (* leader ships f+1 one-way copies during the global phase *)
-  r_coding_s : t -> entry -> float;  (* coding CPU charged per entry *)
-}
-
-and glob_strategy = {
-  g_instances : int -> int;  (* Raft instances for [ng] groups *)
-  g_start : t -> leader -> entry -> unit;
-      (* the proposer's leader starts the global phase of its entry *)
-  g_on_content : t -> leader -> Types.entry_id -> unit;
-      (* content arrived at a leader (GeoBFT treats this as commitment) *)
-  g_on_copy : t -> node -> Types.entry_id -> unit;
-      (* a full copy landed (Steward forwards remote entries at G0) *)
-}
-
-and ord_strategy = {
-  o_allows : t -> leader -> int -> bool;
-      (* may the group propose sequence number [seq] yet? *)
-  o_on_commit : t -> leader -> Types.entry_id -> unit;
-      (* an entry committed globally (round systems mark the round,
-         Steward's global log executes in commit order, VTS waits for
-         timestamps instead) *)
-  o_vts : bool;  (* asynchronous VTS ordering is active *)
-  o_rounds : bool;  (* ordering advances by round barriers over groups *)
-}
-
 (* ------------------------------------------------------------------ *)
 (* Helpers                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -340,11 +300,6 @@ let is_acting_leader t (a : Topology.addr) =
 let alive t (a : Topology.addr) = Topology.alive t.topo a
 let cpu_of t (a : Topology.addr) = Topology.cpu t.topo a
 
-let register_entry t (e : entry) =
-  Entry_tbl.replace t.entries e.eid e;
-  Hashtbl.replace t.by_digest e.digest e
-
-let entry_by_digest t digest = Hashtbl.find_opt t.by_digest digest
 let entries_snapshot t = Entry_tbl.fold (fun _ e acc -> e :: acc) t.entries []
 
 let entry_of t eid =

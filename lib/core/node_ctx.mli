@@ -1,7 +1,7 @@
 (* Shared per-deployment context for the engine's stage modules: wire
-   messages, the entry registry, node/leader state, the strategy records
-   resolved once from [Config.system], and the typed send/broadcast that
-   replaces the old mutable dispatcher ref. See node_ctx.ml for the
+   messages, the entry registry, node/leader state, the three Table II
+   axes derived once from [Config.system], and the typed send/broadcast
+   that replaces the old mutable dispatcher ref. See node_ctx.ml for the
    design notes. *)
 
 module Sim = Massbft_sim.Sim
@@ -130,8 +130,6 @@ type leader = {
   mutable l_head_timer : Types.entry_id option;
       (** the execution-queue head whose content timeout is pending: the
           pump arms at most one per head *)
-  mutable l_executed_rev : Types.entry_id list;
-  mutable l_executed_count : int;
   l_accept : accept_round Inttbl.t;  (** keyed by {!round_key} *)
   l_accept_notes : int ref Entry_tbl.t;
   l_ts : ts_marks array array;  (** [.(instance).(proposing gid)] *)
@@ -174,7 +172,6 @@ type t = {
   nodes : node array array;
   leaders : leader array;
   entries : entry Entry_tbl.t;
-  by_digest : (string, entry) Hashtbl.t;
   plans : plans array array;
       (** [src_group][dst_group]; replaced when either active size
           changes (see [Replication.plan_between]) *)
@@ -182,7 +179,11 @@ type t = {
   shared_store : Kvstore.t;
       (** the deployment's one database: each entry executes into it
           once, at the first leader to reach the entry *)
-  strat : strategies;
+  repl : Config.replication;
+  glob : Config.global_consensus;
+  ord : Config.ordering;
+      (** the Table II axes of [cfg.system], fixed at [Engine.create];
+          each stage matches on its own axis *)
   deliver : t -> src:Topology.addr -> dst:Topology.addr -> msg -> unit;
   on_leader_content : t -> leader -> Types.entry_id -> unit;
   mutable started : bool;
@@ -208,32 +209,6 @@ type t = {
   mutable fetch_retries : int;
 }
 
-and strategies = {
-  repl : repl_strategy;
-  glob : glob_strategy;
-  ord : ord_strategy;
-}
-
-and repl_strategy = {
-  r_on_decide : t -> node -> entry -> unit;
-  r_oneway : bool;
-  r_coding_s : t -> entry -> float;
-}
-
-and glob_strategy = {
-  g_instances : int -> int;
-  g_start : t -> leader -> entry -> unit;
-  g_on_content : t -> leader -> Types.entry_id -> unit;
-  g_on_copy : t -> node -> Types.entry_id -> unit;
-}
-
-and ord_strategy = {
-  o_allows : t -> leader -> int -> bool;
-  o_on_commit : t -> leader -> Types.entry_id -> unit;
-  o_vts : bool;
-  o_rounds : bool;
-}
-
 val now : t -> float
 
 val round_key : t -> inst:int -> index:int -> int
@@ -246,8 +221,6 @@ val sim_of : t -> int -> Sim.t
     [Topology.shard_of]); arm-time scheduling for a group's timer
     chains goes through it. *)
 
-val register_entry : t -> entry -> unit
-val entry_by_digest : t -> string -> entry option
 val entries_snapshot : t -> entry list
 
 val node_of : t -> Topology.addr -> node

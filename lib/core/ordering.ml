@@ -1,15 +1,13 @@
 (* Ordering stage: how globally-replicated entries reach a final
-   execution order. Four strategies behind one interface (Table II):
+   execution order. [on_commit] matches on the ordering axis (Table II):
 
-   - [sync_rounds]: round-synchronous — round r executes when every
-     group's entry r is ready; a group may run at most a pipeline's
-     worth of rounds ahead (Baseline / GeoBFT / BR / EBR).
-   - [epoch_rounds k]: rounds plus ISS's epoch-boundary gate — a
-     proposal in epoch e waits for every round of the preceding epochs
-     to have executed locally.
-   - [global_log]: Steward — the single Raft log's commit order IS the
+   - [Sync_rounds]: round-synchronous — round r executes when every
+     group's entry r is ready (Baseline / GeoBFT / BR / EBR).
+   - [Epoch_rounds k]: the same rounds; ISS's epoch-boundary gate is
+     the batcher's admission check.
+   - [Global_log]: Steward — the single Raft log's commit order IS the
      execution order.
-   - [async_vts]: MassBFT's asynchronous vector-timestamp ordering
+   - [Async_vts]: MassBFT's asynchronous vector-timestamp ordering
      (Algorithm 2); the Orderer consumes Ts records from the
      global-consensus stage, so commits trigger nothing here. *)
 
@@ -89,12 +87,14 @@ let stamp (l : leader) inst eid ts =
 let assign_ts t (l : leader) eid =
   (* Overlapped VTS assignment: stamp the entry with our clock and
      replicate through our own instance (Fig. 7b). *)
-  if
-    t.strat.ord.o_vts
-    && eid.Types.gid <> l.l_gid
-    && unstamped l l.l_gid eid
-    && Raft.role l.l_rafts.(l.l_gid) = Raft.Leader
-  then stamp l l.l_gid eid l.l_clk
+  match t.ord with
+  | Config.Async_vts ->
+      if
+        eid.Types.gid <> l.l_gid
+        && unstamped l l.l_gid eid
+        && Raft.role l.l_rafts.(l.l_gid) = Raft.Leader
+      then stamp l l.l_gid eid l.l_clk
+  | Config.Sync_rounds | Config.Epoch_rounds _ | Config.Global_log -> ()
 
 (* Catch-all timestamp assignment for every instance this leader
    currently leads: covers taken-over instances (frozen clocks on
@@ -133,54 +133,14 @@ let on_ts_commit (l : leader) inst ~eid ~ts =
     | None -> ()
   end
 
-(* ------------------------------------------------------------------ *)
-(* Strategy values                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let sync_rounds =
-  {
-    o_allows =
-      (fun t l seq ->
-        (* Round-based protocols propose exactly one entry per round: a
-           group may run at most a pipeline's worth of rounds ahead of
-           the slowest group (otherwise Figure 2's backlog grows
-           without bound). *)
-        seq - l.l_next_round < t.cfg.Config.pipeline);
-    o_on_commit = mark_round_ready;
-    o_vts = false;
-    o_rounds = true;
-  }
-
-let epoch_rounds k =
-  {
-    o_allows =
-      (fun _t l seq ->
-        (* A proposal in epoch e requires every round of the preceding
-           epochs (rounds 1 .. e*k) to have executed locally — the
-           epoch-boundary synchronization that gives ISS its latency
-           profile. *)
-        let epoch = (seq - 1) / k in
-        epoch = 0 || l.l_next_round > epoch * k);
-    o_on_commit = mark_round_ready;
-    o_vts = false;
-    o_rounds = true;
-  }
-
-let global_log =
-  {
-    o_allows = (fun _ _ _ -> true);
-    o_on_commit = Execution.enqueue;
-    o_vts = false;
-    o_rounds = false;
-  }
-
-let async_vts =
-  {
-    o_allows = (fun _ _ _ -> true);
-    o_on_commit = (fun _ _ _ -> ());
-    o_vts = true;
-    o_rounds = false;
-  }
+(* An entry committed globally: round systems mark its round, Steward's
+   global log executes in commit order, VTS waits for timestamps
+   instead. *)
+let on_commit t (l : leader) eid =
+  match t.ord with
+  | Config.Sync_rounds | Config.Epoch_rounds _ -> mark_round_ready t l eid
+  | Config.Global_log -> Execution.enqueue t l eid
+  | Config.Async_vts -> ()
 
 let observe (t : Node_ctx.t) sampler =
   Array.iter

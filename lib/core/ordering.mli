@@ -1,5 +1,5 @@
 (* Ordering stage: round-synchronous vs. epoch vs. global-log vs.
-   asynchronous VTS ordering behind one strategy interface. *)
+   asynchronous VTS ordering, matched on the ordering axis. *)
 
 open Node_ctx
 
@@ -9,13 +9,13 @@ val round_ready : leader -> Types.entry_id -> bool
 
 val mark_round_ready : t -> leader -> Types.entry_id -> unit
 (** Record that the entry is ready for its round and close every
-    now-complete round in sequence (round-based strategies; also the
+    now-complete round in sequence (round-based orderings; also the
     commitment path of GeoBFT's direct broadcast). *)
 
-val sync_rounds : ord_strategy
-val epoch_rounds : int -> ord_strategy
-val global_log : ord_strategy
-val async_vts : ord_strategy
+val on_commit : t -> leader -> Types.entry_id -> unit
+(** An entry committed globally: mark its round (round families),
+    execute it in commit order (Steward's global log), or nothing (VTS
+    waits for timestamps). *)
 
 (* The VTS stamping lane (Async_vts only): which entries get stamped,
    with what clock, and what a committed Ts record means. The Raft

@@ -1,14 +1,14 @@
 (* Replication stage: how a locally-decided batch travels to the other
-   groups. Three strategies (Table II):
+   groups. [on_decide] and [coding_s] match on the replication axis
+   (Table II):
 
-   - [leader_oneway]: the proposing leader ships f_j + 1 full copies to
+   - [Leader_oneway]: the proposing leader ships f_j + 1 full copies to
      each remote group during the global phase (GeoBFT's optimized
      cluster-sending; also Steward/ISS/Baseline). Nothing to do at
-     decide time — the global-consensus strategy invokes
-     [send_oneway_copies].
-   - [bijective_full]: every node ships full copies per the partitioned
+     decide time — Global_consensus invokes [send_oneway_copies].
+   - [Bijective_full]: every node ships full copies per the partitioned
      bijective sending plan of §IV-A (f1 + f2 + 1 copies).
-   - [encoded_bijective]: every node erasure-codes the entry and ships
+   - [Encoded_bijective]: every node erasure-codes the entry and ships
      its chunks per the Algorithm 1 transfer plan; receivers rebuild
      (MassBFT / EBR).
 
@@ -87,6 +87,22 @@ let send_bijective_copies t (node : node) e =
     end
   done
 
+(* Per-node dissemination when local consensus decides a batch. *)
+let on_decide t (node : node) e =
+  match t.repl with
+  | Config.Leader_oneway -> ()
+  | Config.Bijective_full -> send_bijective_copies t node e
+  | Config.Encoded_bijective -> send_chunks t node e
+
+(* Coding CPU charged per entry, for the phase spans. *)
+let coding_s t e =
+  match t.repl with
+  | Config.Leader_oneway | Config.Bijective_full -> 0.0
+  | Config.Encoded_bijective ->
+      float_of_int e.size
+      *. (t.cfg.Config.cost.Config.encode_per_byte_s
+         +. t.cfg.Config.cost.Config.decode_per_byte_s)
+
 let send_oneway_copies t (l : leader) e ~skip =
   (* Leader one-way with the GeoBFT optimization: f_j + 1 receivers per
      remote group, who then forward over their LAN. *)
@@ -98,6 +114,13 @@ let send_oneway_copies t (l : leader) e ~skip =
           ~bytes:(copy_bytes t e.eid) (Copy { eid = e.eid })
       done
   done
+
+(* The proposer's leader starts the global phase of its entry under
+   per-group Raft: a [Leader_oneway] leader ships its copies now. *)
+let on_global_start t (l : leader) e =
+  match t.repl with
+  | Config.Leader_oneway -> send_oneway_copies t l e ~skip:[]
+  | Config.Bijective_full | Config.Encoded_bijective -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Content repair: a pipelined fetch pump                              *)
@@ -235,47 +258,20 @@ let handle_chunk t (node : node) ~eid ~root_tag ~index =
   broadcast_group ~bulk:true t ~src:node.n_addr ~bytes
     (Chunk_fwd { eid; root_tag; index })
 
+(* [true] when the copy brought content this node lacked. *)
 let handle_copy t (node : node) eid =
-  if not (has_content node eid) then begin
+  let fresh = not (has_content node eid) in
+  if fresh then begin
     content_event t node eid;
     broadcast_group ~bulk:true t ~src:node.n_addr ~bytes:(copy_bytes t eid)
-      (Copy_fwd { eid });
-    t.strat.glob.g_on_copy t node eid
-  end
+      (Copy_fwd { eid })
+  end;
+  fresh
 
 let handle_fetch_req t (node : node) ~src eid =
   if has_content node eid then
     send ~bulk:true t ~src:node.n_addr ~dst:src ~bytes:(copy_bytes t eid)
       (Copy { eid })
-
-(* ------------------------------------------------------------------ *)
-(* Strategy values                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let leader_oneway =
-  {
-    r_on_decide = (fun _ _ _ -> ());
-    r_oneway = true;
-    r_coding_s = (fun _ _ -> 0.0);
-  }
-
-let bijective_full =
-  {
-    r_on_decide = send_bijective_copies;
-    r_oneway = false;
-    r_coding_s = (fun _ _ -> 0.0);
-  }
-
-let encoded_bijective =
-  {
-    r_on_decide = send_chunks;
-    r_oneway = false;
-    r_coding_s =
-      (fun t e ->
-        float_of_int e.size
-        *. (t.cfg.Config.cost.Config.encode_per_byte_s
-           +. t.cfg.Config.cost.Config.decode_per_byte_s));
-  }
 
 let observe (t : Node_ctx.t) sampler =
   Array.iter

@@ -1,28 +1,31 @@
-(* Replication stage: batch dissemination strategies (Table II), the
-   receiver-side rebuild, and the post-crash content fetch pump. *)
+(* Replication stage: batch dissemination on the replication axis
+   (Table II), the receiver-side rebuild, and the post-crash content
+   fetch pump. *)
 
 open Node_ctx
 
-val leader_oneway : repl_strategy
-(** The proposing leader ships f_j + 1 full copies per remote group
-    during the global phase (GeoBFT optimization; also Steward / ISS /
-    Baseline). *)
+val on_decide : t -> node -> entry -> unit
+(** Per-node dissemination when local consensus decides a batch:
+    nothing for [Leader_oneway] (the leader ships during the global
+    phase), full copies per the bijective plan of §IV-A for
+    [Bijective_full], Algorithm 1 chunks for [Encoded_bijective]. *)
 
-val bijective_full : repl_strategy
-(** Every node ships full copies per the partitioned bijective
-    cluster-sending plan of §IV-A (the BR configuration). *)
-
-val encoded_bijective : repl_strategy
-(** Every node erasure-codes the entry and ships chunks per the
-    Algorithm 1 transfer plan (MassBFT / EBR). *)
+val coding_s : t -> entry -> float
+(** Coding CPU charged per entry: encode plus rebuild under
+    [Encoded_bijective], zero otherwise. *)
 
 val plan_between : t -> src:int -> dst:int -> Transfer_plan.t
 (** The Algorithm 1 transfer plan from group [src] to group [dst] at
     their active sizes, memoized per deployment. *)
 
 val send_oneway_copies : t -> leader -> entry -> skip:int list -> unit
-(** Ship f_j + 1 full copies to each remote group not in [skip]
-    (invoked by the one-way global-consensus strategies). *)
+(** Ship f_j + 1 full copies to each remote group not in [skip] (the
+    global phase of GeoBFT and Steward, which are one-way systems). *)
+
+val on_global_start : t -> leader -> entry -> unit
+(** The proposer's leader starts the global phase under per-group Raft:
+    [Leader_oneway] ships its f_j + 1 copies per remote group now; the
+    bijective values shipped at decide time. *)
 
 val want_fetch : t -> leader -> Types.entry_id -> unit
 (** Queue a missing entry's content for repair by full-copy fetch. *)
@@ -43,7 +46,11 @@ val on_chunk_received :
 val handle_chunk :
   t -> node -> eid:Types.entry_id -> root_tag:string -> index:int -> unit
 
-val handle_copy : t -> node -> Types.entry_id -> unit
+val handle_copy : t -> node -> Types.entry_id -> bool
+(** A full copy landed: take the content and forward it over the LAN.
+    [true] when the node lacked it, so the engine can let the global
+    stage react (Steward's G0 forwarding). *)
+
 val handle_fetch_req : t -> node -> src:Topology.addr -> Types.entry_id -> unit
 
 val observe : Node_ctx.t -> Massbft_obs.Sampler.t -> unit

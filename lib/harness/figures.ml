@@ -513,8 +513,8 @@ let ablations ?(quick = false) () =
 (* Tables I and II                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Table II as configured: each row reads the system's strategies from
-   [Config], the same functions the engine resolves them by. *)
+(* Table II as configured: each row reads the system's three axes from
+   [Config], the same functions [Engine.create] reads them by. *)
 let tables () =
   let repl = function
     | Config.Leader_oneway -> "one-way (leader)"

@@ -365,26 +365,27 @@ let expel_group t g =
      stamps it at decide time). The counter advances one note per
      call, so a late real note from the departing group cannot skip
      the threshold equality. *)
-  if Engine.raft_instances t.eng = 0 then begin
-    let snap = N.entries_snapshot c in
-    Array.iter
-      (fun (pl : N.leader) ->
-        if c.N.g_member.(pl.N.l_gid) then
-          List.iter
-            (fun (e : N.entry) ->
-              let notes =
-                match Entry_tbl.find_opt pl.N.l_recv_notes e.N.eid with
-                | Some r -> !r
-                | None -> 0
-              in
-              if
-                e.N.eid.Types.gid = pl.N.l_gid
-                && e.N.decided_at > 0.0
-                && notes < c.N.ng - 1
-              then Global_consensus.handle_recv_note c ~dst:pl.N.l_addr e.N.eid)
-            snap)
-      c.N.leaders
-  end;
+  (match c.N.glob with
+  | Config.Per_group_raft | Config.Single_raft -> ()
+  | Config.Direct_broadcast ->
+      let snap = N.entries_snapshot c in
+      Array.iter
+        (fun (pl : N.leader) ->
+          if c.N.g_member.(pl.N.l_gid) then
+            List.iter
+              (fun (e : N.entry) ->
+                let notes =
+                  match Entry_tbl.find_opt pl.N.l_recv_notes e.N.eid with
+                  | Some r -> !r
+                  | None -> 0
+                in
+                if
+                  e.N.eid.Types.gid = pl.N.l_gid
+                  && e.N.decided_at > 0.0
+                  && notes < c.N.ng - 1
+                then Global_consensus.handle_recv_note c ~dst:pl.N.l_addr e.N.eid)
+              snap)
+        c.N.leaders);
   Engine.crash_group t.eng g
 
 (* The consistent-cut clone: the first member leader to execute the
@@ -405,8 +406,6 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
         (Ledger.append dst.N.l_ledger ~gid:b.Ledger.gid ~seq:b.Ledger.seq
            ~txn_count:b.Ledger.txn_count ~payload_digest:b.Ledger.payload_digest))
     (Ledger.blocks src.N.l_ledger);
-  dst.N.l_executed_rev <- src.N.l_executed_rev;
-  dst.N.l_executed_count <- src.N.l_executed_count;
   Array.blit src.N.l_clk_of 0 dst.N.l_clk_of 0 (Array.length src.N.l_clk_of);
   (* The source's VTS marks overwrite the joiner's, entry by entry. *)
   Array.iteri
@@ -434,7 +433,12 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
     (fun k v -> Entry_tbl.replace dst.N.l_round_ready k v)
     src.N.l_round_ready;
   dst.N.l_next_round <- src.N.l_next_round;
-  if c.N.strat.N.ord.N.o_rounds then begin
+  let rounds =
+    match c.N.ord with
+    | Config.Sync_rounds | Config.Epoch_rounds _ -> true
+    | Config.Async_vts | Config.Global_log -> false
+  in
+  if rounds then begin
     (* The zero-transaction boundary executes synchronously inside its
        round's enqueue sweep (zero CPU cost short-circuits the charge),
        so the boundary's own round-mates may not have reached the
@@ -470,32 +474,31 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
       Orderer.copy_state ~src:s ~into:d;
       Orderer.set_active d gid true
   | _ -> ());
-  let n_inst = Engine.raft_instances t.eng in
   dst.N.l_skip_commits_below <-
-    Array.init n_inst (fun i ->
+    Array.init (Engine.raft_instances t.eng) (fun i ->
         Engine.raft_commit_index t.eng ~gid:src.N.l_gid ~inst:i);
   Array.fill dst.N.l_last_heard 0 (Array.length dst.N.l_last_heard) (N.now c);
-  if c.N.strat.N.ord.N.o_rounds then
-    dst.N.l_next_seq <- c.N.member_from.(gid);
+  if rounds then dst.N.l_next_seq <- c.N.member_from.(gid);
   dst.N.l_in_flight <- 0;
   dst.N.l_batch_pending <- true;
   (* GeoBFT ships copies point-to-point at proposal time: entries of
      post-cut rounds proposed before this flip never targeted the
      joiner, and its round barrier would starve waiting for them. Fetch
      whatever is already registered; later proposals include it. *)
-  if n_inst = 0 then begin
-    let from_seq = max 1 c.N.member_from.(gid) in
-    for j = 0 to c.N.ng - 1 do
-      if j <> gid && c.N.g_member.(j) then
-        for seq = from_seq to Engine.proposed_seqs t.eng ~gid:j do
-          let eid = { Types.gid = j; seq } in
-          if
-            Engine.entry_digest t.eng eid <> None
-            && not (N.has_content (N.node_of c dst.N.l_addr) eid)
-          then Replication.want_fetch c dst eid
-        done
-    done
-  end;
+  (match c.N.glob with
+  | Config.Per_group_raft | Config.Single_raft -> ()
+  | Config.Direct_broadcast ->
+      let from_seq = max 1 c.N.member_from.(gid) in
+      for j = 0 to c.N.ng - 1 do
+        if j <> gid && c.N.g_member.(j) then
+          for seq = from_seq to Engine.proposed_seqs t.eng ~gid:j do
+            let eid = { Types.gid = j; seq } in
+            if
+              Engine.entry_digest t.eng eid <> None
+              && not (N.has_content (N.node_of c dst.N.l_addr) eid)
+            then Replication.want_fetch c dst eid
+          done
+      done);
   let x = Hashtbl.find_opt t.pending wire in
   add_join t
     {
@@ -569,7 +572,7 @@ let apply_once t (l : N.leader) (e : N.entry) wire cmd =
             b_eid = e.N.eid;
             b_cmd = wire;
             b_gid = gid;
-            b_pos = dst.N.l_executed_count;
+            b_pos = Ledger.height dst.N.l_ledger;
             b_at = N.now c;
           }
           :: t.boundaries;
@@ -588,7 +591,7 @@ let on_apply t (l : N.leader) (e : N.entry) =
       b_eid = e.N.eid;
       b_cmd = wire;
       b_gid = l.N.l_gid;
-      b_pos = l.N.l_executed_count;
+      b_pos = Ledger.height l.N.l_ledger;
       b_at = N.now c;
     }
     :: t.boundaries;

@@ -99,7 +99,9 @@ let holders (c : N.t) ~executed =
 
 let take (c : N.t) =
   let executed =
-    Array.fold_left (fun m (l : N.leader) -> max m l.N.l_executed_count) 0 c.N.leaders
+    Array.fold_left
+      (fun m (l : N.leader) -> max m (Massbft_exec.Ledger.height l.N.l_ledger))
+      0 c.N.leaders
   in
   {
     words =
@@ -108,7 +110,7 @@ let take (c : N.t) =
         ("rebuild states", words (per_node c (fun n -> n.N.n_rebuilding)));
         ("content bits", words (per_node c (fun n -> n.N.n_content)));
         ("done bits", words (per_node c (fun n -> n.N.n_rebuilt)));
-        ("entry registry", words (c.N.entries, c.N.by_digest));
+        ("entry registry", words c.N.entries);
         ("VTS marks", words (per_leader c (fun l -> l.N.l_ts)));
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));
         ("store", words c.N.shared_store);

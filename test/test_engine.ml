@@ -665,6 +665,92 @@ let test_closing_round_arms_one_head_timer () =
        { Types.gid = 0; seq = 1 })
 
 (* ------------------------------------------------------------------ *)
+(* Table II wiring                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Messages sent by kind, through a pass-through adversary hook:
+   returning [None] keeps every send on the exact fault-free path. *)
+type mix = {
+  mutable chunks : int;  (* Chunk and Chunk_fwd *)
+  mutable copies : int;
+  mutable follower_copies : int;  (* Copy sent by a non-leader node *)
+  raft_by_inst : int array;
+  mutable accept_notes : int;
+  mutable recv_notes : int;
+}
+
+let message_mix system =
+  let mix =
+    {
+      chunks = 0;
+      copies = 0;
+      follower_copies = 0;
+      raft_by_inst = Array.make 3 0;
+      accept_notes = 0;
+      recv_notes = 0;
+    }
+  in
+  let hook ~(src : Topology.addr) ~dst:_ ~bulk:_ ~bytes:_ (m : Massbft.Node_ctx.msg) =
+    (match m with
+    | Massbft.Node_ctx.Chunk _ | Chunk_fwd _ -> mix.chunks <- mix.chunks + 1
+    | Copy _ ->
+        mix.copies <- mix.copies + 1;
+        if src.Topology.n <> 0 then mix.follower_copies <- mix.follower_copies + 1
+    | Raft_m { inst; _ } -> mix.raft_by_inst.(inst) <- mix.raft_by_inst.(inst) + 1
+    | Accept_note _ -> mix.accept_notes <- mix.accept_notes + 1
+    | Recv_note _ -> mix.recv_notes <- mix.recv_notes + 1
+    | Local _ | Copy_fwd _ | Accept_req _ | Accept_vote _ | Fetch_req _ -> ());
+    None
+  in
+  ignore
+    (run_engine ~until:2.0 ~cfg:(small_cfg ~system ())
+       ~before_run:(fun eng _ _ -> Engine.set_adversary eng (Some hook))
+       ());
+  mix
+
+(* Each system's messages carry the signature of its three Table II
+   axes: what replication ships, which Raft instances talk, and whether
+   the VTS accept lane runs. *)
+let test_table2_message_mix () =
+  List.iter
+    (fun system ->
+      let m = message_mix system in
+      Printf.printf "%-8s chunks %d copies %d (followers %d) raft [%s] accept %d recv %d\n"
+        (Config.system_name system) m.chunks m.copies m.follower_copies
+        (String.concat ";" (Array.to_list (Array.map string_of_int m.raft_by_inst)))
+        m.accept_notes m.recv_notes;
+      let name what = Printf.sprintf "%s: %s" (Config.system_name system) what in
+      (match Config.replication_of system with
+      | Config.Encoded_bijective ->
+          check_bool (name "chunks") true (m.chunks > 0);
+          check_int (name "no copies") 0 m.copies
+      | Config.Bijective_full ->
+          check_int (name "no chunks") 0 m.chunks;
+          check_bool (name "every node ships copies") true (m.follower_copies > 0)
+      | Config.Leader_oneway ->
+          check_int (name "no chunks") 0 m.chunks;
+          check_bool (name "copies") true (m.copies > 0);
+          check_int (name "only leaders ship copies") 0 m.follower_copies);
+      (match Config.global_of system with
+      | Config.Per_group_raft ->
+          Array.iteri
+            (fun inst n ->
+              check_bool (name (Printf.sprintf "raft instance %d talks" inst)) true (n > 0))
+            m.raft_by_inst
+      | Config.Single_raft ->
+          check_bool (name "raft instance 0 talks") true (m.raft_by_inst.(0) > 0);
+          check_int (name "no other instance") 0
+            (m.raft_by_inst.(1) + m.raft_by_inst.(2))
+      | Config.Direct_broadcast ->
+          check_bool (name "receive notes") true (m.recv_notes > 0);
+          check_int (name "no raft") 0 (Array.fold_left ( + ) 0 m.raft_by_inst));
+      match Config.ordering_of system with
+      | Config.Async_vts -> check_bool (name "accept notes") true (m.accept_notes > 0)
+      | Config.Sync_rounds | Config.Epoch_rounds _ | Config.Global_log ->
+          check_int (name "no accept notes") 0 m.accept_notes)
+    Config.all_systems
+
+(* ------------------------------------------------------------------ *)
 (* Per-entry state lifetime                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -796,6 +882,7 @@ let () =
         ] );
       ( "introspection",
         [
+          Alcotest.test_case "Table II message mix" `Quick test_table2_message_mix;
           Alcotest.test_case "debug dump massbft" `Quick
             (test_debug_dump Config.Massbft ~instances:3);
           Alcotest.test_case "debug dump steward" `Quick
