@@ -1,9 +1,8 @@
 (* The named bechamel micro-benchmarks for every substrate hot path
    (SHA-256, HMAC, Merkle trees, GF arithmetic, Reed-Solomon coding
    over both GF(256) and GF(65536), transfer plans, chunker/rebuild,
-   VTS ordering, Aria execution on YCSB and TPC-C, PBFT rounds, and the
-   simulator core including a schedule/cancel/poll churn case and one
-   network hop through the topology).
+   VTS ordering, Aria execution on YCSB and TPC-C, PBFT rounds, the
+   simulator core and one network hop through the topology).
 
    A library rather than part of the bench executable so the CLI's
    [massbft bench] subcommand can run the same suite — the regression
@@ -259,44 +258,15 @@ let bench_sim =
          let count = ref 0 in
          let rec chain i =
            if i < 100_000 then
-             ignore
-               (Sim.after sim 0.001 (fun () ->
-                    incr count;
-                    chain (i + 10)))
+             Sim.after sim 0.001 (fun () ->
+                 incr count;
+                 chain (i + 10))
          in
          for k = 0 to 9 do
            chain k
          done;
          Sim.run_until_idle sim ();
          assert (!count = 100_000)))
-
-let bench_sim_churn =
-  (* The timeout-churn pattern that motivated the lazy-deletion queue:
-     schedule a wave of timers, cancel 90% of them (polling the live
-     count after every cancel, as the obs sampler does each tick), and
-     drain the survivors. Before the O(1) counter + compaction this was
-     quadratic in the wave size. *)
-  Test.make ~name:"sim/churn-10k-cancel+poll"
-    (Staged.stage (fun () ->
-         let sim = Sim.create () in
-         let fired = ref 0 in
-         let timers =
-           Array.init 10_000 (fun i ->
-               Sim.at sim
-                 (1.0 +. (float_of_int i *. 1e-4))
-                 (fun () -> incr fired))
-         in
-         let acc = ref 0 in
-         Array.iteri
-           (fun i h ->
-             if i mod 10 <> 0 then begin
-               Sim.cancel h;
-               acc := !acc + Sim.pending sim
-             end)
-           timers;
-         Sim.run_until_idle sim ();
-         assert (!fired = 1_000 && Sim.pending sim = 0);
-         ignore !acc))
 
 (* One fault-free WAN control message and one LAN bulk chunk through
    [Topology.send], from send to delivery, on the paper's nationwide
@@ -325,7 +295,7 @@ let micro_tests =
     bench_rs16_encode; bench_rs16_decode; bench_plan;
     bench_chunker; bench_rebuild; bench_orderer; bench_ycsb_batch; bench_aria;
     bench_aria_tpcc; bench_pbft;
-    bench_sim; bench_sim_churn; bench_remote_send;
+    bench_sim; bench_remote_send;
   ]
 
 let run_micro ?(print = true) () =

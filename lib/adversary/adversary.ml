@@ -303,20 +303,18 @@ let arm t =
     Engine.arm_watchdogs t.engine;
     List.iter
       (fun { A.at; strategy } ->
-        ignore
-          (Sim.at t.sim
-             (Float.max at (Sim.now t.sim))
-             (fun () ->
-               let span =
-                 Trace.span_begin t.trace ~cat:"adversary"
-                   (A.kind_name strategy)
-                   ~args:
-                     [ ("spec", Trace.Str (A.strategy_to_string strategy)) ]
-               in
-               t.active <- t.active @ [ strategy ];
-               ignore
-                 (Sim.after t.sim (A.window_of strategy) (fun () ->
-                      t.active <- remove_first_phys t.active strategy;
-                      Trace.span_end t.trace span)))))
+        Sim.at t.sim
+          (Float.max at (Sim.now t.sim))
+          (fun () ->
+            let span =
+              Trace.span_begin t.trace ~cat:"adversary"
+                (A.kind_name strategy)
+                ~args:
+                  [ ("spec", Trace.Str (A.strategy_to_string strategy)) ]
+            in
+            t.active <- t.active @ [ strategy ];
+            Sim.after t.sim (A.window_of strategy) (fun () ->
+                t.active <- remove_first_phys t.active strategy;
+                Trace.span_end t.trace span)))
       t.plan
   end

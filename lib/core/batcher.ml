@@ -126,13 +126,12 @@ let start t =
     (fun l ->
       let lsim = sim_of t l.l_gid in
       let rec tick () =
-        ignore
-          (Sim.after lsim Config.batch_timeout_s (fun () ->
-               if alive t l.l_addr then begin
-                 l.l_batch_pending <- true;
-                 try_batch t l
-               end;
-               tick ()))
+        Sim.after lsim Config.batch_timeout_s (fun () ->
+            if alive t l.l_addr then begin
+              l.l_batch_pending <- true;
+              try_batch t l
+            end;
+            tick ())
       in
       l.l_batch_pending <- true;
       try_batch t l;

@@ -35,7 +35,7 @@ let dispatch t ~(src : Topology.addr) ~(dst : Topology.addr) m =
       Global_consensus.handle_accept_req t ~src ~dst ~inst ~index
   | Accept_vote { inst; index } ->
       Global_consensus.handle_accept_vote t ~src ~dst ~inst ~index
-  | Accept_note { eid } -> Global_consensus.handle_accept_note t ~dst eid
+  | Accept_note { eid } -> Global_consensus.handle_accept_note t ~src ~dst eid
   | Recv_note { eid } -> Global_consensus.handle_recv_note t ~dst eid
   | Fetch_req { eid } -> Replication.handle_fetch_req t node ~src eid
 
@@ -342,9 +342,9 @@ let arm_node_watchdogs t =
       (fun l ->
         let rec tick () =
           check_group_leadership t l;
-          ignore (Sim.after (sim_of t l.l_gid) period tick)
+          Sim.after (sim_of t l.l_gid) period tick
         in
-        ignore (Sim.at (sim_of t l.l_gid) (now t +. period) tick))
+        Sim.at (sim_of t l.l_gid) (now t +. period) tick)
       t.leaders
   end
 

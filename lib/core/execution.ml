@@ -171,13 +171,8 @@ let rec pump t (l : leader) =
          would arm a copy that fires after it, and [want_fetch] on a
          wanted entry is a no-op. *)
       l.l_head_timer <- Some eid;
-      ignore
-        (Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
-             if head_timer_pending l eid then l.l_head_timer <- None;
-             if
-               alive t l.l_addr
-               && not (has_content (node_of t l.l_addr) eid)
-             then Replication.want_fetch t l eid))
+      Replication.fetch_after_timeout t l eid ~on_fire:(fun () ->
+          if head_timer_pending l eid then l.l_head_timer <- None)
     end
   end
 

@@ -69,22 +69,25 @@ let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~in
         end
   end
 
-let handle_accept_note t ~(dst : Topology.addr) eid =
+let handle_accept_note t ~(src : Topology.addr) ~(dst : Topology.addr) eid =
   if is_acting_leader t dst then begin
     let l = t.leaders.(dst.Topology.g) in
     let notes =
       match Entry_tbl.find_opt l.l_accept_notes eid with
       | Some r -> r
       | None ->
-          let r = ref 0 in
+          let r = Bitset.create () in
           Entry_tbl.replace l.l_accept_notes eid r;
           r
     in
-    incr notes;
+    (* Notes are a set of noting groups, so a duplicated or replayed
+       note cannot inflate the tally. *)
+    Bitset.add notes src.Topology.g;
     (* f_g + 1 groups holding the entry imply it is replicated; the
-       proposer counts implicitly, so f_g accept notes suffice for a
-       slow receiver to stamp the entry without holding it (§V-C). *)
-    if !notes >= max 1 (fg t) then Ordering.assign_ts t l eid
+       proposer counts implicitly, so notes from f_g distinct groups
+       suffice for a slow receiver to stamp the entry without holding
+       it (§V-C). *)
+    if Bitset.cardinal notes >= max 1 (fg t) then Ordering.assign_ts t l eid
   end
 
 (* ------------------------------------------------------------------ *)
@@ -108,13 +111,7 @@ let ack_guard t (l : leader) inst ~index payload release =
   match payload with
   | Noop -> release ()
   | Entry_meta { eid } ->
-      if not (has_content (node_of t l.l_addr) eid) then
-        ignore
-          (Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
-               if
-                 alive t l.l_addr
-                 && not (has_content (node_of t l.l_addr) eid)
-               then Replication.want_fetch t l eid));
+      Replication.fetch_after_timeout t l eid;
       when_content t l eid (fun () ->
           (* Verify the sender group's certificate, then reach local
              consensus on the accept decision (skip-prepare PBFT). *)
@@ -144,13 +141,7 @@ let ack_guard t (l : leader) inst ~index payload release =
                     | Config.Global_log ->
                         ())))
   | Ts { eid; _ } ->
-      if not (has_content (node_of t l.l_addr) eid) then
-        ignore
-          (Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
-               if
-                 alive t l.l_addr
-                 && not (has_content (node_of t l.l_addr) eid)
-               then Replication.want_fetch t l eid));
+      Replication.fetch_after_timeout t l eid;
       when_content t l eid release
 
 let on_raft_commit t (l : leader) inst payload =
@@ -458,38 +449,37 @@ let start_heartbeats t =
         let lsim = sim_of t l.l_gid in
         Array.iteri (fun i _ -> l.l_last_heard.(i) <- 0.0) l.l_last_heard;
         let rec tick () =
-          ignore
-            (Sim.after lsim period (fun () ->
-                 (* A dark leader (provisioned but not yet a member, or
-                    already recovered for its catch-up transfer) neither
-                    probes nor campaigns: a stale-log election would only
-                    inflate terms and depose working leaders. Its
-                    [l_last_heard] is refreshed at the cutover clone. *)
-                 if alive t l.l_addr && member_now t l.l_gid then begin
-                   Array.iteri
-                     (fun inst raft ->
-                       if Raft.role raft = Raft.Leader then begin
-                         (* Anti-entropy probe: heartbeat + catch-up for
-                            lagging or recovered followers. *)
-                         Raft.heartbeat raft;
-                         unwedge_check t l inst raft
-                       end
-                       else begin
-                         let stagger =
-                           float_of_int ((l.l_gid - inst + t.ng) mod t.ng)
-                         in
-                         let deadline =
-                           t.cfg.Config.election_timeout_s
-                           *. (1.0 +. (0.5 *. stagger))
-                         in
-                         if now t -. l.l_last_heard.(inst) > deadline then begin
-                           l.l_last_heard.(inst) <- now t;
-                           Raft.start_election raft
-                         end
-                       end)
-                     l.l_rafts
-                 end;
-                 tick ()))
+          Sim.after lsim period (fun () ->
+              (* A dark leader (provisioned but not yet a member, or
+                 already recovered for its catch-up transfer) neither
+                 probes nor campaigns: a stale-log election would only
+                 inflate terms and depose working leaders. Its
+                 [l_last_heard] is refreshed at the cutover clone. *)
+              if alive t l.l_addr && member_now t l.l_gid then begin
+                Array.iteri
+                  (fun inst raft ->
+                    if Raft.role raft = Raft.Leader then begin
+                      (* Anti-entropy probe: heartbeat + catch-up for
+                         lagging or recovered followers. *)
+                      Raft.heartbeat raft;
+                      unwedge_check t l inst raft
+                    end
+                    else begin
+                      let stagger =
+                        float_of_int ((l.l_gid - inst + t.ng) mod t.ng)
+                      in
+                      let deadline =
+                        t.cfg.Config.election_timeout_s
+                        *. (1.0 +. (0.5 *. stagger))
+                      in
+                      if now t -. l.l_last_heard.(inst) > deadline then begin
+                        l.l_last_heard.(inst) <- now t;
+                        Raft.start_election raft
+                      end
+                    end)
+                  l.l_rafts
+              end;
+              tick ())
         in
         tick ())
       t.leaders

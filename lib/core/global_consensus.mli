@@ -42,9 +42,11 @@ val handle_accept_req :
 val handle_accept_vote :
   t -> src:Topology.addr -> dst:Topology.addr -> inst:int -> index:int -> unit
 
-val handle_accept_note : t -> dst:Topology.addr -> Types.entry_id -> unit
+val handle_accept_note :
+  t -> src:Topology.addr -> dst:Topology.addr -> Types.entry_id -> unit
 (** A remote group accepted the entry (VTS ordering's slow-receiver
-    lane, §V-C): at f_g notes, stamp it without holding it. *)
+    lane, §V-C): at notes from f_g distinct groups, stamp it without
+    holding it. *)
 
 val install : t -> n_inst:int -> unit
 (** Create the per-leader Raft instances (and the Orderer under VTS

@@ -166,7 +166,7 @@ type leader = {
   mutable l_head_timer : Types.entry_id option;
       (* the queue head whose content timeout is pending, if any *)
   l_accept : accept_round Inttbl.t;  (* keyed by [round_key] *)
-  l_accept_notes : int ref Entry_tbl.t;
+  l_accept_notes : Bitset.t Entry_tbl.t;  (* noting groups per entry *)
   l_ts : ts_marks array array;  (* [instance].(proposing gid) *)
   l_last_heard : float array;  (* per instance *)
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;
@@ -341,9 +341,8 @@ let send t ~bulk ~src ~dst ~bytes m =
             (fun { adv_msg; adv_delay_s } ->
               if adv_delay_s <= 0.0 then ship t ~bulk ~src ~dst ~bytes adv_msg
               else
-                ignore
-                  (Sim.after (sim_of t src.Topology.g) adv_delay_s (fun () ->
-                       ship t ~bulk ~src ~dst ~bytes adv_msg)))
+                Sim.after (sim_of t src.Topology.g) adv_delay_s (fun () ->
+                    ship t ~bulk ~src ~dst ~bytes adv_msg))
             ds)
 
 (* Broadcasts cover the group's *active* slots only — a spare past the

@@ -131,7 +131,7 @@ type leader = {
       (** the execution-queue head whose content timeout is pending: the
           pump arms at most one per head *)
   l_accept : accept_round Inttbl.t;  (** keyed by {!round_key} *)
-  l_accept_notes : int ref Entry_tbl.t;
+  l_accept_notes : Bitset.t Entry_tbl.t;  (** noting groups per entry *)
   l_ts : ts_marks array array;  (** [.(instance).(proposing gid)] *)
   l_last_heard : float array;
   l_waiting_content : (unit -> unit) list ref Entry_tbl.t;

@@ -187,9 +187,19 @@ and fetch_issue t (l : leader) eid =
             ((eid.Types.gid * 7919) + (eid.Types.seq * 31) + (l.l_gid * 131071))
           ~attempt ~base:(2.0 *. ft) ~cap:(8.0 *. ft)
       in
-      ignore
-        (Sim.after (sim_of t l.l_gid) delay (fun () ->
-             if Entry_tbl.mem l.l_fetching eid then fetch_issue t l eid))
+      Sim.after (sim_of t l.l_gid) delay (fun () ->
+          if Entry_tbl.mem l.l_fetching eid then fetch_issue t l eid)
+
+(* The one content-repair guard: when the leader lacks [eid], it gives
+   the content [fetch_timeout_s] to arrive on its own, then (still
+   alive and still lacking it) wants it fetched. [on_fire] runs first
+   when the timer fires. *)
+let fetch_after_timeout ?(on_fire = ignore) t (l : leader) eid =
+  if not (has_content (node_of t l.l_addr) eid) then
+    Sim.after (sim_of t l.l_gid) Config.fetch_timeout_s (fun () ->
+        on_fire ();
+        if alive t l.l_addr && not (has_content (node_of t l.l_addr) eid) then
+          want_fetch t l eid)
 
 (* A satisfied fetch frees its pump slot (part of the engine's
    on-leader-content composition). *)

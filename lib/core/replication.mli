@@ -30,6 +30,13 @@ val on_global_start : t -> leader -> entry -> unit
 val want_fetch : t -> leader -> Types.entry_id -> unit
 (** Queue a missing entry's content for repair by full-copy fetch. *)
 
+val fetch_after_timeout :
+  ?on_fire:(unit -> unit) -> t -> leader -> Types.entry_id -> unit
+(** The content-repair guard of the ack guards and the execution pump:
+    if the leader lacks the entry, arm one timer that, after
+    [Config.fetch_timeout_s], runs [on_fire] and then {!want_fetch}es
+    the entry if the leader is alive and still lacks it. *)
+
 val on_content : t -> leader -> Types.entry_id -> unit
 (** Content arrived at a leader: release the fetch slot, refill the
     pump. Part of the engine's on-leader-content composition. *)

@@ -246,34 +246,30 @@ let arm t =
       let at = Float.max at tnow in
       (* Counting + tracing are accounted to the creation shard (shard 0
          for the runner's deployments). *)
-      ignore
-        (Sim.at t.sim at (fun () ->
-             count_injection t fault;
-             match F.window_of fault with
-             | None ->
-                 Trace.instant t.trace ~cat:"fault"
-                   (F.kind_name fault)
-                   ~args:[ ("spec", Trace.Str (F.fault_to_string fault)) ]
-             | Some for_s ->
-                 let span =
-                   Trace.span_begin t.trace ~cat:"fault"
-                     (F.kind_name fault)
-                     ~args:
-                       [ ("spec", Trace.Str (F.fault_to_string fault)) ]
-                 in
-                 ignore
-                   (Sim.after t.sim for_s (fun () ->
-                        Trace.span_end t.trace span))));
+      Sim.at t.sim at (fun () ->
+          count_injection t fault;
+          match F.window_of fault with
+          | None ->
+              Trace.instant t.trace ~cat:"fault"
+                (F.kind_name fault)
+                ~args:[ ("spec", Trace.Str (F.fault_to_string fault)) ]
+          | Some for_s ->
+              let span =
+                Trace.span_begin t.trace ~cat:"fault"
+                  (F.kind_name fault)
+                  ~args:
+                    [ ("spec", Trace.Str (F.fault_to_string fault)) ]
+              in
+              Sim.after t.sim for_s (fun () -> Trace.span_end t.trace span));
       (* Application + heal accounted to the target group's shard. *)
       match target_group fault with
       | None -> ()
       | Some g ->
           let gsim = Topology.shard_of t.topo g in
-          ignore
-            (Sim.at gsim at (fun () ->
-                 apply t fault;
-                 match F.window_of fault with
-                 | None -> ()
-                 | Some for_s ->
-                     ignore (Sim.after gsim for_s (fun () -> heal t fault)))))
+          Sim.at gsim at (fun () ->
+              apply t fault;
+              match F.window_of fault with
+              | None -> ()
+              | Some for_s ->
+                  Sim.after gsim for_s (fun () -> heal t fault)))
     t.schedule

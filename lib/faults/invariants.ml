@@ -254,10 +254,9 @@ let check_now t =
 let attach ?(period = 0.25) t =
   if period <= 0.0 then invalid_arg "Invariants.attach: period must be > 0";
   let rec tick () =
-    ignore
-      (Sim.after t.sim period (fun () ->
-           check_now t;
-           tick ()))
+    Sim.after t.sim period (fun () ->
+        check_now t;
+        tick ())
   in
   tick ()
 

@@ -52,11 +52,10 @@ let run ?(duration = 12.0) ?(warmup = 4.0) ?trace ?obs ?prof ?on_start ?faults
   Deployment.start d;
   Engine.set_measure_from engine warmup;
   Option.iter (fun f -> f d) on_start;
-  ignore
-    (Sim.at sim warmup (fun () ->
-         Topology.reset_traffic_baseline topo;
-         (* Saturation shares cover only the measurement window. *)
-         match obs with Some s -> Sampler.reset s | None -> ()));
+  Sim.at sim warmup (fun () ->
+      Topology.reset_traffic_baseline topo;
+      (* Saturation shares cover only the measurement window. *)
+      match obs with Some s -> Sampler.reset s | None -> ());
   (* The host profiler drives the run in slices; it schedules no events
      and reads no sim state, so it composes with every run mode. *)
   let until = warmup +. duration in

@@ -152,9 +152,9 @@ let attach t sim =
       t.rows <- (now, row) :: t.rows;
       t.last_tick <- now
     end;
-    ignore (Sim.after sim t.tick_s tick)
+    Sim.after sim t.tick_s tick
   in
-  ignore (Sim.after sim t.tick_s tick)
+  Sim.after sim t.tick_s tick
 
 let reset t = t.rows <- []
 

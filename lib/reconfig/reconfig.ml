@@ -208,27 +208,26 @@ let rec watch t x =
   if not x.x_done then begin
     let c = t.c in
     let s = N.sim_of c x.x_dst.Topology.g in
-    ignore
-      (Sim.after s 0.75 (fun () ->
-           if not x.x_done then begin
-             if x.x_got = x.x_last then begin
-               x.x_attempt <- x.x_attempt + 1;
-               x.x_retries <- x.x_retries + 1;
-               t.retries <- t.retries + 1;
-               if not x.x_lan then begin
-                 let ds = live_donors t ~exclude:x.x_gid in
-                 x.x_donor <- List.nth ds (x.x_attempt mod List.length ds)
-               end;
-               let d =
-                 Backoff.delay ~seed:c.N.cfg.Config.seed
-                   ~salt:((x.x_gid * 131) + x.x_attempt)
-                   ~attempt:x.x_attempt ~base:0.1 ~cap:1.5
-               in
-               ignore (Sim.after s d (fun () -> ship t x))
-             end;
-             x.x_last <- x.x_got;
-             watch t x
-           end))
+    Sim.after s 0.75 (fun () ->
+        if not x.x_done then begin
+          if x.x_got = x.x_last then begin
+            x.x_attempt <- x.x_attempt + 1;
+            x.x_retries <- x.x_retries + 1;
+            t.retries <- t.retries + 1;
+            if not x.x_lan then begin
+              let ds = live_donors t ~exclude:x.x_gid in
+              x.x_donor <- List.nth ds (x.x_attempt mod List.length ds)
+            end;
+            let d =
+              Backoff.delay ~seed:c.N.cfg.Config.seed
+                ~salt:((x.x_gid * 131) + x.x_attempt)
+                ~attempt:x.x_attempt ~base:0.1 ~cap:1.5
+            in
+            Sim.after s d (fun () -> ship t x)
+          end;
+          x.x_last <- x.x_got;
+          watch t x
+        end)
   end
 
 let start_transfer t ~wire ~gid ~dst ~lan =
@@ -671,7 +670,7 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
     let s0 = N.sim_of c 0 in
     List.iter
       (fun (ev : Spec.event) ->
-        ignore (Sim.at s0 ev.Spec.at (fun () -> trigger t ev.Spec.cmd)))
+        Sim.at s0 ev.Spec.at (fun () -> trigger t ev.Spec.cmd))
       (Spec.sorted plan)
   end;
   t

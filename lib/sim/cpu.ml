@@ -124,10 +124,9 @@ let submit_parallel t ~slices ~seconds k =
      there. *)
   let retired = !at_last in
   t.in_flight <- t.in_flight + retired;
-  ignore
-    (Sim.at t.sim !last (fun () ->
-         t.in_flight <- t.in_flight - retired;
-         k ()))
+  Sim.at t.sim !last (fun () ->
+      t.in_flight <- t.in_flight - retired;
+      k ())
 
 let submit t ~seconds k = submit_parallel t ~slices:1 ~seconds k
 

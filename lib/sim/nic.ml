@@ -87,7 +87,7 @@ let reserve ~bulk t ~bytes =
   end;
   finish
 
-let transmit ?(bulk = false) t ~bytes k = ignore (Sim.at t.sim (reserve ~bulk t ~bytes) k)
+let transmit ?(bulk = false) t ~bytes k = Sim.at t.sim (reserve ~bulk t ~bytes) k
 
 let ctrl_busy_until t = t.q.ctrl_busy_until
 let bytes_sent t = t.bulk_bytes_sent + t.ctrl_bytes_sent

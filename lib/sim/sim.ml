@@ -7,47 +7,34 @@ module Trace = Massbft_trace.Trace
    the one queue: each keeps its own pending/dispatched counts and its
    own trace-counter track, and any handle drives the whole sim. *)
 
-type state = Pending | Fired | Cancelled
-
-(* The event record is also the cancel handle: its back-reference to
-   its shard lets [cancel] maintain the live/garbage accounting without
-   widening the public [cancel : timer -> unit] signature. Its time and
-   seq live in the heap's flat arrays, not in the record. *)
-type timer = {
-  fn : unit -> unit;
-  owner : t;
-  mutable state : state;
-}
-
-and t = {
+type t = {
   sid : int;
   core : core;
-  mutable live : int;  (* scheduled on this shard, neither cancelled nor fired *)
+  mutable live : int;  (* scheduled on this shard, not yet fired *)
   mutable dispatched : int;
   mutable last_trace_at : float;
 }
 
 (* The first [size] entries of [times], [seqs] and [slots] form a binary
-   min-heap in (time, seq) order; entry [i]'s event is
-   [events.(slots.(i))]. Sifts move unboxed floats and ints only, so no
-   sift step pays the write barrier: an event is written into [events]
-   once when scheduled, and its slot is cleared (to [idle]) and returned
-   to the [free] stack once when it leaves the heap. All five arrays
-   share one capacity. *)
+   min-heap in (time, seq) order; entry [i]'s event is the closure
+   [fns.(slots.(i))], accounted to shard [sids.(slots.(i))]. Sifts move
+   unboxed floats and ints only, so no sift step pays the write barrier:
+   an event's closure and shard id are written once when it is
+   scheduled, and its slot is reset (to [ignore]) and returned to the
+   [free] stack once when it fires. All six arrays share one capacity. *)
 and core = {
   mutable shards : t array;
   mutable times : Float.Array.t;
   mutable seqs : int array;
   mutable slots : int array;
   mutable size : int;
-  mutable events : timer array;
+  mutable fns : (unit -> unit) array;
+  mutable sids : int array;
   mutable free : int array;  (* [free.(0 .. n_free-1)]: unused slots *)
   mutable n_free : int;
-  idle : timer;  (* fills unused slots, so they keep no closure alive *)
   lookahead : float;
   mutable clock : float;
   mutable next_seq : int;
-  mutable garbage : int;  (* cancelled events still sitting in the heap *)
   mutable trace : Trace.t;
 }
 
@@ -125,12 +112,13 @@ let grow c =
   let cap = Array.length c.seqs in
   let cap' = if cap = 0 then 256 else 2 * cap in
   let times = Float.Array.create cap' and seqs = Array.make cap' 0
-  and slots = Array.make cap' 0 and events = Array.make cap' c.idle
-  and free = Array.make cap' 0 in
+  and slots = Array.make cap' 0 and fns = Array.make cap' ignore
+  and sids = Array.make cap' 0 and free = Array.make cap' 0 in
   Float.Array.blit c.times 0 times 0 c.size;
   Array.blit c.seqs 0 seqs 0 c.size;
   Array.blit c.slots 0 slots 0 c.size;
-  Array.blit c.events 0 events 0 cap;
+  Array.blit c.fns 0 fns 0 cap;
+  Array.blit c.sids 0 sids 0 cap;
   Array.blit c.free 0 free 0 c.n_free;
   for slot = cap' - 1 downto cap do
     free.(c.n_free) <- slot;
@@ -139,70 +127,34 @@ let grow c =
   c.times <- times;
   c.seqs <- seqs;
   c.slots <- slots;
-  c.events <- events;
+  c.fns <- fns;
+  c.sids <- sids;
   c.free <- free
-
-(* Inlined into [at] and [after], so a time computed by [after] is
-   stored without being boxed. The slot bookkeeping keeps its bounds
-   checks: a lost slot fails loudly instead of corrupting memory. *)
-let[@inline] push c time seq e =
-  let i = c.size in
-  if i = Array.length c.seqs then grow c;
-  c.n_free <- c.n_free - 1;
-  let slot = c.free.(c.n_free) in
-  c.events.(slot) <- e;
-  c.size <- i + 1;
-  Float.Array.unsafe_set c.times i time;
-  Array.unsafe_set c.seqs i seq;
-  Array.unsafe_set c.slots i slot;
-  sift_up c i
-
-let release c slot =
-  c.events.(slot) <- c.idle;
-  c.free.(c.n_free) <- slot;
-  c.n_free <- c.n_free + 1
-
-(* Removes and returns the minimum and advances the clock to its time;
-   the heap must be non-empty. *)
-let pop c =
-  let slot = c.slots.(0) in
-  let top = c.events.(slot) in
-  release c slot;
-  c.clock <- Float.Array.get c.times 0;
-  let n = c.size - 1 in
-  c.size <- n;
-  if n > 0 then sift_down c n 0 n;
-  top
 
 let create ?(shards = 1) ?(lookahead = 0.0) () =
   if shards < 1 then invalid_arg "Sim.create: shards must be >= 1";
   if lookahead < 0.0 then invalid_arg "Sim.create: negative lookahead";
-  let rec core =
+  let core =
     {
       shards = [||];
       times = Float.Array.create 0;
       seqs = [||];
       slots = [||];
       size = 0;
-      events = [||];
+      fns = [||];
+      sids = [||];
       free = [||];
       n_free = 0;
-      idle;
       lookahead;
       clock = 0.0;
       next_seq = 0;
-      garbage = 0;
       trace = Trace.null;
     }
-  and idle = { fn = ignore; owner = shard0; state = Fired }
-  and shard0 =
-    { sid = 0; core; live = 0; dispatched = 0; last_trace_at = neg_infinity }
   in
   core.shards <-
     Array.init shards (fun sid ->
-        if sid = 0 then shard0
-        else { sid; core; live = 0; dispatched = 0; last_trace_at = neg_infinity });
-  shard0
+        { sid; core; live = 0; dispatched = 0; last_trace_at = neg_infinity });
+  core.shards.(0)
 
 let shard t i =
   let shards = t.core.shards in
@@ -230,16 +182,26 @@ let past time now =
     (Printf.sprintf "Sim.at: scheduling in the past or at NaN (%.9f < %.9f)"
        time now)
 
+(* Inlined into [at] and [after], so a time computed by [after] is
+   stored without being boxed. The slot bookkeeping keeps its bounds
+   checks: a lost slot fails loudly instead of corrupting memory. *)
 let[@inline] schedule t time fn =
   let c = t.core in
   (* One comparison rejects both the past and NaN. *)
   if not (time >= c.clock) then past time c.clock;
-  let e = { fn; owner = t; state = Pending } in
-  let seq = c.next_seq in
-  c.next_seq <- seq + 1;
-  push c time seq e;
-  t.live <- t.live + 1;
-  e
+  let i = c.size in
+  if i = Array.length c.seqs then grow c;
+  c.n_free <- c.n_free - 1;
+  let slot = c.free.(c.n_free) in
+  c.fns.(slot) <- fn;
+  c.sids.(slot) <- t.sid;
+  c.size <- i + 1;
+  Float.Array.unsafe_set c.times i time;
+  Array.unsafe_set c.seqs i c.next_seq;
+  Array.unsafe_set c.slots i slot;
+  c.next_seq <- c.next_seq + 1;
+  sift_up c i;
+  t.live <- t.live + 1
 
 let at t time fn = schedule t time fn
 
@@ -247,93 +209,42 @@ let after t delay fn =
   if delay < 0.0 then invalid_arg "Sim.after: negative delay";
   schedule t (t.core.clock +. delay) fn
 
-(* Below this size an occasional linear pop-through of garbage is
-   cheaper than rebuilding; above it, compaction keeps pop cost and
-   memory proportional to live events. *)
-let compaction_min_size = 64
-
-(* Drops every cancelled event and re-heapifies bottom-up (Floyd): O(n),
-   no allocation. An emptied heap gives its arrays back. *)
-let compact c =
-  let times = c.times and seqs = c.seqs and slots = c.slots in
-  let kept = ref 0 in
-  for i = 0 to c.size - 1 do
-    let slot = slots.(i) in
-    if c.events.(slot).state = Cancelled then release c slot
-    else begin
-      Float.Array.set times !kept (Float.Array.get times i);
-      seqs.(!kept) <- seqs.(i);
-      slots.(!kept) <- slot;
-      incr kept
-    end
-  done;
-  let n = !kept in
-  if n = 0 then begin
-    c.times <- Float.Array.create 0;
-    c.seqs <- [||];
-    c.slots <- [||];
-    c.events <- [||];
-    c.free <- [||];
-    c.n_free <- 0
-  end
-  else
-    for i = (n / 2) - 1 downto 0 do
-      sift_down c n i i
-    done;
-  c.size <- n;
-  c.garbage <- 0
-
-let cancel handle =
-  if handle.state = Pending then begin
-    handle.state <- Cancelled;
-    let t = handle.owner in
-    let c = t.core in
-    t.live <- t.live - 1;
-    c.garbage <- c.garbage + 1;
-    (* Lazy deletion with bounded slack: once cancelled entries are the
-       majority of the heap (garbage > heap - garbage = pending_total),
-       evict them all in one O(n) rebuild. Each rebuild is paid for by
-       the >= n/2 cancellations since the last one, so cancel stays
-       amortized O(1) (plus the O(log n) saved on every later pop). Pop
-       order of survivors is untouched — the (time, seq) comparator is
-       a total order — so a compacted run dispatches bit-identically to
-       an uncompacted one. *)
-    if 2 * c.garbage > c.size && c.size >= compaction_min_size then compact c
-  end
-
 let pending t = t.live
-let pending_total t = t.core.size - t.core.garbage
-let heap_size t = t.core.size
+let pending_total t = t.core.size
 
-(* [e] was just popped, so the clock reads its time. *)
-let fire c e =
-  if e.state = Cancelled then c.garbage <- c.garbage - 1
-  else begin
-    let s = e.owner in
-    e.state <- Fired;
-    s.live <- s.live - 1;
-    s.dispatched <- s.dispatched + 1;
-    let tr = c.trace in
-    if Trace.enabled tr && c.clock -. s.last_trace_at >= trace_counter_period
-    then begin
-      (* One throttle per shard, and on multi-shard sims one counter
-         track per shard (gid = shard id), so each group's load reads
-         as its own track in the Perfetto export. *)
-      let time = c.clock in
-      s.last_trace_at <- time;
-      let gid = if Array.length c.shards = 1 then None else Some s.sid in
-      Trace.counter tr ~ts:time ~cat:"sim" ?gid "dispatched"
-        (float_of_int s.dispatched);
-      Trace.counter tr ~ts:time ~cat:"sim" ?gid "pending"
-        (float_of_int s.live)
-    end;
-    e.fn ()
-  end
+(* Pops the minimum, advances the clock to its time and runs it; the
+   heap must be non-empty. *)
+let fire_next c =
+  let slot = c.slots.(0) in
+  let fn = c.fns.(slot) and s = c.shards.(c.sids.(slot)) in
+  c.fns.(slot) <- ignore;
+  c.free.(c.n_free) <- slot;
+  c.n_free <- c.n_free + 1;
+  c.clock <- Float.Array.get c.times 0;
+  let n = c.size - 1 in
+  c.size <- n;
+  if n > 0 then sift_down c n 0 n;
+  s.live <- s.live - 1;
+  s.dispatched <- s.dispatched + 1;
+  let tr = c.trace in
+  if Trace.enabled tr && c.clock -. s.last_trace_at >= trace_counter_period
+  then begin
+    (* One throttle per shard, and on multi-shard sims one counter
+       track per shard (gid = shard id), so each group's load reads
+       as its own track in the Perfetto export. *)
+    let time = c.clock in
+    s.last_trace_at <- time;
+    let gid = if Array.length c.shards = 1 then None else Some s.sid in
+    Trace.counter tr ~ts:time ~cat:"sim" ?gid "dispatched"
+      (float_of_int s.dispatched);
+    Trace.counter tr ~ts:time ~cat:"sim" ?gid "pending" (float_of_int s.live)
+  end;
+  fn ()
 
 let run t ~until =
   let c = t.core in
   while c.size > 0 && Float.Array.get c.times 0 <= until do
-    fire c (pop c)
+    fire_next c
   done;
   if c.clock < until then c.clock <- until
 
@@ -341,7 +252,7 @@ let step t =
   let c = t.core in
   if c.size = 0 then false
   else begin
-    fire c (pop c);
+    fire_next c;
     true
   end
 

@@ -6,6 +6,10 @@
     from its RNG seeds — which the test suite exploits to assert
     protocol-level invariants over thousands of schedules.
 
+    Events cannot be cancelled: a timer that may turn out unneeded is a
+    guard that checks its condition again when it fires, so an event
+    costs only its closure.
+
     One event heap, one clock and one seq counter drive the whole sim.
     [create ~shards:n] additionally hands out [n] shard handles — one
     per group in the harness — that are accounting identities only:
@@ -20,9 +24,6 @@
 type t
 (** A shard handle. A single-shard sim ([create ()]) has one handle;
     all handles of one sim share its queue and clock. *)
-
-type timer
-(** A cancellable handle for a scheduled event. *)
 
 val create : ?shards:int -> ?lookahead:float -> unit -> t
 (** [create ~shards ~lookahead ()] builds a simulator with [shards]
@@ -52,39 +53,26 @@ val set_trace : t -> Massbft_trace.Trace.t -> unit
     the disabled {!Massbft_trace.Trace.null}. *)
 
 val dispatched : t -> int
-(** Events fired on this shard since creation (cancelled excluded). *)
+(** Events fired on this shard since creation. *)
 
 val dispatched_total : t -> int
 (** Events fired across all shards. *)
 
-val at : t -> float -> (unit -> unit) -> timer
+val at : t -> float -> (unit -> unit) -> unit
 (** [at t time f] schedules [f] to run at absolute virtual [time],
     accounted to shard [t]. Raises [Invalid_argument] if [time] is in
     the past or NaN. *)
 
-val after : t -> float -> (unit -> unit) -> timer
+val after : t -> float -> (unit -> unit) -> unit
 (** [after t delay f] schedules [f] in [delay >= 0] seconds; a
     negative or NaN delay raises [Invalid_argument]. *)
 
-val cancel : timer -> unit
-(** Cancelling an already-fired or cancelled timer is a no-op.
-    Cancelled events are lazily deleted: they stay in the queue until
-    popped, but once they outnumber the live events the queue compacts
-    them away in one O(n) pass, so cancel is amortized O(1) and queue
-    size tracks live events rather than lifetime scheduling volume. *)
-
 val pending : t -> int
-(** Number of scheduled (uncancelled, unfired) events on this shard.
-    Maintained incrementally — O(1), safe to poll from samplers. *)
+(** Number of scheduled, unfired events on this shard. Maintained
+    incrementally — O(1), safe to poll from samplers. *)
 
 val pending_total : t -> int
-(** Scheduled events across all shards. *)
-
-val heap_size : t -> int
-(** Physical size of the event heap, including cancelled events
-    awaiting compaction. Exposed so tests can assert the lazy-deletion
-    bound ([heap_size <= 2 * pending_total + slack]); use {!pending}
-    for the semantic count. *)
+(** Scheduled events across all shards: the size of the event heap. *)
 
 val run : t -> until:float -> unit
 (** Executes events in (time, seq) order until the queue is empty or

@@ -220,26 +220,22 @@ let remote t ~bulk ~(src : addr) ~(dst : addr) ~src_state ~dst_state ~bytes
       ~args:
         [ ("dst", Trace.Str (addr_to_string dst)); ("bytes", Trace.Int bytes) ]
       ~b:finish ~e:arrival "propagate";
-  ignore
-    (Sim.at dst_sim arrival (fun () ->
-         ignore
-           (Sim.at dst_sim (Nic.reserve ~bulk down ~bytes) (fun () ->
-                if dst_state.up then k ();
-                for i = 1 to dup.copies do
-                  ignore
-                    (Sim.after dst_sim (dup.spacing *. float_of_int i) (fun () ->
-                         if dst_state.up then k ()))
-                done))))
+  Sim.at dst_sim arrival (fun () ->
+      Sim.at dst_sim (Nic.reserve ~bulk down ~bytes) (fun () ->
+          if dst_state.up then k ();
+          for i = 1 to dup.copies do
+            Sim.after dst_sim (dup.spacing *. float_of_int i) (fun () ->
+                if dst_state.up then k ())
+          done))
 
 let send ~bulk t ~src ~dst ~bytes k =
   let src_state = state t src and dst_state = state t dst in
   if bytes < 0 then invalid_arg "Topology.send: negative size";
   if not src_state.up then ()
   else if addr_equal src dst then
-    ignore
-      (Sim.at t.shards.(dst.g)
-         (Sim.now t.sim +. loopback_latency)
-         (fun () -> if dst_state.up then k ()))
+    Sim.at t.shards.(dst.g)
+      (Sim.now t.sim +. loopback_latency)
+      (fun () -> if dst_state.up then k ())
   else
     (* Injected link faults (chaos testing). The hook is [None] outside
        fault experiments, so the fault-free path costs one match. A

@@ -112,6 +112,11 @@ let take (c : N.t) =
         ("done bits", words (per_node c (fun n -> n.N.n_rebuilt)));
         ("entry registry", words c.N.entries);
         ("VTS marks", words (per_leader c (fun l -> l.N.l_ts)));
+        (* Per-entry leader tables that nothing prunes: reported, not
+           bounded (ROADMAP, "Known unbounded holders"). *)
+        ("accept notes", words (per_leader c (fun l -> l.N.l_accept_notes)));
+        ("receive notes", words (per_leader c (fun l -> l.N.l_recv_notes)));
+        ("Steward proposals", words (per_leader c (fun l -> l.N.l_steward_proposed)));
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));
         ("store", words c.N.shared_store);
         ("metrics", words c.N.metrics);

@@ -274,10 +274,9 @@ let test_leader_crash_view_change_resumes () =
   let eng, _, topo =
     run_engine ~until:12.0
       ~before_run:(fun eng sim _ ->
-        ignore
-          (Sim.at sim 2.0 (fun () ->
-               at_crash := group_committed eng 1;
-               Engine.crash_node eng { Topology.g = 1; n = 0 })))
+        Sim.at sim 2.0 (fun () ->
+            at_crash := group_committed eng 1;
+            Engine.crash_node eng { Topology.g = 1; n = 0 }))
       ()
   in
   check_bool "committed before the crash" true (!at_crash > 0);
@@ -302,12 +301,8 @@ let test_leader_crash_then_rejoin () =
   let eng, _, topo =
     run_engine ~until:14.0
       ~before_run:(fun eng sim _ ->
-        ignore
-          (Sim.at sim 2.0 (fun () ->
-               Engine.crash_node eng { Topology.g = 1; n = 0 }));
-        ignore
-          (Sim.at sim 7.0 (fun () ->
-               Engine.recover_node eng { Topology.g = 1; n = 0 })))
+        Sim.at sim 2.0 (fun () -> Engine.crash_node eng { Topology.g = 1; n = 0 });
+        Sim.at sim 7.0 (fun () -> Engine.recover_node eng { Topology.g = 1; n = 0 }))
       ()
   in
   check_bool "ex-leader is back up" true
@@ -325,9 +320,7 @@ let test_follower_crash_no_migration () =
   let eng, _, _ =
     run_engine ~until:8.0
       ~before_run:(fun eng sim _ ->
-        ignore
-          (Sim.at sim 2.0 (fun () ->
-               Engine.crash_node eng { Topology.g = 0; n = 2 })))
+        Sim.at sim 2.0 (fun () -> Engine.crash_node eng { Topology.g = 0; n = 2 }))
       ()
   in
   check_int "leadership undisturbed" 0 (Engine.acting_leader eng ~gid:0).Topology.n;
@@ -345,10 +338,9 @@ let test_leader_crash_every_system () =
       let eng, _, _ =
         run_engine ~until:12.0 ~cfg:(small_cfg ~system ())
           ~before_run:(fun eng sim _ ->
-            ignore
-              (Sim.at sim 2.0 (fun () ->
-                   at_crash := group_committed eng 1;
-                   Engine.crash_node eng { Topology.g = 1; n = 0 })))
+            Sim.at sim 2.0 (fun () ->
+                at_crash := group_committed eng 1;
+                Engine.crash_node eng { Topology.g = 1; n = 0 }))
           ()
       in
       check_bool
@@ -609,7 +601,7 @@ let test_debug_dump system ~instances () =
   let eng, _, _ =
     run_engine ~cfg:(small_cfg ~system ())
       ~before_run:(fun eng sim _ ->
-        ignore (Sim.at sim 3.0 (fun () -> mid_dump := Engine.debug_dump eng)))
+        Sim.at sim 3.0 (fun () -> mid_dump := Engine.debug_dump eng))
       ()
   in
   let name = Config.system_name system in
@@ -663,6 +655,31 @@ let test_closing_round_arms_one_head_timer () =
   check_bool "the timeout wants the head fetched" true
     (Massbft.Node_ctx.Entry_tbl.mem l.Massbft.Node_ctx.l_fetching
        { Types.gid = 0; seq = 1 })
+
+(* The slow-receiver lane counts accept notes by noting group (§V-C):
+   with 5 groups f_g = 2, so a note delivered twice from one group must
+   not stamp the entry, while notes from two groups must. *)
+let test_accept_notes_count_distinct_groups () =
+  let d =
+    Deployment.build ~faults:(Fault_spec.of_string "") ~adversary:(Adv_spec.of_string "")
+      ~spec:(Clusters.nationwide ~groups:5 ~nodes_per_group:4 ()) ~cfg:(small_cfg ()) ()
+  in
+  let c = Engine.ctx d.engine in
+  let l = c.Massbft.Node_ctx.leaders.(0) in
+  let eid = { Types.gid = 1; seq = 1 } in
+  let stamped () =
+    Massbft.Node_ctx.Bitset.mem
+      l.Massbft.Node_ctx.l_ts.(0).(eid.Types.gid).Massbft.Node_ctx.ts_seen eid.Types.seq
+  in
+  let note g =
+    c.Massbft.Node_ctx.deliver c ~src:(Engine.acting_leader d.engine ~gid:g)
+      ~dst:l.Massbft.Node_ctx.l_addr (Massbft.Node_ctx.Accept_note { eid })
+  in
+  note 2;
+  note 2;
+  check_bool "one group's note twice does not stamp" false (stamped ());
+  note 3;
+  check_bool "notes from two groups stamp" true (stamped ())
 
 (* ------------------------------------------------------------------ *)
 (* Table II wiring                                                     *)
@@ -775,9 +792,7 @@ let test_census_after_view_change () =
   let eng, _, _ =
     run_engine ~until:8.0
       ~before_run:(fun eng sim _ ->
-        ignore
-          (Sim.at sim 1.0 (fun () ->
-               Engine.crash_node eng { Topology.g = 1; n = 0 })))
+        Sim.at sim 1.0 (fun () -> Engine.crash_node eng { Topology.g = 1; n = 0 }))
       ()
   in
   check_bool "view change moved group 1's leader" true
@@ -867,6 +882,8 @@ let () =
           Alcotest.test_case "ISS epoch barrier" `Quick test_iss_respects_epoch_barrier;
           Alcotest.test_case "closing round arms one head timer" `Quick
             test_closing_round_arms_one_head_timer;
+          Alcotest.test_case "accept notes count distinct groups" `Quick
+            test_accept_notes_count_distinct_groups;
         ] );
       ( "heterogeneous",
         [

@@ -243,9 +243,9 @@ let test_sampler_watch_sim () =
   (* 10 work events spread over [0, 1]; one long-range timer keeps a
      constant floor of pending work. *)
   for i = 1 to 10 do
-    ignore (Sim.at sim (0.1 *. float_of_int i) (fun () -> ()))
+    Sim.at sim (0.1 *. float_of_int i) (fun () -> ())
   done;
-  ignore (Sim.at sim 100.0 (fun () -> ()));
+  Sim.at sim 100.0 (fun () -> ());
   Sim.run sim ~until:2.0;
   (match Sampler.column_index s ~name:"massbft_sim_pending_events" ~labels:[] with
   | None -> Alcotest.fail "pending column missing"

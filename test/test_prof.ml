@@ -66,18 +66,17 @@ let test_seq_slicing_preserves_order () =
      dispatch log (event id, virtual now at fire) must be identical. *)
   let program sim log =
     for i = 0 to 99 do
-      ignore
-        (Sim.at sim
-           (0.001 *. float_of_int (i mod 10))
-           (fun () -> log := (i, Sim.now sim) :: !log))
+      Sim.at sim
+        (0.001 *. float_of_int (i mod 10))
+        (fun () -> log := (i, Sim.now sim) :: !log)
     done;
     (* A cross-window chain: each event schedules the next beyond the
        lookahead so slicing boundaries are actually crossed. *)
     let rec chain n () =
       log := (1000 + n, Sim.now sim) :: !log;
-      if n < 20 then ignore (Sim.after sim 0.015 (chain (n + 1)))
+      if n < 20 then Sim.after sim 0.015 (chain (n + 1))
     in
-    ignore (Sim.at sim 0.0 (chain 0))
+    Sim.at sim 0.0 (chain 0)
   in
   let run_once ~prof () =
     let sim = Sim.create ~shards:2 ~lookahead:0.01 () in
@@ -99,8 +98,8 @@ let test_seq_run_infinite_until () =
   let sim = Sim.create () in
   let p = Prof.create () in
   let fired = ref 0 in
-  ignore (Sim.at sim 1.0 (fun () -> incr fired));
-  ignore (Sim.at sim 2.0 (fun () -> incr fired));
+  Sim.at sim 1.0 (fun () -> incr fired);
+  Sim.at sim 2.0 (fun () -> incr fired);
   Prof.run p sim ~until:infinity;
   check_int "events fired" 2 !fired;
   let r = Prof.report p in
@@ -116,10 +115,10 @@ let run_two_shard_profiled () =
   let s0 = Sim.shard sim 0 and s1 = Sim.shard sim 1 in
   let p = Prof.create () in
   let rec ping me peer () =
-    ignore (Sim.at peer (Sim.now me +. 0.012) (ping peer me))
+    Sim.at peer (Sim.now me +. 0.012) (ping peer me)
   in
-  ignore (Sim.at s0 0.0 (ping s0 s1));
-  ignore (Sim.at s1 0.0 (ping s1 s0));
+  Sim.at s0 0.0 (ping s0 s1);
+  Sim.at s1 0.0 (ping s1 s0);
   Prof.run p sim ~until:1.0;
   (p, Sim.dispatched_total sim)
 

@@ -15,9 +15,9 @@ let check_float = Alcotest.(check (float 1e-9))
 let test_event_order () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore (Sim.at sim 3.0 (fun () -> log := 3 :: !log));
-  ignore (Sim.at sim 1.0 (fun () -> log := 1 :: !log));
-  ignore (Sim.at sim 2.0 (fun () -> log := 2 :: !log));
+  Sim.at sim 3.0 (fun () -> log := 3 :: !log);
+  Sim.at sim 1.0 (fun () -> log := 1 :: !log);
+  Sim.at sim 2.0 (fun () -> log := 2 :: !log);
   Sim.run_until_idle sim ();
   Alcotest.(check (list int)) "timestamp order" [ 1; 2; 3 ] (List.rev !log)
 
@@ -25,7 +25,7 @@ let test_fifo_at_equal_times () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 1 to 10 do
-    ignore (Sim.at sim 1.0 (fun () -> log := i :: !log))
+    Sim.at sim 1.0 (fun () -> log := i :: !log)
   done;
   Sim.run_until_idle sim ();
   Alcotest.(check (list int))
@@ -36,7 +36,7 @@ let test_fifo_at_equal_times () =
 let test_clock_advances () =
   let sim = Sim.create () in
   let seen = ref 0.0 in
-  ignore (Sim.after sim 2.5 (fun () -> seen := Sim.now sim));
+  Sim.after sim 2.5 (fun () -> seen := Sim.now sim);
   Sim.run_until_idle sim ();
   check_float "clock at event time" 2.5 !seen;
   check_float "clock stays" 2.5 (Sim.now sim)
@@ -44,29 +44,18 @@ let test_clock_advances () =
 let test_nested_scheduling () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore
-    (Sim.after sim 1.0 (fun () ->
-         log := "a" :: !log;
-         ignore (Sim.after sim 1.0 (fun () -> log := "c" :: !log))));
-  ignore (Sim.after sim 1.5 (fun () -> log := "b" :: !log));
+  Sim.after sim 1.0 (fun () ->
+      log := "a" :: !log;
+      Sim.after sim 1.0 (fun () -> log := "c" :: !log));
+  Sim.after sim 1.5 (fun () -> log := "b" :: !log);
   Sim.run_until_idle sim ();
   Alcotest.(check (list string)) "nested order" [ "a"; "b"; "c" ] (List.rev !log)
-
-let test_cancel () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let h = Sim.after sim 1.0 (fun () -> fired := true) in
-  Sim.cancel h;
-  Sim.run_until_idle sim ();
-  check_bool "cancelled timer silent" false !fired;
-  (* Double-cancel is a no-op. *)
-  Sim.cancel h
 
 let test_run_until () =
   let sim = Sim.create () in
   let count = ref 0 in
   for i = 1 to 5 do
-    ignore (Sim.at sim (float_of_int i) (fun () -> incr count))
+    Sim.at sim (float_of_int i) (fun () -> incr count)
   done;
   Sim.run sim ~until:3.0;
   check_int "only events <= until" 3 !count;
@@ -76,16 +65,16 @@ let test_run_until () =
 
 let test_past_scheduling_rejected () =
   let sim = Sim.create () in
-  ignore (Sim.after sim 5.0 (fun () -> ()));
+  Sim.after sim 5.0 (fun () -> ());
   Sim.run sim ~until:6.0;
   check_bool "at in the past raises" true
     (try
-       ignore (Sim.at sim 1.0 (fun () -> ()));
+       Sim.at sim 1.0 (fun () -> ());
        false
      with Invalid_argument _ -> true);
   check_bool "negative delay raises" true
     (try
-       ignore (Sim.after sim (-1.0) (fun () -> ()));
+       Sim.after sim (-1.0) (fun () -> ());
        false
      with Invalid_argument _ -> true)
 
@@ -93,145 +82,74 @@ let test_nan_time_rejected () =
   let sim = Sim.create () in
   check_bool "at NaN raises" true
     (try
-       ignore (Sim.at sim Float.nan ignore);
+       Sim.at sim Float.nan ignore;
        false
      with Invalid_argument _ -> true);
   check_bool "after NaN raises" true
     (try
-       ignore (Sim.after sim Float.nan ignore);
+       Sim.after sim Float.nan ignore;
        false
      with Invalid_argument _ -> true);
   check_int "nothing scheduled" 0 (Sim.pending sim);
-  ignore (Sim.at sim 1.0 ignore);
+  Sim.at sim 1.0 ignore;
   Sim.run_until_idle sim ();
   check_float "clock unharmed" 1.0 (Sim.now sim)
 
 let test_pending () =
-  let sim = Sim.create () in
-  let a = Sim.after sim 1.0 (fun () -> ()) in
-  ignore (Sim.after sim 2.0 (fun () -> ()));
-  check_int "two pending" 2 (Sim.pending sim);
-  Sim.cancel a;
-  check_int "one after cancel" 1 (Sim.pending sim);
-  (* Double-cancel must not decrement twice. *)
-  Sim.cancel a;
-  check_int "idempotent cancel" 1 (Sim.pending sim);
+  let sim = Sim.create ~shards:2 () in
+  Sim.after sim 1.0 (fun () -> ());
+  Sim.after (Sim.shard sim 1) 2.0 (fun () -> ());
+  check_int "one pending per shard" 1 (Sim.pending sim);
+  check_int "two pending in all" 2 (Sim.pending_total sim);
   Sim.run_until_idle sim ();
-  check_int "drained" 0 (Sim.pending sim)
+  check_int "drained" 0 (Sim.pending_total sim)
 
 let test_pending_excludes_fired () =
   let sim = Sim.create () in
-  let h = Sim.after sim 1.0 (fun () -> ()) in
-  ignore (Sim.after sim 2.0 (fun () -> ()));
+  Sim.after sim 1.0 (fun () -> ());
+  Sim.after sim 2.0 (fun () -> ());
   Sim.run sim ~until:1.5;
-  check_int "fired event no longer pending" 1 (Sim.pending sim);
-  (* Cancelling an already-fired timer is a no-op on the counter. *)
-  Sim.cancel h;
-  check_int "cancel after fire is a no-op" 1 (Sim.pending sim)
-
-let test_cancel_compaction_bounds_heap () =
-  (* Regression for the lazy-deletion leak: schedule+cancel 100k timers
-     (the batch-timer / heartbeat / retry-lane pattern) and assert the
-     heap evicts the garbage instead of accumulating every cancelled
-     event until its deadline. *)
-  let sim = Sim.create () in
-  let fired = ref 0 in
-  let keepers = ref 0 in
-  for i = 0 to 99_999 do
-    let h =
-      Sim.after sim (1.0 +. (float_of_int i *. 1e-5)) (fun () -> incr fired)
-    in
-    (* Keep 1 in 100, cancel the rest — heartbeats that actually fire
-       are the rare case. *)
-    if i mod 100 <> 0 then Sim.cancel h else incr keepers
-  done;
-  check_int "live count exact" !keepers (Sim.pending sim);
-  check_bool
-    (Printf.sprintf "heap stays bounded (%d entries for %d live)"
-       (Sim.heap_size sim) (Sim.pending sim))
-    true
-    (Sim.heap_size sim <= (2 * Sim.pending sim) + 64);
-  Sim.run_until_idle sim ();
-  check_int "only keepers fired" !keepers !fired;
-  check_int "empty after run" 0 (Sim.heap_size sim)
+  check_int "fired event no longer pending" 1 (Sim.pending sim)
 
 let test_slots_recycled () =
-  (* Fill the heap's first capacity, let compaction evict most of it,
-     then refill past the old capacity: every event slot must come back
-     to the free stack, or the refill runs out of slots. *)
+  (* Fill the heap's first capacity, fire most of it with a partial
+     run, then refill past the old capacity: every fired event's slot
+     must come back to the free stack, or the refill runs out of
+     slots. *)
   let sim = Sim.create () in
   let fired = ref [] in
   let arm i time = Sim.at sim time (fun () -> fired := i :: !fired) in
-  let first = Array.init 256 (fun i -> arm i (float_of_int (i mod 8))) in
-  Array.iteri (fun i h -> if i mod 5 <> 0 then Sim.cancel h) first;
-  check_bool "compacted" true (Sim.heap_size sim < 256);
+  for i = 0 to 255 do
+    arm i (float_of_int (i mod 8))
+  done;
+  Sim.run sim ~until:6.0;
+  check_int "partial run left the last time step" 32 (Sim.pending sim);
   for i = 256 to 999 do
-    ignore (arm i (float_of_int (i mod 8)))
+    arm i (6.0 +. float_of_int (i mod 8))
   done;
   Sim.run_until_idle sim ();
-  let expected =
-    List.init 1000 Fun.id
-    |> List.filter (fun i -> i >= 256 || i mod 5 = 0)
-    |> List.stable_sort (fun a b -> compare (a mod 8) (b mod 8))
-  in
-  Alcotest.(check (list int)) "survivors and refill fire in (time, seq) order" expected
+  let time i = if i < 256 then i mod 8 else 6 + (i mod 8) in
+  let expected = List.stable_sort (fun a b -> compare (time a) (time b)) (List.init 1000 Fun.id) in
+  Alcotest.(check (list int)) "both waves fire in (time, seq) order" expected
     (List.rev !fired)
-
-let test_churn_dispatch_order_unchanged () =
-  (* Compaction must not reorder or drop survivors: a run with heavy
-     cancellation churn dispatches exactly the uncancelled timers, in
-     (time, insertion) order — i.e. the observed schedule is
-     bit-identical to what an uncompacted queue would produce. *)
-  let sim = Sim.create () in
-  let rng = Massbft_util.Rng.create 42L in
-  let fired = ref [] in
-  let expected = ref [] in
-  for i = 0 to 9_999 do
-    let time = 1.0 +. Massbft_util.Rng.float rng 10.0 in
-    let h = Sim.at sim time (fun () -> fired := i :: !fired) in
-    if i mod 3 = 0 then Sim.cancel h else expected := (time, i) :: !expected
-  done;
-  Sim.run_until_idle sim ();
-  let expected_order =
-    List.map snd
-      (List.sort
-         (fun (ta, ia) (tb, ib) ->
-           let c = compare ta tb in
-           if c <> 0 then c else compare ia ib)
-         !expected)
-  in
-  Alcotest.(check (list int))
-    "survivors fire in (time, seq) order" expected_order (List.rev !fired)
 
 (* ------------------------------------------------------------------ *)
 (* Event heap                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The binary heap inside [Sim], through its interface: [at] pushes,
-   [step] pops, [run ~until] peeks, and cancellation with compaction
-   filters in place. [fire_order] schedules [times] and returns the
-   indices that fire; a picked index [j] is cancelled when index [2j] is
-   scheduled, so cancellations reach deep into a heap still growing. *)
-let fire_order ?(cancelled = fun _ -> false) times =
+   [step] pops and [run ~until] peeks. [fire_order] schedules [times]
+   and returns the indices in the order they fire. *)
+let fire_order times =
   let sim = Sim.create () in
-  let fired = ref [] and n = List.length times in
-  let hs = Array.make n None in
-  let cancel j = if cancelled j then Option.iter Sim.cancel hs.(j) in
-  List.iteri
-    (fun i time ->
-      hs.(i) <- Some (Sim.at sim time (fun () -> fired := i :: !fired));
-      if i mod 2 = 0 then cancel (i / 2))
-    times;
-  for j = (n + 1) / 2 to n - 1 do
-    cancel j
-  done;
+  let fired = ref [] in
+  List.iteri (fun i time -> Sim.at sim time (fun () -> fired := i :: !fired)) times;
   Sim.run_until_idle sim ();
   List.rev !fired
 
-(* The (time, seq) order the uncancelled indices must fire in. *)
-let sorted_survivors ?(cancelled = fun _ -> false) times =
+(* The (time, seq) order the indices must fire in. *)
+let sorted_indices times =
   List.mapi (fun i time -> (time, i)) times
-  |> List.filter (fun (_, i) -> not (cancelled i))
   |> List.stable_sort (fun (a, _) (b, _) -> Float.compare a b)
   |> List.map snd
 
@@ -239,7 +157,7 @@ let test_heap_drain_order () =
   (* 1000 events, ten per timestamp, scheduled out of order: the heap
      grows past its first allocation and still pops (time, seq). *)
   let times = List.init 1000 (fun i -> float_of_int (i * 7919 mod 1000 / 10)) in
-  Alcotest.(check (list int)) "sorted, FIFO on ties" (sorted_survivors times)
+  Alcotest.(check (list int)) "sorted, FIFO on ties" (sorted_indices times)
     (fire_order times)
 
 let test_heap_empty () =
@@ -250,27 +168,16 @@ let test_heap_empty () =
 
 let test_heap_peek_stable () =
   let sim = Sim.create () in
-  List.iter (fun t -> ignore (Sim.at sim t ignore)) [ 4.; 2.; 6. ];
+  List.iter (fun t -> Sim.at sim t ignore) [ 4.; 2.; 6. ];
   Sim.run sim ~until:1.0;
   check_int "head beyond until stays" 3 (Sim.pending sim);
   Sim.run sim ~until:2.0;
   check_int "head fires once reached" 2 (Sim.pending sim)
 
-let test_heap_filter_in_place () =
-  (* Cancelling everything evicts the garbage in place and leaves a
-     usable heap. *)
-  let sim = Sim.create () in
-  List.iter Sim.cancel (List.init 200 (fun i -> Sim.at sim (float_of_int i) ignore));
-  check_bool "garbage evicted" true (Sim.heap_size sim < 64);
-  let fired = ref false in
-  ignore (Sim.at sim 1.0 (fun () -> fired := true));
-  Sim.run_until_idle sim ();
-  check_bool "usable after emptying" true (!fired && Sim.heap_size sim = 0)
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains any list in sorted order"
     QCheck.(list (map float_of_int small_int))
-    (fun times -> fire_order times = sorted_survivors times)
+    (fun times -> fire_order times = sorted_indices times)
 
 (* [Some d] schedules at [now + d], [None] steps; the model is the
    sorted list of pending (time, seq) keys. *)
@@ -285,7 +192,7 @@ let prop_heap_interleaved =
           | Some d ->
               let key = (Sim.now sim +. float_of_int d, !seq) in
               incr seq;
-              ignore (Sim.at sim (fst key) (fun () -> last := snd key));
+              Sim.at sim (fst key) (fun () -> last := snd key);
               model := List.merge compare !model [ key ];
               true
           | None -> (
@@ -296,81 +203,51 @@ let prop_heap_interleaved =
                   Sim.step sim && !last = s))
         ops)
 
-(* A random at/cancel stream that crosses the compaction threshold
-   several times. *)
-let prop_heap_filter =
-  QCheck.Test.make ~count:1000 ~name:"filter_in_place = sort of filtered list"
-    QCheck.(list_of_size Gen.(int_range 64 800) (pair (float_bound_exclusive 10.) (int_bound 3)))
-    (fun stream ->
-      let times = List.map fst stream and picks = Array.of_list (List.map snd stream) in
-      let cancelled i = picks.(i) > 0 in
-      fire_order ~cancelled times = sorted_survivors ~cancelled times)
-
-(* A random at/after/cancel/run program against a model that keeps
-   every scheduled (time, seq) key and fires the live ones in sorted
-   order. Times are quarter-second multiples over a short span, so
-   exact-time ties are common, and bursts arm up to 150 timers at one
-   time and cancel most of them, which crosses the compaction
-   threshold. *)
+(* A random at/after/run program against a model that keeps every
+   unfired (time, seq) key and fires them in sorted order. Times are
+   quarter-second multiples over a short span, so exact-time ties are
+   common, and bursts arm up to 150 timers at one time. *)
 type sched_op =
   | Op_at of int  (* at now + k/4 *)
   | Op_after of int  (* after k/4 *)
-  | Op_cancel of int  (* cancel handle (k mod handles so far) *)
-  | Op_burst of int * int  (* k timers at now + d/4, all but every 7th cancelled *)
+  | Op_burst of int * int  (* k timers at now + d/4 *)
   | Op_run of int  (* run until now + k/4 *)
 
 let run_sched_program ops =
   let sim = Sim.create ~shards:2 () in
-  (* id -> (handle, time, live); ids follow scheduling order, as seqs do. *)
-  let timers = Hashtbl.create 64 in
+  (* Unfired (time, id) keys; ids follow scheduling order, as seqs do. *)
+  let pending = ref [] and next_id = ref 0 in
   let fired = ref [] and expected = ref [] and ok = ref true in
   let arm ~via_after k =
-    let id = Hashtbl.length timers in
+    let id = !next_id in
+    incr next_id;
     let delta = float_of_int k /. 4.0 in
     let time = Sim.now sim +. delta in
     let emit () = fired := id :: !fired in
     let shard = Sim.shard sim (id mod 2) in
-    let h = if via_after then Sim.after shard delta emit else Sim.at shard time emit in
-    Hashtbl.replace timers id (h, time, ref true);
-    id
+    if via_after then Sim.after shard delta emit else Sim.at shard time emit;
+    pending := (time, id) :: !pending
   in
-  let cancel id =
-    Option.iter
-      (fun (h, _, live) ->
-        Sim.cancel h;
-        live := false)
-      (Hashtbl.find_opt timers id)
-  in
-  let live () = Hashtbl.fold (fun _ (_, _, l) n -> if !l then n + 1 else n) timers 0 in
-  (* The model fires its live timers up to [until] in (time, id) order. *)
+  (* The model fires its pending timers up to [until] in (time, id) order. *)
   let model_run until =
-    let due =
-      Hashtbl.fold
-        (fun id (_, time, live) acc -> if !live && time <= until then (time, id, live) :: acc else acc)
-        timers []
-    in
-    List.iter (fun (_, _, live) -> live := false) due;
-    List.sort compare (List.map (fun (time, id, _) -> (time, id)) due)
-    |> List.iter (fun (_, id) -> expected := id :: !expected)
+    let due, rest = List.partition (fun (time, _) -> time <= until) !pending in
+    pending := rest;
+    List.iter (fun (_, id) -> expected := id :: !expected) (List.sort compare due)
   in
   List.iter
     (fun op ->
       (match op with
-      | Op_at k -> ignore (arm ~via_after:false k)
-      | Op_after k -> ignore (arm ~via_after:true k)
-      | Op_cancel k -> if Hashtbl.length timers > 0 then cancel (k mod Hashtbl.length timers)
+      | Op_at k -> arm ~via_after:false k
+      | Op_after k -> arm ~via_after:true k
       | Op_burst (k, d) ->
-          for j = 0 to k - 1 do
-            let id = arm ~via_after:false d in
-            if j mod 7 <> 0 then cancel id
+          for _ = 1 to k do
+            arm ~via_after:false d
           done
       | Op_run k ->
           let until = Sim.now sim +. (float_of_int k /. 4.0) in
           model_run until;
           Sim.run sim ~until);
-      let live = live () in
-      if Sim.pending_total sim <> live || Sim.heap_size sim > (2 * live) + 64 then
-        ok := false)
+      if Sim.pending_total sim <> List.length !pending then ok := false)
     ops;
   model_run infinity;
   Sim.run_until_idle sim ();
@@ -383,7 +260,6 @@ let prop_dispatch_order =
       [
         (4, map (fun k -> Op_at k) (int_range 0 12));
         (3, map (fun k -> Op_after k) (int_range 0 12));
-        (3, map (fun k -> Op_cancel k) nat);
         (1, map2 (fun k d -> Op_burst (k, d)) (int_range 1 150) (int_range 0 12));
         (2, map (fun k -> Op_run k) (int_range 0 8));
       ]
@@ -428,9 +304,8 @@ let test_nic_idle_gap () =
   let t2 = ref 0.0 in
   Nic.transmit nic ~bytes:125_000 (fun () -> ());
   (* Second frame arrives after the queue drained: starts fresh. *)
-  ignore
-    (Sim.after sim 1.0 (fun () ->
-         Nic.transmit nic ~bytes:125_000 (fun () -> t2 := Sim.now sim)));
+  Sim.after sim 1.0 (fun () ->
+      Nic.transmit nic ~bytes:125_000 (fun () -> t2 := Sim.now sim));
   Sim.run_until_idle sim ();
   check_float "starts at arrival" 1.125 !t2
 
@@ -548,9 +423,8 @@ let test_cpu_utilization_mid_task_window () =
   (* Work is accounted at submit time: a 2 s task shows in full from
      the moment it is accepted, so a 1 s window caps at 1.0. *)
   Cpu.submit cpu ~seconds:2.0 (fun () -> ());
-  ignore
-    (Sim.at sim 1.0 (fun () ->
-         check_float "mid-task, capped" 1.0 (Cpu.utilization cpu ~since:0.0)));
+  Sim.at sim 1.0 (fun () ->
+      check_float "mid-task, capped" 1.0 (Cpu.utilization cpu ~since:0.0));
   Sim.run_until_idle sim ();
   check_float "exactly busy over its own span" 1.0
     (Cpu.utilization cpu ~since:0.0)
@@ -560,7 +434,7 @@ let test_cpu_utilization_multi_core_partial () =
   let cpu = Cpu.create sim ~cores:4 in
   Cpu.submit cpu ~seconds:1.0 (fun () -> ());
   Cpu.submit cpu ~seconds:1.0 (fun () -> ());
-  ignore (Sim.at sim 2.0 (fun () -> ()));
+  Sim.at sim 2.0 (fun () -> ());
   Sim.run_until_idle sim ();
   (* 2 core-seconds over 2 s x 4 cores = 25%. *)
   check_float "partial busy" 0.25 (Cpu.utilization cpu ~since:0.0);
@@ -575,8 +449,7 @@ let test_cpu_queue_depth () =
   Cpu.submit cpu ~seconds:1.0 (fun () -> ());
   Cpu.submit cpu ~seconds:1.0 (fun () -> ());
   check_int "running + queued" 2 (Cpu.queue_depth cpu);
-  ignore
-    (Sim.at sim 1.5 (fun () -> check_int "one completed" 1 (Cpu.queue_depth cpu)));
+  Sim.at sim 1.5 (fun () -> check_int "one completed" 1 (Cpu.queue_depth cpu));
   Sim.run_until_idle sim ();
   check_int "drained" 0 (Cpu.queue_depth cpu);
   (* A 4-core parallel charge behind single tasks of 0.5, 1.5 and 2.5 s:
@@ -595,9 +468,8 @@ let test_cpu_queue_depth () =
   let depths = ref [] in
   List.iter
     (fun at ->
-      ignore
-        (Sim.at sim at (fun () ->
-             depths := (Cpu.queue_depth par, Cpu.queue_depth twin) :: !depths)))
+      Sim.at sim at (fun () ->
+          depths := (Cpu.queue_depth par, Cpu.queue_depth twin) :: !depths))
     [ 0.25; 0.75; 1.25; 1.75; 2.25; 2.75 ];
   Sim.run_until_idle sim ();
   Alcotest.(check (list (pair int int)))
@@ -738,7 +610,7 @@ let test_crash_mid_flight () =
   Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> incr delivered);
   (* Receiver dies while the message is in flight. *)
-  ignore (Sim.after sim 0.01 (fun () -> Topology.crash topo { g = 1; n = 0 }));
+  Sim.after sim 0.01 (fun () -> Topology.crash topo { g = 1; n = 0 });
   Sim.run_until_idle sim ();
   check_int "in-flight message dropped" 0 !delivered
 
@@ -768,8 +640,8 @@ let test_crash_then_recover_before_arrival_delivers () =
      so delivery lands well after 0.08 s. *)
   Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> incr delivered);
-  ignore (Sim.after sim 0.010 (fun () -> Topology.crash topo { g = 1; n = 0 }));
-  ignore (Sim.after sim 0.050 (fun () -> Topology.recover topo { g = 1; n = 0 }));
+  Sim.after sim 0.010 (fun () -> Topology.crash topo { g = 1; n = 0 });
+  Sim.after sim 0.050 (fun () -> Topology.recover topo { g = 1; n = 0 });
   Sim.run_until_idle sim ();
   check_int "recovered receiver gets the in-flight message" 1 !delivered
 
@@ -779,7 +651,7 @@ let test_sender_crash_keeps_egressed_bytes_in_flight () =
   let delivered = ref 0 in
   Topology.send ~bulk:false topo ~src:{ g = 0; n = 0 } ~dst:{ g = 1; n = 0 } ~bytes:100_000
     (fun () -> incr delivered);
-  ignore (Sim.after sim 0.010 (fun () -> Topology.crash topo { g = 0; n = 0 }));
+  Sim.after sim 0.010 (fun () -> Topology.crash topo { g = 0; n = 0 });
   Sim.run_until_idle sim ();
   check_int "already-egressed message still delivers" 1 !delivered;
   (* But new sends from the crashed node are suppressed at the source. *)
@@ -959,22 +831,21 @@ let three_hop_send topo ~bulk ~(src : Topology.addr) ~(dst : Topology.addr)
   let wan = src.g <> dst.g in
   let one_way = (if wan then spec3.rtt src.g dst.g else spec3.lan_rtt) /. 2.0 in
   if not (Topology.alive topo src) then ()
-  else if Topology.addr_equal src dst then ignore (Sim.after sim 1e-6 deliver)
+  else if Topology.addr_equal src dst then Sim.after sim 1e-6 deliver
   else
     Nic.transmit ~bulk
       (Topology.nic topo src (if wan then Wan_up else Lan_up))
       ~bytes
       (fun () ->
-        ignore
-          (Sim.at sim (Sim.now sim +. one_way) (fun () ->
-               Nic.transmit ~bulk
-                 (Topology.nic topo dst (if wan then Wan_down else Lan_down))
-                 ~bytes
-                 (fun () ->
-                   deliver ();
-                   for i = 1 to copies do
-                     ignore (Sim.after sim (0.0007 *. float_of_int i) deliver)
-                   done))))
+        Sim.at sim (Sim.now sim +. one_way) (fun () ->
+            Nic.transmit ~bulk
+              (Topology.nic topo dst (if wan then Wan_down else Lan_down))
+              ~bytes
+              (fun () ->
+                deliver ();
+                for i = 1 to copies do
+                  Sim.after sim (0.0007 *. float_of_int i) deliver
+                done)))
 
 (* Runs timed sends plus one receiver crash and recovery through
    [Topology.send] ([fused]) or the three-hop model, and returns the
@@ -994,13 +865,12 @@ let run_sends ~fused (sends, (crash_at, victim, down_for)) =
   let log = ref [] in
   List.iteri
     (fun id (at, src, dst, bytes, bulk) ->
-      ignore
-        (Sim.at sim at (fun () ->
-             send ~bulk ~src ~dst ~bytes (fun () ->
-                 log := (Sim.now sim, id) :: !log))))
+      Sim.at sim at (fun () ->
+          send ~bulk ~src ~dst ~bytes (fun () ->
+              log := (Sim.now sim, id) :: !log)))
     sends;
-  ignore (Sim.at sim crash_at (fun () -> Topology.crash topo victim));
-  ignore (Sim.at sim (crash_at +. down_for) (fun () -> Topology.recover topo victim));
+  Sim.at sim crash_at (fun () -> Topology.crash topo victim);
+  Sim.at sim (crash_at +. down_for) (fun () -> Topology.recover topo victim);
   Sim.run_until_idle sim ();
   List.fold_left
     (fun acc (time, id) ->
@@ -1039,7 +909,7 @@ let two_hop_send topo ~hook ~bulk ~(src : Topology.addr) ~(dst : Topology.addr)
   let deliver () = if Topology.alive topo dst then k () in
   if not (Topology.alive topo src) then ()
   else if Topology.addr_equal src dst then
-    ignore (Sim.at dst_sim (Sim.now sim +. 1e-6) deliver)
+    Sim.at dst_sim (Sim.now sim +. 1e-6) deliver
   else
     let verdict =
       match hook with
@@ -1060,16 +930,15 @@ let two_hop_send topo ~hook ~bulk ~(src : Topology.addr) ~(dst : Topology.addr)
       let finish =
         Nic.reserve ~bulk (Topology.nic topo src (if wan then Wan_up else Lan_up)) ~bytes
       in
-      ignore
-        (Sim.at dst_sim (finish +. one_way) (fun () ->
-             Nic.transmit ~bulk
-               (Topology.nic topo dst (if wan then Wan_down else Lan_down))
-               ~bytes
-               (fun () ->
-                 deliver ();
-                 for i = 1 to copies do
-                   ignore (Sim.after dst_sim (spacing *. float_of_int i) deliver)
-                 done)))
+      Sim.at dst_sim (finish +. one_way) (fun () ->
+          Nic.transmit ~bulk
+            (Topology.nic topo dst (if wan then Wan_down else Lan_down))
+            ~bytes
+            (fun () ->
+              deliver ();
+              for i = 1 to copies do
+                Sim.after dst_sim (spacing *. float_of_int i) deliver
+              done))
     end
 
 (* Deterministic hooks keyed on the message, one per verdict kind. *)
@@ -1100,12 +969,11 @@ let run_send_stream ~model ~hook (sends, (crash_at, victim, down_for)) =
   let log = ref [] in
   List.iteri
     (fun id (at, src, dst, bytes, bulk) ->
-      ignore
-        (Sim.at sim at (fun () ->
-             send ~bulk ~src ~dst ~bytes (fun () -> log := (Sim.now sim, id) :: !log))))
+      Sim.at sim at (fun () ->
+          send ~bulk ~src ~dst ~bytes (fun () -> log := (Sim.now sim, id) :: !log)))
     sends;
-  ignore (Sim.at sim crash_at (fun () -> Topology.crash topo victim));
-  ignore (Sim.at sim (crash_at +. down_for) (fun () -> Topology.recover topo victim));
+  Sim.at sim crash_at (fun () -> Topology.crash topo victim);
+  Sim.at sim (crash_at +. down_for) (fun () -> Topology.recover topo victim);
   Sim.run_until_idle sim ();
   List.rev !log
 
@@ -1180,7 +1048,7 @@ let test_budget_message () =
       check_budget
         (Printf.sprintf "%s %s message" (if wan then "WAN" else "LAN")
            (if bulk then "bulk" else "ctrl"))
-        ~measured:(message_words ~wan ~bulk) ~budget:(35.0 *. 1.02))
+        ~measured:(message_words ~wan ~bulk) ~budget:(27.0 *. 1.02))
     [ (true, true); (true, false); (false, true); (false, false) ]
 
 let test_budget_event () =
@@ -1188,9 +1056,9 @@ let test_budget_event () =
   check_budget "Sim.at + one dispatch"
     ~measured:
       (words_per_round (fun () ->
-           ignore (Sim.at sim (Sim.now sim +. 1.0) delivered);
+           Sim.at sim (Sim.now sim +. 1.0) delivered;
            ignore (Sim.step sim)))
-    ~budget:(8.0 *. 1.02)
+    ~budget:(4.0 *. 1.02)
 
 (* ------------------------------------------------------------------ *)
 (* Shard handles                                                       *)
@@ -1202,16 +1070,14 @@ let test_budget_event () =
    [Sim.after] on the arming shard or [Sim.at] on another shard. Shard
    handles are accounting identities over one queue, so any such
    program must dispatch in exactly the single-shard order. Bursts arm
-   many timers across shards and cancel most of them, so the one heap
-   compacts garbage that belongs to several shards. *)
+   many timers round-robin across shards. *)
 type shard_cmd = {
   c_shard : int;  (* arming shard (mod the sim's shard count) *)
   c_time : float;
-  c_kind : int;  (* 0 = at; 1 = at then cancel; 2 = at on c_dst; 3 = burst *)
+  c_kind : int;  (* 0 = at; 1 = at on c_dst; 2 = burst *)
   c_dst : int;  (* target shard (mod shard count) *)
-  c_burst : int;  (* kind 3: timers armed round-robin, 9 in 10 cancelled *)
-  c_children : (int * float * int) list;
-      (* (0 = after | 1 = at on dst | 2 = after then cancel, delta, dst) *)
+  c_burst : int;  (* kind 2: timers armed round-robin *)
+  c_children : (int * float * int) list;  (* (0 = after | 1 = at on dst, delta, dst) *)
 }
 
 (* Per-shard counts add up to the sim-wide ones. *)
@@ -1223,19 +1089,12 @@ let accounting_ok sim =
   sum Sim.pending = Sim.pending_total sim
   && sum Sim.dispatched = Sim.dispatched_total sim
 
-(* Right after any scheduling or cancel, compaction keeps the heap
-   within twice the live events plus the compaction floor. *)
-let heap_bounded sim = Sim.heap_size sim <= (2 * Sim.pending_total sim) + 64
-
 let run_shard_program ~shards cmds =
   let sim = Sim.create ~shards ~lookahead:0.5 () in
   let shard i = Sim.shard sim (i mod Sim.n_shards sim) in
   let log = ref [] in
   let ok = ref true in
-  let check ~bound =
-    if not (accounting_ok sim && ((not bound) || heap_bounded sim)) then
-      ok := false
-  in
+  let check () = if not (accounting_ok sim) then ok := false in
   let emit id = log := id :: !log in
   List.iteri
     (fun i c ->
@@ -1244,36 +1103,22 @@ let run_shard_program ~shards cmds =
         List.iteri
           (fun j (kind, delta, dst) ->
             let cid = ((i + 1) * 1000) + j in
-            match kind with
-            | 0 ->
-                ignore (Sim.after (shard c.c_shard) delta (fun () -> emit cid))
-            | 1 ->
-                ignore
-                  (Sim.at (shard dst) (Sim.now sim +. delta) (fun () ->
-                       emit cid))
-            | _ ->
-                Sim.cancel (Sim.after (shard dst) delta (fun () -> emit cid));
-                check ~bound:true)
+            if kind = 0 then Sim.after (shard c.c_shard) delta (fun () -> emit cid)
+            else Sim.at (shard dst) (Sim.now sim +. delta) (fun () -> emit cid))
           c.c_children
       in
       (match c.c_kind with
-      | 0 -> ignore (Sim.at (shard c.c_shard) c.c_time fire)
-      | 1 ->
-          let h = Sim.at (shard c.c_shard) c.c_time fire in
-          Sim.cancel h
-      | 2 -> ignore (Sim.at (shard c.c_dst) c.c_time fire)
+      | 0 -> Sim.at (shard c.c_shard) c.c_time fire
+      | 1 -> Sim.at (shard c.c_dst) c.c_time fire
       | _ ->
           for k = 0 to c.c_burst - 1 do
-            let h =
-              Sim.at (shard (c.c_shard + k)) c.c_time (fun () ->
-                  emit (((i + 1) * 100_000) + k))
-            in
-            if k mod 10 <> 0 then Sim.cancel h
+            Sim.at (shard (c.c_shard + k)) c.c_time (fun () ->
+                emit (((i + 1) * 100_000) + k))
           done);
-      check ~bound:true)
+      check ())
     cmds;
   while Sim.step sim do
-    check ~bound:false
+    check ()
   done;
   (* Every dispatched event logged exactly once. *)
   if List.length !log <> Sim.dispatched_total sim then ok := false;
@@ -1283,13 +1128,13 @@ let gen_shard_cmds =
   let open QCheck.Gen in
   let time = map (fun k -> float_of_int k *. 0.125) (int_range 0 32) in
   let delta = map (fun k -> float_of_int (k + 1) *. 0.125) (int_range 0 8) in
-  let child = triple (int_range 0 2) delta (int_range 0 3) in
+  let child = triple (int_range 0 1) delta (int_range 0 3) in
   let cmd =
     int_range 0 3 >>= fun c_shard ->
     time >>= fun c_time ->
-    int_range 0 3 >>= fun c_kind ->
+    int_range 0 2 >>= fun c_kind ->
     int_range 0 3 >>= fun c_dst ->
-    int_range 1 120 >>= fun c_burst ->
+    int_range 1 12 >>= fun c_burst ->
     list_size (int_range 0 3) child >>= fun c_children ->
     return { c_shard; c_time; c_kind; c_dst; c_burst; c_children }
   in
@@ -1370,17 +1215,12 @@ let () =
           Alcotest.test_case "FIFO at equal times" `Quick test_fifo_at_equal_times;
           Alcotest.test_case "clock advances" `Quick test_clock_advances;
           Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
-          Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "past scheduling rejected" `Quick test_past_scheduling_rejected;
           Alcotest.test_case "NaN time rejected" `Quick test_nan_time_rejected;
           Alcotest.test_case "pending count" `Quick test_pending;
           Alcotest.test_case "pending excludes fired" `Quick
             test_pending_excludes_fired;
-          Alcotest.test_case "100k cancels stay bounded" `Quick
-            test_cancel_compaction_bounds_heap;
-          Alcotest.test_case "churn keeps dispatch order" `Quick
-            test_churn_dispatch_order_unchanged;
           Alcotest.test_case "slots recycled across compaction" `Quick test_slots_recycled;
         ] );
       ( "heap",
@@ -1388,10 +1228,8 @@ let () =
           Alcotest.test_case "drain order" `Quick test_heap_drain_order;
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "peek stable" `Quick test_heap_peek_stable;
-          Alcotest.test_case "filter_in_place" `Quick test_heap_filter_in_place;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_interleaved;
-          QCheck_alcotest.to_alcotest prop_heap_filter;
           QCheck_alcotest.to_alcotest prop_dispatch_order;
         ] );
       ( "shard",
