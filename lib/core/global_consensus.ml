@@ -72,22 +72,29 @@ let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~in
 let handle_accept_note t ~(src : Topology.addr) ~(dst : Topology.addr) eid =
   if is_acting_leader t dst then begin
     let l = t.leaders.(dst.Topology.g) in
-    let notes =
-      match Entry_tbl.find_opt l.l_accept_notes eid with
-      | Some r -> r
-      | None ->
-          let r = Bitset.create () in
-          Entry_tbl.replace l.l_accept_notes eid r;
-          r
-    in
-    (* Notes are a set of noting groups, so a duplicated or replayed
-       note cannot inflate the tally. *)
-    Bitset.add notes src.Topology.g;
-    (* f_g + 1 groups holding the entry imply it is replicated; the
-       proposer counts implicitly, so notes from f_g distinct groups
-       suffice for a slow receiver to stamp the entry without holding
-       it (§V-C). *)
-    if Bitset.cardinal notes >= max 1 (fg t) then Ordering.assign_ts t l eid
+    (* [assign_ts] never stamps our own group's entries nor one already
+       stamped here, so no note is kept for those; [assign_ts] drops
+       the notes of an entry it stamps. *)
+    if eid.Types.gid = l.l_gid || Ordering.stamped l eid then
+      Entry_tbl.remove l.l_accept_notes eid
+    else begin
+      let notes =
+        match Entry_tbl.find_opt l.l_accept_notes eid with
+        | Some r -> r
+        | None ->
+            let r = Bitset.create () in
+            Entry_tbl.replace l.l_accept_notes eid r;
+            r
+      in
+      (* Notes are a set of noting groups, so a duplicated or replayed
+         note cannot inflate the tally. *)
+      Bitset.add notes src.Topology.g;
+      (* f_g + 1 groups holding the entry imply it is replicated; the
+         proposer counts implicitly, so notes from f_g distinct groups
+         suffice for a slow receiver to stamp the entry without
+         holding it (§V-C). *)
+      if Bitset.cardinal notes >= max 1 (fg t) then Ordering.assign_ts t l eid
+    end
   end
 
 (* ------------------------------------------------------------------ *)

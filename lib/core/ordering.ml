@@ -80,6 +80,8 @@ let marks (l : leader) inst (eid : Types.entry_id) = l.l_ts.(inst).(eid.Types.gi
 let unstamped (l : leader) inst eid =
   not (Bitset.mem (marks l inst eid).ts_seen eid.Types.seq)
 
+let stamped (l : leader) eid = not (unstamped l l.l_gid eid)
+
 let stamp (l : leader) inst eid ts =
   Bitset.add (marks l inst eid).ts_seen eid.Types.seq;
   ignore (Raft.propose l.l_rafts.(inst) (Ts { eid; ts }))
@@ -93,7 +95,10 @@ let assign_ts t (l : leader) eid =
         eid.Types.gid <> l.l_gid
         && unstamped l l.l_gid eid
         && Raft.role l.l_rafts.(l.l_gid) = Raft.Leader
-      then stamp l l.l_gid eid l.l_clk
+      then begin
+        stamp l l.l_gid eid l.l_clk;
+        Entry_tbl.remove l.l_accept_notes eid
+      end
   | Config.Sync_rounds | Config.Epoch_rounds _ | Config.Global_log -> ()
 
 (* Catch-all timestamp assignment for every instance this leader

@@ -24,7 +24,12 @@ val on_commit : t -> leader -> Types.entry_id -> unit
 val assign_ts : t -> leader -> Types.entry_id -> unit
 (** Stamp a remote entry with our clock through our own instance
     (overlapped assignment, Fig. 7b); no-op unless VTS ordering is
-    active and we lead our instance. *)
+    active and we lead our instance. Stamping drops the entry's accept
+    notes. *)
+
+val stamped : leader -> Types.entry_id -> bool
+(** The entry is stamped, or has a committed Ts record, in the leader's
+    own instance. *)
 
 val stamp_led_instances : leader -> Types.entry_id -> unit
 (** Catch-all: stamp the entry in every instance this leader currently

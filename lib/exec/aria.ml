@@ -1,137 +1,313 @@
 module Txn = Massbft_workload.Txn
 
-(* One cell per distinct key a batch touches. It holds everything the
-   batch needs to know about the key: the pre-batch value, loaded from
-   the store at most once, and the key's two reservations, the smallest
-   batch positions of a writer and of a reader that did not logic-abort.
-   A key is hashed once per operation, into the batch table below. After
-   phase 1, reservation and validation only walk cell lists. *)
-type cell = {
-  key : string;
-  hash : int;
-  mutable loaded : bool;
-  mutable snapshot : string option;  (* meaningful once [loaded] *)
-  mutable min_w : int;  (* max_int: no reservation *)
-  mutable min_r : int;
-  mutable next : cell;  (* bucket chain, ended by [nil] *)
-}
+(* The execution state, one per domain, reused by every batch and
+   emptied after each. Nothing in it is allocated per operation: a
+   batch only fills slots of arrays that grow to the largest batch once.
 
-let rec nil =
-  { key = ""; hash = 0; loaded = true; snapshot = None; min_w = max_int;
-    min_r = max_int; next = nil }
+   A cell, one per distinct key a batch touches, is an index into the
+   arrays [key] to [min_r]. It holds everything the batch needs to know
+   about the key: its hash, its successor in its bucket's chain (-1
+   ends one), the pre-batch value (meaningful once [loaded]; loaded
+   from the store at most once), and the key's two reservations, the
+   smallest batch positions of a writer and of a reader that did not
+   logic-abort (max_int: none). [heads] holds each bucket's first cell.
+   A key is hashed once per operation, into these buckets. After
+   phase 1, reservation and validation only walk cell ids.
 
-(* The batch table: chains threaded through the cells themselves, so a
-   new key costs one allocation. One table is kept per domain and
-   emptied after every batch, so its bucket array grows to the largest
-   batch's key count once instead of doubling up from a small start in
-   every batch. It lists the buckets a batch fills, so emptying it costs
-   the batch's keys, not the largest batch's. *)
-type table = {
-  mutable buckets : cell array;
+   A transaction's footprint is a range of each of two batch logs:
+   [rlog] holds the cell of every read, [wcell]/[wval] the cell and
+   value of every write, both in program order. Batch position [pos] owns
+   the reads from [r_start.(pos)] to [r_start.(pos + 1)], and likewise
+   the writes; a logic-aborted body's ranges are empty, [logic.(pos)]
+   marks it. Every write is kept, duplicates included, because each one
+   is applied and reported by [effects]. *)
+type t = {
+  mutable heads : int array;
+  mutable key : string array;
+  mutable hash : int array;
+  mutable next : int array;
+  mutable loaded : bool array;
+  mutable snapshot : string option array;
+  mutable min_w : int array;
+  mutable min_r : int array;
   mutable cells : int;
-  mutable used : int array;  (* the first [n_used] are the non-empty buckets *)
-  mutable n_used : int;
+  mutable rlog : int array;
+  mutable n_reads : int;
+  mutable wcell : int array;
+  mutable wval : string array;
+  mutable n_writes : int;
+  mutable w_hi : int;  (* the write log's high-water mark in this batch *)
+  mutable kept : int;  (* the committed writes compacted to [0, kept) *)
+  mutable r_start : int array;
+  mutable w_start : int array;
+  mutable logic : bool array;
+  (* The running batch. *)
+  mutable store : Kvstore.t;
+  mutable serial : bool;
+      (* fallback lane: reads the transaction's own writes do not
+         satisfy go to the live store, not the pre-batch snapshot *)
+  mutable reads : int;
+  mutable writes : int;
+  mutable txn_w : int;  (* the running transaction's first write *)
+  (* A read-modify-write passes the same key string to [read] and
+     [write]; remembering the last key's cell saves the second hash. *)
+  mutable last_key : string;
+  mutable last : int;
 }
 
-let table_key =
-  Domain.DLS.new_key (fun () ->
-      { buckets = Array.make 64 nil; cells = 0; used = Array.make 64 0; n_used = 0 })
+(* Held between batches, so that the state keeps no caller's store. *)
+let no_store = Kvstore.create ()
 
-let note_used tbl i =
-  Array.unsafe_set tbl.used tbl.n_used i;
-  tbl.n_used <- tbl.n_used + 1
+let make () =
+  {
+    heads = Array.make 64 (-1); key = Array.make 128 ""; hash = Array.make 128 0;
+    next = Array.make 128 (-1); loaded = Array.make 128 false;
+    snapshot = Array.make 128 None; min_w = Array.make 128 max_int;
+    min_r = Array.make 128 max_int; cells = 0; rlog = Array.make 256 0; n_reads = 0;
+    wcell = Array.make 256 0; wval = Array.make 256 ""; n_writes = 0; w_hi = 0; kept = 0;
+    r_start = Array.make 64 0; w_start = Array.make 64 0; logic = Array.make 64 false;
+    store = no_store; serial = false; reads = 0; writes = 0; txn_w = 0; last_key = "";
+    last = -1;
+  }
 
-let resize tbl =
-  let b = Array.make (2 * Array.length tbl.buckets) nil in
-  let mask = Array.length b - 1 in
-  let rec move c =
-    if c != nil then begin
-      let next = c.next in
-      let j = c.hash land mask in
-      c.next <- Array.unsafe_get b j;
-      Array.unsafe_set b j c;
-      move next
-    end
-  in
-  Array.iter move tbl.buckets;
-  tbl.buckets <- b;
-  tbl.used <- Array.make (Array.length b) 0;
-  tbl.n_used <- 0;
-  Array.iteri (fun i c -> if c != nil then note_used tbl i) b
+let grown a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
-(* Unlinks a chain as it empties it: an outcome keeps the cells of its
-   committed writes, and a cell still chained to the rest of its bucket
-   would keep those alive too. A kept cell also drops its pre-batch
-   value, which the store has already replaced. *)
-let rec unlink c =
-  if c != nil then begin
-    let next = c.next in
-    c.next <- nil;
-    c.snapshot <- None;
-    unlink next
-  end
+let grow_cells t =
+  t.key <- grown t.key "";
+  t.hash <- grown t.hash 0;
+  t.next <- grown t.next (-1);
+  t.loaded <- grown t.loaded false;
+  t.snapshot <- grown t.snapshot None;
+  t.min_w <- grown t.min_w max_int;
+  t.min_r <- grown t.min_r max_int
 
-let clear tbl =
-  let b = tbl.buckets in
-  for k = 0 to tbl.n_used - 1 do
-    let i = Array.unsafe_get tbl.used k in
-    unlink (Array.unsafe_get b i);
-    Array.unsafe_set b i nil
+(* Doubles the buckets once the batch holds two cells per bucket, so
+   they grow to the largest batch's key count once instead of doubling
+   up from a small start in every batch. *)
+let rehash t =
+  let heads = Array.make (2 * Array.length t.heads) (-1) in
+  let mask = Array.length heads - 1 in
+  for c = 0 to t.cells - 1 do
+    let j = Array.unsafe_get t.hash c land mask in
+    Array.unsafe_set t.next c (Array.unsafe_get heads j);
+    Array.unsafe_set heads j c
   done;
-  tbl.n_used <- 0;
-  tbl.cells <- 0
+  t.heads <- heads
 
-let add tbl key h i =
-  let b = tbl.buckets in
-  let head = Array.unsafe_get b i in
-  if head == nil then note_used tbl i;
-  let c =
-    { key; hash = h; loaded = false; snapshot = None; min_w = max_int;
-      min_r = max_int; next = head }
-  in
-  Array.unsafe_set b i c;
-  tbl.cells <- tbl.cells + 1;
-  if tbl.cells > 2 * Array.length b then resize tbl;
+let add t k h i =
+  let c = t.cells in
+  if c = Array.length t.key then grow_cells t;
+  Array.unsafe_set t.key c k;
+  Array.unsafe_set t.hash c h;
+  Array.unsafe_set t.loaded c false;
+  Array.unsafe_set t.min_w c max_int;
+  Array.unsafe_set t.min_r c max_int;
+  Array.unsafe_set t.next c (Array.unsafe_get t.heads i);
+  Array.unsafe_set t.heads i c;
+  t.cells <- c + 1;
+  if t.cells > 2 * Array.length t.heads then rehash t;
   c
 
 (* Top-level loops, not local closures, which would be allocated on
    every call. *)
-let rec find tbl key h i c =
-  if c == nil then add tbl key h i
-  else if c.hash = h && String.equal c.key key then c
-  else find tbl key h i c.next
+let rec find t k h c =
+  if c < 0 || (Array.unsafe_get t.hash c = h && String.equal (Array.unsafe_get t.key c) k)
+  then c
+  else find t k h (Array.unsafe_get t.next c)
 
-let cell tbl key =
-  let h = Hashtbl.hash key in
-  let b = tbl.buckets in
-  let i = h land (Array.length b - 1) in
-  find tbl key h i (Array.unsafe_get b i)
+let cell t k =
+  let h = Hashtbl.hash k in
+  let i = h land (Array.length t.heads - 1) in
+  let c = find t k h (Array.unsafe_get t.heads i) in
+  if c >= 0 then c else add t k h i
+
+let lookup t k =
+  if k == t.last_key && t.last >= 0 then t.last
+  else begin
+    let c = cell t k in
+    t.last_key <- k;
+    t.last <- c;
+    c
+  end
 
 (* A read that the transaction's own writes do not satisfy sees the
    pre-batch store. The store is not written during phase 1, so the
    first such read of a key in the batch loads it (faulting in its
    initial value, exactly as a per-read [Kvstore.get] would) and the
    rest reuse it. *)
-let snapshot store c =
-  if not c.loaded then begin
-    c.snapshot <- Kvstore.get_hashed store c.key ~hash:c.hash;
-    c.loaded <- true
+let snapshot t c =
+  if not (Array.unsafe_get t.loaded c) then begin
+    Array.unsafe_set t.snapshot c
+      (Kvstore.get_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c));
+    Array.unsafe_set t.loaded c true
   end;
-  c.snapshot
+  Array.unsafe_get t.snapshot c
 
-(* A transaction's buffered writes, newest first: the head shadows the
-   tail. Every write is kept, duplicates included, because each one is
-   applied and reported by [effects]. *)
-type writes = Done | Write of { cell : cell; value : string; older : writes }
+(* The log index of the running transaction's newest write to cell
+   [c] at or below [i], or an index below [txn_w] if it wrote none:
+   newer writes shadow older ones. *)
+let rec own_write t c i =
+  if i < t.txn_w || Array.unsafe_get t.wcell i = c then i else own_write t c (i - 1)
 
-let rec own_write c = function
-  | Done -> None
-  | Write w -> if w.cell == c then Some w.value else own_write c w.older
+let log_read t c =
+  let n = t.n_reads in
+  if n = Array.length t.rlog then t.rlog <- grown t.rlog 0;
+  Array.unsafe_set t.rlog n c;
+  t.n_reads <- n + 1
 
-(* The write chains of the committed transactions, newest transaction
-   first. The batch's store mutation is read back from them on demand
-   instead of being copied out write by write. *)
-type applied = writes list
+let log_write t c v =
+  let n = t.n_writes in
+  if n = Array.length t.wcell then begin
+    t.wcell <- grown t.wcell 0;
+    t.wval <- grown t.wval ""
+  end;
+  Array.unsafe_set t.wcell n c;
+  Array.unsafe_set t.wval n v;
+  t.n_writes <- n + 1
+
+(* Built once per domain over its state. *)
+let context t =
+  {
+    Txn.read =
+      (fun k ->
+        t.reads <- t.reads + 1;
+        let c = lookup t k in
+        log_read t c;
+        let i = own_write t c (t.n_writes - 1) in
+        if i >= t.txn_w then Some (Array.unsafe_get t.wval i)
+        else if t.serial then
+          Kvstore.get_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c)
+        else snapshot t c);
+    write =
+      (fun k v ->
+        t.writes <- t.writes + 1;
+        log_write t (lookup t k) v);
+    abort = (fun () -> raise Txn.Logic_abort);
+  }
+
+let state_key =
+  Domain.DLS.new_key (fun () ->
+      let t = make () in
+      (t, context t))
+
+(* Runs [txn]'s body from an empty footprint and last-key cache; true
+   if it logic-aborted. A logic-aborted body's writes are dropped from
+   the log; the write log's high-water mark remembers their values
+   until the batch is emptied. *)
+let run_body t ctx txn =
+  let r0 = t.n_reads and w0 = t.n_writes in
+  t.txn_w <- w0;
+  t.last_key <- "";
+  t.last <- -1;
+  match txn.Txn.body ctx with
+  | () -> false
+  | exception Txn.Logic_abort ->
+      if t.n_writes > t.w_hi then t.w_hi <- t.n_writes;
+      t.n_reads <- r0;
+      t.n_writes <- w0;
+      true
+
+let ensure_pos t pos =
+  if pos + 1 >= Array.length t.r_start then begin
+    t.r_start <- grown t.r_start 0;
+    t.w_start <- grown t.w_start 0;
+    t.logic <- grown t.logic false
+  end
+
+(* Phase 1: every body runs against the snapshot, in batch order, and
+   a body that did not logic-abort reserves its writes and reads. Logic
+   aborts hold no reservations: their effects vanish. *)
+let rec run_parallel t ctx pos = function
+  | [] ->
+      Array.unsafe_set t.r_start pos t.n_reads;
+      Array.unsafe_set t.w_start pos t.n_writes
+  | txn :: rest ->
+      ensure_pos t pos;
+      let r0 = t.n_reads and w0 = t.n_writes in
+      Array.unsafe_set t.r_start pos r0;
+      Array.unsafe_set t.w_start pos w0;
+      let aborted = run_body t ctx txn in
+      Array.unsafe_set t.logic pos aborted;
+      if not aborted then begin
+        for i = w0 to t.n_writes - 1 do
+          let c = Array.unsafe_get t.wcell i in
+          if pos < Array.unsafe_get t.min_w c then Array.unsafe_set t.min_w c pos
+        done;
+        for i = r0 to t.n_reads - 1 do
+          let c = Array.unsafe_get t.rlog i in
+          if pos < Array.unsafe_get t.min_r c then Array.unsafe_set t.min_r c pos
+        done
+      end;
+      run_parallel t ctx (pos + 1) rest
+
+(* The three conflict tests, over a footprint range [i, j). *)
+let rec waw t pos i j =
+  i < j && (Array.unsafe_get t.min_w (Array.unsafe_get t.wcell i) < pos || waw t pos (i + 1) j)
+
+let rec war t pos i j =
+  i < j && (Array.unsafe_get t.min_r (Array.unsafe_get t.wcell i) < pos || war t pos (i + 1) j)
+
+let rec raw t pos i j =
+  i < j && (Array.unsafe_get t.min_w (Array.unsafe_get t.rlog i) < pos || raw t pos (i + 1) j)
+
+(* Applies writes [w0, w1) to the store oldest first, so the newest
+   write to a key lands last, and moves them down to the end of the
+   committed prefix of the write log. The ranges of later positions
+   start at or above [w1], so the move never overwrites them. *)
+let commit t w0 w1 =
+  let kept = t.kept in
+  for i = w0 to w1 - 1 do
+    let c = Array.unsafe_get t.wcell i and v = Array.unsafe_get t.wval i in
+    Kvstore.put_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c) v;
+    Array.unsafe_set t.wcell (kept + i - w0) c;
+    Array.unsafe_set t.wval (kept + i - w0) v
+  done;
+  t.kept <- kept + w1 - w0
+
+(* Phase 2, in batch order: standard rule or deterministic reordering. *)
+let rec validate t reorder pos txns committed conflicted logic =
+  match txns with
+  | [] -> ()
+  | txn :: rest ->
+      if Array.unsafe_get t.logic pos then logic := txn :: !logic
+      else begin
+        let r0 = Array.unsafe_get t.r_start pos and r1 = Array.unsafe_get t.r_start (pos + 1) in
+        let w0 = Array.unsafe_get t.w_start pos and w1 = Array.unsafe_get t.w_start (pos + 1) in
+        let abort =
+          waw t pos w0 w1
+          || if reorder then raw t pos r0 r1 && war t pos w0 w1 else raw t pos r0 r1
+        in
+        if abort then conflicted := txn :: !conflicted
+        else begin
+          committed := txn :: !committed;
+          commit t w0 w1
+        end
+      end;
+      validate t reorder (pos + 1) rest committed conflicted logic
+
+(* Aria's fallback lane: serial execution with immediate visibility;
+   deterministic because the order is the list order. Its writes follow
+   the committed prefix of the write log; it keeps no read log. *)
+let run_fallback t ctx txns committed logic =
+  t.serial <- true;
+  if t.n_writes > t.w_hi then t.w_hi <- t.n_writes;
+  t.n_writes <- t.kept;
+  List.iter
+    (fun (txn : Txn.t) ->
+      t.n_reads <- 0;
+      if run_body t ctx txn then logic := txn :: !logic
+      else begin
+        commit t t.txn_w t.n_writes;
+        committed := txn :: !committed
+      end)
+    txns
+
+(* The committed writes, in application order, copied out of the write
+   log once per batch. *)
+type applied = { keys : string array; vals : string array }
 
 type outcome = {
   committed : Txn.t list;
@@ -142,186 +318,67 @@ type outcome = {
   applied : applied;
 }
 
-(* Footprints are kept as prepend-only lists (reads newest first, with
-   repeats), not per-transaction hash tables: the workloads touch a
-   handful of keys per transaction (YCSB: one; TPC-C: tens), so a
-   linear scan by cell identity beats a table and allocates less. *)
-type exec_record = {
-  txn : Txn.t;
-  pos : int;
-  reads_l : cell list;
-  writes_l : writes;
-  logic_abort : bool;
-}
-
-(* The batch is also the one execution context: the [Txn.ctx] closures
-   are built once per batch over it, and [run_body] resets the running
-   transaction's footprint and last-key cache before each body runs. *)
-type batch = {
-  store : Kvstore.t;
-  tbl : table;
-  mutable reads : int;
-  mutable writes : int;
-  mutable serial : bool;
-      (* fallback lane: reads the transaction's own writes do not
-         satisfy go to the live store, not the pre-batch snapshot *)
-  mutable txn_reads : cell list;  (* the running transaction's footprint *)
-  mutable txn_writes : writes;
-  (* A read-modify-write passes the same key string to [read] and
-     [write]; remembering the last key's cell saves the second hash. *)
-  mutable last_key : string;
-  mutable last : cell;
-  mutable applied : applied;
-}
-
-let lookup b k =
-  if k == b.last_key && b.last != nil then b.last
-  else begin
-    let c = cell b.tbl k in
-    b.last_key <- k;
-    b.last <- c;
-    c
-  end
-
-let context b =
-  {
-    Txn.read =
-      (fun k ->
-        b.reads <- b.reads + 1;
-        let c = lookup b k in
-        b.txn_reads <- c :: b.txn_reads;
-        match own_write c b.txn_writes with
-        | Some _ as v -> v
-        | None ->
-            if b.serial then Kvstore.get_hashed b.store c.key ~hash:c.hash
-            else snapshot b.store c);
-    write =
-      (fun k v ->
-        b.writes <- b.writes + 1;
-        b.txn_writes <- Write { cell = lookup b k; value = v; older = b.txn_writes });
-    abort = (fun () -> raise Txn.Logic_abort);
-  }
-
-(* Runs [txn]'s body over the batch's context, from an empty footprint
-   and last-key cache; true if it logic-aborted. *)
-let run_body b ctx txn =
-  b.txn_reads <- [];
-  b.txn_writes <- Done;
-  b.last_key <- "";
-  b.last <- nil;
-  try txn.Txn.body ctx; false with Txn.Logic_abort -> true
-
-(* Reservation and the three conflict tests, over cells only. *)
-let rec reserve_writes pos = function
-  | Done -> ()
-  | Write w ->
-      if pos < w.cell.min_w then w.cell.min_w <- pos;
-      reserve_writes pos w.older
-
-let rec reserve_reads pos = function
-  | [] -> ()
-  | c :: rest ->
-      if pos < c.min_r then c.min_r <- pos;
-      reserve_reads pos rest
-
-let rec waw pos = function
-  | Done -> false
-  | Write w -> w.cell.min_w < pos || waw pos w.older
-
-let rec war pos = function
-  | Done -> false
-  | Write w -> w.cell.min_r < pos || war pos w.older
-
-let rec raw pos = function [] -> false | c :: rest -> c.min_w < pos || raw pos rest
-
-let run_one b ctx pos txn =
-  let logic_abort = run_body b ctx txn in
-  (* Logic aborts hold no reservations: their effects vanish. *)
-  if not logic_abort then begin
-    reserve_writes pos b.txn_writes;
-    reserve_reads pos b.txn_reads
-  end;
-  { txn; pos; reads_l = b.txn_reads; writes_l = b.txn_writes; logic_abort }
-
-(* Apply oldest-first so the newest write to a key lands last. The
-   recursion depth is the transaction's write count — tens at most. *)
-let rec apply_writes store = function
-  | Done -> ()
-  | Write w ->
-      apply_writes store w.older;
-      Kvstore.put_hashed store w.cell.key ~hash:w.cell.hash w.value
-
-let commit b chain =
-  apply_writes b.store chain;
-  b.applied <- chain :: b.applied
-
-(* Aria's fallback lane: serial execution with immediate visibility;
-   deterministic because the order is the list order. *)
-let run_fallback b ctx txns committed logic =
-  b.serial <- true;
-  List.iter
-    (fun (txn : Txn.t) ->
-      if run_body b ctx txn then logic := txn :: !logic
-      else begin
-        commit b b.txn_writes;
-        committed := txn :: !committed
-      end)
-    txns
-
-let run_batch b reorder fallback txns =
-  let ctx = context b in
-  let records = List.mapi (fun pos txn -> run_one b ctx pos txn) txns in
+let run_batch t ctx reorder fallback txns =
+  run_parallel t ctx 0 txns;
   let committed = ref [] and conflicted = ref [] and logic = ref [] in
-  List.iter
-    (fun r ->
-      if r.logic_abort then logic := r.txn :: !logic
-      else begin
-        let pos = r.pos in
-        let abort =
-          waw pos r.writes_l
-          ||
-          if reorder then raw pos r.reads_l && war pos r.writes_l
-          else raw pos r.reads_l
-        in
-        if abort then conflicted := r.txn :: !conflicted
-        else begin
-          committed := r.txn :: !committed;
-          commit b r.writes_l
-        end
-      end)
-    records;
-  run_fallback b ctx fallback committed logic;
+  validate t reorder 0 txns committed conflicted logic;
+  run_fallback t ctx fallback committed logic;
+  let n = t.kept in
+  let keys = Array.make n "" in
+  for i = 0 to n - 1 do
+    Array.unsafe_set keys i (Array.unsafe_get t.key (Array.unsafe_get t.wcell i))
+  done;
   {
     committed = List.rev !committed;
     conflicted = List.rev !conflicted;
     logic_aborted = List.rev !logic;
-    reads = b.reads;
-    writes = b.writes;
-    applied = b.applied;
+    reads = t.reads;
+    writes = t.writes;
+    applied = { keys; vals = Array.sub t.wval 0 n };
   }
 
+(* Empties the state for the next batch, visiting only the cells and
+   write-log slots this batch used. The key, pre-batch value and
+   written value slots are reset too, so no string outlives its batch
+   here. *)
+let clear t =
+  let mask = Array.length t.heads - 1 in
+  for c = 0 to t.cells - 1 do
+    Array.unsafe_set t.heads (Array.unsafe_get t.hash c land mask) (-1);
+    Array.unsafe_set t.key c "";
+    Array.unsafe_set t.snapshot c None
+  done;
+  Array.fill t.wval 0 (max t.w_hi t.n_writes) "";
+  t.cells <- 0;
+  t.n_reads <- 0;
+  t.n_writes <- 0;
+  t.w_hi <- 0;
+  t.kept <- 0;
+  t.store <- no_store;
+  t.serial <- false;
+  t.reads <- 0;
+  t.writes <- 0;
+  t.txn_w <- 0;
+  t.last_key <- "";
+  t.last <- -1
+
 let execute_batch ?(reorder = true) ?(fallback = []) store txns =
-  let tbl = Domain.DLS.get table_key in
-  let b =
-    { store; tbl; reads = 0; writes = 0; serial = false; txn_reads = [];
-      txn_writes = Done; last_key = ""; last = nil; applied = [] }
-  in
-  match run_batch b reorder fallback txns with
-  | o -> clear tbl; o
+  let t, ctx = Domain.DLS.get state_key in
+  t.store <- store;
+  match run_batch t ctx reorder fallback txns with
+  | o -> clear t; o
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
-      clear tbl;
+      clear t;
       Printexc.raise_with_backtrace e bt
 
-(* Chains are newest transaction first and each chain newest write
-   first, so consing while walking both yields application order. *)
-let rec effects_of acc = function
-  | Done -> acc
-  | Write w -> effects_of ((w.cell.key, w.value) :: acc) w.older
+let effects (o : outcome) =
+  let { keys; vals } = o.applied in
+  let rec from i acc = if i < 0 then acc else from (i - 1) ((keys.(i), vals.(i)) :: acc) in
+  from (Array.length keys - 1) []
 
-let effects (o : outcome) = List.fold_left effects_of [] o.applied
-
-let without_writes (o : outcome) = { o with applied = [] }
+let no_writes = { keys = [||]; vals = [||] }
+let without_writes (o : outcome) = { o with applied = no_writes }
 
 let commit_rate o =
   let c = List.length o.committed and a = List.length o.conflicted in

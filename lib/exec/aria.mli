@@ -18,31 +18,38 @@
     aborts (e.g. TPC-C's 1 % invalid-item rollback, SmallBank overdraft
     refusals) are final.
 
-    Layout: a batch keeps one cell per distinct key in a batch table,
-    so each read or write hashes its key once (and a write to the key
-    the transaction just read, not at all). A cell holds the key's
-    pre-batch value, loaded from the store at most once per batch and
-    only by a read that the reader's own writes do not satisfy, so the
-    store faults in exactly the keys a per-read lookup would; and the
-    key's two reservations, the smallest positions of a non-aborted
-    writer and reader. Transactions buffer their reads and writes as
-    cells; reservation and validation walk those lists and hash
-    nothing. Committed writes reach the store through
+    Layout: execution state is kept per domain in flat arrays that
+    every batch reuses, so the executor allocates no cell record per
+    key, list cell per read or chain node per write. A cell, one per distinct key the batch touches, is
+    an int index into arrays of keys, hashes, bucket-chain links,
+    pre-batch values and reservations; each read or write hashes its
+    key once into int bucket heads (and a write to the key the
+    transaction just read, not at all). A cell's pre-batch value is
+    loaded from the store at most once per batch and only by a read
+    that the reader's own writes do not satisfy, so the store faults in
+    exactly the keys a per-read lookup would. Its reservations are the
+    smallest positions of a non-aborted writer and reader. A
+    transaction's reads and writes are ranges of two batch logs (cell
+    ids for reads; cell id and value for writes), found by its batch
+    position; reservation, validation and commit walk those ranges and
+    hash nothing. Committed writes reach the store through
     {!Kvstore.put_hashed}. The fallback lane runs against the store
-    directly.
+    directly, through the same state.
 
-    The batch table is kept per domain and emptied at the end of every
-    batch (also when a body raises), so its bucket array is sized once
-    by the largest batch rather than regrown in each; emptying it visits
-    only the buckets the batch filled. A call is therefore not
-    re-entrant: a transaction body must not run [execute_batch] itself.
-    The outcome keeps the committed transactions' write chains, and
-    {!effects} reads the store mutation back from them on demand. *)
+    The state is emptied at the end of every batch (also when a body
+    raises) by visiting only the cells and log slots the batch used, so
+    clearing costs the batch, not the largest batch seen. Their key,
+    pre-batch value and written value slots are reset, so no string
+    outlives its batch there. A call is therefore not re-entrant: a
+    transaction body must not run [execute_batch] itself. The outcome
+    keeps the committed writes, copied once per batch into two arrays,
+    and {!effects} reads the store mutation back from them on demand. *)
 
 module Txn = Massbft_workload.Txn
 
 type applied
-(** The write chains of a batch's committed transactions. *)
+(** The writes of a batch's committed transactions, in application
+    order. *)
 
 type outcome = {
   committed : Txn.t list;  (** in batch order *)
@@ -70,15 +77,14 @@ val execute_batch :
 
 val effects : outcome -> (string * string) list
 (** Every store write the batch performed, in application order — the
-    batch's cumulative mutation of the store. Built on demand from the
-    committed transactions' write chains; nothing is copied while the
-    batch runs. *)
+    batch's cumulative mutation of the store. Built on demand from
+    the outcome's [applied] writes. *)
 
 val without_writes : outcome -> outcome
-(** [o] with no write chains: its {!effects} are empty. For a holder
-    that keeps [o] after its writes are applied (the engine's
-    execute-once memo), so that the chains and the key cells they point
-    to are not kept alive with it. *)
+(** [o] without its committed writes: its {!effects} are empty. For a
+    holder that keeps [o] after its writes are applied (the engine's
+    execute-once memo), so that the written keys and values are not
+    kept alive with it. *)
 
 val commit_rate : outcome -> float
 (** committed / (committed + conflicted), 1.0 for empty batches. *)

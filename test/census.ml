@@ -84,6 +84,14 @@ let holders (c : N.t) ~executed =
           h_entries = executed;
         })
       (Array.to_list c.N.leaders)
+  @ List.map
+      (fun (l : N.leader) ->
+        {
+          h_name = Printf.sprintf "accept notes of leader %d" l.N.l_gid;
+          h_words = words l.N.l_accept_notes;
+          h_entries = executed;
+        })
+      (Array.to_list c.N.leaders)
   @ List.filter_map
       (fun (node : N.node) ->
         Option.map
@@ -112,9 +120,9 @@ let take (c : N.t) =
         ("done bits", words (per_node c (fun n -> n.N.n_rebuilt)));
         ("entry registry", words c.N.entries);
         ("VTS marks", words (per_leader c (fun l -> l.N.l_ts)));
-        (* Per-entry leader tables that nothing prunes: reported, not
-           bounded (ROADMAP, "Known unbounded holders"). *)
         ("accept notes", words (per_leader c (fun l -> l.N.l_accept_notes)));
+        (* Per-entry leader tables that nothing prunes: reported, not
+           bounded (ROADMAP, "One retirement point per entry"). *)
         ("receive notes", words (per_leader c (fun l -> l.N.l_recv_notes)));
         ("Steward proposals", words (per_leader c (fun l -> l.N.l_steward_proposed)));
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));

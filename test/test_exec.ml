@@ -259,7 +259,7 @@ let test_aria_logic_abort_holds_no_reservation () =
   check_int "t2 commits despite t1's write" 1 (List.length o.Aria.committed);
   check_bool "good value stored" true (Kvstore.get s "k" = Some "good")
 
-(* Aria builds one context per batch and resets the running
+(* Aria builds one context per domain and resets the running
    transaction's footprint and last-key cache before each body. A
    logic-aborted writer of [k] must leave nothing behind for the next
    transaction, which reads [k] through the same key string: not its
@@ -308,7 +308,7 @@ let test_aria_context_reset_per_txn () =
   run ~fallback_lane:false;
   run ~fallback_lane:true
 
-(* A body that raises leaves the batch table empty for the next batch,
+(* A body that raises leaves the execution state empty for the next batch,
    and the exception reaches the caller with the backtrace of the body's
    raise, not one starting in [Aria]. *)
 exception Body_failed
@@ -339,6 +339,36 @@ let test_aria_body_exception () =
      reader at position 1 under the standard (non-reordering) rule. *)
   let o = Aria.execute_batch ~reorder:false s [ write_txn "b" "1"; read_txn "a" ] in
   check_int "both commit on an empty table" 2 (List.length o.Aria.committed)
+
+(* The per-domain state keeps no string past its batch. Once a batch
+   has returned and its outcome is dropped, a full major collection
+   frees a key that only a cell held (the store's init leaves it absent,
+   so the store does not keep it) and a conflicted transaction's written
+   value, which only the write log held. *)
+let held = Weak.create 2
+
+let run_and_drop_batch () =
+  let fresh s = Bytes.to_string (Bytes.of_string s) in
+  let reader =
+    mk (fun ctx ->
+        let k = fresh "absent" in
+        Weak.set held 0 (Some k);
+        ignore (ctx.Txn.read k))
+  in
+  let loser =
+    mk (fun ctx ->
+        let v = fresh "lost" in
+        Weak.set held 1 (Some v);
+        ctx.Txn.write "w" v)
+  in
+  let o = Aria.execute_batch (Kvstore.create ()) [ write_txn "w" "first"; reader; loser ] in
+  check_int "the second writer of w conflicts" 1 (List.length o.Aria.conflicted)
+
+let test_aria_holds_nothing_past_batch () =
+  run_and_drop_batch ();
+  Gc.full_major ();
+  check_bool "the absent key is collected" false (Weak.check held 0);
+  check_bool "the conflicted value is collected" false (Weak.check held 1)
 
 let test_aria_determinism () =
   (* Same batch against same state on two stores -> identical outcomes
@@ -640,11 +670,11 @@ let batch_words kind =
 
 let test_budget_tpcc () =
   check_budget "tpcc 500-txn batch, per txn" ~measured:(batch_words Workload.Tpcc)
-    ~budget:(419.524 *. 1.02)
+    ~budget:(141.866 *. 1.02)
 
 let test_budget_ycsb () =
   check_budget "ycsb-a 500-txn batch, per txn" ~measured:(batch_words Workload.Ycsb_a)
-    ~budget:(29.028 *. 1.02)
+    ~budget:(7.202 *. 1.02)
 
 (* A [for] loop, not [Array.iter]: its closure would be counted. *)
 let words_per_call f inputs =
@@ -751,6 +781,8 @@ let () =
           Alcotest.test_case "tpcc stream = oracle" `Quick test_aria_tpcc_matches_oracle;
           Alcotest.test_case "context reset per txn" `Quick test_aria_context_reset_per_txn;
           Alcotest.test_case "body exception" `Quick test_aria_body_exception;
+          Alcotest.test_case "nothing held past the batch" `Quick
+            test_aria_holds_nothing_past_batch;
         ] );
       ( "budget",
         [
