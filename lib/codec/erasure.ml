@@ -83,9 +83,16 @@ let codec_reconstruct c slots =
   | C8 rs -> Rs8.reconstruct rs slots
   | C16 rs -> Rs16.reconstruct rs slots
 
+(* Arithmetic only, with the checks [make_codec] makes in the same
+   order: sizing a chunk builds no codec and takes no lock. *)
 let chunk_size ~data ~parity ~entry_len =
-  let c = make_codec ~data ~parity in
-  codec_shard_size c (entry_len + header_len)
+  let symbol_bytes =
+    match field_for ~total:(data + parity) with
+    | Gf8 -> Field.Gf8.symbol_bytes
+    | Gf16 -> Field.Gf16.symbol_bytes
+  in
+  Reed_solomon.check_counts ~data ~parity;
+  Reed_solomon.shard_size ~data ~symbol_bytes (entry_len + header_len)
 
 let encode ~data ~parity entry =
   let c = make_codec ~data ~parity in

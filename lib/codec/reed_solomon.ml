@@ -1,3 +1,14 @@
+(* The geometry checks and shard sizing need no codec, so a caller can
+   size shards without building (and inverting) an encoding matrix. *)
+let check_counts ~data ~parity =
+  if data < 1 then invalid_arg "Reed_solomon.create: need >= 1 data shard";
+  if parity < 0 then invalid_arg "Reed_solomon.create: negative parity"
+
+let shard_size ~data ~symbol_bytes len =
+  if len < 0 then invalid_arg "Reed_solomon.shard_size_for: negative length";
+  let raw = Massbft_util.Intmath.cdiv (max len 1) data in
+  Massbft_util.Intmath.cdiv raw symbol_bytes * symbol_bytes
+
 module Make (F : Field.S) = struct
   module M = Matrix.Make (F)
 
@@ -19,8 +30,7 @@ module Make (F : Field.S) = struct
   let dec_cache_max = 256
 
   let create ~data ~parity =
-    if data < 1 then invalid_arg "Reed_solomon.create: need >= 1 data shard";
-    if parity < 0 then invalid_arg "Reed_solomon.create: negative parity";
+    check_counts ~data ~parity;
     if data + parity > F.order - 1 then
       invalid_arg "Reed_solomon.create: too many shards for the field";
     let total = data + parity in
@@ -46,11 +56,7 @@ module Make (F : Field.S) = struct
   let parity t = t.parity
   let total t = t.data + t.parity
 
-  let shard_size_for t len =
-    if len < 0 then invalid_arg "Reed_solomon.shard_size_for: negative length";
-    let raw = Massbft_util.Intmath.cdiv (max len 1) t.data in
-    let sym = F.symbol_bytes in
-    Massbft_util.Intmath.cdiv raw sym * sym
+  let shard_size_for t len = shard_size ~data:t.data ~symbol_bytes:F.symbol_bytes len
 
   let check_shards t shards =
     if Array.length shards <> t.data then

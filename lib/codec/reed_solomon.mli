@@ -12,6 +12,16 @@
     exactly why MassBFT layers Merkle-root bucket classification and
     certificate validation on top ({!Massbft.Rebuild}). *)
 
+val check_counts : data:int -> parity:int -> unit
+(** Raises [Invalid_argument] unless [data >= 1] and [parity >= 0]: the
+    checks {!Make.create} makes before the field's bound. *)
+
+val shard_size : data:int -> symbol_bytes:int -> int -> int
+(** [shard_size ~data ~symbol_bytes len] is what {!Make.shard_size_for}
+    returns for a [data]-shard codec over a field of [symbol_bytes]-byte
+    symbols, computed without one. Raises [Invalid_argument] if [len]
+    is negative. *)
+
 module Make (F : Field.S) : sig
   type t
 

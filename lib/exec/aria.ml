@@ -10,8 +10,12 @@ module Txn = Massbft_workload.Txn
    ends one), the pre-batch value (meaningful once [loaded]; loaded
    from the store at most once), and the key's two reservations, the
    smallest batch positions of a writer and of a reader that did not
-   logic-abort (max_int: none). [heads] holds each bucket's first cell.
-   A key is hashed once per operation, into these buckets. After
+   logic-abort (max_int: none). [slot] is where the store holds the key
+   (-1: not known yet), found by the cell's last store read or write
+   while the store had [cap] slots; the store never deletes, so the
+   slot holds while its capacity is unchanged, and commit writes
+   there without probing again. [heads] holds each bucket's first
+   cell. A key is hashed once per operation, into these buckets. After
    phase 1, reservation and validation only walk cell ids.
 
    A transaction's footprint is a range of each of two batch logs:
@@ -30,6 +34,8 @@ type t = {
   mutable snapshot : string option array;
   mutable min_w : int array;
   mutable min_r : int array;
+  mutable slot : int array;
+  mutable cap : int array;
   mutable cells : int;
   mutable rlog : int array;
   mutable n_reads : int;
@@ -63,7 +69,8 @@ let make () =
     heads = Array.make 64 (-1); key = Array.make 128 ""; hash = Array.make 128 0;
     next = Array.make 128 (-1); loaded = Array.make 128 false;
     snapshot = Array.make 128 None; min_w = Array.make 128 max_int;
-    min_r = Array.make 128 max_int; cells = 0; rlog = Array.make 256 0; n_reads = 0;
+    min_r = Array.make 128 max_int; slot = Array.make 128 (-1); cap = Array.make 128 0;
+    cells = 0; rlog = Array.make 256 0; n_reads = 0;
     wcell = Array.make 256 0; wval = Array.make 256 ""; n_writes = 0; w_hi = 0; kept = 0;
     r_start = Array.make 64 0; w_start = Array.make 64 0; logic = Array.make 64 false;
     store = no_store; serial = false; reads = 0; writes = 0; txn_w = 0; last_key = "";
@@ -82,7 +89,9 @@ let grow_cells t =
   t.loaded <- grown t.loaded false;
   t.snapshot <- grown t.snapshot None;
   t.min_w <- grown t.min_w max_int;
-  t.min_r <- grown t.min_r max_int
+  t.min_r <- grown t.min_r max_int;
+  t.slot <- grown t.slot (-1);
+  t.cap <- grown t.cap 0
 
 (* Doubles the buckets once the batch holds two cells per bucket, so
    they grow to the largest batch's key count once instead of doubling
@@ -105,6 +114,7 @@ let add t k h i =
   Array.unsafe_set t.loaded c false;
   Array.unsafe_set t.min_w c max_int;
   Array.unsafe_set t.min_r c max_int;
+  Array.unsafe_set t.slot c (-1);
   Array.unsafe_set t.next c (Array.unsafe_get t.heads i);
   Array.unsafe_set t.heads i c;
   t.cells <- c + 1;
@@ -133,6 +143,17 @@ let lookup t k =
     c
   end
 
+(* Notes where the store's latest access to cell [c]'s key found it. *)
+let found t c =
+  Array.unsafe_set t.slot c (Kvstore.last_slot t.store);
+  Array.unsafe_set t.cap c (Kvstore.capacity t.store)
+
+(* The store's value of cell [c]'s key, faulting in its initial value. *)
+let load t c =
+  let v = Kvstore.get_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c) in
+  found t c;
+  v
+
 (* A read that the transaction's own writes do not satisfy sees the
    pre-batch store. The store is not written during phase 1, so the
    first such read of a key in the batch loads it (faulting in its
@@ -140,8 +161,7 @@ let lookup t k =
    rest reuse it. *)
 let snapshot t c =
   if not (Array.unsafe_get t.loaded c) then begin
-    Array.unsafe_set t.snapshot c
-      (Kvstore.get_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c));
+    Array.unsafe_set t.snapshot c (load t c);
     Array.unsafe_set t.loaded c true
   end;
   Array.unsafe_get t.snapshot c
@@ -178,8 +198,7 @@ let context t =
         log_read t c;
         let i = own_write t c (t.n_writes - 1) in
         if i >= t.txn_w then Some (Array.unsafe_get t.wval i)
-        else if t.serial then
-          Kvstore.get_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c)
+        else if t.serial then load t c
         else snapshot t c);
     write =
       (fun k v ->
@@ -253,6 +272,18 @@ let rec war t pos i j =
 let rec raw t pos i j =
   i < j && (Array.unsafe_get t.min_w (Array.unsafe_get t.rlog i) < pos || raw t pos (i + 1) j)
 
+(* Writes [v] to cell [c]'s key: straight into the slot the cell last
+   found while the store has not grown since, else through a probe,
+   which finds (or binds) the slot anew. *)
+let store_write t c v =
+  let i = Array.unsafe_get t.slot c in
+  if i >= 0 && Array.unsafe_get t.cap c = Kvstore.capacity t.store then
+    Kvstore.set_slot t.store i v
+  else begin
+    Kvstore.put_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c) v;
+    found t c
+  end
+
 (* Applies writes [w0, w1) to the store oldest first, so the newest
    write to a key lands last, and moves them down to the end of the
    committed prefix of the write log. The ranges of later positions
@@ -261,7 +292,7 @@ let commit t w0 w1 =
   let kept = t.kept in
   for i = w0 to w1 - 1 do
     let c = Array.unsafe_get t.wcell i and v = Array.unsafe_get t.wval i in
-    Kvstore.put_hashed t.store (Array.unsafe_get t.key c) ~hash:(Array.unsafe_get t.hash c) v;
+    store_write t c v;
     Array.unsafe_set t.wcell (kept + i - w0) c;
     Array.unsafe_set t.wval (kept + i - w0) v
   done;

@@ -32,9 +32,10 @@
     transaction's reads and writes are ranges of two batch logs (cell
     ids for reads; cell id and value for writes), found by its batch
     position; reservation, validation and commit walk those ranges and
-    hash nothing. Committed writes reach the store through
-    {!Kvstore.put_hashed}. The fallback lane runs against the store
-    directly, through the same state.
+    hash nothing. Committed writes reach the store through the slot
+    where the cell's load found its key, or through
+    {!Kvstore.put_hashed} if the store has grown since. The fallback
+    lane runs against the store directly, through the same state.
 
     The state is emptied at the end of every batch (also when a body
     raises) by visiting only the cells and log slots the batch used, so

@@ -30,8 +30,24 @@ type t = {
       (* (index, count): post-reshard warehouse range; None = all *)
 }
 
+(* A NewOrder keeps its order lines from batch formation until every
+   leader has executed it, so each line is packed into one int: the
+   quantity (1..10) in the low [qty_bits], the supply warehouse in the
+   next [warehouse_bits], the item above them. *)
+let qty_bits = 4
+let warehouse_bits = 24
+let item_bits = 32
+
+let pack_line ~i ~w ~q = (((i lsl warehouse_bits) lor w) lsl qty_bits) lor q
+let line_qty l = l land ((1 lsl qty_bits) - 1)
+let line_warehouse l = (l lsr qty_bits) land ((1 lsl warehouse_bits) - 1)
+let line_item l = l lsr (qty_bits + warehouse_bits)
+
 let create cfg ~seed =
   if cfg.warehouses < 1 then invalid_arg "Tpcc.create: need >= 1 warehouse";
+  if cfg.warehouses >= 1 lsl warehouse_bits then
+    invalid_arg "Tpcc.create: warehouses must be below 2^24";
+  if cfg.items >= 1 lsl item_bits then invalid_arg "Tpcc.create: items must be below 2^32";
   let rng = Rng.create seed in
   {
     cfg;
@@ -127,7 +143,7 @@ let new_order t ~id =
   let ol_cnt = Rng.int_in t.rng ~lo:5 ~hi:15 in
   let invalid = Rng.int t.rng 100 < cfg.invalid_item_pct in
   let lines =
-    List.init ol_cnt (fun n ->
+    Array.init ol_cnt (fun _ ->
         let i = nurand t.rng ~a:8191 ~c:t.c_item ~lo:1 ~hi:cfg.items in
         (* 1 % of lines come from a remote warehouse. *)
         let supply_w =
@@ -136,7 +152,7 @@ let new_order t ~id =
           else w
         in
         let qty = Rng.int_in t.rng ~lo:1 ~hi:10 in
-        (n, i, supply_w, qty))
+        pack_line ~i ~w:supply_w ~q:qty)
   in
   Txn.make ~id ~label:"tpcc.neworder" ~wire_size:wire (fun ctx ->
       ignore (read_int ctx (warehouse_tax_key w));
@@ -148,19 +164,20 @@ let new_order t ~id =
       let o = read_int ctx oid_key in
       ctx.Txn.write oid_key (Txn.of_int (o + 1));
       ctx.Txn.write (order_key ~w ~d ~o)
-        (order_value ~c ~lines:(List.length lines));
-      List.iter
-        (fun (n, i, supply_w, qty) ->
-          let qty_key = stock_qty_key ~w:supply_w ~i in
-          let sq = read_int ctx qty_key in
-          let sq' = if sq - qty >= 10 then sq - qty else sq - qty + 91 in
-          ctx.Txn.write qty_key (Txn.of_int sq');
-          let ytd_key = stock_ytd_key ~w:supply_w ~i in
-          let ytd = read_int ctx ytd_key in
-          ctx.Txn.write ytd_key (Txn.of_int (ytd + qty));
-          ctx.Txn.write (order_line_key ~w ~d ~o ~n)
-            (order_line_value ~i ~w:supply_w ~q:qty))
-        lines;
+        (order_value ~c ~lines:(Array.length lines));
+      for n = 0 to Array.length lines - 1 do
+        let l = lines.(n) in
+        let i = line_item l and supply_w = line_warehouse l and qty = line_qty l in
+        let qty_key = stock_qty_key ~w:supply_w ~i in
+        let sq = read_int ctx qty_key in
+        let sq' = if sq - qty >= 10 then sq - qty else sq - qty + 91 in
+        ctx.Txn.write qty_key (Txn.of_int sq');
+        let ytd_key = stock_ytd_key ~w:supply_w ~i in
+        let ytd = read_int ctx ytd_key in
+        ctx.Txn.write ytd_key (Txn.of_int (ytd + qty));
+        ctx.Txn.write (order_line_key ~w ~d ~o ~n)
+          (order_line_value ~i ~w:supply_w ~q:qty)
+      done;
       (* Per spec, 1 % of NewOrders hit an unused item id and roll
          back. *)
       if invalid then ctx.Txn.abort ())

@@ -18,6 +18,9 @@ val default : config
 type t
 
 val create : config -> seed:int64 -> t
+(** Raises [Invalid_argument] unless [1 <= warehouses < 2^24] and
+    [items < 2^32]: a NewOrder packs each of its order lines (item,
+    supply warehouse, quantity) into one int. *)
 
 val next : t -> Txn.t
 (** Alternating draw of NewOrder / Payment (50/50), wire size 232 B as

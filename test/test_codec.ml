@@ -654,6 +654,50 @@ let test_erasure_chunk_size_uniform () =
   (* Total transferred = 13 * chunk; redundancy factor near 13/7. *)
   check_bool "chunks smaller than entry" true (size < 1000)
 
+(* [chunk_size] is arithmetic; the chunks [encode] produces, and the
+   codec it used to ask, are the reference. The grid spans both fields
+   (totals up to 430 shards) and lengths around the 8-byte frame
+   header; bad geometries must raise what building the codec raises. *)
+let test_erasure_chunk_size_arithmetic () =
+  let result f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+  let codec_size ~data ~parity =
+    match Erasure.field_for ~total:(data + parity) with
+    | Erasure.Gf8 -> Rs8.shard_size_for (Rs8.create ~data ~parity)
+    | Erasure.Gf16 -> Rs16.shard_size_for (Rs16.create ~data ~parity)
+  in
+  let fields = ref [] in
+  List.iter
+    (fun (data, parity) ->
+      fields := Erasure.field_for ~total:(data + parity) :: !fields;
+      let codec_size = codec_size ~data ~parity in
+      List.iter
+        (fun entry_len ->
+          let what = Printf.sprintf "%d+%d, %d bytes" data parity entry_len in
+          let size = Erasure.chunk_size ~data ~parity ~entry_len in
+          if entry_len >= 0 then
+            check_int what
+              (String.length (Erasure.encode ~data ~parity (String.make entry_len 'e')).(0))
+              size;
+          check_bool (what ^ " = codec") true
+            (result (fun () -> codec_size (entry_len + 8)) = Ok size))
+        [ -8; -1; 0; 1; 7; 8; 9; 255; 1000; 4099 ])
+    (List.concat_map
+       (fun data -> List.map (fun parity -> (data, parity)) [ 0; 1; 6; 130; 300 ])
+       [ 1; 2; 7; 60; 130 ]);
+  check_bool "both fields covered" true
+    (List.mem Erasure.Gf8 !fields && List.mem Erasure.Gf16 !fields);
+  List.iter
+    (fun (data, parity, entry_len) ->
+      let what = Printf.sprintf "%d+%d, %d bytes raises" data parity entry_len in
+      let got = result (fun () -> Erasure.chunk_size ~data ~parity ~entry_len) in
+      let want =
+        if entry_len < -8 then result (fun () -> codec_size ~data ~parity (entry_len + 8))
+        else result (fun () -> Array.length (Erasure.encode ~data ~parity "x"))
+      in
+      check_bool (what ^ " as before") true (Result.is_error got && got = want))
+    [ (0, 0, 10); (0, 5, 10); (-1, 3, 10); (5, -1, 10); (-3, 0, 10); (70_000, 0, 10);
+      (60_000, 6_000, 10); (0, 300, 10); (7, 6, -9); (7, 300, -100) ]
+
 let test_erasure_gf16_roundtrip () =
   (* data+parity > 255 forces the GF(2^16) path end-to-end. *)
   let entry = String.init 5000 (fun i -> Char.chr (i mod 251)) in
@@ -760,6 +804,7 @@ let () =
           Alcotest.test_case "empty entry" `Quick test_erasure_empty_entry;
           Alcotest.test_case "duplicate index rejected" `Quick test_erasure_duplicate_rejected;
           Alcotest.test_case "uniform chunk size" `Quick test_erasure_chunk_size_uniform;
+          Alcotest.test_case "chunk size by arithmetic" `Quick test_erasure_chunk_size_arithmetic;
           Alcotest.test_case "gf16 roundtrip (280 chunks)" `Slow test_erasure_gf16_roundtrip;
           qt prop_erasure_roundtrip;
           qt prop_erasure_corruption_changes_output;

@@ -90,9 +90,10 @@ module Model = struct
     Massbft_crypto.Sha256.digest_bytes acc
 end
 
-(* Groups of distinct keys with equal [Hashtbl.hash]: at every capacity
-   each group shares one home slot and one tag, so its keys sit in one
-   probe chain and can only be told apart by comparing key strings. *)
+(* Groups of distinct keys with equal 30-bit [Hashtbl.hash], found by
+   brute force: at every capacity each group shares one home slot and
+   one stamp, so its keys sit in one probe chain and can only be told
+   apart by comparing key strings. *)
 let colliding_keys =
   let by_hash = Hashtbl.create 65536 in
   for i = 0 to 199_999 do
@@ -127,25 +128,31 @@ let test_store_matches_model () =
     colliding_keys;
   let colliding = List.concat colliding_keys in
   List.iter check_key colliding;
-  let last_size = ref (Kvstore.size s) in
-  for step = 1 to 200_000 do
-    let k = "m" ^ string_of_int (Random.State.int rng 90_000) in
-    (match Random.State.int rng 3 with
+  let last_capacity = ref (Kvstore.capacity s) in
+  for step = 1 to 400_000 do
+    let k = "m" ^ string_of_int (Random.State.int rng 200_000) in
+    (match Random.State.int rng 6 with
      | 0 ->
          let v = string_of_int step in
          Kvstore.put s k v;
          Model.put m k v
+     | 1 ->
+         (* Write through the slot a read found, as Aria's commit does. *)
+         let v = string_of_int step in
+         (match Kvstore.get s k with
+          | Some _ -> Kvstore.set_slot s (Kvstore.last_slot s) v
+          | None -> Kvstore.put s k v);
+         ignore (Model.get m k);
+         Model.put m k v
      | _ -> check_key k);
-    let n = Kvstore.size s in
-    if n >= 2 * !last_size then begin
-      last_size := n;
+    if Kvstore.capacity s > !last_capacity then begin
+      last_capacity := Kvstore.capacity s;
       List.iter check_key colliding
     end
   done;
-  (* A 64-slot table at most 7/8 full has doubled ten times once it
-     holds more than 7/8 * 64 * 2^9 keys. *)
-  let n = Kvstore.size s in
-  check_bool (Printf.sprintf "%d keys: >= 10 doublings" n) true (8 * n > 7 * 64 * 512);
+  let doublings = ref 0 in
+  while 64 lsl !doublings < Kvstore.capacity s do incr doublings done;
+  check_bool (Printf.sprintf "%d doublings (>= 12)" !doublings) true (!doublings >= 12);
   check_all "after random ops";
   (* Outside the random key range, and odd: init says absent. *)
   let before = Kvstore.size s in
@@ -633,6 +640,51 @@ let test_aria_tpcc_matches_oracle () =
       fallback := n.Aria.conflicted)
     (List.init 20 (fun _ -> 500) @ [ 40; 1; 7; 120; 3 ])
 
+(* A TPC-C batch over a store one insert below its 7/8 threshold.
+   Every key the batch reads is faulted in first, so its reads insert
+   nothing and find slots at the old capacity; the batch's second new
+   row then grows the table during commit, and every later write must
+   find its key's slot again rather than write where the read found
+   it. *)
+let test_aria_commit_grows_store () =
+  let module Tpcc = Massbft_workload.Tpcc in
+  let cfg = { Tpcc.default with Tpcc.warehouses = 4 } in
+  let g = Tpcc.create cfg ~seed:99L in
+  let txs = List.init 500 (fun _ -> Tpcc.next g) in
+  let store () = Kvstore.create ~init:(Tpcc.preload cfg) () in
+  let s_new = store () and s_old = store () in
+  let fault_in s =
+    let ctx =
+      { Txn.read = Kvstore.get s; write = (fun _ _ -> ()); abort = (fun () -> raise Txn.Logic_abort) }
+    in
+    List.iter (fun (t : Txn.t) -> try t.Txn.body ctx with Txn.Logic_abort -> ()) txs
+  in
+  let fill s =
+    fault_in s;
+    let i = ref 0 in
+    while 8 * (Kvstore.size s + 2) <= 7 * Kvstore.capacity s do
+      Kvstore.put s ("filler/" ^ string_of_int !i) "0";
+      incr i
+    done
+  in
+  fill s_new;
+  fill s_old;
+  let size = Kvstore.size s_new and capacity = Kvstore.capacity s_new in
+  fault_in s_new;
+  check_int "the batch's reads fault in nothing more" size (Kvstore.size s_new);
+  check_bool "the second insert doubles the table" true
+    (8 * (size + 1) <= 7 * capacity && 8 * (size + 2) > 7 * capacity);
+  let n = Aria.execute_batch s_new txs in
+  let o = Aria_oracle.execute_batch s_old txs in
+  check_bool "the table doubled during the batch" true (Kvstore.capacity s_new > capacity);
+  let ids = List.map (fun (t : Txn.t) -> t.Txn.id) in
+  check_bool "committed" true (ids n.Aria.committed = ids o.Aria_oracle.committed);
+  check_bool "conflicted" true (ids n.Aria.conflicted = ids o.Aria_oracle.conflicted);
+  check_bool "effects" true (Aria.effects n = o.Aria_oracle.effects);
+  check_int "store size" (Kvstore.size s_old) (Kvstore.size s_new);
+  Alcotest.(check string)
+    "store fingerprint" (Kvstore.fingerprint s_old) (Kvstore.fingerprint s_new)
+
 (* ------------------------------------------------------------------ *)
 (* Allocation budget                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -670,7 +722,7 @@ let batch_words kind =
 
 let test_budget_tpcc () =
   check_budget "tpcc 500-txn batch, per txn" ~measured:(batch_words Workload.Tpcc)
-    ~budget:(141.866 *. 1.02)
+    ~budget:(137.866 *. 1.02)
 
 let test_budget_ycsb () =
   check_budget "ycsb-a 500-txn batch, per txn" ~measured:(batch_words Workload.Ycsb_a)
@@ -779,6 +831,7 @@ let () =
           Alcotest.test_case "fallback deterministic" `Quick test_fallback_deterministic_order;
           qt prop_aria_matches_oracle;
           Alcotest.test_case "tpcc stream = oracle" `Quick test_aria_tpcc_matches_oracle;
+          Alcotest.test_case "commit grows the store" `Quick test_aria_commit_grows_store;
           Alcotest.test_case "context reset per txn" `Quick test_aria_context_reset_per_txn;
           Alcotest.test_case "body exception" `Quick test_aria_body_exception;
           Alcotest.test_case "nothing held past the batch" `Quick

@@ -301,6 +301,47 @@ let test_tpcc_rollback_rate () =
     true
     (!aborts > 30 && !aborts < 90)
 
+(* A NewOrder packs each order line into one int, so [create] rejects a
+   warehouse or item count whose ids would not fit; at the largest that
+   fit, the lines a body writes still name the stock rows it updated. *)
+let test_tpcc_packed_line_range () =
+  let raises what cfg msg =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (Tpcc.create cfg ~seed:1L))
+  in
+  raises "2^24 warehouses" { small_tpcc with Tpcc.warehouses = 1 lsl 24 }
+    "Tpcc.create: warehouses must be below 2^24";
+  raises "2^32 items" { small_tpcc with Tpcc.items = 1 lsl 32 }
+    "Tpcc.create: items must be below 2^32";
+  let cfg = { small_tpcc with Tpcc.warehouses = (1 lsl 24) - 1; items = (1 lsl 32) - 1 } in
+  let g = Tpcc.create cfg ~seed:15L in
+  let top_item = ref 0 and top_w = ref 0 in
+  for _ = 1 to 50 do
+    let writes = Hashtbl.create 64 in
+    let ctx =
+      {
+        Txn.read = (fun _ -> None);
+        write = Hashtbl.replace writes;
+        abort = (fun () -> ());
+      }
+    in
+    (Tpcc.next_of g `New_order).Txn.body ctx;
+    Hashtbl.iter
+      (fun k v ->
+        if String.starts_with ~prefix:"tpcc/ol/" k then
+          Scanf.sscanf v "i=%d;w=%d;q=%d" (fun i w q ->
+              check_bool "item in range" true (i >= 1 && i <= cfg.Tpcc.items);
+              check_bool "warehouse in range" true (w >= 1 && w <= cfg.Tpcc.warehouses);
+              check_bool "quantity in range" true (q >= 1 && q <= 10);
+              check_bool "its stock row was written" true
+                (Hashtbl.mem writes (Tpcc.stock_qty_key ~w ~i)
+                && Hashtbl.mem writes (Tpcc.stock_ytd_key ~w ~i));
+              top_item := max !top_item i;
+              top_w := max !top_w w))
+      writes
+  done;
+  check_bool "items above 2^31 drawn" true (!top_item >= 1 lsl 31);
+  check_bool "warehouses above 2^23 drawn" true (!top_w >= 1 lsl 23)
+
 let test_tpcc_preload_defaults () =
   let init k = Tpcc.preload Tpcc.default k in
   check_bool "district oid starts at 1" true
@@ -510,5 +551,6 @@ let () =
           Alcotest.test_case "50/50 mix" `Quick test_tpcc_mix_is_half_half;
           Alcotest.test_case "rollback rate" `Quick test_tpcc_rollback_rate;
           Alcotest.test_case "preload defaults" `Quick test_tpcc_preload_defaults;
+          Alcotest.test_case "packed line range" `Quick test_tpcc_packed_line_range;
         ] );
     ]
