@@ -1,8 +1,8 @@
 (* Batching stage: client load generation, the 20 ms batch timer and
    the pipeline window. A leader forms a batch when its timer has
    fired ([l_batch_pending]), fewer than [pipeline] own entries are in
-   flight, and the ordering axis admits the next sequence number
-   ([admits]). *)
+   flight, and the leader's ordering state admits the next sequence
+   number ([admits]). *)
 
 open Node_ctx
 module Sha256 = Massbft_crypto.Sha256
@@ -89,21 +89,21 @@ let form_batch t (l : leader) =
 
 (* May the group propose sequence number [seq] yet? *)
 let admits t (l : leader) seq =
-  match t.ord with
-  | Config.Sync_rounds ->
+  match l.l_ord with
+  | Sync_rounds rs ->
       (* Round-based protocols propose exactly one entry per round: a
          group may run at most a pipeline's worth of rounds ahead of the
          slowest group (otherwise Figure 2's backlog grows without
          bound). *)
-      seq - l.l_next_round < t.cfg.Config.pipeline
-  | Config.Epoch_rounds k ->
+      seq - rs.next_round < t.cfg.Config.pipeline
+  | Epoch_rounds { k; rounds = rs } ->
       (* A proposal in epoch e requires every round of the preceding
          epochs (rounds 1 .. e*k) to have executed locally — the
          epoch-boundary synchronization that gives ISS its latency
          profile. *)
       let epoch = (seq - 1) / k in
-      epoch = 0 || l.l_next_round > epoch * k
-  | Config.Async_vts | Config.Global_log -> true
+      epoch = 0 || rs.next_round > epoch * k
+  | Async_vts _ | Global_log -> true
 
 let try_batch t (l : leader) =
   if

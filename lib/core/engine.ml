@@ -1,8 +1,9 @@
 (* The engine: a thin conductor over the stage modules.
 
    Construction derives the three Table II axes of [Config.system] once
-   into the context's [repl], [glob] and [ord] fields and wires the
-   stages: Local_consensus (per-group PBFT),
+   — replication into the context's [repl] field, global consensus and
+   ordering into each leader's [l_glob] and [l_ord] state — and wires
+   the stages: Local_consensus (per-group PBFT),
    Replication (dissemination + rebuild + fetch), Global_consensus
    (Raft with content-gated acks), Ordering (rounds / epochs / global
    log / VTS), Execution (Aria + ledger), Batcher (load + batching).
@@ -36,7 +37,7 @@ let dispatch t ~(src : Topology.addr) ~(dst : Topology.addr) m =
   | Accept_vote { inst; index } ->
       Global_consensus.handle_accept_vote t ~src ~dst ~inst ~index
   | Accept_note { eid } -> Global_consensus.handle_accept_note t ~src ~dst eid
-  | Recv_note { eid } -> Global_consensus.handle_recv_note t ~dst eid
+  | Recv_note { eid } -> Global_consensus.handle_recv_note t ~src ~dst eid
   | Fetch_req { eid } -> Replication.handle_fetch_req t node ~src eid
 
 (* Cross-stage reactions to content arriving at a leader, in a fixed
@@ -53,9 +54,11 @@ let leader_content t (l : leader) eid =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The leaders' Raft callbacks and orderers reach the context they are
+   part of; the lazy ties that knot, and nothing forces it before the
+   context is complete. *)
 let create sim topo cfg =
   let ng = Topology.n_groups topo in
-  let glob = Config.global_of cfg.Config.system in
   let shared_store =
     Kvstore.create
       ~init:(W.preload ~scale:cfg.Config.workload_scale cfg.Config.workload)
@@ -66,87 +69,98 @@ let create sim topo cfg =
         Array.init (Topology.group_size topo g) (fun n ->
             make_node ~ng { Topology.g; n }))
   in
-  let n_inst = Global_consensus.instances glob ~ng in
   let gens =
     W.create_streams ~scale:cfg.Config.workload_scale cfg.Config.workload
       ~seeds:(Array.init ng (fun g -> Int64.add cfg.Config.seed (Int64.of_int (g * 7919))))
   in
-  let leaders =
-    Array.init ng (fun g ->
-        {
-          l_gid = g;
-          l_addr = { Topology.g; n = 0 };
-          l_rafts = [||];
-          l_orderer = None;
-          l_ledger = Ledger.create ();
-          l_clk = 0;
-          l_clk_of = Array.make (max n_inst 1) 0;
-          l_retry = [];
-          l_gen = gens.(g);
-          l_in_flight = 0;
-          l_next_seq = 1;
-          l_batch_pending = false;
-          l_exec_q = Queue.create ();
-          l_exec_busy = false;
-          l_head_timer = None;
-          l_accept = Inttbl.create 32;
-          l_accept_notes = Entry_tbl.create 64;
-          l_ts = make_ts_marks ~n_inst:(max n_inst 1) ~ng;
-          l_last_heard = Array.make (max n_inst 1) 0.0;
-          l_waiting_content = Entry_tbl.create 64;
-          l_committed_unexec = Entry_tbl.create 64;
-          l_round_ready = Entry_tbl.create 64;
-          l_next_round = 1;
-          l_sweeping = false;
-          l_recv_notes = Entry_tbl.create 64;
-          l_steward_proposed = Entry_tbl.create 64;
-          l_fetching = Entry_tbl.create 16;
-          l_fetch_q = Queue.create ();
-          l_fetch_out = 0;
-          l_pending_conf = Queue.create ();
-          l_skip_commits_below = Array.make (max n_inst 1) 0;
-          l_stuck = Inttbl.create 8;
-          l_vc_target = 0;
-          l_stall_seq = 0;
-          l_stall_ticks = 0;
-        })
+  let rec ctx =
+    lazy
+      (let glob_state g =
+         match Config.global_of cfg.Config.system with
+         | Config.Per_group_raft ->
+             Per_group_raft (Global_consensus.install ctx ~ng ~gid:g ~n_inst:ng)
+         | Config.Single_raft ->
+             Single_raft
+               {
+                 raft = Global_consensus.install ctx ~ng ~gid:g ~n_inst:1;
+                 proposed = Entry_tbl.create 64;
+               }
+         | Config.Direct_broadcast -> Direct_broadcast { awaiting = Entry_tbl.create 64 }
+       in
+       let ord_state g =
+         match Config.ordering_of cfg.Config.system with
+         | Config.Sync_rounds -> Sync_rounds (make_rounds ())
+         | Config.Epoch_rounds k -> Epoch_rounds { k; rounds = make_rounds () }
+         | Config.Async_vts ->
+             Async_vts
+               {
+                 orderer =
+                   Orderer.create ~ng ~on_execute:(fun eid ->
+                       let t = Lazy.force ctx in
+                       Execution.enqueue t t.leaders.(g) eid);
+                 clk = 0;
+                 accept_notes = Entry_tbl.create 64;
+               }
+         | Config.Global_log -> Global_log
+       in
+       {
+         sim;
+         topo;
+         cfg;
+         ng;
+         nodes;
+         leaders =
+           Array.init ng (fun g ->
+               {
+                 l_gid = g;
+                 l_addr = { Topology.g; n = 0 };
+                 l_glob = glob_state g;
+                 l_ord = ord_state g;
+                 l_ledger = Ledger.create ();
+                 l_retry = [];
+                 l_gen = gens.(g);
+                 l_in_flight = 0;
+                 l_next_seq = 1;
+                 l_batch_pending = false;
+                 l_exec_q = Queue.create ();
+                 l_exec_busy = false;
+                 l_head_timer = None;
+                 l_waiting_content = Entry_tbl.create 64;
+                 l_committed_unexec = Entry_tbl.create 64;
+                 l_fetching = Entry_tbl.create 16;
+                 l_fetch_q = Queue.create ();
+                 l_fetch_out = 0;
+                 l_pending_conf = Queue.create ();
+                 l_vc_target = 0;
+                 l_stall_seq = 0;
+                 l_stall_ticks = 0;
+               });
+         entries = Entry_tbl.create 1024;
+         plans =
+           Array.init ng (fun s ->
+               Array.init ng (fun d ->
+                   plans_for ~n1:(Topology.group_size topo s)
+                     ~n2:(Topology.group_size topo d)));
+         metrics = Metrics.create ();
+         shared_store;
+         repl = Config.replication_of cfg.Config.system;
+         deliver = dispatch;
+         on_leader_content = leader_content;
+         started = false;
+         node_watch = false;
+         adv_hook = None;
+         trace = Trace.null;
+         active_n = Array.init ng (Topology.group_size topo);
+         g_member = Array.make ng true;
+         member_from = Array.make ng 0;
+         member_until = Array.make ng max_int;
+         reconfig_order = None;
+         reconfig_apply = None;
+         fetch_retries = 0;
+       })
   in
-  let t =
-    {
-      sim;
-      topo;
-      cfg;
-      ng;
-      nodes;
-      leaders;
-      entries = Entry_tbl.create 1024;
-      plans =
-        Array.init ng (fun s ->
-            Array.init ng (fun d ->
-                plans_for ~n1:(Topology.group_size topo s)
-                  ~n2:(Topology.group_size topo d)));
-      metrics = Metrics.create ();
-      shared_store;
-      repl = Config.replication_of cfg.Config.system;
-      glob;
-      ord = Config.ordering_of cfg.Config.system;
-      deliver = dispatch;
-      on_leader_content = leader_content;
-      started = false;
-      node_watch = false;
-      adv_hook = None;
-      trace = Trace.null;
-      active_n = Array.init ng (Topology.group_size topo);
-      g_member = Array.make ng true;
-      member_from = Array.make ng 0;
-      member_until = Array.make ng max_int;
-      reconfig_order = None;
-      reconfig_apply = None;
-      fetch_retries = 0;
-    }
-  in
+  let t = Lazy.force ctx in
   Local_consensus.install t;
-  Global_consensus.install t ~n_inst;
   t
 
 let set_trace t tr =
@@ -164,7 +178,11 @@ let set_trace t tr =
         group)
     t.nodes;
   Array.iter
-    (fun l -> Array.iteri (fun inst r -> Raft.set_trace r tr ~inst) l.l_rafts)
+    (fun l ->
+      match l.l_glob with
+      | Per_group_raft r | Single_raft { raft = r; _ } ->
+          Array.iteri (fun inst raft -> Raft.set_trace raft tr ~inst) r.rafts
+      | Direct_broadcast _ -> ())
     t.leaders
 
 (* Register every stage's instruments in the sampler. Purely read-only:
@@ -439,10 +457,15 @@ let group_size t g = Topology.group_size t.topo g
 let config t = t.cfg
 let acting_leader t ~gid = t.leaders.(gid).l_addr
 let executed_count t ~gid = Ledger.height t.leaders.(gid).l_ledger
-let raft_instances t = Array.length t.leaders.(0).l_rafts
+let raft_instances t =
+  match t.leaders.(0).l_glob with
+  | Per_group_raft r | Single_raft { raft = r; _ } -> Array.length r.rafts
+  | Direct_broadcast _ -> 0
 
 let raft_commit_index t ~gid ~inst =
-  Raft.commit_index t.leaders.(gid).l_rafts.(inst)
+  match t.leaders.(gid).l_glob with
+  | Per_group_raft r | Single_raft { raft = r; _ } -> Raft.commit_index r.rafts.(inst)
+  | Direct_broadcast _ -> invalid_arg "Engine.raft_commit_index: no Raft instances"
 
 let replica_decided t ~g ~n ~seq =
   match t.nodes.(g).(n).n_pbft with
@@ -466,60 +489,57 @@ let lan_bytes t = Topology.lan_bytes_sent t.topo
 
 let debug_dump t =
   let buf = Buffer.create 1024 in
+  let line fmt = Printf.bprintf buf fmt in
   Array.iter
     (fun l ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "leader g%d alive=%b in_flight=%d next_seq=%d clk=%d execq=%d executed=%d retry=%d waitc=%d acceptp=%d fetch=%d\n"
-           l.l_gid (alive t l.l_addr) l.l_in_flight l.l_next_seq l.l_clk
-           (Queue.length l.l_exec_q) (Ledger.height l.l_ledger) (List.length l.l_retry)
-           (Entry_tbl.length l.l_waiting_content)
-           (Inttbl.length l.l_accept)
-           (Entry_tbl.length l.l_fetching));
-      Buffer.add_string buf
-        (Printf.sprintf "  fetch: out=%d queued=%d\n" l.l_fetch_out
-           (Queue.length l.l_fetch_q));
-      Buffer.add_string buf
-        (Printf.sprintf "  wan backlog: leader=%.2fs last-node=%.2fs\n"
-           (Topology.wan_uplink_backlog_s t.topo l.l_addr)
-           (Topology.wan_uplink_backlog_s t.topo
-              { Topology.g = l.l_gid;
-                n = Topology.group_size t.topo l.l_gid - 1 }));
-      Array.iteri
-        (fun inst raft ->
-          let blocking =
-            match Raft.entry_at raft (Raft.commit_index raft + 1) with
-            | Some (Entry_meta { eid }) ->
-                "EM " ^ Types.entry_id_to_string eid
-            | Some (Ts { eid; ts }) ->
-                Printf.sprintf "Ts %s=%d" (Types.entry_id_to_string eid) ts
-            | Some Noop -> "noop"
-            | None -> "-"
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "  next-uncommitted: %s acks=[%s]\n" blocking
-               (String.concat ","
-                  (List.map string_of_int
-                     (Raft.acks_for raft (Raft.commit_index raft + 1)))));
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  inst %d: role=%s term=%d last=%d commit=%d clk_of=%d heard=%.2f\n"
-               inst
-               (match Raft.role raft with
-               | Raft.Leader -> "L"
-               | Raft.Follower -> "F"
-               | Raft.Candidate -> "C")
-               (Raft.term raft) (Raft.last_index raft) (Raft.commit_index raft)
-               l.l_clk_of.(inst) l.l_last_heard.(inst)))
-        l.l_rafts;
-      match l.l_orderer with
-      | Some o ->
+      line
+        "leader g%d alive=%b in_flight=%d next_seq=%d execq=%d executed=%d retry=%d waitc=%d fetch=%d\n"
+        l.l_gid (alive t l.l_addr) l.l_in_flight l.l_next_seq
+        (Queue.length l.l_exec_q) (Ledger.height l.l_ledger) (List.length l.l_retry)
+        (Entry_tbl.length l.l_waiting_content)
+        (Entry_tbl.length l.l_fetching);
+      line "  fetch: out=%d queued=%d\n" l.l_fetch_out (Queue.length l.l_fetch_q);
+      line "  wan backlog: leader=%.2fs last-node=%.2fs\n"
+        (Topology.wan_uplink_backlog_s t.topo l.l_addr)
+        (Topology.wan_uplink_backlog_s t.topo
+           { Topology.g = l.l_gid; n = Topology.group_size t.topo l.l_gid - 1 });
+      (match l.l_glob with
+      | Direct_broadcast _ -> ()
+      | Per_group_raft r | Single_raft { raft = r; _ } ->
+          line "  acceptp=%d\n" (Inttbl.length r.accept);
+          Array.iteri
+            (fun inst raft ->
+              let blocking =
+                match Raft.entry_at raft (Raft.commit_index raft + 1) with
+                | Some (Entry_meta { eid }) -> "EM " ^ Types.entry_id_to_string eid
+                | Some (Ts { eid; ts }) ->
+                    Printf.sprintf "Ts %s=%d" (Types.entry_id_to_string eid) ts
+                | Some Noop -> "noop"
+                | None -> "-"
+              in
+              line "  next-uncommitted: %s acks=[%s]\n" blocking
+                (String.concat ","
+                   (List.map string_of_int
+                      (Raft.acks_for raft (Raft.commit_index raft + 1))));
+              line "  inst %d: role=%s term=%d last=%d commit=%d%s heard=%.2f\n" inst
+                (match Raft.role raft with
+                | Raft.Leader -> "L"
+                | Raft.Follower -> "F"
+                | Raft.Candidate -> "C")
+                (Raft.term raft) (Raft.last_index raft) (Raft.commit_index raft)
+                (match l.l_ord with
+                | Async_vts _ -> Printf.sprintf " clk_of=%d" r.clk_of.(inst)
+                | Sync_rounds _ | Epoch_rounds _ | Global_log -> "")
+                r.last_heard.(inst))
+            r.rafts);
+      match l.l_ord with
+      | Async_vts v ->
+          line "  vts: clk=%d\n" v.clk;
           for g = 0 to t.ng - 1 do
-            Buffer.add_string buf
-              (Printf.sprintf "  head[%d] = %s %s\n" g
-                 (Types.entry_id_to_string (Orderer.head_of o g))
-                 (Format.asprintf "%a" Vts.pp (Orderer.head_vts o g)))
+            line "  head[%d] = %s %s\n" g
+              (Types.entry_id_to_string (Orderer.head_of v.orderer g))
+              (Format.asprintf "%a" Vts.pp (Orderer.head_vts v.orderer g))
           done
-      | None -> ())
+      | Sync_rounds _ | Epoch_rounds _ | Global_log -> ())
     t.leaders;
   Buffer.contents buf

@@ -1,9 +1,8 @@
 (* Global-consensus stage: the Raft adapter with content-gated acks
    (Lemma V.1) and the skip-prepare accept rounds they gate on, plus
    heartbeats/elections and log unwedging. The VTS stamping lane it
-   drives lives in Ordering. [instances], [start], [on_content],
-   [on_copy] and [on_leader_migrated] match on the global-consensus axis
-   (Table II):
+   drives lives in Ordering. Each handler matches on the leader's
+   global-consensus state (Table II's global-consensus axis):
 
    - [Per_group_raft]: one Raft instance per group, led by that group's
      leader; followers of an instance are the other groups' leaders
@@ -12,7 +11,7 @@
      entries are forwarded to G0 as full copies and proposed there.
    - [Direct_broadcast]: GeoBFT — no global consensus; content arrival
      at every group is the commitment event, credited back to the
-     proposer with Recv_notes. *)
+     proposer with Recv_notes, one per group its copy went to. *)
 
 open Node_ctx
 
@@ -36,7 +35,7 @@ let raft_msg_bytes t rmsg =
    votes (the skip-prepare variant of §V-B). The content-gated ack
    guards below drive it. *)
 
-let accept_round t (l : leader) ~inst ~index k =
+let accept_round t (l : leader) r ~inst ~index k =
   let quorum = Intmath.pbft_quorum (active_size t l.l_gid) in
   if quorum <= 1 then k ()
   else begin
@@ -44,7 +43,7 @@ let accept_round t (l : leader) ~inst ~index k =
        so duplicated deliveries cannot inflate the tally. *)
     let a_votes = Bitset.create () in
     Bitset.add a_votes l.l_addr.Topology.n;
-    Inttbl.replace l.l_accept (round_key t ~inst ~index) { a_votes; a_release = k };
+    Inttbl.replace r.accept (round_key t ~inst ~index) { a_votes; a_release = k };
     broadcast_group ~bulk:false t ~src:l.l_addr ~bytes:Types.vote_bytes
       (Accept_req { inst; index })
   end
@@ -55,66 +54,72 @@ let handle_accept_req t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~ind
     (Accept_vote { inst; index })
 
 let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
-  if is_acting_leader t dst then begin
-    let l = t.leaders.(dst.Topology.g) in
-    let key = round_key t ~inst ~index in
-    match Inttbl.find_opt l.l_accept key with
-    | None -> ()
-    | Some r ->
-        Bitset.add r.a_votes src.Topology.n;
-        let quorum = Intmath.pbft_quorum (active_size t dst.Topology.g) in
-        if Bitset.cardinal r.a_votes >= quorum then begin
-          Inttbl.remove l.l_accept key;
-          r.a_release ()
-        end
-  end
+  if is_acting_leader t dst then
+    match t.leaders.(dst.Topology.g).l_glob with
+    | Per_group_raft r | Single_raft { raft = r; _ } -> (
+        let key = round_key t ~inst ~index in
+        match Inttbl.find_opt r.accept key with
+        | None -> ()
+        | Some a ->
+            Bitset.add a.a_votes src.Topology.n;
+            let quorum = Intmath.pbft_quorum (active_size t dst.Topology.g) in
+            if Bitset.cardinal a.a_votes >= quorum then begin
+              Inttbl.remove r.accept key;
+              a.a_release ()
+            end)
+    | Direct_broadcast _ -> ()
 
 let handle_accept_note t ~(src : Topology.addr) ~(dst : Topology.addr) eid =
   if is_acting_leader t dst then begin
     let l = t.leaders.(dst.Topology.g) in
-    (* [assign_ts] never stamps our own group's entries nor one already
-       stamped here, so no note is kept for those; [assign_ts] drops
-       the notes of an entry it stamps. *)
-    if eid.Types.gid = l.l_gid || Ordering.stamped l eid then
-      Entry_tbl.remove l.l_accept_notes eid
-    else begin
-      let notes =
-        match Entry_tbl.find_opt l.l_accept_notes eid with
-        | Some r -> r
-        | None ->
-            let r = Bitset.create () in
-            Entry_tbl.replace l.l_accept_notes eid r;
-            r
-      in
-      (* Notes are a set of noting groups, so a duplicated or replayed
-         note cannot inflate the tally. *)
-      Bitset.add notes src.Topology.g;
-      (* f_g + 1 groups holding the entry imply it is replicated; the
-         proposer counts implicitly, so notes from f_g distinct groups
-         suffice for a slow receiver to stamp the entry without
-         holding it (§V-C). *)
-      if Bitset.cardinal notes >= max 1 (fg t) then Ordering.assign_ts t l eid
-    end
+    match (l.l_glob, l.l_ord) with
+    | (Per_group_raft r | Single_raft { raft = r; _ }), Async_vts v ->
+        (* [assign_ts] never stamps our own group's entries nor one
+           already stamped here, so no note is kept for those; it drops
+           the notes of an entry it stamps. *)
+        if eid.Types.gid = l.l_gid || Ordering.stamped l r eid then
+          Entry_tbl.remove v.accept_notes eid
+        else begin
+          let notes =
+            match Entry_tbl.find_opt v.accept_notes eid with
+            | Some n -> n
+            | None ->
+                let n = Bitset.create () in
+                Entry_tbl.replace v.accept_notes eid n;
+                n
+          in
+          (* Notes are a set of noting groups, so a duplicated or
+             replayed note cannot inflate the tally. *)
+          Bitset.add notes src.Topology.g;
+          (* f_g + 1 groups holding the entry imply it is replicated;
+             the proposer counts implicitly, so notes from f_g distinct
+             groups suffice for a slow receiver to stamp the entry
+             without holding it (§V-C). *)
+          if Bitset.cardinal notes >= max 1 (fg t) then Ordering.assign_ts l r eid
+        end
+    | (Per_group_raft _ | Single_raft _ | Direct_broadcast _),
+      (Sync_rounds _ | Epoch_rounds _ | Async_vts _ | Global_log) ->
+        ()
   end
 
 (* ------------------------------------------------------------------ *)
 (* Raft callbacks                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let on_raft_deliver t (l : leader) _inst payload =
+let on_raft_deliver t (l : leader) r payload =
   match payload with
   | Noop -> ()
   | Entry_meta { eid } ->
       (* Overlapped assignment (Fig. 7b): stamp on the propose message.
          The serial variant (Fig. 7a) waits for the entry's own commit
          (handled in on_raft_commit), costing one extra RTT. *)
-      if t.cfg.Config.overlapped_vts then Ordering.assign_ts t l eid
+      if t.cfg.Config.overlapped_vts then Ordering.assign_ts l r eid
   | Ts _ -> ()
 
 (* Content-gated acks: a follower acknowledges an Entry_meta only after
    holding the entry's content and passing a local accept round, and a
    Ts only for an entry it holds (Lemma V.1). *)
-let ack_guard t (l : leader) inst ~index payload release =
+let ack_guard t (l : leader) r inst ~index payload release =
   match payload with
   | Noop -> release ()
   | Entry_meta { eid } ->
@@ -128,7 +133,7 @@ let ack_guard t (l : leader) inst ~index payload release =
           in
           charge_cpu t l.l_addr cert_cost (fun () ->
               if alive t l.l_addr then
-                accept_round t l ~inst ~index
+                accept_round t l r ~inst ~index
                   (fun () ->
                     release ();
                     (* Slow-receiver support (§V-C): advertise the
@@ -136,45 +141,40 @@ let ack_guard t (l : leader) inst ~index payload release =
                        VTS-ordered system (MassBFT) runs this lane —
                        round-based systems synchronize through their
                        rounds instead. *)
-                    match t.ord with
-                    | Config.Async_vts ->
+                    match l.l_ord with
+                    | Async_vts _ ->
                         for j = 0 to t.ng - 1 do
                           if j <> l.l_gid && member_now t j then
                             send ~bulk:false t ~src:l.l_addr
                               ~dst:(leader_addr t j) ~bytes:Types.vote_bytes
                               (Accept_note { eid })
                         done
-                    | Config.Sync_rounds | Config.Epoch_rounds _
-                    | Config.Global_log ->
-                        ())))
+                    | Sync_rounds _ | Epoch_rounds _ | Global_log -> ())))
   | Ts { eid; _ } ->
       Replication.fetch_after_timeout t l eid;
       when_content t l eid release
 
-let on_raft_commit t (l : leader) inst payload =
+let on_raft_commit t (l : leader) r inst payload =
   match payload with
   | Noop -> ()
   | Entry_meta { eid } ->
       let e = entry_of t eid in
-      l.l_clk_of.(inst) <- eid.Types.seq;
+      r.clk_of.(inst) <- eid.Types.seq;
       Entry_tbl.replace l.l_committed_unexec eid ();
-      if not t.cfg.Config.overlapped_vts then Ordering.assign_ts t l eid;
+      if not t.cfg.Config.overlapped_vts then Ordering.assign_ts l r eid;
       Ordering.on_commit t l eid;
-      if eid.Types.gid = l.l_gid then begin
-        l.l_clk <- max l.l_clk eid.Types.seq;
-        (* A recovered leader may re-propose an in-flight entry that in
-           fact committed twice; account it once. *)
-        if e.committed_at = 0.0 then begin
-          e.committed_at <- now t;
-          trace_entry t e.eid "committed" ~node:0;
-          l.l_in_flight <- l.l_in_flight - 1;
-          Batcher.try_batch t l
-        end
+      (* A recovered leader may re-propose an in-flight entry that in
+         fact committed twice; account it once. *)
+      if eid.Types.gid = l.l_gid && e.committed_at = 0.0 then begin
+        e.committed_at <- now t;
+        trace_entry t e.eid "committed" ~node:0;
+        l.l_in_flight <- l.l_in_flight - 1;
+        Batcher.try_batch t l
       end;
-      Ordering.stamp_led_instances l eid
-  | Ts { eid; ts } -> Ordering.on_ts_commit l inst ~eid ~ts
+      Ordering.stamp_led_instances r eid
+  | Ts { eid; ts } -> Ordering.on_ts_commit l r inst ~eid ~ts
 
-let on_raft_role t (l : leader) inst role =
+let on_raft_role t (l : leader) r inst role =
   if role = Raft.Leader then begin
     if inst = l.l_gid then
       (* Transfer-back after recovery: in-flight entries whose proposals
@@ -183,10 +183,10 @@ let on_raft_role t (l : leader) inst role =
         let eid = { Types.gid = l.l_gid; seq } in
         match Entry_tbl.find_opt t.entries eid with
         | Some e when e.committed_at = 0.0 ->
-            ignore (Raft.propose l.l_rafts.(inst) (Entry_meta { eid }))
+            ignore (Raft.propose r.rafts.(inst) (Entry_meta { eid }))
         | _ -> ()
       done;
-    Ordering.stamp_committed_unexec l inst
+    Ordering.stamp_committed_unexec l r inst
   end
 
 (* A taken-over instance can inherit the dead leader's in-flight
@@ -196,7 +196,7 @@ let on_raft_role t (l : leader) inst role =
    never have committed anywhere (commitment needs a majority of
    content-holding groups), so after fetching from every group fails
    they are safely replaced with no-ops. *)
-let unwedge_check t (l : leader) inst raft =
+let unwedge_check t (l : leader) r inst raft =
   let idx = Raft.commit_index raft + 1 in
   if idx <= Raft.last_index raft then begin
     let blocked_eid =
@@ -210,17 +210,17 @@ let unwedge_check t (l : leader) inst raft =
     | Some eid ->
         let key = round_key t ~inst ~index:idx in
         let ticks =
-          match Inttbl.find_opt l.l_stuck key with
-          | Some r -> r
+          match Inttbl.find_opt r.stuck key with
+          | Some n -> n
           | None ->
-              let r = ref 0 in
-              Inttbl.replace l.l_stuck key r;
-              r
+              let n = ref 0 in
+              Inttbl.replace r.stuck key n;
+              n
         in
         incr ticks;
         if !ticks = 1 then Replication.want_fetch t l eid
         else if !ticks >= 4 then begin
-          Inttbl.remove l.l_stuck key;
+          Inttbl.remove r.stuck key;
           trace_entry t eid "unwedge_noop" ~gid:l.l_gid ~node:0
             ~args:[ ("inst", Trace.Int inst); ("index", Trace.Int idx) ];
           Raft.replace_uncommitted raft ~index:idx Noop
@@ -231,13 +231,51 @@ let unwedge_check t (l : leader) inst raft =
 (* Steward's single-log proposal path                                  *)
 (* ------------------------------------------------------------------ *)
 
-let steward_propose t (l : leader) e =
-  if not (Entry_tbl.mem l.l_steward_proposed e.eid) then begin
-    Entry_tbl.replace l.l_steward_proposed e.eid ();
+let steward_propose t (l : leader) r proposed e =
+  if not (Entry_tbl.mem proposed e.eid) then begin
+    Entry_tbl.replace proposed e.eid ();
     Replication.send_oneway_copies t l e ~skip:[ e.eid.Types.gid ];
-    if Raft.role l.l_rafts.(0) = Raft.Leader then
-      ignore (Raft.propose l.l_rafts.(0) (Entry_meta { eid = e.eid }))
+    if Raft.role r.rafts.(0) = Raft.Leader then
+      ignore (Raft.propose r.rafts.(0) (Entry_meta { eid = e.eid }))
   end
+
+(* ------------------------------------------------------------------ *)
+(* GeoBFT's receive notes                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Group [g] noted [eid] (or left the membership): clear its bit. The
+   last bit releases the entry's pipeline slot and drops the binding, so
+   a late or duplicated note finds nothing. The floor only matters after
+   a leader migration reset the window (an entry started before it
+   releases against the new window); fault-free runs never hit it. *)
+let clear_note t (l : leader) awaiting eid g =
+  match Entry_tbl.find_opt awaiting eid with
+  | None -> ()
+  | Some groups ->
+      Bitset.remove groups g;
+      if Bitset.cardinal groups = 0 then begin
+        Entry_tbl.remove awaiting eid;
+        if l.l_in_flight > 0 then l.l_in_flight <- l.l_in_flight - 1;
+        Batcher.try_batch t l
+      end
+
+let handle_recv_note t ~(src : Topology.addr) ~(dst : Topology.addr) eid =
+  if is_acting_leader t dst then
+    let l = t.leaders.(dst.Topology.g) in
+    match l.l_glob with
+    | Direct_broadcast { awaiting } -> clear_note t l awaiting eid src.Topology.g
+    | Per_group_raft _ | Single_raft _ -> ()
+
+let forget_group t g =
+  Array.iter
+    (fun l ->
+      match l.l_glob with
+      | Direct_broadcast { awaiting } ->
+          List.iter
+            (fun eid -> clear_note t l awaiting eid g)
+            (Entry_tbl.fold (fun eid _ acc -> eid :: acc) awaiting [])
+      | Per_group_raft _ | Single_raft _ -> ())
+    t.leaders
 
 (* ------------------------------------------------------------------ *)
 (* Message handlers                                                    *)
@@ -249,99 +287,50 @@ let handle_raft_m t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst rmsg =
      Raft logs: commits its instances processed before the cutover clone
      would be consumed exactly once and then wiped with the cloned
      state, silently losing them. After the epoch flip the anti-entropy
-     probes backfill everything, gated by [l_skip_commits_below]. *)
-  if is_acting_leader t dst && member_now t dst.Topology.g then begin
-    let l = t.leaders.(dst.Topology.g) in
-    if inst < Array.length l.l_last_heard then
-      l.l_last_heard.(inst) <- now t;
-    if inst < Array.length l.l_rafts then
-      Raft.handle l.l_rafts.(inst) ~from:src.Topology.g rmsg
-  end
-
-(* Recv_notes are only ever emitted under [Direct_broadcast], so no
-   configuration guard is needed here. *)
-let handle_recv_note t ~(dst : Topology.addr) eid =
-  if is_acting_leader t dst then begin
-    let l = t.leaders.(dst.Topology.g) in
-    if eid.Types.gid = l.l_gid then begin
-      let notes =
-        match Entry_tbl.find_opt l.l_recv_notes eid with
-        | Some r -> r
-        | None ->
-            let r = ref 0 in
-            Entry_tbl.replace l.l_recv_notes eid r;
-            r
-      in
-      incr notes;
-      (* Exactly-once on equality: duplicated deliveries (an injectable
-         fault) push the count past the threshold but can never make it
-         *equal* again, so the pipeline slot is released once. The
-         counter is kept (not removed) for the same reason. *)
-      if !notes = t.ng - 1 then begin
-        let e = entry_of t eid in
-        if e.committed_at = 0.0 then begin
-          e.committed_at <- now t;
-          trace_entry t eid "committed" ~node:0
-        end;
-        (* The floor only matters after a leader migration reset the
-           window (a straggler round completing against the new leader
-           must not inflate it); fault-free runs never hit it. *)
-        if l.l_in_flight > 0 then l.l_in_flight <- l.l_in_flight - 1;
-        Batcher.try_batch t l
-      end
-    end
-  end
+     probes backfill everything, gated by [skip_commits_below]. *)
+  if is_acting_leader t dst && member_now t dst.Topology.g then
+    match t.leaders.(dst.Topology.g).l_glob with
+    | Per_group_raft r | Single_raft { raft = r; _ } ->
+        if inst < Array.length r.rafts then begin
+          r.last_heard.(inst) <- now t;
+          Raft.handle r.rafts.(inst) ~from:src.Topology.g rmsg
+        end
+    | Direct_broadcast _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The global-consensus axis                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Raft instances per leader for [ng] groups. *)
-let instances glob ~ng =
-  match glob with
-  | Config.Per_group_raft -> ng
-  | Config.Single_raft -> 1
-  | Config.Direct_broadcast -> 0
-
 (* The proposer's leader starts the global phase of its decided entry. *)
 let start t (l : leader) e =
-  match t.glob with
-  | Config.Per_group_raft ->
+  match l.l_glob with
+  | Per_group_raft r ->
       Replication.on_global_start t l e;
-      if Raft.role l.l_rafts.(l.l_gid) = Raft.Leader then
-        ignore (Raft.propose l.l_rafts.(l.l_gid) (Entry_meta { eid = e.eid }))
-  | Config.Single_raft ->
-      if l.l_gid = 0 then steward_propose t l e
+      if Raft.role r.rafts.(l.l_gid) = Raft.Leader then
+        ignore (Raft.propose r.rafts.(l.l_gid) (Entry_meta { eid = e.eid }))
+  | Single_raft { raft; proposed } ->
+      if l.l_gid = 0 then steward_propose t l raft proposed e
       else
         (* Forward the certified entry to the global leader group. *)
         send ~bulk:true t ~src:l.l_addr ~dst:(leader_addr t 0)
           ~bytes:(copy_bytes t e.eid) (Copy { eid = e.eid })
-  | Config.Direct_broadcast ->
+  | Direct_broadcast { awaiting } ->
       Replication.send_oneway_copies t l e ~skip:[];
-      (* Under a reconfiguration some groups are dark: they receive no
-         copy, yet the commit threshold stays [ng - 1] notes. Credit the
-         missing notes up front so the exactly-once equality in
-         [handle_recv_note] still fires — the counter walks through
-         every value by +1 increments, so pre-crediting never skips the
-         threshold. Reconfig-free runs count no missing note. *)
-      (let missing = ref 0 in
-       for j = 0 to t.ng - 1 do
-         if j <> l.l_gid && not (member_now t j) then incr missing
-       done;
-       if !missing > 0 then begin
-         let notes =
-           match Entry_tbl.find_opt l.l_recv_notes e.eid with
-           | Some r -> r
-           | None ->
-               let r = ref 0 in
-               Entry_tbl.replace l.l_recv_notes e.eid r;
-               r
-         in
-         notes := !notes + !missing
-       end);
+      (* The slot is held until every group the copy went to — the
+         members other than us; a dark group gets none — notes it. *)
+      let first = e.committed_at = 0.0 in
+      if first then begin
+        let groups = Bitset.create () in
+        for j = 0 to t.ng - 1 do
+          if j <> l.l_gid && member_now t j then Bitset.add groups j
+        done;
+        Entry_tbl.replace awaiting e.eid groups;
+        (* A lone member group awaits nobody. *)
+        if Bitset.cardinal groups = 0 then clear_note t l awaiting e.eid l.l_gid
+      end;
       (* No global consensus: the entry is ready for ordering here. *)
       Ordering.mark_round_ready t l e.eid;
-      if e.committed_at = 0.0 then begin
+      if first then begin
         e.committed_at <- now t;
         trace_entry t e.eid "committed" ~node:0
       end
@@ -358,21 +347,22 @@ let credit_content t (l : leader) eid =
 (* Content arrived at a leader (part of the engine's on-leader-content
    composition). *)
 let on_content t (l : leader) eid =
-  match t.glob with
-  | Config.Direct_broadcast -> credit_content t l eid
-  | Config.Per_group_raft | Config.Single_raft -> ()
+  match l.l_glob with
+  | Direct_broadcast _ -> credit_content t l eid
+  | Per_group_raft _ | Single_raft _ -> ()
 
 (* A full copy brought a node new content: Steward's global leader
    proposes remote entries in its single log. *)
 let on_copy t (node : node) eid =
-  match t.glob with
-  | Config.Single_raft ->
+  let l = t.leaders.(0) in
+  match l.l_glob with
+  | Single_raft { raft; proposed } ->
       if
         is_acting_leader t node.n_addr
         && node.n_addr.Topology.g = 0
         && eid.Types.gid <> 0
-      then steward_propose t t.leaders.(0) (entry_of t eid)
-  | Config.Per_group_raft | Config.Direct_broadcast -> ()
+      then steward_propose t l raft proposed (entry_of t eid)
+  | Per_group_raft _ | Direct_broadcast _ -> ()
 
 (* The acting-leader role moved to [na] (the engine's migration).
    GeoBFT flow control: Recv_notes addressed to the dead leader are
@@ -381,10 +371,10 @@ let on_copy t (node : node) eid =
    rather than let stranded slots throttle the group forever —
    commitment itself was already stamped at send time. *)
 let on_leader_migrated t (l : leader) (na : Topology.addr) =
-  match t.glob with
-  | Config.Per_group_raft | Config.Single_raft -> ()
-  | Config.Direct_broadcast ->
-      Entry_tbl.reset l.l_recv_notes;
+  match l.l_glob with
+  | Per_group_raft _ | Single_raft _ -> ()
+  | Direct_broadcast { awaiting } ->
+      Entry_tbl.reset awaiting;
       l.l_in_flight <- 0;
       (* Remote content that reached this node (via the group's LAN
          forwarding) while it was a mere follower never saw the leader's
@@ -392,9 +382,8 @@ let on_leader_migrated t (l : leader) (na : Topology.addr) =
          was never credited, wedging the round barrier here and the
          proposer's window there. Run the reaction now for everything
          unprocessed — marking is idempotent and a duplicate Recv_note
-         can overshoot but never re-hit the exactly-once equality
-         threshold. Remote content is visited in ascending (group, seq)
-         order. *)
+         finds its group already cleared. Remote content is visited in
+         ascending (group, seq) order. *)
       Array.iteri
         (fun g seqs ->
           if g <> l.l_gid then
@@ -409,106 +398,129 @@ let on_leader_migrated t (l : leader) (na : Topology.addr) =
 (* Wiring                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Create the per-leader Raft instances (and, for VTS ordering, the
-   Orderer). Called once from [Engine.create]. *)
-let install t ~n_inst =
-  Array.iter
-    (fun l ->
-      l.l_rafts <-
-        Array.init n_inst (fun inst ->
-            Raft.create ~initial_leader:inst ~ng:t.ng ~me:l.l_gid
-              {
-                Raft.send =
-                  (fun dst_g rmsg ->
-                    send ~bulk:false t ~src:l.l_addr ~dst:(leader_addr t dst_g)
-                      ~bytes:(raft_msg_bytes t rmsg)
-                      (Raft_m { inst; rmsg }));
-                on_deliver = (fun ~index:_ p -> on_raft_deliver t l inst p);
-                on_commit =
-                  (fun ~index p ->
-                    (* Indices at or below the skip mark are history this
-                       leader already received via reconfiguration state
-                       transfer: the raft backfill replays them, but they
-                       must not re-execute. *)
-                    if index > l.l_skip_commits_below.(inst) then
-                      on_raft_commit t l inst p);
-                on_role = (fun role ~term:_ -> on_raft_role t l inst role);
-                ack_guard = (fun ~index p k -> ack_guard t l inst ~index p k);
-              });
-      match t.ord with
-      | Config.Async_vts ->
-          l.l_orderer <-
-            Some
-              (Orderer.create ~ng:t.ng ~on_execute:(fun eid ->
-                   Execution.enqueue t l eid))
-      | Config.Sync_rounds | Config.Epoch_rounds _ | Config.Global_log -> ())
-    t.leaders
+(* Group [gid]'s leader endpoints of [n_inst] Raft instances, built
+   inside [Engine.create]: the callbacks reach the context, the leader
+   and this state through their lazies, forced only once messages
+   flow. *)
+let install t_lazy ~ng ~gid ~n_inst =
+  let rec state =
+    lazy
+      {
+        rafts =
+          Array.init n_inst (fun inst ->
+              Raft.create ~initial_leader:inst ~ng ~me:gid
+                {
+                  Raft.send =
+                    (fun dst_g rmsg ->
+                      let t = Lazy.force t_lazy in
+                      send ~bulk:false t ~src:(leader_addr t gid)
+                        ~dst:(leader_addr t dst_g) ~bytes:(raft_msg_bytes t rmsg)
+                        (Raft_m { inst; rmsg }));
+                  on_deliver =
+                    (fun ~index:_ p ->
+                      let t = Lazy.force t_lazy in
+                      on_raft_deliver t t.leaders.(gid) (Lazy.force state) p);
+                  on_commit =
+                    (fun ~index p ->
+                      let t = Lazy.force t_lazy and r = Lazy.force state in
+                      (* Indices at or below the skip mark are history
+                         this leader already received via
+                         reconfiguration state transfer: the raft
+                         backfill replays them, but they must not
+                         re-execute. *)
+                      if index > r.skip_commits_below.(inst) then
+                        on_raft_commit t t.leaders.(gid) r inst p);
+                  on_role =
+                    (fun role ~term:_ ->
+                      let t = Lazy.force t_lazy in
+                      on_raft_role t t.leaders.(gid) (Lazy.force state) inst role);
+                  ack_guard =
+                    (fun ~index p k ->
+                      let t = Lazy.force t_lazy in
+                      ack_guard t t.leaders.(gid) (Lazy.force state) inst ~index p k);
+                });
+        last_heard = Array.make n_inst 0.0;
+        skip_commits_below = Array.make n_inst 0;
+        stuck = Inttbl.create 8;
+        accept = Inttbl.create 32;
+        ts =
+          Array.init n_inst (fun _ ->
+              Array.init ng (fun _ ->
+                  { ts_seen = Bitset.create (); ts_committed = Bitset.create () }));
+        clk_of = Array.make n_inst 0;
+      }
+  in
+  Lazy.force state
 
 (* Heartbeats + crash detection (only meaningful with global Raft).
    Called once from [Engine.start]. *)
 let start_heartbeats t =
-  if Array.length t.leaders.(0).l_rafts > 0 then begin
-    let period = t.cfg.Config.election_timeout_s /. 2.0 in
-    Array.iter
-      (fun l ->
-        (* Each leader's heartbeat chain is accounted to its group's
-           shard. *)
-        let lsim = sim_of t l.l_gid in
-        Array.iteri (fun i _ -> l.l_last_heard.(i) <- 0.0) l.l_last_heard;
-        let rec tick () =
-          Sim.after lsim period (fun () ->
-              (* A dark leader (provisioned but not yet a member, or
-                 already recovered for its catch-up transfer) neither
-                 probes nor campaigns: a stale-log election would only
-                 inflate terms and depose working leaders. Its
-                 [l_last_heard] is refreshed at the cutover clone. *)
-              if alive t l.l_addr && member_now t l.l_gid then begin
-                Array.iteri
-                  (fun inst raft ->
-                    if Raft.role raft = Raft.Leader then begin
-                      (* Anti-entropy probe: heartbeat + catch-up for
-                         lagging or recovered followers. *)
-                      Raft.heartbeat raft;
-                      unwedge_check t l inst raft
-                    end
-                    else begin
-                      let stagger =
-                        float_of_int ((l.l_gid - inst + t.ng) mod t.ng)
-                      in
-                      let deadline =
-                        t.cfg.Config.election_timeout_s
-                        *. (1.0 +. (0.5 *. stagger))
-                      in
-                      if now t -. l.l_last_heard.(inst) > deadline then begin
-                        l.l_last_heard.(inst) <- now t;
-                        Raft.start_election raft
+  let period = t.cfg.Config.election_timeout_s /. 2.0 in
+  Array.iter
+    (fun l ->
+      match l.l_glob with
+      | Direct_broadcast _ -> ()
+      | Per_group_raft r | Single_raft { raft = r; _ } ->
+          (* Each leader's heartbeat chain is accounted to its group's
+             shard. *)
+          let lsim = sim_of t l.l_gid in
+          Array.fill r.last_heard 0 (Array.length r.last_heard) 0.0;
+          let rec tick () =
+            Sim.after lsim period (fun () ->
+                (* A dark leader (provisioned but not yet a member, or
+                   already recovered for its catch-up transfer) neither
+                   probes nor campaigns: a stale-log election would only
+                   inflate terms and depose working leaders. Its
+                   [last_heard] is refreshed at the cutover clone. *)
+                if alive t l.l_addr && member_now t l.l_gid then begin
+                  Array.iteri
+                    (fun inst raft ->
+                      if Raft.role raft = Raft.Leader then begin
+                        (* Anti-entropy probe: heartbeat + catch-up for
+                           lagging or recovered followers. *)
+                        Raft.heartbeat raft;
+                        unwedge_check t l r inst raft
                       end
-                    end)
-                  l.l_rafts
-              end;
-              tick ())
-        in
-        tick ())
-      t.leaders
-  end
+                      else begin
+                        let stagger =
+                          float_of_int ((l.l_gid - inst + t.ng) mod t.ng)
+                        in
+                        let deadline =
+                          t.cfg.Config.election_timeout_s
+                          *. (1.0 +. (0.5 *. stagger))
+                        in
+                        if now t -. r.last_heard.(inst) > deadline then begin
+                          r.last_heard.(inst) <- now t;
+                          Raft.start_election raft
+                        end
+                      end)
+                    r.rafts
+                end;
+                tick ())
+          in
+          tick ())
+    t.leaders
 
 let observe (t : Node_ctx.t) sampler =
   Array.iter
     (fun l ->
-      Array.iteri
-        (fun inst r ->
-          let labels =
-            obs_group_labels l @ [ ("inst", string_of_int inst) ]
-          in
-          Massbft_obs.Sampler.add_probe sampler ~name:"massbft_raft_is_leader"
-            ~help:"1 when this group's leader leads the Raft instance"
-            ~labels
-            (fun ~now:_ ~dt:_ ->
-              match Raft.role r with Raft.Leader -> 1.0 | _ -> 0.0);
-          Massbft_obs.Sampler.add_probe sampler
-            ~name:"massbft_raft_commit_index"
-            ~help:"Commit index of the instance as seen by this leader"
-            ~labels
-            (fun ~now:_ ~dt:_ -> float_of_int (Raft.commit_index r)))
-        l.l_rafts)
+      match l.l_glob with
+      | Direct_broadcast _ -> ()
+      | Per_group_raft r | Single_raft { raft = r; _ } ->
+          Array.iteri
+            (fun inst raft ->
+              let labels =
+                obs_group_labels l @ [ ("inst", string_of_int inst) ]
+              in
+              Massbft_obs.Sampler.add_probe sampler ~name:"massbft_raft_is_leader"
+                ~help:"1 when this group's leader leads the Raft instance"
+                ~labels
+                (fun ~now:_ ~dt:_ ->
+                  match Raft.role raft with Raft.Leader -> 1.0 | _ -> 0.0);
+              Massbft_obs.Sampler.add_probe sampler
+                ~name:"massbft_raft_commit_index"
+                ~help:"Commit index of the instance as seen by this leader"
+                ~labels
+                (fun ~now:_ ~dt:_ -> float_of_int (Raft.commit_index raft)))
+            r.rafts)
     t.leaders

@@ -1,19 +1,14 @@
 (* Global-consensus stage: the Raft adapter with content-gated acks
    (Lemma V.1), the skip-prepare accept rounds they gate on, heartbeats
-   and log unwedging, matched on the global-consensus axis. *)
+   and log unwedging, matched on the leader's global-consensus state. *)
 
 open Node_ctx
-
-val instances : Config.global_consensus -> ng:int -> int
-(** Raft instances per leader for [ng] groups: one per group under
-    [Per_group_raft] (MassBFT / Baseline / ISS / BR / EBR), one at group
-    0 under [Single_raft] (Steward), none under [Direct_broadcast]
-    (GeoBFT). *)
 
 val start : t -> leader -> entry -> unit
 (** The proposer's leader starts the global phase of its decided entry:
     propose it in the group's own instance, forward it to Steward's
-    global leader, or (GeoBFT) ship it and count it committed. *)
+    global leader, or (GeoBFT) ship it, count it committed and hold its
+    pipeline slot until every group the copy went to has noted it. *)
 
 val on_content : t -> leader -> Types.entry_id -> unit
 (** Content arrived at a leader; under [Direct_broadcast] this is the
@@ -34,7 +29,15 @@ val handle_raft_m :
   t -> src:Topology.addr -> dst:Topology.addr -> inst:int ->
   rpayload Raft.msg -> unit
 
-val handle_recv_note : t -> dst:Topology.addr -> Types.entry_id -> unit
+val handle_recv_note :
+  t -> src:Topology.addr -> dst:Topology.addr -> Types.entry_id -> unit
+(** GeoBFT: the source's group holds the proposer's entry. The note
+    clears that group's bit; the last bit releases the pipeline slot,
+    and a late or duplicated note does nothing. *)
+
+val forget_group : t -> int -> unit
+(** GeoBFT: the group left the membership, so no entry awaits its note
+    any longer; entries left awaiting nobody release their slots. *)
 
 val handle_accept_req :
   t -> src:Topology.addr -> dst:Topology.addr -> inst:int -> index:int -> unit
@@ -48,9 +51,10 @@ val handle_accept_note :
     lane, §V-C): at notes from f_g distinct groups, stamp it without
     holding it. *)
 
-val install : t -> n_inst:int -> unit
-(** Create the per-leader Raft instances (and the Orderer under VTS
-    ordering). Called once from [Engine.create]. *)
+val install : t Lazy.t -> ng:int -> gid:int -> n_inst:int -> raft_state
+(** Group [gid]'s leader endpoints of [n_inst] Raft instances, built
+    inside [Engine.create] (the lazy context ties the callbacks'
+    knot). *)
 
 val start_heartbeats : t -> unit
 (** Arm the heartbeat / election / unwedge timers. Called once from

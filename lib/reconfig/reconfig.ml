@@ -34,6 +34,7 @@ module Execution = Massbft.Execution
 module Replication = Massbft.Replication
 module Global_consensus = Massbft.Global_consensus
 module Pbft = Massbft_consensus.Pbft
+module Raft = Massbft_consensus.Raft
 module Kvstore = Massbft_exec.Kvstore
 module Ledger = Massbft_exec.Ledger
 module W = Massbft_workload.Workload
@@ -356,44 +357,80 @@ let place_leader t (a : Topology.addr) =
 let expel_group t g =
   let c = t.c in
   c.N.g_member.(g) <- false;
-  (* GeoBFT releases a proposer's pipeline slot when [ng - 1] delivery
-     notes arrive; in-flight proposals whose copies reached the
-     departing group before the crash are stranded one note short.
-     Credit the missing note on every decided entry still below the
-     threshold ([committed_at] is no marker here — direct broadcast
-     stamps it at decide time). The counter advances one note per
-     call, so a late real note from the departing group cannot skip
-     the threshold equality. *)
-  (match c.N.glob with
-  | Config.Per_group_raft | Config.Single_raft -> ()
-  | Config.Direct_broadcast ->
-      let snap = N.entries_snapshot c in
-      Array.iter
-        (fun (pl : N.leader) ->
-          if c.N.g_member.(pl.N.l_gid) then
-            List.iter
-              (fun (e : N.entry) ->
-                let notes =
-                  match Entry_tbl.find_opt pl.N.l_recv_notes e.N.eid with
-                  | Some r -> !r
-                  | None -> 0
-                in
-                if
-                  e.N.eid.Types.gid = pl.N.l_gid
-                  && e.N.decided_at > 0.0
-                  && notes < c.N.ng - 1
-                then Global_consensus.handle_recv_note c ~dst:pl.N.l_addr e.N.eid)
-              snap)
-        c.N.leaders);
+  (* GeoBFT holds a proposer's pipeline slot until every group its copy
+     went to has noted it; the departing group never will. *)
+  Global_consensus.forget_group c g;
   Engine.crash_group t.eng g
+
+(* The consistent-cut clone is one function per leader-state variant
+   (the source and the joiner hold the same variants). Raft: the
+   source's Ts-lane marks overwrite the joiner's, entry by entry, and
+   every commit index at or below the cut is transferred history
+   (anti-entropy backfills the rest under [skip_commits_below]). *)
+let clone_raft c ~(src : N.raft_state) ~(dst : N.raft_state) =
+  Array.blit src.N.clk_of 0 dst.N.clk_of 0 (Array.length src.N.clk_of);
+  Array.iteri
+    (fun inst row ->
+      Array.iteri
+        (fun g (m : N.ts_marks) ->
+          let d = dst.N.ts.(inst).(g) in
+          List.iter
+            (fun seq ->
+              Bitset.add d.N.ts_seen seq;
+              if Bitset.mem m.N.ts_committed seq then Bitset.add d.N.ts_committed seq
+              else Bitset.remove d.N.ts_committed seq)
+            (Bitset.elements m.N.ts_seen))
+        row)
+    src.N.ts;
+  Array.iteri
+    (fun inst raft -> dst.N.skip_commits_below.(inst) <- Raft.commit_index raft)
+    src.N.rafts;
+  Array.fill dst.N.last_heard 0 (Array.length dst.N.last_heard) (N.now c)
+
+let clone_glob c ~(src : N.leader) ~(dst : N.leader) =
+  match (src.N.l_glob, dst.N.l_glob) with
+  | (N.Per_group_raft s | N.Single_raft { raft = s; _ }),
+    (N.Per_group_raft d | N.Single_raft { raft = d; _ }) ->
+      clone_raft c ~src:s ~dst:d
+  | _ -> ()
+
+(* The zero-transaction boundary executes synchronously inside its
+   round's enqueue sweep (zero CPU cost short-circuits the charge), so
+   the boundary's own round-mates may not have reached the source's
+   queue yet when this clone runs. Rebuild the joiner's backlog from
+   the round structure itself: every member entry of an already-closed
+   round that is not in the cloned ledger, in execution order. The
+   joiner proposes from its first member round on. *)
+let clone_rounds c ~(src : N.leader) ~(dst : N.leader) (s : N.rounds) (d : N.rounds) =
+  (* Marks below the cut's next round are implied by [next_round]. *)
+  Entry_tbl.filter_map_inplace
+    (fun (k : Types.entry_id) v -> if k.Types.seq < s.N.next_round then None else Some v)
+    d.N.round_ready;
+  Entry_tbl.iter (fun k v -> Entry_tbl.replace d.N.round_ready k v) s.N.round_ready;
+  d.N.next_round <- s.N.next_round;
+  let in_ledger = Hashtbl.create 64 in
+  List.iter
+    (fun (b : Ledger.block) -> Hashtbl.replace in_ledger (b.Ledger.gid, b.Ledger.seq) ())
+    (Ledger.blocks src.N.l_ledger);
+  for r = 1 to s.N.next_round - 1 do
+    for g = 0 to c.N.ng - 1 do
+      if N.member_in_round c g r && not (Hashtbl.mem in_ledger (g, r)) then
+        Queue.push { Types.gid = g; seq = r } dst.N.l_exec_q
+    done
+  done;
+  dst.N.l_next_seq <- c.N.member_from.(dst.N.l_gid)
+
+let clone_order c ~(src : N.leader) ~(dst : N.leader) =
+  match (src.N.l_ord, dst.N.l_ord) with
+  | (N.Sync_rounds s | N.Epoch_rounds { rounds = s; _ }),
+    (N.Sync_rounds d | N.Epoch_rounds { rounds = d; _ }) ->
+      clone_rounds c ~src ~dst s d
+  | _ -> Queue.iter (fun x -> Queue.push x dst.N.l_exec_q) src.N.l_exec_q
 
 (* The consistent-cut clone: the first member leader to execute the
    admission boundary has, at that instant, exactly the agreed pre-epoch
-   state — ledger, ordering and commit bookkeeping. The joiner
-   adopts all of it, marks every global-consensus commit index at or
-   below the cut as transferred history (anti-entropy backfills the
-   rest under [l_skip_commits_below]), and starts proposing in the next
-   epoch. *)
+   state — ledger, ordering and commit bookkeeping. The joiner adopts
+   all of it and starts proposing in the next epoch. *)
 let admit_group t ~(src : N.leader) ~gid ~size wire =
   let c = t.c in
   let dst = c.N.leaders.(gid) in
@@ -405,97 +442,42 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
         (Ledger.append dst.N.l_ledger ~gid:b.Ledger.gid ~seq:b.Ledger.seq
            ~txn_count:b.Ledger.txn_count ~payload_digest:b.Ledger.payload_digest))
     (Ledger.blocks src.N.l_ledger);
-  Array.blit src.N.l_clk_of 0 dst.N.l_clk_of 0 (Array.length src.N.l_clk_of);
-  (* The source's VTS marks overwrite the joiner's, entry by entry. *)
-  Array.iteri
-    (fun inst row ->
-      Array.iteri
-        (fun g (m : N.ts_marks) ->
-          let d = dst.N.l_ts.(inst).(g) in
-          List.iter
-            (fun seq ->
-              Bitset.add d.N.ts_seen seq;
-              if Bitset.mem m.N.ts_committed seq then Bitset.add d.N.ts_committed seq
-              else Bitset.remove d.N.ts_committed seq)
-            (Bitset.elements m.N.ts_seen))
-        row)
-    src.N.l_ts;
   Entry_tbl.iter
     (fun k v -> Entry_tbl.replace dst.N.l_committed_unexec k v)
     src.N.l_committed_unexec;
-  (* Marks below the cut's next round are implied by [l_next_round]. *)
-  Entry_tbl.filter_map_inplace
-    (fun (k : Types.entry_id) v ->
-      if k.Types.seq < src.N.l_next_round then None else Some v)
-    dst.N.l_round_ready;
-  Entry_tbl.iter
-    (fun k v -> Entry_tbl.replace dst.N.l_round_ready k v)
-    src.N.l_round_ready;
-  dst.N.l_next_round <- src.N.l_next_round;
-  let rounds =
-    match c.N.ord with
-    | Config.Sync_rounds | Config.Epoch_rounds _ -> true
-    | Config.Async_vts | Config.Global_log -> false
+  clone_glob c ~src ~dst;
+  clone_order c ~src ~dst;
+  let fetch eid =
+    if
+      Engine.entry_digest t.eng eid <> None
+      && not (N.has_content (N.node_of c dst.N.l_addr) eid)
+    then Replication.want_fetch c dst eid
   in
-  if rounds then begin
-    (* The zero-transaction boundary executes synchronously inside its
-       round's enqueue sweep (zero CPU cost short-circuits the charge),
-       so the boundary's own round-mates may not have reached the
-       source's queue yet when this clone runs. Rebuild the joiner's
-       backlog from the round structure itself: every member entry of
-       an already-closed round that is not in the cloned ledger, in
-       execution order. *)
-    let in_ledger = Hashtbl.create 64 in
-    List.iter
-      (fun (b : Ledger.block) ->
-        Hashtbl.replace in_ledger (b.Ledger.gid, b.Ledger.seq) ())
-      (Ledger.blocks src.N.l_ledger);
-    for r = 1 to src.N.l_next_round - 1 do
-      for g = 0 to c.N.ng - 1 do
-        if N.member_in_round c g r && not (Hashtbl.mem in_ledger (g, r)) then
-          Queue.push { Types.gid = g; seq = r } dst.N.l_exec_q
-      done
-    done
-  end
-  else Queue.iter (fun x -> Queue.push x dst.N.l_exec_q) src.N.l_exec_q;
   (* Content for the rebuilt backlog predates the flip, so no copy ever
      targeted the joiner; fetch it rather than waiting for the pump's
      head-repair timeout. *)
-  Queue.iter
-    (fun eid ->
-      if
-        Engine.entry_digest t.eng eid <> None
-        && not (N.has_content (N.node_of c dst.N.l_addr) eid)
-      then Replication.want_fetch c dst eid)
-    dst.N.l_exec_q;
-  (match (src.N.l_orderer, dst.N.l_orderer) with
-  | Some s, Some d ->
-      Orderer.copy_state ~src:s ~into:d;
-      Orderer.set_active d gid true
+  Queue.iter fetch dst.N.l_exec_q;
+  (* The joiner's orderer resumes last: activating it drains the order
+     into the execution queue, behind the backlog fetched above. *)
+  (match (src.N.l_ord, dst.N.l_ord) with
+  | N.Async_vts s, N.Async_vts d ->
+      Orderer.copy_state ~src:s.N.orderer ~into:d.N.orderer;
+      Orderer.set_active d.N.orderer gid true
   | _ -> ());
-  dst.N.l_skip_commits_below <-
-    Array.init (Engine.raft_instances t.eng) (fun i ->
-        Engine.raft_commit_index t.eng ~gid:src.N.l_gid ~inst:i);
-  Array.fill dst.N.l_last_heard 0 (Array.length dst.N.l_last_heard) (N.now c);
-  if rounds then dst.N.l_next_seq <- c.N.member_from.(gid);
   dst.N.l_in_flight <- 0;
   dst.N.l_batch_pending <- true;
   (* GeoBFT ships copies point-to-point at proposal time: entries of
      post-cut rounds proposed before this flip never targeted the
      joiner, and its round barrier would starve waiting for them. Fetch
      whatever is already registered; later proposals include it. *)
-  (match c.N.glob with
-  | Config.Per_group_raft | Config.Single_raft -> ()
-  | Config.Direct_broadcast ->
+  (match dst.N.l_glob with
+  | N.Per_group_raft _ | N.Single_raft _ -> ()
+  | N.Direct_broadcast _ ->
       let from_seq = max 1 c.N.member_from.(gid) in
       for j = 0 to c.N.ng - 1 do
         if j <> gid && c.N.g_member.(j) then
           for seq = from_seq to Engine.proposed_seqs t.eng ~gid:j do
-            let eid = { Types.gid = j; seq } in
-            if
-              Engine.entry_digest t.eng eid <> None
-              && not (N.has_content (N.node_of c dst.N.l_addr) eid)
-            then Replication.want_fetch c dst eid
+            fetch { Types.gid = j; seq }
           done
       done);
   let x = Hashtbl.find_opt t.pending wire in
@@ -529,15 +511,17 @@ let on_order t (l : N.leader) (e : N.entry) =
   let wire = Option.get e.N.conf in
   let next = e.N.eid.Types.seq + 1 in
   match Spec.command_of_string wire with
-  | Spec.Remove_group g ->
+  | Spec.Remove_group g -> (
       c.N.member_until.(g) <- next;
-      Option.iter (fun o -> Orderer.set_active o g false) l.N.l_orderer
+      match l.N.l_ord with
+      | N.Async_vts v -> Orderer.set_active v.N.orderer g false
+      | N.Sync_rounds _ | N.Epoch_rounds _ | N.Global_log -> ())
   | Spec.Add_group _ -> (
       let gid = Spec.wire_gid wire in
       c.N.member_from.(gid) <- next;
-      match l.N.l_orderer with
-      | Some o when l.N.l_gid <> gid -> Orderer.set_active o gid true
-      | _ -> ())
+      match l.N.l_ord with
+      | N.Async_vts v when l.N.l_gid <> gid -> Orderer.set_active v.N.orderer gid true
+      | N.Async_vts _ | N.Sync_rounds _ | N.Epoch_rounds _ | N.Global_log -> ())
   | Spec.Add_node _ | Spec.Remove_node _ | Spec.Move_leader _ -> ()
 
 (* Executed-side flip, applied once globally (first executor) plus a

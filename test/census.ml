@@ -52,10 +52,38 @@ let fold_nodes (c : N.t) f =
 let fold_pbft c f =
   fold_nodes c (fun node -> match node.N.n_pbft with Some p -> f p | None -> 0)
 
-let fold_rafts (c : N.t) f =
-  Array.fold_left
-    (fun acc (l : N.leader) -> Array.fold_left (fun acc r -> acc + f r) acc l.N.l_rafts)
-    0 c.N.leaders
+(* The leaders' axis state, read through the variants: one element per
+   leader that holds it. *)
+let leaders_with (c : N.t) f = List.filter_map f (Array.to_list c.N.leaders)
+
+let raft_states c =
+  leaders_with c (fun l ->
+      match l.N.l_glob with
+      | N.Per_group_raft r | N.Single_raft { raft = r; _ } -> Some (l, r)
+      | N.Direct_broadcast _ -> None)
+
+let awaiting_notes c =
+  leaders_with c (fun l ->
+      match l.N.l_glob with
+      | N.Direct_broadcast { awaiting } -> Some (l, awaiting)
+      | N.Per_group_raft _ | N.Single_raft _ -> None)
+
+let steward_proposed c =
+  leaders_with c (fun l ->
+      match l.N.l_glob with
+      | N.Single_raft { proposed; _ } -> Some (l, proposed)
+      | N.Per_group_raft _ | N.Direct_broadcast _ -> None)
+
+let accept_notes c =
+  leaders_with c (fun l ->
+      match l.N.l_ord with
+      | N.Async_vts v -> Some (l, v.N.accept_notes)
+      | N.Sync_rounds _ | N.Epoch_rounds _ | N.Global_log -> None)
+
+let fold_rafts c f =
+  List.fold_left
+    (fun acc (_, (r : N.raft_state)) -> Array.fold_left (fun acc raft -> acc + f raft) acc r.N.rafts)
+    0 (raft_states c)
 
 let genuine_bucket_complete c (node : N.node) eid rs =
   let plan =
@@ -77,21 +105,29 @@ let holders (c : N.t) ~executed =
       })
     nodes
   @ List.map
-      (fun (l : N.leader) ->
+      (fun ((l : N.leader), (r : N.raft_state)) ->
         {
-          h_name = Printf.sprintf "VTS marks of leader %d" l.N.l_gid;
-          h_words = words l.N.l_ts;
+          h_name = Printf.sprintf "Ts marks of leader %d" l.N.l_gid;
+          h_words = words r.N.ts;
           h_entries = executed;
         })
-      (Array.to_list c.N.leaders)
+      (raft_states c)
   @ List.map
-      (fun (l : N.leader) ->
+      (fun ((l : N.leader), notes) ->
         {
           h_name = Printf.sprintf "accept notes of leader %d" l.N.l_gid;
-          h_words = words l.N.l_accept_notes;
+          h_words = words notes;
           h_entries = executed;
         })
-      (Array.to_list c.N.leaders)
+      (accept_notes c)
+  @ List.map
+      (fun ((l : N.leader), awaiting) ->
+        {
+          h_name = Printf.sprintf "receive notes of leader %d" l.N.l_gid;
+          h_words = words awaiting;
+          h_entries = executed;
+        })
+      (awaiting_notes c)
   @ List.filter_map
       (fun (node : N.node) ->
         Option.map
@@ -104,6 +140,9 @@ let holders (c : N.t) ~executed =
             })
           node.N.n_pbft)
       nodes
+
+(* A census row for state some leaders hold; none when no leader does. *)
+let row name = function [] -> [] | held -> [ (name, words (Array.of_list held)) ]
 
 let take (c : N.t) =
   let executed =
@@ -119,12 +158,14 @@ let take (c : N.t) =
         ("content bits", words (per_node c (fun n -> n.N.n_content)));
         ("done bits", words (per_node c (fun n -> n.N.n_rebuilt)));
         ("entry registry", words c.N.entries);
-        ("VTS marks", words (per_leader c (fun l -> l.N.l_ts)));
-        ("accept notes", words (per_leader c (fun l -> l.N.l_accept_notes)));
-        (* Per-entry leader tables that nothing prunes: reported, not
-           bounded (ROADMAP, "One retirement point per entry"). *)
-        ("receive notes", words (per_leader c (fun l -> l.N.l_recv_notes)));
-        ("Steward proposals", words (per_leader c (fun l -> l.N.l_steward_proposed)));
+      ]
+      @ row "Ts marks" (List.map (fun (_, (r : N.raft_state)) -> r.N.ts) (raft_states c))
+      @ row "accept notes" (List.map snd (accept_notes c))
+      @ row "receive notes" (List.map snd (awaiting_notes c))
+      (* Steward's proposed set has no removal: reported, not bounded
+         (ROADMAP, "One retirement point per entry"). *)
+      @ row "Steward proposals" (List.map snd (steward_proposed c))
+      @ [
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));
         ("store", words c.N.shared_store);
         ("metrics", words c.N.metrics);

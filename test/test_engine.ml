@@ -594,7 +594,15 @@ let count_occurrences hay needle =
   in
   if nn = 0 then 0 else go 0 0
 
-let test_debug_dump system ~instances () =
+(* Raft instances per leader: one per group, one (Steward), or none
+   (GeoBFT). *)
+let raft_instances system =
+  match Config.global_of system with
+  | Config.Per_group_raft -> 3
+  | Config.Single_raft -> 1
+  | Config.Direct_broadcast -> 0
+
+let test_debug_dump system () =
   (* Dump once mid-run (inside a simulation callback — it must not
      raise with consensus in flight) and once at the end. *)
   let mid_dump = ref "" in
@@ -605,6 +613,7 @@ let test_debug_dump system ~instances () =
       ()
   in
   let name = Config.system_name system in
+  let instances = raft_instances system in
   check_bool (name ^ " mid-run dump non-empty") true
     (String.length !mid_dump > 0);
   let final = Engine.debug_dump eng in
@@ -627,10 +636,12 @@ let test_debug_dump system ~instances () =
     (name ^ " role lines cover every group x instance")
     (3 * instances)
     (count_occurrences final "role=");
-  if system = Config.Massbft then
-    (* The VTS orderer's head vector is part of the dump. *)
-    check_bool "massbft dump shows orderer heads" true
-      (contains final "head[0]")
+  (* The VTS clocks and the orderer's head vector are VTS state. *)
+  let vts = Config.ordering_of system = Config.Async_vts in
+  check_bool (name ^ " dump shows orderer heads only under VTS") vts
+    (contains final "head[0]");
+  check_bool (name ^ " dump shows clk_of only under VTS") vts
+    (contains final "clk_of=")
 
 (* A round barrier closing on a head whose content is missing places
    every group's entry and pumps once per placement; the pump arms one
@@ -668,8 +679,11 @@ let test_accept_notes_count_distinct_groups () =
   let l = c.Massbft.Node_ctx.leaders.(0) in
   let eid = { Types.gid = 1; seq = 1 } in
   let stamped () =
-    Massbft.Node_ctx.Bitset.mem
-      l.Massbft.Node_ctx.l_ts.(0).(eid.Types.gid).Massbft.Node_ctx.ts_seen eid.Types.seq
+    match l.Massbft.Node_ctx.l_glob with
+    | Massbft.Node_ctx.Per_group_raft r ->
+        Massbft.Node_ctx.Bitset.mem
+          r.Massbft.Node_ctx.ts.(0).(eid.Types.gid).Massbft.Node_ctx.ts_seen eid.Types.seq
+    | Single_raft _ | Direct_broadcast _ -> Alcotest.fail "MassBFT runs per-group Raft"
   in
   let note g =
     c.Massbft.Node_ctx.deliver c ~src:(Engine.acting_leader d.engine ~gid:g)
@@ -680,6 +694,43 @@ let test_accept_notes_count_distinct_groups () =
   check_bool "one group's note twice does not stamp" false (stamped ());
   note 3;
   check_bool "notes from two groups stamp" true (stamped ())
+
+(* GeoBFT releases a proposer's pipeline slot once every group its
+   copy went to has noted the entry, counting noting groups as PBFT and
+   SBFT count signers: one group's note delivered twice releases
+   nothing, and the last group's note releases the slot exactly once.
+   The deployment's own notes are withheld, so the test's are the only
+   ones. *)
+let test_recv_notes_count_distinct_groups () =
+  let withhold ~src:_ ~dst:_ ~bulk:_ ~bytes:_ (m : Massbft.Node_ctx.msg) =
+    match m with Massbft.Node_ctx.Recv_note _ -> Some [] | _ -> None
+  in
+  let eng, _, _ =
+    run_engine ~until:2.0 ~cfg:(small_cfg ~system:Config.Geobft ())
+      ~before_run:(fun eng _ _ -> Engine.set_adversary eng (Some withhold))
+      ()
+  in
+  let c = Engine.ctx eng in
+  let l = c.Massbft.Node_ctx.leaders.(0) in
+  let pipeline = (Engine.config eng).Config.pipeline in
+  let in_flight () = l.Massbft.Node_ctx.l_in_flight in
+  let proposed () = Engine.proposed_seqs eng ~gid:0 in
+  check_int "no note arrived: the pipeline is full" pipeline (in_flight ());
+  let before = proposed () in
+  let note g =
+    c.Massbft.Node_ctx.deliver c ~src:(Engine.acting_leader eng ~gid:g)
+      ~dst:l.Massbft.Node_ctx.l_addr
+      (Massbft.Node_ctx.Recv_note { eid = { Types.gid = 0; seq = 1 } })
+  in
+  note 1;
+  note 1;
+  check_int "group 1's note twice holds the slot" pipeline (in_flight ());
+  check_int "group 1's note twice proposes nothing" before (proposed ());
+  note 2;
+  check_int "group 2's note releases the slot once" (before + 1) (proposed ());
+  check_int "the released slot is refilled" pipeline (in_flight ());
+  note 2;
+  check_int "a late note releases nothing" (before + 1) (proposed ())
 
 (* ------------------------------------------------------------------ *)
 (* Table II wiring                                                     *)
@@ -771,13 +822,20 @@ let test_table2_message_mix () =
 (* Per-entry state lifetime                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* One system per leader-state variant: per-group Raft with VTS,
+   rounds and epochs; Steward's single Raft with its global log; GeoBFT's
+   direct broadcast. *)
+let census_systems =
+  [ Config.Massbft; Config.Baseline; Config.Iss; Config.Steward; Config.Geobft ]
+
 (* Finished rebuilds keep only their done bit, and no Raft replica
    keeps an ack set at or below its commit index. *)
-let check_released label eng =
+let check_released system eng =
   let c = Census.take (Engine.ctx eng) in
   print_string (Census.to_string c);
-  let name what = Printf.sprintf "%s: %s" label what in
-  check_bool (name "rebuilds finished") true (c.Census.rebuilt > 0);
+  let name what = Printf.sprintf "%s: %s" (Config.system_name system) what in
+  if Config.replication_of system = Config.Encoded_bijective then
+    check_bool (name "rebuilds finished") true (c.Census.rebuilt > 0);
   check_int (name "finished rebuilds keep no classifier") 0
     c.Census.unreleased_rebuilds;
   check_int (name "no acks at or below a commit index") 0 c.Census.stale_acks;
@@ -785,8 +843,11 @@ let check_released label eng =
     (List.for_all (fun (_, w) -> w > 0) c.Census.words)
 
 let test_census_released_state () =
-  let eng, _, _ = run_engine ~until:3.0 () in
-  check_released "massbft" eng
+  List.iter
+    (fun system ->
+      let eng, _, _ = run_engine ~until:3.0 ~cfg:(small_cfg ~system ()) () in
+      check_released system eng)
+    census_systems
 
 let test_census_after_view_change () =
   let eng, _, _ =
@@ -797,19 +858,22 @@ let test_census_after_view_change () =
   in
   check_bool "view change moved group 1's leader" true
     ((Engine.acting_leader eng ~gid:1).Topology.n <> 0);
-  check_released "after a view change" eng
+  check_released Config.Massbft eng
 
 (* Per-entry state costs bits, plus one word per decided PBFT slot.
    Run to 3 s and on to 9 s, one deployment keeps its open PBFT slots
    within the pipeline, and every per-entry holder (a node's content and
-   done bits, a leader's VTS marks, a replica's decided digests) within
-   two words per entry it indexes, plus a constant for its headers. A
-   hash table keyed by entry costs five or more words per binding and
-   fails this. *)
+   done bits, a leader's Ts marks, accept notes and receive notes, a
+   replica's decided digests) within two words per entry it indexes,
+   plus a constant for its headers. A hash table keyed by entry costs
+   five or more words per binding and fails this. *)
 let test_census_per_entry_bounded () =
-  let check_bounded c =
+  let check_bounded system c =
     print_string (Census.to_string c);
-    let at what = Printf.sprintf "%d entries executed: %s" c.Census.executed what in
+    let at what =
+      Printf.sprintf "%s, %d entries executed: %s" (Config.system_name system)
+        c.Census.executed what
+    in
     check_bool (at "some") true (c.Census.executed > 100);
     check_bool
       (at (Printf.sprintf "at most 8 open PBFT slots per replica (%d)" c.Census.max_open_slots))
@@ -825,13 +889,19 @@ let test_census_per_entry_bounded () =
           (h.Census.h_words <= (2 * h.Census.h_entries) + 256))
       c.Census.holders
   in
-  let eng, sim, _ = run_engine ~until:3.0 () in
-  let early = Census.take (Engine.ctx eng) in
-  check_bounded early;
-  Sim.run sim ~until:9.0;
-  let late = Census.take (Engine.ctx eng) in
-  check_bounded late;
-  check_bool "execution went on" true (late.Census.executed > 2 * early.Census.executed)
+  List.iter
+    (fun system ->
+      let eng, sim, _ = run_engine ~until:3.0 ~cfg:(small_cfg ~system ()) () in
+      let early = Census.take (Engine.ctx eng) in
+      check_bounded system early;
+      Sim.run sim ~until:9.0;
+      let late = Census.take (Engine.ctx eng) in
+      check_bounded system late;
+      check_bool
+        (Config.system_name system ^ ": execution went on")
+        true
+        (late.Census.executed > 2 * early.Census.executed))
+    census_systems
 
 let () =
   Alcotest.run "massbft_engine"
@@ -884,6 +954,8 @@ let () =
             test_closing_round_arms_one_head_timer;
           Alcotest.test_case "accept notes count distinct groups" `Quick
             test_accept_notes_count_distinct_groups;
+          Alcotest.test_case "receive notes count distinct groups" `Quick
+            test_recv_notes_count_distinct_groups;
         ] );
       ( "heterogeneous",
         [
@@ -900,10 +972,14 @@ let () =
       ( "introspection",
         [
           Alcotest.test_case "Table II message mix" `Quick test_table2_message_mix;
-          Alcotest.test_case "debug dump massbft" `Quick
-            (test_debug_dump Config.Massbft ~instances:3);
-          Alcotest.test_case "debug dump steward" `Quick
-            (test_debug_dump Config.Steward ~instances:1);
+        ]
+        @ List.map
+            (fun system ->
+              Alcotest.test_case
+                ("debug dump " ^ String.lowercase_ascii (Config.system_name system))
+                `Quick (test_debug_dump system))
+            Config.all_systems
+        @ [
           Alcotest.test_case "census released state" `Quick
             test_census_released_state;
           Alcotest.test_case "census after view change" `Slow
