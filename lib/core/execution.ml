@@ -91,10 +91,10 @@ let record_metrics t e outcome =
 let do_execute t (l : leader) e =
   (* Execute once: the first leader to reach the entry runs the Aria
      pass against the deployment's one store and memoizes the outcome;
-     every later leader takes the memo and touches no data. The writes
-     are already applied, so the memo drops them: an entry stays until
-     every leader has run it, through a whole group outage under
-     faults. *)
+     every later leader takes the memo and touches no data. The memo
+     holds the outcome's transaction lists and counts, not the writes:
+     an entry stays until every leader has run it, through a whole
+     group outage under faults. *)
   let outcome =
     match e.outcome with
     | Some o -> o
@@ -103,7 +103,7 @@ let do_execute t (l : leader) e =
           Aria.execute_batch ~reorder:t.cfg.Config.reorder ~fallback:e.fb_txns
             t.shared_store e.txns
         in
-        e.outcome <- Some (Aria.without_writes o);
+        e.outcome <- Some o;
         o
   in
   ignore

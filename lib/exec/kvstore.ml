@@ -116,6 +116,18 @@ let put_hashed t key ~hash:h value =
   end
   else t.last <- insert t i key h value
 
+(* A lookup that writes nothing, not even [last]: while no one writes
+   the store, several domains may run it at once. *)
+let find t key ~hash:h = slot t key h
+let bound t i = stamp t.stamps i <> 0
+let value t i = Array.unsafe_get t.vals i
+let initial t key = t.init key
+
+let fault_in t key ~hash:h ~slot:i v =
+  let mask = Array.length t.keys - 1 in
+  let i = probe t.stamps t.keys key (stamp_of h) mask (if i < 0 then h land mask else i) in
+  if stamp t.stamps i <> 0 then i else insert t i key h v
+
 let get t key = get_hashed t key ~hash:(Hashtbl.hash key)
 let put t key value = put_hashed t key ~hash:(Hashtbl.hash key) value
 

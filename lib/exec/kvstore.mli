@@ -35,6 +35,31 @@ val last_slot : t -> int
     bound its key; -1 after a [get_hashed] that left the key absent.
     ([get] and [put] go through them.) *)
 
+val find : t -> string -> hash:int -> int
+(** The slot that holds the key, or the empty slot that ends its probe
+    chain; [hash] as for [get_hashed]. Unlike [get_hashed] it faults
+    nothing in and writes nothing, {!last_slot} included, so several
+    domains may call it at once while no one writes the store: Aria's
+    phase 1 reads the store only through it. *)
+
+val bound : t -> int -> bool
+(** Whether slot [i] (from {!find}) holds a key. *)
+
+val value : t -> int -> string
+(** The value bound in slot [i]; [bound t i] must hold. *)
+
+val initial : t -> string -> string option
+(** The initializer's value for a never-written key. *)
+
+val fault_in : t -> string -> hash:int -> slot:int -> string -> int
+(** [fault_in t key ~hash ~slot v] binds [key] to [v] unless the store
+    holds it already, and returns the slot that holds it. [slot] is the
+    empty slot that {!find} returned for [key] at the current
+    {!capacity}, or -1: the probe resumes there instead of starting at
+    the key's home slot, so a faulted key found by {!find} is probed
+    once. Aria inserts the cold rows its phase 1 read this way, after
+    phase 1. *)
+
 val capacity : t -> int
 (** The number of slots. It only ever doubles, so a slot read from
     {!last_slot} still holds its key while [capacity] is unchanged. *)
