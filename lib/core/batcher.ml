@@ -61,7 +61,7 @@ let form_batch t (l : leader) =
       committed_at = 0.0;
       ordered_at = 0.0;
       outcome = None;
-      exec_count = 0;
+      executed_by = 0;
     }
   in
   Entry_tbl.replace t.entries eid e;
@@ -96,11 +96,12 @@ let admits t (l : leader) seq =
          slowest group (otherwise Figure 2's backlog grows without
          bound). *)
       seq - rs.next_round < t.cfg.Config.pipeline
-  | Epoch_rounds { k; rounds = rs } ->
+  | Epoch_rounds rs ->
       (* A proposal in epoch e requires every round of the preceding
          epochs (rounds 1 .. e*k) to have executed locally — the
          epoch-boundary synchronization that gives ISS its latency
          profile. *)
+      let k = Config.epoch_rounds in
       let epoch = (seq - 1) / k in
       epoch = 0 || rs.next_round > epoch * k
   | Async_vts _ | Global_log -> true

@@ -13,7 +13,7 @@ let all_systems = [ Massbft; Baseline; Geobft; Steward; Iss; Br; Ebr ]
 
 type replication = Leader_oneway | Bijective_full | Encoded_bijective
 type global_consensus = Per_group_raft | Single_raft | Direct_broadcast
-type ordering = Sync_rounds | Epoch_rounds of int | Async_vts | Global_log
+type ordering = Sync_rounds | Epoch_rounds | Async_vts | Global_log
 
 let replication_of = function
   | Massbft | Ebr -> Encoded_bijective
@@ -32,7 +32,7 @@ let epoch_rounds = 5
 let ordering_of = function
   | Massbft -> Async_vts
   | Baseline | Geobft | Br | Ebr -> Sync_rounds
-  | Iss -> Epoch_rounds epoch_rounds
+  | Iss -> Epoch_rounds
   | Steward -> Global_log
 
 type cost_model = {

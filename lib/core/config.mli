@@ -20,7 +20,7 @@ val all_systems : system list
 
 type replication = Leader_oneway | Bijective_full | Encoded_bijective
 type global_consensus = Per_group_raft | Single_raft | Direct_broadcast
-type ordering = Sync_rounds | Epoch_rounds of int | Async_vts | Global_log
+type ordering = Sync_rounds | Epoch_rounds | Async_vts | Global_log
 
 val replication_of : system -> replication
 val global_of : system -> global_consensus

@@ -59,6 +59,7 @@ let leader_content t (l : leader) eid =
    context is complete. *)
 let create sim topo cfg =
   let ng = Topology.n_groups topo in
+  if ng > Sys.int_size then invalid_arg "Engine.create: more groups than executed_by bits";
   let shared_store =
     Kvstore.create
       ~init:(W.preload ~scale:cfg.Config.workload_scale cfg.Config.workload)
@@ -83,14 +84,14 @@ let create sim topo cfg =
              Single_raft
                {
                  raft = Global_consensus.install ctx ~ng ~gid:g ~n_inst:1;
-                 proposed = Entry_tbl.create 64;
+                 proposed = Array.init ng (fun _ -> Bitset.create ());
                }
          | Config.Direct_broadcast -> Direct_broadcast { awaiting = Entry_tbl.create 64 }
        in
        let ord_state g =
          match Config.ordering_of cfg.Config.system with
          | Config.Sync_rounds -> Sync_rounds (make_rounds ())
-         | Config.Epoch_rounds k -> Epoch_rounds { k; rounds = make_rounds () }
+         | Config.Epoch_rounds -> Epoch_rounds (make_rounds ())
          | Config.Async_vts ->
              Async_vts
                {
@@ -451,12 +452,10 @@ let executed_ids t ~gid =
     (fun (b : Ledger.block) -> { Types.gid = b.Ledger.gid; seq = b.Ledger.seq })
     (Ledger.blocks t.leaders.(gid).l_ledger)
 
-let now t = Node_ctx.now t
 let n_groups t = t.ng
 let group_size t g = Topology.group_size t.topo g
 let config t = t.cfg
 let acting_leader t ~gid = t.leaders.(gid).l_addr
-let executed_count t ~gid = Ledger.height t.leaders.(gid).l_ledger
 let raft_instances t =
   match t.leaders.(0).l_glob with
   | Per_group_raft r | Single_raft { raft = r; _ } -> Array.length r.rafts

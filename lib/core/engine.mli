@@ -126,16 +126,12 @@ val recover_node : t -> Massbft_sim.Topology.addr -> unit
     Read-only views for {e external} safety checkers (massbft_faults):
     polling them never changes a run. *)
 
-val now : t -> float
 val n_groups : t -> int
 val group_size : t -> int -> int
 val config : t -> Config.t
 
 val acting_leader : t -> gid:int -> Massbft_sim.Topology.addr
 (** The node currently holding the group's acting-leader role. *)
-
-val executed_count : t -> gid:int -> int
-(** Entries executed at the group's leader so far (monotone). *)
 
 val raft_instances : t -> int
 (** Global Raft instances per leader (0 for GeoBFT). *)

@@ -93,8 +93,8 @@ let do_execute t (l : leader) e =
      pass against the deployment's one store and memoizes the outcome;
      every later leader takes the memo and touches no data. The memo
      holds the outcome's transaction lists and counts, not the writes:
-     an entry stays until every leader has run it, through a whole
-     group outage under faults. *)
+     it stays until every member group has run the entry, through a
+     whole group outage under faults. *)
   let outcome =
     match e.outcome with
     | Some o -> o
@@ -110,16 +110,7 @@ let do_execute t (l : leader) e =
     (Ledger.append l.l_ledger ~gid:e.eid.Types.gid ~seq:e.eid.Types.seq
        ~txn_count:e.txn_count ~payload_digest:e.digest);
   Entry_tbl.remove l.l_committed_unexec e.eid;
-  (* Once every leader has executed the entry its content (transaction
-     closures, memoized outcome) is dead weight; keep the metadata. A
-     dark or removed group never executes, so under a membership change
-     an entry a joiner may still replay is never released. *)
-  e.exec_count <- e.exec_count + 1;
-  if e.exec_count >= t.ng then begin
-    e.txns <- [];
-    e.fb_txns <- [];
-    e.outcome <- None
-  end;
+  retire t l.l_gid e;
   if e.eid.Types.gid = l.l_gid then begin
     trace_entry t e.eid "executed" ~node:0
       ~args:[ ("committed", Trace.Int (List.length outcome.Aria.committed)) ];

@@ -232,8 +232,9 @@ let unwedge_check t (l : leader) r inst raft =
 (* ------------------------------------------------------------------ *)
 
 let steward_propose t (l : leader) r proposed e =
-  if not (Entry_tbl.mem proposed e.eid) then begin
-    Entry_tbl.replace proposed e.eid ();
+  let mine = proposed.(e.eid.Types.gid) in
+  if not (Bitset.mem mine e.eid.Types.seq) then begin
+    Bitset.add mine e.eid.Types.seq;
     Replication.send_oneway_copies t l e ~skip:[ e.eid.Types.gid ];
     if Raft.role r.rafts.(0) = Raft.Leader then
       ignore (Raft.propose r.rafts.(0) (Entry_meta { eid = e.eid }))

@@ -116,7 +116,7 @@ type entry = {
   mutable committed_at : float;
   mutable ordered_at : float;
   mutable outcome : Aria.outcome option;  (** memoized execution *)
-  mutable exec_count : int;  (** leaders that executed it, for pruning *)
+  mutable executed_by : int;  (** a bit per group that executed it *)
 }
 
 (** Per-entry yes/no state is one bit per entry: a
@@ -185,9 +185,9 @@ type raft_state = {
 
 type glob_state =
   | Per_group_raft of raft_state
-  | Single_raft of { raft : raft_state; proposed : unit Entry_tbl.t }
-      (** Steward: [proposed] holds the entries group 0 has proposed in
-          the one log *)
+  | Single_raft of { raft : raft_state; proposed : Bitset.t array }
+      (** Steward: [proposed.(gid)] holds the seqs of group [gid]'s
+          entries that group 0 has proposed in the one log *)
   | Direct_broadcast of { awaiting : Bitset.t Entry_tbl.t }
       (** GeoBFT: per in-flight own entry, the groups whose receive note
           is still due (those its copy went to); the binding goes when
@@ -211,7 +211,7 @@ type vts_state = {
 
 type ord_state =
   | Sync_rounds of rounds
-  | Epoch_rounds of { k : int; rounds : rounds }
+  | Epoch_rounds of rounds  (** epochs of {!Config.epoch_rounds} rounds *)
   | Async_vts of vts_state
   | Global_log
 
@@ -384,6 +384,23 @@ let member_now t gid = t.g_member.(gid)
     expect a contribution from [gid] at [round]? *)
 let member_in_round t gid round =
   t.member_from.(gid) <= round && round < t.member_until.(gid)
+
+(** Group [gid]'s leader executed [e]. Once every current member group
+    has, its content (transactions, memoized outcome) goes and the
+    metadata stays. A group that left holds nothing back; an entry the
+    last incumbent ran before a membership flip that a lagging member had
+    not yet run keeps its content. *)
+let retire t gid e =
+  e.executed_by <- e.executed_by lor (1 lsl gid);
+  let waiting = ref false in
+  Array.iteri
+    (fun g m -> if m && e.executed_by land (1 lsl g) = 0 then waiting := true)
+    t.g_member;
+  if not !waiting then begin
+    e.txns <- [];
+    e.fb_txns <- [];
+    e.outcome <- None
+  end
 
 (** Wire size of a full entry copy: batch bytes + the sender group's
     PBFT certificate. *)

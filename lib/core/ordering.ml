@@ -4,7 +4,7 @@
 
    - [Sync_rounds]: round-synchronous — round r executes when every
      group's entry r is ready (Baseline / GeoBFT / BR / EBR).
-   - [Epoch_rounds k]: the same rounds; ISS's epoch-boundary gate is
+   - [Epoch_rounds]: the same rounds; ISS's epoch-boundary gate is
      the batcher's admission check.
    - [Global_log]: Steward — the single Raft log's commit order IS the
      execution order.
@@ -59,12 +59,12 @@ let try_rounds t (l : leader) rs =
 
 let round_ready (l : leader) eid =
   match l.l_ord with
-  | Sync_rounds rs | Epoch_rounds { rounds = rs; _ } -> ready_in rs eid
+  | Sync_rounds rs | Epoch_rounds rs -> ready_in rs eid
   | Async_vts _ | Global_log -> false
 
 let mark_round_ready t (l : leader) eid =
   match l.l_ord with
-  | Sync_rounds rs | Epoch_rounds { rounds = rs; _ } ->
+  | Sync_rounds rs | Epoch_rounds rs ->
       if not (ready_in rs eid) then begin
         Entry_tbl.replace rs.round_ready eid ();
         try_rounds t l rs
@@ -163,7 +163,7 @@ let observe (t : Node_ctx.t) sampler =
   Array.iter
     (fun l ->
       match l.l_ord with
-      | Sync_rounds rs | Epoch_rounds { rounds = rs; _ } ->
+      | Sync_rounds rs | Epoch_rounds rs ->
           let labels = obs_group_labels l in
           Massbft_obs.Sampler.add_probe sampler
             ~name:"massbft_ordering_round_ready"

@@ -528,7 +528,7 @@ let tables () =
   in
   let order = function
     | Config.Global_log -> "global log"
-    | Config.Epoch_rounds _ -> "sync epochs"
+    | Config.Epoch_rounds -> "sync epochs"
     | Config.Sync_rounds -> "sync rounds"
     | Config.Async_vts -> "async VTS"
   in

@@ -291,7 +291,32 @@ let trigger t (cmd : Spec.command) =
 (* The epoch flip: per-command executed-side actions                   *)
 (* ------------------------------------------------------------------ *)
 
-let add_join t report = t.joins <- report :: t.joins
+(* Record a join as it activates: the pending transfer's receipt
+   ([donor] and a zero-byte transfer starting now when none is pending)
+   and the joiner's ledger against its source's. *)
+let add_join t wire ~gid ~donor ~src ~dst =
+  let now = N.now t.c in
+  let donor, bytes, chunks, retries, started =
+    match Hashtbl.find_opt t.pending wire with
+    | Some x -> (x.x_donor, x.x_bytes, x.x_chunks, x.x_retries, x.x_started)
+    | None -> (donor, 0, 0, 0, now)
+  in
+  t.joins <-
+    {
+      j_cmd = wire;
+      j_gid = gid;
+      j_donor = donor;
+      j_bytes = bytes;
+      j_chunks = chunks;
+      j_retries = retries;
+      j_started = started;
+      j_activated = now;
+      j_height = Ledger.height dst;
+      j_src_height = Ledger.height src;
+      j_head = Ledger.head_hash dst;
+      j_src_head = Ledger.head_hash src;
+    }
+    :: t.joins
 
 let activate_node t g wire =
   let c = t.c in
@@ -316,24 +341,8 @@ let activate_node t g wire =
       Pbft.rejoin p ~view:(group_view c g)
   | None -> ());
   realign t g;
-  let x = Hashtbl.find_opt t.pending wire in
-  let l = c.N.leaders.(g) in
-  let h = Ledger.height l.N.l_ledger and hh = Ledger.head_hash l.N.l_ledger in
-  add_join t
-    {
-      j_cmd = wire;
-      j_gid = g;
-      j_donor = g;
-      j_bytes = (match x with Some x -> x.x_bytes | None -> 0);
-      j_chunks = (match x with Some x -> x.x_chunks | None -> 0);
-      j_retries = (match x with Some x -> x.x_retries | None -> 0);
-      j_started = (match x with Some x -> x.x_started | None -> N.now c);
-      j_activated = N.now c;
-      j_height = h;
-      j_src_height = h;
-      j_head = hh;
-      j_src_head = hh;
-    }
+  let ledger = c.N.leaders.(g).N.l_ledger in
+  add_join t wire ~gid:g ~donor:g ~src:ledger ~dst:ledger
 
 let retire_node t g =
   let c = t.c in
@@ -422,8 +431,7 @@ let clone_rounds c ~(src : N.leader) ~(dst : N.leader) (s : N.rounds) (d : N.rou
 
 let clone_order c ~(src : N.leader) ~(dst : N.leader) =
   match (src.N.l_ord, dst.N.l_ord) with
-  | (N.Sync_rounds s | N.Epoch_rounds { rounds = s; _ }),
-    (N.Sync_rounds d | N.Epoch_rounds { rounds = d; _ }) ->
+  | (N.Sync_rounds s | N.Epoch_rounds s), (N.Sync_rounds d | N.Epoch_rounds d) ->
       clone_rounds c ~src ~dst s d
   | _ -> Queue.iter (fun x -> Queue.push x dst.N.l_exec_q) src.N.l_exec_q
 
@@ -480,22 +488,7 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
             fetch { Types.gid = j; seq }
           done
       done);
-  let x = Hashtbl.find_opt t.pending wire in
-  add_join t
-    {
-      j_cmd = wire;
-      j_gid = gid;
-      j_donor = (match x with Some x -> x.x_donor | None -> src.N.l_gid);
-      j_bytes = (match x with Some x -> x.x_bytes | None -> 0);
-      j_chunks = (match x with Some x -> x.x_chunks | None -> 0);
-      j_retries = (match x with Some x -> x.x_retries | None -> 0);
-      j_started = (match x with Some x -> x.x_started | None -> N.now c);
-      j_activated = N.now c;
-      j_height = Ledger.height dst.N.l_ledger;
-      j_src_height = Ledger.height src.N.l_ledger;
-      j_head = Ledger.head_hash dst.N.l_ledger;
-      j_src_head = Ledger.head_hash src.N.l_ledger;
-    }
+  add_join t wire ~gid ~donor:src.N.l_gid ~src:src.N.l_ledger ~dst:dst.N.l_ledger
 
 (* ------------------------------------------------------------------ *)
 (* The two engine seams                                                *)

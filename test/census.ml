@@ -18,9 +18,10 @@ module Topology = Massbft_sim.Topology
 
 type holder = { h_name : string; h_words : int; h_entries : int }
 (* One holder of per-entry state: its words and the entries it indexes
-   (a node's content and done bits with its in-progress rebuilds, and a
-   leader's VTS marks, index every executed entry; a PBFT replica's
-   decided digests index its group's proposed seqs). *)
+   (a node's content and done bits with its in-progress rebuilds, a
+   leader's VTS marks and Steward's proposal bits index every executed
+   entry; a PBFT replica's decided digests index its group's proposed
+   seqs). *)
 
 type t = {
   words : (string * int) list;
@@ -95,6 +96,16 @@ let genuine_bucket_complete c (node : N.node) eid rs =
 let addr_name (a : Topology.addr) = Printf.sprintf "g%d/n%d" a.Topology.g a.Topology.n
 
 let holders (c : N.t) ~executed =
+  let leader_holders what held =
+    List.map
+      (fun ((l : N.leader), x) ->
+        {
+          h_name = Printf.sprintf "%s of leader %d" what l.N.l_gid;
+          h_words = words x;
+          h_entries = executed;
+        })
+      held
+  in
   let nodes = List.concat_map Array.to_list (Array.to_list c.N.nodes) in
   List.map
     (fun (node : N.node) ->
@@ -104,30 +115,10 @@ let holders (c : N.t) ~executed =
         h_entries = executed;
       })
     nodes
-  @ List.map
-      (fun ((l : N.leader), (r : N.raft_state)) ->
-        {
-          h_name = Printf.sprintf "Ts marks of leader %d" l.N.l_gid;
-          h_words = words r.N.ts;
-          h_entries = executed;
-        })
-      (raft_states c)
-  @ List.map
-      (fun ((l : N.leader), notes) ->
-        {
-          h_name = Printf.sprintf "accept notes of leader %d" l.N.l_gid;
-          h_words = words notes;
-          h_entries = executed;
-        })
-      (accept_notes c)
-  @ List.map
-      (fun ((l : N.leader), awaiting) ->
-        {
-          h_name = Printf.sprintf "receive notes of leader %d" l.N.l_gid;
-          h_words = words awaiting;
-          h_entries = executed;
-        })
-      (awaiting_notes c)
+  @ leader_holders "Ts marks" (List.map (fun (l, (r : N.raft_state)) -> (l, r.N.ts)) (raft_states c))
+  @ leader_holders "accept notes" (accept_notes c)
+  @ leader_holders "receive notes" (awaiting_notes c)
+  @ leader_holders "Steward proposals" (steward_proposed c)
   @ List.filter_map
       (fun (node : N.node) ->
         Option.map
@@ -162,8 +153,6 @@ let take (c : N.t) =
       @ row "Ts marks" (List.map (fun (_, (r : N.raft_state)) -> r.N.ts) (raft_states c))
       @ row "accept notes" (List.map snd (accept_notes c))
       @ row "receive notes" (List.map snd (awaiting_notes c))
-      (* Steward's proposed set has no removal: reported, not bounded
-         (ROADMAP, "One retirement point per entry"). *)
       @ row "Steward proposals" (List.map snd (steward_proposed c))
       @ [
         ("ledgers", words (per_leader c (fun l -> l.N.l_ledger)));

@@ -814,7 +814,7 @@ let test_table2_message_mix () =
           check_int (name "no raft") 0 (Array.fold_left ( + ) 0 m.raft_by_inst));
       match Config.ordering_of system with
       | Config.Async_vts -> check_bool (name "accept notes") true (m.accept_notes > 0)
-      | Config.Sync_rounds | Config.Epoch_rounds _ | Config.Global_log ->
+      | Config.Sync_rounds | Config.Epoch_rounds | Config.Global_log ->
           check_int (name "no accept notes") 0 m.accept_notes)
     Config.all_systems
 
@@ -863,8 +863,8 @@ let test_census_after_view_change () =
 (* Per-entry state costs bits, plus one word per decided PBFT slot.
    Run to 3 s and on to 9 s, one deployment keeps its open PBFT slots
    within the pipeline, and every per-entry holder (a node's content and
-   done bits, a leader's Ts marks, accept notes and receive notes, a
-   replica's decided digests) within two words per entry it indexes,
+   done bits, a leader's Ts marks, accept notes and receive notes,
+   Steward's proposal bits, a replica's decided digests) within two words per entry it indexes,
    plus a constant for its headers. A hash table keyed by entry costs
    five or more words per binding and fails this. *)
 let test_census_per_entry_bounded () =
