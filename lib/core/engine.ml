@@ -100,6 +100,11 @@ let create sim topo cfg =
                        let t = Lazy.force ctx in
                        Execution.enqueue t t.leaders.(g) eid);
                  clk = 0;
+                 ts =
+                   Array.init ng (fun _ ->
+                       Array.init ng (fun _ ->
+                           { ts_seen = Bitset.create (); ts_committed = Bitset.create () }));
+                 clk_of = Array.make ng 0;
                  accept_notes = Entry_tbl.create 64;
                }
          | Config.Global_log -> Global_log
@@ -527,7 +532,7 @@ let debug_dump t =
                 | Raft.Candidate -> "C")
                 (Raft.term raft) (Raft.last_index raft) (Raft.commit_index raft)
                 (match l.l_ord with
-                | Async_vts _ -> Printf.sprintf " clk_of=%d" r.clk_of.(inst)
+                | Async_vts v -> Printf.sprintf " clk_of=%d" v.clk_of.(inst)
                 | Sync_rounds _ | Epoch_rounds _ | Global_log -> "")
                 r.last_heard.(inst))
             r.rafts);

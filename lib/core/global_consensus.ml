@@ -77,7 +77,7 @@ let handle_accept_note t ~(src : Topology.addr) ~(dst : Topology.addr) eid =
         (* [assign_ts] never stamps our own group's entries nor one
            already stamped here, so no note is kept for those; it drops
            the notes of an entry it stamps. *)
-        if eid.Types.gid = l.l_gid || Ordering.stamped l r eid then
+        if eid.Types.gid = l.l_gid || Ordering.stamped l v eid then
           Entry_tbl.remove v.accept_notes eid
         else begin
           let notes =
@@ -159,10 +159,9 @@ let on_raft_commit t (l : leader) r inst payload =
   | Noop -> ()
   | Entry_meta { eid } ->
       let e = entry_of t eid in
-      r.clk_of.(inst) <- eid.Types.seq;
       Entry_tbl.replace l.l_committed_unexec eid ();
       if not t.cfg.Config.overlapped_vts then Ordering.assign_ts l r eid;
-      Ordering.on_commit t l eid;
+      Ordering.on_commit t l inst eid;
       (* A recovered leader may re-propose an in-flight entry that in
          fact committed twice; account it once. *)
       if eid.Types.gid = l.l_gid && e.committed_at = 0.0 then begin
@@ -171,8 +170,8 @@ let on_raft_commit t (l : leader) r inst payload =
         l.l_in_flight <- l.l_in_flight - 1;
         Batcher.try_batch t l
       end;
-      Ordering.stamp_led_instances r eid
-  | Ts { eid; ts } -> Ordering.on_ts_commit l r inst ~eid ~ts
+      Ordering.stamp_led_instances l r eid
+  | Ts { eid; ts } -> Ordering.on_ts_commit l inst ~eid ~ts
 
 let on_raft_role t (l : leader) r inst role =
   if role = Raft.Leader then begin
@@ -444,11 +443,6 @@ let install t_lazy ~ng ~gid ~n_inst =
         skip_commits_below = Array.make n_inst 0;
         stuck = Inttbl.create 8;
         accept = Inttbl.create 32;
-        ts =
-          Array.init n_inst (fun _ ->
-              Array.init ng (fun _ ->
-                  { ts_seen = Bitset.create (); ts_committed = Bitset.create () }));
-        clk_of = Array.make n_inst 0;
       }
   in
   Lazy.force state

@@ -147,13 +147,6 @@ let make_node ~ng n_addr =
     n_rebuilding = Entry_tbl.create 16;
   }
 
-(** A leader's Ts-lane marks for one (instance, proposing group) pair,
-    by the entry's sequence number. *)
-type ts_marks = {
-  ts_seen : Bitset.t;  (** we proposed a Ts record, or one committed *)
-  ts_committed : Bitset.t;  (** a Ts record committed (first wins) *)
-}
-
 (** A leader's open skip-prepare accept round: the distinct voter node
     ids so far (duplicate deliveries, an injectable fault, must not fake
     a quorum) and the continuation the quorum releases. *)
@@ -165,9 +158,7 @@ type accept_round = { a_votes : Bitset.t; a_release : unit -> unit }
     {!Config.ordering} value and carries only its own fields. *)
 
 (** A leader's endpoints of the global Raft instances and the
-    bookkeeping every Raft family runs. The Ts lane stamps every
-    committed entry in the instances this leader leads, whatever the
-    ordering; only VTS ordering consumes the committed stamps. *)
+    bookkeeping every Raft family runs. *)
 type raft_state = {
   rafts : rpayload Raft.t array;  (** per instance *)
   last_heard : float array;  (** per instance *)
@@ -179,8 +170,6 @@ type raft_state = {
       (** ticks a led instance's head-of-line entry has been unackable,
           keyed by {!round_key} *)
   accept : accept_round Inttbl.t;  (** keyed by {!round_key} *)
-  ts : ts_marks array array;  (** [.(instance).(proposing gid)] *)
-  clk_of : int array;  (** last committed seq per instance *)
 }
 
 type glob_state =
@@ -201,10 +190,22 @@ type rounds = {
   mutable sweeping : bool;  (** a round-barrier sweep is running *)
 }
 
-(** MassBFT's asynchronous ordering (Algorithm 2). *)
+(** A leader's Ts-lane marks for one (instance, proposing group) pair,
+    by the entry's sequence number. *)
+type ts_marks = {
+  ts_seen : Bitset.t;  (** we proposed a Ts record, or one committed *)
+  ts_committed : Bitset.t;  (** a Ts record committed (first wins) *)
+}
+
+(** MassBFT's asynchronous ordering (Algorithm 2). Its Ts lane runs on
+    the per-group Raft instances, one per provisioned group. *)
 type vts_state = {
   orderer : Orderer.t;
   mutable clk : int;  (** own committed-entry count: our stamps' value *)
+  ts : ts_marks array array;  (** [.(instance).(proposing gid)] *)
+  clk_of : int array;
+      (** last committed seq per instance: the clock a taken-over
+          instance's stamps carry *)
   accept_notes : Bitset.t Entry_tbl.t;
       (** noting groups per entry, dropped when the entry is stamped *)
 }

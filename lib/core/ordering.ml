@@ -10,8 +10,8 @@
      execution order.
    - [Async_vts]: MassBFT's asynchronous vector-timestamp ordering
      (Algorithm 2); the Orderer consumes Ts records from the
-     global-consensus stage, so a commit only advances the clock our
-     own stamps carry. *)
+     global-consensus stage, so a commit only advances the clocks our
+     stamps carry. *)
 
 open Node_ctx
 
@@ -77,87 +77,90 @@ let mark_round_ready t (l : leader) eid =
 
 (* Vector-timestamp records travel through the global Raft instances,
    but which entries get stamped, with what clock, and what a committed
-   Ts record means are ordering questions — so the lane lives here and
-   the Raft adapter (Global_consensus) calls in at its deliver/commit/
-   role-change hooks.
+   Ts record means are ordering questions — so the lane and its marks
+   live here, in the VTS state, and the Raft adapter (Global_consensus)
+   calls in at its deliver/commit/role-change hooks. Under every other
+   ordering those calls do nothing, so no Ts record is ever proposed.
 
-   [r.ts] holds two bits per (instance, entry): [ts_seen] once we
+   [v.ts] holds two bits per (instance, entry): [ts_seen] once we
    proposed a Ts record or one committed, [ts_committed] once one
    committed. An entry is stamped in an instance only while it is not
-   seen there. The catch-all stamps below run under every Raft family;
-   only VTS ordering stamps with its own clock and feeds an orderer. *)
+   seen there. *)
 
-let marks (r : raft_state) inst (eid : Types.entry_id) = r.ts.(inst).(eid.Types.gid)
+let with_vts (l : leader) f =
+  match l.l_ord with
+  | Async_vts v -> f v
+  | Sync_rounds _ | Epoch_rounds _ | Global_log -> ()
 
-let unstamped r inst eid =
-  not (Bitset.mem (marks r inst eid).ts_seen eid.Types.seq)
+let marks (v : vts_state) inst (eid : Types.entry_id) = v.ts.(inst).(eid.Types.gid)
 
-let stamped (l : leader) r eid = not (unstamped r l.l_gid eid)
+let unstamped v inst eid =
+  not (Bitset.mem (marks v inst eid).ts_seen eid.Types.seq)
 
-let stamp r inst eid ts =
-  Bitset.add (marks r inst eid).ts_seen eid.Types.seq;
+let stamped (l : leader) v eid = not (unstamped v l.l_gid eid)
+
+let stamp (r : raft_state) v inst eid ts =
+  Bitset.add (marks v inst eid).ts_seen eid.Types.seq;
   ignore (Raft.propose r.rafts.(inst) (Ts { eid; ts }))
 
 (* Overlapped VTS assignment: stamp a remote entry with our clock and
    replicate through our own instance (Fig. 7b). *)
 let assign_ts (l : leader) r eid =
-  match l.l_ord with
-  | Async_vts v ->
+  with_vts l (fun v ->
       if
         eid.Types.gid <> l.l_gid
-        && unstamped r l.l_gid eid
+        && unstamped v l.l_gid eid
         && Raft.role r.rafts.(l.l_gid) = Raft.Leader
       then begin
-        stamp r l.l_gid eid v.clk;
+        stamp r v l.l_gid eid v.clk;
         Entry_tbl.remove v.accept_notes eid
-      end
-  | Sync_rounds _ | Epoch_rounds _ | Global_log -> ()
+      end)
+
+let stamp_with_clk_of r v inst (eid : Types.entry_id) =
+  if eid.Types.gid <> inst && unstamped v inst eid then
+    stamp r v inst eid v.clk_of.(inst)
 
 (* Catch-all timestamp assignment for every instance this leader
    currently leads: covers taken-over instances (frozen clocks on
    behalf of a crashed group, §V-C) and our own instance for entries
    whose deliver-time assignment was skipped during a leadership
    handover. *)
-let stamp_led_instances r eid =
-  for j = 0 to Array.length r.rafts - 1 do
-    if
-      j <> eid.Types.gid
-      && Raft.role r.rafts.(j) = Raft.Leader
-      && unstamped r j eid
-    then stamp r j eid r.clk_of.(j)
-  done
+let stamp_led_instances (l : leader) r eid =
+  with_vts l (fun v ->
+      Array.iteri
+        (fun j raft -> if Raft.role raft = Raft.Leader then stamp_with_clk_of r v j eid)
+        r.rafts)
 
 (* Stamp every committed-but-unexecuted entry still lacking instance
    [inst]'s element: on a takeover this assigns the crashed group's
    frozen clock; on a transfer-back it repairs assignments skipped
    while we were not the leader. *)
 let stamp_committed_unexec (l : leader) r inst =
-  Entry_tbl.iter
-    (fun eid () ->
-      if eid.Types.gid <> inst && unstamped r inst eid then
-        stamp r inst eid r.clk_of.(inst))
-    l.l_committed_unexec
+  with_vts l (fun v ->
+      Entry_tbl.iter (fun eid () -> stamp_with_clk_of r v inst eid) l.l_committed_unexec)
 
 (* A Ts record committed in instance [inst]'s log: feed the Orderer
    (first commit wins). *)
-let on_ts_commit (l : leader) r inst ~eid ~ts =
-  let m = marks r inst eid in
-  if not (Bitset.mem m.ts_committed eid.Types.seq) then begin
-    Bitset.add m.ts_seen eid.Types.seq;
-    Bitset.add m.ts_committed eid.Types.seq;
-    match l.l_ord with
-    | Async_vts v -> Orderer.on_timestamp v.orderer ~from_gid:inst ~eid ~ts
-    | Sync_rounds _ | Epoch_rounds _ | Global_log -> ()
-  end
+let on_ts_commit (l : leader) inst ~eid ~ts =
+  with_vts l (fun v ->
+      let m = marks v inst eid in
+      if not (Bitset.mem m.ts_committed eid.Types.seq) then begin
+        Bitset.add m.ts_seen eid.Types.seq;
+        Bitset.add m.ts_committed eid.Types.seq;
+        Orderer.on_timestamp v.orderer ~from_gid:inst ~eid ~ts
+      end)
 
-(* An entry committed globally: round systems mark its round, Steward's
-   global log executes in commit order, VTS advances the clock its own
-   stamps carry and waits for timestamps. *)
-let on_commit t (l : leader) (eid : Types.entry_id) =
+(* An entry committed globally in instance [inst]: round systems mark
+   its round, Steward's global log executes in commit order, VTS
+   advances the instance's clock and the clock its own stamps carry and
+   waits for timestamps. *)
+let on_commit t (l : leader) inst (eid : Types.entry_id) =
   match l.l_ord with
   | Sync_rounds _ | Epoch_rounds _ -> mark_round_ready t l eid
   | Global_log -> Execution.enqueue t l eid
-  | Async_vts v -> if eid.Types.gid = l.l_gid then v.clk <- max v.clk eid.Types.seq
+  | Async_vts v ->
+      v.clk_of.(inst) <- eid.Types.seq;
+      if eid.Types.gid = l.l_gid then v.clk <- max v.clk eid.Types.seq
 
 let observe (t : Node_ctx.t) sampler =
   Array.iter

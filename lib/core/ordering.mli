@@ -12,14 +12,16 @@ val mark_round_ready : t -> leader -> Types.entry_id -> unit
     now-complete round in sequence (round-based orderings; also the
     commitment path of GeoBFT's direct broadcast). *)
 
-val on_commit : t -> leader -> Types.entry_id -> unit
-(** An entry committed globally: mark its round (round families),
-    execute it in commit order (Steward's global log), or advance the
-    clock of our own stamps (VTS, which waits for timestamps). *)
+val on_commit : t -> leader -> int -> Types.entry_id -> unit
+(** An entry committed globally in the given instance: mark its round
+    (round families), execute it in commit order (Steward's global log),
+    or advance the instance's clock and that of our own stamps (VTS,
+    which waits for timestamps). *)
 
 (* The Ts lane: which entries get stamped, with what clock, and what a
    committed Ts record means. The Raft adapter calls in at its
-   deliver/commit/role-change hooks with the leader's Raft state. *)
+   deliver/commit/role-change hooks with the leader's Raft state; each
+   call does nothing unless the leader orders by VTS. *)
 
 val assign_ts : leader -> raft_state -> Types.entry_id -> unit
 (** Stamp a remote entry with our clock through our own instance
@@ -27,11 +29,11 @@ val assign_ts : leader -> raft_state -> Types.entry_id -> unit
     active and we lead our instance. Stamping drops the entry's accept
     notes. *)
 
-val stamped : leader -> raft_state -> Types.entry_id -> bool
+val stamped : leader -> vts_state -> Types.entry_id -> bool
 (** The entry is stamped, or has a committed Ts record, in the leader's
     own instance. *)
 
-val stamp_led_instances : raft_state -> Types.entry_id -> unit
+val stamp_led_instances : leader -> raft_state -> Types.entry_id -> unit
 (** Catch-all: stamp the entry in every instance this leader currently
     leads (takeovers run crashed groups' frozen clocks, §V-C). *)
 
@@ -39,8 +41,7 @@ val stamp_committed_unexec : leader -> raft_state -> int -> unit
 (** On gaining an instance's leadership: stamp every
     committed-but-unexecuted entry still lacking its element. *)
 
-val on_ts_commit :
-  leader -> raft_state -> int -> eid:Types.entry_id -> ts:int -> unit
+val on_ts_commit : leader -> int -> eid:Types.entry_id -> ts:int -> unit
 (** A Ts record committed: mark it and feed the Orderer (first commit
     wins). *)
 

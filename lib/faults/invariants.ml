@@ -32,8 +32,6 @@ type violation = {
          node caused this, when an adversary evidence log has one *)
 }
 
-exception Violation of violation
-
 let violation_to_string v =
   Printf.sprintf "[%.3fs] %s: %s%s" v.at v.check v.detail
     (match v.evidence with
@@ -46,7 +44,6 @@ let violation_to_string v =
 type t = {
   engine : Engine.t;
   sim : Sim.t;
-  fail_fast : bool;
   liveness_bound_s : float;
   heal_by : float;
   compromised : Topology.addr -> bool;
@@ -71,13 +68,12 @@ type t = {
   mutable checks_run : int;
 }
 
-let create ?(liveness_bound_s = 3.0) ?(heal_by = 0.0) ?(fail_fast = false)
+let create ?(liveness_bound_s = 3.0) ?(heal_by = 0.0)
     ?(compromised = fun _ -> false) ?evidence engine sim =
   let ng = Engine.n_groups engine in
   {
     engine;
     sim;
-    fail_fast;
     liveness_bound_s;
     heal_by;
     compromised;
@@ -97,8 +93,7 @@ let create ?(liveness_bound_s = 3.0) ?(heal_by = 0.0) ?(fail_fast = false)
 
 let record ?evidence t check detail =
   let v = { at = Sim.now t.sim; check; detail; evidence } in
-  t.violations <- v :: t.violations;
-  if t.fail_fast then raise (Violation v)
+  t.violations <- v :: t.violations
 
 (* The conflicting signed pair for a consensus slot, if the adversary's
    evidence log caught one — slot-exact when possible, else any

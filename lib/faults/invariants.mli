@@ -35,9 +35,6 @@ type violation = {
           liveness violations have no equivocation to show) *)
 }
 
-exception Violation of violation
-(** Raised by checks when [fail_fast] was set. *)
-
 val violation_to_string : violation -> string
 
 type t
@@ -45,7 +42,6 @@ type t
 val create :
   ?liveness_bound_s:float ->
   ?heal_by:float ->
-  ?fail_fast:bool ->
   ?compromised:(Massbft_sim.Topology.addr -> bool) ->
   ?evidence:Massbft_adversary.Evidence.log ->
   Massbft.Engine.t ->
@@ -55,8 +51,6 @@ val create :
     gap after [heal_by] (default 0.0 — pass
     [Fault_spec.heal_time schedule]; an infinite [heal_by], e.g. from a
     never-recovered crash, disables the liveness watchdog entirely).
-    With [fail_fast] (default false) the first violation raises
-    {!Violation} out of the simulation instead of only recording.
 
     [compromised] (default: nobody) marks Byzantine replicas: the
     replica-agreement check then compares honest replicas only, and the

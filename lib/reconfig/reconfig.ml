@@ -372,25 +372,10 @@ let expel_group t g =
   Engine.crash_group t.eng g
 
 (* The consistent-cut clone is one function per leader-state variant
-   (the source and the joiner hold the same variants). Raft: the
-   source's Ts-lane marks overwrite the joiner's, entry by entry, and
-   every commit index at or below the cut is transferred history
+   (the source and the joiner hold the same variants). Raft: every
+   commit index at or below the cut is transferred history
    (anti-entropy backfills the rest under [skip_commits_below]). *)
 let clone_raft c ~(src : N.raft_state) ~(dst : N.raft_state) =
-  Array.blit src.N.clk_of 0 dst.N.clk_of 0 (Array.length src.N.clk_of);
-  Array.iteri
-    (fun inst row ->
-      Array.iteri
-        (fun g (m : N.ts_marks) ->
-          let d = dst.N.ts.(inst).(g) in
-          List.iter
-            (fun seq ->
-              Bitset.add d.N.ts_seen seq;
-              if Bitset.mem m.N.ts_committed seq then Bitset.add d.N.ts_committed seq
-              else Bitset.remove d.N.ts_committed seq)
-            (Bitset.elements m.N.ts_seen))
-        row)
-    src.N.ts;
   Array.iteri
     (fun inst raft -> dst.N.skip_commits_below.(inst) <- Raft.commit_index raft)
     src.N.rafts;
@@ -465,10 +450,26 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
      targeted the joiner; fetch it rather than waiting for the pump's
      head-repair timeout. *)
   Queue.iter fetch dst.N.l_exec_q;
-  (* The joiner's orderer resumes last: activating it drains the order
-     into the execution queue, behind the backlog fetched above. *)
+  (* The joiner's VTS state resumes last: the source's Ts-lane marks
+     overwrite the joiner's, entry by entry, and activating the orderer
+     drains the order into the execution queue, behind the backlog
+     fetched above. *)
   (match (src.N.l_ord, dst.N.l_ord) with
   | N.Async_vts s, N.Async_vts d ->
+      Array.blit s.N.clk_of 0 d.N.clk_of 0 (Array.length s.N.clk_of);
+      Array.iteri
+        (fun inst row ->
+          Array.iteri
+            (fun g (m : N.ts_marks) ->
+              let dm = d.N.ts.(inst).(g) in
+              List.iter
+                (fun seq ->
+                  Bitset.add dm.N.ts_seen seq;
+                  if Bitset.mem m.N.ts_committed seq then Bitset.add dm.N.ts_committed seq
+                  else Bitset.remove dm.N.ts_committed seq)
+                (Bitset.elements m.N.ts_seen))
+            row)
+        s.N.ts;
       Orderer.copy_state ~src:s.N.orderer ~into:d.N.orderer;
       Orderer.set_active d.N.orderer gid true
   | _ -> ());

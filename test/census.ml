@@ -75,11 +75,16 @@ let steward_proposed c =
       | N.Single_raft { proposed; _ } -> Some (l, proposed)
       | N.Per_group_raft _ | N.Direct_broadcast _ -> None)
 
-let accept_notes c =
+let vts_states c =
   leaders_with c (fun l ->
       match l.N.l_ord with
-      | N.Async_vts v -> Some (l, v.N.accept_notes)
+      | N.Async_vts v -> Some (l, v)
       | N.Sync_rounds _ | N.Epoch_rounds _ | N.Global_log -> None)
+
+let ts_marks c = List.map (fun (l, (v : N.vts_state)) -> (l, v.N.ts)) (vts_states c)
+
+let accept_notes c =
+  List.map (fun (l, (v : N.vts_state)) -> (l, v.N.accept_notes)) (vts_states c)
 
 let fold_rafts c f =
   List.fold_left
@@ -115,7 +120,7 @@ let holders (c : N.t) ~executed =
         h_entries = executed;
       })
     nodes
-  @ leader_holders "Ts marks" (List.map (fun (l, (r : N.raft_state)) -> (l, r.N.ts)) (raft_states c))
+  @ leader_holders "Ts marks" (ts_marks c)
   @ leader_holders "accept notes" (accept_notes c)
   @ leader_holders "receive notes" (awaiting_notes c)
   @ leader_holders "Steward proposals" (steward_proposed c)
@@ -150,7 +155,7 @@ let take (c : N.t) =
         ("done bits", words (per_node c (fun n -> n.N.n_rebuilt)));
         ("entry registry", words c.N.entries);
       ]
-      @ row "Ts marks" (List.map (fun (_, (r : N.raft_state)) -> r.N.ts) (raft_states c))
+      @ row "Ts marks" (List.map snd (ts_marks c))
       @ row "accept notes" (List.map snd (accept_notes c))
       @ row "receive notes" (List.map snd (awaiting_notes c))
       @ row "Steward proposals" (List.map snd (steward_proposed c))

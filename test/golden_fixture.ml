@@ -14,6 +14,9 @@ module Metrics = Massbft.Metrics
 module Types = Massbft.Types
 module Stats = Massbft_util.Stats
 module Clusters = Massbft_harness.Clusters
+module Sampler = Massbft_obs.Sampler
+module Trace = Massbft_trace.Trace
+module Sha256 = Massbft_crypto.Sha256
 
 type t = {
   system : Config.system;
@@ -22,6 +25,9 @@ type t = {
   wan : int;
   lan : int;
   store : string;
+  exports : string option;
+      (* hex SHA-256 of the same run's [.prom] text then its Chrome trace
+         JSON, taken by {!capture_exports}; [None] when not taken *)
   executed : (int * int) list array;  (* per group: (gid, seq) order *)
 }
 
@@ -64,12 +70,36 @@ let capture ?attach ?(run = Sim.run) ~system () =
     wan = Engine.wan_bytes eng;
     lan = Engine.lan_bytes eng;
     store = Massbft_util.Hexdump.encode (Engine.store_fingerprint eng);
+    exports = None;
     executed =
       Array.init groups (fun g ->
           List.map
             (fun (e : Types.entry_id) -> (e.Types.gid, e.Types.seq))
             (Engine.executed_ids eng ~gid:g));
   }
+
+(* The exports digest comes from a second run of the same capture with a
+   sampler and a trace sink attached, wired as [Runner.run] wires them.
+   The sink's ring is kept small: the digest pins the trace's last
+   16384 events, and the default ring would make this run several
+   times slower. *)
+let capture_exports ~system () =
+  let registry = Massbft_obs.Registry.create () in
+  let s = Sampler.create registry in
+  let tr = Trace.create ~capacity:16384 () in
+  let d =
+    Deployment.build ~trace:tr ~registry ~spec:(small_spec ()) ~cfg:(cfg_of system) ()
+  in
+  Sampler.watch_sim s d.sim;
+  Sampler.watch_topology s d.topo;
+  Engine.set_obs d.engine s;
+  Sampler.attach s d.sim;
+  Deployment.start d;
+  Sim.run d.sim ~until;
+  Sha256.hex
+    (Sha256.digest
+       (Massbft_obs.Exposition.prometheus registry
+       ^ Massbft_trace.Trace_export.to_chrome_json tr))
 
 let file_of_system system =
   String.lowercase_ascii (Config.system_name system) ^ ".golden"
@@ -83,6 +113,9 @@ let to_string g =
   Buffer.add_string buf (Printf.sprintf "wan %d\n" g.wan);
   Buffer.add_string buf (Printf.sprintf "lan %d\n" g.lan);
   Buffer.add_string buf (Printf.sprintf "store %s\n" g.store);
+  Option.iter
+    (fun d -> Buffer.add_string buf (Printf.sprintf "exports %s\n" d))
+    g.exports;
   Array.iteri
     (fun gid ids ->
       Buffer.add_string buf (Printf.sprintf "executed%d" gid);
@@ -97,17 +130,21 @@ let of_string text =
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
   in
-  let field prefix =
-    match
-      List.find_opt
-        (fun l -> String.length l > String.length prefix
-                  && String.sub l 0 (String.length prefix + 1) = prefix ^ " ")
-        lines
-    with
-    | Some l ->
+  let field_opt prefix =
+    Option.map
+      (fun l ->
         String.sub l
           (String.length prefix + 1)
-          (String.length l - String.length prefix - 1)
+          (String.length l - String.length prefix - 1))
+      (List.find_opt
+         (fun l ->
+           String.length l > String.length prefix
+           && String.sub l 0 (String.length prefix + 1) = prefix ^ " ")
+         lines)
+  in
+  let field prefix =
+    match field_opt prefix with
+    | Some v -> v
     | None -> invalid_arg ("golden fixture: missing field " ^ prefix)
   in
   let ids_of s =
@@ -135,6 +172,7 @@ let of_string text =
     wan = int_of_string (field "wan");
     lan = int_of_string (field "lan");
     store = field "store";
+    exports = field_opt "exports";
     executed =
       Array.init groups (fun g -> ids_of (field (Printf.sprintf "executed%d" g)));
   }

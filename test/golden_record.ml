@@ -1,7 +1,8 @@
 (* Records the golden determinism fixtures under test/golden/: one file
    per Config.system with the seed-0 fingerprints of a fixed small
    cluster run (executed orders, store fingerprint, WAN/LAN bytes,
-   committed transactions). test_engine.ml asserts that the engine
+   committed transactions, and the digest of the run's metrics and
+   trace exports). test_engine.ml asserts that the engine
    reproduces these files exactly, locking the refactored engine to the
    recorded behaviour.
 
@@ -21,7 +22,10 @@ let () =
   let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "test/golden" in
   List.iter
     (fun system ->
-      let g = Golden.capture ~system () in
+      let g =
+        { (Golden.capture ~system ()) with
+          Golden.exports = Some (Golden.capture_exports ~system ()) }
+      in
       let file = Filename.concat dir (Golden.file_of_system system) in
       let oc = open_out file in
       output_string oc (Golden.to_string g);

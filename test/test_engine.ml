@@ -542,8 +542,9 @@ module Golden = Golden_fixture
 (* The files under test/golden/ were recorded against the pre-refactor
    monolithic engine (see golden_record.ml). The staged engine must
    reproduce every fingerprint byte-for-byte: committed counts, WAN/LAN
-   bytes, the store fingerprint, and the full executed order of every
-   group. *)
+   bytes, the store fingerprint, the full executed order of every
+   group, and (from a second, observed and traced run) the digest of
+   the metrics and trace exports. *)
 let test_golden_fixtures () =
   List.iter
     (fun system ->
@@ -561,6 +562,10 @@ let test_golden_fixtures () =
       Alcotest.(check string)
         (name ^ " store fingerprint")
         recorded.Golden.store fresh.Golden.store;
+      Alcotest.(check (option string))
+        (name ^ " exports digest")
+        recorded.Golden.exports
+        (Some (Golden.capture_exports ~system ()));
       Array.iteri
         (fun g ids ->
           Alcotest.(check (list (pair int int)))
@@ -679,11 +684,11 @@ let test_accept_notes_count_distinct_groups () =
   let l = c.Massbft.Node_ctx.leaders.(0) in
   let eid = { Types.gid = 1; seq = 1 } in
   let stamped () =
-    match l.Massbft.Node_ctx.l_glob with
-    | Massbft.Node_ctx.Per_group_raft r ->
+    match l.Massbft.Node_ctx.l_ord with
+    | Massbft.Node_ctx.Async_vts v ->
         Massbft.Node_ctx.Bitset.mem
-          r.Massbft.Node_ctx.ts.(0).(eid.Types.gid).Massbft.Node_ctx.ts_seen eid.Types.seq
-    | Single_raft _ | Direct_broadcast _ -> Alcotest.fail "MassBFT runs per-group Raft"
+          v.Massbft.Node_ctx.ts.(0).(eid.Types.gid).Massbft.Node_ctx.ts_seen eid.Types.seq
+    | Sync_rounds _ | Epoch_rounds _ | Global_log -> Alcotest.fail "MassBFT orders by VTS"
   in
   let note g =
     c.Massbft.Node_ctx.deliver c ~src:(Engine.acting_leader d.engine ~gid:g)
@@ -743,6 +748,7 @@ type mix = {
   mutable copies : int;
   mutable follower_copies : int;  (* Copy sent by a non-leader node *)
   raft_by_inst : int array;
+  mutable ts_appends : int;  (* Raft appends carrying a Ts record *)
   mutable accept_notes : int;
   mutable recv_notes : int;
 }
@@ -754,6 +760,7 @@ let message_mix system =
       copies = 0;
       follower_copies = 0;
       raft_by_inst = Array.make 3 0;
+      ts_appends = 0;
       accept_notes = 0;
       recv_notes = 0;
     }
@@ -764,7 +771,12 @@ let message_mix system =
     | Copy _ ->
         mix.copies <- mix.copies + 1;
         if src.Topology.n <> 0 then mix.follower_copies <- mix.follower_copies + 1
-    | Raft_m { inst; _ } -> mix.raft_by_inst.(inst) <- mix.raft_by_inst.(inst) + 1
+    | Raft_m { inst; rmsg } -> (
+        mix.raft_by_inst.(inst) <- mix.raft_by_inst.(inst) + 1;
+        match rmsg with
+        | Massbft_consensus.Raft.Append { entry = Massbft.Node_ctx.Ts _; _ } ->
+            mix.ts_appends <- mix.ts_appends + 1
+        | _ -> ())
     | Accept_note _ -> mix.accept_notes <- mix.accept_notes + 1
     | Recv_note _ -> mix.recv_notes <- mix.recv_notes + 1
     | Local _ | Copy_fwd _ | Accept_req _ | Accept_vote _ | Fetch_req _ -> ());
@@ -778,15 +790,16 @@ let message_mix system =
 
 (* Each system's messages carry the signature of its three Table II
    axes: what replication ships, which Raft instances talk, and whether
-   the VTS accept lane runs. *)
+   the VTS accept and Ts lanes run. *)
 let test_table2_message_mix () =
   List.iter
     (fun system ->
       let m = message_mix system in
-      Printf.printf "%-8s chunks %d copies %d (followers %d) raft [%s] accept %d recv %d\n"
+      Printf.printf
+        "%-8s chunks %d copies %d (followers %d) raft [%s] ts %d accept %d recv %d\n"
         (Config.system_name system) m.chunks m.copies m.follower_copies
         (String.concat ";" (Array.to_list (Array.map string_of_int m.raft_by_inst)))
-        m.accept_notes m.recv_notes;
+        m.ts_appends m.accept_notes m.recv_notes;
       let name what = Printf.sprintf "%s: %s" (Config.system_name system) what in
       (match Config.replication_of system with
       | Config.Encoded_bijective ->
@@ -813,9 +826,12 @@ let test_table2_message_mix () =
           check_bool (name "receive notes") true (m.recv_notes > 0);
           check_int (name "no raft") 0 (Array.fold_left ( + ) 0 m.raft_by_inst));
       match Config.ordering_of system with
-      | Config.Async_vts -> check_bool (name "accept notes") true (m.accept_notes > 0)
+      | Config.Async_vts ->
+          check_bool (name "accept notes") true (m.accept_notes > 0);
+          check_bool (name "Ts records") true (m.ts_appends > 0)
       | Config.Sync_rounds | Config.Epoch_rounds | Config.Global_log ->
-          check_int (name "no accept notes") 0 m.accept_notes)
+          check_int (name "no accept notes") 0 m.accept_notes;
+          check_int (name "no Ts records") 0 m.ts_appends)
     Config.all_systems
 
 (* ------------------------------------------------------------------ *)
