@@ -430,18 +430,18 @@ let recover_node t (a : Topology.addr) =
 (* ------------------------------------------------------------------ *)
 
 (* The reconfiguration controller (massbft_reconfig) spans every stage:
-   it provisions topology slots, drives state transfer over the fetch
-   lane, and applies membership flips at epoch boundaries. It gets the
+   it provisions topology slots, ships state transfers over the
+   topology, and applies membership flips at epoch boundaries. It gets the
    full shared context rather than a bespoke accessor per field. *)
 let ctx (t : t) : Node_ctx.t = t
 
-(* Enqueue a reconfiguration command at the coordinator (group 0). The
-   batcher forms it into a zero-txn epoch-boundary entry that rides the
+(* Enqueue a reconfiguration-plan event at the coordinator (group 0).
+   The batcher forms it into a zero-txn epoch-boundary entry that rides the
    ordinary pipeline, so its position in the total execution order — the
    epoch cut — is agreed by global consensus like any batch. *)
-let submit_conf t cmd =
+let submit_conf t event =
   let l = t.leaders.(0) in
-  Queue.push cmd l.l_pending_conf;
+  Queue.push event l.l_pending_conf;
   Batcher.try_batch t l
 
 (* ------------------------------------------------------------------ *)

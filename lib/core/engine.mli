@@ -152,12 +152,12 @@ val proposed_seqs : t -> gid:int -> int
 
 val ctx : t -> Node_ctx.t
 (** The full shared context. The reconfiguration controller spans every
-    stage (topology provisioning, state transfer over the fetch lane,
-    epoch-boundary membership flips), so it operates on the context
-    directly instead of through per-field accessors. *)
+    stage (topology provisioning, state transfer, epoch-boundary
+    membership flips), so it operates on the context directly instead
+    of through per-field accessors. *)
 
-val submit_conf : t -> string -> unit
-(** Enqueue a reconfiguration command (the DSL's one-line text form) at
-    the coordinator group. It is formed into a zero-txn epoch-boundary
+val submit_conf : t -> int -> unit
+(** Enqueue a reconfiguration-plan event (its index in the plan) at the
+    coordinator group. It is formed into a zero-txn epoch-boundary
     entry and ordered through global consensus like any batch; the
     controller's apply hook fires when leaders execute it. *)

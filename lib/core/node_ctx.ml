@@ -104,10 +104,11 @@ type entry = {
   eid : Types.entry_id;
   digest : string;
   size : int;  (** wire bytes of the batch *)
-  conf : string option;
-      (** a reconfiguration command riding the pipeline as a zero-txn
-          epoch-boundary entry: totally ordered like any batch, so every
-          leader applies the membership flip at the same global position *)
+  conf : int option;
+      (** the index of the reconfiguration-plan event this zero-txn
+          epoch-boundary entry applies: totally ordered like any batch, so
+          every leader applies the membership flip at the same global
+          position *)
   mutable txns : Txn.t list;
   mutable fb_txns : Txn.t list;  (** Aria fallback lane: retried conflicts *)
   txn_count : int;
@@ -242,9 +243,9 @@ type leader = {
   l_fetching : int ref Entry_tbl.t;  (** wanted content, with attempt count *)
   l_fetch_q : Types.entry_id Queue.t;
   mutable l_fetch_out : int;  (** outstanding fetch requests *)
-  l_pending_conf : string Queue.t;
-      (** reconfiguration commands awaiting an epoch-boundary entry; the
-          batcher drains one per batch slot ahead of client txns *)
+  l_pending_conf : int Queue.t;
+      (** plan events awaiting an epoch-boundary entry; the batcher
+          drains one per batch slot ahead of client txns *)
   mutable l_vc_target : int;
       (** highest local view-change target the engine's liveness watchdog
           has driven for this group (0 when never driven) *)

@@ -278,7 +278,7 @@ let reconfig_kinds =
 (* One named membership-change kind drawn into a concrete timed plan,
    plus the chaos that makes it a drill rather than a demo: joins get a
    50% chance of a mid-transfer crash of the joining hardware itself
-   (exercising the fetch lane's stall watchdog, donor rotation and
+   (exercising the state transfer's stall watchdog, donor rotation and
    capped backoff), the other kinds get light degradations. Every fault
    heals and no fault exceeds the evolving membership's tolerance, so a
    violation under a generated scenario is a real bug. The join-crash

@@ -51,8 +51,8 @@ val gen_reconfig :
   Massbft_reconfig.Reconfig_spec.plan * Fault_spec.schedule
 (** Draw one membership-change scenario of the named kind plus its
     paired chaos: joins get a 50% chance of a mid-transfer crash of the
-    joining hardware (exercising the fetch lane's stall watchdog, donor
-    rotation and backoff), other kinds get light degradations. Fault
+    joining hardware (exercising the state transfer's stall watchdog,
+    donor rotation and backoff), other kinds get light degradations. Fault
     addresses may refer to slots of the plan's *provisioned* topology;
     {!run_schedule} provisions before arming the injector. Raises
     [Invalid_argument] on an unknown kind, or when the cluster cannot

@@ -28,10 +28,11 @@ let build ?trace ?registry ?(faults = []) ?(adversary = []) ?(reconfig = [])
   (* A reconfiguration plan expands the topology up front: every slot
      the plan will ever activate is provisioned dark. An empty plan
      returns the spec unchanged, byte-identically. *)
-  (match R.validate ~group_sizes:spec.Topology.group_sizes reconfig with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Deployment.build: bad reconfiguration plan: " ^ e));
-  let provisioned = R.provision ~spec reconfig in
+  let provisioned =
+    match R.provision ~spec reconfig with
+    | Ok p -> p
+    | Error e -> invalid_arg ("Deployment.build: bad reconfiguration plan: " ^ e)
+  in
   let spec = provisioned.R.p_spec in
   (* One shard handle per physical group, dark slots included, so
      per-group event accounting and trace tracks stay separate. *)
@@ -45,7 +46,7 @@ let build ?trace ?registry ?(faults = []) ?(adversary = []) ?(reconfig = [])
   (* The controller arms before the engine starts: the dark slots must
      be crashed and the membership masks installed before the first
      batch timer fires. An empty plan arms nothing. *)
-  let controller = Reconfig.arm engine ~provisioned reconfig in
+  let controller = Reconfig.arm engine provisioned in
   {
     sim;
     topo;
@@ -68,20 +69,17 @@ let start d =
 
 let heal_time d =
   (* A join is only "healed" once its state transfer lands and the
-     admission epoch executes; give it a transfer allowance past the
-     command time before the liveness watchdog starts judging. *)
+     admission epoch executes: each event gets an allowance past its
+     start (6 s of state transfer for a join, 1.5 s otherwise) before the
+     liveness watchdog starts judging. Events apply one at a time, so
+     each starts at its time or when the previous one's allowance ends,
+     whichever is later. *)
   let reconfig_heal =
-    if d.reconfig = [] then neg_infinity
-    else
-      R.last_time d.reconfig
-      +.
-      if
-        List.exists
-          (fun (e : R.event) ->
-            match e.R.cmd with R.Add_node _ | R.Add_group _ -> true | _ -> false)
-          d.reconfig
-      then 6.0
-      else 1.5
+    List.fold_left
+      (fun h (e : R.event) ->
+        Float.max h e.R.at
+        +. match e.R.cmd with R.Add_node _ | R.Add_group _ -> 6.0 | _ -> 1.5)
+      neg_infinity (R.sorted d.reconfig)
   in
   Float.max reconfig_heal
     (Float.max

@@ -47,9 +47,11 @@ val start : t -> unit
 
 val heal_time : t -> float
 (** The latest of the fault schedule's {!Fault_spec.heal_time}, the
-    adversary plan's close, and the last reconfiguration command plus
-    its allowance: 6 s of state transfer when the plan adds a node or a
-    group, 1.5 s otherwise. *)
+    adversary plan's close, and the end of the reconfiguration plan's
+    last allowance: each event gets 6 s of state transfer when it adds
+    a node or a group, 1.5 s otherwise, starting at its time or when the
+    previous event's allowance ends, whichever is later (events apply
+    one at a time). *)
 
 val invariants :
   ?liveness_bound_s:float -> ?heal_by:float -> t -> Invariants.t

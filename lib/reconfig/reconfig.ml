@@ -6,8 +6,8 @@
    and masked out of every quorum — until its epoch. At each plan
    event the controller powers the dark hardware up, catches it up by a
    rate-limited chunked state transfer (with capped-backoff retry and
-   donor rotation), and then submits the command's one-line wire form
-   to the coordinator group, where the batcher forms it into a zero-txn
+   donor rotation), and then submits the event's plan index to the
+   coordinator group, where the batcher forms it into a zero-txn
    epoch-boundary entry. That entry rides global consensus like any
    batch, so its position in the total order is the agreed cut: each
    leader switches membership where its ordering stage places the entry
@@ -18,7 +18,12 @@
    ordering state, then proposes its own entries from the next epoch. The database itself is
    the deployment's one shared store (entries execute once), so the
    transfer is modelled by its cost — bytes priced from the store's
-   size — and nothing is copied. *)
+   size — and nothing is copied.
+
+   Events apply one at a time, in plan order (Raft's and AVA's rule): an
+   event triggers once its time has come and the previous event's
+   boundary has been applied, so the plan's walk
+   ([Reconfig_spec.provision]) is exact at every trigger and flip. *)
 
 module Sim = Massbft_sim.Sim
 module Topology = Massbft_sim.Topology
@@ -54,7 +59,6 @@ type boundary = {
   b_cmd : string;
   b_gid : int;
   b_pos : int;
-  b_at : float;
 }
 
 type join_report = {
@@ -78,9 +82,8 @@ type join_report = {
    delivered chunk after a capped-backoff delay, rotating to another
    member donor. *)
 type transfer = {
-  x_wire : string;  (* the command submitted when the transfer lands *)
-  x_dst : Topology.addr;
-  x_gid : int;  (* the joining group (add-group) / host group (add-node) *)
+  x_event : int;  (* the plan event submitted when the transfer lands *)
+  x_dst : Topology.addr;  (* the joiner, in the new or the host group *)
   x_lan : bool;  (* add-node: intra-group snapshot fetch *)
   x_bytes : int;
   x_chunks : int;
@@ -96,11 +99,11 @@ type transfer = {
 type t = {
   eng : Engine.t;
   c : N.t;
-  mutable next_gid : int;  (* next unused gid for add-group *)
-  next_slot : int array;  (* next dark slot to power up, per group *)
-  applied : unit Entry_tbl.t;  (* executed-side flip, once per eid *)
-  members_at : int list Entry_tbl.t;  (* membership after each boundary *)
-  pending : (string, transfer) Hashtbl.t;  (* wire command -> transfer *)
+  steps : Spec.step array;  (* the plan, resolved, in time order *)
+  xfers : transfer option array;  (* each join event's state transfer *)
+  mutable due : int;  (* events whose trigger time has come *)
+  mutable started : int;  (* events triggered *)
+  mutable applied : int;  (* boundaries applied by their first executor *)
   mutable boundaries : boundary list;  (* newest first *)
   mutable joins : join_report list;
   mutable retries : int;
@@ -112,19 +115,21 @@ let chunk_bytes = 256 * 1024
 (* Small helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let members (c : N.t) =
-  let ms = ref [] in
-  for g = c.N.ng - 1 downto 0 do
-    if c.N.g_member.(g) then ms := g :: !ms
-  done;
-  !ms
-
-let rank g ms =
-  let rec go i = function
-    | [] -> None
-    | x :: r -> if x = g then Some i else go (i + 1) r
+(* Give [l] its key range among the member groups [ms]. *)
+let take_shard (l : N.leader) ms =
+  let rec rank i = function
+    | [] -> ()
+    | g :: r ->
+        if g = l.N.l_gid then W.set_shard l.N.l_gen ~index:i ~count:(List.length ms)
+        else rank (i + 1) r
   in
-  go 0 ms
+  rank 0 ms
+
+(* Every replica of group [g] counts quorums over [n] active slots. *)
+let resize_replicas (c : N.t) g n =
+  Array.iter
+    (fun (nd : N.node) -> match nd.N.n_pbft with Some p -> Pbft.resize p ~n | None -> ())
+    c.N.nodes.(g)
 
 let group_view (c : N.t) g =
   let v = ref 0 in
@@ -182,7 +187,7 @@ let live_donors t ~exclude =
 let finish t x =
   if not x.x_done then begin
     x.x_done <- true;
-    Engine.submit_conf t.eng x.x_wire
+    Engine.submit_conf t.eng x.x_event
   end
 
 let rec ship t x =
@@ -191,7 +196,7 @@ let rec ship t x =
     else begin
       let c = t.c in
       let src =
-        if x.x_lan then c.N.leaders.(x.x_gid).N.l_addr
+        if x.x_lan then c.N.leaders.(x.x_dst.Topology.g).N.l_addr
         else c.N.leaders.(x.x_donor).N.l_addr
       in
       let bytes = min chunk_bytes (x.x_bytes - (x.x_got * chunk_bytes)) in
@@ -216,12 +221,12 @@ let rec watch t x =
             x.x_retries <- x.x_retries + 1;
             t.retries <- t.retries + 1;
             if not x.x_lan then begin
-              let ds = live_donors t ~exclude:x.x_gid in
+              let ds = live_donors t ~exclude:x.x_dst.Topology.g in
               x.x_donor <- List.nth ds (x.x_attempt mod List.length ds)
             end;
             let d =
               Backoff.delay ~seed:c.N.cfg.Config.seed
-                ~salt:((x.x_gid * 131) + x.x_attempt)
+                ~salt:((x.x_dst.Topology.g * 131) + x.x_attempt)
                 ~attempt:x.x_attempt ~base:0.1 ~cap:1.5
             in
             Sim.after s d (fun () -> ship t x)
@@ -231,8 +236,9 @@ let rec watch t x =
         end)
   end
 
-let start_transfer t ~wire ~gid ~dst ~lan =
+let start_transfer t i ~(dst : Topology.addr) ~lan =
   let c = t.c in
+  let gid = dst.Topology.g in
   let donor =
     if lan then gid
     else match live_donors t ~exclude:gid with d :: _ -> d | [] -> 0
@@ -245,9 +251,8 @@ let start_transfer t ~wire ~gid ~dst ~lan =
   in
   let x =
     {
-      x_wire = wire;
+      x_event = i;
       x_dst = dst;
-      x_gid = gid;
       x_lan = lan;
       x_bytes = bytes;
       x_chunks = (bytes + chunk_bytes - 1) / chunk_bytes;
@@ -260,7 +265,7 @@ let start_transfer t ~wire ~gid ~dst ~lan =
       x_done = false;
     }
   in
-  Hashtbl.replace t.pending wire x;
+  t.xfers.(i) <- Some x;
   ship t x;
   watch t x
 
@@ -268,49 +273,58 @@ let start_transfer t ~wire ~gid ~dst ~lan =
 (* Plan-event triggers                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let trigger t (cmd : Spec.command) =
+(* An admission powers up only the slots it admits: a spare stays dark
+   until the add-node that activates it. *)
+let power_up t gid size =
   let c = t.c in
-  match cmd with
-  | Spec.Add_node g ->
-      let slot = t.next_slot.(g) in
-      t.next_slot.(g) <- slot + 1;
-      let a = { Topology.g; n = slot } in
+  if size = Topology.group_size c.N.topo gid then Engine.recover_group t.eng gid
+  else begin
+    resize_replicas c gid size;
+    for n = 0 to size - 1 do
+      Engine.recover_node t.eng { Topology.g = gid; n }
+    done
+  end
+
+let trigger t i =
+  let c = t.c in
+  match t.steps.(i).Spec.target with
+  | Spec.Activate a ->
       Engine.recover_node t.eng a;
-      start_transfer t ~wire:(Spec.command_to_string cmd) ~gid:g ~dst:a
-        ~lan:true
-  | Spec.Remove_node _ | Spec.Move_leader _ | Spec.Remove_group _ ->
-      Engine.submit_conf t.eng (Spec.command_to_string cmd)
-  | Spec.Add_group { size } ->
-      let gid = t.next_gid in
-      t.next_gid <- gid + 1;
-      Engine.recover_group t.eng gid;
-      let wire = Printf.sprintf "add-group size %d gid %d" size gid in
-      start_transfer t ~wire ~gid ~dst:c.N.leaders.(gid).N.l_addr ~lan:false
+      start_transfer t i ~dst:a ~lan:true
+  | Spec.Retire _ | Spec.Lead _ | Spec.Expel _ -> Engine.submit_conf t.eng i
+  | Spec.Admit { gid; size } ->
+      power_up t gid size;
+      start_transfer t i ~dst:c.N.leaders.(gid).N.l_addr ~lan:false
+
+(* One change at a time: the next event triggers once its time has come
+   and every earlier boundary has been applied. *)
+let advance t =
+  if t.started = t.applied && t.started < t.due then begin
+    t.started <- t.started + 1;
+    trigger t (t.started - 1)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The epoch flip: per-command executed-side actions                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Record a join as it activates: the pending transfer's receipt
-   ([donor] and a zero-byte transfer starting now when none is pending)
-   and the joiner's ledger against its source's. *)
-let add_join t wire ~gid ~donor ~src ~dst =
-  let now = N.now t.c in
-  let donor, bytes, chunks, retries, started =
-    match Hashtbl.find_opt t.pending wire with
-    | Some x -> (x.x_donor, x.x_bytes, x.x_chunks, x.x_retries, x.x_started)
-    | None -> (donor, 0, 0, 0, now)
-  in
+let event_string t i = Spec.event_to_string t.steps.(i).Spec.event
+
+(* Record a join as it activates: its transfer's receipt and the
+   joiner's ledger against its source's. A join's boundary is submitted
+   only when its transfer lands, so the transfer is there. *)
+let add_join t i ~gid ~src ~dst =
+  let x = Option.get t.xfers.(i) in
   t.joins <-
     {
-      j_cmd = wire;
+      j_cmd = event_string t i;
       j_gid = gid;
-      j_donor = donor;
-      j_bytes = bytes;
-      j_chunks = chunks;
-      j_retries = retries;
-      j_started = started;
-      j_activated = now;
+      j_donor = x.x_donor;
+      j_bytes = x.x_bytes;
+      j_chunks = x.x_chunks;
+      j_retries = x.x_retries;
+      j_started = x.x_started;
+      j_activated = N.now t.c;
       j_height = Ledger.height dst;
       j_src_height = Ledger.height src;
       j_head = Ledger.head_hash dst;
@@ -318,20 +332,15 @@ let add_join t wire ~gid ~donor ~src ~dst =
     }
     :: t.joins
 
-let activate_node t g wire =
+let activate_node t i (a : Topology.addr) =
   let c = t.c in
-  let slot = c.N.active_n.(g) in
-  c.N.active_n.(g) <- slot + 1;
-  Array.iter
-    (fun (nd : N.node) ->
-      match nd.N.n_pbft with
-      | Some p -> Pbft.resize p ~n:(slot + 1)
-      | None -> ())
-    c.N.nodes.(g);
+  let g = a.Topology.g in
+  c.N.active_n.(g) <- a.Topology.n + 1;
+  resize_replicas c g (a.Topology.n + 1);
   (* State transfer onto the joining replica: the group's decided
      history and current view, so it votes from the next slot on. *)
   let src = c.N.leaders.(g).N.l_addr in
-  (match c.N.nodes.(g).(slot).N.n_pbft with
+  (match (N.node_of c a).N.n_pbft with
   | Some p ->
       for seq = 1 to Engine.proposed_seqs t.eng ~gid:g do
         match Engine.replica_decided t.eng ~g ~n:src.Topology.n ~seq with
@@ -342,17 +351,14 @@ let activate_node t g wire =
   | None -> ());
   realign t g;
   let ledger = c.N.leaders.(g).N.l_ledger in
-  add_join t wire ~gid:g ~donor:g ~src:ledger ~dst:ledger
+  add_join t i ~gid:g ~src:ledger ~dst:ledger
 
-let retire_node t g =
+let retire_node t (a : Topology.addr) =
   let c = t.c in
-  let slot = c.N.active_n.(g) - 1 in
-  c.N.active_n.(g) <- slot;
-  Array.iter
-    (fun (nd : N.node) ->
-      match nd.N.n_pbft with Some p -> Pbft.resize p ~n:slot | None -> ())
-    c.N.nodes.(g);
-  Engine.crash_node t.eng { Topology.g; n = slot };
+  let g = a.Topology.g in
+  c.N.active_n.(g) <- a.Topology.n;
+  resize_replicas c g a.Topology.n;
+  Engine.crash_node t.eng a;
   realign t g
 
 let place_leader t (a : Topology.addr) =
@@ -424,7 +430,7 @@ let clone_order c ~(src : N.leader) ~(dst : N.leader) =
    admission boundary has, at that instant, exactly the agreed pre-epoch
    state — ledger, ordering and commit bookkeeping. The joiner adopts
    all of it and starts proposing in the next epoch. *)
-let admit_group t ~(src : N.leader) ~gid ~size wire =
+let admit_group t i ~(src : N.leader) ~gid ~size =
   let c = t.c in
   let dst = c.N.leaders.(gid) in
   c.N.active_n.(gid) <- size;
@@ -489,7 +495,7 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
             fetch { Types.gid = j; seq }
           done
       done);
-  add_join t wire ~gid ~donor:src.N.l_gid ~src:src.N.l_ledger ~dst:dst.N.l_ledger
+  add_join t i ~gid ~src:src.N.l_ledger ~dst:dst.N.l_ledger
 
 (* ------------------------------------------------------------------ *)
 (* The two engine seams                                                *)
@@ -502,120 +508,88 @@ let admit_group t ~(src : N.leader) ~gid ~size wire =
    leader's own included, as it orders until expelled. Idempotent. *)
 let on_order t (l : N.leader) (e : N.entry) =
   let c = t.c in
-  let wire = Option.get e.N.conf in
   let next = e.N.eid.Types.seq + 1 in
-  match Spec.command_of_string wire with
-  | Spec.Remove_group g -> (
+  match t.steps.(Option.get e.N.conf).Spec.target with
+  | Spec.Expel g -> (
       c.N.member_until.(g) <- next;
       match l.N.l_ord with
       | N.Async_vts v -> Orderer.set_active v.N.orderer g false
       | N.Sync_rounds _ | N.Epoch_rounds _ | N.Global_log -> ())
-  | Spec.Add_group _ -> (
-      let gid = Spec.wire_gid wire in
+  | Spec.Admit { gid; _ } -> (
       c.N.member_from.(gid) <- next;
       match l.N.l_ord with
       | N.Async_vts v when l.N.l_gid <> gid -> Orderer.set_active v.N.orderer gid true
       | N.Async_vts _ | N.Sync_rounds _ | N.Epoch_rounds _ | N.Global_log -> ())
-  | Spec.Add_node _ | Spec.Remove_node _ | Spec.Move_leader _ -> ()
+  | Spec.Activate _ | Spec.Retire _ | Spec.Lead _ -> ()
 
-(* Executed-side flip, applied once globally (first executor) plus a
-   per-executor part: each leader takes its key range at its own
-   execution of the boundary, which is the same position in every
-   leader's order. *)
-let apply_once t (l : N.leader) (e : N.entry) wire cmd =
-  if not (Entry_tbl.mem t.applied e.N.eid) then begin
-    Entry_tbl.replace t.applied e.N.eid ();
-    let c = t.c in
-    (match cmd with
-    | Spec.Add_node g -> activate_node t g wire
-    | Spec.Remove_node g -> retire_node t g
-    | Spec.Move_leader a -> place_leader t a
-    | Spec.Add_group { size } -> admit_group t ~src:l ~gid:(Spec.wire_gid wire) ~size wire
-    | Spec.Remove_group g -> expel_group t g);
-    let ms = members c in
-    Entry_tbl.replace t.members_at e.N.eid ms;
-    match cmd with
-    | Spec.Add_group _ ->
-        (* The joiner never executes its own admission entry — the clone
-           is its execution. Give it its key range and a synthetic
-           boundary record at the donor's position, then start it. *)
-        let gid = Spec.wire_gid wire in
-        let dst = c.N.leaders.(gid) in
-        (match rank gid ms with
-        | Some i -> W.set_shard dst.N.l_gen ~index:i ~count:(List.length ms)
-        | None -> ());
-        t.boundaries <-
-          {
-            b_eid = e.N.eid;
-            b_cmd = wire;
-            b_gid = gid;
-            b_pos = Ledger.height dst.N.l_ledger;
-            b_at = N.now c;
-          }
-          :: t.boundaries;
-        Execution.pump c dst;
-        Batcher.try_batch c dst
-    | _ -> ()
-  end
-
-let on_apply t (l : N.leader) (e : N.entry) =
-  let c = t.c in
-  let wire = match e.N.conf with Some w -> w | None -> assert false in
-  let cmd = Spec.command_of_string wire in
-  apply_once t l e wire cmd;
+let record_boundary t (l : N.leader) (e : N.entry) i =
   t.boundaries <-
     {
       b_eid = e.N.eid;
-      b_cmd = wire;
+      b_cmd = event_string t i;
       b_gid = l.N.l_gid;
       b_pos = Ledger.height l.N.l_ledger;
-      b_at = N.now c;
     }
-    :: t.boundaries;
-  match cmd with
-  | Spec.Add_group _ | Spec.Remove_group _ -> (
-      match Entry_tbl.find_opt t.members_at e.N.eid with
-      | Some ms -> (
-          match rank l.N.l_gid ms with
-          | Some i -> W.set_shard l.N.l_gen ~index:i ~count:(List.length ms)
-          | None -> ())
-      | None -> ())
-  | _ -> ()
+    :: t.boundaries
+
+(* Executed-side flip, applied once globally by the first executor of
+   boundary [i] (boundaries apply in plan order, so that is the first
+   leader to see [applied = i]) plus a per-executor part: each leader
+   takes its key range at its own execution of the boundary, which is
+   the same position in every leader's order. *)
+let apply_once t (l : N.leader) (e : N.entry) i =
+  t.applied <- i + 1;
+  let st = t.steps.(i) in
+  match st.Spec.target with
+  | Spec.Activate a -> activate_node t i a
+  | Spec.Retire a -> retire_node t a
+  | Spec.Lead a -> place_leader t a
+  | Spec.Expel g -> expel_group t g
+  | Spec.Admit { gid; size } ->
+      admit_group t i ~src:l ~gid ~size;
+      (* The joiner never executes its own admission entry — the clone
+         is its execution. Give it its key range and a synthetic
+         boundary record at the donor's position, then start it. *)
+      let dst = t.c.N.leaders.(gid) in
+      take_shard dst st.Spec.members;
+      record_boundary t dst e i;
+      Execution.pump t.c dst;
+      Batcher.try_batch t.c dst
+
+let on_apply t (l : N.leader) (e : N.entry) =
+  let i = Option.get e.N.conf in
+  let first = i = t.applied in
+  if first then apply_once t l e i;
+  record_boundary t l e i;
+  let st = t.steps.(i) in
+  (match st.Spec.target with
+  | Spec.Admit _ | Spec.Expel _ -> take_shard l st.Spec.members
+  | Spec.Activate _ | Spec.Retire _ | Spec.Lead _ -> ());
+  if first then advance t
 
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let arm eng ~(provisioned : Spec.provisioned) plan =
+let arm eng (provisioned : Spec.provisioned) =
   let c = Engine.ctx eng in
-  let ng = c.N.ng in
-  let base_ng =
-    let b = ref ng in
-    (try
-       for g = 0 to ng - 1 do
-         if not provisioned.Spec.p_member.(g) then begin
-           b := g;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !b
-  in
+  let steps = provisioned.Spec.p_steps in
   let t =
     {
       eng;
       c;
-      next_gid = base_ng;
-      next_slot = Array.copy provisioned.Spec.p_active;
-      applied = Entry_tbl.create 8;
-      members_at = Entry_tbl.create 8;
-      pending = Hashtbl.create 8;
+      steps;
+      xfers = Array.make (Array.length steps) None;
+      due = 0;
+      started = 0;
+      applied = 0;
       boundaries = [];
       joins = [];
       retries = 0;
     }
   in
-  if plan <> [] then begin
+  if steps <> [||] then begin
+    let ng = c.N.ng in
     Array.blit provisioned.Spec.p_active 0 c.N.active_n 0 ng;
     Array.blit provisioned.Spec.p_member 0 c.N.g_member 0 ng;
     for g = 0 to ng - 1 do
@@ -630,13 +604,7 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
         for n = act to phys - 1 do
           Topology.crash c.N.topo { Topology.g; n }
         done;
-        if act < phys then
-          Array.iter
-            (fun (nd : N.node) ->
-              match nd.N.n_pbft with
-              | Some p -> Pbft.resize p ~n:act
-              | None -> ())
-            c.N.nodes.(g)
+        if act < phys then resize_replicas c g act
       end
     done;
     c.N.reconfig_order <- Some (fun _c l e -> on_order t l e);
@@ -646,10 +614,12 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
        armed up front. *)
     Engine.arm_watchdogs eng;
     let s0 = N.sim_of c 0 in
-    List.iter
-      (fun (ev : Spec.event) ->
-        Sim.at s0 ev.Spec.at (fun () -> trigger t ev.Spec.cmd))
-      (Spec.sorted plan)
+    Array.iter
+      (fun (st : Spec.step) ->
+        Sim.at s0 st.Spec.event.Spec.at (fun () ->
+            t.due <- t.due + 1;
+            advance t))
+      steps
   end;
   t
 
@@ -657,10 +627,10 @@ let arm eng ~(provisioned : Spec.provisioned) plan =
 (* Accessors and the epoch-aware final checks                          *)
 (* ------------------------------------------------------------------ *)
 
-let boundaries t = List.rev t.boundaries
 let joins t = List.rev t.joins
 let transfer_retries t = t.retries
-let epochs t = Entry_tbl.length t.applied
+let epochs t = t.applied
+
 (* End-of-run epoch-aware checks, reported as (check, detail) pairs the
    chaos layer merges with the standard invariant violations:
    - epoch agreement: every leader applied each boundary with the same
@@ -706,20 +676,18 @@ let final_violations t =
       (fun (b : Ledger.block) ->
         Hashtbl.replace on_chain (b.Ledger.gid, b.Ledger.seq) b.Ledger.txn_count)
       (Ledger.blocks (Engine.ledger_of t.eng ~gid:0));
-    Entry_tbl.iter
-      (fun (eid : Types.entry_id) () ->
+    Hashtbl.iter
+      (fun k bs ->
+        let eid = (List.hd bs).b_eid in
         match Hashtbl.find_opt on_chain (eid.Types.gid, eid.Types.seq) with
         | Some 0 -> ()
         | Some n ->
             add "epoch_on_chain"
-              (Printf.sprintf "boundary %s recorded with %d txns (want 0)"
-                 (Types.entry_id_to_string eid)
-                 n)
+              (Printf.sprintf "boundary %s recorded with %d txns (want 0)" k n)
         | None ->
             add "epoch_on_chain"
-              (Printf.sprintf "boundary %s missing from the coordinator ledger"
-                 (Types.entry_id_to_string eid)))
-      t.applied
+              (Printf.sprintf "boundary %s missing from the coordinator ledger" k))
+      by_eid
   end;
   List.iter
     (fun j ->

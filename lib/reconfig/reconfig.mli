@@ -10,28 +10,17 @@
     switches where each leader's ordering stage places that entry into
     its execution order, so every group applies the flip at the same
     position in the total order; the execution-side work (resizes, the
-    joiner's clone, key ranges) runs when each leader executes it. An
-    empty plan arms nothing: the run is byte-identical to one
-    without the reconfiguration subsystem. *)
+    joiner's clone, key ranges) runs when each leader executes it.
+    Events apply one at a time in plan order, so the plan's walk
+    resolves each event's target exactly. An empty plan arms nothing:
+    the run is byte-identical to one without the reconfiguration
+    subsystem. *)
 
-module Topology = Massbft_sim.Topology
 module Engine = Massbft.Engine
-module Types = Massbft.Types
 module Spec = Reconfig_spec
 
-(** One leader's application of one epoch boundary; [b_pos] is that
-    leader's executed-entry count at the flip, so agreement on
-    (cmd, pos) per boundary is "every group switched at the same
-    sequence number". *)
-type boundary = {
-  b_eid : Types.entry_id;
-  b_cmd : string;
-  b_gid : int;
-  b_pos : int;
-  b_at : float;
-}
-
-(** The state-transfer receipt recorded when a join activates. *)
+(** The state-transfer receipt recorded when a join activates; [j_cmd]
+    is the plan event's text form. *)
 type join_report = {
   j_cmd : string;
   j_gid : int;
@@ -49,15 +38,14 @@ type join_report = {
 
 type t
 
-val arm : Engine.t -> provisioned:Spec.provisioned -> Spec.plan -> t
-(** Arm the plan on a not-yet-started engine that was created from
-    [provisioned.p_spec]. Installs the membership masks, crashes the
-    dark slots, installs the engine's [reconfig_order]/[reconfig_apply]
-    seams and schedules the plan's triggers. An empty plan changes
-    nothing. *)
-
-val boundaries : t -> boundary list
-(** Every (leader, boundary) application, oldest first. *)
+val arm : Engine.t -> Spec.provisioned -> t
+(** Arm a provisioned plan on a not-yet-started engine that was created
+    from its [p_spec]. Installs the membership masks, crashes the dark
+    slots, installs the engine's [reconfig_order]/[reconfig_apply] seams
+    and schedules one trigger per resolved event at its time. A trigger
+    whose predecessor's boundary has not been applied yet waits and
+    runs at that apply, so [@TIME] means "not before". An empty plan
+    changes nothing. *)
 
 val joins : t -> join_report list
 val transfer_retries : t -> int

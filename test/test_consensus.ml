@@ -1158,15 +1158,8 @@ let prop_raft_matches_oracle ~ng ~count =
 (* Minor-heap words per PBFT normal-case slot at n = 7: the leader
    proposes, an in-memory queue delivers every pre-prepare, prepare and
    commit, and all seven replicas decide (the perfbench PBFT replay's
-   loop). The count is exact and deterministic for one compiler, so the
-   budget is the value measured on OCaml 5.1 (native, no flambda, as
-   dune's default profile builds it) plus 2%. Other compilers allocate
-   differently; there the figure is printed, not enforced. *)
-let budget_enforced =
-  Sys.backend_type = Sys.Native
-  && String.length Sys.ocaml_version >= 4
-  && String.sub Sys.ocaml_version 0 4 = "5.1."
-
+   loop). The budget is the value measured on OCaml 5.1 plus 2%
+   ([Budget]). *)
 let pbft_slot_words () =
   let n = 7 and slots = 1000 and warmup = 100 in
   let q = Queue.create () in
@@ -1198,13 +1191,8 @@ let pbft_slot_words () =
   words
 
 let test_budget_pbft_slot () =
-  let measured = pbft_slot_words () in
-  let budget = 1017.1 *. 1.02 in
-  Printf.printf "PBFT slot at n=7: %.3f words (budget %.3f%s)\n" measured budget
-    (if budget_enforced then "" else ", not enforced on OCaml " ^ Sys.ocaml_version);
-  if budget_enforced then
-    check_bool (Printf.sprintf "PBFT slot: %.2f words <= %.2f" measured budget) true
-      (measured <= budget)
+  Budget.check "PBFT slot at n=7" ~measured:(pbft_slot_words ())
+    ~budget:(1017.1 *. 1.02)
 
 let () =
   Alcotest.run "massbft_consensus"

@@ -900,20 +900,8 @@ let test_split_exception () =
    counts are exact and deterministic for one compiler, except that a
    batch split between two domains loads a key that both touch once on
    each (TPC-C: 138.43-138.50 words), so a budget is the highest value
-   measured on OCaml 5.1 (native, no flambda) plus 2%: one extra
-   allocation per read breaks it. Other compilers allocate differently;
-   there the figures are printed, not enforced. *)
-let budget_enforced =
-  Sys.backend_type = Sys.Native
-  && String.length Sys.ocaml_version >= 4
-  && String.sub Sys.ocaml_version 0 4 = "5.1."
-
-let check_budget what ~measured ~budget =
-  Printf.printf "%s: %.3f words (budget %.3f%s)\n" what measured budget
-    (if budget_enforced then "" else ", not enforced on OCaml " ^ Sys.ocaml_version);
-  if budget_enforced then
-    check_bool (Printf.sprintf "%s: %.2f words <= %.2f" what measured budget) true
-      (measured <= budget)
+   measured on OCaml 5.1 plus 2% ([Budget]): one extra allocation per
+   read breaks it. *)
 
 (* Words per txn of one 500-txn batch of the full-scale workload's
    stream, over a store that 20 earlier batches have warmed, as the
@@ -933,11 +921,11 @@ let batch_words kind =
   (w1 -. w0 +. float_of_int (Aria.helper_minor_words () - h0)) /. 500.0
 
 let test_budget_tpcc () =
-  check_budget "tpcc 500-txn batch, per txn" ~measured:(batch_words Workload.Tpcc)
+  Budget.check "tpcc 500-txn batch, per txn" ~measured:(batch_words Workload.Tpcc)
     ~budget:(138.5 *. 1.02)
 
 let test_budget_ycsb () =
-  check_budget "ycsb-a 500-txn batch, per txn" ~measured:(batch_words Workload.Ycsb_a)
+  Budget.check "ycsb-a 500-txn batch, per txn" ~measured:(batch_words Workload.Ycsb_a)
     ~budget:(6.310 *. 1.02)
 
 (* A [for] loop, not [Array.iter]: its closure would be counted. *)
@@ -968,10 +956,10 @@ let test_budget_helpers () =
     Array.map Txn.of_int
       [| 0; 7; -7; 100; 10_000; -123_456; 999_999_999_999_999_999; -999_999_999_999_999_999 |]
   in
-  check_budget "Tpcc.preload, per call" ~measured:(words_per_call tpcc tpcc_keys) ~budget:0.0;
-  check_budget "Smallbank.preload, per call" ~measured:(words_per_call smallbank smallbank_keys)
+  Budget.check "Tpcc.preload, per call" ~measured:(words_per_call tpcc tpcc_keys) ~budget:0.0;
+  Budget.check "Smallbank.preload, per call" ~measured:(words_per_call smallbank smallbank_keys)
     ~budget:0.0;
-  check_budget "Txn.int_value, per call" ~measured:(words_per_call Txn.int_value ints) ~budget:0.0
+  Budget.check "Txn.int_value, per call" ~measured:(words_per_call Txn.int_value ints) ~budget:0.0
 
 (* ------------------------------------------------------------------ *)
 (* Ledger                                                              *)

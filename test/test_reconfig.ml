@@ -1,5 +1,7 @@
 (* Tests for live membership reconfiguration: the plan DSL (round-trip
-   as a qcheck property, parse errors, the validation floors), seeded
+   as a qcheck property, parse errors, the validation floors, the walk's
+   resolved slots and gids as a qcheck property), two-event plans that
+   must apply one at a time on their resolved targets, seeded
    determinism of the scenario generator, the no-op guarantee (an empty
    plan perturbs nothing, byte-identically, for every system), a join's
    state-transfer receipt, content release under a plan, group-removal
@@ -102,9 +104,7 @@ let test_parse_comments_and_errors () =
     (error "@1 add-node g1\n@2 add-node g1 g2\n");
   check_string "the controller's gid key is wire-form only"
     {|line 1: add-group: unexpected token "gid"|}
-    (error "@1 add-group size 4 gid 3\n");
-  check_bool "the wire form keeps the gid key" true
-    (R.command_of_string "add-group size 4 gid 3" = R.Add_group { size = 4 })
+    (error "@1 add-group size 4 gid 3\n")
 
 let test_validate () =
   let gs = [| 4; 4; 4 |] in
@@ -134,6 +134,69 @@ let test_validate () =
          { R.at = 2.0; cmd = R.Remove_node 1 };
          { R.at = 1.0; cmd = R.Add_node 1 };
        ])
+
+(* The walk resolves every event against the membership the earlier ones
+   leave: over generated valid plans of every kind, each add-node
+   activates a slot the provisioned topology has, and add-groups take
+   the gids after the cluster's, in plan order. A raw generated plan is
+   cut down to its valid events, each kept only if the plan so far
+   stays valid. *)
+let gen_valid_plan =
+  let open QCheck.Gen in
+  let cmd =
+    oneof
+      [
+        map (fun g -> R.Add_node g) (int_range 0 5);
+        map (fun g -> R.Remove_node g) (int_range 0 5);
+        map2
+          (fun g n -> R.Move_leader { Topology.g; n })
+          (int_range 0 5) (int_range 0 6);
+        map (fun size -> R.Add_group { size }) (int_range 4 6);
+        map (fun g -> R.Remove_group g) (int_range 0 5);
+      ]
+  in
+  map2
+    (fun sizes cmds ->
+      let gs = Array.of_list sizes in
+      let plan =
+        List.fold_left
+          (fun plan cmd ->
+            if List.length plan >= 6 then plan
+            else
+              let p = plan @ [ { R.at = float_of_int (List.length plan); cmd } ] in
+              if R.validate ~group_sizes:gs p = Ok () then p else plan)
+          [] cmds
+      in
+      (gs, plan))
+    (list_size (int_range 2 4) (int_range 4 6))
+    (list_size (int_range 0 24) cmd)
+
+let prop_walk_resolves =
+  QCheck.Test.make ~name:"the walk resolves add-node slots and add-group gids"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (gs, plan) ->
+         Printf.sprintf "sizes [%s]\n%s"
+           (String.concat ";" (Array.to_list (Array.map string_of_int gs)))
+           (R.to_string plan))
+       gen_valid_plan)
+    (fun (gs, plan) ->
+      let spec = Clusters.nationwide ~group_sizes:gs ~groups:(Array.length gs) () in
+      match R.provision ~spec plan with
+      | Error _ -> false
+      | Ok p ->
+          let phys = p.R.p_spec.Topology.group_sizes in
+          let next_gid = ref (Array.length gs) in
+          Array.for_all
+            (fun (st : R.step) ->
+              match st.R.target with
+              | R.Activate a -> a.Topology.n < phys.(a.Topology.g)
+              | R.Admit { gid; _ } ->
+                  let ok = gid = !next_gid in
+                  incr next_gid;
+                  ok
+              | R.Retire _ | R.Lead _ | R.Expel _ -> true)
+            p.R.p_steps)
 
 (* ------------------------------------------------------------------ *)
 (* Seeded determinism of the scenario generator                        *)
@@ -305,6 +368,83 @@ let test_group_remove_no_fork (system, seed) () =
   check_int "one epoch boundary executed" 1 o.Chaos.epochs
 
 (* ------------------------------------------------------------------ *)
+(* Multi-event plans: one change at a time, on resolved targets        *)
+(* ------------------------------------------------------------------ *)
+
+(* A deployment under [plan], run to [until]; [probe] runs before the
+   clock moves. *)
+let run_plan ?(probe = fun _ -> ()) ~until ~spec ~cfg plan =
+  let d = Massbft_faults.Deployment.build ~reconfig:plan ~spec ~cfg () in
+  Massbft_faults.Deployment.start d;
+  probe d;
+  Massbft_sim.Sim.run d.Massbft_faults.Deployment.sim ~until;
+  d
+
+let check_clean (d : Massbft_faults.Deployment.t) =
+  List.iter
+    (fun (check, detail) -> Alcotest.fail (check ^ ": " ^ detail))
+    (Reconfig.final_violations d.Massbft_faults.Deployment.controller)
+
+(* A node retired and then re-added: the add-node re-activates the
+   retired slot g1/n4, the only one the walk provisions. *)
+let test_remove_then_add_node () =
+  let d =
+    run_plan ~until:10.0
+      ~spec:(Clusters.nationwide ~nodes_per_group:5 ~groups:3 ())
+      ~cfg:(small_cfg ())
+      [ { R.at = 3.0; cmd = R.Remove_node 1 }; { R.at = 6.0; cmd = R.Add_node 1 } ]
+  in
+  check_clean d;
+  let c = Massbft.Engine.ctx d.Massbft_faults.Deployment.engine in
+  check_int "two epoch boundaries" 2 (Reconfig.epochs d.Massbft_faults.Deployment.controller);
+  check_int "g1 ends with 5 active slots" 5 c.N.active_n.(1);
+  for n = 0 to 4 do
+    check_bool
+      (Printf.sprintf "g1/n%d alive" n)
+      true
+      (Topology.alive c.N.topo { Topology.g = 1; n })
+  done
+
+(* An add-node on a group an earlier add-group appends: it waits for the
+   admission and activates the group's spare g3/n4, which the admission
+   leaves dark. With the default batch size the add-node's LAN transfer
+   would land before the admission's WAN transfer. *)
+let test_add_group_then_add_node () =
+  let cfg =
+    { (Config.default ~system:Config.Massbft ()) with Config.workload_scale = 0.001 }
+  in
+  let spare_up = ref true in
+  let d =
+    run_plan ~until:8.0 ~spec:(small_spec ()) ~cfg
+      ~probe:(fun d ->
+        let topo = d.Massbft_faults.Deployment.topo in
+        Massbft_sim.Sim.at d.Massbft_faults.Deployment.sim 2.2 (fun () ->
+            spare_up := Topology.alive topo { Topology.g = 3; n = 4 }))
+      [
+        { R.at = 2.0; cmd = R.Add_group { size = 4 } };
+        { R.at = 2.5; cmd = R.Add_node 3 };
+      ]
+  in
+  check_clean d;
+  let eng = d.Massbft_faults.Deployment.engine in
+  let c = Massbft.Engine.ctx eng in
+  check_bool "g3/n4 dark at 2.2 s" false !spare_up;
+  check_int "g3 ends with 5 active slots" 5 c.N.active_n.(3);
+  let order =
+    List.filter_map
+      (fun (b : Massbft_exec.Ledger.block) ->
+        match
+          Massbft.Types.Entry_tbl.find_opt c.N.entries
+            { Massbft.Types.gid = b.Massbft_exec.Ledger.gid; seq = b.Massbft_exec.Ledger.seq }
+        with
+        | Some e -> e.N.conf
+        | None -> None)
+      (Massbft_exec.Ledger.blocks (Massbft.Engine.ledger_of eng ~gid:0))
+  in
+  check_bool "g0's ledger holds the admission, then the add-node" true
+    (order = [ 0; 1 ])
+
+(* ------------------------------------------------------------------ *)
 (* Mid-transfer-crash drill: detect and shrink                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -460,6 +600,7 @@ let () =
           Alcotest.test_case "comments and parse errors" `Quick
             test_parse_comments_and_errors;
           Alcotest.test_case "validate" `Quick test_validate;
+          QCheck_alcotest.to_alcotest prop_walk_resolves;
         ] );
       ( "generator",
         [
@@ -489,6 +630,13 @@ let () =
             Alcotest.test_case "executed content released" `Slow
               test_remove_releases_content;
           ] );
+      ( "multi",
+        [
+          Alcotest.test_case "remove-node then add-node" `Slow
+            test_remove_then_add_node;
+          Alcotest.test_case "add-group then add-node on it" `Slow
+            test_add_group_then_add_node;
+        ] );
       ( "drill",
         [
           Alcotest.test_case "mid-transfer crash: detect and shrink" `Slow

@@ -1007,22 +1007,8 @@ let prop_send_path =
 (* Minor-heap words per fault-free remote message, from [Topology.send]
    through the arrival to delivery (the continuation is allocated once,
    outside the count), and per [Sim.at] plus its dispatch. The counts
-   are exact and deterministic for one compiler, so a budget is the
-   value measured on OCaml 5.1 (native, no flambda, as dune's default
-   profile builds it) plus 2%: one more word per message breaks it.
-   Other compilers allocate differently; there the figures are printed,
-   not enforced. *)
-let budget_enforced =
-  Sys.backend_type = Sys.Native
-  && String.length Sys.ocaml_version >= 4
-  && String.sub Sys.ocaml_version 0 4 = "5.1."
-
-let check_budget what ~measured ~budget =
-  Printf.printf "%s: %.3f words (budget %.3f%s)\n" what measured budget
-    (if budget_enforced then "" else ", not enforced on OCaml " ^ Sys.ocaml_version);
-  if budget_enforced then
-    check_bool (Printf.sprintf "%s: %.2f words <= %.2f" what measured budget) true
-      (measured <= budget)
+   are exact, so a budget is the value measured on OCaml 5.1 plus 2%
+   ([Budget]): one more word per message breaks it. *)
 
 (* Runs [round] 10 times to warm up (the heap reaches its first
    capacity), then returns the words per call over 1000 more. *)
@@ -1045,7 +1031,7 @@ let message_words ~wan ~bulk =
 let test_budget_message () =
   List.iter
     (fun (wan, bulk) ->
-      check_budget
+      Budget.check
         (Printf.sprintf "%s %s message" (if wan then "WAN" else "LAN")
            (if bulk then "bulk" else "ctrl"))
         ~measured:(message_words ~wan ~bulk) ~budget:(27.0 *. 1.02))
@@ -1053,7 +1039,7 @@ let test_budget_message () =
 
 let test_budget_event () =
   let sim = Sim.create () in
-  check_budget "Sim.at + one dispatch"
+  Budget.check "Sim.at + one dispatch"
     ~measured:
       (words_per_round (fun () ->
            Sim.at sim (Sim.now sim +. 1.0) delivered;
