@@ -568,9 +568,9 @@ let bench_cmd =
   let full =
     Arg.(value & flag & info [ "full" ]
            ~doc:"Full mode: macro rows at full scale over 4 + 12 simulated \
-                 seconds (scaling table: 3 and 5 groups). The default quick \
-                 mode runs 1 + 3 s macro rows at 1% scale (scaling table: 3 \
-                 groups). Both modes run the same micro-benchmarks. The gate \
+                 seconds, plus MassBFT at 5 groups. The default quick mode \
+                 runs 1 + 3 s macro rows at 1% scale. Both modes run the \
+                 same micro-benchmarks. The gate \
                  compares against committed baselines that were measured \
                  in full mode.")
   in
@@ -588,10 +588,10 @@ let bench_cmd =
   in
   let json_file =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
-           ~doc:"Also run the scheduler scaling table (first, from the \
-                 pristine process) and one YCSB-A macro row per system, and \
-                 write the full baseline to $(docv) in the Bench_report \
-                 schema.")
+           ~doc:"Also run the YCSB-A macro rows (first, from the pristine \
+                 process): every system at 3 groups, plus MassBFT at 5 \
+                 groups in full mode. Write the full baseline to $(docv) \
+                 in the Bench_report schema.")
   in
   let action full check_file tolerance json_file =
     if tolerance <= 0.0 then begin
@@ -601,50 +601,31 @@ let bench_cmd =
     Option.iter (check_writable ~flag:"--json") json_file;
     let quick = not full in
     let mode = if quick then "quick" else "full" in
-    let recording = json_file <> None in
-    (* The scaling table runs first: measuring its rows from the pristine
-       process keeps them free of the heap growth the micro and macro
-       sections leave behind. *)
-    let scaling =
-      if not recording then []
+    (* The macro rows run first, from the pristine process: on a 2-vCPU
+       host they read 10-45% slower after the micros, and the micros
+       themselves spread less once a macro row has grown the heap. *)
+    let macros =
+      if json_file = None then []
       else begin
-        Printf.printf
-          "=== scheduler scaling (MassBFT YCSB-A, groups, %s mode) ===\n" mode;
-        Printf.printf "  %-7s %9s %16s %15s\n" "groups" "wall_s" "sim_s/wall_s"
-          "committed_txns";
+        Printf.printf "=== macro benchmarks (YCSB-A, nationwide, %s mode) ===\n"
+          mode;
         let rows =
-          Bench_report.run_scaling ~quick
-            ~on_row:(fun (s : Bench_report.scaling) ->
-              Printf.printf "  %-7d %9.2f %16.3f %15d\n%!" s.sc_groups
-                s.sc_wall_s s.sc_sim_s_per_wall_s s.sc_committed_txns)
-            ()
+          List.map
+            (fun (system, groups) ->
+              let m = Bench_report.run_macro ~quick ~groups ~system () in
+              Printf.printf
+                "  %-9s %d groups %8.2f ktps  %6.2fs wall  %6.2f sim-s/wall-s  \
+                 %8.0f txns/wall-s\n%!"
+                m.system m.groups m.throughput_ktps m.wall_s m.sim_s_per_wall_s
+                m.committed_txns_per_wall_s;
+              m)
+            (Bench_report.row_plan ~quick)
         in
         print_newline ();
         rows
       end
     in
     let micros = Massbft_bench.Micros.run_micro () in
-    let macros =
-      if not recording then []
-      else begin
-        Printf.printf "=== macro benchmarks (YCSB-A, nationwide, %s mode) ===\n"
-          mode;
-        let rows =
-          List.map
-            (fun system ->
-              let m = Bench_report.run_macro ~quick ~system () in
-              Printf.printf
-                "  %-9s %8.2f ktps  %6.2fs wall  %5.2f sim-s/wall-s  %8.0f \
-                 txns/wall-s\n%!"
-                m.system m.throughput_ktps m.wall_s m.sim_s_per_wall_s
-                m.committed_txns_per_wall_s;
-              m)
-            Config.all_systems
-        in
-        print_newline ();
-        rows
-      end
-    in
     Option.iter
       (fun file ->
         let tm = Unix.localtime (Unix.time ()) in
@@ -653,7 +634,7 @@ let bench_cmd =
             (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
         in
         write_file file
-          (Bench_report.to_json ~date ~mode ~scaling ~micros ~macros ());
+          (Bench_report.to_json ~date ~mode ~micros ~macros ());
         Printf.printf "wrote %s\n%!" file)
       json_file;
     match check_file with
@@ -680,8 +661,8 @@ let bench_cmd =
   Cmd.v
     (Cmd.info "bench"
        ~doc:
-         "Run the micro-benchmark suite; with --json, also the macro rows \
-          and scaling table, recorded as a baseline report; with --check, \
+         "Run the micro-benchmark suite; with --json, also the macro rows, \
+          recorded as a baseline report; with --check, \
           gate the micro results against a committed baseline report and \
           exit non-zero on regressions.")
     Term.(const action $ full $ check_file $ tolerance $ json_file)

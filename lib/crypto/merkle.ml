@@ -76,118 +76,3 @@ let verify ~root:expected ~leaf proof =
   String.equal !acc expected
 
 let proof_size proof = (32 * List.length proof.path) + 4
-
-type multiproof = { mp_indices : int list; mp_nodes : string list }
-
-module ISet = Set.Make (Int)
-
-(* Walk the tree level by level. At each level the verifier will know
-   the hashes at [known] positions; every sibling of a known position
-   that is not itself known must travel in the proof. *)
-let multiproof_plan t indices =
-  let rec go lvl known acc =
-    if lvl >= Array.length t.levels - 1 then List.rev acc
-    else begin
-      let width = Array.length t.levels.(lvl) in
-      let needed =
-        ISet.fold
-          (fun i need ->
-            let sib = i lxor 1 in
-            if sib < width && not (ISet.mem sib known) then ISet.add sib need
-            else need)
-          known ISet.empty
-      in
-      let parents =
-        ISet.fold (fun i ps -> ISet.add (i / 2) ps) known ISet.empty
-      in
-      go (lvl + 1) parents ((lvl, ISet.elements needed) :: acc)
-    end
-  in
-  go 0 (ISet.of_list indices) []
-
-let check_indices t indices =
-  if indices = [] then invalid_arg "Merkle.prove_many: empty index list";
-  let set = ISet.of_list indices in
-  if ISet.cardinal set <> List.length indices then
-    invalid_arg "Merkle.prove_many: duplicate indices";
-  if ISet.min_elt set < 0 || ISet.max_elt set >= leaf_count t then
-    invalid_arg "Merkle.prove_many: index out of range";
-  ISet.elements set
-
-let prove_many t indices =
-  let indices = check_indices t indices in
-  let nodes =
-    List.concat_map
-      (fun (lvl, needs) -> List.map (fun i -> t.levels.(lvl).(i)) needs)
-      (multiproof_plan t indices)
-  in
-  { mp_indices = indices; mp_nodes = nodes }
-
-let verify_many ~root:expected ~leaf_count ~leaves mp =
-  let module IMap = Map.Make (Int) in
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) leaves in
-  if leaf_count < 1 || List.map fst sorted <> mp.mp_indices then false
-  else begin
-    let known =
-      List.fold_left
-        (fun m (i, leaf) -> IMap.add i (leaf_hash leaf) m)
-        IMap.empty sorted
-    in
-    (* Mirror the prover level by level, using the known tree widths to
-       decide which siblings exist (odd tail nodes self-pair). *)
-    let rec go known width nodes =
-      if width = 1 then
-        nodes = []
-        &&
-        (match IMap.find_opt 0 known with
-        | Some h -> String.equal h expected
-        | None -> false)
-      else begin
-        let needed =
-          IMap.fold
-            (fun i _ need ->
-              let sib = i lxor 1 in
-              if sib < width && not (IMap.mem sib known) then ISet.add sib need
-              else need)
-            known ISet.empty
-        in
-        let rec take set nodes acc =
-          match (ISet.min_elt_opt set, nodes) with
-          | None, rest -> Some (acc, rest)
-          | Some i, h :: rest -> take (ISet.remove i set) rest ((i, h) :: acc)
-          | Some _, [] -> None
-        in
-        match take needed nodes [] with
-        | None -> false
-        | Some (fills, rest_nodes) ->
-            let level =
-              List.fold_left (fun m (i, h) -> IMap.add i h m) known fills
-            in
-            let parents =
-              IMap.fold
-                (fun i h m ->
-                  let sib = i lxor 1 in
-                  let pair =
-                    if sib >= width then node_hash h h
-                    else
-                      match IMap.find_opt sib level with
-                      | Some sh ->
-                          if i land 1 = 0 then node_hash h sh else node_hash sh h
-                      | None ->
-                          (* Cannot happen for a well-formed proof: the
-                             sibling was either known or filled. Treat a
-                             hole as a verification failure by producing
-                             a hash that cannot match. *)
-                          leaf_hash "massbft-multiproof-hole"
-                  in
-                  IMap.add (i / 2) pair m)
-                level IMap.empty
-            in
-            go parents ((width + 1) / 2) rest_nodes
-      end
-    in
-    go known leaf_count mp.mp_nodes
-  end
-
-let multiproof_size mp =
-  (32 * List.length mp.mp_nodes) + (4 * List.length mp.mp_indices)

@@ -35,33 +35,5 @@ val proof_size : proof -> int
 (** Serialized size in bytes (for WAN traffic accounting): 32 bytes per
     path element plus a 4-byte index. *)
 
-(** {2 Compact multiproofs}
-
-    When one sender ships several chunks to the same receiver (transfer
-    plans with [nc_send > 1] per destination), the per-chunk proofs
-    share most of their path hashes. A multiproof (Ramabaja &
-    Avdullahu, the paper's reference for chunk authentication) carries
-    each needed hash exactly once. *)
-
-type multiproof = { mp_indices : int list; mp_nodes : string list }
-(** [mp_indices] are the proven leaf positions (ascending);
-    [mp_nodes] the sibling hashes, ordered level by level, ascending
-    position within each level. *)
-
-val prove_many : tree -> int list -> multiproof
-(** [prove_many t indices] proves all [indices] together. Raises
-    [Invalid_argument] on an empty list, duplicates, or out-of-range
-    indices. *)
-
-val verify_many :
-  root:string -> leaf_count:int -> leaves:(int * string) list -> multiproof -> bool
-(** [verify_many ~root ~leaf_count ~leaves mp] checks that every
-    [(index, leaf)] sits in the [leaf_count]-leaf tree under [root]
-    (receivers know the chunk count from the transfer plan). The leaves
-    must be exactly the multiproof's index set. *)
-
-val multiproof_size : multiproof -> int
-(** Serialized bytes: 32 per node hash plus 4 per index. *)
-
 val leaf_hash : string -> string
 (** The domain-separated hash of a raw leaf (exposed for tests). *)

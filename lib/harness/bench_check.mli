@@ -18,7 +18,7 @@ type baseline = {
 val load_baseline : string -> baseline
 (** Raises [Failure] with a readable message on unreadable files,
     malformed JSON, or documents without micro rows. Any schema version
-    with a [micro] array is accepted (v1–v3 all qualify). *)
+    with a [micro] array is accepted. *)
 
 type status =
   | Ok  (** within tolerance *)

@@ -1,25 +1,24 @@
 (** Benchmark baseline reports ([BENCH_<date>.json]).
 
-    [massbft bench --json] records three kinds of entries:
+    [massbft bench --json] records two kinds of entries:
 
     - {e micro}: bechamel OLS estimates (nanoseconds per run) for the
-      named substrate hot paths;
-    - {e macro}: one full engine run per system on YCSB-A over the
-      nationwide cluster, pairing the simulated-side results (which are
-      deterministic for a fixed seed) with the wall-clock cost of
-      producing them;
-    - {e scaling}: the MassBFT macro run repeated per group count.
+      named simulator hot paths;
+    - {e macro}: one full engine run per (system, group count) of
+      {!row_plan} on YCSB-A over the nationwide cluster, pairing the
+      simulated-side results (which are deterministic for a fixed
+      seed) with the wall-clock cost of producing them.
 
-    The JSON is rendered here, by hand, so the schema lives in one
-    place and tests can validate it without a JSON parser dependency.
-    Rendering raises [Invalid_argument] on any non-finite float — a
-    NaN in a committed baseline would poison every later comparison. *)
+    The schema lives here, in one place. Rendering raises
+    [Invalid_argument] on any non-finite float — a NaN in a committed
+    baseline would poison every later comparison. *)
 
 type micro = { m_name : string; ns_per_run : float }
 
 type macro = {
   system : string;  (** e.g. ["MassBFT"] *)
   workload : string;  (** e.g. ["YCSB-A"] *)
+  groups : int;  (** nationwide groups of 7 nodes *)
   wall_s : float;  (** wall-clock seconds for the whole run *)
   sim_s : float;  (** simulated seconds driven (warmup + measurement) *)
   sim_s_per_wall_s : float;  (** simulator speed: [sim_s /. wall_s] *)
@@ -32,37 +31,23 @@ type macro = {
   wan_mb : float;
 }
 
+val row_plan : quick:bool -> (Massbft.Config.system * int) list
+(** The macro rows as (system, groups): every system at 3 groups, plus
+    MassBFT at 5 groups in full mode. *)
+
 val run_macro :
-  ?quick:bool -> ?groups:int -> system:Massbft.Config.system -> unit -> macro
-(** One engine run on YCSB-A over the nationwide cluster ([groups]
-    groups of 7, default 3). Quick mode (1 s warmup + 3 s measurement
-    at 1% workload scale) is the CI smoke setting; full mode uses the
-    figure-harness windows (4 s + 12 s at full scale). Simulated-side fields are deterministic:
-    two calls with the same parameters agree on everything except
-    [wall_s] and the two [*_per_wall_s] rates derived from it. *)
-
-type scaling = {
-  sc_groups : int;  (** cluster group count *)
-  sc_wall_s : float;
-  sc_sim_s : float;
-  sc_sim_s_per_wall_s : float;
-  sc_committed_txns : int;
-}
-
-val run_scaling :
-  ?quick:bool ->
-  ?groups_list:int list ->
-  ?on_row:(scaling -> unit) ->
-  unit ->
-  scaling list
-(** The scheduler scaling table: one MassBFT {!run_macro} per group
-    count. [on_row] fires after each row, for progress output. Default
-    groups: 3 in quick mode, 3 and 5 in full mode. *)
+  ?quick:bool -> groups:int -> system:Massbft.Config.system -> unit -> macro
+(** One engine run on YCSB-A over the nationwide cluster of [groups]
+    groups of 7. Quick mode (1 s warmup + 3 s measurement at 1%
+    workload scale) is the CI smoke setting; full mode uses the
+    figure-harness windows (4 s + 12 s at full scale). Simulated-side
+    fields are deterministic: two calls with the same parameters agree
+    on everything except [wall_s] and the two [*_per_wall_s] rates
+    derived from it. *)
 
 val to_json :
   date:string ->
   mode:string ->
-  ?scaling:scaling list ->
   micros:micro list ->
   macros:macro list ->
   unit ->

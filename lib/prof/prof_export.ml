@@ -29,11 +29,6 @@ let text (r : Prof.report) =
    time is the sum of the slices, so the attribution fields are gone. *)
 let schema_version = 3
 
-let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> Json.quote k ^ ":" ^ v) fields) ^ "}"
-
-let jarr items = "[" ^ String.concat "," items ^ "]"
-
 let report_fields (r : Prof.report) =
   [
     ("shards", string_of_int r.rp_shards);
@@ -47,7 +42,7 @@ let report_fields (r : Prof.report) =
     ("events", string_of_int r.rp_events);
     ("events_per_slice", Json.number r.rp_events_per_slice);
     ( "gc",
-      jobj
+      Json.obj
         [
           ("minor_collections", string_of_int r.rp_gc_minor);
           ("major_collections", string_of_int r.rp_gc_major);
@@ -56,7 +51,7 @@ let report_fields (r : Prof.report) =
   ]
 
 let slice_json (s : Prof.slice) =
-  jobj
+  Json.obj
     [
       ("sim_end_s", Json.number s.s_end);
       ("host_t0_s", Json.number s.s_host_t0);
@@ -69,10 +64,10 @@ let slice_json (s : Prof.slice) =
 
 let json p =
   let r = Prof.report p in
-  jobj
+  Json.obj
     (("schema_version", string_of_int schema_version)
      :: report_fields r
-    @ [ ("slice_log", jarr (List.map slice_json (Prof.slices p))) ])
+    @ [ ("slice_log", Json.arr (List.map slice_json (Prof.slices p))) ])
 
 let write_json p path =
   let oc = open_out path in

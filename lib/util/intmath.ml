@@ -23,22 +23,7 @@ let raft_f ng =
 
 let raft_quorum ng = raft_f ng + 1
 
-let pow b e =
-  if e < 0 then invalid_arg "Intmath.pow: negative exponent";
-  let rec go acc b e =
-    if e = 0 then acc
-    else if e land 1 = 1 then go (acc * b) (b * b) (e asr 1)
-    else go acc (b * b) (e asr 1)
-  in
-  go 1 b e
-
 let log2_ceil n =
   if n < 1 then invalid_arg "Intmath.log2_ceil: need n >= 1";
   let rec go k p = if p >= n then k else go (k + 1) (p * 2) in
   go 0 1
-
-let is_power_of_two n = n > 0 && n land (n - 1) = 0
-
-let clamp ~lo ~hi x =
-  if lo > hi then invalid_arg "Intmath.clamp: lo > hi";
-  if x < lo then lo else if x > hi then hi else x

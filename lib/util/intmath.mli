@@ -28,15 +28,6 @@ val raft_f : int -> int
 val raft_quorum : int -> int
 (** [raft_quorum ng] is the global majority quorum [f_g + 1]. *)
 
-val pow : int -> int -> int
-(** [pow b e] is [b] raised to the [e]-th power ([e >= 0]). *)
-
 val log2_ceil : int -> int
 (** [log2_ceil n] is the smallest [k] with [2^k >= n] ([n >= 1]). Used to
     size Merkle trees. *)
-
-val is_power_of_two : int -> bool
-(** [is_power_of_two n] is [true] iff [n] is a positive power of two. *)
-
-val clamp : lo:int -> hi:int -> int -> int
-(** [clamp ~lo ~hi x] bounds [x] into the inclusive range [lo, hi]. *)

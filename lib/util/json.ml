@@ -29,6 +29,11 @@ let number f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%.9g" f
 
+let obj fields =
+  "{" ^ String.concat "," (List.map (fun (k, v) -> quote k ^ ":" ^ v) fields) ^ "}"
+
+let arr items = "[" ^ String.concat "," items ^ "]"
+
 (* ---- Reading ---- *)
 
 type t =

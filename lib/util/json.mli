@@ -17,6 +17,12 @@ val number : float -> string
 (** Integral values below 1e15 without a fraction ([%.0f]), everything
     else with [%.9g]. *)
 
+val obj : (string * string) list -> string
+(** [{"k":v,...}] from rendered values, in order, with no whitespace. *)
+
+val arr : string list -> string
+(** [[v,...]] from rendered values, with no whitespace. *)
+
 (** {1 Reading} *)
 
 type t =

@@ -3,9 +3,6 @@ module Summary = struct
     mutable samples : float array;
     mutable size : int;
     mutable sum : float;
-    mutable sumsq : float;
-    mutable lo : float;
-    mutable hi : float;
     mutable sorted : bool;
   }
 
@@ -14,9 +11,6 @@ module Summary = struct
       samples = [||];
       size = 0;
       sum = 0.0;
-      sumsq = 0.0;
-      lo = infinity;
-      hi = neg_infinity;
       sorted = true;
     }
 
@@ -31,35 +25,10 @@ module Summary = struct
     t.samples.(t.size) <- x;
     t.size <- t.size + 1;
     t.sum <- t.sum +. x;
-    t.sumsq <- t.sumsq +. (x *. x);
-    if x < t.lo then t.lo <- x;
-    if x > t.hi then t.hi <- x;
     t.sorted <- false
 
   let count t = t.size
   let mean t = if t.size = 0 then 0.0 else t.sum /. float_of_int t.size
-
-  (* Extremes of an empty summary used to report 0.0, which silently
-     fabricated a plausible-looking row in figure output. The plain
-     accessors now raise, and the [_opt] variants let callers opt into
-     an explicit default. *)
-  let min_opt t = if t.size = 0 then None else Some t.lo
-  let max_opt t = if t.size = 0 then None else Some t.hi
-
-  let min t =
-    if t.size = 0 then invalid_arg "Stats.Summary.min: empty summary"
-    else t.lo
-
-  let max t =
-    if t.size = 0 then invalid_arg "Stats.Summary.max: empty summary"
-    else t.hi
-
-  let stddev t =
-    if t.size < 2 then 0.0
-    else
-      let n = float_of_int t.size in
-      let var = (t.sumsq /. n) -. ((t.sum /. n) ** 2.0) in
-      if var < 0.0 then 0.0 else sqrt var
 
   let swap (a : float array) i j =
     let tmp = a.(i) in
@@ -126,15 +95,6 @@ module Summary = struct
     if p < 0.0 || p > 100.0 then
       invalid_arg "Stats.Summary.percentile_opt: p outside [0, 100]";
     if t.size = 0 then None else Some (percentile t p)
-
-  let clear t =
-    t.samples <- [||];
-    t.size <- 0;
-    t.sum <- 0.0;
-    t.sumsq <- 0.0;
-    t.lo <- infinity;
-    t.hi <- neg_infinity;
-    t.sorted <- true
 end
 
 module Timeseries = struct
@@ -202,5 +162,4 @@ module Counter = struct
     t.n <- t.n + n
 
   let get t = t.n
-  let reset t = t.n <- 0
 end

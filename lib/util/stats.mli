@@ -13,30 +13,13 @@ module Summary : sig
   val mean : t -> float
   (** 0 when empty. *)
 
-  val min : t -> float
-  (** Smallest sample. Raises [Invalid_argument] when the summary is
-      empty — an empty summary has no minimum, and returning 0 would
-      fabricate a sample that was never observed. *)
-
-  val max : t -> float
-  (** Largest sample; raises [Invalid_argument] when empty. *)
-
-  val min_opt : t -> float option
-  val max_opt : t -> float option
-  (** [None] when empty; for call sites that want an explicit default
-      instead of an exception. *)
-
-  val stddev : t -> float
-
   val percentile : t -> float -> float
   (** [percentile t p] with [p] in [0, 100], nearest-rank. Raises
       [Invalid_argument] when [p] is out of range or the summary is
-      empty, consistently with {!min}/{!max}. *)
+      empty. *)
 
   val percentile_opt : t -> float -> float option
   (** [None] when empty; still raises on [p] outside [0, 100]. *)
-
-  val clear : t -> unit
 end
 
 (** Events bucketed by time, for throughput-over-time series such as the
@@ -71,5 +54,4 @@ module Counter : sig
   val create : unit -> t
   val add : t -> int -> unit
   val get : t -> int
-  val reset : t -> unit
 end

@@ -61,9 +61,9 @@ let test_json_reads_bench_report () =
 
 let fixture_micros =
   [
-    ("massbft sha256/4KiB", 76000.0);
-    ("massbft sim/100k-events", 1.14e7);
-    ("massbft rs/gf8-encode-13+15-100KB", 2.5e6);
+    ("massbft sim/remote-send", 400.0);
+    ("massbft sim/100k-events", 4.2e6);
+    ("massbft aria/500-txn-batch", 74000.0);
   ]
 
 let write_fixture_baseline ?(scale_first = 1.0) () =
@@ -227,8 +227,10 @@ let test_committed_baseline_loads () =
   in
   if Sys.file_exists file then begin
     let b = Bench_check.load_baseline file in
-    check_bool "has the full micro suite" true
-      (List.length b.Bench_check.b_micros >= 21);
+    Alcotest.(check (list string))
+      "exactly the suite's micros"
+      (List.sort compare (Bechamel.Test.names Massbft_bench.Micros.suite))
+      (List.sort compare (List.map fst b.Bench_check.b_micros));
     let r =
       Bench_check.compare_micros ~baseline:b ~current:b.Bench_check.b_micros ()
     in

@@ -190,96 +190,6 @@ let test_merkle_empty () =
     (Invalid_argument "Merkle.build: empty leaf list") (fun () ->
       ignore (Merkle.build []))
 
-let test_multiproof_roundtrip () =
-  List.iter
-    (fun (n, indices) ->
-      let leaves = chunks n in
-      let t = Merkle.build leaves in
-      let mp = Merkle.prove_many t indices in
-      let leaf_list = List.map (fun i -> (i, List.nth leaves i)) indices in
-      check_bool
-        (Printf.sprintf "n=%d |idx|=%d verifies" n (List.length indices))
-        true
-        (Merkle.verify_many ~root:(Merkle.root t) ~leaf_count:n
-           ~leaves:leaf_list mp))
-    [
-      (1, [ 0 ]);
-      (2, [ 0; 1 ]);
-      (7, [ 0; 3; 6 ]);
-      (8, [ 2 ]);
-      (13, [ 0; 1; 2; 3 ]);
-      (28, [ 0; 7; 14; 21 ]);
-      (28, List.init 28 Fun.id);
-    ]
-
-let test_multiproof_smaller_than_separate_proofs () =
-  (* The §IV-B plan ships 7 consecutive chunks per sender: the shared
-     path makes one multiproof much smaller than 7 proofs. *)
-  let t = Merkle.build (chunks 28) in
-  let indices = List.init 7 Fun.id in
-  let mp = Merkle.prove_many t indices in
-  let separate =
-    List.fold_left (fun acc i -> acc + Merkle.proof_size (Merkle.prove t i)) 0 indices
-  in
-  check_bool
-    (Printf.sprintf "multiproof %dB < separate %dB"
-       (Merkle.multiproof_size mp) separate)
-    true
-    (Merkle.multiproof_size mp < separate)
-
-let test_multiproof_rejects_tampering () =
-  let leaves = chunks 16 in
-  let t = Merkle.build leaves in
-  let mp = Merkle.prove_many t [ 2; 5; 9 ] in
-  let root = Merkle.root t in
-  let good = [ (2, List.nth leaves 2); (5, List.nth leaves 5); (9, List.nth leaves 9) ] in
-  check_bool "sanity: good verifies" true
-    (Merkle.verify_many ~root ~leaf_count:16 ~leaves:good mp);
-  let bad = [ (2, List.nth leaves 2); (5, "EVIL"); (9, List.nth leaves 9) ] in
-  check_bool "tampered leaf rejected" false
-    (Merkle.verify_many ~root ~leaf_count:16 ~leaves:bad mp);
-  let wrong_set = [ (2, List.nth leaves 2); (5, List.nth leaves 5) ] in
-  check_bool "wrong index set rejected" false
-    (Merkle.verify_many ~root ~leaf_count:16 ~leaves:wrong_set mp);
-  let truncated = { mp with Merkle.mp_nodes = List.tl mp.Merkle.mp_nodes } in
-  check_bool "truncated proof rejected" false
-    (Merkle.verify_many ~root ~leaf_count:16 ~leaves:good truncated);
-  (* A leaf_count lie that changes pairing along the proven path must be
-     caught: index 14 self-pairs in a 15-leaf tree but would need a
-     15th sibling in a 16-leaf one. *)
-  let leaves15 = chunks 15 in
-  let t15 = Merkle.build leaves15 in
-  let mp15 = Merkle.prove_many t15 [ 14 ] in
-  check_bool "tail index verifies with true count" true
-    (Merkle.verify_many ~root:(Merkle.root t15) ~leaf_count:15
-       ~leaves:[ (14, List.nth leaves15 14) ] mp15);
-  check_bool "structural leaf_count lie rejected" false
-    (Merkle.verify_many ~root:(Merkle.root t15) ~leaf_count:16
-       ~leaves:[ (14, List.nth leaves15 14) ] mp15)
-
-let test_multiproof_errors () =
-  let t = Merkle.build (chunks 4) in
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Merkle.prove_many: empty index list") (fun () ->
-      ignore (Merkle.prove_many t []));
-  Alcotest.check_raises "duplicates"
-    (Invalid_argument "Merkle.prove_many: duplicate indices") (fun () ->
-      ignore (Merkle.prove_many t [ 1; 1 ]));
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Merkle.prove_many: index out of range") (fun () ->
-      ignore (Merkle.prove_many t [ 4 ]))
-
-let prop_multiproof_roundtrip =
-  QCheck.Test.make ~name:"random multiproofs verify" ~count:100
-    QCheck.(pair (int_range 1 40) (list_of_size Gen.(int_range 1 8) small_nat))
-    (fun (n, raw) ->
-      let indices = List.sort_uniq compare (List.map (fun i -> i mod n) raw) in
-      let leaves = chunks n in
-      let t = Merkle.build leaves in
-      let mp = Merkle.prove_many t indices in
-      let leaf_list = List.map (fun i -> (i, List.nth leaves i)) indices in
-      Merkle.verify_many ~root:(Merkle.root t) ~leaf_count:n ~leaves:leaf_list mp)
-
 let prop_merkle_all_proofs_verify =
   QCheck.Test.make ~name:"every leaf of a random tree proves"
     QCheck.(list_of_size Gen.(int_range 1 40) string)
@@ -332,11 +242,6 @@ let () =
           Alcotest.test_case "domain separation" `Quick test_merkle_domain_separation;
           Alcotest.test_case "proof size" `Quick test_merkle_proof_size;
           Alcotest.test_case "empty rejected" `Quick test_merkle_empty;
-          Alcotest.test_case "multiproof roundtrip" `Quick test_multiproof_roundtrip;
-          Alcotest.test_case "multiproof compactness" `Quick test_multiproof_smaller_than_separate_proofs;
-          Alcotest.test_case "multiproof tampering" `Quick test_multiproof_rejects_tampering;
-          Alcotest.test_case "multiproof errors" `Quick test_multiproof_errors;
-          qt prop_multiproof_roundtrip;
           qt prop_merkle_all_proofs_verify;
           qt prop_merkle_cross_tree_rejection;
         ] );

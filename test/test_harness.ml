@@ -120,46 +120,63 @@ let test_runner_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 module Bench_report = Massbft_harness.Bench_report
+module Json = Massbft_util.Json
 
-let contains ~needle hay =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
+let test_bench_row_plan () =
+  let quick = Bench_report.row_plan ~quick:true in
+  let full = Bench_report.row_plan ~quick:false in
+  check_int "quick: one row per system" (List.length Config.all_systems)
+    (List.length quick);
+  check_bool "quick: every row at 3 groups" true
+    (List.for_all (fun (_, g) -> g = 3) quick);
+  check_bool "full: quick rows plus MassBFT at 5" true
+    (full = quick @ [ (Config.Massbft, 5) ]);
+  check_int "no (system, groups) pair twice" (List.length full)
+    (List.length (List.sort_uniq compare full))
 
 let test_bench_json_schema () =
-  let micro = { Bench_report.m_name = "sha256/4KiB"; ns_per_run = 1234.5 } in
-  let macro = Bench_report.run_macro ~quick:true ~system:Config.Baseline () in
-  let scaling =
-    {
-      Bench_report.sc_groups = 3;
-      sc_wall_s = 1.5;
-      sc_sim_s = 4.0;
-      sc_sim_s_per_wall_s = 4.0 /. 1.5;
-      sc_committed_txns = 42;
-    }
+  let micro = { Bench_report.m_name = "sim/remote-send"; ns_per_run = 1234.5 } in
+  let macro =
+    Bench_report.run_macro ~quick:true ~groups:3 ~system:Config.Baseline ()
   in
   let doc =
-    Bench_report.to_json ~date:"2026-08-07" ~mode:"quick" ~scaling:[ scaling ]
-      ~micros:[ micro ] ~macros:[ macro ] ()
+    Bench_report.to_json ~date:"2026-08-07" ~mode:"quick" ~micros:[ micro ]
+      ~macros:[ macro; { macro with Bench_report.groups = 5 } ] ()
   in
-  List.iter
-    (fun key ->
-      check_bool (key ^ " key present") true
-        (contains ~needle:("\"" ^ key ^ "\"") doc))
-    [
-      "schema_version"; "date"; "mode"; "micro"; "macro";
-      "name"; "ns_per_run"; "system"; "workload"; "wall_s"; "sim_s";
-      "sim_s_per_wall_s"; "committed_txns"; "committed_txns_per_wall_s";
-      "throughput_ktps"; "mean_latency_ms"; "p99_latency_ms"; "commit_ratio";
-      "wan_mb"; "scaling"; "groups";
-    ];
-  List.iter
-    (fun key ->
-      check_bool (key ^ " key gone") false
-        (contains ~needle:("\"" ^ key ^ "\"") doc))
-    [ "host_domains"; "domains"; "host_phases" ];
-  check_bool "workload is YCSB-A" true
-    (contains ~needle:(W.kind_name W.Ycsb_a) doc);
+  let json = Json.parse doc in
+  let keys = function Json.Obj fields -> List.map fst fields | _ -> [] in
+  check_bool "schema v5" true
+    (Json.member "schema_version" json = Some (Json.Num 5.0));
+  Alcotest.(check (list string))
+    "top-level keys, no scaling"
+    [ "schema_version"; "date"; "mode"; "micro"; "macro" ]
+    (keys json);
+  (match Option.bind (Json.member "micro" json) Json.to_list with
+  | Some [ m ] ->
+      Alcotest.(check (list string)) "micro keys" [ "name"; "ns_per_run" ] (keys m)
+  | _ -> Alcotest.fail "expected one micro row");
+  (match Option.bind (Json.member "macro" json) Json.to_list with
+  | Some rows ->
+      check_bool "every macro row has groups" true
+        (List.for_all (fun r -> Json.member "groups" r <> None) rows);
+      Alcotest.(check (list (float 0.0)))
+        "group counts" [ 3.0; 5.0 ]
+        (List.filter_map
+           (fun r -> Option.bind (Json.member "groups" r) Json.to_float)
+           rows);
+      Alcotest.(check (list string))
+        "macro keys"
+        [
+          "system"; "workload"; "groups"; "wall_s"; "sim_s";
+          "sim_s_per_wall_s"; "committed_txns"; "committed_txns_per_wall_s";
+          "throughput_ktps"; "mean_latency_ms"; "p99_latency_ms";
+          "commit_ratio"; "wan_mb";
+        ]
+        (keys (List.hd rows));
+      check_bool "workload is YCSB-A" true
+        (Json.member "workload" (List.hd rows)
+        = Some (Json.Str (W.kind_name W.Ycsb_a)))
+  | None -> Alcotest.fail "missing macro array");
   (* Every macro value the report carries must be finite; the renderer
      is the last line of defense against committing a NaN baseline. *)
   List.iter
@@ -184,22 +201,21 @@ let test_bench_json_schema () =
        false
      with Invalid_argument _ -> true)
 
-let test_bench_scaling_quick () =
-  (* One tiny scaling row end-to-end through the public entry point. *)
-  match Bench_report.run_scaling ~quick:true ~groups_list:[ 3 ] () with
-  | [ a ] ->
-      check_int "groups" 3 a.Bench_report.sc_groups;
-      check_bool "committed positive" true (a.Bench_report.sc_committed_txns > 0);
-      check_bool "wall finite" true (Float.is_finite a.Bench_report.sc_wall_s);
-      check_bool "rate finite" true
-        (Float.is_finite a.Bench_report.sc_sim_s_per_wall_s)
-  | _ -> Alcotest.fail "expected exactly one scaling row"
+let test_bench_massbft_row () =
+  (* One quick MassBFT row end-to-end through the public entry point. *)
+  let m = Bench_report.run_macro ~quick:true ~groups:3 ~system:Config.Massbft () in
+  check_int "groups" 3 m.Bench_report.groups;
+  check_bool "committed positive" true (m.Bench_report.committed_txns > 0);
+  check_bool "wall finite" true (Float.is_finite m.Bench_report.wall_s);
+  check_bool "rate finite" true (Float.is_finite m.Bench_report.sim_s_per_wall_s)
 
 let test_bench_macro_deterministic () =
   (* The simulated side of a macro entry is a pure function of the
      seed: only the wall-clock fields may differ between two runs. *)
-  let a = Bench_report.run_macro ~quick:true ~system:Config.Baseline () in
-  let b = Bench_report.run_macro ~quick:true ~system:Config.Baseline () in
+  let run () =
+    Bench_report.run_macro ~quick:true ~groups:3 ~system:Config.Baseline ()
+  in
+  let a = run () and b = run () in
   check_int "committed_txns" a.Bench_report.committed_txns
     b.Bench_report.committed_txns;
   check_float "sim_s" a.Bench_report.sim_s b.Bench_report.sim_s;
@@ -435,9 +451,10 @@ let () =
         ] );
       ( "bench_report",
         [
+          Alcotest.test_case "row plan" `Quick test_bench_row_plan;
           Alcotest.test_case "json schema" `Quick test_bench_json_schema;
           Alcotest.test_case "macro determinism" `Quick test_bench_macro_deterministic;
-          Alcotest.test_case "scaling table quick" `Slow test_bench_scaling_quick;
+          Alcotest.test_case "MassBFT row commits" `Slow test_bench_massbft_row;
         ] );
       ( "figures",
         [
