@@ -43,10 +43,10 @@ let form_batch t (l : leader) =
   in
   let eid = { Types.gid = l.l_gid; seq } in
   let digest = Sha256.digest ("entry:" ^ Types.entry_id_to_string eid) in
-  let wire l0 =
+  let txn_bytes l0 =
     List.fold_left (fun acc (x : Txn.t) -> acc + x.Txn.wire_size) 0 l0
   in
-  let size = Types.header_bytes + wire fresh + wire retried in
+  let size = batch_bytes ~txn_bytes:(txn_bytes fresh + txn_bytes retried) in
   let e =
     {
       eid;

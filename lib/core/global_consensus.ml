@@ -15,17 +15,6 @@
 
 open Node_ctx
 
-let raft_msg_bytes t rmsg =
-  match rmsg with
-  | Raft.Append { entry = Entry_meta _; _ } ->
-      Types.raft_meta_bytes ~n:(active_size t 0)
-  | Raft.Append { entry = Ts _; _ } | Raft.Append { entry = Noop; _ }
-  | Raft.Replace _ ->
-      Types.vote_bytes
-  | Raft.Append_ack _ | Raft.Commit_note _ | Raft.Request_vote _
-  | Raft.Vote _ | Raft.Probe _ | Raft.Probe_reply _ | Raft.Timeout_now _ ->
-      Types.vote_bytes
-
 (* ------------------------------------------------------------------ *)
 (* Skip-prepare accept rounds                                          *)
 (* ------------------------------------------------------------------ *)
@@ -44,14 +33,12 @@ let accept_round t (l : leader) r ~inst ~index k =
     let a_votes = Bitset.create () in
     Bitset.add a_votes l.l_addr.Topology.n;
     Inttbl.replace r.accept (round_key t ~inst ~index) { a_votes; a_release = k };
-    broadcast_group ~bulk:false t ~src:l.l_addr ~bytes:Types.vote_bytes
-      (Accept_req { inst; index })
+    broadcast_group t ~src:l.l_addr (Accept_req { inst; index })
   end
 
 let handle_accept_req t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
   (* Follower's vote in the skip-prepare accept round. *)
-  send ~bulk:false t ~src:dst ~dst:src ~bytes:Types.vote_bytes
-    (Accept_vote { inst; index })
+  send t ~src:dst ~dst:src (Accept_vote { inst; index })
 
 let handle_accept_vote t ~(src : Topology.addr) ~(dst : Topology.addr) ~inst ~index =
   if is_acting_leader t dst then
@@ -145,8 +132,7 @@ let ack_guard t (l : leader) r inst ~index payload release =
                     | Async_vts _ ->
                         for j = 0 to t.ng - 1 do
                           if j <> l.l_gid && member_now t j then
-                            send ~bulk:false t ~src:l.l_addr
-                              ~dst:(leader_addr t j) ~bytes:Types.vote_bytes
+                            send t ~src:l.l_addr ~dst:(leader_addr t j)
                               (Accept_note { eid })
                         done
                     | Sync_rounds _ | Epoch_rounds _ | Global_log -> ())))
@@ -312,8 +298,7 @@ let start t (l : leader) e =
       if l.l_gid = 0 then steward_propose t l raft proposed e
       else
         (* Forward the certified entry to the global leader group. *)
-        send ~bulk:true t ~src:l.l_addr ~dst:(leader_addr t 0)
-          ~bytes:(copy_bytes t e.eid) (Copy { eid = e.eid })
+        send t ~src:l.l_addr ~dst:(leader_addr t 0) (Copy { eid = e.eid })
   | Direct_broadcast { awaiting } ->
       Replication.send_oneway_copies t l e ~skip:[];
       (* The slot is held until every group the copy went to — the
@@ -339,9 +324,7 @@ let start t (l : leader) e =
    proposer and mark the entry's round. *)
 let credit_content t (l : leader) eid =
   if eid.Types.gid <> l.l_gid then
-    send ~bulk:false t ~src:l.l_addr
-      ~dst:(leader_addr t eid.Types.gid)
-      ~bytes:Types.vote_bytes (Recv_note { eid });
+    send t ~src:l.l_addr ~dst:(leader_addr t eid.Types.gid) (Recv_note { eid });
   Ordering.mark_round_ready t l eid
 
 (* Content arrived at a leader (part of the engine's on-leader-content
@@ -413,8 +396,7 @@ let install t_lazy ~ng ~gid ~n_inst =
                   Raft.send =
                     (fun dst_g rmsg ->
                       let t = Lazy.force t_lazy in
-                      send ~bulk:false t ~src:(leader_addr t gid)
-                        ~dst:(leader_addr t dst_g) ~bytes:(raft_msg_bytes t rmsg)
+                      send t ~src:(leader_addr t gid) ~dst:(leader_addr t dst_g)
                         (Raft_m { inst; rmsg }));
                   on_deliver =
                     (fun ~index:_ p ->

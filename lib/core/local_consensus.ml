@@ -7,23 +7,6 @@
 
 open Node_ctx
 
-(* The entry a PBFT message of group [g] names: the group's entry at
-   [seq], if [digest] is its digest. A forged digest (equivocation)
-   names nothing. *)
-let named_entry t g ~seq digest =
-  match Entry_tbl.find_opt t.entries { Types.gid = g; seq } with
-  | Some e when String.equal e.digest digest -> Some e
-  | Some _ | None -> None
-
-let local_msg_bytes t g m =
-  match m with
-  | Pbft.Pre_prepare { seq; digest; _ } -> (
-      match named_entry t g ~seq digest with
-      | Some e -> e.size + Types.header_bytes + Types.signature_bytes
-      | None -> Types.vote_bytes)
-  | Pbft.Prepare _ | Pbft.Commit _ -> Types.vote_bytes
-  | Pbft.View_change _ | Pbft.New_view _ -> 4 * Types.vote_bytes
-
 let on_decide t (node : node) (cert : Pbft.certificate) =
   match
     named_entry t node.n_addr.Topology.g ~seq:cert.Pbft.cert_seq
@@ -75,12 +58,8 @@ let install t =
               {
                 Pbft.send =
                   (fun dst_n pm ->
-                    let bulk =
-                      match pm with Pbft.Pre_prepare _ -> true | _ -> false
-                    in
-                    send ~bulk t ~src:node.n_addr
-                      ~dst:{ Topology.g; n = dst_n }
-                      ~bytes:(local_msg_bytes t g pm) (Local pm));
+                    send t ~src:node.n_addr ~dst:{ Topology.g; n = dst_n }
+                      (Local pm));
                 decide = (fun cert -> on_decide t node cert);
               }
           in

@@ -52,6 +52,8 @@ type rpayload =
   | Noop
       (** replaces an unrecoverable dead-group entry in a taken-over log *)
 
+(** What each message costs on the wire, its NIC class and its bytes, is
+    decided in one place: {!wire}, below the context. *)
 type msg =
   | Local of Pbft.msg  (** intra-group batch consensus *)
   | Chunk of { eid : Types.entry_id; root_tag : string; index : int }
@@ -275,14 +277,6 @@ type plans = {
   p_bijective : Bijective_plan.t Lazy.t;  (** §IV-A (full copies) *)
 }
 
-let plans_for ~n1 ~n2 =
-  {
-    p_n1 = n1;
-    p_n2 = n2;
-    p_transfer = lazy (Transfer_plan.generate ~n1 ~n2);
-    p_bijective = lazy (Bijective_plan.generate ~n1 ~n2);
-  }
-
 type t = {
   sim : Sim.t;
   topo : Topology.t;
@@ -293,7 +287,7 @@ type t = {
   entries : entry Entry_tbl.t;
   plans : plans array array;
       (** [src_group][dst_group]; replaced when either active size
-          changes (see [Replication.plan_between]) *)
+          changes (see {!plans}) *)
   metrics : Metrics.t;
   shared_store : Kvstore.t;
       (** the deployment's one database: each entry executes into it
@@ -367,9 +361,18 @@ let is_acting_leader t (a : Topology.addr) =
 let alive t (a : Topology.addr) = Topology.alive t.topo a
 
 let entry_of t eid =
-  match Entry_tbl.find_opt t.entries eid with
-  | Some e -> e
-  | None -> invalid_arg ("Engine: unknown entry " ^ Types.entry_id_to_string eid)
+  match Entry_tbl.find t.entries eid with
+  | e -> e
+  | exception Not_found ->
+      invalid_arg ("Engine: unknown entry " ^ Types.entry_id_to_string eid)
+
+(** The entry a PBFT message of group [g] names: the group's entry at
+    [seq], if [digest] is its digest. A forged digest (equivocation)
+    names nothing. *)
+let named_entry t g ~seq digest =
+  match Entry_tbl.find_opt t.entries { Types.gid = g; seq } with
+  | Some e as named when String.equal e.digest digest -> named
+  | Some _ | None -> None
 
 (** Quorum math runs over *active* slots, not physical ones: provisioned
     spares and retired slots are outside every certificate. Identical to
@@ -404,22 +407,88 @@ let retire t gid e =
     e.outcome <- None
   end
 
-(** Wire size of a full entry copy: batch bytes + the sender group's
-    PBFT certificate. *)
-let copy_bytes t eid =
-  let e = entry_of t eid in
-  e.size + Types.certificate_bytes ~n:t.active_n.(eid.Types.gid)
+(* ------------------------------------------------------------------ *)
+(* Dissemination plans                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let plans_for ~n1 ~n2 =
+  {
+    p_n1 = n1;
+    p_n2 = n2;
+    p_transfer = lazy (Transfer_plan.generate ~n1 ~n2);
+    p_bijective = lazy (Bijective_plan.generate ~n1 ~n2);
+  }
+
+(** The deployment's plans from group [src] to group [dst], for the
+    groups' active sizes: a reconfiguration that resizes either group
+    replaces the pair's plans; otherwise every call returns the same
+    record. *)
+let plans t ~src ~dst =
+  let p = t.plans.(src).(dst) in
+  let n1 = active_size t src and n2 = active_size t dst in
+  if p.p_n1 = n1 && p.p_n2 = n2 then p
+  else begin
+    let p = plans_for ~n1 ~n2 in
+    t.plans.(src).(dst) <- p;
+    p
+  end
+
+(** The Algorithm 1 transfer plan from group [src] to group [dst]. *)
+let plan_between t ~src ~dst = Lazy.force (plans t ~src ~dst).p_transfer
+
+(* ------------------------------------------------------------------ *)
+(* The wire model                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A message's NIC class and wire bytes travel as one int, so a send
+   allocates nothing to carry them: the bytes, shifted left one bit,
+   with the low bit set for the bulk class. *)
+let bulk bytes = (bytes lsl 1) lor 1
+let control bytes = bytes lsl 1
+
+(** An entry's wire bytes: a header plus its transactions'. *)
+let batch_bytes ~txn_bytes = Types.header_bytes + txn_bytes
+
+(** [wire t ~dst_g m]: the class and bytes of [m] on its way to group
+    [dst_g], packed as above. Entry payloads (pre-prepares, chunks,
+    full copies) are bulk; everything else is control traffic of one
+    vote's size, except a Raft metadata append, which carries a
+    certificate, and a view change, which carries four votes' worth of
+    proof. *)
+let wire t ~dst_g m =
+  match m with
+  | Local (Pbft.Pre_prepare { seq; digest; _ }) -> (
+      match named_entry t dst_g ~seq digest with
+      | Some e -> bulk (e.size + Types.header_bytes + Types.signature_bytes)
+      | None -> bulk Types.vote_bytes)
+  | Local (Pbft.Prepare _ | Pbft.Commit _) -> control Types.vote_bytes
+  | Local (Pbft.View_change _ | Pbft.New_view _) -> control (4 * Types.vote_bytes)
+  | Chunk { eid; _ } | Chunk_fwd { eid; _ } ->
+      bulk
+        (Chunker.chunk_wire_size
+           ~plan:(plan_between t ~src:eid.Types.gid ~dst:dst_g)
+           ~entry_len:(entry_of t eid).size)
+  | Copy { eid } | Copy_fwd { eid } ->
+      bulk
+        (Types.copy_bytes ~n:(active_size t eid.Types.gid)
+           ~entry_len:(entry_of t eid).size)
+  | Raft_m { rmsg = Raft.Append { entry = Entry_meta _; _ }; _ } ->
+      control (Types.raft_meta_bytes ~n:(active_size t 0))
+  | Raft_m _ | Accept_req _ | Accept_vote _ | Accept_note _ | Recv_note _
+  | Fetch_req _ ->
+      control Types.vote_bytes
+
+(* ------------------------------------------------------------------ *)
+(* Sends                                                               *)
+(* ------------------------------------------------------------------ *)
 
 let ship t ~bulk ~src ~dst ~bytes m =
   Topology.send ~bulk t.topo ~src ~dst ~bytes (fun () -> t.deliver t ~src ~dst m)
 
-(** Typed send: charges the topology's NICs/links, then hands the
-    message to the engine's dispatcher ([t.deliver]). [bulk] selects the
-    NIC service class (entry payloads are bulk, control traffic is not);
-    see {!Topology.send}. With no adversary hook a send is one
-    [Topology.send]: no per-call closure beyond the delivery
-    continuation. *)
-let send t ~bulk ~src ~dst ~bytes m =
+(* One send at a class and size already decided: through the adversary
+   hook when one is installed. A rewritten message ships at the
+   original's class and size. *)
+let emit t ~bulk ~bytes ~src ~dst m =
   match t.adv_hook with
   | None -> ship t ~bulk ~src ~dst ~bytes m
   | Some hook -> (
@@ -437,13 +506,25 @@ let send t ~bulk ~src ~dst ~bytes m =
                     ship t ~bulk ~src ~dst ~bytes adv_msg))
             ds)
 
+(** Typed send: {!wire} decides the message's class and bytes, then the
+    topology charges the NICs/links and hands the message to the
+    engine's dispatcher ([t.deliver]); see {!Topology.send}. With no
+    adversary hook a send is one [Topology.send]: no per-call
+    allocation beyond the delivery continuation. *)
+let send t ~src ~dst m =
+  let w = wire t ~dst_g:dst.Topology.g m in
+  emit t ~bulk:(w land 1 = 1) ~bytes:(w asr 1) ~src ~dst m
+
 (** Broadcasts cover the group's *active* slots only — a spare past the
-    active prefix is dark until its activation epoch. *)
-let broadcast_group t ~bulk ~src ~bytes m =
+    active prefix is dark until its activation epoch. The message's
+    class and bytes are decided once for the whole broadcast. *)
+let broadcast_group t ~src m =
   let gid = src.Topology.g in
+  let w = wire t ~dst_g:gid m in
+  let bulk = w land 1 = 1 and bytes = w asr 1 in
   for n = 0 to t.active_n.(gid) - 1 do
     let dst = { Topology.g = gid; n } in
-    if not (Topology.addr_equal src dst) then send t ~bulk ~src ~dst ~bytes m
+    if not (Topology.addr_equal src dst) then emit t ~bulk ~bytes ~src ~dst m
   done
 
 let charge_cpu t (a : Topology.addr) seconds k =

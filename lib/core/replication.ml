@@ -18,25 +18,6 @@
 
 open Node_ctx
 
-(* The deployment's plans from group [src] to group [dst], for the
-   groups' active sizes: a reconfiguration that resizes either group
-   replaces the pair's plans; otherwise every call returns the same
-   record. *)
-let plans t ~src ~dst =
-  let p = t.plans.(src).(dst) in
-  let n1 = active_size t src and n2 = active_size t dst in
-  if p.p_n1 = n1 && p.p_n2 = n2 then p
-  else begin
-    let p = plans_for ~n1 ~n2 in
-    t.plans.(src).(dst) <- p;
-    p
-  end
-
-let plan_between t ~src ~dst = Lazy.force (plans t ~src ~dst).p_transfer
-
-let chunk_bytes t ~src ~dst ~entry_len =
-  Chunker.chunk_wire_size ~plan:(plan_between t ~src ~dst) ~entry_len
-
 (* ------------------------------------------------------------------ *)
 (* Senders                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -56,15 +37,12 @@ let send_chunks t (node : node) e =
       if node.n_addr.Topology.n < active_size t g then
       for j = 0 to t.ng - 1 do
         if j <> g && member_now t j then begin
-          let plan = plan_between t ~src:g ~dst:j in
-          let bytes = chunk_bytes t ~src:g ~dst:j ~entry_len:e.size in
           List.iter
             (fun (c, r) ->
-              send ~bulk:true t ~src:node.n_addr
-                ~dst:{ Topology.g = j; n = r }
-                ~bytes
+              send t ~src:node.n_addr ~dst:{ Topology.g = j; n = r }
                 (Chunk { eid = e.eid; root_tag = e.digest; index = c }))
-            (Transfer_plan.sends_of plan ~sender:node.n_addr.Topology.n)
+            (Transfer_plan.sends_of (plan_between t ~src:g ~dst:j)
+               ~sender:node.n_addr.Topology.n)
         end
       done)
 
@@ -80,9 +58,8 @@ let send_bijective_copies t (node : node) e =
       let plan = Lazy.force (plans t ~src:g ~dst:j).p_bijective in
       List.iter
         (fun r ->
-          send ~bulk:true t ~src:node.n_addr
-            ~dst:{ Topology.g = j; n = r }
-            ~bytes:(copy_bytes t e.eid) (Copy { eid = e.eid }))
+          send t ~src:node.n_addr ~dst:{ Topology.g = j; n = r }
+            (Copy { eid = e.eid }))
         (Bijective_plan.sends_of plan ~sender:node.n_addr.Topology.n)
     end
   done
@@ -109,9 +86,7 @@ let send_oneway_copies t (l : leader) e ~skip =
   for j = 0 to t.ng - 1 do
     if j <> l.l_gid && member_now t j && not (List.mem j skip) then
       for r = 0 to group_f t j do
-        send ~bulk:true t ~src:l.l_addr
-          ~dst:{ Topology.g = j; n = r }
-          ~bytes:(copy_bytes t e.eid) (Copy { eid = e.eid })
+        send t ~src:l.l_addr ~dst:{ Topology.g = j; n = r } (Copy { eid = e.eid })
       done
   done
 
@@ -173,8 +148,7 @@ and fetch_issue t (l : leader) eid =
       if target <> l.l_gid then begin
         trace_entry t eid "fetch_req" ~gid:l.l_gid ~node:0
           ~args:[ ("target", Trace.Int target) ];
-        send ~bulk:false t ~src:l.l_addr ~dst:(leader_addr t target) ~bytes:Types.vote_bytes
-          (Fetch_req { eid })
+        send t ~src:l.l_addr ~dst:(leader_addr t target) (Fetch_req { eid })
       end;
       (* Capped exponential backoff with deterministic jitter: the base
          equals the old fixed retry period, so the first retry fires on
@@ -260,28 +234,20 @@ let on_chunk_received t (node : node) ~eid ~root_tag ~index =
 let handle_chunk t (node : node) ~eid ~root_tag ~index =
   on_chunk_received t node ~eid ~root_tag ~index;
   (* Exchange with the rest of the group. *)
-  let e = entry_of t eid in
-  let bytes =
-    chunk_bytes t ~src:eid.Types.gid ~dst:node.n_addr.Topology.g
-      ~entry_len:e.size
-  in
-  broadcast_group ~bulk:true t ~src:node.n_addr ~bytes
-    (Chunk_fwd { eid; root_tag; index })
+  broadcast_group t ~src:node.n_addr (Chunk_fwd { eid; root_tag; index })
 
 (* [true] when the copy brought content this node lacked. *)
 let handle_copy t (node : node) eid =
   let fresh = not (has_content node eid) in
   if fresh then begin
     content_event t node eid;
-    broadcast_group ~bulk:true t ~src:node.n_addr ~bytes:(copy_bytes t eid)
-      (Copy_fwd { eid })
+    broadcast_group t ~src:node.n_addr (Copy_fwd { eid })
   end;
   fresh
 
 let handle_fetch_req t (node : node) ~src eid =
   if has_content node eid then
-    send ~bulk:true t ~src:node.n_addr ~dst:src ~bytes:(copy_bytes t eid)
-      (Copy { eid })
+    send t ~src:node.n_addr ~dst:src (Copy { eid })
 
 let observe (t : Node_ctx.t) sampler =
   Array.iter

@@ -14,10 +14,6 @@ val coding_s : t -> entry -> float
 (** Coding CPU charged per entry: encode plus rebuild under
     [Encoded_bijective], zero otherwise. *)
 
-val plan_between : t -> src:int -> dst:int -> Transfer_plan.t
-(** The Algorithm 1 transfer plan from group [src] to group [dst] at
-    their active sizes, memoized per deployment. *)
-
 val send_oneway_copies : t -> leader -> entry -> skip:int list -> unit
 (** Ship f_j + 1 full copies to each remote group not in [skip] (the
     global phase of GeoBFT and Steward, which are one-way systems). *)

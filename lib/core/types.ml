@@ -34,6 +34,8 @@ let certificate_bytes ~n =
   let quorum = (2 * f) + 1 in
   (quorum * (signature_bytes + 4)) + digest_bytes + header_bytes
 
+let copy_bytes ~n ~entry_len = entry_len + certificate_bytes ~n
+
 let vote_bytes = digest_bytes + signature_bytes + header_bytes
 
 let raft_meta_bytes ~n = certificate_bytes ~n + digest_bytes + header_bytes + 16

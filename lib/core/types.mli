@@ -21,6 +21,10 @@ val header_bytes : int
 val certificate_bytes : n:int -> int
 (** A PBFT certificate carries 2f+1 signatures plus signer ids. *)
 
+val copy_bytes : n:int -> entry_len:int -> int
+(** A full entry copy: the batch plus the [n]-node proposer group's
+    certificate. *)
+
 val vote_bytes : int
 (** A prepare/commit/accept vote: digest + signature + header. *)
 

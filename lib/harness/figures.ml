@@ -171,7 +171,7 @@ let fig10 ?(quick = false) () =
           Chunker.total_wire_bytes ~plan ~entry_len
           + Types.raft_meta_bytes ~n
         in
-        let baseline = (f + 1) * (entry_len + Types.certificate_bytes ~n) in
+        let baseline = (f + 1) * Types.copy_bytes ~n ~entry_len in
         {
           label = Printf.sprintf "%4d txns (%6d B entry)" batch entry_len;
           cells =

@@ -93,7 +93,7 @@ let fold_rafts c f =
 
 let genuine_bucket_complete c (node : N.node) eid rs =
   let plan =
-    Replication.plan_between c ~src:eid.Massbft.Types.gid ~dst:node.N.n_addr.Topology.g
+    N.plan_between c ~src:eid.Massbft.Types.gid ~dst:node.N.n_addr.Topology.g
   in
   Massbft.Rebuild.Symbolic.bucket_size rs (N.entry_of c eid).N.digest
   >= plan.Transfer_plan.n_data
