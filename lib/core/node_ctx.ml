@@ -452,8 +452,8 @@ let batch_bytes ~txn_bytes = Types.header_bytes + txn_bytes
 (** [wire t ~dst_g m]: the class and bytes of [m] on its way to group
     [dst_g], packed as above. Entry payloads (pre-prepares, chunks,
     full copies) are bulk; everything else is control traffic of one
-    vote's size, except a Raft metadata append, which carries a
-    certificate, and a view change, which carries four votes' worth of
+    vote's size, except a Raft metadata append, which carries its
+    proposer group's certificate, and a view change, which carries four votes' worth of
     proof. *)
 let wire t ~dst_g m =
   match m with
@@ -472,8 +472,8 @@ let wire t ~dst_g m =
       bulk
         (Types.copy_bytes ~n:(active_size t eid.Types.gid)
            ~entry_len:(entry_of t eid).size)
-  | Raft_m { rmsg = Raft.Append { entry = Entry_meta _; _ }; _ } ->
-      control (Types.raft_meta_bytes ~n:(active_size t 0))
+  | Raft_m { rmsg = Raft.Append { entry = Entry_meta { eid }; _ }; _ } ->
+      control (Types.raft_meta_bytes ~n:(active_size t eid.Types.gid))
   | Raft_m _ | Accept_req _ | Accept_vote _ | Accept_note _ | Recv_note _
   | Fetch_req _ ->
       control Types.vote_bytes

@@ -16,6 +16,8 @@ module Clusters = Massbft_harness.Clusters
 module Fault_spec = Massbft_faults.Fault_spec
 module Deployment = Massbft_faults.Deployment
 module Adv_spec = Massbft_adversary.Adv_spec
+module N = Massbft.Node_ctx
+module Raft = Massbft_consensus.Raft
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -356,13 +358,34 @@ let test_leader_crash_every_system () =
 
 let test_unequal_group_sizes () =
   (* Figure 12's setting: a 4-node group among 7-node groups. Async
-     ordering must let the big groups outrun the small one. *)
+     ordering must let the big groups outrun the small one. A
+     pass-through hook records the size of each group's Raft metadata
+     appends: each carries its proposer group's certificate. *)
   let spec = small_spec ~group_sizes:[| 4; 7; 7 |] () in
-  let eng, _, _ = run_engine ~until:8.0 ~spec () in
+  let meta_bytes = Array.make 3 [] in
+  let record ~src:_ ~dst:_ ~bulk:_ ~bytes = function
+    | N.Raft_m { rmsg = Raft.Append { entry = N.Entry_meta { eid }; _ }; _ } ->
+        let g = eid.Types.gid in
+        if not (List.mem bytes meta_bytes.(g)) then
+          meta_bytes.(g) <- bytes :: meta_bytes.(g);
+        None
+    | _ -> None
+  in
+  let eng, _, _ =
+    run_engine ~until:8.0 ~spec
+      ~before_run:(fun eng _ _ -> Engine.set_adversary eng (Some record))
+      ()
+  in
   check_bool "progress with mixed sizes" true (committed eng > 500);
   prefix_agree "agreement with mixed sizes"
     (Engine.executed_ids eng ~gid:0)
-    (Engine.executed_ids eng ~gid:2)
+    (Engine.executed_ids eng ~gid:2);
+  Array.iteri
+    (fun g n ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "g%d metadata append bytes" g)
+        [ Types.raft_meta_bytes ~n ] meta_bytes.(g))
+    [| 4; 7; 7 |]
 
 let test_bandwidth_degradation () =
   (* Figure 14: degrading some nodes' WAN must reduce but not kill
