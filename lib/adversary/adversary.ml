@@ -34,7 +34,6 @@ module A = Adv_spec
 type t = {
   sim : Sim.t;
   engine : Engine.t;
-  spec : Topology.spec;
   plan : A.plan;
   trace : Trace.t;
   registry : Registry.t option;
@@ -55,7 +54,6 @@ let create ?(trace = Trace.null) ?registry ?evidence ~spec ~plan engine sim =
   {
     sim;
     engine;
-    spec;
     plan = A.sorted plan;
     trace;
     registry;
@@ -163,7 +161,9 @@ let transform t strategy ~(src : Topology.addr) ~(dst : Topology.addr) ~bulk m
   | A.Withhold _ -> (
       match m with
       | N.Local (Pbft.Pre_prepare _) ->
-          let n = t.spec.Topology.group_sizes.(src.Topology.g) in
+          (* The quorum and the peers are the group's active slots, the
+             prefix [0, n): a dark spare or a retired slot holds no vote. *)
+          let n = N.active_size (Engine.ctx t.engine) src.Topology.g in
           let quorum = Intmath.pbft_quorum n in
           (* Serve only the first quorum-2 peers: with the sender that
              makes quorum-1 holders, one short of a commit quorum. *)

@@ -21,6 +21,11 @@ module Chaos = Massbft_faults.Chaos
 module F = Massbft_faults.Fault_spec
 module Rng = Massbft_util.Rng
 module Golden = Golden_fixture
+module Sim = Massbft_sim.Sim
+module Engine = Massbft.Engine
+module N = Massbft.Node_ctx
+module Pbft = Massbft_consensus.Pbft
+module Deployment = Massbft_faults.Deployment
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -446,6 +451,52 @@ let test_adversary_drill_deterministic () =
   check_bool "identical verdict" true
     (Chaos.failed a.Chaos.outcome = Chaos.failed b.Chaos.outcome)
 
+(* ------------------------------------------------------------------ *)
+(* Withhold counts the active group                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* g1 runs 6 active slots beside a spare that [@8 add-node g1]
+   provisions. Each pre-prepare the withholding leader emits must reach
+   quorum(6) - 2 = 1 follower, one short of a commit quorum with the
+   sender; counted over the provisioned 7 slots it would reach
+   quorum(7) - 2 = 3, and 4 holders decide the slot. A wrapper around
+   the installed hook counts the deliveries per pre-prepare. *)
+let test_withhold_active_group () =
+  let d =
+    Deployment.build
+      ~adversary:(A.of_string "@1 withhold leader:g1 for 2")
+      ~reconfig:(Massbft_reconfig.Reconfig_spec.of_string "@8 add-node g1")
+      ~spec:(small_spec ~group_sizes:[| 4; 6; 4 |] ())
+      ~cfg:(small_cfg ()) ()
+  in
+  Deployment.start d;
+  let withhold = Option.get (Engine.ctx d.engine).N.adv_hook in
+  (* (sender slot, view, seq) -> (followers served, any withheld) *)
+  let sends = Hashtbl.create 64 in
+  Engine.set_adversary d.engine
+    (Some
+       (fun ~src ~dst ~bulk ~bytes m ->
+         let r = withhold ~src ~dst ~bulk ~bytes m in
+         (match m with
+         | N.Local (Pbft.Pre_prepare { view; seq; _ }) when src.Topology.g = 1 ->
+             let key = (src.Topology.n, view, seq) in
+             let served, held =
+               Option.value (Hashtbl.find_opt sends key) ~default:(0, false)
+             in
+             Hashtbl.replace sends key
+               (match r with
+               | Some [] -> (served, true)
+               | None | Some _ -> (served + 1, held))
+         | _ -> ());
+         r));
+  Sim.run d.sim ~until:3.0;
+  let withheld =
+    Hashtbl.fold (fun _ (served, held) acc -> if held then served :: acc else acc)
+      sends []
+  in
+  check_bool "some pre-prepare was withheld" true (withheld <> []);
+  List.iter (check_int "followers served per withheld pre-prepare" 1) withheld
+
 let () =
   Alcotest.run "adversary"
     [
@@ -482,6 +533,11 @@ let () =
         [
           Alcotest.test_case "strategy label" `Slow
             test_injection_counter_strategy_label;
+        ] );
+      ( "withhold",
+        [
+          Alcotest.test_case "counts the active group" `Quick
+            test_withhold_active_group;
         ] );
       ( "determinism",
         [
