@@ -18,3 +18,11 @@ let check what ~measured ~budget =
     Alcotest.(check bool)
       (Printf.sprintf "%s: %.2f words <= %.2f" what measured budget)
       true (measured <= budget)
+
+(* Runs [round] 10 times to warm up (the heap reaches its first
+   capacity), then returns the words per call over 1000 more. *)
+let words_per_round round =
+  for _ = 1 to 10 do round () done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do round () done;
+  (Gc.minor_words () -. w0) /. 1000.0

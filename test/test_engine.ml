@@ -942,6 +942,28 @@ let test_census_per_entry_bounded () =
         (late.Census.executed > 2 * early.Census.executed))
     census_systems
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budget                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Minor words per fault-free engine control message, from
+   [Node_ctx.send] through the wire model, the network hop and the
+   dispatcher: an [Accept_vote] to a follower, whose handler drops it.
+   [Topology.send] to delivery is 27 of them (test_sim's budget); the
+   rest is the delivery continuation. The budget is the value measured
+   on OCaml 5.1 plus 2% ([Budget]). *)
+let test_budget_send () =
+  let d = Deployment.build ~spec:(small_spec ()) ~cfg:(small_cfg ()) () in
+  let ctx = Engine.ctx d.engine in
+  let src = { Topology.g = 0; n = 1 } and dst = { Topology.g = 0; n = 2 } in
+  let vote = N.Accept_vote { inst = 0; index = 1 } in
+  Budget.check "engine control message"
+    ~measured:
+      (Budget.words_per_round (fun () ->
+           N.send ctx ~src ~dst vote;
+           Sim.run_until_idle d.sim ()))
+    ~budget:(34.0 *. 1.02)
+
 let () =
   Alcotest.run "massbft_engine"
     [
@@ -1008,6 +1030,8 @@ let () =
           Alcotest.test_case "all systems reproduce recordings" `Slow
             test_golden_fixtures;
         ] );
+      ( "budget",
+        [ Alcotest.test_case "engine control message" `Quick test_budget_send ] );
       ( "introspection",
         [
           Alcotest.test_case "Table II message mix" `Quick test_table2_message_mix;

@@ -1010,21 +1010,13 @@ let prop_send_path =
    are exact, so a budget is the value measured on OCaml 5.1 plus 2%
    ([Budget]): one more word per message breaks it. *)
 
-(* Runs [round] 10 times to warm up (the heap reaches its first
-   capacity), then returns the words per call over 1000 more. *)
-let words_per_round round =
-  for _ = 1 to 10 do round () done;
-  let w0 = Gc.minor_words () in
-  for _ = 1 to 1000 do round () done;
-  (Gc.minor_words () -. w0) /. 1000.0
-
 let delivered () = ()
 
 let message_words ~wan ~bulk =
   let sim = Sim.create ~shards:2 () in
   let topo = Topology.create sim (spec ()) in
   let src = { Topology.g = 0; n = 0 } and dst = { Topology.g = (if wan then 1 else 0); n = 1 } in
-  words_per_round (fun () ->
+  Budget.words_per_round (fun () ->
       Topology.send ~bulk topo ~src ~dst ~bytes:1_000 delivered;
       Sim.run_until_idle sim ())
 
@@ -1041,7 +1033,7 @@ let test_budget_event () =
   let sim = Sim.create () in
   Budget.check "Sim.at + one dispatch"
     ~measured:
-      (words_per_round (fun () ->
+      (Budget.words_per_round (fun () ->
            Sim.at sim (Sim.now sim +. 1.0) delivered;
            ignore (Sim.step sim)))
     ~budget:(4.0 *. 1.02)
