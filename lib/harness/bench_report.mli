@@ -38,7 +38,7 @@ val row_plan : quick:bool -> (Massbft.Config.system * int) list
 val run_macro :
   ?quick:bool -> groups:int -> system:Massbft.Config.system -> unit -> macro
 (** One engine run on YCSB-A over the nationwide cluster of [groups]
-    groups of 7. Quick mode (1 s warmup + 3 s measurement at 1%
+    groups of 7. Quick mode (2 s warmup + 5 s measurement at 1%
     workload scale) is the CI smoke setting; full mode uses the
     figure-harness windows (4 s + 12 s at full scale). Simulated-side
     fields are deterministic: two calls with the same parameters agree

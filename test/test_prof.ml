@@ -250,7 +250,7 @@ let test_macro_overhead () =
     | _ -> false
   in
   let runs = if strict then 7 else 5 in
-  (* The quick MassBFT macro row: YCSB-A at 1% scale, 1 + 3 sim-s. *)
+  (* MassBFT at the quick macro rows' scale: YCSB-A at 1%, 1 + 3 sim-s. *)
   let cfg =
     {
       (Config.default ~system:Config.Massbft
