@@ -361,10 +361,8 @@ let is_acting_leader t (a : Topology.addr) =
 let alive t (a : Topology.addr) = Topology.alive t.topo a
 
 let entry_of t eid =
-  match Entry_tbl.find t.entries eid with
-  | e -> e
-  | exception Not_found ->
-      invalid_arg ("Engine: unknown entry " ^ Types.entry_id_to_string eid)
+  try Entry_tbl.find t.entries eid
+  with Not_found -> invalid_arg ("Engine: unknown entry " ^ Types.entry_id_to_string eid)
 
 (** The entry a PBFT message of group [g] names: the group's entry at
     [seq], if [digest] is its digest. A forged digest (equivocation)
@@ -408,7 +406,7 @@ let retire t gid e =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Dissemination plans                                                 *)
+(* The wire model                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let plans_for ~n1 ~n2 =
@@ -436,10 +434,6 @@ let plans t ~src ~dst =
 (** The Algorithm 1 transfer plan from group [src] to group [dst]. *)
 let plan_between t ~src ~dst = Lazy.force (plans t ~src ~dst).p_transfer
 
-(* ------------------------------------------------------------------ *)
-(* The wire model                                                      *)
-(* ------------------------------------------------------------------ *)
-
 (* A message's NIC class and wire bytes travel as one int, so a send
    allocates nothing to carry them: the bytes, shifted left one bit,
    with the low bit set for the bulk class. *)
@@ -450,11 +444,10 @@ let control bytes = bytes lsl 1
 let batch_bytes ~txn_bytes = Types.header_bytes + txn_bytes
 
 (** [wire t ~dst_g m]: the class and bytes of [m] on its way to group
-    [dst_g], packed as above. Entry payloads (pre-prepares, chunks,
-    full copies) are bulk; everything else is control traffic of one
-    vote's size, except a Raft metadata append, which carries its
-    proposer group's certificate, and a view change, which carries four votes' worth of
-    proof. *)
+    [dst_g], packed as above. Entry payloads (pre-prepares, chunks, full
+    copies) are bulk; the rest is control traffic of one vote, except a
+    Raft metadata append, which carries its proposer's certificate, and
+    a view change, which carries four votes' worth of proof. *)
 let wire t ~dst_g m =
   match m with
   | Local (Pbft.Pre_prepare { seq; digest; _ }) -> (
@@ -478,17 +471,14 @@ let wire t ~dst_g m =
   | Fetch_req _ ->
       control Types.vote_bytes
 
-(* ------------------------------------------------------------------ *)
-(* Sends                                                               *)
-(* ------------------------------------------------------------------ *)
-
 let ship t ~bulk ~src ~dst ~bytes m =
   Topology.send ~bulk t.topo ~src ~dst ~bytes (fun () -> t.deliver t ~src ~dst m)
 
-(* One send at a class and size already decided: through the adversary
+(* One send at the class and size {!wire} decided: through the adversary
    hook when one is installed. A rewritten message ships at the
    original's class and size. *)
-let emit t ~bulk ~bytes ~src ~dst m =
+let emit t w ~src ~dst m =
+  let bulk = w land 1 = 1 and bytes = w asr 1 in
   match t.adv_hook with
   | None -> ship t ~bulk ~src ~dst ~bytes m
   | Some hook -> (
@@ -511,9 +501,7 @@ let emit t ~bulk ~bytes ~src ~dst m =
     engine's dispatcher ([t.deliver]); see {!Topology.send}. With no
     adversary hook a send is one [Topology.send]: no per-call
     allocation beyond the delivery continuation. *)
-let send t ~src ~dst m =
-  let w = wire t ~dst_g:dst.Topology.g m in
-  emit t ~bulk:(w land 1 = 1) ~bytes:(w asr 1) ~src ~dst m
+let send t ~src ~dst m = emit t (wire t ~dst_g:dst.Topology.g m) ~src ~dst m
 
 (** Broadcasts cover the group's *active* slots only — a spare past the
     active prefix is dark until its activation epoch. The message's
@@ -521,10 +509,9 @@ let send t ~src ~dst m =
 let broadcast_group t ~src m =
   let gid = src.Topology.g in
   let w = wire t ~dst_g:gid m in
-  let bulk = w land 1 = 1 and bytes = w asr 1 in
   for n = 0 to t.active_n.(gid) - 1 do
     let dst = { Topology.g = gid; n } in
-    if not (Topology.addr_equal src dst) then emit t ~bulk ~bytes ~src ~dst m
+    if not (Topology.addr_equal src dst) then emit t w ~src ~dst m
   done
 
 let charge_cpu t (a : Topology.addr) seconds k =
