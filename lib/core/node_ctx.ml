@@ -2,9 +2,10 @@
 
     The engine is a thin conductor over explicit stages (Batcher,
     Local_consensus, Replication, Global_consensus, Ordering, Execution);
-    this module owns everything they share: the wire-message vocabulary,
-    the entry registry, per-node and per-leader state, CPU/NIC charging,
-    the trace sink, and typed send/broadcast.
+    this module owns everything they share: the wire-message vocabulary
+    and the wire model that gives each message its class and bytes, the
+    entry registry, per-node and per-leader state, CPU/NIC charging, the
+    trace sink, and typed send/broadcast.
 
     Messages are delivered through the [deliver] field — the engine's
     dispatcher, installed once at construction. Cross-stage reactions to
