@@ -500,8 +500,8 @@ let emit t w ~src ~dst m =
 (** Typed send: {!wire} decides the message's class and bytes, then the
     topology charges the NICs/links and hands the message to the
     engine's dispatcher ([t.deliver]); see {!Topology.send}. With no
-    adversary hook a send is one [Topology.send]: no per-call
-    allocation beyond the delivery continuation. *)
+    adversary hook a send allocates only what [Topology.send] and the
+    delivery continuation do, plus a pre-prepare's entry lookup. *)
 let send t ~src ~dst m = emit t (wire t ~dst_g:dst.Topology.g m) ~src ~dst m
 
 (** Broadcasts cover the group's *active* slots only — a spare past the
